@@ -136,27 +136,21 @@ cachedToLikely(const std::vector<trace::CachedLikely> &entries)
     return map;
 }
 
-/**
- * Rebuild the Forward Semantic's profile from a recorded stream.
- * ProgramProfile is a pure fold over branch events plus noteRun()
- * calls, so replaying the stream reproduces the online profile
- * bit-identically -- on warm cache paths this recovers everything
- * the Table 5 transform needs without a VM pass.
- */
-profile::ProgramProfile
-rebuildProfile(const RecordedWorkload &recorded)
+/** recordWorkload's profile counters, registered together on first
+ *  use so every snapshot shows both, zero or not. */
+struct ProfileTelemetry
 {
-    profile::ProgramProfile profile(*recorded.program,
-                                    *recorded.layout);
-    for (unsigned r = 0; r < recorded.runs; ++r)
-        profile.noteRun();
-    const trace::TraceView view = recorded.traceView();
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            profile.onBranch(block.event(i));
-    return profile;
+    obs::Counter &restored =
+        obs::Registry::global().counter("engine.profile.restored");
+    obs::Counter &folds =
+        obs::Registry::global().counter("engine.profile.folds");
+};
+
+ProfileTelemetry &
+profileTelemetry()
+{
+    static ProfileTelemetry telemetry;
+    return telemetry;
 }
 
 /** Table 5: the code-size cost of the Forward Semantic transform. */
@@ -256,17 +250,8 @@ ExperimentRunner::runBenchmarkReplay(
         }
     }
 
-    if (config_.runCodeSize) {
-        if (recorded.profile != nullptr) {
-            applyCodeSizeTransform(*recorded.profile, config_, result);
-        } else {
-            // Cache hit: the record pass (and its online profile)
-            // never ran, so fold the cached stream back into one.
-            const profile::ProgramProfile profile =
-                rebuildProfile(recorded);
-            applyCodeSizeTransform(profile, config_, result);
-        }
-    }
+    if (config_.runCodeSize)
+        applyCodeSizeTransform(*recorded.profile, config_, result);
 
     return result;
 }
@@ -371,6 +356,7 @@ recordWorkload(const workloads::Workload &workload,
                const ExperimentConfig &config)
 {
     const obs::ScopedSpan span("engine.record");
+    ProfileTelemetry &telemetry = profileTelemetry();
     RecordedWorkload recorded;
     recorded.name = workload.name();
     recorded.program =
@@ -400,6 +386,24 @@ recordWorkload(const workloads::Workload &workload,
             recorded.likelyMap = cachedToLikely(cached.likely);
             recorded.runs = cached.runs;
             recorded.cacheHit = true;
+            if (cached.profile) {
+                recorded.profile =
+                    std::make_unique<profile::ProgramProfile>(
+                        *recorded.program, *recorded.layout,
+                        recorded.runs, *cached.profile);
+                telemetry.restored.add(1);
+            } else {
+                // No profile section (v1, pre-section, or synthetic
+                // entries): fold the stream back into the profile.
+                const obs::ScopedSpan fold_span("engine.profile.fold");
+                recorded.profile =
+                    std::make_unique<profile::ProgramProfile>(
+                        profile::foldProfile(*recorded.program,
+                                             *recorded.layout,
+                                             recorded.runs,
+                                             recorded.traceView()));
+                telemetry.folds.add(1);
+            }
             return recorded;
         }
     }
@@ -425,6 +429,7 @@ recordWorkload(const workloads::Workload &workload,
         entry.runs = runs;
         entry.stats = recorded.stats.counters();
         entry.likely = likelyToCached(recorded.likelyMap);
+        entry.profile = recorded.profile->exportRows();
         entry.stream = recorded.stream;
         cache.store(recorded.name, entry);
     }

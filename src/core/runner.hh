@@ -67,9 +67,10 @@ struct RecordedWorkload
     /** The Forward Semantic's compiled-in predictions, profiled over
      *  exactly these events. */
     predict::LikelyMap likelyMap;
-    /** The record pass's full block/arc profile. Null on a cache hit;
-     *  the profile is a pure fold over the events, so consumers can
-     *  rebuild it from the stream bit-identically when absent. */
+    /** The full block/arc profile, always set by recordWorkload: the
+     *  record pass's online profile, restored from the cache entry's
+     *  profile section on a hit, or folded from the stream when the
+     *  entry has none. */
     std::unique_ptr<profile::ProgramProfile> profile;
     /** Profiling runs the stream covers. */
     unsigned runs = 0;
@@ -143,6 +144,9 @@ workloadContentHash(const workloads::Workload &workload,
  * BRANCHLAB_TRACE_CACHE environment variable) the cache is consulted
  * first: a hit reconstructs the RecordedWorkload bit-identically
  * without running the VM; a miss records and then persists the entry.
+ * Hits bump the `engine.profile.restored` counter when the entry
+ * carries its profile section and `engine.profile.folds` when the
+ * profile had to be folded from the stream instead.
  */
 RecordedWorkload
 recordWorkload(const workloads::Workload &workload,

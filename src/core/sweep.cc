@@ -285,28 +285,6 @@ struct PreparedWorkload
  *  the inner loop and parallel groups still load-balance. */
 constexpr std::size_t kBatchPoints = 16;
 
-/** The workload's full block/arc profile: the record pass's when
- *  present, else rebuilt into @p storage by folding the cached stream
- *  back through the profiler (a pure fold, so bit-identical to the
- *  online one). */
-const profile::ProgramProfile &
-resolveProfile(const RecordedWorkload &recorded,
-               std::optional<profile::ProgramProfile> &storage)
-{
-    if (recorded.profile != nullptr)
-        return *recorded.profile;
-    storage.emplace(*recorded.program, *recorded.layout);
-    for (unsigned r = 0; r < recorded.runs; ++r)
-        storage->noteRun();
-    const trace::TraceView view = recorded.traceView();
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t e = 0; e < block.count; ++e)
-            storage->onBranch(block.event(e));
-    return *storage;
-}
-
 /** FS accuracy and code increase at one (level, slots, threshold)
  *  coordinate. Level none is the seed replay kernel (bit-identical to
  *  pre-optimizer sweeps); optimized levels score the analytic image
@@ -382,13 +360,12 @@ evaluatePointCell(const RecordedWorkload &recorded,
     cell.cbtbAccuracy = hw.front().cbtb.stats.accuracy.ratio();
     cell.cbtbMissRatio = hw.front().cbtb.missRatio;
 
-    std::optional<profile::ProgramProfile> rebuilt;
-    const profile::ProgramProfile &profile =
-        resolveProfile(recorded, rebuilt);
+    blab_assert(recorded.profile != nullptr,
+                "evaluatePointCell needs recordWorkload's profile");
     std::optional<double> kernel_accuracy;
     const auto [accuracy, code] =
-        measureFs(recorded, profile, point.fsOpt, point.fsSlots,
-                  point.traceThreshold, kernel_accuracy);
+        measureFs(recorded, *recorded.profile, point.fsOpt,
+                  point.fsSlots, point.traceThreshold, kernel_accuracy);
     cell.fsAccuracy = accuracy;
     cell.codeIncrease = code;
     return cell;
@@ -446,10 +423,8 @@ runSweep(const SweepConfig &config)
             const obs::ScopedSpan prepare_span("sweep.prepare");
             PreparedWorkload &slot = prepared[i];
             slot.recorded = recordWorkload(*suite[i], config.base);
-
-            std::optional<profile::ProgramProfile> rebuilt;
             const profile::ProgramProfile &profile =
-                resolveProfile(slot.recorded, rebuilt);
+                *slot.recorded.profile;
             std::optional<double> kernel_accuracy;
             for (const FsTriple &triple : fs_triples) {
                 const auto &[level, slots, threshold] = triple;

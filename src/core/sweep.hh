@@ -185,7 +185,8 @@ SweepResult runSweep(const SweepConfig &config);
  * Forward Semantic at the point's (level, slots, threshold)
  * coordinates. Bit-identical to the corresponding cell a full
  * runSweep() would produce over the same stream -- the serving daemon
- * (src/serve) and the sweep engine share this path.
+ * (src/serve) and the sweep engine share this path. @p recorded must
+ * carry its profile, as recordWorkload's results always do.
  */
 SweepCell evaluatePointCell(const RecordedWorkload &recorded,
                             const SweepPoint &point);

@@ -1,5 +1,7 @@
 #include "profile/profile.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace branchlab::profile
@@ -24,10 +26,74 @@ BranchCounts::dominantTarget() const
     return best;
 }
 
+namespace
+{
+
+BranchCounts
+countsOf(const trace::CachedProfileRow &row)
+{
+    BranchCounts counts;
+    counts.taken = row.taken;
+    counts.notTaken = row.notTaken;
+    for (const auto &[addr, count] : row.next)
+        counts.nextCounts.emplace_hint(counts.nextCounts.end(), addr,
+                                       count);
+    return counts;
+}
+
+trace::CachedProfileRow
+rowOf(Addr pc, Addr prevPc, const BranchCounts &counts)
+{
+    trace::CachedProfileRow row;
+    row.pc = pc;
+    row.prevPc = prevPc;
+    row.taken = counts.taken;
+    row.notTaken = counts.notTaken;
+    row.next.assign(counts.nextCounts.begin(), counts.nextCounts.end());
+    return row;
+}
+
+} // namespace
+
 ProgramProfile::ProgramProfile(const ir::Program &program,
                                const ir::Layout &layout)
     : prog_(program), layout_(layout)
 {}
+
+ProgramProfile::ProgramProfile(const ir::Program &program,
+                               const ir::Layout &layout,
+                               std::uint64_t runs,
+                               const trace::CachedProfile &rows)
+    : prog_(program), layout_(layout), prevPc_(rows.lastPc), runs_(runs)
+{
+    counts_.reserve(rows.branches.size());
+    for (const trace::CachedProfileRow &row : rows.branches)
+        counts_.emplace(row.pc, countsOf(row));
+    // Rows arrive sorted, so every insertion lands at the end.
+    for (const trace::CachedProfileRow &row : rows.paths)
+        pathCounts_.emplace_hint(pathCounts_.end(),
+                                 std::pair{row.pc, row.prevPc},
+                                 countsOf(row));
+}
+
+trace::CachedProfile
+ProgramProfile::exportRows() const
+{
+    trace::CachedProfile rows;
+    rows.lastPc = prevPc_;
+    rows.branches.reserve(counts_.size());
+    for (const auto &[pc, counts] : counts_)
+        rows.branches.push_back(rowOf(pc, ir::kNoAddr, counts));
+    std::sort(rows.branches.begin(), rows.branches.end(),
+              [](const trace::CachedProfileRow &a,
+                 const trace::CachedProfileRow &b) {
+                  return a.pc < b.pc;
+              });
+    rows.paths.reserve(pathCounts_.size());
+    for (const auto &[key, counts] : pathCounts_)
+        rows.paths.push_back(rowOf(key.first, key.second, counts));
+    return rows;
+}
 
 void
 ProgramProfile::onBranch(const trace::BranchEvent &event)
@@ -135,6 +201,21 @@ ProgramProfile::buildLikelyMap() const
         map.emplace(pc, info);
     }
     return map;
+}
+
+ProgramProfile
+foldProfile(const ir::Program &program, const ir::Layout &layout,
+            std::uint64_t runs, const trace::TraceView &view)
+{
+    ProgramProfile profile(program, layout);
+    for (std::uint64_t r = 0; r < runs; ++r)
+        profile.noteRun();
+    trace::TraceView::Cursor cursor = view.cursor();
+    trace::TraceBlock block;
+    while (cursor.next(block))
+        for (std::size_t i = 0; i < block.count; ++i)
+            profile.onBranch(block.event(i));
+    return profile;
 }
 
 } // namespace branchlab::profile

@@ -19,7 +19,9 @@
 #include "ir/layout.hh"
 #include "ir/program.hh"
 #include "predict/profile_predictor.hh"
+#include "trace/cache.hh"
 #include "trace/event.hh"
+#include "trace/view.hh"
 
 namespace branchlab::profile
 {
@@ -37,6 +39,8 @@ struct BranchCounts
     bool majorityTaken() const { return taken > notTaken; }
     /** Most frequent dynamic target (kNoAddr when never executed). */
     ir::Addr dominantTarget() const;
+
+    bool operator==(const BranchCounts &) const = default;
 };
 
 /**
@@ -58,9 +62,20 @@ class ProgramProfile : public trace::TraceSink
   public:
     ProgramProfile(const ir::Program &program, const ir::Layout &layout);
 
+    /**
+     * Restore a profile from exportRows() output (the trace cache's
+     * profile section) over @p runs noted runs. The result answers
+     * every query exactly as the exported profile did, and further
+     * onBranch() calls continue its fold identically.
+     */
+    ProgramProfile(const ir::Program &program, const ir::Layout &layout,
+                   std::uint64_t runs, const trace::CachedProfile &rows);
+
     void onBranch(const trace::BranchEvent &event) override;
 
-    /** Record that a run started (weights the entry block). */
+    /** Record that a run started (weights the entry block). Also
+     *  clears the path context, but every caller notes all of its
+     *  runs before the first event (see pathCounts()). */
     void
     noteRun()
     {
@@ -75,11 +90,19 @@ class ProgramProfile : public trace::TraceSink
 
     /**
      * Counts for the branch at @p pc restricted to executions whose
-     * immediately preceding branch event of the same run was at
-     * @p prevPc (zeros when the pair never executed). Every block
-     * transition is a terminator execution, so the previous event
-     * identifies the dynamic predecessor block -- the path
-     * correlation the superblock pass duplicates for.
+     * immediately preceding event in the fold was at @p prevPc (zeros
+     * when the pair never executed). Every block transition is a
+     * terminator execution, so the previous event identifies the
+     * dynamic predecessor block -- the path correlation the
+     * superblock pass duplicates for.
+     *
+     * Only noteRun() clears the context, and every caller (the
+     * record pass, foldProfile(), the two-pass engine) notes all of
+     * its runs before the first event: a recorded stream carries no
+     * run boundaries. Contexts therefore span runs -- the first event
+     * of run r+1 is tallied under the last event of run r -- and only
+     * the stream's very first event has none. The shipped result
+     * digests pin this behaviour.
      */
     const BranchCounts &pathCounts(ir::Addr pc, ir::Addr prevPc) const;
 
@@ -116,6 +139,10 @@ class ProgramProfile : public trace::TraceSink
      */
     predict::LikelyMap buildLikelyMap() const;
 
+    /** Every tally as canonical rows (lossless: the restore
+     *  constructor rebuilds this profile from them exactly). */
+    trace::CachedProfile exportRows() const;
+
     const ir::Program &program() const { return prog_; }
     const ir::Layout &layout() const { return layout_; }
 
@@ -131,6 +158,16 @@ class ProgramProfile : public trace::TraceSink
     std::uint64_t runs_ = 0;
     BranchCounts zero_;
 };
+
+/**
+ * Fold a recorded stream into the profile its record pass collected
+ * online: @p runs noteRun() calls, then every event in order. A pure
+ * fold, so the result equals the online profile exactly; the fallback
+ * for trace-cache entries without a profile section.
+ */
+ProgramProfile foldProfile(const ir::Program &program,
+                           const ir::Layout &layout, std::uint64_t runs,
+                           const trace::TraceView &view);
 
 } // namespace branchlab::profile
 

@@ -203,6 +203,7 @@ decodeLegacyEntry(std::string_view in, CachedWorkload &out)
     if (!decodeEventsV2Soa(in.substr(pos), event_count, out.stream,
                            error))
         return error;
+    out.profile.reset();
     out.mapped.reset();
     return "";
 }
@@ -210,11 +211,193 @@ decodeLegacyEntry(std::string_view in, CachedWorkload &out)
 const char *
 sectionName(std::size_t s)
 {
-    static const char *const kNames[kEntrySectionCount] = {
+    static const char *const kNames[kKnownSectionCount] = {
         "likely",        "ops",          "cond-plane",
         "taken-plane",   "tknown-plane", "anomaly-plane",
-        "deltas",        "anomaly-deltas"};
+        "deltas",        "anomaly-deltas", "profile"};
     return kNames[s];
+}
+
+void
+putProfileRow(std::string &out, const CachedProfileRow &row)
+{
+    putU64(out, row.pc);
+    putU64(out, row.prevPc);
+    putU64(out, row.taken);
+    putU64(out, row.notTaken);
+    putU64(out, row.next.size());
+    for (const auto &[addr, count] : row.next) {
+        putU64(out, addr);
+        putU64(out, count);
+    }
+}
+
+/** Fixed bytes of one profile row before its next-PC pairs. */
+constexpr std::size_t kProfileRowBytes = 5 * 8;
+
+/** Parse the profile row at @p pos, checking its own shape: next-PC
+ *  addresses strictly ascending, counts nonzero and summing to the
+ *  row's executions. @return empty string on success, else a
+ *  diagnostic. */
+std::string
+readProfileRow(std::string_view in, std::size_t &pos,
+               CachedProfileRow &row)
+{
+    std::uint64_t next_count = 0;
+    if (!getU64(in, pos, row.pc) || !getU64(in, pos, row.prevPc) ||
+        !getU64(in, pos, row.taken) || !getU64(in, pos, row.notTaken) ||
+        !getU64(in, pos, next_count))
+        return "truncated profile row";
+    if (next_count > (in.size() - pos) / 16)
+        return "implausible profile next count";
+    row.next.resize(static_cast<std::size_t>(next_count));
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < row.next.size(); ++i) {
+        auto &[addr, count] = row.next[i];
+        getU64(in, pos, addr);
+        getU64(in, pos, count);
+        if (i != 0 && addr <= row.next[i - 1].first)
+            return "profile next pcs out of order";
+        if (count == 0 || __builtin_add_overflow(sum, count, &sum))
+            return "bad profile next count";
+    }
+    std::uint64_t executions = 0;
+    if (__builtin_add_overflow(row.taken, row.notTaken, &executions) ||
+        sum != executions)
+        return "profile next-counts do not sum to executions";
+    if (executions == 0)
+        return "profile row never executed";
+    return "";
+}
+
+/** Index of the branch row for @p pc in pc-sorted @p rows, or
+ *  rows.size() when there is none. */
+std::size_t
+findBranchRow(const std::vector<CachedProfileRow> &rows, ir::Addr pc)
+{
+    const auto it = std::lower_bound(
+        rows.begin(), rows.end(), pc,
+        [](const CachedProfileRow &row, ir::Addr key) {
+            return row.pc < key;
+        });
+    return it != rows.end() && it->pc == pc
+               ? static_cast<std::size_t>(it - rows.begin())
+               : rows.size();
+}
+
+/**
+ * Parse the profile section and validate it against the rest of the
+ * entry (the rules are listed in trace/format.hh). Runs after every
+ * checksum matched, so a failure here means a writer produced a
+ * self-inconsistent entry. @return empty string on success, else a
+ * diagnostic.
+ */
+std::string
+decodeProfileSection(std::string_view in, const EntryHeader &header,
+                     const std::vector<CachedLikely> &likely,
+                     CachedProfile &out)
+{
+    std::size_t pos = 0;
+    std::uint64_t branch_rows = 0;
+    std::uint64_t path_rows = 0;
+    if (!getU64(in, pos, branch_rows) || !getU64(in, pos, path_rows) ||
+        !getU64(in, pos, out.lastPc))
+        return "truncated profile section";
+    const std::size_t row_capacity = (in.size() - pos) / kProfileRowBytes;
+    if (branch_rows > row_capacity ||
+        path_rows > row_capacity - branch_rows)
+        return "implausible profile row count";
+
+    out.branches.resize(static_cast<std::size_t>(branch_rows));
+    std::uint64_t executions = 0;
+    bool wrapped = false;
+    for (std::size_t i = 0; i < out.branches.size(); ++i) {
+        CachedProfileRow &row = out.branches[i];
+        std::string error = readProfileRow(in, pos, row);
+        if (!error.empty())
+            return error;
+        if (row.prevPc != ir::kNoAddr)
+            return "profile branch row carries a context";
+        if (i != 0 && row.pc <= out.branches[i - 1].pc)
+            return "profile branch rows out of order";
+        if (row.pc > header.maxPc)
+            return "profile pc above max pc";
+        // readProfileRow made sure taken + notTaken cannot wrap.
+        wrapped |= __builtin_add_overflow(
+            executions, row.taken + row.notTaken, &executions);
+    }
+    if (wrapped || executions != header.eventCount)
+        return "profile executions do not sum to the event count";
+
+    if (out.branches.size() != likely.size())
+        return "profile disagrees with the likely section";
+    for (std::size_t i = 0; i < likely.size(); ++i) {
+        const CachedProfileRow &row = out.branches[i];
+        // BranchCounts::dominantTarget: the first (lowest-address)
+        // next pc with the highest count.
+        ir::Addr dominant = ir::kNoAddr;
+        std::uint64_t best = 0;
+        for (const auto &[addr, count] : row.next) {
+            if (count > best) {
+                dominant = addr;
+                best = count;
+            }
+        }
+        if (row.pc != likely[i].pc ||
+            (row.taken > row.notTaken) != likely[i].likelyTaken ||
+            dominant != likely[i].dominantTarget)
+            return "profile disagrees with the likely section";
+    }
+
+    out.paths.resize(static_cast<std::size_t>(path_rows));
+    std::uint64_t path_executions = 0;
+    std::size_t branch = 0;
+    std::uint64_t branch_paths = 0; // path executions of `branch`
+    for (std::size_t i = 0; i < out.paths.size(); ++i) {
+        CachedProfileRow &row = out.paths[i];
+        std::string error = readProfileRow(in, pos, row);
+        if (!error.empty())
+            return error;
+        if (i != 0 && std::pair(row.pc, row.prevPc) <=
+                          std::pair(out.paths[i - 1].pc,
+                                    out.paths[i - 1].prevPc))
+            return "profile path rows out of order";
+        if (row.pc > header.maxPc || row.prevPc > header.maxPc)
+            return "profile pc above max pc";
+        // Paths arrive in pc order: walk the branch rows alongside.
+        if (branch < out.branches.size() &&
+            out.branches[branch].pc != row.pc) {
+            branch_paths = 0;
+            while (branch < out.branches.size() &&
+                   out.branches[branch].pc < row.pc)
+                ++branch;
+        }
+        if (branch == out.branches.size() ||
+            out.branches[branch].pc != row.pc ||
+            findBranchRow(out.branches, row.prevPc) ==
+                out.branches.size())
+            return "profile path of an unprofiled branch";
+        // Branch executions sum to the event count, so neither sum
+        // below can wrap once this bound holds.
+        const CachedProfileRow &owner = out.branches[branch];
+        const std::uint64_t row_executions = row.taken + row.notTaken;
+        if (row_executions >
+            owner.taken + owner.notTaken - branch_paths)
+            return "profile paths exceed their branch's executions";
+        branch_paths += row_executions;
+        path_executions += row_executions;
+    }
+    if (path_executions !=
+        (header.eventCount == 0 ? 0 : header.eventCount - 1))
+        return "profile path executions do not match the event count";
+    if (header.eventCount == 0
+            ? out.lastPc != ir::kNoAddr
+            : findBranchRow(out.branches, out.lastPc) ==
+                  out.branches.size())
+        return "profile last pc is not a profiled branch";
+    if (pos != in.size())
+        return "trailing bytes in profile section";
+    return "";
 }
 
 bool
@@ -229,6 +412,20 @@ syncFd(const std::string &path)
 }
 
 } // namespace
+
+std::string
+encodeProfileSection(const CachedProfile &profile)
+{
+    std::string out;
+    putU64(out, profile.branches.size());
+    putU64(out, profile.paths.size());
+    putU64(out, profile.lastPc);
+    for (const CachedProfileRow &row : profile.branches)
+        putProfileRow(out, row);
+    for (const CachedProfileRow &row : profile.paths)
+        putProfileRow(out, row);
+    return out;
+}
 
 std::string
 encodeLegacyEntryV1(const CachedWorkload &workload)
@@ -316,7 +513,7 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
     }
 
     const std::uint64_t plane_bytes = (header.eventCount + 7) / 8;
-    const std::uint64_t expected_length[kEntrySectionCount] = {
+    const std::uint64_t expected_length[kKnownSectionCount] = {
         header.likelyCount * kLikelyRecordBytes, // likely
         header.eventCount,                       // ops
         plane_bytes,                             // cond plane
@@ -325,8 +522,11 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
         plane_bytes,                             // anomaly plane
         0,                                       // deltas: any
         0,                                       // anomaly deltas: any
+        0,                                       // profile: any
     };
-    for (std::size_t s = 0; s < kEntrySectionCount; ++s) {
+    const std::size_t sections =
+        std::min<std::size_t>(header.sectionCount, kKnownSectionCount);
+    for (std::size_t s = 0; s < sections; ++s) {
         const SectionRecord &section = header.sections[s];
         if (section.offset % kSectionAlign != 0) {
             error = std::string("misaligned section ") +
@@ -372,11 +572,8 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
         }
     }
 
-    out.contentHash = header.contentHash;
-    out.runs = header.runs;
-    out.stats = header.stats;
-    out.likely.clear();
-    out.likely.reserve(static_cast<std::size_t>(header.likelyCount));
+    std::vector<CachedLikely> likely_rows;
+    likely_rows.reserve(static_cast<std::size_t>(header.likelyCount));
     const std::uint8_t *likely =
         data + header.section(EntrySection::Likely).offset;
     for (std::uint64_t i = 0; i < header.likelyCount; ++i) {
@@ -384,9 +581,27 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
         entry.pc = loadU64Le(likely);
         entry.dominantTarget = loadU64Le(likely + 8);
         entry.likelyTaken = likely[16] != 0;
-        out.likely.push_back(entry);
+        likely_rows.push_back(entry);
         likely += kLikelyRecordBytes;
     }
+    std::optional<CachedProfile> profile;
+    if (header.has(EntrySection::Profile)) {
+        const SectionRecord &section =
+            header.section(EntrySection::Profile);
+        error = decodeProfileSection(
+            std::string_view(
+                reinterpret_cast<const char *>(data + section.offset),
+                static_cast<std::size_t>(section.length)),
+            header, likely_rows, profile.emplace());
+        if (!error.empty())
+            return false;
+    }
+
+    out.contentHash = header.contentHash;
+    out.runs = header.runs;
+    out.stats = header.stats;
+    out.likely = std::move(likely_rows);
+    out.profile = std::move(profile);
     out.stream.clear();
 
     auto mapped = std::make_shared<MappedEntry>();
@@ -602,6 +817,12 @@ TraceCache::store(const std::string &name,
                             deltas.size());
         writer.writeSection(EntrySection::AnomalyDeltas,
                             anomalies.data(), anomalies.size());
+        if (workload.profile) {
+            const std::string profile =
+                encodeProfileSection(*workload.profile);
+            writer.writeSection(EntrySection::Profile, profile.data(),
+                                profile.size());
+        }
         std::string werror;
         if (writer.finish(werror)) {
             entry_size = writer.bytesWritten();

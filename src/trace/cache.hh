@@ -10,13 +10,19 @@
  * one directory; pre-shard flat entries are still found. Each file is
  * a BLTC v2 sectioned entry (trace/format.hh): the recorded stream's
  * columns plus the profile data derived alongside it (run count, the
- * TraceStats counters, and the per-branch likely map used by the
- * profiled-static scheme and the Forward Semantic transform), laid
- * out for mmap. A warm load does not decode the stream at all -- it
- * maps the file, validates it (section bounds, checksums, opcode
- * range, content hash, feature bits), and hands replay a zero-copy
- * TraceView over the mapping (trace/view.hh). Legacy v1 entries
- * (inline columnar payload) still load, via the owning decode path.
+ * TraceStats counters, the per-branch likely map used by the
+ * profiled-static scheme and the Forward Semantic transform, and the
+ * record pass's full per-branch and per-path profile that the
+ * transform's trace selection and slot filling read), laid out for
+ * mmap. A warm load walks the stream neither to decode it nor to
+ * re-profile it -- it maps the file, validates it (section bounds,
+ * checksums, opcode range, content hash, feature bits, and the
+ * profile rows against the event count and the likely map), and
+ * hands replay a zero-copy TraceView over the mapping
+ * (trace/view.hh) and the profiler its restored rows. Entries without
+ * the profile section (written before it existed, or synthetic)
+ * still load, profile-less; legacy v1 entries (inline columnar
+ * payload) still load too, via the owning decode path.
  *
  * Invalidation is purely content-addressed: the key hashes the
  * program IR (printed with addresses), the data segment, the layout
@@ -63,8 +69,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "trace/event.hh"
@@ -124,6 +132,43 @@ struct CachedLikely
 };
 
 /**
+ * One persisted profile tally (the plain-data form of a
+ * profile::BranchCounts): the executions of the branch at `pc` or,
+ * in CachedProfile::paths, only those whose preceding branch event
+ * was at `prevPc`.
+ */
+struct CachedProfileRow
+{
+    ir::Addr pc = ir::kNoAddr;
+    /** The context branch (kNoAddr in CachedProfile::branches). */
+    ir::Addr prevPc = ir::kNoAddr;
+    std::uint64_t taken = 0;
+    std::uint64_t notTaken = 0;
+    /** Dynamic next-PC distribution: ascending addresses, every count
+     *  nonzero. */
+    std::vector<std::pair<ir::Addr, std::uint64_t>> next;
+
+    bool operator==(const CachedProfileRow &) const = default;
+};
+
+/**
+ * A profile::ProgramProfile's complete tallies as canonical plain
+ * data (ProgramProfile::exportRows): rows sorted by pc, or by
+ * (pc, prevPc) for paths, so equal profiles export equal rows and
+ * persist as equal bytes.
+ */
+struct CachedProfile
+{
+    std::vector<CachedProfileRow> branches;
+    std::vector<CachedProfileRow> paths;
+    /** The last folded event's pc, under which the next event would
+     *  be tallied (kNoAddr when nothing was folded). */
+    ir::Addr lastPc = ir::kNoAddr;
+
+    bool operator==(const CachedProfile &) const = default;
+};
+
+/**
  * A validated, mapped v2 entry: the mapping plus resolved section
  * pointers. Immutable and self-contained -- consumers share it by
  * shared_ptr, and the stream stays readable even if the cache file is
@@ -175,6 +220,10 @@ struct CachedWorkload
     std::uint32_t runs = 0;
     TraceCounters stats;
     std::vector<CachedLikely> likely;
+    /** The record pass's full profile (the profile section). Absent
+     *  from legacy v1 entries, entries written before the section
+     *  existed, and synthetic entries; store() then writes none. */
+    std::optional<CachedProfile> profile;
     /** The owning stream (empty when `mapped` is set). */
     SoaTrace stream;
     /** The zero-copy mapped stream (v2 warm hits). */
@@ -221,6 +270,11 @@ bool mapEntryFile(const std::string &path, std::uint64_t expected_hash,
 /** Serialize @p workload in the legacy v1 inline format
  *  (compatibility tests: v1 entries must keep loading). */
 std::string encodeLegacyEntryV1(const CachedWorkload &workload);
+
+/** The profile section's bytes for @p profile (trace/format.hh
+ *  documents the layout; exposed so validation tests can plant
+ *  well-formed but inconsistent sections). */
+std::string encodeProfileSection(const CachedProfile &profile);
 
 /** Hit/miss/store totals across all caches in the process. */
 struct TraceCacheCounters

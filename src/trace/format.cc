@@ -1,5 +1,6 @@
 #include "trace/format.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/logging.hh"
@@ -81,10 +82,10 @@ encodeHeader(const EntryHeader &header)
     putU64(out, header.likelyCount);
     blab_assert(out.size() == kEntryHeaderBytes,
                 "entry header layout drifted");
-    for (const SectionRecord &section : header.sections) {
-        putU64(out, section.offset);
-        putU64(out, section.length);
-        putU64(out, section.checksum);
+    for (std::size_t s = 0; s < header.sectionCount; ++s) {
+        putU64(out, header.sections[s].offset);
+        putU64(out, header.sections[s].length);
+        putU64(out, header.sections[s].checksum);
     }
     return out;
 }
@@ -134,7 +135,9 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     if (table_bytes > size - kEntryHeaderBytes)
         return "section table exceeds file";
     const std::uint8_t *row = data + kEntryHeaderBytes;
-    for (std::size_t s = 0; s < kEntrySectionCount; ++s, row += 24) {
+    const std::size_t known =
+        std::min<std::size_t>(out.sectionCount, kKnownSectionCount);
+    for (std::size_t s = 0; s < known; ++s, row += 24) {
         out.sections[s].offset = getU64(row);
         out.sections[s].length = getU64(row + 8);
         out.sections[s].checksum = getU64(row + 16);
@@ -166,12 +169,14 @@ EntryWriter::beginSection(EntrySection s)
 {
     const int index = static_cast<int>(s);
     blab_assert(openSection_ < 0, "section already open");
-    blab_assert(index == nextSection_,
+    blab_assert(index == nextSection_ &&
+                    index < static_cast<int>(kKnownSectionCount),
                 "sections must be written in order");
     if (offset_ == 0) {
-        // Reserve the header region the first time a section opens.
+        // Reserve the header region the first time a section opens
+        // (room for every known row; one page either way).
         pad(alignSection(kEntryHeaderBytes +
-                         kEntrySectionCount * 24));
+                         kKnownSectionCount * 24));
     } else {
         pad(alignSection(offset_));
     }
@@ -235,9 +240,9 @@ bool
 EntryWriter::finish(std::string &error)
 {
     blab_assert(openSection_ < 0, "finish with a section open");
-    blab_assert(nextSection_ ==
-                    static_cast<int>(kEntrySectionCount),
-                "finish before every section was written");
+    blab_assert(nextSection_ >= static_cast<int>(kEntrySectionCount),
+                "finish before every required section was written");
+    header_.sectionCount = static_cast<std::uint32_t>(nextSection_);
     // Pad the tail so the file ends on a section boundary (keeps
     // concatenation-style tooling and mapped length math simple).
     pad(alignSection(offset_));

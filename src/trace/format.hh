@@ -26,11 +26,29 @@
  *                   (pc vs prev pc, target vs pc, fallthrough vs pc)
  *     7 anomaly deltas  one zig-zag varint (nextPc vs pc) per set
  *                   anomaly bit
+ *     8 profile     (additive, optional) the record pass's full
+ *                   per-branch and per-path profile, so a warm run
+ *                   never folds the stream to rebuild it:
+ *                   u64 branch rows B, u64 path rows P, u64 last pc,
+ *                   then B branch rows and P path rows, each
+ *                   { u64 pc, u64 prev pc, u64 taken, u64 not-taken,
+ *                     u64 n, n x { u64 next pc, u64 count } }
+ *                   with prev pc = kNoAddr on branch rows
  *
  * Section alignment means a mapped reader hands the ops bytes and the
  * four bit-planes to the replay kernels directly out of the mapping
  * -- no copy -- while the two varint sections decode lazily, one
  * strip-mined block at a time (trace/view.hh).
+ *
+ * The profile section is validated against the rest of the entry at
+ * map time: rows strictly ascending (branches by pc, paths by
+ * (pc, prev pc)), every pc <= max pc, next-counts ascending, nonzero
+ * and summing to taken + not-taken, branch executions summing to the
+ * event count and path executions to one less (only the stream's
+ * first event has no context), every path's branches profiled, the
+ * last pc profiled (kNoAddr for an empty stream), and one branch row
+ * per likely record that agrees with it on pc, majority direction
+ * and dominant target.
  *
  * Compatibility rules:
  *  - version 1 is the legacy inline entry (whole-file decode); it
@@ -41,6 +59,12 @@
  *    sets bits it does not implement. Additive, ignorable extensions
  *    instead append sections (section count > 8) without a bit: old
  *    readers read the first eight sections and ignore the rest.
+ *  - section 8 (profile) is the first such extension. Readers that
+ *    predate it ignore it; entries without it (written before it
+ *    existed, or by bench/stream_smoke.cc's generator) stay valid,
+ *    and the cache's consumers fold the stream into the profile
+ *    instead. This reader validates sections 0-8 and ignores any
+ *    later ones.
  *  - the per-section checksum (checksum64 below) covers each
  *    section's bytes; readers verify all of them at map time, so a
  *    torn or bit-flipped entry can never SIGBUS a replay later.
@@ -69,7 +93,8 @@ inline constexpr std::uint32_t kEntryVersion = 2;
  *  page-cache friendly. */
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
-/** The eight sections every v2 entry carries, in file order. */
+/** The v2 sections this reader knows, in file order: the eight
+ *  every entry carries, then the additive ones. */
 enum class EntrySection : std::size_t
 {
     Likely = 0,
@@ -80,9 +105,14 @@ enum class EntrySection : std::size_t
     AnomalyPlane = 5,
     Deltas = 6,
     AnomalyDeltas = 7,
+    Profile = 8,
 };
 
+/** Sections every v2 entry carries. */
 inline constexpr std::size_t kEntrySectionCount = 8;
+
+/** Sections this reader validates and uses (required + additive). */
+inline constexpr std::size_t kKnownSectionCount = 9;
 
 /** Bytes per persisted likely-map record (u64 pc, u64 dominant
  *  target, u8 likely-taken). */
@@ -114,9 +144,16 @@ struct EntryHeader
     std::uint64_t eventCount = 0;
     ir::Addr maxPc = 0;
     std::uint64_t likelyCount = 0;
-    /** The first kEntrySectionCount rows (extra sections, if any, are
-     *  additive and ignored by this reader). */
-    std::array<SectionRecord, kEntrySectionCount> sections{};
+    /** The first min(sectionCount, kKnownSectionCount) rows (later
+     *  sections, if any, are ignored by this reader). */
+    std::array<SectionRecord, kKnownSectionCount> sections{};
+
+    /** True when the entry carries section @p s. */
+    bool
+    has(EntrySection s) const
+    {
+        return static_cast<std::size_t>(s) < sectionCount;
+    }
 
     const SectionRecord &
     section(EntrySection s) const
@@ -185,7 +222,9 @@ class EntryWriter
         header_.featureBits = feature_bits;
     }
 
-    /** Start section @p s; sections must arrive in enum order. */
+    /** Start section @p s; sections must arrive in enum order. The
+     *  eight required sections are mandatory, additive ones optional:
+     *  the header's section count is however many were written. */
     void beginSection(EntrySection s);
 
     /** Append @p size bytes to the open section. */

@@ -8,6 +8,8 @@
 #include "helpers.hh"
 #include "profile/profile.hh"
 #include "profile/trace_select.hh"
+#include "trace/record.hh"
+#include "trace/soa.hh"
 #include "workloads/workload.hh"
 
 namespace branchlab::profile
@@ -151,6 +153,122 @@ TEST(ProgramProfile, UnexecutedBranchesHaveZeroCounts)
     const Profiled p = profileProgram(test::buildCountdown(1));
     const BranchCounts &counts = p.profile->branchCounts(0xdeadbeef);
     EXPECT_EQ(counts.executions(), 0u);
+}
+
+/** Fold @p runs executions of @p prog the way every profile consumer
+ *  does -- all runs noted first, then the events in order -- keeping
+ *  each run's events. */
+std::vector<std::vector<trace::BranchEvent>>
+foldRuns(const ir::Program &prog, const ir::Layout &layout,
+         ProgramProfile &profile, unsigned runs)
+{
+    for (unsigned r = 0; r < runs; ++r)
+        profile.noteRun();
+    std::vector<std::vector<trace::BranchEvent>> events;
+    for (unsigned r = 0; r < runs; ++r) {
+        trace::BranchRecorder recorder;
+        trace::FanoutSink fanout;
+        fanout.addSink(&recorder);
+        fanout.addSink(&profile);
+        vm::Machine machine(prog, layout);
+        machine.setSink(&fanout);
+        machine.run();
+        events.push_back(recorder.takeEvents());
+    }
+    return events;
+}
+
+TEST(ProgramProfile, PathContextsSpanRunBoundaries)
+{
+    // Recorded streams carry no run boundaries and every caller notes
+    // all runs up front, so the first event of run r+1 is tallied
+    // under the last event of run r. The shipped digests depend on
+    // this; pin it on a pair that never occurs inside one run (main's
+    // call into fact, entered from fact's final return).
+    const ir::Program prog = test::buildFactorial(4);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+
+    ProgramProfile single(prog, layout);
+    const auto one = foldRuns(prog, layout, single, 1);
+    const trace::BranchEvent &first = one.front().front();
+    const trace::BranchEvent &last = one.front().back();
+    ASSERT_NE(first.pc, last.pc);
+    EXPECT_EQ(single.pathCounts(first.pc, last.pc).executions(), 0u);
+
+    ProgramProfile profile(prog, layout);
+    const auto runs = foldRuns(prog, layout, profile, 3);
+    ASSERT_EQ(runs.size(), 3u);
+    const BranchCounts &cross = profile.pathCounts(first.pc, last.pc);
+    EXPECT_EQ(cross.executions(), 2u);
+    EXPECT_EQ(cross.taken, first.taken ? 2u : 0u);
+    EXPECT_EQ(cross.nextCounts.at(first.nextPc), 2u);
+
+    // Only the stream's very first event has no context.
+    std::uint64_t events = 0;
+    for (const auto &run : runs)
+        events += run.size();
+    std::uint64_t contexts = 0;
+    for (const auto &[key, counts] : profile.allPathCounts())
+        contexts += counts.executions();
+    EXPECT_EQ(contexts, events - 1);
+}
+
+TEST(ProgramProfile, ExportedRowsRestoreTheProfileExactly)
+{
+    const ir::Program prog = test::buildFactorial(5);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    ProgramProfile online(prog, layout);
+    const auto runs = foldRuns(prog, layout, online, 2);
+
+    const trace::CachedProfile rows = online.exportRows();
+    ASSERT_FALSE(rows.branches.empty());
+    ASSERT_FALSE(rows.paths.empty());
+    EXPECT_EQ(rows.lastPc, runs.back().back().pc);
+    for (std::size_t i = 1; i < rows.branches.size(); ++i)
+        EXPECT_LT(rows.branches[i - 1].pc, rows.branches[i].pc);
+
+    ProgramProfile restored(prog, layout, online.runs(), rows);
+    EXPECT_EQ(restored.runs(), online.runs());
+    EXPECT_EQ(restored.exportRows(), rows);
+    EXPECT_EQ(restored.allPathCounts(), online.allPathCounts());
+    for (ir::Addr pc = 0; pc < layout.totalSize(); ++pc)
+        EXPECT_EQ(restored.branchCounts(pc), online.branchCounts(pc))
+            << "pc " << pc;
+    const predict::LikelyMap likely = online.buildLikelyMap();
+    const predict::LikelyMap restored_likely = restored.buildLikelyMap();
+    ASSERT_EQ(restored_likely.size(), likely.size());
+    for (const auto &[pc, info] : likely) {
+        EXPECT_EQ(restored_likely.at(pc).likelyTaken, info.likelyTaken);
+        EXPECT_EQ(restored_likely.at(pc).dominantTarget,
+                  info.dominantTarget);
+    }
+
+    // Lossless: the restored profile continues the fold exactly as
+    // the online one would (the last pc is the next event's context).
+    const trace::BranchEvent extra = runs.front().front();
+    online.onBranch(extra);
+    restored.onBranch(extra);
+    EXPECT_EQ(restored.exportRows(), online.exportRows());
+}
+
+TEST(ProgramProfile, FoldProfileEqualsTheOnlineProfile)
+{
+    const ir::Program prog = test::buildFactorial(6);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    ProgramProfile online(prog, layout);
+    const auto runs = foldRuns(prog, layout, online, 3);
+    std::vector<trace::BranchEvent> events;
+    for (const auto &run : runs)
+        events.insert(events.end(), run.begin(), run.end());
+    const trace::SoaTrace stream = trace::SoaTrace::fromEvents(events);
+
+    const ProgramProfile folded =
+        foldProfile(prog, layout, 3, trace::TraceView::of(stream));
+    EXPECT_EQ(folded.runs(), 3u);
+    EXPECT_EQ(folded.exportRows(), online.exportRows());
 }
 
 // ---------------------------------------------------------------------

@@ -8,16 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "core/runner.hh"
+#include "core/sweep.hh"
 #include "helpers.hh"
 #include "obs/metrics.hh"
+#include "profile/forward_slots.hh"
+#include "profile/fs_opt.hh"
+#include "profile/profile.hh"
 #include "trace/cache.hh"
 #include "trace/format.hh"
 #include "workloads/corpus.hh"
@@ -550,6 +557,215 @@ TEST(TraceCache, ContentHasherIsOrderSensitive)
     EXPECT_NE(c, d);
 }
 
+/** A synthetic workload whose likely map and profile section are
+ *  both derived from its stream, as a cold record writes them. */
+CachedWorkload
+makeProfiledWorkload()
+{
+    const ir::Program prog = test::buildFactorial(5);
+    const ir::Layout layout(prog);
+    BranchRecorder recorder;
+    test::runProgram(prog, &recorder);
+    const SoaTrace stream = SoaTrace::fromEvents(recorder.takeEvents());
+    const profile::ProgramProfile folded =
+        profile::foldProfile(prog, layout, 1, TraceView::of(stream));
+
+    CachedWorkload workload;
+    workload.contentHash = 0x0badc0ffee0ddf00ULL;
+    workload.runs = 1;
+    for (const auto &[pc, info] : folded.buildLikelyMap())
+        workload.likely.push_back({pc, info.dominantTarget,
+                                   info.likelyTaken});
+    std::sort(workload.likely.begin(), workload.likely.end(),
+              [](const CachedLikely &a, const CachedLikely &b) {
+                  return a.pc < b.pc;
+              });
+    workload.profile = folded.exportRows();
+    workload.stream = stream;
+    return workload;
+}
+
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(file), {});
+}
+
+void
+writeFileBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+EntryHeader
+headerOf(const std::string &bytes)
+{
+    EntryHeader header;
+    EXPECT_EQ(decodeEntryHeader(
+                  reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                  bytes.size(), header),
+              "");
+    return header;
+}
+
+/** Replace the entry's (last) profile section with @p section and
+ *  patch its table row -- length and a recomputed checksum -- so the
+ *  checksum sweep passes and only the validator can object. */
+void
+plantProfileSection(const std::string &path, const std::string &section)
+{
+    std::string bytes = readFileBytes(path);
+    const EntryHeader header = headerOf(bytes);
+    ASSERT_TRUE(header.has(EntrySection::Profile));
+    bytes.resize(header.section(EntrySection::Profile).offset);
+    bytes += section;
+    bytes.resize(alignSection(bytes.size()), '\0');
+    const std::size_t row =
+        kEntryHeaderBytes +
+        static_cast<std::size_t>(EntrySection::Profile) * 24;
+    const std::uint64_t fields[2] = {
+        section.size(), checksum64(section.data(), section.size())};
+    for (int f = 0; f < 2; ++f)
+        for (int i = 0; i < 8; ++i)
+            bytes[row + 8 + 8 * f + i] =
+                static_cast<char>((fields[f] >> (8 * i)) & 0xff);
+    writeFileBytes(path, bytes);
+}
+
+TEST(TraceCacheProfile, SectionRoundTripsAndIsOptional)
+{
+    const std::string dir = makeCacheDir("profile_roundtrip");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeProfiledWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    EXPECT_EQ(headerOf(readFileBytes(path)).sectionCount,
+              kKnownSectionCount);
+
+    CachedWorkload loaded;
+    ASSERT_TRUE(cache.load("fact", stored.contentHash, loaded));
+    ASSERT_TRUE(loaded.profile.has_value());
+    EXPECT_EQ(*loaded.profile, *stored.profile);
+    EXPECT_EQ(loaded.likely, stored.likely);
+
+    // Without a profile the writer emits the eight required sections,
+    // laid out exactly like an entry written before the section
+    // existed: the profiled entry minus its ninth table row and
+    // section, with a section count of 8 (header bytes 28..31).
+    CachedWorkload bare = stored;
+    bare.profile.reset();
+    cache.store("bare", bare);
+    const std::string bare_path =
+        cache.entryPath("bare", bare.contentHash);
+    const std::string bare_bytes = readFileBytes(bare_path);
+    EXPECT_EQ(headerOf(bare_bytes).sectionCount, kEntrySectionCount);
+    const std::string full = readFileBytes(path);
+    std::string expected =
+        full.substr(0, headerOf(full).section(EntrySection::Profile).offset);
+    expected[28] = static_cast<char>(kEntrySectionCount);
+    std::fill_n(expected.begin() + kEntryHeaderBytes +
+                    kEntrySectionCount * 24,
+                24, '\0');
+    EXPECT_EQ(bare_bytes, expected);
+    ASSERT_TRUE(cache.load("bare", bare.contentHash, loaded));
+    EXPECT_FALSE(loaded.profile.has_value());
+    EXPECT_EQ(loaded.eventCount(), stored.stream.size());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheProfile, TruncatedOrFlippedSectionIsCorrupt)
+{
+    const std::string dir = makeCacheDir("profile_damage");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeProfiledWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    const std::string pristine = readFileBytes(path);
+    const SectionRecord section =
+        headerOf(pristine).section(EntrySection::Profile);
+
+    CachedWorkload out;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    std::filesystem::resize_file(path, section.offset + section.length -
+                                           1);
+    EXPECT_FALSE(
+        mapEntryFile(path, stored.contentHash, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+    EXPECT_EQ(error, "section profile out of bounds");
+
+    writeFileBytes(path, pristine);
+    patchByte(path,
+              static_cast<std::streamoff>(section.offset +
+                                          section.length / 2),
+              0x08);
+    EXPECT_FALSE(
+        mapEntryFile(path, stored.contentHash, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+    EXPECT_EQ(error, "checksum mismatch in section profile");
+
+    // Both reach the cache as a warned, counted corrupt miss.
+    obs::Counter &corrupt =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    const std::uint64_t before = corrupt.value();
+    resetWarningCount();
+    EXPECT_FALSE(cache.load("fact", stored.contentHash, out));
+    EXPECT_EQ(corrupt.value(), before + 1);
+    EXPECT_GE(warningCount(), 1u);
+
+    writeFileBytes(path, pristine);
+    EXPECT_TRUE(
+        mapEntryFile(path, stored.contentHash, out, error, failure));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheProfile, MutatedSectionsAreRejectedOrRoundTrip)
+{
+    // Seeded byte flips and truncations of the profile section, each
+    // planted with a matching checksum: the reader must reject the
+    // result as Corrupt or accept rows that re-encode to the very
+    // bytes it read -- never crash, never half-accept.
+    const std::string dir = makeCacheDir("profile_mutate");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeProfiledWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    const std::string pristine = readFileBytes(path);
+    const std::string section = encodeProfileSection(*stored.profile);
+
+    std::mt19937_64 rng(0x5eed);
+    std::size_t rejected = 0;
+    for (int round = 0; round < 200; ++round) {
+        std::string bad = section;
+        if (round % 4 == 0) {
+            bad.resize(rng() % bad.size());
+        } else {
+            for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0;
+                 --flips)
+                bad[rng() % bad.size()] ^=
+                    static_cast<char>(1u << (rng() % 8));
+        }
+        writeFileBytes(path, pristine);
+        plantProfileSection(path, bad);
+
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        if (mapEntryFile(path, stored.contentHash, out, error, failure)) {
+            ASSERT_TRUE(out.profile.has_value());
+            EXPECT_EQ(encodeProfileSection(*out.profile), bad)
+                << "round " << round;
+        } else {
+            EXPECT_EQ(failure, MapFailure::Corrupt) << error;
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 150u);
+    std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Warm-path integration through recordWorkload and the runner.
 // ---------------------------------------------------------------------
@@ -696,6 +912,283 @@ TEST(TraceCacheIntegration, DifferentConfigsUseDifferentEntries)
     // The hash is stable for an identical configuration.
     EXPECT_EQ(core::workloadContentHash(workload, config), base);
 }
+
+/** Deltas of recordWorkload's profile counters across a scope. */
+struct ProfileCounterMark
+{
+    obs::Counter &restored =
+        obs::Registry::global().counter("engine.profile.restored");
+    obs::Counter &folds =
+        obs::Registry::global().counter("engine.profile.folds");
+    std::uint64_t restoredAt = restored.value();
+    std::uint64_t foldsAt = folds.value();
+
+    std::uint64_t restoredSince() const
+    {
+        return restored.value() - restoredAt;
+    }
+    std::uint64_t foldsSince() const { return folds.value() - foldsAt; }
+};
+
+/** One self-consistent-looking but wrong profile section, and the
+ *  diagnostic the validator must reject it with. */
+struct ProfileMutation
+{
+    const char *name;
+    const char *diagnostic;
+    void (*mutate)(CachedProfile &profile, ir::Addr max_pc);
+};
+
+/** The dominant next-PC entry of @p row (BranchCounts order). */
+std::pair<ir::Addr, std::uint64_t> &
+dominantNext(CachedProfileRow &row)
+{
+    auto *best = &row.next.front();
+    for (auto &entry : row.next)
+        if (entry.second > best->second)
+            best = &entry;
+    return *best;
+}
+
+const ProfileMutation kProfileMutations[] = {
+    {"unsorted", "profile branch rows out of order",
+     [](CachedProfile &p, ir::Addr) {
+         std::swap(p.branches[0], p.branches[1]);
+     }},
+    {"duplicate", "profile branch rows out of order",
+     [](CachedProfile &p, ir::Addr) {
+         p.branches.insert(p.branches.begin() + 1, p.branches[0]);
+     }},
+    {"duplicate-path", "profile path rows out of order",
+     [](CachedProfile &p, ir::Addr) {
+         p.paths.insert(p.paths.begin() + 1, p.paths[0]);
+     }},
+    {"pc-above-max", "profile pc above max pc",
+     [](CachedProfile &p, ir::Addr max_pc) {
+         p.branches.back().pc = max_pc + 1;
+     }},
+    {"next-sum", "profile next-counts do not sum to executions",
+     [](CachedProfile &p, ir::Addr) { ++p.branches[0].next[0].second; }},
+    {"execution-sum", "profile executions do not sum to the event count",
+     [](CachedProfile &p, ir::Addr) {
+         // One more execution on the majority side and the dominant
+         // target: the row stays consistent with itself and with its
+         // likely record, only the total is off.
+         CachedProfileRow &row = p.branches[0];
+         ++(row.taken > row.notTaken ? row.taken : row.notTaken);
+         ++dominantNext(row).second;
+     }},
+    {"likely-disagreement", "profile disagrees with the likely section",
+     [](CachedProfile &p, ir::Addr) {
+         for (CachedProfileRow &row : p.branches) {
+             if (row.taken != row.notTaken) {
+                 std::swap(row.taken, row.notTaken);
+                 return;
+             }
+         }
+     }},
+    {"path-sum", "profile path executions do not match the event count",
+     [](CachedProfile &p, ir::Addr) { p.paths.pop_back(); }},
+};
+
+TEST(TraceCacheIntegration, InconsistentProfileSectionIsReRecorded)
+{
+    const std::string dir = makeCacheDir("profile_validate");
+    const core::ExperimentConfig config = cachedConfig(dir);
+    const workloads::Workload &workload =
+        workloads::findWorkload("tee");
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    ASSERT_FALSE(cold.cacheHit);
+    const std::string path =
+        TraceCache(dir).entryPath(cold.name, cold.contentHash);
+    const std::string pristine = readFileBytes(path);
+    const trace::CachedProfile rows = cold.profile->exportRows();
+    const ir::Addr max_pc = headerOf(pristine).maxPc;
+    ASSERT_GE(rows.branches.size(), 2u);
+
+    obs::Counter &corrupt =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    for (const ProfileMutation &mutation : kProfileMutations) {
+        SCOPED_TRACE(mutation.name);
+        CachedProfile bad = rows;
+        mutation.mutate(bad, max_pc);
+        ASSERT_NE(bad, rows);
+        writeFileBytes(path, pristine);
+        plantProfileSection(path, encodeProfileSection(bad));
+
+        // The checksums hold; the validator alone must object.
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_FALSE(
+            mapEntryFile(path, cold.contentHash, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Corrupt);
+        EXPECT_EQ(error, mutation.diagnostic);
+
+        // Through the runner: warned, counted, re-recorded, and the
+        // rewritten entry carries the true profile again.
+        const std::uint64_t corrupt_before = corrupt.value();
+        resetWarningCount();
+        const core::RecordedWorkload again =
+            core::recordWorkload(workload, config);
+        EXPECT_FALSE(again.cacheHit);
+        EXPECT_GE(warningCount(), 1u);
+        EXPECT_EQ(corrupt.value(), corrupt_before + 1);
+        ASSERT_TRUE(
+            mapEntryFile(path, cold.contentHash, out, error, failure));
+        ASSERT_TRUE(out.profile.has_value());
+        EXPECT_EQ(*out.profile, rows);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheIntegration, EntriesWithoutProfileStillHitAndFoldOnce)
+{
+    const std::string dir = makeCacheDir("profile_fold");
+    const core::ExperimentConfig config = cachedConfig(dir);
+    const workloads::Workload &workload =
+        workloads::findWorkload("tee");
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    ASSERT_FALSE(cold.cacheHit);
+    const trace::CachedProfile rows = cold.profile->exportRows();
+
+    const TraceCache cache(dir);
+    const std::string path = cache.entryPath(cold.name, cold.contentHash);
+    CachedWorkload entry;
+    ASSERT_TRUE(cache.load(cold.name, cold.contentHash, entry));
+    entry.stream = materializeView(entry.traceView());
+    entry.mapped.reset();
+    entry.profile.reset();
+
+    // An eight-section entry, as written before the profile section
+    // existed.
+    cache.store(cold.name, entry);
+    ASSERT_EQ(headerOf(readFileBytes(path)).sectionCount,
+              kEntrySectionCount);
+    {
+        const ProfileCounterMark mark;
+        const core::RecordedWorkload warm =
+            core::recordWorkload(workload, config);
+        EXPECT_TRUE(warm.cacheHit);
+        EXPECT_EQ(mark.foldsSince(), 1u);
+        EXPECT_EQ(mark.restoredSince(), 0u);
+        ASSERT_NE(warm.profile, nullptr);
+        EXPECT_EQ(warm.profile->exportRows(), rows);
+    }
+
+    // A legacy v1 entry.
+    writeFileBytes(path, encodeLegacyEntryV1(entry));
+    {
+        const ProfileCounterMark mark;
+        const core::RecordedWorkload warm =
+            core::recordWorkload(workload, config);
+        EXPECT_TRUE(warm.cacheHit);
+        EXPECT_EQ(warm.mapped, nullptr);
+        EXPECT_EQ(mark.foldsSince(), 1u);
+        EXPECT_EQ(mark.restoredSince(), 0u);
+        ASSERT_NE(warm.profile, nullptr);
+        EXPECT_EQ(warm.profile->exportRows(), rows);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/** Differential: on every workload, the profile a warm hit restores
+ *  from the profile section must be the cold record's online profile
+ *  in everything the Forward Semantic reads from it. */
+class RestoredProfileDifferential
+    : public ::testing::TestWithParam<std::string>
+{};
+
+std::vector<std::string>
+allWorkloadNames()
+{
+    std::vector<std::string> names;
+    for (const workloads::Workload *workload : workloads::allWorkloads())
+        names.push_back(workload->name());
+    return names;
+}
+
+TEST_P(RestoredProfileDifferential, EqualsTheOnlineProfile)
+{
+    const std::string &name = GetParam();
+    const std::string dir = makeCacheDir("profile_diff_" + name);
+    core::ExperimentConfig config;
+    config.traceCacheDir = dir;
+    const workloads::Workload &workload = workloads::findWorkload(name);
+
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    ASSERT_FALSE(cold.cacheHit);
+    const ProfileCounterMark mark;
+    const core::RecordedWorkload warm =
+        core::recordWorkload(workload, config);
+    ASSERT_TRUE(warm.cacheHit);
+    EXPECT_EQ(mark.restoredSince(), 1u);
+    EXPECT_EQ(mark.foldsSince(), 0u);
+    const profile::ProgramProfile &online = *cold.profile;
+    const profile::ProgramProfile &restored = *warm.profile;
+
+    EXPECT_EQ(restored.runs(), online.runs());
+    for (ir::Addr pc = 0; pc < cold.layout->totalSize(); ++pc) {
+        ASSERT_EQ(restored.branchCounts(pc), online.branchCounts(pc))
+            << "pc " << pc;
+    }
+    EXPECT_EQ(restored.allPathCounts(), online.allPathCounts());
+    const predict::LikelyMap likely = online.buildLikelyMap();
+    const predict::LikelyMap restored_likely = restored.buildLikelyMap();
+    ASSERT_EQ(restored_likely.size(), likely.size());
+    for (const auto &[pc, info] : likely) {
+        const auto it = restored_likely.find(pc);
+        ASSERT_NE(it, restored_likely.end());
+        EXPECT_EQ(it->second.likelyTaken, info.likelyTaken);
+        EXPECT_EQ(it->second.dominantTarget, info.dominantTarget);
+    }
+
+    for (const unsigned slots : {1u, 2u, 4u, 8u}) {
+        EXPECT_EQ(
+            profile::codeIncreaseFor(restored, slots,
+                                     config.traceThreshold),
+            profile::codeIncreaseFor(online, slots,
+                                     config.traceThreshold))
+            << slots << " slots";
+    }
+
+    profile::FsOptConfig fs_config;
+    fs_config.level = profile::FsOptLevel::Hoist;
+    const profile::FsOptResult online_opt =
+        profile::FsOptimizer(online, fs_config).build();
+    const profile::FsOptResult restored_opt =
+        profile::FsOptimizer(restored, fs_config).build();
+    EXPECT_EQ(restored_opt.codeSizeIncrease(),
+              online_opt.codeSizeIncrease());
+    EXPECT_EQ(profile::fsOptAccuracy(restored, restored_opt,
+                                     warm.traceView()),
+              profile::fsOptAccuracy(online, online_opt,
+                                     cold.traceView()));
+
+    // The daemon's miss path: a warm cell is bit-identical to a cold
+    // one (hoist exercises the profile, not just the likely map).
+    core::SweepPoint point = core::expandGrid(core::SweepAxes{})[0];
+    point.fsOpt = profile::FsOptLevel::Hoist;
+    const core::SweepCell cold_cell = core::evaluatePointCell(cold, point);
+    const core::SweepCell warm_cell = core::evaluatePointCell(warm, point);
+    EXPECT_EQ(warm_cell.sbtbAccuracy, cold_cell.sbtbAccuracy);
+    EXPECT_EQ(warm_cell.sbtbMissRatio, cold_cell.sbtbMissRatio);
+    EXPECT_EQ(warm_cell.cbtbAccuracy, cold_cell.cbtbAccuracy);
+    EXPECT_EQ(warm_cell.cbtbMissRatio, cold_cell.cbtbMissRatio);
+    EXPECT_EQ(warm_cell.fsAccuracy, cold_cell.fsAccuracy);
+    EXPECT_EQ(warm_cell.codeIncrease, cold_cell.codeIncrease);
+    std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, RestoredProfileDifferential,
+    ::testing::ValuesIn(allWorkloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
 } // namespace branchlab::trace
