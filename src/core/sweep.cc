@@ -1,10 +1,12 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <tuple>
@@ -282,7 +284,8 @@ struct PreparedWorkload
 /** Grid points per batch-replay pass. Large enough to amortise one
  *  walk of a multi-megabyte stream over many points, small enough
  *  that every point's (tiny) predictor tables stay cache-resident in
- *  the inner loop and parallel groups still load-balance. */
+ *  the inner loop. Parallelism does not depend on it: every
+ *  (group, workload) walk is its own task. */
 constexpr std::size_t kBatchPoints = 16;
 
 /** FS accuracy and code increase at one (level, slots, threshold)
@@ -510,33 +513,57 @@ runSweep(const SweepConfig &config)
     // Batch evaluation: chunk the distinct pairs into groups and
     // replay each workload's stream ONCE per group against every
     // pair in it (events outer, predictor state inner), instead of
-    // once per point. Journal granularity stays per point, so a
+    // once per point. One task is one (group, workload) walk, so even
+    // a single-group grid spreads across the workers; each task
+    // writes its own pre-sized cell slot, keeping results identical
+    // at any job count. Journal granularity stays per point, so a
     // capped or interrupted run resumes exactly as before.
     const std::size_t num_groups =
         (classes.size() + kBatchPoints - 1) / kBatchPoints;
-    parallelFor(num_groups, jobs, [&](std::size_t group) {
+    std::vector<std::vector<predict::BtbBatchPoint>> batches(num_groups);
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        const SweepPoint &point = grid[classes[c].front()];
+        batches[c / kBatchPoints].push_back({point.btb, point.counter});
+    }
+    for (const std::size_t g : pending)
+        resolved[g].cells.resize(prepared.size());
+
+    // Within a group the largest streams go first, so the tail of the
+    // queue is short walks that fill idle workers. Groups go in order,
+    // and the task that lands a group's last workload journals its
+    // points, so a long sweep seals as it goes.
+    std::vector<std::size_t> by_size(prepared.size());
+    std::iota(by_size.begin(), by_size.end(), std::size_t{0});
+    std::stable_sort(by_size.begin(), by_size.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return prepared[a].recorded.eventCount() >
+                                prepared[b].recorded.eventCount();
+                     });
+    std::vector<std::atomic<std::size_t>> unfinished(num_groups);
+    for (std::atomic<std::size_t> &count : unfinished)
+        count = prepared.size();
+
+    parallelFor(num_groups * prepared.size(), jobs, [&](std::size_t task) {
         const obs::ScopedSpan point_span("sweep.point");
+        const std::size_t group = task / prepared.size();
+        const std::size_t w = by_size[task % prepared.size()];
+        const PreparedWorkload &slot = prepared[w];
+        const std::vector<predict::BtbBatchPoint> &batch = batches[group];
+        const std::vector<predict::BtbBatchCell> cells =
+            replayBatch(slot.recorded.traceView(), batch);
+        sweepTelemetry().replays.add(2 * batch.size());
         const std::size_t begin = group * kBatchPoints;
-        const std::size_t end =
-            std::min(begin + kBatchPoints, classes.size());
-        std::vector<predict::BtbBatchPoint> batch;
-        batch.reserve(end - begin);
-        for (std::size_t c = begin; c < end; ++c) {
-            const SweepPoint &point = grid[classes[c].front()];
-            batch.push_back({point.btb, point.counter});
-        }
-        for (const PreparedWorkload &slot : prepared) {
-            const std::vector<predict::BtbBatchCell> cells =
-                replayBatch(slot.recorded.traceView(), batch);
-            sweepTelemetry().replays.add(2 * batch.size());
-            for (std::size_t c = begin; c < end; ++c) {
-                for (const std::size_t g : classes[c]) {
-                    resolved[g].cells.push_back(cellFromBatch(
-                        cells[c - begin], grid[g], slot));
-                }
+        for (std::size_t c = begin; c < begin + batch.size(); ++c) {
+            for (const std::size_t g : classes[c]) {
+                resolved[g].cells[w] =
+                    cellFromBatch(cells[c - begin], grid[g], slot);
             }
         }
-        for (std::size_t c = begin; c < end; ++c) {
+        // The decrement orders every other task's cell writes before
+        // the last task's journal stores.
+        if (--unfinished[group] != 0)
+            return;
+        for (std::size_t c = begin; c < begin + batch.size(); ++c) {
             for (const std::size_t g : classes[c]) {
                 journal.store(keys[g], resolved[g].cells);
                 sweepTelemetry().evaluated.add(1);

@@ -15,11 +15,18 @@
  * workload's branch stream is recorded exactly once (or served from
  * the persistent trace cache), every per-workload quantity that does
  * not depend on the point (FS accuracy, code growth per distinct
- * (slots, threshold) pair) is computed once up front, and then the
- * whole grid is sharded across the thread pool -- each point replays
- * the shared streams against its own freshly configured SBTB/CBTB.
- * The VM never re-executes; a 500-point sweep costs 500 replays, not
- * 500 suite runs.
+ * (level, slots, threshold) triple) is computed once up front, and
+ * the grid is reduced to its distinct (BTB, counter) pairs -- the
+ * only coordinates the hardware replay depends on. The pairs are cut
+ * into groups of up to 16, and one thread-pool task walks one
+ * workload's stream once for every pair in one group (events outer,
+ * predictor state inner). Within a group the largest streams are
+ * queued first; the task that finishes a group's last workload
+ * journals that group's points. Inside a walk, pairs that differ only
+ * in their counter share one SBTB kernel, since SBTB state depends on
+ * the buffer geometry alone. The VM never re-executes; a 500-point
+ * sweep that varies 16 (BTB, counter) pairs costs one stream walk per
+ * workload, not 500 suite runs.
  *
  * Resume: when SweepConfig::journalDir is set, every completed point
  * is persisted through the SweepJournal (core/sweep_journal.hh):
@@ -172,10 +179,11 @@ std::vector<SweepPoint> expandGrid(const SweepAxes &axes);
 
 /**
  * Run the sweep: record every workload once (or hit the trace cache),
- * precompute the point-independent per-workload results, then shard
- * the grid across resolveJobs(config.base.jobs) worker threads.
- * Results arrive in grid order regardless of the job count and are
- * bit-identical for any job count and across resumes.
+ * precompute the point-independent per-workload results, then run
+ * one batch-replay task per (point group, workload) across
+ * resolveJobs(config.base.jobs) worker threads. Results arrive in
+ * grid order regardless of the job count and are bit-identical for
+ * any job count and across resumes.
  */
 SweepResult runSweep(const SweepConfig &config);
 

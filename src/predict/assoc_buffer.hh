@@ -101,6 +101,8 @@ struct BufferConfig
     std::uint64_t seed = 1;
     /** Lookup implementation (behaviourally identical either way). */
     LookupStrategy lookup = LookupStrategy::Auto;
+
+    bool operator==(const BufferConfig &) const = default;
 };
 
 /** "No way" sentinel shared by the buffer and its index policies. */

@@ -91,37 +91,47 @@ runBtbBatch(const trace::TraceView &view,
 {
     // Kernels are non-movable (their destructors fold telemetry), so
     // hold them by pointer. Allocation cost is per batch, not per
-    // event.
+    // event. SBTB state depends on the buffer geometry alone, so
+    // points differing only in their counter share one SBTB kernel
+    // (sbtbOf maps each point to it); every point keeps its own CBTB.
+    const std::size_t num_points = points.size();
     std::vector<std::unique_ptr<SbtbKernel>> sbtbs;
+    std::vector<BufferConfig> sbtbConfigs;
+    std::vector<std::size_t> sbtbOf(num_points);
     std::vector<std::unique_ptr<CbtbKernel>> cbtbs;
-    sbtbs.reserve(points.size());
-    cbtbs.reserve(points.size());
-    for (const BtbBatchPoint &point : points) {
-        sbtbs.push_back(std::make_unique<SbtbKernel>(point.btb));
+    cbtbs.reserve(num_points);
+    for (std::size_t p = 0; p < num_points; ++p) {
+        const BufferConfig config = kernelIndexedConfig(points[p].btb);
+        const auto shared =
+            std::find(sbtbConfigs.begin(), sbtbConfigs.end(), config);
+        sbtbOf[p] = static_cast<std::size_t>(shared - sbtbConfigs.begin());
+        if (shared == sbtbConfigs.end()) {
+            sbtbConfigs.push_back(config);
+            sbtbs.push_back(std::make_unique<SbtbKernel>(config));
+        }
         cbtbs.push_back(
-            std::make_unique<CbtbKernel>(point.btb, point.counter));
+            std::make_unique<CbtbKernel>(points[p].btb, points[p].counter));
     }
 
     // Strip-mined, events outer: decode one L1-resident block of the
-    // stream, then advance every point's predictor state over it in a
+    // stream, then advance every kernel's predictor state over it in a
     // tight per-kernel loop. Each kernel still sees the events in
     // stream order, so the cells match a point-at-a-time replay
     // bit-for-bit.
-    const std::size_t num_points = points.size();
     std::vector<KernelEvent> events(kKernelBlockEvents);
     trace::TraceView::Cursor cursor = view.cursor();
     trace::TraceBlock block;
     while (cursor.next(block)) {
         fillKernelBlock(block, events.data());
-        for (std::size_t p = 0; p < num_points; ++p) {
-            sbtbs[p]->stepBlock(events.data(), block.count);
-            cbtbs[p]->stepBlock(events.data(), block.count);
-        }
+        for (const auto &kernel : sbtbs)
+            kernel->stepBlock(events.data(), block.count);
+        for (const auto &kernel : cbtbs)
+            kernel->stepBlock(events.data(), block.count);
     }
 
-    std::vector<BtbBatchCell> cells(points.size());
+    std::vector<BtbBatchCell> cells(num_points);
     for (std::size_t p = 0; p < num_points; ++p) {
-        cells[p].sbtb = sbtbs[p]->result();
+        cells[p].sbtb = sbtbs[sbtbOf[p]]->result();
         cells[p].cbtb = cbtbs[p]->result();
     }
     return cells;

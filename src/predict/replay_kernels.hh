@@ -723,6 +723,9 @@ struct BtbBatchCell
  * Replay one recorded stream against every grid point in a single
  * trace walk: events in the outer loop, per-point predictor state in
  * the inner loop, so N points cost one trace traversal instead of N.
+ * Points with the same BufferConfig (lookup strategy aside) share one
+ * SBTB kernel, whose state does not depend on the counter, so
+ * predict.sbtb.* counts one kernel's lookups per distinct geometry.
  * Each point's result is bit-identical to replaying it alone.
  */
 std::vector<BtbBatchCell>

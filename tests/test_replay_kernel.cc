@@ -361,6 +361,86 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
     }
 }
 
+TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
+{
+    const RecordedWorkload &recorded = recordedFor("wc");
+
+    predict::BufferConfig set_assoc;
+    set_assoc.entries = 64;
+    set_assoc.associativity = 4;
+    // Small enough that the Random victim choice, and so the seed,
+    // moves the results.
+    predict::BufferConfig random;
+    random.entries = 4;
+    random.associativity = 4;
+    random.policy = predict::ReplacementPolicy::Random;
+    random.seed = 7;
+    predict::BufferConfig reseeded = random;
+    reseeded.seed = 8;
+    // Same state as set_assoc: kernels always use the indexed lookup.
+    predict::BufferConfig linear = set_assoc;
+    linear.lookup = predict::LookupStrategy::Linear;
+
+    // Counter variants over shared geometries, a duplicated point, and
+    // two Random-policy points that differ only in their seed.
+    const std::vector<predict::BtbBatchPoint> points = {
+        {set_assoc, {2, 2}}, {set_assoc, {1, 1}}, {set_assoc, {3, 4}},
+        {set_assoc, {2, 1}}, {set_assoc, {2, 2}}, {random, {2, 2}},
+        {reseeded, {2, 2}},  {random, {4, 8}},    {linear, {2, 3}},
+    };
+    const std::size_t distinct_geometries = 3;
+
+    obs::Counter &sbtb_lookups =
+        obs::Registry::global().counter("predict.sbtb.lookups");
+    const std::uint64_t lookups_before = sbtb_lookups.value();
+    const std::vector<predict::BtbBatchCell> cells =
+        predict::runBtbBatch(recorded.stream, points);
+    ASSERT_EQ(cells.size(), points.size());
+    // predict.sbtb.* counts the shared kernels' lookups.
+    EXPECT_EQ(sbtb_lookups.value() - lookups_before,
+              distinct_geometries * recorded.stream.size());
+
+    const auto expect_same = [](const predict::KernelReplayResult &cell,
+                                const ReplayResult &reference) {
+        EXPECT_TRUE(cell.hasMissRatio);
+        EXPECT_EQ(cell.missRatio, reference.missRatio);
+        expectSameStats(cell.stats, reference.stats);
+    };
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        SCOPED_TRACE("point " + std::to_string(p));
+        KernelSpec spec;
+        spec.kind = SchemeKind::Sbtb;
+        spec.btb = points[p].btb;
+        expect_same(cells[p].sbtb, replayKernel(recorded.stream, spec));
+        expect_same(cells[p].sbtb, referenceReplay(recorded.stream, spec));
+
+        spec.kind = SchemeKind::Cbtb;
+        spec.counter = points[p].counter;
+        expect_same(cells[p].cbtb, replayKernel(recorded.stream, spec));
+        expect_same(cells[p].cbtb, referenceReplay(recorded.stream, spec));
+    }
+    // The two seeds must not have shared a kernel.
+    EXPECT_NE(cells[5].sbtb.missRatio, cells[6].sbtb.missRatio);
+
+    // A permuted batch yields the same cell for every point.
+    const std::vector<std::size_t> order = {7, 0, 5, 8, 2, 6, 4, 1, 3};
+    std::vector<predict::BtbBatchPoint> permuted;
+    for (const std::size_t p : order)
+        permuted.push_back(points[p]);
+    const std::vector<predict::BtbBatchCell> permuted_cells =
+        predict::runBtbBatch(recorded.stream, permuted);
+    ASSERT_EQ(permuted_cells.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        SCOPED_TRACE("permuted " + std::to_string(i));
+        const predict::BtbBatchCell &a = permuted_cells[i];
+        const predict::BtbBatchCell &b = cells[order[i]];
+        EXPECT_EQ(a.sbtb.missRatio, b.sbtb.missRatio);
+        expectSameStats(a.sbtb.stats, b.sbtb.stats);
+        EXPECT_EQ(a.cbtb.missRatio, b.cbtb.missRatio);
+        expectSameStats(a.cbtb.stats, b.cbtb.stats);
+    }
+}
+
 /** A synthetic stream whose pcs exceed the flat-table bound, forcing
  *  table-backed kernels onto the virtual fallback path. */
 trace::SoaTrace

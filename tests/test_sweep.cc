@@ -280,17 +280,114 @@ TEST(Sweep, PaperPointMatchesTheExperimentRunnerBitForBit)
     }
 }
 
+/** A multi-group sweep: three workloads and 18 distinct (BTB,
+ *  counter) pairs, so the batch phase has two point groups (the
+ *  engine batches 16 pairs per walk) and six (group, workload)
+ *  tasks. */
+SweepConfig
+multiGroupSweep(const std::string &tag)
+{
+    SweepConfig config;
+    config.axes.btbEntries = {16, 32, 64};
+    config.axes.btbAssociativity = {0, 2};
+    config.axes.counterThresholds = {1, 2, 3};
+    config.workloads = {"tee", "cmp", "wc"};
+    config.base.runsOverride = 1;
+    config.journalDir = makeJournalDir(tag);
+    return config;
+}
+
+constexpr std::size_t kMultiGroupWorkloads = 3;
+constexpr std::size_t kMultiGroupGroups = 2;
+
+/** The journal keys of @p config's grid, computed the way runSweep
+ *  computes them. */
+std::vector<std::uint64_t>
+gridKeys(const SweepConfig &config)
+{
+    std::vector<std::uint64_t> streams;
+    for (const std::string &name : config.workloads) {
+        streams.push_back(workloadContentHash(
+            workloads::findWorkload(name), config.base));
+    }
+    std::vector<std::uint64_t> keys;
+    for (const SweepPoint &point : expandGrid(config.axes))
+        keys.push_back(sweepPointKey(point, config.workloads, streams));
+    return keys;
+}
+
 TEST(Sweep, ParallelSweepIsBitIdenticalToSerial)
 {
-    SweepConfig serial = quickSweep("serial");
-    serial.journalDir.clear();
-    serial.base.jobs = 1;
-    SweepConfig parallel = serial;
-    parallel.base.jobs = 4;
+    std::string serial_csv;
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        SweepConfig config =
+            multiGroupSweep("parallel_j" + std::to_string(jobs));
+        config.base.jobs = jobs;
+        const SweepResult result = runSweep(config);
+        ASSERT_EQ(result.points.size(), 18u);
+        EXPECT_EQ(result.stats.evaluated, 18u);
 
-    const SweepResult a = runSweep(serial);
-    const SweepResult b = runSweep(parallel);
-    EXPECT_EQ(sweepToCsv(a), sweepToCsv(b));
+        const std::string csv = sweepToCsv(result);
+        if (jobs == 1)
+            serial_csv = csv;
+        EXPECT_EQ(csv, serial_csv);
+
+        // Every point was journalled under its key with exactly the
+        // cells the sweep returned.
+        const std::vector<std::uint64_t> keys = gridKeys(config);
+        SweepJournal journal(config.journalDir);
+        for (const SweepPointResult &point : result.points) {
+            std::vector<SweepCell> cells;
+            ASSERT_TRUE(journal.load(keys[point.point.index], cells));
+            EXPECT_EQ(cells, point.cells);
+        }
+    }
+}
+
+TEST(Sweep, BatchPhaseFansOutOneTaskPerGroupAndWorkload)
+{
+    obs::Counter &pool_jobs =
+        obs::Registry::global().counter("threadpool.sweep.jobs");
+    obs::Counter &stores =
+        obs::Registry::global().counter("sweep.journal.stores");
+
+    SweepConfig config = multiGroupSweep("fanout");
+    config.base.jobs = 2;
+    const std::uint64_t jobs_before = pool_jobs.value();
+    const std::uint64_t stores_before = stores.value();
+    const SweepResult result = runSweep(config);
+
+    // One prepare task per workload, then one batch task per (group,
+    // workload): a batch phase that went serial again would run
+    // inline and leave the second term out.
+    EXPECT_EQ(pool_jobs.value() - jobs_before,
+              kMultiGroupWorkloads +
+                  kMultiGroupWorkloads * kMultiGroupGroups);
+    EXPECT_EQ(stores.value() - stores_before, result.stats.evaluated);
+
+    const std::vector<std::uint64_t> keys = gridKeys(config);
+    SweepJournal journal(config.journalDir);
+    journal.open();
+    EXPECT_EQ(journal.indexedRecords(), keys.size());
+    for (const std::uint64_t key : keys) {
+        std::vector<SweepCell> cells;
+        ASSERT_TRUE(journal.load(key, cells));
+        EXPECT_EQ(cells.size(), kMultiGroupWorkloads);
+    }
+
+    // A capped parallel sweep still evaluates only up to the cap and
+    // omits every point past it.
+    SweepConfig capped = multiGroupSweep("fanout_cap");
+    capped.base.jobs = 2;
+    capped.maxPoints = 5;
+    const SweepResult partial = runSweep(capped);
+    EXPECT_EQ(partial.stats.evaluated, 5u);
+    ASSERT_EQ(partial.points.size(), 5u);
+    for (std::size_t i = 0; i < partial.points.size(); ++i) {
+        EXPECT_EQ(partial.points[i].point.index, i);
+        EXPECT_EQ(partial.points[i].cells, result.points[i].cells);
+    }
 }
 
 TEST(SweepReport, TablesAndEmittersCoverTheGrid)
