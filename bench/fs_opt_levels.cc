@@ -49,9 +49,9 @@ main()
             *entry.program, *entry.layout);
         Rng rng(1989 ^ hashString(workload->name()));
         const auto inputs = workload->makeInputs(rng, 3);
+        trace::SoaRecorder recorder; // every input, concatenated
         for (const auto &input : inputs) {
             entry.profile->noteRun();
-            trace::SoaRecorder recorder;
             struct Tee : trace::TraceSink
             {
                 trace::TraceSink *a;
@@ -73,10 +73,8 @@ main()
             }
             machine.setSink(&tee);
             machine.run();
-            trace::SoaTrace recorded = recorder.take();
-            for (std::size_t i = 0; i < recorded.size(); ++i)
-                entry.stream.append(recorded.event(i));
         }
+        entry.stream = recorder.take();
         suite.push_back(std::move(entry));
     }
 

@@ -320,21 +320,19 @@ timeTelemetryOverhead(
                        : (pcts[mid - 1] + pcts[mid]) / 2.0;
 }
 
-/** Resident bytes of one recorded stream set: the owned SoA columns,
- *  counted at capacity (what the allocator actually holds). */
+/** Resident bytes of one recorded stream set: the owned encoded
+ *  columns, counted at capacity (what the allocator actually holds). */
 std::uint64_t
 streamSetBytes(const std::vector<core::RecordedWorkload> &recorded)
 {
     std::uint64_t total = 0;
     for (const core::RecordedWorkload &workload : recorded) {
         const trace::SoaTrace &s = workload.stream;
-        total += s.ops().capacity() + s.conditionalPlane().capacity() +
-                 s.takenPlane().capacity() +
-                 s.targetKnownPlane().capacity();
-        total += (s.pc().capacity() + s.nextPc().capacity() +
-                  s.targetAddr().capacity() +
-                  s.fallthroughAddr().capacity()) *
-                 sizeof(ir::Addr);
+        for (const std::vector<std::uint8_t> *column :
+             {&s.ops(), &s.conditionalPlane(), &s.takenPlane(),
+              &s.targetKnownPlane(), &s.anomalyPlane(), &s.deltas(),
+              &s.anomalyDeltas()})
+            total += column->capacity();
     }
     return total;
 }

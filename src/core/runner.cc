@@ -26,8 +26,9 @@ namespace
 
 /** Recorder pre-reservation: large benchmarks emit a few million
  *  branch events, so skipping the early regrowth copies is cheap
- *  insurance (a reservation this size is ~50 MB, returned as soon as
- *  the benchmark's replays finish). */
+ *  insurance (the encoded columns cost about five bytes per event,
+ *  so a reservation this size is ~5 MB, returned as soon as the
+ *  benchmark's replays finish). */
 constexpr std::size_t kRecorderReserveEvents = 1u << 20;
 
 /** Execute every input of a suite, feeding one sink. The program is
@@ -377,7 +378,20 @@ recordWorkload(const workloads::Workload &workload,
 
     if (cache.enabled()) {
         trace::CachedWorkload cached;
-        if (cache.load(recorded.name, recorded.contentHash, cached)) {
+        bool hit = cache.load(recorded.name, recorded.contentHash, cached);
+        const ir::Addr code_end = recorded.layout->codeEnd();
+        if (hit && cached.eventCount() != 0 &&
+            cached.traceView().maxPc() >= code_end) {
+            // Checksums and hash match, but the stream's pcs lie
+            // outside the program; the profile's pc-indexed tables
+            // must never see them.
+            blab_warn("trace cache entry for '", recorded.name,
+                      "' has max pc ", cached.traceView().maxPc(),
+                      " past the program's code end ", code_end,
+                      "; re-recording");
+            hit = false;
+        }
+        if (hit) {
             // v2 hits stay mmap'd (stream empty); legacy v1 hits
             // arrive as an owning stream.
             recorded.stream = std::move(cached.stream);
@@ -430,8 +444,11 @@ recordWorkload(const workloads::Workload &workload,
         entry.stats = recorded.stats.counters();
         entry.likely = likelyToCached(recorded.likelyMap);
         entry.profile = recorded.profile->exportRows();
-        entry.stream = recorded.stream;
+        // The recorded columns are the entry's sections: lend them to
+        // the store and take them back, never copying the stream.
+        entry.stream = std::move(recorded.stream);
         cache.store(recorded.name, entry);
+        recorded.stream = std::move(entry.stream);
     }
     return recorded;
 }

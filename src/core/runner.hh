@@ -46,11 +46,13 @@ namespace branchlab::core
  * The program and layout are owned here because events reference
  * their addresses.
  *
- * The stream arrives in one of two forms: an owning SoaTrace in
+ * The stream has one encoded form, the BLTC v2 sections
+ * (trace/format.hh), held in one of two places: an owning SoaTrace in
  * `stream` (cold records, legacy cache entries), or a zero-copy
  * mmap'd cache entry in `mapped` with `stream` empty (v2 warm hits).
- * Replay consumers should use traceView(), which papers over the
- * difference; whole-stream consumers can force an owning copy with
+ * A cold record's columns are the bytes its cache store writes, so
+ * both places hold the same bytes and traceView() decodes them the
+ * same way; whole-stream consumers can force an owning copy with
  * materializedStream().
  */
 struct RecordedWorkload
@@ -58,8 +60,8 @@ struct RecordedWorkload
     std::string name;
     std::unique_ptr<ir::Program> program;
     std::unique_ptr<ir::Layout> layout;
-    /** The owning stream in the engine's native SoA columns
-     *  (trace/soa.hh). Empty when `mapped` is set. */
+    /** The owning stream's encoded columns (trace/soa.hh). Empty
+     *  when `mapped` is set. */
     trace::SoaTrace stream;
     /** The zero-copy mapped cache entry (v2 warm hits), else null. */
     std::shared_ptr<const trace::MappedEntry> mapped;
@@ -143,7 +145,10 @@ workloadContentHash(const workloads::Workload &workload,
  * When a trace cache is configured (config.traceCacheDir or the
  * BRANCHLAB_TRACE_CACHE environment variable) the cache is consulted
  * first: a hit reconstructs the RecordedWorkload bit-identically
- * without running the VM; a miss records and then persists the entry.
+ * without running the VM; a miss records and then persists the entry,
+ * handing the store the recorded columns without copying them.
+ * Entries whose pcs lie past the program's code end are refused and
+ * re-recorded.
  * Hits bump the `engine.profile.restored` counter when the entry
  * carries its profile section and `engine.profile.folds` when the
  * profile had to be folded from the stream instead.

@@ -3,9 +3,10 @@
  * Monomorphized replay kernels: one class per scheme family, each
  * replaying a recorded stream with zero virtual dispatch in the inner
  * loop. Kernels consume a trace::TraceView (trace/view.hh), so one
- * code path serves both decoded SoA streams and mmap'd cache entries
- * -- the latter zero-copy: the view's cursor hands each kernel block
- * pointers straight into the mapping's bit-plane and opcode sections.
+ * code path serves both owned SoaTrace streams and mmap'd cache
+ * entries -- they share one encoded form, and the view's cursor hands
+ * each kernel block pointers straight into its bit-plane and opcode
+ * sections.
  *
  * The virtual-dispatch path (PredictionDriver over BranchPredictor)
  * stays the authoritative reference; every kernel here replicates
@@ -71,8 +72,8 @@ struct KernelReplayResult
     bool hasMissRatio = false;
 };
 
-/** The static per-event view every kernel consumes: the SoA columns
- *  plus the precomputed makeQuery() staticTarget. */
+/** The static per-event view every kernel consumes: the decoded
+ *  block fields plus the precomputed makeQuery() staticTarget. */
 struct KernelEvent
 {
     ir::Addr pc = ir::kNoAddr;
@@ -83,26 +84,6 @@ struct KernelEvent
     bool conditional = false;
     bool taken = false;
 };
-
-/** Materialise the kernel view of event @p i. */
-inline KernelEvent
-kernelEventAt(const trace::SoaTrace &stream, std::size_t i)
-{
-    KernelEvent e;
-    e.pc = stream.pc()[i];
-    e.nextPc = stream.nextPc()[i];
-    e.targetAddr = stream.targetAddr()[i];
-    e.op = stream.opcode(i);
-    e.conditional = stream.conditional(i);
-    e.taken = stream.taken(i);
-    // makeQuery(): only conditionals, direct jumps, and direct calls
-    // carry a statically encoded target.
-    const bool has_static = e.conditional ||
-                            e.op == ir::Opcode::Jmp ||
-                            e.op == ir::Opcode::Call;
-    e.staticTarget = has_static ? e.targetAddr : ir::kNoAddr;
-    return e;
-}
 
 /** Materialise the kernel view of block element @p i. */
 inline KernelEvent
@@ -115,6 +96,8 @@ kernelEventFrom(const trace::TraceBlock &block, std::size_t i)
     e.op = block.opcode(i);
     e.conditional = block.conditional(i);
     e.taken = block.taken(i);
+    // makeQuery(): only conditionals, direct jumps, and direct calls
+    // carry a statically encoded target.
     const bool has_static = e.conditional ||
                             e.op == ir::Opcode::Jmp ||
                             e.op == ir::Opcode::Call;
@@ -134,15 +117,6 @@ inline constexpr std::size_t kKernelBlockEvents = 512;
 // Kernel strip-mining and the view cursor share one block width, so a
 // cursor block maps 1:1 onto a kernel block.
 static_assert(kKernelBlockEvents == trace::kTraceBlockEvents);
-
-/** Materialise events [base, base+count) of @p stream into @p block. */
-inline void
-fillKernelBlock(const trace::SoaTrace &stream, std::size_t base,
-                std::size_t count, KernelEvent *block)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        block[i] = kernelEventAt(stream, base + i);
-}
 
 /** Materialise a cursor block into kernel events. */
 inline void

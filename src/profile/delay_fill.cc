@@ -135,11 +135,8 @@ analyzeDelaySlots(const ProgramProfile &profile, unsigned slots)
             } else {
                 // Ret / JTab / CallInd: dominant-target probability,
                 // but no compile-time path to copy from.
-                const ir::Addr dominant = counts.dominantTarget();
-                std::uint64_t dom_count = 0;
-                const auto it = counts.nextCounts.find(dominant);
-                if (it != counts.nextCounts.end())
-                    dom_count = it->second;
+                const std::uint64_t dom_count =
+                    counts.nextCount(counts.dominantTarget());
                 site.predictProb =
                     static_cast<double>(dom_count) /
                     static_cast<double>(counts.executions());

@@ -12,6 +12,43 @@ using ir::BlockId;
 using ir::FuncId;
 using ir::Opcode;
 
+namespace
+{
+
+/** The first entry of @p rows (sorted by .first) at or past @p key. */
+template <typename Rows>
+auto
+lowerByKey(Rows &rows, Addr key)
+{
+    return std::lower_bound(
+        rows.begin(), rows.end(), key,
+        [](const auto &row, Addr k) { return row.first < k; });
+}
+
+BranchCounts
+countsOf(const trace::CachedProfileRow &row)
+{
+    BranchCounts counts;
+    counts.taken = row.taken;
+    counts.notTaken = row.notTaken;
+    counts.nextCounts = row.next;
+    return counts;
+}
+
+trace::CachedProfileRow
+rowOf(Addr pc, Addr prevPc, const BranchCounts &counts)
+{
+    trace::CachedProfileRow row;
+    row.pc = pc;
+    row.prevPc = prevPc;
+    row.taken = counts.taken;
+    row.notTaken = counts.notTaken;
+    row.next = counts.nextCounts;
+    return row;
+}
+
+} // namespace
+
 Addr
 BranchCounts::dominantTarget() const
 {
@@ -26,54 +63,52 @@ BranchCounts::dominantTarget() const
     return best;
 }
 
-namespace
+std::uint64_t
+BranchCounts::nextCount(Addr next) const
 {
-
-BranchCounts
-countsOf(const trace::CachedProfileRow &row)
-{
-    BranchCounts counts;
-    counts.taken = row.taken;
-    counts.notTaken = row.notTaken;
-    for (const auto &[addr, count] : row.next)
-        counts.nextCounts.emplace_hint(counts.nextCounts.end(), addr,
-                                       count);
-    return counts;
+    const auto it = lowerByKey(nextCounts, next);
+    return it != nextCounts.end() && it->first == next ? it->second : 0;
 }
 
-trace::CachedProfileRow
-rowOf(Addr pc, Addr prevPc, const BranchCounts &counts)
+void
+BranchCounts::add(bool taken_branch, Addr next)
 {
-    trace::CachedProfileRow row;
-    row.pc = pc;
-    row.prevPc = prevPc;
-    row.taken = counts.taken;
-    row.notTaken = counts.notTaken;
-    row.next.assign(counts.nextCounts.begin(), counts.nextCounts.end());
-    return row;
+    if (taken_branch)
+        ++taken;
+    else
+        ++notTaken;
+    const auto it = lowerByKey(nextCounts, next);
+    if (it != nextCounts.end() && it->first == next)
+        ++it->second;
+    else
+        nextCounts.emplace(it, next, 1);
 }
-
-} // namespace
 
 ProgramProfile::ProgramProfile(const ir::Program &program,
                                const ir::Layout &layout)
-    : prog_(program), layout_(layout)
+    : prog_(program), layout_(layout),
+      slotOf_(static_cast<std::size_t>(layout.codeEnd()), 0)
 {}
 
 ProgramProfile::ProgramProfile(const ir::Program &program,
                                const ir::Layout &layout,
                                std::uint64_t runs,
                                const trace::CachedProfile &rows)
-    : prog_(program), layout_(layout), prevPc_(rows.lastPc), runs_(runs)
+    : ProgramProfile(program, layout)
 {
-    counts_.reserve(rows.branches.size());
+    prevPc_ = rows.lastPc;
+    runs_ = runs;
+    branches_.reserve(rows.branches.size());
     for (const trace::CachedProfileRow &row : rows.branches)
-        counts_.emplace(row.pc, countsOf(row));
-    // Rows arrive sorted, so every insertion lands at the end.
-    for (const trace::CachedProfileRow &row : rows.paths)
-        pathCounts_.emplace_hint(pathCounts_.end(),
-                                 std::pair{row.pc, row.prevPc},
-                                 countsOf(row));
+        at(row.pc).counts = countsOf(row);
+    // Rows arrive sorted by (pc, prevPc), so every context lands at
+    // the end of its branch's list.
+    for (const trace::CachedProfileRow &row : rows.paths) {
+        std::vector<PathRow> &contexts = at(row.pc).paths;
+        blab_assert(contexts.empty() || contexts.back().first < row.prevPc,
+                    "profile path rows out of order");
+        contexts.emplace_back(row.prevPc, countsOf(row));
+    }
 }
 
 trace::CachedProfile
@@ -81,36 +116,52 @@ ProgramProfile::exportRows() const
 {
     trace::CachedProfile rows;
     rows.lastPc = prevPc_;
-    rows.branches.reserve(counts_.size());
-    for (const auto &[pc, counts] : counts_)
-        rows.branches.push_back(rowOf(pc, ir::kNoAddr, counts));
-    std::sort(rows.branches.begin(), rows.branches.end(),
-              [](const trace::CachedProfileRow &a,
-                 const trace::CachedProfileRow &b) {
-                  return a.pc < b.pc;
-              });
-    rows.paths.reserve(pathCounts_.size());
-    for (const auto &[key, counts] : pathCounts_)
-        rows.paths.push_back(rowOf(key.first, key.second, counts));
+    rows.branches.reserve(branches_.size());
+    for (std::size_t pc = 0; pc < slotOf_.size(); ++pc) {
+        if (slotOf_[pc] == 0)
+            continue;
+        const Branch &branch = branches_[slotOf_[pc] - 1];
+        rows.branches.push_back(rowOf(pc, ir::kNoAddr, branch.counts));
+        for (const auto &[prev_pc, counts] : branch.paths)
+            rows.paths.push_back(rowOf(pc, prev_pc, counts));
+    }
     return rows;
+}
+
+const ProgramProfile::Branch *
+ProgramProfile::find(Addr pc) const
+{
+    if (pc >= slotOf_.size() || slotOf_[pc] == 0)
+        return nullptr;
+    return &branches_[slotOf_[pc] - 1];
+}
+
+ProgramProfile::Branch &
+ProgramProfile::at(Addr pc)
+{
+    if (pc >= slotOf_.size()) {
+        blab_fatal("profile: branch pc ", pc,
+                   " lies past the program's code end ", slotOf_.size());
+    }
+    std::uint32_t &slot = slotOf_[pc];
+    if (slot == 0) {
+        branches_.emplace_back();
+        slot = static_cast<std::uint32_t>(branches_.size());
+    }
+    return branches_[slot - 1];
 }
 
 void
 ProgramProfile::onBranch(const trace::BranchEvent &event)
 {
-    BranchCounts &counts = counts_[event.pc];
-    if (event.taken)
-        ++counts.taken;
-    else
-        ++counts.notTaken;
-    ++counts.nextCounts[event.nextPc];
+    Branch &branch = at(event.pc);
+    branch.counts.add(event.taken, event.nextPc);
     if (prevPc_ != ir::kNoAddr) {
-        BranchCounts &path = pathCounts_[{event.pc, prevPc_}];
-        if (event.taken)
-            ++path.taken;
-        else
-            ++path.notTaken;
-        ++path.nextCounts[event.nextPc];
+        std::vector<PathRow> &contexts = branch.paths;
+        auto it = lowerByKey(contexts, prevPc_);
+        if (it == contexts.end() || it->first != prevPc_)
+            it = contexts.emplace(it, prevPc_, BranchCounts{});
+        it->second.add(event.taken, event.nextPc);
     }
     prevPc_ = event.pc;
 }
@@ -118,15 +169,19 @@ ProgramProfile::onBranch(const trace::BranchEvent &event)
 const BranchCounts &
 ProgramProfile::branchCounts(Addr pc) const
 {
-    const auto it = counts_.find(pc);
-    return it == counts_.end() ? zero_ : it->second;
+    const Branch *branch = find(pc);
+    return branch != nullptr ? branch->counts : zero_;
 }
 
 const BranchCounts &
 ProgramProfile::pathCounts(Addr pc, Addr prevPc) const
 {
-    const auto it = pathCounts_.find({pc, prevPc});
-    return it == pathCounts_.end() ? zero_ : it->second;
+    const Branch *branch = find(pc);
+    if (branch == nullptr)
+        return zero_;
+    const auto it = lowerByKey(branch->paths, prevPc);
+    return it != branch->paths.end() && it->first == prevPc ? it->second
+                                                            : zero_;
 }
 
 Addr
@@ -193,8 +248,11 @@ predict::LikelyMap
 ProgramProfile::buildLikelyMap() const
 {
     predict::LikelyMap map;
-    map.reserve(counts_.size());
-    for (const auto &[pc, counts] : counts_) {
+    map.reserve(branches_.size());
+    for (std::size_t pc = 0; pc < slotOf_.size(); ++pc) {
+        if (slotOf_[pc] == 0)
+            continue;
+        const BranchCounts &counts = branches_[slotOf_[pc] - 1].counts;
         predict::LikelyInfo info;
         info.likelyTaken = counts.majorityTaken();
         info.dominantTarget = counts.dominantTarget();

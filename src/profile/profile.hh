@@ -6,13 +6,20 @@
  * intermediate form with probes" step of the Forward Semantic (paper
  * section 2.2); we observe terminators instead of inserting probes,
  * which yields identical counts.
+ *
+ * The profile runs on every recorded event, so its tallies live in
+ * dense tables: a pc-indexed slot table sized by the program's layout
+ * (four bytes per code address) points each executed branch at its
+ * counts and its list of path contexts, sorted by the preceding
+ * event's pc. Next-PC distributions are short ascending (address,
+ * count) vectors. No event does a hash or tree lookup, and every pc
+ * is bounds-checked against the layout's code end before it indexes
+ * a table.
  */
 
 #ifndef BRANCHLAB_PROFILE_PROFILE_HH
 #define BRANCHLAB_PROFILE_PROFILE_HH
 
-#include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,13 +39,18 @@ struct BranchCounts
     std::uint64_t taken = 0;
     std::uint64_t notTaken = 0;
     /** Dynamic next-PC distribution (targets of taken executions and,
-     *  for conditionals, the fallthrough address of not-taken ones). */
-    std::map<ir::Addr, std::uint64_t> nextCounts;
+     *  for conditionals, the fallthrough address of not-taken ones):
+     *  ascending addresses, every count nonzero. */
+    std::vector<std::pair<ir::Addr, std::uint64_t>> nextCounts;
 
     std::uint64_t executions() const { return taken + notTaken; }
     bool majorityTaken() const { return taken > notTaken; }
     /** Most frequent dynamic target (kNoAddr when never executed). */
     ir::Addr dominantTarget() const;
+    /** Executions that continued at @p next (0 when none did). */
+    std::uint64_t nextCount(ir::Addr next) const;
+    /** Tally one execution that continued at @p next. */
+    void add(bool taken_branch, ir::Addr next);
 
     bool operator==(const BranchCounts &) const = default;
 };
@@ -66,11 +78,15 @@ class ProgramProfile : public trace::TraceSink
      * Restore a profile from exportRows() output (the trace cache's
      * profile section) over @p runs noted runs. The result answers
      * every query exactly as the exported profile did, and further
-     * onBranch() calls continue its fold identically.
+     * onBranch() calls continue its fold identically. Rows must be in
+     * exportRows() order; a row whose pc lies past the layout's code
+     * end is fatal (core::recordWorkload refuses such entries first).
      */
     ProgramProfile(const ir::Program &program, const ir::Layout &layout,
                    std::uint64_t runs, const trace::CachedProfile &rows);
 
+    /** Tally one event. A pc past the layout's code end is fatal:
+     *  such a stream did not come from this program. */
     void onBranch(const trace::BranchEvent &event) override;
 
     /** Record that a run started (weights the entry block). Also
@@ -106,14 +122,6 @@ class ProgramProfile : public trace::TraceSink
      */
     const BranchCounts &pathCounts(ir::Addr pc, ir::Addr prevPc) const;
 
-    /** Every recorded (pc, prevPc) tally, ordered by pc then prevPc
-     *  (for passes that enumerate a branch's entry contexts). */
-    const std::map<std::pair<ir::Addr, ir::Addr>, BranchCounts> &
-    allPathCounts() const
-    {
-        return pathCounts_;
-    }
-
     /**
      * Execution count of a block: the execution count of its
      * terminator (every block ends in one). Blocks ending in Halt use
@@ -147,13 +155,36 @@ class ProgramProfile : public trace::TraceSink
     const ir::Layout &layout() const { return layout_; }
 
   private:
+    /** One context of a branch: the preceding event's pc and the
+     *  branch's tallies under it. */
+    using PathRow = std::pair<ir::Addr, BranchCounts>;
+
+    /** Everything tallied for one executed branch. */
+    struct Branch
+    {
+        BranchCounts counts;
+        /** The branch's contexts, ascending by prevPc. */
+        std::vector<PathRow> paths;
+    };
+
     /** Address of a block's terminator instruction. */
     ir::Addr terminatorAddr(ir::FuncId func, ir::BlockId block) const;
 
+    /** The tallies of the branch at @p pc (null when it never
+     *  executed, or lies outside the code). */
+    const Branch *find(ir::Addr pc) const;
+
+    /** The tallies of the branch at @p pc, created on first use; a pc
+     *  past the code end is fatal. */
+    Branch &at(ir::Addr pc);
+
     const ir::Program &prog_;
     const ir::Layout &layout_;
-    std::unordered_map<ir::Addr, BranchCounts> counts_;
-    std::map<std::pair<ir::Addr, ir::Addr>, BranchCounts> pathCounts_;
+    /** Indexed by pc, sized to the layout's code end: 0 for a branch
+     *  that never executed, else 1 + its index in branches_. */
+    std::vector<std::uint32_t> slotOf_;
+    /** Executed branches, in first-execution order. */
+    std::vector<Branch> branches_;
     ir::Addr prevPc_ = ir::kNoAddr;
     std::uint64_t runs_ = 0;
     BranchCounts zero_;

@@ -773,7 +773,6 @@ TraceCache::store(const std::string &name,
             g_tmpSequence.fetch_add(1, std::memory_order_relaxed));
     const SoaTrace &stream = workload.stream;
     const std::size_t n = stream.size();
-    const std::size_t plane_bytes = (n + 7) / 8;
     std::uint64_t entry_size = 0;
     bool written = false;
     {
@@ -795,28 +794,20 @@ TraceCache::store(const std::string &name,
         }
         writer.writeSection(EntrySection::Likely, likely_bytes.data(),
                             likely_bytes.size());
-        // The stream's columns go to disk verbatim; only the anomaly
-        // plane and the delta columns are derived here.
-        writer.writeSection(EntrySection::Ops, stream.ops().data(), n);
-        writer.writeSection(EntrySection::CondPlane,
-                            stream.conditionalPlane().data(),
-                            plane_bytes);
-        writer.writeSection(EntrySection::TakenPlane,
-                            stream.takenPlane().data(), plane_bytes);
-        writer.writeSection(EntrySection::TargetKnownPlane,
-                            stream.targetKnownPlane().data(),
-                            plane_bytes);
-        std::string anomaly_plane;
-        std::string deltas;
-        std::string anomalies;
-        encodeDeltaColumnsV2(stream, anomaly_plane, deltas, anomalies);
-        writer.writeSection(EntrySection::AnomalyPlane,
-                            anomaly_plane.data(),
-                            anomaly_plane.size());
-        writer.writeSection(EntrySection::Deltas, deltas.data(),
-                            deltas.size());
-        writer.writeSection(EntrySection::AnomalyDeltas,
-                            anomalies.data(), anomalies.size());
+        // The stream already holds the v2 sections: write them
+        // verbatim.
+        const std::pair<EntrySection, const std::vector<std::uint8_t> *>
+            columns[] = {
+                {EntrySection::Ops, &stream.ops()},
+                {EntrySection::CondPlane, &stream.conditionalPlane()},
+                {EntrySection::TakenPlane, &stream.takenPlane()},
+                {EntrySection::TargetKnownPlane,
+                 &stream.targetKnownPlane()},
+                {EntrySection::AnomalyPlane, &stream.anomalyPlane()},
+                {EntrySection::Deltas, &stream.deltas()},
+                {EntrySection::AnomalyDeltas, &stream.anomalyDeltas()}};
+        for (const auto &[section, column] : columns)
+            writer.writeSection(section, column->data(), column->size());
         if (workload.profile) {
             const std::string profile =
                 encodeProfileSection(*workload.profile);

@@ -24,6 +24,12 @@
  * still load, profile-less; legacy v1 entries (inline columnar
  * payload) still load too, via the owning decode path.
  *
+ * There is one encoded form of a stream, owned or mapped: a cold
+ * record's SoaTrace holds exactly the v2 sections (trace/soa.hh), so
+ * store() writes those bytes verbatim, and a warm hit maps the same
+ * bytes back. Cold and warm replay walk the same form through the
+ * same TraceView.
+ *
  * Invalidation is purely content-addressed: the key hashes the
  * program IR (printed with addresses), the data segment, the layout
  * footprint, the input suite, and the VM configuration (seed, runs,
@@ -205,13 +211,13 @@ struct MappedEntry
 
 /**
  * Everything a warm run needs in place of the VM record pass. The
- * stream arrives in exactly one of two forms:
+ * stream's v2 sections are held in exactly one of two places:
  *
- *  - `mapped` non-null (v2 hit): zero-copy, `stream` empty;
- *  - `mapped` null: an owning SoaTrace in `stream` (cold records,
+ *  - `mapped` non-null (v2 hit): in the mapping, `stream` empty;
+ *  - `mapped` null: in the owning SoaTrace `stream` (cold records,
  *    legacy v1 hits).
  *
- * traceView() papers over the difference for replay consumers.
+ * Either way traceView() gives replay the same decoding view.
  */
 struct CachedWorkload
 {
@@ -224,7 +230,8 @@ struct CachedWorkload
      *  from legacy v1 entries, entries written before the section
      *  existed, and synthetic entries; store() then writes none. */
     std::optional<CachedProfile> profile;
-    /** The owning stream (empty when `mapped` is set). */
+    /** The owning stream (empty when `mapped` is set); store() writes
+     *  its columns verbatim. */
     SoaTrace stream;
     /** The zero-copy mapped stream (v2 warm hits). */
     std::shared_ptr<const MappedEntry> mapped;
@@ -334,10 +341,12 @@ class TraceCache
 
     /**
      * Persist @p workload (its owning `stream`) as the entry for
-     * @p name. Creates the shard directory if needed; streams a temp
-     * file, fsyncs, and renames it into place. Failures warn, unlink
-     * the temp file, and leave the cache unchanged. A successful
-     * store then evicts LRU entries until the cache fits maxBytes().
+     * @p name. The stream's encoded columns are the entry's v2
+     * sections and are written verbatim. Creates the shard directory
+     * if needed; streams a temp file, fsyncs, and renames it into
+     * place. Failures warn, unlink the temp file, and leave the cache
+     * unchanged. A successful store then evicts LRU entries until the
+     * cache fits maxBytes().
      */
     void store(const std::string &name,
                const CachedWorkload &workload) const;

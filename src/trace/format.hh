@@ -35,10 +35,16 @@
  *                     u64 n, n x { u64 next pc, u64 count } }
  *                   with prev pc = kNoAddr on branch rows
  *
+ * Sections 1-7 are byte for byte the columns a trace::SoaTrace holds
+ * in memory (trace/soa.hh): there is one encoded form of a stream,
+ * owned or mapped. A cold record builds it event by event, the cache
+ * writes it verbatim, and a warm hit maps it back.
+ *
  * Section alignment means a mapped reader hands the ops bytes and the
  * four bit-planes to the replay kernels directly out of the mapping
  * -- no copy -- while the two varint sections decode lazily, one
- * strip-mined block at a time (trace/view.hh).
+ * strip-mined block at a time (trace/view.hh), exactly as they do
+ * for an owned stream.
  *
  * The profile section is validated against the rest of the entry at
  * map time: rows strictly ascending (branches by pc, paths by

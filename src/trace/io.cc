@@ -1,5 +1,6 @@
 #include "trace/io.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -7,6 +8,7 @@
 
 #include "support/logging.hh"
 #include "trace/varint.hh"
+#include "trace/view.hh"
 
 namespace branchlab::trace
 {
@@ -107,14 +109,6 @@ getEventV1(std::istream &is)
     return event;
 }
 
-bool
-getBit(std::string_view plane, std::size_t base, std::uint64_t i)
-{
-    return (static_cast<unsigned char>(plane[base + (i >> 3)]) >>
-            (i & 7)) &
-           1u;
-}
-
 struct HeaderV2
 {
     std::uint64_t contentHash = 0;
@@ -152,11 +146,25 @@ readHeader(std::istream &is, std::uint64_t &count_v1, HeaderV2 &v2)
 std::vector<BranchEvent>
 readBodyV2(std::istream &is, const HeaderV2 &header)
 {
-    std::string payload(header.payloadSize, '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload.size()));
-    if (!is)
-        blab_fatal("truncated trace stream");
+    // Every event owns at least its opcode byte.
+    if (header.count > header.payloadSize)
+        blab_fatal("corrupt trace stream: ", header.count,
+                   " events cannot fit a ", header.payloadSize,
+                   "-byte payload");
+    // The header's payload size is untrusted: grow the buffer only as
+    // bytes actually arrive, so a lying header ends in "truncated"
+    // instead of a giant allocation.
+    constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+    std::string payload;
+    while (payload.size() < header.payloadSize) {
+        const std::size_t have = payload.size();
+        const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
+            kChunkBytes, header.payloadSize - have));
+        payload.resize(have + want);
+        is.read(payload.data() + have, static_cast<std::streamsize>(want));
+        if (!is)
+            blab_fatal("truncated trace stream");
+    }
     std::vector<BranchEvent> events;
     std::string error;
     if (!decodeEventsV2(payload, header.count, events, error))
@@ -166,73 +174,23 @@ readBodyV2(std::istream &is, const HeaderV2 &header)
 
 } // namespace
 
-void
-encodeDeltaColumnsV2(const SoaTrace &events, std::string &anomaly_plane,
-                     std::string &deltas, std::string &anomalies)
-{
-    const std::size_t n = events.size();
-    const std::size_t plane_bytes = (n + 7) / 8;
-    const std::vector<ir::Addr> &pc = events.pc();
-    const std::vector<ir::Addr> &next_pc = events.nextPc();
-    const std::vector<ir::Addr> &target = events.targetAddr();
-    const std::vector<ir::Addr> &fall = events.fallthroughAddr();
-
-    anomaly_plane.assign(plane_bytes, '\0');
-    // One delta triple per event, interleaved so the decoder fills
-    // each event in a single sequential pass (three separate columns
-    // would make it re-walk the multi-hundred-megabyte trace once
-    // per column).
-    deltas.clear();
-    deltas.reserve(6 * n); // small deltas dominate real traces
-    anomalies.clear();
-
-    ir::Addr prev_pc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const ir::Addr implied = events.taken(i) ? target[i] : fall[i];
-        if (next_pc[i] != implied) {
-            anomaly_plane[i >> 3] = static_cast<char>(
-                static_cast<unsigned char>(anomaly_plane[i >> 3]) |
-                (1u << (i & 7)));
-            putVarint(anomalies, zigzag(next_pc[i] - pc[i]));
-        }
-        putVarint(deltas, zigzag(pc[i] - prev_pc));
-        putVarint(deltas, zigzag(target[i] - pc[i]));
-        putVarint(deltas, zigzag(fall[i] - pc[i]));
-        prev_pc = pc[i];
-    }
-}
-
 std::string
 encodeEventsV2(const SoaTrace &events)
 {
-    const std::size_t n = events.size();
-    const std::size_t plane_bytes = (n + 7) / 8;
-
-    // The first three bit-planes share the SoaTrace's LSB-first
-    // layout, so they serialize as straight byte copies. Only the
-    // anomalous-next plane has to be derived here.
-    std::string anomaly_plane;
-    std::string deltas;
-    std::string anomalies;
-    encodeDeltaColumnsV2(events, anomaly_plane, deltas, anomalies);
-
+    // The SoaTrace columns are the payload's, in payload order.
+    const std::vector<std::uint8_t> *const columns[] = {
+        &events.ops(),          &events.conditionalPlane(),
+        &events.takenPlane(),   &events.targetKnownPlane(),
+        &events.anomalyPlane(), &events.deltas(),
+        &events.anomalyDeltas()};
+    std::size_t bytes = 0;
+    for (const std::vector<std::uint8_t> *column : columns)
+        bytes += column->size();
     std::string payload;
-    payload.reserve(n + 4 * plane_bytes + deltas.size() +
-                    anomalies.size());
-    payload.append(
-        reinterpret_cast<const char *>(events.ops().data()), n);
-    payload.append(reinterpret_cast<const char *>(
-                       events.conditionalPlane().data()),
-                   plane_bytes);
-    payload.append(
-        reinterpret_cast<const char *>(events.takenPlane().data()),
-        plane_bytes);
-    payload.append(reinterpret_cast<const char *>(
-                       events.targetKnownPlane().data()),
-                   plane_bytes);
-    payload += anomaly_plane;
-    payload += deltas;
-    payload += anomalies;
+    payload.reserve(bytes);
+    for (const std::vector<std::uint8_t> *column : columns)
+        payload.append(reinterpret_cast<const char *>(column->data()),
+                       column->size());
     return payload;
 }
 
@@ -247,75 +205,59 @@ decodeEventsV2Soa(std::string_view payload, std::uint64_t count,
                   SoaTrace &out, std::string &error)
 {
     out.clear();
-    const std::size_t n = static_cast<std::size_t>(count);
+    // Every event owns at least its opcode byte. Checking the count
+    // first keeps the column arithmetic below from wrapping.
+    if (count > payload.size()) {
+        error = "event count exceeds the payload";
+        return false;
+    }
+    const auto n = static_cast<std::size_t>(count);
     const std::size_t plane_bytes = (n + 7) / 8;
-    if (payload.size() < n + 4 * plane_bytes) {
+    if (payload.size() - n < 4 * plane_bytes) {
         error = "payload shorter than its fixed columns";
         return false;
     }
-    const std::size_t planes = n; // plane base offset
-    const auto *base =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    VarintCursor cur{base + n + 4 * plane_bytes,
-                     base + payload.size()};
-
-    std::vector<std::uint8_t> ops(base, base + n);
+    const auto *ops =
+        reinterpret_cast<const std::uint8_t *>(payload.data());
+    const std::uint8_t *cond = ops + n;
+    const std::uint8_t *taken = cond + plane_bytes;
+    const std::uint8_t *target_known = taken + plane_bytes;
+    const std::uint8_t *anomaly = target_known + plane_bytes;
+    const std::uint8_t *deltas = anomaly + plane_bytes;
+    const std::uint8_t *end = ops + payload.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (ops[i] >= ir::kNumOpcodes) {
             error = "bad opcode " + std::to_string(ops[i]);
             return false;
         }
     }
-    // The outcome planes keep their on-disk layout in memory: copy.
-    std::vector<std::uint8_t> conditional_plane(
-        base + planes, base + planes + plane_bytes);
-    std::vector<std::uint8_t> taken_plane(
-        base + planes + plane_bytes,
-        base + planes + 2 * plane_bytes);
-    std::vector<std::uint8_t> target_known_plane(
-        base + planes + 2 * plane_bytes,
-        base + planes + 3 * plane_bytes);
-
-    std::vector<ir::Addr> pc(n);
-    std::vector<ir::Addr> next_pc(n);
-    std::vector<ir::Addr> target(n);
-    std::vector<ir::Addr> fall(n);
-    ir::Addr prev_pc = 0;
+    // Walk both varint columns once to find where they split and to
+    // prove each holds exactly its events' varints; the view decode
+    // below can then never run short.
+    VarintCursor cur{deltas, end};
+    std::uint64_t z = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t zpc = 0;
-        std::uint64_t ztarget = 0;
-        std::uint64_t zfall = 0;
-        if (!cur.get(zpc) || !cur.get(ztarget) || !cur.get(zfall)) {
+        if (!cur.get(z) || !cur.get(z) || !cur.get(z)) {
             error = "truncated delta column";
             return false;
         }
-        pc[i] = prev_pc + unzigzag(zpc);
-        prev_pc = pc[i];
-        target[i] = pc[i] + unzigzag(ztarget);
-        fall[i] = pc[i] + unzigzag(zfall);
-        const bool taken =
-            (taken_plane[i >> 3] >> (i & 7)) & 1u;
-        next_pc[i] = taken ? target[i] : fall[i];
     }
+    const std::uint8_t *anomaly_deltas = cur.p;
     for (std::size_t i = 0; i < n; ++i) {
-        if (!getBit(payload, planes + 3 * plane_bytes, i))
-            continue;
-        std::uint64_t z = 0;
-        if (!cur.get(z)) {
+        if (((anomaly[i >> 3] >> (i & 7)) & 1u) != 0 && !cur.get(z)) {
             error = "truncated anomalous-next column";
             return false;
         }
-        next_pc[i] = pc[i] + unzigzag(z);
     }
     if (cur.p != cur.end) {
         error = "trailing bytes after event columns";
         return false;
     }
-    out.adoptColumns(std::move(ops), std::move(conditional_plane),
-                     std::move(taken_plane),
-                     std::move(target_known_plane), std::move(pc),
-                     std::move(next_pc), std::move(target),
-                     std::move(fall));
+    out = materializeView(TraceView::mapped(
+        ops, cond, taken, target_known, anomaly, deltas,
+        static_cast<std::size_t>(anomaly_deltas - deltas),
+        anomaly_deltas, static_cast<std::size_t>(end - anomaly_deltas),
+        n, ir::kNoAddr));
     return true;
 }
 
@@ -405,8 +347,12 @@ readTrace(std::istream &is)
     std::uint64_t count_v1 = 0;
     HeaderV2 v2;
     if (readHeader(is, count_v1, v2) == kTraceFormatVersionV1) {
+        // The count is untrusted: reserve at most a modest prefix and
+        // let truncation end the loop.
+        constexpr std::uint64_t kReserveCap = std::uint64_t{1} << 16;
         std::vector<BranchEvent> events;
-        events.reserve(count_v1);
+        events.reserve(static_cast<std::size_t>(
+            std::min(count_v1, kReserveCap)));
         for (std::uint64_t i = 0; i < count_v1; ++i)
             events.push_back(getEventV1(is));
         return events;

@@ -32,7 +32,10 @@
  * The v2 content hash identifies what produced the trace (program IR +
  * layout + input suite + VM configuration); 0 means "unknown". Readers
  * fail fatally on bad magic, unsupported versions, truncation, or
- * corrupt columns -- never silently.
+ * corrupt columns -- never silently. Header counts and sizes are
+ * untrusted: readers never allocate or reserve more than the bytes
+ * that actually arrive, so a lying header ends in the same fatal
+ * "truncated" diagnostic as a short file.
  */
 
 #ifndef BRANCHLAB_TRACE_IO_HH
@@ -98,31 +101,22 @@ std::vector<BranchEvent> readTraceFile(const std::string &path);
 std::size_t replayTrace(std::istream &is, TraceSink &sink);
 
 /**
- * The v2 column codec, shared with the trace cache. encode returns
- * the payload bytes for the given events; decode parses a payload of
- * @p count events, returning false (with a diagnostic in @p error)
- * on truncation or corruption instead of failing fatally.
+ * The v2 column codec, shared with the trace cache's legacy v1
+ * entries. encode returns the payload bytes for the given events;
+ * decode parses a payload of @p count events, returning false (with a
+ * diagnostic in @p error) on truncation or corruption instead of
+ * failing fatally. @p count is checked against the payload before
+ * any arithmetic, so no header value can wrap a length check.
  *
- * The SoA pair is the primary implementation: the payload's three
- * outcome bit-planes are copied verbatim into the SoaTrace (they
- * share the LSB-first layout) and the delta columns decode straight
- * into the address arrays, so no std::vector<BranchEvent> is ever
- * materialised on the replay path. The event-vector decode is a thin
+ * The SoA pair is the primary implementation. A SoaTrace already
+ * holds the payload's columns (trace/soa.hh), so encode is a straight
+ * concatenation; decode validates every column and re-encodes the
+ * events into a fresh SoaTrace. The event-vector decode is a thin
  * adapter over it (decode-into-SoA, then toEvents()).
  */
 std::string encodeEventsV2(const SoaTrace &events);
 bool decodeEventsV2Soa(std::string_view payload, std::uint64_t count,
                        SoaTrace &out, std::string &error);
-
-/**
- * The derived v2 columns on their own: the anomalous-next bit-plane
- * and the two varint delta columns. The sectioned cache-entry writer
- * (trace/cache.cc) stores the remaining columns as verbatim copies of
- * the SoaTrace planes and only needs these three computed.
- */
-void encodeDeltaColumnsV2(const SoaTrace &events,
-                          std::string &anomaly_plane,
-                          std::string &deltas, std::string &anomalies);
 
 std::string encodeEventsV2(const std::vector<BranchEvent> &events);
 bool decodeEventsV2(std::string_view payload, std::uint64_t count,

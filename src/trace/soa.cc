@@ -1,55 +1,77 @@
 /**
  * @file
- * SoaTrace out-of-line members.
+ * SoaTrace out-of-line members: the v2 encoder.
  */
 
 #include "trace/soa.hh"
 
-#include <cassert>
+#include <algorithm>
+
+#include "trace/varint.hh"
+#include "trace/view.hh"
 
 namespace branchlab::trace
 {
 
 void
+SoaTrace::clear()
+{
+    ops_.clear();
+    conditionalPlane_.clear();
+    takenPlane_.clear();
+    targetKnownPlane_.clear();
+    anomalyPlane_.clear();
+    deltas_.clear();
+    anomalyDeltas_.clear();
+    prevPc_ = 0;
+    maxPc_ = 0;
+}
+
+void
+SoaTrace::reserve(std::size_t n)
+{
+    const std::size_t plane_bytes = (n + 7) / 8;
+    ops_.reserve(n);
+    conditionalPlane_.reserve(plane_bytes);
+    takenPlane_.reserve(plane_bytes);
+    targetKnownPlane_.reserve(plane_bytes);
+    anomalyPlane_.reserve(plane_bytes);
+    deltas_.reserve(3 * n);
+}
+
+void
 SoaTrace::append(const BranchEvent &event)
 {
-    const std::size_t i = op_.size();
-    op_.push_back(static_cast<std::uint8_t>(event.op));
-    const std::size_t plane_bytes = (i >> 3) + 1;
-    if (conditionalPlane_.size() < plane_bytes)
-    {
+    const std::size_t i = ops_.size();
+    ops_.push_back(static_cast<std::uint8_t>(event.op));
+    if ((i & 7) == 0) {
         conditionalPlane_.push_back(0);
         takenPlane_.push_back(0);
         targetKnownPlane_.push_back(0);
+        anomalyPlane_.push_back(0);
     }
+    const auto bit = static_cast<std::uint8_t>(1u << (i & 7));
     if (event.conditional)
-        setBit(conditionalPlane_, i);
+        conditionalPlane_.back() |= bit;
     if (event.taken)
-        setBit(takenPlane_, i);
+        takenPlane_.back() |= bit;
     if (event.targetKnown)
-        setBit(targetKnownPlane_, i);
-    pc_.push_back(event.pc);
-    nextPc_.push_back(event.nextPc);
-    targetAddr_.push_back(event.targetAddr);
-    fallthroughAddr_.push_back(event.fallthroughAddr);
-    if (event.pc != ir::kNoAddr && event.pc > maxPc_)
-        maxPc_ = event.pc;
-}
-
-BranchEvent
-SoaTrace::event(std::size_t i) const
-{
-    assert(i < size());
-    BranchEvent out;
-    out.pc = pc_[i];
-    out.nextPc = nextPc_[i];
-    out.targetAddr = targetAddr_[i];
-    out.fallthroughAddr = fallthroughAddr_[i];
-    out.op = opcode(i);
-    out.conditional = conditional(i);
-    out.taken = taken(i);
-    out.targetKnown = targetKnown(i);
-    return out;
+        targetKnownPlane_.back() |= bit;
+    // "Anomalous next" events (never VM-emitted, but representable)
+    // carry their nextPc in a side column.
+    const ir::Addr implied =
+        event.taken ? event.targetAddr : event.fallthroughAddr;
+    if (event.nextPc != implied) {
+        anomalyPlane_.back() |= bit;
+        putVarint(anomalyDeltas_, zigzag(event.nextPc - event.pc));
+    }
+    // One interleaved triple per event, so the decoder fills each
+    // event in a single sequential pass.
+    putVarint(deltas_, zigzag(event.pc - prevPc_));
+    putVarint(deltas_, zigzag(event.targetAddr - event.pc));
+    putVarint(deltas_, zigzag(event.fallthroughAddr - event.pc));
+    prevPc_ = event.pc;
+    maxPc_ = std::max(maxPc_, event.pc);
 }
 
 SoaTrace
@@ -67,45 +89,13 @@ SoaTrace::toEvents() const
 {
     std::vector<BranchEvent> out;
     out.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out.push_back(event(i));
+    const TraceView view = TraceView::of(*this);
+    TraceView::Cursor cursor = view.cursor();
+    TraceBlock block;
+    while (cursor.next(block))
+        for (std::size_t i = 0; i < block.count; ++i)
+            out.push_back(block.event(i));
     return out;
-}
-
-void
-SoaTrace::adoptColumns(std::vector<std::uint8_t> ops,
-                       std::vector<std::uint8_t> conditional_plane,
-                       std::vector<std::uint8_t> taken_plane,
-                       std::vector<std::uint8_t> target_known_plane,
-                       std::vector<ir::Addr> pc,
-                       std::vector<ir::Addr> next_pc,
-                       std::vector<ir::Addr> target_addr,
-                       std::vector<ir::Addr> fallthrough_addr)
-{
-    const std::size_t n = ops.size();
-    const std::size_t plane_bytes = (n + 7) / 8;
-    assert(conditional_plane.size() == plane_bytes);
-    assert(taken_plane.size() == plane_bytes);
-    assert(target_known_plane.size() == plane_bytes);
-    assert(pc.size() == n);
-    assert(next_pc.size() == n);
-    assert(target_addr.size() == n);
-    assert(fallthrough_addr.size() == n);
-    (void)plane_bytes;
-
-    op_ = std::move(ops);
-    conditionalPlane_ = std::move(conditional_plane);
-    takenPlane_ = std::move(taken_plane);
-    targetKnownPlane_ = std::move(target_known_plane);
-    pc_ = std::move(pc);
-    nextPc_ = std::move(next_pc);
-    targetAddr_ = std::move(target_addr);
-    fallthroughAddr_ = std::move(fallthrough_addr);
-
-    maxPc_ = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        if (pc_[i] != ir::kNoAddr && pc_[i] > maxPc_)
-            maxPc_ = pc_[i];
 }
 
 } // namespace branchlab::trace

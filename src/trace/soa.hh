@@ -1,22 +1,25 @@
 /**
  * @file
- * Structure-of-arrays branch-trace buffer: the replay engine's native
- * representation of a recorded stream.
+ * The owning branch-trace buffer: a recorded stream held in exactly
+ * the encoded form a BLTC v2 cache entry stores (trace/format.hh).
  *
- * A replayed stream is read millions of times by code that touches
- * only a few fields per event (a BTB kernel reads pc, the taken bit,
- * and one target per event), so the array-of-structs
- * std::vector<BranchEvent> wastes most of every cache line it pulls.
- * SoaTrace keeps each field in its own column -- delta-friendly
- * address arrays plus the same LSB-first bit-planes the v2 on-disk
- * format uses, so the streaming decoder (trace/io.hh,
- * decodeEventsV2Soa) can copy the planes verbatim and fill the
- * address columns in one pass without ever materialising an event
- * vector.
+ * There is one encoded form of a stream, owned or mapped. SoaTrace
+ * owns its seven columns -- the opcode bytes, four LSB-first
+ * bit-planes (conditional, taken, target-known, anomalous next), the
+ * interleaved zig-zag delta column and the anomalous-next delta
+ * column -- and append() is the only v2 encoder. A cold record
+ * therefore builds, event by event, the very bytes a warm cache hit
+ * maps: TraceCache::store writes the columns verbatim as the entry's
+ * sections, and TraceView::of() hands replay the same decoding view
+ * a mapped entry gives (trace/view.hh), so cold and warm replay walk
+ * one form.
  *
- * The AoS view is still available per event (event(i)) and in bulk
- * (toEvents()) for consumers that want whole events; both are exact,
- * so converting back and forth round-trips bit-identically.
+ * The columns cost about five bytes per event on real traces (one
+ * opcode byte, half a byte of planes, three mostly one-byte deltas).
+ * Access is sequential only, through TraceView's cursor; toEvents()
+ * materialises the whole stream for consumers that want event
+ * vectors (tests, dumps). Encoding is exact, so fromEvents/toEvents
+ * round-trip bit-identically.
  */
 
 #ifndef BRANCHLAB_TRACE_SOA_HH
@@ -30,83 +33,32 @@
 namespace branchlab::trace
 {
 
-/** One recorded branch stream, one column per BranchEvent field. */
+/** One recorded branch stream as its encoded v2 columns. */
 class SoaTrace
 {
   public:
     SoaTrace() = default;
 
-    std::size_t size() const { return op_.size(); }
-    bool empty() const { return op_.empty(); }
+    std::size_t size() const { return ops_.size(); }
+    bool empty() const { return ops_.empty(); }
 
-    void
-    clear()
-    {
-        op_.clear();
-        conditionalPlane_.clear();
-        takenPlane_.clear();
-        targetKnownPlane_.clear();
-        pc_.clear();
-        nextPc_.clear();
-        targetAddr_.clear();
-        fallthroughAddr_.clear();
-        maxPc_ = 0;
-    }
+    void clear();
 
-    void
-    reserve(std::size_t n)
-    {
-        op_.reserve(n);
-        conditionalPlane_.reserve((n + 7) / 8);
-        takenPlane_.reserve((n + 7) / 8);
-        targetKnownPlane_.reserve((n + 7) / 8);
-        pc_.reserve(n);
-        nextPc_.reserve(n);
-        targetAddr_.reserve(n);
-        fallthroughAddr_.reserve(n);
-    }
+    /** Reserve room for @p n events (deltas sized for the one-byte
+     *  case that dominates real traces). */
+    void reserve(std::size_t n);
 
-    /** Append one event (the recording path). */
+    /** Append one event: the v2 encoder (the recording path). */
     void append(const BranchEvent &event);
 
-    /** Materialise event @p i (exact; no bounds check in release). */
-    BranchEvent event(std::size_t i) const;
+    /** Largest branch pc in the stream (0 when empty). The replay
+     *  kernels use this to size their pc-indexed flat tables and to
+     *  decide kernel eligibility; views enforce it per event. */
+    ir::Addr maxPc() const { return maxPc_; }
 
-    // ---- Per-event field accessors (replay kernels). ----
+    // ---- The v2 sections, in file order (trace/format.hh). ----
 
-    ir::Opcode
-    opcode(std::size_t i) const
-    {
-        return static_cast<ir::Opcode>(op_[i]);
-    }
-
-    bool
-    conditional(std::size_t i) const
-    {
-        return bit(conditionalPlane_, i);
-    }
-
-    bool taken(std::size_t i) const { return bit(takenPlane_, i); }
-
-    bool
-    targetKnown(std::size_t i) const
-    {
-        return bit(targetKnownPlane_, i);
-    }
-
-    // ---- Raw columns (replay kernels stream these directly). ----
-
-    const std::vector<std::uint8_t> &ops() const { return op_; }
-    const std::vector<ir::Addr> &pc() const { return pc_; }
-    const std::vector<ir::Addr> &nextPc() const { return nextPc_; }
-    const std::vector<ir::Addr> &targetAddr() const
-    {
-        return targetAddr_;
-    }
-    const std::vector<ir::Addr> &fallthroughAddr() const
-    {
-        return fallthroughAddr_;
-    }
+    const std::vector<std::uint8_t> &ops() const { return ops_; }
     const std::vector<std::uint8_t> &conditionalPlane() const
     {
         return conditionalPlane_;
@@ -119,61 +71,40 @@ class SoaTrace
     {
         return targetKnownPlane_;
     }
-
-    /** Largest branch pc in the stream (0 when empty). The replay
-     *  kernels use this to size their pc-indexed flat tables and to
-     *  decide kernel eligibility. */
-    ir::Addr maxPc() const { return maxPc_; }
+    const std::vector<std::uint8_t> &anomalyPlane() const
+    {
+        return anomalyPlane_;
+    }
+    /** One (pc vs previous pc, target vs pc, fallthrough vs pc)
+     *  zig-zag varint triple per event. */
+    const std::vector<std::uint8_t> &deltas() const { return deltas_; }
+    /** One zig-zag varint (nextPc vs pc) per set anomaly bit. */
+    const std::vector<std::uint8_t> &anomalyDeltas() const
+    {
+        return anomalyDeltas_;
+    }
 
     // ---- Bulk conversions (exact round trips). ----
 
     static SoaTrace fromEvents(const std::vector<BranchEvent> &events);
     std::vector<BranchEvent> toEvents() const;
 
-    /**
-     * Adopt pre-built columns (the streaming v2 decoder). The planes
-     * must be LSB-first with (count + 7) / 8 bytes; every address
-     * column must hold exactly @p ops.size() entries. maxPc is
-     * recomputed here so adopters cannot desynchronise it.
-     */
-    void adoptColumns(std::vector<std::uint8_t> ops,
-                      std::vector<std::uint8_t> conditional_plane,
-                      std::vector<std::uint8_t> taken_plane,
-                      std::vector<std::uint8_t> target_known_plane,
-                      std::vector<ir::Addr> pc,
-                      std::vector<ir::Addr> next_pc,
-                      std::vector<ir::Addr> target_addr,
-                      std::vector<ir::Addr> fallthrough_addr);
-
   private:
-    static bool
-    bit(const std::vector<std::uint8_t> &plane, std::size_t i)
-    {
-        return (plane[i >> 3] >> (i & 7)) & 1u;
-    }
-
-    static void
-    setBit(std::vector<std::uint8_t> &plane, std::size_t i)
-    {
-        plane[i >> 3] = static_cast<std::uint8_t>(plane[i >> 3] |
-                                                  (1u << (i & 7)));
-    }
-
-    std::vector<std::uint8_t> op_;
-    /** LSB-first bit-planes, (size + 7) / 8 bytes each -- the same
-     *  layout the v2 payload stores, so decode is a straight copy. */
+    std::vector<std::uint8_t> ops_;
+    /** LSB-first bit-planes, (size + 7) / 8 bytes each. */
     std::vector<std::uint8_t> conditionalPlane_;
     std::vector<std::uint8_t> takenPlane_;
     std::vector<std::uint8_t> targetKnownPlane_;
-    std::vector<ir::Addr> pc_;
-    std::vector<ir::Addr> nextPc_;
-    std::vector<ir::Addr> targetAddr_;
-    std::vector<ir::Addr> fallthroughAddr_;
+    std::vector<std::uint8_t> anomalyPlane_;
+    std::vector<std::uint8_t> deltas_;
+    std::vector<std::uint8_t> anomalyDeltas_;
+    /** The last appended pc: the base of the next pc delta. */
+    ir::Addr prevPc_ = 0;
     ir::Addr maxPc_ = 0;
 };
 
-/** Records every branch event straight into SoA columns -- the
- *  replay engine's recorder (no intermediate event vector). */
+/** Records every branch event straight into the encoded columns --
+ *  the replay engine's recorder (no intermediate event vector). */
 class SoaRecorder : public TraceSink
 {
   public:

@@ -1,9 +1,9 @@
 /**
  * @file
- * Zig-zag LEB128 varint primitives shared by the v2 trace codec
- * (trace/io.cc), the sectioned cache-entry format (trace/cache.cc),
- * the zero-copy mapped cursor (trace/view.cc), and the out-of-core
- * synthetic-trace generator (bench/stream_smoke.cc).
+ * Zig-zag LEB128 varint primitives shared by the v2 encoder
+ * (SoaTrace::append, trace/soa.cc), the decoding view cursor
+ * (trace/view.cc), the v2 payload validator (trace/io.cc), and the
+ * out-of-core synthetic-trace generator (bench/stream_smoke.cc).
  *
  * The encoding is the v2 payload's: signed address differences are
  * zig-zag mapped into small unsigneds, then emitted LEB128 (7 payload
@@ -36,15 +36,18 @@ unzigzag(std::uint64_t z)
     return (z >> 1) ^ (~(z & 1) + 1);
 }
 
-/** LEB128: 7 payload bits per byte, high bit = continuation. */
+/** LEB128: 7 payload bits per byte, high bit = continuation. Appends
+ *  to any byte container (std::string, std::vector<std::uint8_t>). */
+template <typename Bytes>
 inline void
-putVarint(std::string &out, std::uint64_t value)
+putVarint(Bytes &out, std::uint64_t value)
 {
+    using Byte = typename Bytes::value_type;
     while (value >= 0x80) {
-        out.push_back(static_cast<char>((value & 0x7f) | 0x80));
+        out.push_back(static_cast<Byte>((value & 0x7f) | 0x80));
         value >>= 7;
     }
-    out.push_back(static_cast<char>(value));
+    out.push_back(static_cast<Byte>(value));
 }
 
 /**

@@ -1,6 +1,7 @@
 #include "trace/view.hh"
 
-#include <cstring>
+#include <algorithm>
+#include <bit>
 
 #include "support/logging.hh"
 
@@ -10,18 +11,13 @@ namespace branchlab::trace
 TraceView
 TraceView::of(const SoaTrace &stream)
 {
-    TraceView view;
-    view.size_ = stream.size();
-    view.maxPc_ = stream.maxPc();
-    view.ops_ = stream.ops().data();
-    view.condPlane_ = stream.conditionalPlane().data();
-    view.takenPlane_ = stream.takenPlane().data();
-    view.targetKnownPlane_ = stream.targetKnownPlane().data();
-    view.pc_ = stream.pc().data();
-    view.nextPc_ = stream.nextPc().data();
-    view.targetAddr_ = stream.targetAddr().data();
-    view.fallthroughAddr_ = stream.fallthroughAddr().data();
-    return view;
+    return mapped(stream.ops().data(), stream.conditionalPlane().data(),
+                  stream.takenPlane().data(),
+                  stream.targetKnownPlane().data(),
+                  stream.anomalyPlane().data(), stream.deltas().data(),
+                  stream.deltas().size(), stream.anomalyDeltas().data(),
+                  stream.anomalyDeltas().size(), stream.size(),
+                  stream.maxPc());
 }
 
 TraceView
@@ -57,49 +53,63 @@ TraceView::cursor() const
 }
 
 void
-TraceView::Cursor::decodeMapped(TraceBlock &block, std::size_t count)
+TraceView::Cursor::decode(TraceBlock &block, std::size_t count)
 {
+    // Work on locals: the scratch stores below would otherwise force
+    // the cursor state back to memory on every event.
+    VarintCursor deltas = deltas_;
+    ir::Addr prev_pc = prevPc_;
+    const ir::Addr max_pc = view_->maxPc_;
     for (std::size_t i = 0; i < count; ++i) {
         std::uint64_t zpc = 0;
         std::uint64_t ztarget = 0;
         std::uint64_t zfall = 0;
-        if (!deltas_.get(zpc) || !deltas_.get(ztarget) ||
-            !deltas_.get(zfall)) {
-            // Sections were checksum-validated at map time, so a
-            // short column here is an internal inconsistency (writer
-            // bug), not media corruption to soft-fail on.
-            blab_fatal("mapped trace: delta column ended at event ",
+        if (!deltas.get(zpc) || !deltas.get(ztarget) ||
+            !deltas.get(zfall)) {
+            // Mapped sections were checksum-validated at map time and
+            // owned ones were encoded by append(), so a short column
+            // here is an internal inconsistency (writer bug), not
+            // media corruption to soft-fail on.
+            blab_fatal("trace view: delta column ended at event ",
                        block.base + i, " of ", view_->size());
         }
-        const ir::Addr pc = prevPc_ + unzigzag(zpc);
-        prevPc_ = pc;
-        if (pc > view_->maxPc_) {
+        const ir::Addr pc = prev_pc + unzigzag(zpc);
+        prev_pc = pc;
+        if (pc > max_pc) {
             // Backs the replay kernels' pc-indexed flat tables: no
-            // decoded event may exceed the header's declared bound.
-            blab_fatal("mapped trace: pc ", pc, " at event ",
+            // decoded event may exceed the declared bound.
+            blab_fatal("trace view: pc ", pc, " at event ",
                        block.base + i, " exceeds declared max pc ",
-                       view_->maxPc_);
+                       max_pc);
         }
+        const ir::Addr target = pc + unzigzag(ztarget);
+        const ir::Addr fall = pc + unzigzag(zfall);
         pcScratch_[i] = pc;
-        targetScratch_[i] = pc + unzigzag(ztarget);
-        fallScratch_[i] = pc + unzigzag(zfall);
-        nextScratch_[i] = block.taken(i) ? targetScratch_[i]
-                                         : fallScratch_[i];
+        targetScratch_[i] = target;
+        fallScratch_[i] = fall;
+        nextScratch_[i] = block.taken(i) ? target : fall;
     }
+    deltas_ = deltas;
+    prevPc_ = prev_pc;
     // "Anomalous next" events (never VM-emitted, but the format
-    // allows them): one trailing varint per set bit.
+    // allows them): one trailing varint per set bit. The plane is
+    // almost always zero, so skip it a byte at a time.
     const std::uint8_t *anomaly =
         view_->anomalyPlane_ + (block.base >> 3);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (((anomaly[i >> 3] >> (i & 7)) & 1u) == 0)
-            continue;
-        std::uint64_t z = 0;
-        if (!anomalies_.get(z)) {
-            blab_fatal("mapped trace: anomalous-next column ended at "
-                       "event ",
-                       block.base + i, " of ", view_->size());
+    for (std::size_t byte = 0; byte < (count + 7) / 8; ++byte) {
+        for (unsigned bits = anomaly[byte]; bits != 0; bits &= bits - 1) {
+            const std::size_t i =
+                8 * byte + static_cast<std::size_t>(std::countr_zero(bits));
+            if (i >= count)
+                break;
+            std::uint64_t z = 0;
+            if (!anomalies_.get(z)) {
+                blab_fatal("trace view: anomalous-next column ended at "
+                           "event ",
+                           block.base + i, " of ", view_->size());
+            }
+            nextScratch_[i] = pcScratch_[i] + unzigzag(z);
         }
-        nextScratch_[i] = pcScratch_[i] + unzigzag(z);
     }
 }
 
@@ -126,18 +136,11 @@ TraceView::Cursor::next(TraceBlock &block)
     block.condPlane = view_->condPlane_ + (base_ >> 3);
     block.takenPlane = view_->takenPlane_ + (base_ >> 3);
     block.targetKnownPlane = view_->targetKnownPlane_ + (base_ >> 3);
-    if (view_->isMapped()) {
-        decodeMapped(block, count);
-        block.pc = pcScratch_.data();
-        block.nextPc = nextScratch_.data();
-        block.targetAddr = targetScratch_.data();
-        block.fallthroughAddr = fallScratch_.data();
-    } else {
-        block.pc = view_->pc_ + base_;
-        block.nextPc = view_->nextPc_ + base_;
-        block.targetAddr = view_->targetAddr_ + base_;
-        block.fallthroughAddr = view_->fallthroughAddr_ + base_;
-    }
+    decode(block, count);
+    block.pc = pcScratch_.data();
+    block.nextPc = nextScratch_.data();
+    block.targetAddr = targetScratch_.data();
+    block.fallthroughAddr = fallScratch_.data();
     base_ += count;
     return true;
 }
@@ -145,46 +148,13 @@ TraceView::Cursor::next(TraceBlock &block)
 SoaTrace
 materializeView(const TraceView &view)
 {
-    const std::size_t n = view.size();
-    const std::size_t plane_bytes = (n + 7) / 8;
-    std::vector<std::uint8_t> ops;
-    ops.reserve(n);
-    std::vector<std::uint8_t> cond(plane_bytes, 0);
-    std::vector<std::uint8_t> taken(plane_bytes, 0);
-    std::vector<std::uint8_t> tknown(plane_bytes, 0);
-    std::vector<ir::Addr> pc;
-    std::vector<ir::Addr> next;
-    std::vector<ir::Addr> target;
-    std::vector<ir::Addr> fall;
-    pc.reserve(n);
-    next.reserve(n);
-    target.reserve(n);
-    fall.reserve(n);
-
+    SoaTrace out;
+    out.reserve(view.size());
     TraceView::Cursor cursor = view.cursor();
     TraceBlock block;
-    while (cursor.next(block)) {
-        ops.insert(ops.end(), block.ops, block.ops + block.count);
-        const std::size_t block_plane = (block.count + 7) / 8;
-        std::memcpy(cond.data() + (block.base >> 3), block.condPlane,
-                    block_plane);
-        std::memcpy(taken.data() + (block.base >> 3),
-                    block.takenPlane, block_plane);
-        std::memcpy(tknown.data() + (block.base >> 3),
-                    block.targetKnownPlane, block_plane);
-        pc.insert(pc.end(), block.pc, block.pc + block.count);
-        next.insert(next.end(), block.nextPc,
-                    block.nextPc + block.count);
-        target.insert(target.end(), block.targetAddr,
-                      block.targetAddr + block.count);
-        fall.insert(fall.end(), block.fallthroughAddr,
-                    block.fallthroughAddr + block.count);
-    }
-
-    SoaTrace out;
-    out.adoptColumns(std::move(ops), std::move(cond), std::move(taken),
-                     std::move(tknown), std::move(pc), std::move(next),
-                     std::move(target), std::move(fall));
+    while (cursor.next(block))
+        for (std::size_t i = 0; i < block.count; ++i)
+            out.append(block.event(i));
     return out;
 }
 

@@ -1,33 +1,32 @@
 /**
  * @file
- * Non-owning trace views: one replay-facing interface over both
- * representations of a recorded stream --
- *
- *  - borrowed: the columns of a decoded, owning SoaTrace;
- *  - mapped:   the sections of an mmap'd BLTC v2 cache entry
- *              (trace/format.hh), consumed zero-copy.
+ * Non-owning trace views: the one replay-facing interface over the
+ * one encoded form of a recorded stream -- the BLTC v2 sections
+ * (trace/format.hh), owned by a SoaTrace after a cold record or
+ * mapped out of a cache entry on a warm hit. Both arrive through the
+ * same view and decode the same way.
  *
  * Replay is strictly sequential (every kernel is a fold over the
  * stream), so the view hands out fixed-size blocks through a Cursor
- * instead of random access. In borrowed mode a block is pure
- * pointers into the SoaTrace columns. In mapped mode the opcode
- * bytes and all four bit-planes still point straight into the
- * mapping -- no per-plane copy, ever -- while the varint-encoded
- * address columns decode lazily into a small cursor-owned scratch
- * buffer, one block at a time. Memory per consumer is a few tens of
- * kilobytes regardless of trace size, which is what lets a replay
- * walk a multi-gigabyte mapped trace under a constant address-space
- * budget (bench/stream_smoke.cc proves this under ulimit -v).
+ * instead of random access. The opcode bytes and all four bit-planes
+ * point straight into the sections -- no per-plane copy, ever --
+ * while the varint-encoded address columns decode lazily into a small
+ * cursor-owned scratch buffer, one block at a time. Memory per
+ * consumer is a few tens of kilobytes regardless of trace size, which
+ * is what lets a replay walk a multi-gigabyte mapped trace under a
+ * constant address-space budget (bench/stream_smoke.cc proves this
+ * under ulimit -v).
  *
  * The block length is a multiple of 8 so block-local bit-plane
- * pointers stay byte-aligned in both modes.
+ * pointers stay byte-aligned.
  *
  * Corruption discipline: a mapped entry is fully validated (section
  * bounds, checksums, opcode range) before a view over it exists
- * (trace/cache.cc), so decode errors past that point are internal
- * inconsistencies and fail fatally rather than soft-failing. The
- * per-event pc <= maxPc guard backs the replay kernels' pc-indexed
- * flat tables: a view can never hand them an out-of-range pc.
+ * (trace/cache.cc), and an owned stream was encoded by
+ * SoaTrace::append, so decode errors are internal inconsistencies and
+ * fail fatally rather than soft-failing. The per-event pc <= maxPc
+ * guard backs the replay kernels' pc-indexed flat tables: a view can
+ * never hand them an out-of-range pc.
  */
 
 #ifndef BRANCHLAB_TRACE_VIEW_HH
@@ -122,14 +121,14 @@ class TraceView
 
     TraceView() = default;
 
-    /** Borrow a decoded SoaTrace's columns. */
+    /** View an owned stream's encoded columns. */
     static TraceView of(const SoaTrace &stream);
 
     /**
-     * View mapped v2 sections directly (zero-copy). @p deltas /
+     * View v2 sections directly (zero-copy). @p deltas /
      * @p anomaly_deltas are the varint sections; the planes are
-     * LSB-first with ceil(count / 8) bytes; @p max_pc is the
-     * header's declared bound, enforced per event during decode.
+     * LSB-first with ceil(count / 8) bytes; @p max_pc is the declared
+     * bound, enforced per event during decode.
      */
     static TraceView
     mapped(const std::uint8_t *ops, const std::uint8_t *cond_plane,
@@ -145,16 +144,13 @@ class TraceView
     bool empty() const { return size_ == 0; }
     ir::Addr maxPc() const { return maxPc_; }
 
-    /** True when address columns decode lazily out of a mapping. */
-    bool isMapped() const { return pc_ == nullptr; }
-
     Cursor cursor() const;
 
     /**
-     * Sequential block iterator; see the file comment for the two
-     * modes. One cursor per consumer -- it owns the mapped-mode
-     * decode scratch. Holds a pointer to its view, which must stay
-     * alive (and in place) for the cursor's lifetime.
+     * Sequential block iterator; see the file comment. One cursor per
+     * consumer -- it owns the decode scratch. Holds a pointer to its
+     * view, which must stay alive (and in place) for the cursor's
+     * lifetime.
      */
     class Cursor
     {
@@ -166,7 +162,7 @@ class TraceView
         bool next(TraceBlock &block);
 
       private:
-        void decodeMapped(TraceBlock &block, std::size_t count);
+        void decode(TraceBlock &block, std::size_t count);
 
         const TraceView *view_;
         std::size_t base_ = 0;
@@ -187,13 +183,6 @@ class TraceView
     const std::uint8_t *condPlane_ = nullptr;
     const std::uint8_t *takenPlane_ = nullptr;
     const std::uint8_t *targetKnownPlane_ = nullptr;
-    // Borrowed mode: decoded address columns (non-null pc_ is the
-    // mode discriminator).
-    const ir::Addr *pc_ = nullptr;
-    const ir::Addr *nextPc_ = nullptr;
-    const ir::Addr *targetAddr_ = nullptr;
-    const ir::Addr *fallthroughAddr_ = nullptr;
-    // Mapped mode: the lazy varint sections plus the anomaly plane.
     const std::uint8_t *anomalyPlane_ = nullptr;
     const std::uint8_t *deltas_ = nullptr;
     std::size_t deltasLen_ = 0;
@@ -201,8 +190,8 @@ class TraceView
     std::size_t anomalyDeltasLen_ = 0;
 };
 
-/** Decode a view into an owning SoaTrace (exact copy; consumers that
- *  need whole-stream access, e.g. trace dumps). */
+/** Decode a view into an owning SoaTrace (exact copy; re-encoded
+ *  event by event, so the result is append()'s canonical bytes). */
 SoaTrace materializeView(const TraceView &view);
 
 } // namespace branchlab::trace

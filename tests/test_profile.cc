@@ -5,9 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+
+#include "core/runner.hh"
 #include "helpers.hh"
+#include "obs/metrics.hh"
 #include "profile/profile.hh"
 #include "profile/trace_select.hh"
+#include "support/logging.hh"
+#include "support/random.hh"
+#include "trace/cache.hh"
 #include "trace/record.hh"
 #include "trace/soa.hh"
 #include "workloads/workload.hh"
@@ -51,8 +59,7 @@ TEST(BranchCounts, MajorityAndDominantTarget)
     BranchCounts counts;
     counts.taken = 3;
     counts.notTaken = 1;
-    counts.nextCounts[100] = 3;
-    counts.nextCounts[101] = 1;
+    counts.nextCounts = {{100, 3}, {101, 1}};
     EXPECT_TRUE(counts.majorityTaken());
     EXPECT_EQ(counts.dominantTarget(), 100u);
     EXPECT_EQ(counts.executions(), 4u);
@@ -202,15 +209,15 @@ TEST(ProgramProfile, PathContextsSpanRunBoundaries)
     const BranchCounts &cross = profile.pathCounts(first.pc, last.pc);
     EXPECT_EQ(cross.executions(), 2u);
     EXPECT_EQ(cross.taken, first.taken ? 2u : 0u);
-    EXPECT_EQ(cross.nextCounts.at(first.nextPc), 2u);
+    EXPECT_EQ(cross.nextCount(first.nextPc), 2u);
 
     // Only the stream's very first event has no context.
     std::uint64_t events = 0;
     for (const auto &run : runs)
         events += run.size();
     std::uint64_t contexts = 0;
-    for (const auto &[key, counts] : profile.allPathCounts())
-        contexts += counts.executions();
+    for (const trace::CachedProfileRow &row : profile.exportRows().paths)
+        contexts += row.taken + row.notTaken;
     EXPECT_EQ(contexts, events - 1);
 }
 
@@ -232,7 +239,6 @@ TEST(ProgramProfile, ExportedRowsRestoreTheProfileExactly)
     ProgramProfile restored(prog, layout, online.runs(), rows);
     EXPECT_EQ(restored.runs(), online.runs());
     EXPECT_EQ(restored.exportRows(), rows);
-    EXPECT_EQ(restored.allPathCounts(), online.allPathCounts());
     for (ir::Addr pc = 0; pc < layout.totalSize(); ++pc)
         EXPECT_EQ(restored.branchCounts(pc), online.branchCounts(pc))
             << "pc " << pc;
@@ -269,6 +275,291 @@ TEST(ProgramProfile, FoldProfileEqualsTheOnlineProfile)
         foldProfile(prog, layout, 3, trace::TraceView::of(stream));
     EXPECT_EQ(folded.runs(), 3u);
     EXPECT_EQ(folded.exportRows(), online.exportRows());
+}
+
+// ---------------------------------------------------------------------
+// The profile differential: the flat pc-indexed tables against a
+// reference tally of the same fold kept in ordered std::maps.
+// ---------------------------------------------------------------------
+
+/** The reference tally: ordered maps keyed by pc and (pc, prevPc). */
+struct ReferenceProfile
+{
+    struct Counts
+    {
+        std::uint64_t taken = 0;
+        std::uint64_t notTaken = 0;
+        std::map<ir::Addr, std::uint64_t> next;
+
+        void
+        add(const trace::BranchEvent &event)
+        {
+            ++(event.taken ? taken : notTaken);
+            ++next[event.nextPc];
+        }
+
+        BranchCounts
+        toCounts() const
+        {
+            BranchCounts counts;
+            counts.taken = taken;
+            counts.notTaken = notTaken;
+            counts.nextCounts.assign(next.begin(), next.end());
+            return counts;
+        }
+    };
+
+    std::map<ir::Addr, Counts> branches;
+    std::map<std::pair<ir::Addr, ir::Addr>, Counts> paths;
+    ir::Addr lastPc = ir::kNoAddr;
+
+    void
+    onBranch(const trace::BranchEvent &event)
+    {
+        branches[event.pc].add(event);
+        if (lastPc != ir::kNoAddr)
+            paths[{event.pc, lastPc}].add(event);
+        lastPc = event.pc;
+    }
+
+    static trace::CachedProfileRow
+    rowOf(ir::Addr pc, ir::Addr prev_pc, const Counts &counts)
+    {
+        trace::CachedProfileRow row;
+        row.pc = pc;
+        row.prevPc = prev_pc;
+        row.taken = counts.taken;
+        row.notTaken = counts.notTaken;
+        row.next.assign(counts.next.begin(), counts.next.end());
+        return row;
+    }
+
+    trace::CachedProfile
+    rows() const
+    {
+        trace::CachedProfile out;
+        out.lastPc = lastPc;
+        for (const auto &[pc, counts] : branches)
+            out.branches.push_back(rowOf(pc, ir::kNoAddr, counts));
+        for (const auto &[key, counts] : paths)
+            out.paths.push_back(rowOf(key.first, key.second, counts));
+        return out;
+    }
+
+    /** Likely records as the trace cache persists them. */
+    std::vector<trace::CachedLikely>
+    likely() const
+    {
+        std::vector<trace::CachedLikely> out;
+        for (const auto &[pc, counts] : branches)
+            out.push_back({pc, counts.toCounts().dominantTarget(),
+                           counts.taken > counts.notTaken});
+        return out;
+    }
+};
+
+/** Fold @p events into both profiles and hold every query equal. */
+void
+expectFlatMatchesReference(const ir::Program &prog,
+                           const ir::Layout &layout,
+                           const std::vector<trace::BranchEvent> &events)
+{
+    ProgramProfile flat(prog, layout);
+    flat.noteRun();
+    ReferenceProfile ref;
+    for (const trace::BranchEvent &event : events) {
+        flat.onBranch(event);
+        ref.onBranch(event);
+    }
+
+    for (ir::Addr pc = 0; pc < layout.codeEnd() + 64; ++pc) {
+        const auto it = ref.branches.find(pc);
+        const BranchCounts expected =
+            it == ref.branches.end() ? BranchCounts{} : it->second.toCounts();
+        ASSERT_EQ(flat.branchCounts(pc), expected) << "pc " << pc;
+    }
+    EXPECT_EQ(flat.branchCounts(ir::kNoAddr), BranchCounts{});
+    for (const auto &[key, counts] : ref.paths) {
+        ASSERT_EQ(flat.pathCounts(key.first, key.second), counts.toCounts())
+            << "path " << key.first << " <- " << key.second;
+    }
+    // Pairs that never executed read as zeros.
+    EXPECT_EQ(flat.pathCounts(ir::kCodeBase, ir::kNoAddr), BranchCounts{});
+    EXPECT_EQ(flat.pathCounts(ir::kNoAddr, ir::kCodeBase), BranchCounts{});
+
+    const trace::CachedProfile rows = ref.rows();
+    EXPECT_EQ(flat.exportRows(), rows);
+    EXPECT_EQ(flat.exportRows().lastPc, ref.lastPc);
+
+    const predict::LikelyMap likely = flat.buildLikelyMap();
+    ASSERT_EQ(likely.size(), ref.branches.size());
+    for (const trace::CachedLikely &entry : ref.likely()) {
+        const auto it = likely.find(entry.pc);
+        ASSERT_NE(it, likely.end()) << "pc " << entry.pc;
+        EXPECT_EQ(it->second.likelyTaken, entry.likelyTaken);
+        EXPECT_EQ(it->second.dominantTarget, entry.dominantTarget);
+    }
+
+    // Restoring the exported rows answers the same way.
+    const ProgramProfile restored(prog, layout, flat.runs(), rows);
+    EXPECT_EQ(restored.exportRows(), rows);
+}
+
+TEST(ProfileDifferential, FlatTablesMatchTheMapTallyOnEveryWorkload)
+{
+    for (const workloads::Workload *workload :
+         workloads::allWorkloads()) {
+        SCOPED_TRACE(workload->name());
+        const ir::Program prog = workload->buildProgram();
+        ir::verifyProgramOrDie(prog);
+        const ir::Layout layout(prog);
+        Rng rng(7 ^ hashString(workload->name()));
+        trace::BranchRecorder recorder;
+        for (const workloads::WorkloadInput &input :
+             workload->makeInputs(rng, 2)) {
+            vm::Machine machine(prog, layout);
+            for (std::size_t chan = 0; chan < input.channels.size(); ++chan)
+                machine.setInput(static_cast<int>(chan),
+                                 input.channels[chan]);
+            machine.setSink(&recorder);
+            machine.run();
+        }
+        expectFlatMatchesReference(prog, layout, recorder.events());
+    }
+}
+
+TEST(ProfileDifferential, ManyNextPcsAndContextsPerPc)
+{
+    // A seeded stream over a real program's code range: a handful of
+    // hot pcs, each with dozens of next pcs and contexts, in random
+    // order (so sorted inserts land everywhere in the lists).
+    const ir::Program prog = test::buildFactorial(6);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    Rng rng(20240601);
+    std::vector<trace::BranchEvent> events;
+    for (std::size_t i = 0; i < 20000; ++i) {
+        trace::BranchEvent e;
+        e.pc = ir::kCodeBase + rng.nextBelow(layout.totalSize());
+        if (rng.nextBool(0.5))
+            e.pc = layout.codeEnd() - 1 - rng.nextBelow(3);
+        e.op = ir::Opcode::JTab;
+        e.taken = rng.nextBool(0.7);
+        e.targetAddr = rng.nextBelow(64) * 0x1000;
+        e.fallthroughAddr = e.pc + 1;
+        e.nextPc = rng.nextBool(0.1) ? ir::kNoAddr
+                                     : rng.nextBelow(48) * 0x1000;
+        events.push_back(e);
+    }
+    expectFlatMatchesReference(prog, layout, events);
+}
+
+TEST(ProfileDifferential, PcsPastTheCodeEndNeverIndexATable)
+{
+    const ir::Program prog = test::buildCountdown(3);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+
+    ProgramProfile profile(prog, layout);
+    trace::BranchEvent tall;
+    tall.pc = layout.codeEnd();
+    tall.nextPc = tall.pc + 1;
+    EXPECT_THROW(profile.onBranch(tall), ConfigFailure);
+    tall.pc = ir::kNoAddr;
+    EXPECT_THROW(profile.onBranch(tall), ConfigFailure);
+    EXPECT_EQ(profile.exportRows(), trace::CachedProfile{});
+
+    trace::CachedProfile rows;
+    trace::CachedProfileRow row;
+    row.pc = layout.codeEnd() + 8;
+    row.taken = 1;
+    row.next = {{row.pc + 1, 1}};
+    rows.branches.push_back(row);
+    rows.lastPc = row.pc;
+    EXPECT_THROW(ProgramProfile(prog, layout, 1, rows), ConfigFailure);
+}
+
+/** A cache entry for @p cold's workload with @p events as its stream
+ *  and a profile, likely map and stats consistent with them: valid in
+ *  every way the entry validator checks. */
+trace::CachedWorkload
+plantedEntry(const core::RecordedWorkload &cold,
+             const std::vector<trace::BranchEvent> &events)
+{
+    ReferenceProfile ref;
+    for (const trace::BranchEvent &event : events)
+        ref.onBranch(event);
+    trace::CachedWorkload entry;
+    entry.contentHash = cold.contentHash;
+    entry.runs = cold.runs;
+    entry.stats = cold.stats.counters();
+    entry.likely = ref.likely();
+    entry.profile = ref.rows();
+    entry.stream = trace::SoaTrace::fromEvents(events);
+    return entry;
+}
+
+TEST(ProfileDifferential, PlantedEntriesPastTheCodeEndAreReRecorded)
+{
+    const std::string dir =
+        ::testing::TempDir() + "blab_profile_planted";
+    std::filesystem::remove_all(dir);
+    core::ExperimentConfig config;
+    config.runsOverride = 1;
+    config.traceCacheDir = dir;
+    const workloads::Workload &workload = workloads::findWorkload("tee");
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    ASSERT_FALSE(cold.cacheHit);
+    const ir::Addr code_end = cold.layout->codeEnd();
+    const std::vector<trace::BranchEvent> events = cold.stream.toEvents();
+    const trace::TraceCache cache(dir);
+    const obs::Counter &stores =
+        obs::Registry::global().counter("trace_cache.stores");
+
+    const auto expectReRecorded = [&](const char *what) {
+        SCOPED_TRACE(what);
+        const std::uint64_t stores_before = stores.value();
+        const core::RecordedWorkload again =
+            core::recordWorkload(workload, config);
+        EXPECT_FALSE(again.cacheHit);
+        EXPECT_EQ(stores.value(), stores_before + 1);
+        EXPECT_EQ(again.profile->exportRows(), cold.profile->exportRows());
+        EXPECT_EQ(again.stream.deltas(), cold.stream.deltas());
+        // The re-record stored a clean entry over the planted one.
+        const core::RecordedWorkload warm =
+            core::recordWorkload(workload, config);
+        EXPECT_TRUE(warm.cacheHit);
+        EXPECT_EQ(warm.profile->exportRows(), cold.profile->exportRows());
+    };
+
+    // A stream (and so a declared max pc and a profile row) past the
+    // code end. The entry is otherwise valid: TraceCache::load, which
+    // does not know the program, accepts it; recordWorkload refuses.
+    {
+        std::vector<trace::BranchEvent> tall = events;
+        trace::BranchEvent extra = tall.back();
+        extra.pc = code_end + 16;
+        extra.targetAddr = extra.pc + 4;
+        extra.fallthroughAddr = extra.pc + 1;
+        extra.nextPc = extra.taken ? extra.targetAddr : extra.fallthroughAddr;
+        tall.push_back(extra);
+        cache.store(cold.name, plantedEntry(cold, tall));
+        trace::CachedWorkload unbounded;
+        ASSERT_TRUE(cache.load(cold.name, cold.contentHash, unbounded));
+        EXPECT_GE(unbounded.traceView().maxPc(), code_end);
+        expectReRecorded("max pc past the code end");
+    }
+
+    // A profile row past the code end over the real stream.
+    {
+        trace::CachedWorkload entry = plantedEntry(cold, events);
+        entry.profile->branches.back().pc = code_end + 8;
+        entry.likely.back().pc = code_end + 8;
+        cache.store(cold.name, entry);
+        expectReRecorded("profile row past the code end");
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -128,7 +128,13 @@ paperSpecs(const RecordedWorkload &recorded,
 std::set<ir::Addr>
 distinctPcs(const trace::SoaTrace &stream)
 {
-    return {stream.pc().begin(), stream.pc().end()};
+    std::set<ir::Addr> pcs;
+    const trace::TraceView view = trace::TraceView::of(stream);
+    trace::TraceView::Cursor cursor = view.cursor();
+    trace::TraceBlock block;
+    while (cursor.next(block))
+        pcs.insert(block.pc, block.pc + block.count);
+    return pcs;
 }
 
 TEST(ReplayKernel, MatchesVirtualDispatchOnEveryWorkload)

@@ -281,6 +281,56 @@ TEST(TraceIoV2, RejectsTruncatedV2Stream)
     EXPECT_THROW(readTrace(truncated), ConfigFailure);
 }
 
+// ---------------------------------------------------------------------
+// Header counts and sizes are untrusted: a lying header must end in a
+// clean diagnostic, never in arithmetic wrap or a giant allocation.
+// ---------------------------------------------------------------------
+
+/** Little-endian @p bytes-wide @p value, as the trace headers store
+ *  it. */
+std::string
+le(std::uint64_t value, int bytes)
+{
+    std::string out;
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    return out;
+}
+
+TEST(TraceIoV2, DecodeRejectsACountThatWrapsTheColumnLengths)
+{
+    // n + 4 * ceil(n / 8) wraps to 8 for this count, which once let a
+    // 16-byte payload pass the fixed-column length check.
+    const std::uint64_t count = 0xAAAAAAAAAAAAAAB0ull;
+    const std::string payload(16, '\0');
+    SoaTrace decoded;
+    std::string error;
+    EXPECT_FALSE(decodeEventsV2Soa(payload, count, decoded, error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_TRUE(decoded.empty());
+}
+
+TEST(TraceIoV2, RejectsAPayloadSizeBeyondTheStream)
+{
+    // A v2 header claiming a 2^62-byte payload over a few real bytes.
+    std::string raw = "BLTR" + le(kTraceFormatVersion, 4) + le(0, 8) +
+                      le(1, 8) + le(std::uint64_t{1} << 62, 8);
+    raw += std::string(8, '\0');
+    std::stringstream buffer(raw);
+    EXPECT_THROW(readTrace(buffer), ConfigFailure);
+}
+
+TEST(TraceIoV1, RejectsAnEventCountBeyondTheStream)
+{
+    // A v1 header claiming 2^61 records over one real record.
+    std::stringstream one;
+    writeTraceV1(one, {makeEvent(0x1000, true, true)});
+    std::string raw = one.str();
+    raw.replace(8, 8, le(std::uint64_t{1} << 61, 8));
+    std::stringstream buffer(raw);
+    EXPECT_THROW(readTrace(buffer), ConfigFailure);
+}
+
 TEST(TraceIoV2, ReplayHandlesBothVersions)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
@@ -311,12 +361,9 @@ TEST(SoaTrace, FromEventsToEventsRoundTripsBitExactly)
     ASSERT_EQ(stream.size(), events.size());
     expectSameEvents(stream.toEvents(), events);
 
-    // The per-event AoS view is exact too.
     ir::Addr max_pc = 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        expectSameEvents({stream.event(i)}, {events[i]});
-        max_pc = std::max(max_pc, events[i].pc);
-    }
+    for (const BranchEvent &event : events)
+        max_pc = std::max(max_pc, event.pc);
     EXPECT_EQ(stream.maxPc(), max_pc);
 }
 
@@ -342,20 +389,25 @@ TEST(SoaTrace, StreamingDecodeMatchesEventDecode)
     EXPECT_FALSE(error.empty());
 }
 
-TEST(SoaTrace, AdoptColumnsRecomputesMaxPc)
+TEST(SoaTrace, ColumnsAreTheV2Payload)
 {
-    const std::vector<BranchEvent> events = recordFactorialTrace();
+    // The owned columns are the payload's sections, in payload order:
+    // encoding an SoA stream is a straight concatenation.
+    std::vector<BranchEvent> events = recordFactorialTrace();
+    BranchEvent odd = makeEvent(0x1004, true, false);
+    odd.nextPc = 0x9999;
+    events.push_back(odd);
     const SoaTrace stream = SoaTrace::fromEvents(events);
 
-    SoaTrace adopted;
-    adopted.adoptColumns(stream.ops(), stream.conditionalPlane(),
-                         stream.takenPlane(),
-                         stream.targetKnownPlane(), stream.pc(),
-                         stream.nextPc(), stream.targetAddr(),
-                         stream.fallthroughAddr());
-    ASSERT_EQ(adopted.size(), stream.size());
-    EXPECT_EQ(adopted.maxPc(), stream.maxPc());
-    expectSameEvents(adopted.toEvents(), events);
+    std::string columns;
+    for (const std::vector<std::uint8_t> *column :
+         {&stream.ops(), &stream.conditionalPlane(), &stream.takenPlane(),
+          &stream.targetKnownPlane(), &stream.anomalyPlane(),
+          &stream.deltas(), &stream.anomalyDeltas()})
+        columns.append(column->begin(), column->end());
+    EXPECT_EQ(encodeEventsV2(stream), columns);
+    EXPECT_EQ(encodeEventsV2(events), columns);
+    EXPECT_FALSE(stream.anomalyDeltas().empty());
 }
 
 TEST(TraceStats, AgreesWithMachineCountsOnRealProgram)

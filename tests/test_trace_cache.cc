@@ -85,11 +85,13 @@ TEST(TraceCache, StoreThenLoadRoundTripsBitExactly)
     ASSERT_NE(loaded.mapped, nullptr);
     EXPECT_EQ(loaded.stream.size(), 0u);
     ASSERT_EQ(loaded.eventCount(), stored.stream.size());
-    const SoaTrace decoded = materializeView(loaded.traceView());
-    ASSERT_EQ(decoded.size(), stored.stream.size());
+    const std::vector<BranchEvent> decoded =
+        materializeView(loaded.traceView()).toEvents();
+    const std::vector<BranchEvent> expected = stored.stream.toEvents();
+    ASSERT_EQ(decoded.size(), expected.size());
     for (std::size_t i = 0; i < decoded.size(); ++i) {
-        const BranchEvent a = decoded.event(i);
-        const BranchEvent b = stored.stream.event(i);
+        const BranchEvent &a = decoded[i];
+        const BranchEvent &b = expected[i];
         EXPECT_EQ(a.pc, b.pc);
         EXPECT_EQ(a.nextPc, b.nextPc);
         EXPECT_EQ(a.targetAddr, b.targetAddr);
@@ -430,10 +432,12 @@ TEST(TraceCache, LegacyV1EntriesStillLoad)
     EXPECT_EQ(loaded.runs, stored.runs);
     EXPECT_EQ(loaded.stats, stored.stats);
     EXPECT_EQ(loaded.likely, stored.likely);
-    ASSERT_EQ(loaded.stream.size(), stored.stream.size());
-    for (std::size_t i = 0; i < loaded.stream.size(); ++i) {
-        const BranchEvent a = loaded.stream.event(i);
-        const BranchEvent b = stored.stream.event(i);
+    const std::vector<BranchEvent> decoded = loaded.stream.toEvents();
+    const std::vector<BranchEvent> expected = stored.stream.toEvents();
+    ASSERT_EQ(decoded.size(), expected.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+        const BranchEvent &a = decoded[i];
+        const BranchEvent &b = expected[i];
         EXPECT_EQ(a.pc, b.pc);
         EXPECT_EQ(a.nextPc, b.nextPc);
         EXPECT_EQ(a.taken, b.taken);
@@ -1135,7 +1139,7 @@ TEST_P(RestoredProfileDifferential, EqualsTheOnlineProfile)
         ASSERT_EQ(restored.branchCounts(pc), online.branchCounts(pc))
             << "pc " << pc;
     }
-    EXPECT_EQ(restored.allPathCounts(), online.allPathCounts());
+    EXPECT_EQ(restored.exportRows().paths, online.exportRows().paths);
     const predict::LikelyMap likely = online.buildLikelyMap();
     const predict::LikelyMap restored_likely = restored.buildLikelyMap();
     ASSERT_EQ(restored_likely.size(), likely.size());

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the non-owning trace views (trace/view.hh): cursor walks
- * and materialisation round-trips in both modes, and the differential
- * that anchors the zero-copy warm path -- for every workload in the
- * suite, replaying the mmap'd cache entry through every kernel must
- * be bit-identical to replaying the owning decoded stream.
+ * and materialisation round-trips over owned streams, and the
+ * differential that anchors the zero-copy warm path -- for every
+ * workload in the suite, the cold record's owned columns must equal
+ * the mapped cache entry's sections, and replaying either through
+ * every kernel must be bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,16 @@
 #include <filesystem>
 #include <vector>
 
+#include "core/replay_kernel.hh"
 #include "core/runner.hh"
 #include "predict/replay_kernels.hh"
+#include "support/random.hh"
 #include "trace/cache.hh"
+#include "trace/record.hh"
 #include "trace/soa.hh"
+#include "trace/varint.hh"
 #include "trace/view.hh"
+#include "vm/machine.hh"
 #include "workloads/workload.hh"
 
 namespace branchlab::trace
@@ -60,12 +66,11 @@ expectSameEvent(const BranchEvent &a, const BranchEvent &b,
     EXPECT_EQ(a.targetKnown, b.targetKnown) << "event " << i;
 }
 
-TEST(TraceView, BorrowedCursorWalksEveryEventInOrder)
+TEST(TraceView, OwnedCursorWalksEveryEventInOrder)
 {
     const std::vector<BranchEvent> events = syntheticEvents(1219);
     const SoaTrace stream = SoaTrace::fromEvents(events);
     const TraceView view = TraceView::of(stream);
-    EXPECT_FALSE(view.isMapped());
     EXPECT_EQ(view.size(), events.size());
     EXPECT_EQ(view.maxPc(), stream.maxPc());
 
@@ -82,15 +87,17 @@ TEST(TraceView, BorrowedCursorWalksEveryEventInOrder)
     EXPECT_EQ(seen, events.size());
 }
 
-TEST(TraceView, MaterializeRoundTripsTheBorrowedView)
+TEST(TraceView, MaterializeRoundTripsTheOwnedView)
 {
     const std::vector<BranchEvent> events = syntheticEvents(700);
     const SoaTrace stream = SoaTrace::fromEvents(events);
     const SoaTrace copy = materializeView(TraceView::of(stream));
     ASSERT_EQ(copy.size(), stream.size());
     EXPECT_EQ(copy.maxPc(), stream.maxPc());
-    for (std::size_t i = 0; i < copy.size(); ++i)
-        expectSameEvent(copy.event(i), events[i], i);
+    EXPECT_EQ(copy.deltas(), stream.deltas());
+    const std::vector<BranchEvent> decoded = copy.toEvents();
+    for (std::size_t i = 0; i < decoded.size(); ++i)
+        expectSameEvent(decoded[i], events[i], i);
 }
 
 TEST(TraceView, EmptyViewYieldsNoBlocks)
@@ -101,6 +108,157 @@ TEST(TraceView, EmptyViewYieldsNoBlocks)
     TraceView::Cursor cursor = view.cursor();
     TraceBlock block;
     EXPECT_FALSE(cursor.next(block));
+}
+
+// ---------------------------------------------------------------------
+// The encoder differential: SoaTrace::append against an independent
+// reference encoder that sizes whole planes up front and derives the
+// anomaly plane and both varint columns in one pass over events.
+// ---------------------------------------------------------------------
+
+/** The v2 columns of a stream, as the reference encoder builds them. */
+struct ReferenceColumns
+{
+    std::vector<std::uint8_t> ops;
+    std::vector<std::uint8_t> cond;
+    std::vector<std::uint8_t> taken;
+    std::vector<std::uint8_t> targetKnown;
+    std::vector<std::uint8_t> anomaly;
+    std::vector<std::uint8_t> deltas;
+    std::vector<std::uint8_t> anomalyDeltas;
+};
+
+/** The reference: whole planes sized up front, bits set per event, the
+ *  anomaly plane and both varint columns derived in one pass. */
+ReferenceColumns
+referenceEncode(const std::vector<BranchEvent> &events)
+{
+    const std::size_t n = events.size();
+    const std::size_t plane_bytes = (n + 7) / 8;
+    ReferenceColumns out;
+    out.cond.assign(plane_bytes, 0);
+    out.taken.assign(plane_bytes, 0);
+    out.targetKnown.assign(plane_bytes, 0);
+    out.anomaly.assign(plane_bytes, 0);
+    const auto set = [](std::vector<std::uint8_t> &plane, std::size_t i) {
+        plane[i >> 3] = static_cast<std::uint8_t>(plane[i >> 3] |
+                                                  (1u << (i & 7)));
+    };
+    ir::Addr prev_pc = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const BranchEvent &e = events[i];
+        out.ops.push_back(static_cast<std::uint8_t>(e.op));
+        if (e.conditional)
+            set(out.cond, i);
+        if (e.taken)
+            set(out.taken, i);
+        if (e.targetKnown)
+            set(out.targetKnown, i);
+        const ir::Addr implied = e.taken ? e.targetAddr : e.fallthroughAddr;
+        if (e.nextPc != implied) {
+            set(out.anomaly, i);
+            putVarint(out.anomalyDeltas, zigzag(e.nextPc - e.pc));
+        }
+        putVarint(out.deltas, zigzag(e.pc - prev_pc));
+        putVarint(out.deltas, zigzag(e.targetAddr - e.pc));
+        putVarint(out.deltas, zigzag(e.fallthroughAddr - e.pc));
+        prev_pc = e.pc;
+    }
+    return out;
+}
+
+void
+expectColumnsMatchReference(const SoaTrace &stream,
+                            const std::vector<BranchEvent> &events)
+{
+    const ReferenceColumns ref = referenceEncode(events);
+    ASSERT_EQ(stream.size(), events.size());
+    EXPECT_EQ(stream.ops(), ref.ops);
+    EXPECT_EQ(stream.conditionalPlane(), ref.cond);
+    EXPECT_EQ(stream.takenPlane(), ref.taken);
+    EXPECT_EQ(stream.targetKnownPlane(), ref.targetKnown);
+    EXPECT_EQ(stream.anomalyPlane(), ref.anomaly);
+    EXPECT_EQ(stream.deltas(), ref.deltas);
+    EXPECT_EQ(stream.anomalyDeltas(), ref.anomalyDeltas);
+    ir::Addr max_pc = 0;
+    for (const BranchEvent &e : events)
+        max_pc = std::max(max_pc, e.pc);
+    EXPECT_EQ(stream.maxPc(), max_pc);
+}
+
+TEST(SoaEncoderDifferential, EveryWorkloadStreamMatchesTheReference)
+{
+    // The VM feeds an event vector and the encoder side by side, so
+    // the reference never depends on the decoder under test.
+    for (const workloads::Workload *workload :
+         workloads::allWorkloads()) {
+        SCOPED_TRACE(workload->name());
+        const ir::Program program = workload->buildProgram();
+        const ir::Layout layout(program);
+        Rng rng(20240601 ^ hashString(workload->name()));
+        BranchRecorder events;
+        SoaRecorder encoded;
+        FanoutSink fanout;
+        fanout.addSink(&events);
+        fanout.addSink(&encoded);
+        for (const workloads::WorkloadInput &input :
+             workload->makeInputs(rng, 1)) {
+            vm::Machine machine(program, layout);
+            for (std::size_t chan = 0; chan < input.channels.size(); ++chan)
+                machine.setInput(static_cast<int>(chan),
+                                 input.channels[chan]);
+            machine.setSink(&fanout);
+            machine.run();
+        }
+        ASSERT_FALSE(events.events().empty());
+        expectColumnsMatchReference(encoded.trace(), events.events());
+    }
+}
+
+TEST(SoaEncoderDifferential, ExtremeSeededStreamMatchesTheReference)
+{
+    // Extreme deltas both ways, kNoAddr and anomalous next pcs, tall
+    // pcs (kNoAddr itself included), and a ragged final plane byte.
+    Rng rng(19890528);
+    const ir::Addr tall[] = {0,
+                             1,
+                             ir::kCodeBase,
+                             predict::kMaxKernelPc,
+                             ir::Addr{1} << 63,
+                             ir::kNoAddr - 1,
+                             ir::kNoAddr};
+    std::vector<BranchEvent> events;
+    for (std::size_t i = 0; i < 4099; ++i) {
+        BranchEvent e;
+        e.pc = rng.nextBool(0.3) ? tall[rng.nextBelow(std::size(tall))]
+                                 : rng.next();
+        e.op = static_cast<ir::Opcode>(rng.nextBelow(ir::kNumOpcodes));
+        e.conditional = rng.nextBool();
+        e.taken = rng.nextBool();
+        e.targetKnown = rng.nextBool();
+        e.targetAddr = rng.nextBool(0.2) ? ir::kNoAddr : rng.next();
+        e.fallthroughAddr = rng.nextBool(0.5) ? e.pc + 1 : rng.next();
+        switch (rng.nextBelow(4)) {
+          case 0:
+            e.nextPc = ir::kNoAddr;
+            break;
+          case 1:
+            e.nextPc = rng.next();
+            break;
+          default:
+            e.nextPc = e.taken ? e.targetAddr : e.fallthroughAddr;
+            break;
+        }
+        events.push_back(e);
+    }
+    const SoaTrace stream = SoaTrace::fromEvents(events);
+    expectColumnsMatchReference(stream, events);
+    EXPECT_FALSE(stream.anomalyDeltas().empty());
+    // The decoding view gives every event back exactly.
+    const std::vector<BranchEvent> decoded = stream.toEvents();
+    ASSERT_EQ(decoded.size(), events.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i)
+        expectSameEvent(decoded[i], events[i], i);
 }
 
 // ---------------------------------------------------------------------
@@ -156,16 +314,40 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
 
         const TraceView mapped = warm.traceView();
         const TraceView owned = cold.traceView();
-        EXPECT_TRUE(mapped.isMapped());
-        EXPECT_FALSE(owned.isMapped());
         ASSERT_EQ(mapped.size(), owned.size());
+        EXPECT_EQ(mapped.maxPc(), owned.maxPc());
+
+        // One encoded form: the cold record's columns are, section by
+        // section, the bytes the warm hit maps.
+        const MappedEntry &entry = *warm.mapped;
+        const std::size_t n = cold.stream.size();
+        const std::size_t plane_bytes = (n + 7) / 8;
+        const auto section = [](const std::uint8_t *data,
+                                std::size_t len) {
+            return std::vector<std::uint8_t>(data, data + len);
+        };
+        EXPECT_EQ(section(entry.ops, n), cold.stream.ops());
+        EXPECT_EQ(section(entry.condPlane, plane_bytes),
+                  cold.stream.conditionalPlane());
+        EXPECT_EQ(section(entry.takenPlane, plane_bytes),
+                  cold.stream.takenPlane());
+        EXPECT_EQ(section(entry.targetKnownPlane, plane_bytes),
+                  cold.stream.targetKnownPlane());
+        EXPECT_EQ(section(entry.anomalyPlane, plane_bytes),
+                  cold.stream.anomalyPlane());
+        EXPECT_EQ(section(entry.deltas, entry.deltasLen),
+                  cold.stream.deltas());
+        EXPECT_EQ(section(entry.anomalyDeltas, entry.anomalyDeltasLen),
+                  cold.stream.anomalyDeltas());
 
         // The decoded events themselves are bit-identical.
-        const SoaTrace decoded = materializeView(mapped);
-        ASSERT_EQ(decoded.size(), cold.stream.size());
+        const std::vector<BranchEvent> decoded =
+            materializeView(mapped).toEvents();
+        const std::vector<BranchEvent> recorded =
+            cold.stream.toEvents();
+        ASSERT_EQ(decoded.size(), recorded.size());
         for (std::size_t i = 0; i < decoded.size(); ++i)
-            expectSameEvent(decoded.event(i), cold.stream.event(i),
-                            i);
+            expectSameEvent(decoded[i], recorded[i], i);
 
         // Every kernel sees the same stream: identical results (and
         // therefore identical internal tables) in both modes.
@@ -200,6 +382,39 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
             predict::GshareKernel b(predict::GshareConfig{});
             expectSameResult(a.run(mapped), b.run(owned), "gshare");
         }
+
+        // The engine's fused replay agrees over both views too.
+        std::vector<core::KernelSpec> specs;
+        for (const core::SchemeKind kind :
+             {core::SchemeKind::Sbtb, core::SchemeKind::Cbtb,
+              core::SchemeKind::AlwaysTaken,
+              core::SchemeKind::AlwaysNotTaken,
+              core::SchemeKind::BackwardTaken,
+              core::SchemeKind::OpcodeBias,
+              core::SchemeKind::ForwardSemantic,
+              core::SchemeKind::Gshare}) {
+            core::KernelSpec spec;
+            spec.kind = kind;
+            spec.btb = config.btb;
+            spec.counter = config.counter;
+            spec.likely = &cold.likelyMap;
+            specs.push_back(spec);
+        }
+        const std::vector<core::ReplayResult> warm_results =
+            core::replayManyKernel(mapped, specs);
+        const std::vector<core::ReplayResult> cold_results =
+            core::replayManyKernel(owned, specs);
+        ASSERT_EQ(warm_results.size(), cold_results.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE("fused spec " + std::to_string(i));
+            EXPECT_TRUE(
+                sameStats(warm_results[i].stats, cold_results[i].stats));
+            EXPECT_EQ(warm_results[i].accuracy, cold_results[i].accuracy);
+            EXPECT_EQ(warm_results[i].missRatio,
+                      cold_results[i].missRatio);
+            EXPECT_EQ(warm_results[i].hasMissRatio,
+                      cold_results[i].hasMissRatio);
+        }
     }
     std::filesystem::remove_all(dir);
 }
@@ -224,10 +439,12 @@ TEST(TraceViewDifferential, MappedViewSurvivesEntryEviction)
 
     std::filesystem::remove_all(dir); // evict everything
 
-    const SoaTrace decoded = materializeView(warm.traceView());
-    ASSERT_EQ(decoded.size(), cold.stream.size());
+    const std::vector<BranchEvent> decoded =
+        materializeView(warm.traceView()).toEvents();
+    const std::vector<BranchEvent> recorded = cold.stream.toEvents();
+    ASSERT_EQ(decoded.size(), recorded.size());
     for (std::size_t i = 0; i < decoded.size(); ++i)
-        expectSameEvent(decoded.event(i), cold.stream.event(i), i);
+        expectSameEvent(decoded[i], recorded[i], i);
 }
 
 } // namespace
