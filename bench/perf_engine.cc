@@ -2,21 +2,17 @@
  * @file
  * Performance harness for the experiment engine itself.
  *
- * Times the full ten-benchmark suite under three engines --
+ * Times the full ten-benchmark suite serially and fanned across
+ * BRANCHLAB_JOBS worker threads, then splits the engine into its two
+ * component phases (the VM record pass, and the replay pass down both
+ * the specialized kernels and the virtual-dispatch reference, timed
+ * separately) and times a warm-cache suite run against a throwaway
+ * persistent trace cache, where the record pass is skipped entirely.
  *
- *   1. two-pass serial:   the seed engine (two VM executions per
- *                         workload, benchmarks strictly serial);
- *   2. replay serial:     record-once/replay-many, one job;
- *   3. replay parallel:   record-once/replay-many fanned across
- *                         BRANCHLAB_JOBS worker threads --
- *
- * then splits the replay engine into its two component phases (the VM
- * record pass and the predictor replay pass, timed separately) and
- * times a warm-cache suite run against a throwaway persistent trace
- * cache, where the record pass is skipped entirely.
- *
- * Verifies that every engine and the warm-cache run produce
- * bit-identical scheme accuracies, miss ratios, and trace statistics,
+ * Verifies that the parallel and warm-cache runs reproduce the serial
+ * run's scheme accuracies, miss ratios, trace statistics and code
+ * growth bit for bit, and that the kernel replay pass reproduces the
+ * virtual-dispatch reference's per-scheme results on every workload;
  * micro-benchmarks the linear-scan vs hash-indexed AssociativeBuffer
  * lookup on the paper's 256-way fully-assoc geometry, measures the
  * telemetry layer's replay overhead (collection enabled vs compiled in
@@ -51,6 +47,7 @@
 #include "predict/profile_predictor.hh"
 #include "predict/static_predictors.hh"
 #include "support/random.hh"
+#include "support/strings.hh"
 #include "trace/cache.hh"
 
 namespace
@@ -92,7 +89,7 @@ timeSuite(const std::string &label, const core::ExperimentConfig &config,
     return run;
 }
 
-/** Exact-equality comparison of everything the engines measure. */
+/** Exact-equality comparison of everything a suite run measures. */
 std::size_t
 countMismatches(const std::vector<core::BenchmarkResult> &a,
                 const std::vector<core::BenchmarkResult> &b)
@@ -179,16 +176,22 @@ enum class ReplayPath
     Fallback,
 };
 
+/** Per workload, the seven schemes' results of one replay pass. */
+using ReplayResults = std::vector<std::vector<core::ReplayResult>>;
+
 /** One serial replay pass over pre-recorded streams (no VM
  *  execution): the same seven schemes the replay engine fuses per
- *  workload. @return wall-clock seconds; prints it with @p tag. */
+ *  workload. @return wall-clock seconds; prints it with @p tag. Fills
+ *  @p results when given. */
 double
 replayPassOnce(const std::vector<core::RecordedWorkload> &recorded,
                const core::ExperimentConfig &config, const char *tag,
-               ReplayPath path)
+               ReplayPath path, ReplayResults *results = nullptr)
 {
     double seconds = 0.0;
     double checksum = 0.0;
+    ReplayResults pass;
+    pass.reserve(recorded.size());
     {
         ScopeTimer timer(&seconds);
         for (const core::RecordedWorkload &workload : recorded) {
@@ -214,11 +217,8 @@ replayPassOnce(const std::vector<core::RecordedWorkload> &recorded,
                 fs_spec.kind = core::SchemeKind::ForwardSemantic;
                 fs_spec.likely = &workload.likelyMap;
                 specs.push_back(fs_spec);
-                const std::vector<core::ReplayResult> replays =
-                    core::replayManyKernel(workload.traceView(),
-                                           specs);
-                for (const core::ReplayResult &replay : replays)
-                    checksum += replay.accuracy;
+                pass.push_back(
+                    core::replayManyKernel(workload.traceView(), specs));
             } else {
                 predict::SimpleBtb sbtb(config.btb);
                 predict::CounterBtb cbtb(config.btb, config.counter);
@@ -227,25 +227,27 @@ replayPassOnce(const std::vector<core::RecordedWorkload> &recorded,
                 predict::BackwardTaken btfnt;
                 predict::OpcodeBias opcode_bias;
                 predict::ProfilePredictor fs(workload.likelyMap);
-                const std::vector<core::ReplayResult> replays =
-                    core::replayMany(workload.traceView(),
-                                     {&sbtb, &cbtb, &always_taken,
-                                      &always_not_taken, &btfnt,
-                                      &opcode_bias, &fs});
-                for (const core::ReplayResult &replay : replays)
-                    checksum += replay.accuracy;
+                pass.push_back(core::replayMany(
+                    workload.traceView(),
+                    {&sbtb, &cbtb, &always_taken, &always_not_taken,
+                     &btfnt, &opcode_bias, &fs}));
             }
         }
     }
+    for (const std::vector<core::ReplayResult> &replays : pass)
+        for (const core::ReplayResult &replay : replays)
+            checksum += replay.accuracy;
     std::cerr << "    " << formatFixed(seconds, 3) << " s" << tag
               << " (acc sum " << formatFixed(checksum, 3) << ")\n";
+    if (results != nullptr)
+        *results = std::move(pass);
     return seconds;
 }
 
 double
 timeReplayPass(const std::vector<core::RecordedWorkload> &recorded,
                const core::ExperimentConfig &config, unsigned repeat,
-               ReplayPath path)
+               ReplayPath path, ReplayResults &results)
 {
     std::cerr << (path == ReplayPath::Kernel
                       ? "  replay pass (specialized kernels)...\n"
@@ -253,11 +255,45 @@ timeReplayPass(const std::vector<core::RecordedWorkload> &recorded,
     double best = 0.0;
     for (unsigned r = 0; r < repeat; ++r) {
         const double seconds =
-            replayPassOnce(recorded, config, "", path);
+            replayPassOnce(recorded, config, "", path, &results);
         if (r == 0 || seconds < best)
             best = seconds;
     }
     return best;
+}
+
+/** Exact-equality comparison of the kernel pass with the virtual
+ *  reference, workload by workload and scheme by scheme. */
+std::size_t
+countReplayMismatches(const std::vector<core::RecordedWorkload> &recorded,
+                      const ReplayResults &kernel,
+                      const ReplayResults &reference)
+{
+    const auto same_ratio = [](const Ratio &a, const Ratio &b) {
+        return a.hits() == b.hits() && a.total() == b.total();
+    };
+    std::size_t mismatches = 0;
+    for (std::size_t w = 0; w < recorded.size(); ++w) {
+        for (std::size_t s = 0; s < reference[w].size(); ++s) {
+            const core::ReplayResult &a = kernel[w][s];
+            const core::ReplayResult &b = reference[w][s];
+            if (same_ratio(a.stats.accuracy, b.stats.accuracy) &&
+                same_ratio(a.stats.conditionalAccuracy,
+                           b.stats.conditionalAccuracy) &&
+                same_ratio(a.stats.unconditionalAccuracy,
+                           b.stats.unconditionalAccuracy) &&
+                same_ratio(a.stats.predictedTaken,
+                           b.stats.predictedTaken) &&
+                a.hasMissRatio == b.hasMissRatio &&
+                a.missRatio == b.missRatio)
+                continue;
+            ++mismatches;
+            std::cerr << "  MISMATCH: " << recorded[w].name
+                      << " scheme " << s
+                      << " kernel replay vs virtual reference\n";
+        }
+    }
+    return mismatches;
 }
 
 /**
@@ -402,8 +438,8 @@ benchBufferLookup()
 
 void
 writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
-          unsigned repeat, const TimedRun &two_pass,
-          const TimedRun &replay_serial, const TimedRun &replay_parallel,
+          unsigned repeat, const TimedRun &replay_serial,
+          const TimedRun &replay_parallel,
           double record_s, double replay_only_s,
           double replay_fallback_s, double warm_cache_s,
           double warm_decode_s, double replay_enabled_s,
@@ -417,7 +453,7 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
     os.precision(17);
     os << "{\n"
        << "  \"bench\": \"perf_engine\",\n"
-       << "  \"benchmarks\": " << two_pass.results.size() << ",\n"
+       << "  \"benchmarks\": " << replay_serial.results.size() << ",\n"
        << "  \"runs_override\": " << runs_override << ",\n"
        << "  \"repeat\": " << repeat << ",\n"
        << "  \"jobs_parallel\": " << jobs << ",\n"
@@ -425,7 +461,6 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
        << "  \"phases\": {\n"
-       << "    \"two_pass_serial_s\": " << two_pass.seconds << ",\n"
        << "    \"replay_serial_s\": " << replay_serial.seconds << ",\n"
        << "    \"replay_parallel_s\": " << replay_parallel.seconds
        << ",\n"
@@ -436,10 +471,6 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "    \"warm_cache_s\": " << warm_cache_s << ",\n"
        << "    \"warm_decode_s\": " << warm_decode_s << "\n  },\n"
        << "  \"speedup\": {\n"
-       << "    \"replay_serial_vs_two_pass\": "
-       << two_pass.seconds / replay_serial.seconds << ",\n"
-       << "    \"replay_parallel_vs_two_pass\": "
-       << two_pass.seconds / replay_parallel.seconds << ",\n"
        << "    \"kernel_vs_fallback\": "
        << replay_fallback_s / replay_only_s << ",\n"
        // warm_cache_vs_record compares like with like: record_s
@@ -481,12 +512,12 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "    \"indexed_speedup\": " << lookup.speedup << "\n  },\n"
        << "  \"mismatches\": " << mismatches << ",\n"
        << "  \"accuracy\": {\n";
-    for (std::size_t i = 0; i < two_pass.results.size(); ++i) {
-        const core::BenchmarkResult &r = two_pass.results[i];
+    for (std::size_t i = 0; i < replay_serial.results.size(); ++i) {
+        const core::BenchmarkResult &r = replay_serial.results[i];
         os << "    \"" << r.name << "\": {\"sbtb\": " << r.sbtb.accuracy
            << ", \"cbtb\": " << r.cbtb.accuracy
            << ", \"fs\": " << r.fs.accuracy << "}"
-           << (i + 1 < two_pass.results.size() ? "," : "") << "\n";
+           << (i + 1 < replay_serial.results.size() ? "," : "") << "\n";
     }
     os << "  }\n}\n";
 
@@ -514,18 +545,8 @@ main(int argc, char **argv)
                 blab_fatal("missing value for ", arg);
             return argv[++i];
         };
-        const auto need_number = [&]() -> unsigned {
-            const std::string text = need_value();
-            try {
-                std::size_t used = 0;
-                const unsigned long value = std::stoul(text, &used);
-                if (used != text.size())
-                    throw std::invalid_argument(text);
-                return static_cast<unsigned>(value);
-            } catch (const std::exception &) {
-                blab_fatal("value for ", arg, " must be a number, got '",
-                           text, "'");
-            }
+        const auto need_number = [&]() {
+            return parseOptionNumber<unsigned>(arg, need_value());
         };
         if (arg == "--runs")
             runs_override = need_number();
@@ -553,20 +574,10 @@ main(int argc, char **argv)
     core::ExperimentConfig config = bench::paperConfig();
     config.runsOverride = runs_override;
 
-    core::ExperimentConfig two_pass_config = config;
-    two_pass_config.engine = core::EngineMode::TwoPass;
-    two_pass_config.jobs = 1;
-    // The seed engine also scanned the BTB ways linearly; pin that
-    // here so the baseline is the true seed cost. Equivalence still
-    // holds: both lookup strategies implement identical semantics.
-    two_pass_config.btb.lookup = predict::LookupStrategy::Linear;
-
     core::ExperimentConfig replay_serial_config = config;
-    replay_serial_config.engine = core::EngineMode::Replay;
     replay_serial_config.jobs = 1;
 
     core::ExperimentConfig replay_parallel_config = config;
-    replay_parallel_config.engine = core::EngineMode::Replay;
     replay_parallel_config.jobs = jobs; // 0 = BRANCHLAB_JOBS / hardware
     const unsigned parallel_jobs = resolveJobs(jobs);
 
@@ -575,10 +586,7 @@ main(int argc, char **argv)
     const auto sample_rss = [&rss](const char *phase) {
         rss.emplace_back(phase, bench::peakRssBytes());
     };
-    std::cerr << "full suite, three engines:\n";
-    const TimedRun two_pass = timeSuite("two-pass serial (seed engine)",
-                                        two_pass_config, repeat);
-    sample_rss("two_pass_serial");
+    std::cerr << "full suite, serial and parallel:\n";
     const TimedRun replay_serial =
         timeSuite("replay serial", replay_serial_config, repeat);
     sample_rss("replay_serial");
@@ -588,11 +596,9 @@ main(int argc, char **argv)
     sample_rss("replay_parallel");
     const std::uint64_t rss_engines = rss.back().second;
 
-    std::cerr << "verifying engine equivalence...\n";
+    std::cerr << "verifying parallel == serial...\n";
     std::size_t mismatches =
-        countMismatches(two_pass.results, replay_serial.results);
-    mismatches +=
-        countMismatches(two_pass.results, replay_parallel.results);
+        countMismatches(replay_serial.results, replay_parallel.results);
 
     std::cerr << "replay engine phase split:\n";
     std::vector<core::RecordedWorkload> recorded;
@@ -602,11 +608,17 @@ main(int argc, char **argv)
     // the fallback pass times the virtual-dispatch reference the
     // kernels replaced, so kernel_vs_fallback is the PR-over-PR
     // specialization win.
-    const double replay_only_s = timeReplayPass(
-        recorded, replay_serial_config, repeat, ReplayPath::Kernel);
-    const double replay_fallback_s = timeReplayPass(
-        recorded, replay_serial_config, repeat, ReplayPath::Fallback);
+    ReplayResults kernel_results;
+    ReplayResults fallback_results;
+    const double replay_only_s =
+        timeReplayPass(recorded, replay_serial_config, repeat,
+                       ReplayPath::Kernel, kernel_results);
+    const double replay_fallback_s =
+        timeReplayPass(recorded, replay_serial_config, repeat,
+                       ReplayPath::Fallback, fallback_results);
     sample_rss("replay_phase_split");
+    mismatches += countReplayMismatches(recorded, kernel_results,
+                                        fallback_results);
     const std::uint64_t stream_set_bytes = streamSetBytes(recorded);
 
     // Telemetry overhead: the same replay pass, collection enabled vs
@@ -662,7 +674,8 @@ main(int argc, char **argv)
                   << cache_counters.stores << " stores)\n";
         ++mismatches;
     }
-    mismatches += countMismatches(two_pass.results, warm_cache.results);
+    mismatches +=
+        countMismatches(replay_serial.results, warm_cache.results);
     std::error_code cleanup_ec;
     std::filesystem::remove_all(cache_dir, cleanup_ec);
 
@@ -688,32 +701,17 @@ main(int argc, char **argv)
     std::cerr << "BTB lookup micro-bench (256-entry fully-assoc):\n";
     const LookupBench lookup = benchBufferLookup();
 
-    TextTable table({"Engine", "seconds", "speedup"});
-    table.addRow({"two-pass serial (seed)",
-                  formatFixed(two_pass.seconds, 3), "1.00x"});
+    TextTable table({"Phase", "seconds"});
+    table.addRow({"suite serial", formatFixed(replay_serial.seconds, 3)});
     table.addRow(
-        {"replay serial", formatFixed(replay_serial.seconds, 3),
-         formatFixed(two_pass.seconds / replay_serial.seconds, 2) +
-             "x"});
-    table.addRow(
-        {"replay parallel (" + std::to_string(parallel_jobs) + " jobs)",
-         formatFixed(replay_parallel.seconds, 3),
-         formatFixed(two_pass.seconds / replay_parallel.seconds, 2) +
-             "x"});
-    table.addRow({"record phase (VM)", formatFixed(record_s, 3),
-                  formatFixed(two_pass.seconds / record_s, 2) + "x"});
-    table.addRow({"replay phase (kernels)",
-                  formatFixed(replay_only_s, 3),
-                  formatFixed(two_pass.seconds / replay_only_s, 2) +
-                      "x"});
+        {"suite parallel (" + std::to_string(parallel_jobs) + " jobs)",
+         formatFixed(replay_parallel.seconds, 3)});
+    table.addRow({"record phase (VM)", formatFixed(record_s, 3)});
+    table.addRow({"replay phase (kernels)", formatFixed(replay_only_s, 3)});
     table.addRow({"replay phase (virtual fallback)",
-                  formatFixed(replay_fallback_s, 3),
-                  formatFixed(two_pass.seconds / replay_fallback_s, 2) +
-                      "x"});
-    table.addRow({"warm-cache serial",
-                  formatFixed(warm_cache.seconds, 3),
-                  formatFixed(two_pass.seconds / warm_cache.seconds, 2) +
-                      "x"});
+                  formatFixed(replay_fallback_s, 3)});
+    table.addRow(
+        {"warm-cache suite serial", formatFixed(warm_cache.seconds, 3)});
     table.render(std::cout);
     std::cout << "\nWarm cache vs record pass: "
               << formatFixed(record_s / warm_decode_s, 2)
@@ -730,8 +728,9 @@ main(int argc, char **argv)
               << formatFixed(telemetry_overhead_pct, 2) << "% (on "
               << formatFixed(replay_enabled_s, 3) << " s, off "
               << formatFixed(replay_disabled_s, 3) << " s)\n"
-              << "Engine equivalence: "
-              << (mismatches == 0 ? "bit-identical across engines"
+              << "Equivalence: "
+              << (mismatches == 0 ? "bit-identical across runs and "
+                                    "replay paths"
                                   : std::to_string(mismatches) +
                                         " MISMATCHES")
               << "\n";
@@ -740,7 +739,7 @@ main(int argc, char **argv)
               << formatFixed(replay_fallback_s / replay_only_s, 2)
               << "x\n";
 
-    writeJson(out_path, parallel_jobs, runs_override, repeat, two_pass,
+    writeJson(out_path, parallel_jobs, runs_override, repeat,
               replay_serial, replay_parallel, record_s, replay_only_s,
               replay_fallback_s, warm_cache.seconds, warm_decode_s,
               replay_enabled_s, replay_disabled_s,

@@ -423,7 +423,7 @@ main(int argc, char **argv)
         predict::SbtbKernel owned_sbtb(
             predict::kernelIndexedConfig(predict::BufferConfig{}));
         const predict::KernelReplayResult owned_result =
-            owned_sbtb.run(owned);
+            owned_sbtb.run(trace::TraceView::of(owned));
         if (owned.size() != options.events ||
             !sameStats(owned_result.stats, mapped_result.stats)) {
             std::cerr << "  FAIL: owning replay differs from mapped "

@@ -19,30 +19,11 @@
 namespace branchlab::core
 {
 
-/**
- * How runBenchmark() drives the schemes over a workload's stream.
- *
- * Both engines are observationally equivalent: the workload inputs
- * are deterministic, so the branch stream of the legacy second VM
- * pass is bit-identical to the recorded stream the replay engine
- * feeds each scheme. Replay executes the VM exactly once.
- */
-enum class EngineMode
-{
-    /** Record the stream in one VM pass, replay it per scheme. */
-    Replay,
-    /** The seed engine: two full VM executions per workload. */
-    TwoPass,
-};
-
 /** Knobs of one full experiment, defaulting to the paper's setup. */
 struct ExperimentConfig
 {
     /** Master seed; every benchmark forks a sub-stream from it. */
     std::uint64_t seed = 19890528; // ISCA '89
-
-    /** Experiment engine; Replay is the fast default. */
-    EngineMode engine = EngineMode::Replay;
 
     /** Worker threads for runAll(); 0 defers to the BRANCHLAB_JOBS
      *  environment variable, then the hardware concurrency. */

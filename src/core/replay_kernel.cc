@@ -87,25 +87,12 @@ dispatchSpec(const trace::TraceView &view, const KernelSpec &spec)
         return toReplayResult(entry.run(spec, view));
     }
 
-    // Reference path: a PredictionDriver over the materialised
-    // events, exactly what replay() does -- minus its telemetry
-    // preamble, which the caller has already emitted.
+    // Reference path: replay()'s own driver loop (the caller has
+    // already emitted replay()'s telemetry).
     registry.counter("engine.replay.kernel.fallback").add(1);
     const std::unique_ptr<predict::BranchPredictor> predictor =
         makePredictor(spec);
-    predict::PredictionDriver driver(*predictor);
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            driver.onBranch(block.event(i));
-    ReplayResult result;
-    result.stats = driver.stats();
-    result.accuracy = result.stats.accuracy.ratio();
-    result.hasMissRatio = predictor->hasMissRatio();
-    if (result.hasMissRatio)
-        result.missRatio = predictor->missRatio();
-    return result;
+    return replayVirtual(view, *predictor);
 }
 
 } // namespace

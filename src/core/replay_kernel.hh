@@ -56,7 +56,7 @@ struct KernelSpec
 
 /** One registry row: can this spec run as a kernel on this stream,
  *  and if so, run it. Streams arrive as views, so one row serves both
- *  decoded SoA traces and mmap'd cache entries. */
+ *  cold SoA traces and mmap'd cache entries. */
 struct KernelRegistration
 {
     const char *name;
@@ -83,24 +83,11 @@ makePredictor(const KernelSpec &spec);
 ReplayResult replayKernel(const trace::TraceView &view,
                           const KernelSpec &spec);
 
-inline ReplayResult
-replayKernel(const trace::SoaTrace &stream, const KernelSpec &spec)
-{
-    return replayKernel(trace::TraceView::of(stream), spec);
-}
-
 /** Replay a stream against several specs in one fused trace walk.
  *  Results are in spec order. */
 std::vector<ReplayResult>
 replayManyKernel(const trace::TraceView &view,
                  const std::vector<KernelSpec> &specs);
-
-inline std::vector<ReplayResult>
-replayManyKernel(const trace::SoaTrace &stream,
-                 const std::vector<KernelSpec> &specs)
-{
-    return replayManyKernel(trace::TraceView::of(stream), specs);
-}
 
 /**
  * Batch-replay both hardware schemes at N sweep grid points in one
@@ -111,13 +98,6 @@ replayManyKernel(const trace::SoaTrace &stream,
 std::vector<predict::BtbBatchCell>
 replayBatch(const trace::TraceView &view,
             const std::vector<predict::BtbBatchPoint> &points);
-
-inline std::vector<predict::BtbBatchCell>
-replayBatch(const trace::SoaTrace &stream,
-            const std::vector<predict::BtbBatchPoint> &points)
-{
-    return replayBatch(trace::TraceView::of(stream), points);
-}
 
 } // namespace branchlab::core
 

@@ -8,9 +8,7 @@
 #include "ir/verifier.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "predict/flushing.hh"
 #include "predict/profile_predictor.hh"
-#include "predict/static_predictors.hh"
 #include "profile/profile.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
@@ -36,7 +34,7 @@ constexpr std::size_t kRecorderReserveEvents = 1u << 20;
 void
 runSuite(const ir::Program &program, const ir::Layout &layout,
          const std::vector<workloads::WorkloadInput> &inputs,
-         trace::TraceSink &sink, trace::TraceStats *stats,
+         trace::TraceSink &sink, trace::TraceStats &stats,
          std::uint64_t max_instructions)
 {
     const vm::PredecodedProgram code(program, layout);
@@ -55,18 +53,8 @@ runSuite(const ir::Program &program, const ir::Layout &layout,
                        "' exceeded the instruction limit on input '",
                        input.description, "'");
         }
-        if (stats != nullptr)
-            stats->addInstructions(result.instructions);
+        stats.addInstructions(result.instructions);
     }
-}
-
-/** The deterministic per-benchmark input suite. */
-std::vector<workloads::WorkloadInput>
-makeInputSuite(const workloads::Workload &workload,
-               const ExperimentConfig &config, unsigned runs)
-{
-    Rng rng(config.seed ^ hashString(workload.name()));
-    return workload.makeInputs(rng, runs);
 }
 
 unsigned
@@ -126,17 +114,6 @@ likelyToCached(const predict::LikelyMap &map)
     return entries;
 }
 
-predict::LikelyMap
-cachedToLikely(const std::vector<trace::CachedLikely> &entries)
-{
-    predict::LikelyMap map;
-    map.reserve(entries.size());
-    for (const trace::CachedLikely &entry : entries)
-        map.emplace(entry.pc, predict::LikelyInfo{entry.likelyTaken,
-                                                  entry.dominantTarget});
-    return map;
-}
-
 /** recordWorkload's profile counters, registered together on first
  *  use so every snapshot shows both, zero or not. */
 struct ProfileTelemetry
@@ -154,32 +131,10 @@ profileTelemetry()
     return telemetry;
 }
 
-/** Table 5: the code-size cost of the Forward Semantic transform. */
-void
-applyCodeSizeTransform(const profile::ProgramProfile &profile,
-                       const ExperimentConfig &config,
-                       BenchmarkResult &result)
-{
-    const obs::ScopedSpan span("engine.codesize");
-    for (unsigned slots : config.codeSizeSlots) {
-        result.codeIncrease[slots] = profile::codeIncreaseFor(
-            profile, slots, config.traceThreshold);
-    }
-}
-
 } // namespace
 
 BenchmarkResult
 ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
-{
-    return config_.engine == EngineMode::Replay
-               ? runBenchmarkReplay(workload)
-               : runBenchmarkTwoPass(workload);
-}
-
-BenchmarkResult
-ExperimentRunner::runBenchmarkReplay(
-    const workloads::Workload &workload) const
 {
     BenchmarkResult result;
     result.name = workload.name();
@@ -193,8 +148,8 @@ ExperimentRunner::runBenchmarkReplay(
     // ---- Replay the recorded stream against every scheme through
     // the kernel dispatch layer (one monomorphized pass per scheme,
     // virtual fallback for anything unregistered). The schemes never
-    // interact, so the replays observe exactly the stream the seed
-    // engine's online fan-out delivered. The FS is profiled over the
+    // interact, so each observes exactly the stream it would see
+    // driven straight from the VM. The FS is profiled over the
     // recorded runs and measured over the very same stream
     // (profile-equals-measurement). ----
     std::vector<std::pair<const char *, KernelSpec>> schemes;
@@ -251,93 +206,34 @@ ExperimentRunner::runBenchmarkReplay(
         }
     }
 
-    if (config_.runCodeSize)
-        applyCodeSizeTransform(*recorded.profile, config_, result);
-
+    // ---- Table 5: the code-size cost of the FS transform. ----
+    if (config_.runCodeSize) {
+        const obs::ScopedSpan span("engine.codesize");
+        for (unsigned slots : config_.codeSizeSlots) {
+            result.codeIncrease[slots] = profile::codeIncreaseFor(
+                *recorded.profile, slots, config_.traceThreshold);
+        }
+    }
     return result;
 }
 
-BenchmarkResult
-ExperimentRunner::runBenchmarkTwoPass(
-    const workloads::Workload &workload) const
+predict::LikelyMap
+cachedToLikely(const std::vector<trace::CachedLikely> &entries)
 {
-    BenchmarkResult result;
-    result.name = workload.name();
+    predict::LikelyMap map;
+    map.reserve(entries.size());
+    for (const trace::CachedLikely &entry : entries)
+        map.emplace(entry.pc, predict::LikelyInfo{entry.likelyTaken,
+                                                  entry.dominantTarget});
+    return map;
+}
 
-    const ir::Program program = workload.buildProgram();
-    ir::verifyProgramOrDie(program);
-    const ir::Layout layout(program);
-    result.staticSize = program.staticSize();
-
-    const unsigned runs = config_.runsOverride != 0
-                              ? config_.runsOverride
-                              : workload.defaultRuns();
-    result.runs = runs;
-    const std::vector<workloads::WorkloadInput> inputs =
-        makeInputSuite(workload, config_, runs);
-
-    // ---- Pass 1: hardware schemes, statics, profile, statistics. ----
-    predict::SimpleBtb sbtb(config_.btb);
-    predict::CounterBtb cbtb(config_.btb, config_.counter);
-    predict::PredictionDriver sbtb_driver(sbtb);
-    predict::PredictionDriver cbtb_driver(cbtb);
-
-    predict::AlwaysTaken always_taken;
-    predict::AlwaysNotTaken always_not_taken;
-    predict::BackwardTaken btfnt;
-    predict::OpcodeBias opcode_bias;
-    std::vector<predict::PredictionDriver> static_drivers;
-    static_drivers.reserve(4);
-    if (config_.runStaticSchemes) {
-        static_drivers.emplace_back(always_taken);
-        static_drivers.emplace_back(always_not_taken);
-        static_drivers.emplace_back(btfnt);
-        static_drivers.emplace_back(opcode_bias);
-    }
-
-    profile::ProgramProfile profile(program, layout);
-
-    trace::FanoutSink fanout;
-    fanout.addSink(&sbtb_driver);
-    fanout.addSink(&cbtb_driver);
-    for (predict::PredictionDriver &driver : static_drivers)
-        fanout.addSink(&driver);
-    fanout.addSink(&profile);
-    fanout.addSink(&result.stats);
-
-    for (unsigned r = 0; r < runs; ++r)
-        profile.noteRun();
-    runSuite(program, layout, inputs, fanout, &result.stats,
-             config_.maxInstructionsPerRun);
-
-    result.sbtb = SchemeResult{"SBTB",
-                               sbtb_driver.stats().accuracy.ratio(),
-                               sbtb.missRatio(), true};
-    result.cbtb = SchemeResult{"CBTB",
-                               cbtb_driver.stats().accuracy.ratio(),
-                               cbtb.missRatio(), true};
-    if (config_.runStaticSchemes) {
-        const char *names[] = {"always-taken", "always-not-taken",
-                               "btfnt", "opcode-bias"};
-        for (std::size_t i = 0; i < static_drivers.size(); ++i) {
-            result.staticSchemes.push_back(SchemeResult{
-                names[i], static_drivers[i].stats().accuracy.ratio(),
-                0.0, false});
-        }
-    }
-
-    // ---- Pass 2: the Forward Semantic over the same runs. ----
-    predict::ProfilePredictor fs(profile.buildLikelyMap());
-    predict::PredictionDriver fs_driver(fs);
-    runSuite(program, layout, inputs, fs_driver, nullptr,
-             config_.maxInstructionsPerRun);
-    result.fs = SchemeResult{"FS", fs_driver.stats().accuracy.ratio(),
-                             0.0, false};
-
-    if (config_.runCodeSize)
-        applyCodeSizeTransform(profile, config_, result);
-
-    return result;
+std::vector<workloads::WorkloadInput>
+makeInputSuite(const workloads::Workload &workload,
+               const ExperimentConfig &config)
+{
+    Rng rng(config.seed ^ hashString(workload.name()));
+    return workload.makeInputs(rng, runsFor(workload, config));
 }
 
 std::uint64_t
@@ -346,10 +242,9 @@ workloadContentHash(const workloads::Workload &workload,
 {
     ir::Program program = workload.buildProgram();
     const ir::Layout layout(program);
-    const unsigned runs = runsFor(workload, config);
     return computeContentHash(program, layout,
-                              makeInputSuite(workload, config, runs),
-                              config, runs);
+                              makeInputSuite(workload, config), config,
+                              runsFor(workload, config));
 }
 
 RecordedWorkload
@@ -368,7 +263,7 @@ recordWorkload(const workloads::Workload &workload,
     const unsigned runs = runsFor(workload, config);
     recorded.runs = runs;
     const std::vector<workloads::WorkloadInput> inputs =
-        makeInputSuite(workload, config, runs);
+        makeInputSuite(workload, config);
 
     const trace::TraceCache cache(
         trace::TraceCache::resolveDir(config.traceCacheDir),
@@ -392,9 +287,7 @@ recordWorkload(const workloads::Workload &workload,
             hit = false;
         }
         if (hit) {
-            // v2 hits stay mmap'd (stream empty); legacy v1 hits
-            // arrive as an owning stream.
-            recorded.stream = std::move(cached.stream);
+            // Hits stay mmap'd (stream empty).
             recorded.mapped = std::move(cached.mapped);
             recorded.stats = trace::TraceStats::fromCounters(cached.stats);
             recorded.likelyMap = cachedToLikely(cached.likely);
@@ -407,8 +300,8 @@ recordWorkload(const workloads::Workload &workload,
                         recorded.runs, *cached.profile);
                 telemetry.restored.add(1);
             } else {
-                // No profile section (v1, pre-section, or synthetic
-                // entries): fold the stream back into the profile.
+                // No profile section (synthetic entries): fold the
+                // stream back into the profile.
                 const obs::ScopedSpan fold_span("engine.profile.fold");
                 recorded.profile =
                     std::make_unique<profile::ProgramProfile>(
@@ -432,25 +325,33 @@ recordWorkload(const workloads::Workload &workload,
     fanout.addSink(recorded.profile.get());
     fanout.addSink(&recorded.stats);
     runSuite(*recorded.program, *recorded.layout, inputs, fanout,
-             &recorded.stats, config.maxInstructionsPerRun);
+             recorded.stats, config.maxInstructionsPerRun);
 
     recorded.stream = recorder.take();
     recorded.likelyMap = recorded.profile->buildLikelyMap();
 
     if (cache.enabled()) {
-        trace::CachedWorkload entry;
-        entry.contentHash = recorded.contentHash;
-        entry.runs = runs;
-        entry.stats = recorded.stats.counters();
-        entry.likely = likelyToCached(recorded.likelyMap);
-        entry.profile = recorded.profile->exportRows();
         // The recorded columns are the entry's sections: lend them to
         // the store and take them back, never copying the stream.
-        entry.stream = std::move(recorded.stream);
+        trace::CachedWorkload entry = takeCacheEntry(recorded);
         cache.store(recorded.name, entry);
         recorded.stream = std::move(entry.stream);
     }
     return recorded;
+}
+
+trace::CachedWorkload
+takeCacheEntry(RecordedWorkload &recorded)
+{
+    trace::CachedWorkload entry;
+    entry.contentHash = recorded.contentHash;
+    entry.runs = recorded.runs;
+    entry.stats = recorded.stats.counters();
+    entry.likely = likelyToCached(recorded.likelyMap);
+    entry.profile = recorded.profile->exportRows();
+    recorded.materializedStream();
+    entry.stream = std::move(recorded.stream);
+    return entry;
 }
 
 void
@@ -483,23 +384,18 @@ driverResult(const predict::PredictionDriver &driver,
 } // namespace
 
 ReplayResult
-replay(const std::vector<trace::BranchEvent> &events,
-       predict::BranchPredictor &predictor)
-{
-    const obs::ScopedSpan span("engine.replay");
-    noteReplayTelemetry(events.size(), 0);
-    predict::PredictionDriver driver(predictor);
-    for (const trace::BranchEvent &event : events)
-        driver.onBranch(event);
-    return driverResult(driver, predictor);
-}
-
-ReplayResult
 replay(const trace::TraceView &view,
        predict::BranchPredictor &predictor)
 {
     const obs::ScopedSpan span("engine.replay");
     noteReplayTelemetry(view.size(), 0);
+    return replayVirtual(view, predictor);
+}
+
+ReplayResult
+replayVirtual(const trace::TraceView &view,
+              predict::BranchPredictor &predictor)
+{
     predict::PredictionDriver driver(predictor);
     trace::TraceView::Cursor cursor = view.cursor();
     trace::TraceBlock block;
@@ -507,27 +403,6 @@ replay(const trace::TraceView &view,
         for (std::size_t i = 0; i < block.count; ++i)
             driver.onBranch(block.event(i));
     return driverResult(driver, predictor);
-}
-
-std::vector<ReplayResult>
-replayMany(const std::vector<trace::BranchEvent> &events,
-           const std::vector<predict::BranchPredictor *> &predictors)
-{
-    const obs::ScopedSpan span("engine.replay");
-    noteReplayTelemetry(events.size(), predictors.size());
-    std::vector<predict::PredictionDriver> drivers;
-    drivers.reserve(predictors.size());
-    for (predict::BranchPredictor *predictor : predictors)
-        drivers.emplace_back(*predictor);
-    for (const trace::BranchEvent &event : events) {
-        for (predict::PredictionDriver &driver : drivers)
-            driver.onBranch(event);
-    }
-    std::vector<ReplayResult> results;
-    results.reserve(predictors.size());
-    for (std::size_t i = 0; i < drivers.size(); ++i)
-        results.push_back(driverResult(drivers[i], *predictors[i]));
-    return results;
 }
 
 std::vector<ReplayResult>

@@ -10,16 +10,16 @@
  * then measured over the same runs (the paper's profile-equals-
  * measurement setup).
  *
- * The default engine records the branch stream in a single VM pass
- * and replays the in-memory stream against every scheme
- * (record-once/replay-many). Because the inputs are deterministic,
- * this is observationally equivalent to the seed engine's two full VM
- * executions -- the replayed stream is bit-identical to what a second
- * pass would emit -- at roughly half the wall-clock cost. The legacy
- * engine is kept behind EngineMode::TwoPass for equivalence tests and
- * the perf harness. runAll() additionally fans workload-level jobs
- * across a thread pool; every benchmark derives its own RNG
- * sub-stream, so results are bit-identical for any job count.
+ * The engine records the branch stream in a single VM pass (or maps
+ * it from the trace cache) and replays that one stream against every
+ * scheme (record-once/replay-many). Because the inputs are
+ * deterministic, this is observationally equivalent to driving each
+ * scheme straight from the VM: tests/test_core.cc holds every
+ * BenchmarkResult field bit-identical to a reference that does
+ * exactly that with the virtual-dispatch predictors. runAll()
+ * additionally fans workload-level jobs across a thread pool; every
+ * benchmark derives its own RNG sub-stream, so results are
+ * bit-identical for any job count.
  */
 
 #ifndef BRANCHLAB_CORE_RUNNER_HH
@@ -46,14 +46,13 @@ namespace branchlab::core
  * The program and layout are owned here because events reference
  * their addresses.
  *
- * The stream has one encoded form, the BLTC v2 sections
+ * The stream has one encoded form, the BLTC stream sections
  * (trace/format.hh), held in one of two places: an owning SoaTrace in
- * `stream` (cold records, legacy cache entries), or a zero-copy
- * mmap'd cache entry in `mapped` with `stream` empty (v2 warm hits).
- * A cold record's columns are the bytes its cache store writes, so
- * both places hold the same bytes and traceView() decodes them the
- * same way; whole-stream consumers can force an owning copy with
- * materializedStream().
+ * `stream` (cold records), or a zero-copy mmap'd cache entry in
+ * `mapped` with `stream` empty (warm hits). A cold record's columns
+ * are the bytes its cache store writes, so both places hold the same
+ * bytes and traceView() decodes them the same way; whole-stream
+ * consumers can force an owning copy with materializedStream().
  */
 struct RecordedWorkload
 {
@@ -63,7 +62,7 @@ struct RecordedWorkload
     /** The owning stream's encoded columns (trace/soa.hh). Empty
      *  when `mapped` is set. */
     trace::SoaTrace stream;
-    /** The zero-copy mapped cache entry (v2 warm hits), else null. */
+    /** The zero-copy mapped cache entry (warm hits), else null. */
     std::shared_ptr<const trace::MappedEntry> mapped;
     trace::TraceStats stats;
     /** The Forward Semantic's compiled-in predictions, profiled over
@@ -140,6 +139,15 @@ workloadContentHash(const workloads::Workload &workload,
                     const ExperimentConfig &config = ExperimentConfig{});
 
 /**
+ * The deterministic input suite a workload runs under @p config:
+ * config.runsOverride inputs (else the workload's default run count),
+ * drawn from an RNG seeded by config.seed and the workload's name.
+ */
+std::vector<workloads::WorkloadInput>
+makeInputSuite(const workloads::Workload &workload,
+               const ExperimentConfig &config);
+
+/**
  * Execute a workload's input suite once, recording the stream.
  *
  * When a trace cache is configured (config.traceCacheDir or the
@@ -156,6 +164,22 @@ workloadContentHash(const workloads::Workload &workload,
 RecordedWorkload
 recordWorkload(const workloads::Workload &workload,
                const ExperimentConfig &config = ExperimentConfig{});
+
+/** A stored likely map (a cache entry's likely section) as the
+ *  profiled-static scheme's LikelyMap. */
+predict::LikelyMap
+cachedToLikely(const std::vector<trace::CachedLikely> &entries);
+
+/**
+ * The trace-cache entry that persists @p recorded: its run count,
+ * trace stats, likely map and profile, and its stream. The stream's
+ * columns move into the entry rather than being copied (a mapped hit
+ * is materialised first); move them back into `recorded.stream` to
+ * keep replaying. The one place a RecordedWorkload becomes a
+ * CachedWorkload, so a cache store and `branchlab record -o` write
+ * the same bytes.
+ */
+trace::CachedWorkload takeCacheEntry(RecordedWorkload &recorded);
 
 /** Everything one replay of a stream measures for one scheme. */
 struct ReplayResult
@@ -176,45 +200,27 @@ struct ReplayResult
 void noteReplayTelemetry(std::size_t event_count,
                          std::size_t scheme_count);
 
-/** Replay a recorded stream against a predictor. This is the
- *  virtual-dispatch reference path; the kernel dispatch layer
- *  (core/replay_kernel.hh) is bound to it by differential tests. */
-ReplayResult replay(const std::vector<trace::BranchEvent> &events,
-                    predict::BranchPredictor &predictor);
-
 /** Virtual-dispatch replay straight off a stream view (events are
  *  materialised one block at a time; no event vector is built, and a
- *  mapped view is consumed zero-copy). */
+ *  mapped view is consumed zero-copy). This is the reference path;
+ *  the kernel dispatch layer (core/replay_kernel.hh) is bound to it
+ *  by differential tests. */
 ReplayResult replay(const trace::TraceView &view,
                     predict::BranchPredictor &predictor);
 
-inline ReplayResult
-replay(const trace::SoaTrace &stream,
-       predict::BranchPredictor &predictor)
-{
-    return replay(trace::TraceView::of(stream), predictor);
-}
+/** replay()'s driver loop without its span and telemetry: the one
+ *  loop that drives a virtual predictor over a view, shared with the
+ *  kernel dispatch's fallback. */
+ReplayResult replayVirtual(const trace::TraceView &view,
+                           predict::BranchPredictor &predictor);
 
-/** Replay a recorded stream against several independent predictors in
- *  one pass over the event vector (the schemes never interact, so the
- *  results are identical to sequential replay() calls; the fused loop
- *  just reads the multi-megabyte stream once instead of once per
- *  scheme). Results are in predictor order. */
-std::vector<ReplayResult>
-replayMany(const std::vector<trace::BranchEvent> &events,
-           const std::vector<predict::BranchPredictor *> &predictors);
-
-/** The stream-view variant of the fused multi-predictor replay. */
+/** Replay a stream view against several independent predictors in
+ *  one pass (the schemes never interact, so the results are identical
+ *  to sequential replay() calls; the fused loop just reads the stream
+ *  once instead of once per scheme). Results are in predictor order. */
 std::vector<ReplayResult>
 replayMany(const trace::TraceView &view,
            const std::vector<predict::BranchPredictor *> &predictors);
-
-inline std::vector<ReplayResult>
-replayMany(const trace::SoaTrace &stream,
-           const std::vector<predict::BranchPredictor *> &predictors)
-{
-    return replayMany(trace::TraceView::of(stream), predictors);
-}
 
 inline ReplayResult
 replay(const RecordedWorkload &recorded,
@@ -245,11 +251,6 @@ class ExperimentRunner
     const ExperimentConfig &config() const { return config_; }
 
   private:
-    BenchmarkResult
-    runBenchmarkReplay(const workloads::Workload &workload) const;
-    BenchmarkResult
-    runBenchmarkTwoPass(const workloads::Workload &workload) const;
-
     ExperimentConfig config_;
 };
 

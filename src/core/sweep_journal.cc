@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -27,7 +26,6 @@ namespace
 {
 
 constexpr char kSegmentMagic[4] = {'B', 'L', 'S', 'G'};
-constexpr char kLegacyMagic[4] = {'B', 'L', 'S', 'J'};
 
 /** Seal thresholds: large enough that a multi-thousand-point sweep
  *  produces a handful of segments, small enough that a long-running
@@ -100,30 +98,6 @@ putF64(std::string &out, double value)
     putU64(out, std::bit_cast<std::uint64_t>(value));
 }
 
-bool
-getU64(std::string_view in, std::size_t &pos, std::uint64_t &value)
-{
-    if (pos + 8 > in.size())
-        return false;
-    value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    pos += 8;
-    return true;
-}
-
-bool
-getF64(std::string_view in, std::size_t &pos, double &value)
-{
-    std::uint64_t bits = 0;
-    if (!getU64(in, pos, bits))
-        return false;
-    value = std::bit_cast<double>(bits);
-    return true;
-}
-
 std::uint64_t
 loadU64Le(const std::uint8_t *p)
 {
@@ -154,21 +128,6 @@ hash16(std::uint64_t value)
     std::ostringstream os;
     os << std::hex << std::setw(16) << std::setfill('0') << value;
     return os.str();
-}
-
-/** The v1 format had no checksum, so a loaded cell is only trusted
- *  after a domain check: every field is a finite ratio-like quantity,
- *  so a flipped sign or exponent bit lands far outside the domain. */
-bool
-cellInDomain(const SweepCell &cell)
-{
-    const auto ratio = [](double v) {
-        return std::isfinite(v) && v >= 0.0 && v <= 1.0;
-    };
-    return ratio(cell.sbtbAccuracy) && ratio(cell.sbtbMissRatio) &&
-           ratio(cell.cbtbAccuracy) && ratio(cell.cbtbMissRatio) &&
-           ratio(cell.fsAccuracy) &&
-           std::isfinite(cell.codeIncrease) && cell.codeIncrease >= 0.0;
 }
 
 void
@@ -288,93 +247,11 @@ struct SweepJournal::Segment
     std::unique_ptr<trace::MappedFile> file;
 };
 
-std::string
-encodeJournalEntryV1(std::uint64_t key,
-                     const std::vector<SweepCell> &cells)
-{
-    std::string data(kLegacyMagic, 4);
-    putU64(data, kJournalSchemaVersion);
-    putU64(data, key);
-    putU64(data, cells.size());
-    for (const SweepCell &cell : cells)
-        appendCell(data, cell);
-    return data;
-}
-
-JournalFailure
-decodeJournalEntryV1(std::string_view data, std::uint64_t key,
-                     std::vector<SweepCell> &cells,
-                     std::string &error)
-{
-    if (data.size() < 4 ||
-        data.substr(0, 4) != std::string_view(kLegacyMagic, 4)) {
-        error = "bad magic";
-        return JournalFailure::Corrupt;
-    }
-    std::size_t pos = 4;
-    std::uint64_t version = 0;
-    std::uint64_t stored_key = 0;
-    std::uint64_t count = 0;
-    if (!getU64(data, pos, version)) {
-        error = "truncated header";
-        return JournalFailure::Corrupt;
-    }
-    if (version != kJournalSchemaVersion) {
-        // Another schema, not damage: the writer was simply a
-        // different build. Quietly re-evaluate.
-        error = "schema version " + std::to_string(version) +
-                " (this reader speaks " +
-                std::to_string(kJournalSchemaVersion) + ")";
-        return JournalFailure::Foreign;
-    }
-    if (!getU64(data, pos, stored_key) || !getU64(data, pos, count)) {
-        error = "truncated header";
-        return JournalFailure::Corrupt;
-    }
-    if (stored_key != key) {
-        error = "mismatched key";
-        return JournalFailure::Corrupt;
-    }
-    if (count > kMaxCellsPerRecord) {
-        error = "implausible cell count";
-        return JournalFailure::Corrupt;
-    }
-    std::vector<SweepCell> loaded(static_cast<std::size_t>(count));
-    for (SweepCell &cell : loaded) {
-        if (!getF64(data, pos, cell.sbtbAccuracy) ||
-            !getF64(data, pos, cell.sbtbMissRatio) ||
-            !getF64(data, pos, cell.cbtbAccuracy) ||
-            !getF64(data, pos, cell.cbtbMissRatio) ||
-            !getF64(data, pos, cell.fsAccuracy) ||
-            !getF64(data, pos, cell.codeIncrease)) {
-            error = "truncated cells";
-            return JournalFailure::Corrupt;
-        }
-        // v1 carries no checksum; the domain check is the backported
-        // integrity gate for legacy entries.
-        if (!cellInDomain(cell)) {
-            error = "cell outside its domain (bit flip?)";
-            return JournalFailure::Corrupt;
-        }
-    }
-    if (pos != data.size()) {
-        error = "trailing bytes";
-        return JournalFailure::Corrupt;
-    }
-    cells = std::move(loaded);
-    return JournalFailure::None;
-}
-
 SweepJournal::SweepJournal() = default;
 
 SweepJournal::SweepJournal(std::string dir, std::uint64_t maxBytes)
     : dir_(std::move(dir)), maxBytes_(maxBytes)
-{
-    if (const char *env =
-            std::getenv("BRANCHLAB_SWEEP_JOURNAL_FORMAT")) {
-        writeLegacy_ = std::string_view(env) == "v1";
-    }
-}
+{}
 
 SweepJournal::~SweepJournal()
 {
@@ -397,15 +274,6 @@ SweepJournal::resolveMaxBytes(std::uint64_t configured)
                   env, "'");
     }
     return 0;
-}
-
-std::string
-SweepJournal::legacyEntryPath(std::uint64_t key) const
-{
-    blab_assert(enabled(), "journal is disabled");
-    return (std::filesystem::path(dir_) /
-            ("point-" + hash16(key) + ".blsj"))
-        .string();
 }
 
 std::size_t
@@ -643,38 +511,6 @@ SweepJournal::load(std::uint64_t key, std::vector<SweepCell> &cells)
             std::filesystem::file_time_type::clock::now(), ec);
         return true;
     }
-
-    return loadLegacyLocked(key, cells);
-}
-
-bool
-SweepJournal::loadLegacyLocked(std::uint64_t key,
-                               std::vector<SweepCell> &cells)
-{
-    const std::string path = legacyEntryPath(key);
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        return false;
-    std::ostringstream content;
-    content << file.rdbuf();
-    const std::string data = content.str();
-
-    std::string error;
-    switch (decodeJournalEntryV1(data, key, cells, error)) {
-    case JournalFailure::None:
-        return true;
-    case JournalFailure::Foreign:
-        journalTelemetry().foreign.add(1);
-        blab_inform("sweep journal entry '", path,
-                    "' was written by a different build (", error,
-                    "); re-evaluating point");
-        return false;
-    case JournalFailure::Corrupt:
-        break;
-    }
-    journalTelemetry().corrupt.add(1);
-    blab_warn("corrupt sweep journal entry '", path, "' (", error,
-              "); re-evaluating point");
     return false;
 }
 
@@ -686,10 +522,6 @@ SweepJournal::store(std::uint64_t key,
         return;
     const std::lock_guard<std::mutex> lock(mutex_);
     ensureOpenLocked();
-    if (writeLegacy_) {
-        storeLegacyLocked(key, cells);
-        return;
-    }
     putU64(pendingRecords_, key);
     putU32(pendingRecords_,
            static_cast<std::uint32_t>(cells.size()));
@@ -707,20 +539,6 @@ SweepJournal::store(std::uint64_t key,
     if (pendingCount_ >= kSealRecordThreshold ||
         pendingRecords_.size() >= kSealByteThreshold)
         sealLocked();
-}
-
-void
-SweepJournal::storeLegacyLocked(std::uint64_t key,
-                                const std::vector<SweepCell> &cells)
-{
-    // The upgrade-compat write path: the v1 on-disk bytes, published
-    // with the same fsync+rename discipline as a segment.
-    if (publishAtomically(legacyEntryPath(key),
-                          encodeJournalEntryV1(key, cells),
-                          "sweep journal entry")) {
-        owned_[key] = cells;
-        journalTelemetry().stores.add(1);
-    }
 }
 
 void
@@ -798,6 +616,8 @@ SweepJournal::enforceByteCapLocked()
                 ec),
          end;
          !ec && it != end; it.increment(ec)) {
+        // Stale point files of the retired v1 format still count, so
+        // a capped journal drains them.
         const std::filesystem::path &path = it->path();
         const bool segment = path.extension() == ".blsg";
         if (!segment && path.extension() != ".blsj")

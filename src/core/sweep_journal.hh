@@ -1,11 +1,7 @@
 /**
  * @file
- * The sweep resume journal, productionized like the trace cache.
- *
- * v1 (PR 5) stored one flat `point-<key16>.blsj` file per completed
- * grid point: no fsync before the rename, no payload checksum, no
- * size cap, and an O(points) open-read-parse loop on every resume.
- * This module replaces it with a segmented store:
+ * The sweep resume journal, productionized like the trace cache: a
+ * segmented, content-addressed store of completed grid points.
  *
  *  - Completed points accumulate in a streaming writer and are sealed
  *    into BLSG *segments* (many records per file) under two-hex-digit
@@ -28,11 +24,13 @@
  *    cap the store; eviction is LRU by mtime with a cost-aware
  *    tie-break (fewer records per byte evict first) and never touches
  *    a segment sealed by this run.
- *  - Legacy v1 per-point entries still load (now with domain
- *    validation instead of blind trust), stale `*.tmp-<pid>-<seq>`
- *    files from killed runs are reclaimed on open, and
- *    BRANCHLAB_SWEEP_JOURNAL_FORMAT=v1 keeps writing the old format
- *    for the upgrade-compat gate in CI.
+ *  - Stale `*.tmp-<pid>-<seq>` files from killed runs are reclaimed
+ *    on open.
+ *  - The retired v1 format (one unchecksummed `point-<key16>.blsj`
+ *    file per point) is never read: its points simply re-evaluate,
+ *    which is correct because the journal only holds derivable
+ *    results. Stale `.blsj` files still count towards the byte cap,
+ *    so a capped journal drains them.
  *
  * Telemetry: sweep.journal.{stores, segments, corrupt, foreign,
  * evictions, bytes_mapped, bytes_evicted, tmp_reclaimed}.
@@ -45,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -94,37 +91,6 @@ inline constexpr std::size_t kJournalCellBytes = 48;
 /** Per-record framing: key(8) + cellCount(4) + pad(4) ... crc(8). */
 inline constexpr std::size_t kJournalRecordOverheadBytes = 24;
 
-/** Why a segment or legacy entry was refused. */
-enum class JournalFailure
-{
-    None,
-    /** Structural damage: bad magic, bad bounds, checksum mismatch. */
-    Corrupt,
-    /** A version/schema/feature this reader does not speak. */
-    Foreign,
-};
-
-/** Encode one legacy v1 per-point entry ("BLSJ" + schema + key +
- *  count + cells, no checksum). Exposed for the upgrade-compat
- *  tests. */
-std::string encodeJournalEntryV1(std::uint64_t key,
-                                 const std::vector<SweepCell> &cells);
-
-/**
- * Decode and validate a legacy v1 entry. The format carries no
- * checksum, so the cells are additionally domain-validated (finite,
- * ratios inside [0, 1], code increase non-negative) -- a bit-flipped
- * double is rejected instead of silently resumed. A schema-version
- * mismatch classifies as Foreign, not Corrupt.
- *
- * @return JournalFailure::None on success (cells filled), else the
- * classification with a diagnostic in @p error.
- */
-JournalFailure decodeJournalEntryV1(std::string_view data,
-                                    std::uint64_t key,
-                                    std::vector<SweepCell> &cells,
-                                    std::string &error);
-
 /**
  * The resume journal. Default-constructed (empty-dir) journals are
  * disabled no-ops. `store()` is thread-safe (the sweep's worker
@@ -156,10 +122,9 @@ class SweepJournal
      */
     void open();
 
-    /** Load the cells stored under @p key: from the mapped segment
-     *  index first, else from a legacy v1 per-point file. False on
-     *  miss; corruption warns (Foreign informs) and reads as a
-     *  miss. */
+    /** Load the cells stored under @p key from the points this run
+     *  stored or the mapped segment index. False on miss; damaged or
+     *  foreign segments were already refused by open(). */
     bool load(std::uint64_t key, std::vector<SweepCell> &cells);
 
     /** Buffer @p cells under @p key; segments seal automatically when
@@ -171,10 +136,6 @@ class SweepJournal
      *  byte cap. Called by runSweep() after the grid completes and by
      *  the destructor. */
     void flush();
-
-    /** The flat legacy v1 location of @p key
-     *  ("<dir>/point-<key16>.blsj"). */
-    std::string legacyEntryPath(std::uint64_t key) const;
 
     /** Mapped-segment observability for tests and the perf
      *  harness. */
@@ -188,19 +149,12 @@ class SweepJournal
     void reclaimStaleTempsLocked();
     void mapSegmentsLocked();
     void indexSegmentLocked(std::size_t segment_index);
-    bool loadLegacyLocked(std::uint64_t key,
-                          std::vector<SweepCell> &cells);
     void sealLocked();
-    void storeLegacyLocked(std::uint64_t key,
-                           const std::vector<SweepCell> &cells);
     void enforceByteCapLocked();
 
     mutable std::mutex mutex_;
     std::string dir_;
     std::uint64_t maxBytes_ = 0;
-    /** BRANCHLAB_SWEEP_JOURNAL_FORMAT=v1: write legacy per-point
-     *  entries (the CI upgrade-compat gate stores through this). */
-    bool writeLegacy_ = false;
     bool opened_ = false;
 
     /** A record inside a mapped segment: a borrowed pointer to its

@@ -2,9 +2,10 @@
  * @file
  * Monomorphized replay kernels: one class per scheme family, each
  * replaying a recorded stream with zero virtual dispatch in the inner
- * loop. Kernels consume a trace::TraceView (trace/view.hh), so one
- * code path serves both owned SoaTrace streams and mmap'd cache
- * entries -- they share one encoded form, and the view's cursor hands
+ * loop. Kernels consume only a trace::TraceView (trace/view.hh), so
+ * one code path serves both owned SoaTrace streams (through
+ * TraceView::of) and mmap'd cache entries -- they share one encoded
+ * form, and the view's cursor hands
  * each kernel block pointers straight into its bit-plane and opcode
  * sections.
  *
@@ -43,7 +44,6 @@
 #include "predict/gshare.hh"
 #include "predict/predictor.hh"
 #include "predict/profile_predictor.hh"
-#include "trace/soa.hh"
 #include "trace/view.hh"
 
 namespace branchlab::predict
@@ -205,11 +205,6 @@ class SbtbKernel
 
     /** Replay the full stream through this kernel's state. */
     KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
 
     /** One event; the batch driver interleaves many kernels. */
     void
@@ -286,11 +281,6 @@ class CbtbKernel
     CbtbKernel &operator=(const CbtbKernel &) = delete;
 
     KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
 
     void step(const KernelEvent &e) { stepImpl<0>(e); }
 
@@ -417,11 +407,6 @@ class StaticKernel
     explicit StaticKernel(StaticKind kind);
 
     KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
 
     void
     step(const KernelEvent &e)
@@ -522,11 +507,6 @@ class FsKernel
     FsKernel(const LikelyMap &map, ir::Addr max_pc);
 
     KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
 
     void
     step(const KernelEvent &e)
@@ -586,11 +566,6 @@ class GshareKernel
     GshareKernel &operator=(const GshareKernel &) = delete;
 
     KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
 
     void
     step(const KernelEvent &e)
@@ -705,13 +680,6 @@ struct BtbBatchCell
 std::vector<BtbBatchCell>
 runBtbBatch(const trace::TraceView &view,
             const std::vector<BtbBatchPoint> &points);
-
-inline std::vector<BtbBatchCell>
-runBtbBatch(const trace::SoaTrace &stream,
-            const std::vector<BtbBatchPoint> &points)
-{
-    return runBtbBatch(trace::TraceView::of(stream), points);
-}
 
 } // namespace branchlab::predict
 

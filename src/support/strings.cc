@@ -104,4 +104,32 @@ replaceAll(std::string text, const std::string &from, const std::string &to)
     return text;
 }
 
+std::optional<std::uint64_t>
+parseDecimal(std::string_view text, std::uint64_t max)
+{
+    if (text.empty())
+        return std::nullopt;
+    std::uint64_t value = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (digit > max || value > (max - digit) / 10)
+            return std::nullopt;
+        value = value * 10 + digit;
+    }
+    return value;
+}
+
+std::uint64_t
+parseOptionNumber(std::string_view flag, std::string_view text,
+                  std::uint64_t max)
+{
+    const std::optional<std::uint64_t> value = parseDecimal(text, max);
+    if (!value)
+        blab_fatal("value for ", flag, " must be a number from 0 to ", max,
+                   ", got '", text, "'");
+    return *value;
+}
+
 } // namespace branchlab

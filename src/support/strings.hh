@@ -6,7 +6,12 @@
 #ifndef BRANCHLAB_SUPPORT_STRINGS_HH
 #define BRANCHLAB_SUPPORT_STRINGS_HH
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace branchlab
@@ -41,6 +46,31 @@ std::string padRight(const std::string &text, std::size_t width);
 /** Replace every occurrence of @p from (non-empty) with @p to. */
 std::string replaceAll(std::string text, const std::string &from,
                        const std::string &to);
+
+/**
+ * Parse a decimal number: one or more ASCII digits and nothing else
+ * (no sign, no space, no prefix), no larger than @p max. @return the
+ * value, or std::nullopt for any other text.
+ */
+std::optional<std::uint64_t> parseDecimal(std::string_view text,
+                                          std::uint64_t max);
+
+/** The value @p text of command-line option @p flag, parsed by
+ *  parseDecimal(); anything else is a fatal diagnostic naming the
+ *  flag and the range. */
+std::uint64_t parseOptionNumber(std::string_view flag,
+                                std::string_view text, std::uint64_t max);
+
+/** parseOptionNumber() bounded by the range of the destination type
+ *  @p T: the one checked parser for every tool's numeric options. */
+template <typename T>
+T
+parseOptionNumber(std::string_view flag, std::string_view text)
+{
+    static_assert(std::is_unsigned_v<T>, "option values are unsigned");
+    return static_cast<T>(
+        parseOptionNumber(flag, text, std::numeric_limits<T>::max()));
+}
 
 } // namespace branchlab
 

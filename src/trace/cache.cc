@@ -14,7 +14,6 @@
 #include "obs/metrics.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
-#include "trace/io.hh"
 
 namespace branchlab::trace
 {
@@ -47,8 +46,6 @@ struct CacheTelemetry
         obs::Registry::global().counter("trace_cache.corrupt_entries");
     obs::Counter &mapFailures =
         obs::Registry::global().counter("trace_cache.map_failures");
-    obs::Counter &bytesRead =
-        obs::Registry::global().counter("trace_cache.bytes_read");
     obs::Counter &bytesMapped =
         obs::Registry::global().counter("trace_cache.bytes_mapped");
     obs::Counter &bytesWritten =
@@ -69,32 +66,10 @@ cacheTelemetry()
 }
 
 void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-void
 putU64(std::string &out, std::uint64_t value)
 {
     for (int i = 0; i < 8; ++i)
         out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-bool
-getU32(std::string_view in, std::size_t &pos, std::uint32_t &value)
-{
-    if (pos + 4 > in.size())
-        return false;
-    value = 0;
-    for (int i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    }
-    pos += 4;
-    return true;
 }
 
 bool
@@ -143,69 +118,6 @@ std::string
 entryFileName(const std::string &name, std::uint64_t content_hash)
 {
     return name + '-' + hash16(content_hash) + ".bltc";
-}
-
-/** The pre-shard flat location, still consulted on load. */
-std::string
-flatEntryPath(const std::string &dir, const std::string &name,
-              std::uint64_t content_hash)
-{
-    return (std::filesystem::path(dir) /
-            entryFileName(name, content_hash))
-        .string();
-}
-
-/** @return empty string on success, else a diagnostic (v1 only). */
-std::string
-decodeLegacyEntry(std::string_view in, CachedWorkload &out)
-{
-    if (in.size() < sizeof(kEntryMagic) ||
-        in.compare(0, sizeof(kEntryMagic), kEntryMagic,
-                   sizeof(kEntryMagic)) != 0)
-        return "bad magic";
-    std::size_t pos = sizeof(kEntryMagic);
-    std::uint32_t version = 0;
-    if (!getU32(in, pos, version))
-        return "truncated header";
-    if (version != kEntryVersionV1)
-        return "unsupported cache version " + std::to_string(version);
-    if (!getU64(in, pos, out.contentHash) ||
-        !getU32(in, pos, out.runs) ||
-        !getU64(in, pos, out.stats.instructions) ||
-        !getU64(in, pos, out.stats.branches) ||
-        !getU64(in, pos, out.stats.conditional) ||
-        !getU64(in, pos, out.stats.condTaken) ||
-        !getU64(in, pos, out.stats.uncondKnown))
-        return "truncated header";
-    std::uint64_t likely_count = 0;
-    if (!getU64(in, pos, likely_count))
-        return "truncated likely map";
-    if (likely_count > (in.size() - pos) / kLikelyRecordBytes)
-        return "implausible likely-map count";
-    out.likely.clear();
-    out.likely.reserve(static_cast<std::size_t>(likely_count));
-    for (std::uint64_t i = 0; i < likely_count; ++i) {
-        CachedLikely entry;
-        if (!getU64(in, pos, entry.pc) ||
-            !getU64(in, pos, entry.dominantTarget) || pos >= in.size())
-            return "truncated likely map";
-        entry.likelyTaken = in[pos++] != 0;
-        out.likely.push_back(entry);
-    }
-    std::uint64_t event_count = 0;
-    std::uint64_t payload_size = 0;
-    if (!getU64(in, pos, event_count) ||
-        !getU64(in, pos, payload_size))
-        return "truncated event header";
-    if (payload_size != in.size() - pos)
-        return "event payload size mismatch";
-    std::string error;
-    if (!decodeEventsV2Soa(in.substr(pos), event_count, out.stream,
-                           error))
-        return error;
-    out.profile.reset();
-    out.mapped.reset();
-    return "";
 }
 
 const char *
@@ -427,34 +339,9 @@ encodeProfileSection(const CachedProfile &profile)
     return out;
 }
 
-std::string
-encodeLegacyEntryV1(const CachedWorkload &workload)
-{
-    std::string out;
-    out.append(kEntryMagic, sizeof(kEntryMagic));
-    putU32(out, kEntryVersionV1);
-    putU64(out, workload.contentHash);
-    putU32(out, workload.runs);
-    putU64(out, workload.stats.instructions);
-    putU64(out, workload.stats.branches);
-    putU64(out, workload.stats.conditional);
-    putU64(out, workload.stats.condTaken);
-    putU64(out, workload.stats.uncondKnown);
-    putU64(out, workload.likely.size());
-    for (const CachedLikely &entry : workload.likely) {
-        putU64(out, entry.pc);
-        putU64(out, entry.dominantTarget);
-        out.push_back(entry.likelyTaken ? 1 : 0);
-    }
-    const std::string payload = encodeEventsV2(workload.stream);
-    putU64(out, workload.stream.size());
-    putU64(out, payload.size());
-    out += payload;
-    return out;
-}
-
 bool
-mapEntryFile(const std::string &path, std::uint64_t expected_hash,
+mapEntryFile(const std::string &path,
+             std::optional<std::uint64_t> expected_hash,
              CachedWorkload &out, std::string &error,
              MapFailure &failure)
 {
@@ -464,30 +351,24 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
         return false;
     const std::uint8_t *data = file->data();
     const std::size_t size = file->size();
-    if (size < sizeof(kEntryMagic) + 4 ||
-        std::memcmp(data, kEntryMagic, sizeof(kEntryMagic)) != 0) {
+    if (size < kEntryHeaderBytes) {
+        error = "truncated header";
+        return false;
+    }
+    if (std::memcmp(data, kEntryMagic, sizeof(kEntryMagic)) != 0) {
         error = "bad magic";
         return false;
     }
+    // Another version is foreign, never corrupt -- retired ones
+    // included: an entry only holds what a record pass derives, so
+    // the cache re-records instead of reading an older layout. The
+    // header checksum is verified next, before any other field.
     const std::uint32_t version = loadU32Le(data + sizeof(kEntryMagic));
-    if (version == kEntryVersionV1) {
-        // Legacy inline entry: owning decode straight off the mapping
-        // (the mapping is released afterwards -- nothing borrows it).
-        error = decodeLegacyEntry(
-            std::string_view(reinterpret_cast<const char *>(data),
-                             size),
-            out);
-        if (!error.empty())
-            return false;
-        if (out.contentHash != expected_hash) {
-            error = "mismatched content hash";
-            return false;
-        }
-        failure = MapFailure::None;
-        return true;
-    }
     if (version != kEntryVersion) {
-        error = "unsupported cache version " + std::to_string(version);
+        failure = MapFailure::Foreign;
+        error = "format version " + std::to_string(version) +
+                " (this reader speaks " + std::to_string(kEntryVersion) +
+                ")";
         return false;
     }
 
@@ -558,7 +439,7 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
             return false;
         }
     }
-    if (header.contentHash != expected_hash) {
+    if (expected_hash && header.contentHash != *expected_hash) {
         error = "mismatched content hash";
         return false;
     }
@@ -631,6 +512,97 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
     return true;
 }
 
+bool
+writeEntryFile(const std::string &path, const CachedWorkload &workload,
+               std::uint64_t &bytes_written, std::string &error)
+{
+    blab_assert(!workload.mapped,
+                "writeEntryFile() expects an owning stream, not a "
+                "mapped hit");
+    // Unique temp name per in-flight write: the pid separates
+    // processes and the process-wide atomic sequence separates
+    // threads, so two threads writing the same entry concurrently can
+    // never clobber each other's temp file mid-write. The rename into
+    // place is atomic either way (last writer wins with a complete
+    // entry).
+    const std::string tmp =
+        path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) +
+        "-" +
+        std::to_string(
+            g_tmpSequence.fetch_add(1, std::memory_order_relaxed));
+    const SoaTrace &stream = workload.stream;
+    bool written = false;
+    {
+        EntryWriter writer(tmp);
+        if (!writer.ok()) {
+            error = "cannot create '" + tmp + "'";
+            return false;
+        }
+        writer.setMeta(workload.contentHash, workload.runs,
+                       workload.stats, stream.size(), stream.maxPc(),
+                       workload.likely.size());
+        std::string likely_bytes;
+        likely_bytes.reserve(kLikelyRecordBytes *
+                             workload.likely.size());
+        for (const CachedLikely &entry : workload.likely) {
+            putU64(likely_bytes, entry.pc);
+            putU64(likely_bytes, entry.dominantTarget);
+            likely_bytes.push_back(entry.likelyTaken ? 1 : 0);
+        }
+        writer.writeSection(EntrySection::Likely, likely_bytes.data(),
+                            likely_bytes.size());
+        // The stream already holds the entry's stream sections: write
+        // them verbatim.
+        const std::pair<EntrySection, const std::vector<std::uint8_t> *>
+            columns[] = {
+                {EntrySection::Ops, &stream.ops()},
+                {EntrySection::CondPlane, &stream.conditionalPlane()},
+                {EntrySection::TakenPlane, &stream.takenPlane()},
+                {EntrySection::TargetKnownPlane,
+                 &stream.targetKnownPlane()},
+                {EntrySection::AnomalyPlane, &stream.anomalyPlane()},
+                {EntrySection::Deltas, &stream.deltas()},
+                {EntrySection::AnomalyDeltas, &stream.anomalyDeltas()}};
+        for (const auto &[section, column] : columns)
+            writer.writeSection(section, column->data(), column->size());
+        if (workload.profile) {
+            const std::string profile =
+                encodeProfileSection(*workload.profile);
+            writer.writeSection(EntrySection::Profile, profile.data(),
+                                profile.size());
+        }
+        if (writer.finish(error)) {
+            bytes_written = writer.bytesWritten();
+            written = true;
+        }
+    }
+    // Durability before visibility: the entry's bytes reach the disk
+    // before the rename can publish its name, and the directory entry
+    // itself is synced after. A crash leaves either the old entry or
+    // the complete new one.
+    if (written && !syncFd(tmp)) {
+        error = "cannot sync '" + tmp + "'";
+        written = false;
+    }
+    std::error_code ec;
+    if (written) {
+        std::filesystem::rename(tmp, path, ec);
+        if (ec)
+            error = "cannot publish: " + ec.message();
+        written = !ec;
+    }
+    if (!written) {
+        std::filesystem::remove(tmp, ec);
+        cacheTelemetry().tmpEvicted.add(1);
+        return false;
+    }
+    // Best-effort: the entry is already complete under its name.
+    const std::filesystem::path dir =
+        std::filesystem::path(path).parent_path();
+    syncFd(dir.empty() ? "." : dir.string());
+    return true;
+}
+
 TraceCacheCounters
 traceCacheCounters()
 {
@@ -690,19 +662,13 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
 {
     if (!enabled())
         return false;
-    std::string path = entryPath(name, content_hash);
+    const std::string path = entryPath(name, content_hash);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) {
-        // Pre-shard caches kept entries flat in the top directory.
-        const std::string flat =
-            flatEntryPath(dir_, name, content_hash);
-        if (!std::filesystem::exists(flat, ec)) {
-            ++g_misses;
-            cacheTelemetry().misses.add(1);
-            blab_inform("trace cache miss: ", name);
-            return false;
-        }
-        path = flat;
+        ++g_misses;
+        cacheTelemetry().misses.add(1);
+        blab_inform("trace cache miss: ", name);
+        return false;
     }
     CachedWorkload loaded;
     std::string error;
@@ -714,7 +680,7 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
         if (failure == MapFailure::Foreign) {
             // Foreign, not broken: refuse quietly and re-record.
             blab_inform("trace cache entry '", path,
-                        "' needs features this reader lacks (", error,
+                        "' was written by another format (", error,
                         "); re-recording");
         } else {
             cacheTelemetry().corrupt.add(1);
@@ -724,21 +690,14 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
         return false;
     }
     out = std::move(loaded);
-    if (out.mapped) {
-        cacheTelemetry().bytesMapped.add(out.mapped->file->size());
-    } else {
-        const std::uintmax_t bytes =
-            std::filesystem::file_size(path, ec);
-        if (!ec)
-            cacheTelemetry().bytesRead.add(bytes);
-    }
+    cacheTelemetry().bytesMapped.add(out.mapped->file->size());
     // LRU touch: a hit makes the entry recently used.
     std::filesystem::last_write_time(
         path, std::filesystem::file_time_type::clock::now(), ec);
     ++g_hits;
     cacheTelemetry().hits.add(1);
     blab_inform("trace cache hit: ", name, " (", out.eventCount(),
-                " events", out.mapped ? ", mapped)" : ")");
+                " events, mapped)");
     return true;
 }
 
@@ -748,8 +707,6 @@ TraceCache::store(const std::string &name,
 {
     if (!enabled())
         return;
-    blab_assert(!workload.mapped,
-                "store() expects an owning stream, not a mapped hit");
     const std::string path = entryPath(name, workload.contentHash);
     const std::filesystem::path shard_dir =
         std::filesystem::path(path).parent_path();
@@ -760,95 +717,18 @@ TraceCache::store(const std::string &name,
                   shard_dir.string(), "': ", ec.message());
         return;
     }
-    // Unique temp name per in-flight store: the pid separates
-    // processes and the process-wide atomic sequence separates
-    // threads, so two threads storing the same entry concurrently can
-    // never clobber each other's temp file mid-write. The rename into
-    // place is atomic either way (last writer wins with a complete
-    // entry).
-    const std::string tmp =
-        path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) +
-        "-" +
-        std::to_string(
-            g_tmpSequence.fetch_add(1, std::memory_order_relaxed));
-    const SoaTrace &stream = workload.stream;
-    const std::size_t n = stream.size();
     std::uint64_t entry_size = 0;
-    bool written = false;
-    {
-        EntryWriter writer(tmp);
-        if (!writer.ok()) {
-            blab_warn("cannot write trace cache entry '", tmp, "'");
-            return;
-        }
-        writer.setMeta(workload.contentHash, workload.runs,
-                       workload.stats, n, stream.maxPc(),
-                       workload.likely.size());
-        std::string likely_bytes;
-        likely_bytes.reserve(kLikelyRecordBytes *
-                             workload.likely.size());
-        for (const CachedLikely &entry : workload.likely) {
-            putU64(likely_bytes, entry.pc);
-            putU64(likely_bytes, entry.dominantTarget);
-            likely_bytes.push_back(entry.likelyTaken ? 1 : 0);
-        }
-        writer.writeSection(EntrySection::Likely, likely_bytes.data(),
-                            likely_bytes.size());
-        // The stream already holds the v2 sections: write them
-        // verbatim.
-        const std::pair<EntrySection, const std::vector<std::uint8_t> *>
-            columns[] = {
-                {EntrySection::Ops, &stream.ops()},
-                {EntrySection::CondPlane, &stream.conditionalPlane()},
-                {EntrySection::TakenPlane, &stream.takenPlane()},
-                {EntrySection::TargetKnownPlane,
-                 &stream.targetKnownPlane()},
-                {EntrySection::AnomalyPlane, &stream.anomalyPlane()},
-                {EntrySection::Deltas, &stream.deltas()},
-                {EntrySection::AnomalyDeltas, &stream.anomalyDeltas()}};
-        for (const auto &[section, column] : columns)
-            writer.writeSection(section, column->data(), column->size());
-        if (workload.profile) {
-            const std::string profile =
-                encodeProfileSection(*workload.profile);
-            writer.writeSection(EntrySection::Profile, profile.data(),
-                                profile.size());
-        }
-        std::string werror;
-        if (writer.finish(werror)) {
-            entry_size = writer.bytesWritten();
-            written = true;
-        } else {
-            blab_warn("trace cache write failed for '", tmp, "' (",
-                      werror, ")");
-        }
-    }
-    // Durability before visibility: the entry's bytes reach the disk
-    // before the rename can publish its name, and the directory entry
-    // itself is synced after. A crash leaves either the old entry or
-    // the complete new one.
-    if (written && !syncFd(tmp)) {
-        blab_warn("cannot sync trace cache entry '", tmp, "'");
-        written = false;
-    }
-    if (!written) {
-        std::filesystem::remove(tmp, ec);
-        cacheTelemetry().tmpEvicted.add(1);
+    std::string error;
+    if (!writeEntryFile(path, workload, entry_size, error)) {
+        blab_warn("cannot store trace cache entry '", path, "' (", error,
+                  ")");
         return;
     }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        blab_warn("cannot publish trace cache entry '", path, "': ",
-                  ec.message());
-        std::filesystem::remove(tmp, ec);
-        cacheTelemetry().tmpEvicted.add(1);
-        return;
-    }
-    syncFd(shard_dir.string()); // best-effort
     ++g_stores;
     cacheTelemetry().stores.add(1);
     cacheTelemetry().bytesWritten.add(entry_size);
-    blab_inform("trace cache store: ", name, " (", n, " events)");
+    blab_inform("trace cache store: ", name, " (",
+                workload.stream.size(), " events)");
     enforceByteCap(path);
 }
 

@@ -7,28 +7,32 @@
  * Entries are sharded two hex digits deep
  * (`<dir>/<hh>/<name>-<hash16>.bltc`, where `hh` is the leading byte
  * of the hash) so a large cache never piles thousands of files into
- * one directory; pre-shard flat entries are still found. Each file is
- * a BLTC v2 sectioned entry (trace/format.hh): the recorded stream's
+ * one directory. Each file is a BLTC sectioned entry
+ * (trace/format.hh): the recorded stream's
  * columns plus the profile data derived alongside it (run count, the
  * TraceStats counters, the per-branch likely map used by the
  * profiled-static scheme and the Forward Semantic transform, and the
  * record pass's full per-branch and per-path profile that the
  * transform's trace selection and slot filling read), laid out for
  * mmap. A warm load walks the stream neither to decode it nor to
- * re-profile it -- it maps the file, validates it (section bounds,
- * checksums, opcode range, content hash, feature bits, and the
- * profile rows against the event count and the likely map), and
- * hands replay a zero-copy TraceView over the mapping
+ * re-profile it -- it maps the file, validates it (header and section
+ * checksums, section bounds, opcode range, content hash, feature
+ * bits, and the profile rows against the event count and the likely
+ * map), and hands replay a zero-copy TraceView over the mapping
  * (trace/view.hh) and the profiler its restored rows. Entries without
- * the profile section (written before it existed, or synthetic)
- * still load, profile-less; legacy v1 entries (inline columnar
- * payload) still load too, via the owning decode path.
+ * the profile section (synthetic ones) still load, profile-less.
+ * Entries of any other format version -- the retired v1 and v2
+ * included -- are refused as foreign and re-recorded.
+ *
+ * The same entry is the standalone trace file of `branchlab record`
+ * and `branchlab replay`: writeEntryFile() is the one durable writer,
+ * and mapEntryFile() the one reader.
  *
  * There is one encoded form of a stream, owned or mapped: a cold
- * record's SoaTrace holds exactly the v2 sections (trace/soa.hh), so
- * store() writes those bytes verbatim, and a warm hit maps the same
- * bytes back. Cold and warm replay walk the same form through the
- * same TraceView.
+ * record's SoaTrace holds exactly the entry's stream sections
+ * (trace/soa.hh), so store() writes those bytes verbatim, and a warm
+ * hit maps the same bytes back. Cold and warm replay walk the same
+ * form through the same TraceView.
  *
  * Invalidation is purely content-addressed: the key hashes the
  * program IR (printed with addresses), the data segment, the layout
@@ -37,14 +41,15 @@
  * hash, so a stale entry can never be served -- it is simply never
  * looked up again, and `load` additionally verifies the hash stored
  * inside the file. Corrupt or unreadable entries soft-fail (warn and
- * re-record); entries carrying feature bits this reader does not
- * implement are refused the same way (without the corruption warning
- * -- they are foreign, not broken). Nothing in the load path can
- * abort a run.
+ * re-record); entries of another format version or carrying feature
+ * bits this reader does not implement are refused the same way
+ * (without the corruption warning -- they are foreign, not broken).
+ * Nothing in the load path can abort a run.
  *
- * Writes are atomic and durable: the entry streams through an
- * EntryWriter into a temp file in the shard directory, is fsync'd,
- * and renamed into place (followed by a directory fsync), so
+ * Writes are atomic and durable: writeEntryFile() streams the entry
+ * through an EntryWriter into a temp file next to its destination,
+ * fsyncs it, and renames it into place (followed by a directory
+ * fsync), so
  * concurrent runs, crashes, and power loss leave either the old file
  * or the complete new one -- never a torn entry under the published
  * name. Temp names carry a `<pid>-<sequence>` suffix (the sequence is
@@ -62,11 +67,10 @@
  * Besides the functional TraceCacheCounters below, the cache reports
  * telemetry to obs::Registry::global(): `trace_cache.hits`,
  * `.misses`, `.stores`, `.corrupt_entries` (unreadable, undecodable,
- * or hash-mismatched entries), `.map_failures` (v2 entries that could
- * not be mapped and validated -- a superset of the corrupt ones plus
- * foreign-feature refusals), `.bytes_read` (legacy whole-file loads),
- * `.bytes_mapped`, `.bytes_written`, `.tmp_evicted` (temp files
- * removed after failed writes/renames), `.evictions`, and
+ * or hash-mismatched entries), `.map_failures` (entries that could
+ * not be mapped and validated -- the corrupt ones plus foreign
+ * refusals), `.bytes_mapped`, `.bytes_written`, `.tmp_evicted` (temp
+ * files removed after failed writes/renames), `.evictions`, and
  * `.bytes_evicted`.
  */
 
@@ -175,7 +179,7 @@ struct CachedProfile
 };
 
 /**
- * A validated, mapped v2 entry: the mapping plus resolved section
+ * A validated, mapped entry: the mapping plus resolved section
  * pointers. Immutable and self-contained -- consumers share it by
  * shared_ptr, and the stream stays readable even if the cache file is
  * evicted (the mapping pins the pages). All validation (bounds,
@@ -211,11 +215,11 @@ struct MappedEntry
 
 /**
  * Everything a warm run needs in place of the VM record pass. The
- * stream's v2 sections are held in exactly one of two places:
+ * stream's sections are held in exactly one of two places:
  *
- *  - `mapped` non-null (v2 hit): in the mapping, `stream` empty;
- *  - `mapped` null: in the owning SoaTrace `stream` (cold records,
- *    legacy v1 hits).
+ *  - `mapped` non-null (every hit): in the mapping, `stream` empty;
+ *  - `mapped` null: in the owning SoaTrace `stream` (a cold record
+ *    on its way to store()).
  *
  * Either way traceView() gives replay the same decoding view.
  */
@@ -227,13 +231,12 @@ struct CachedWorkload
     TraceCounters stats;
     std::vector<CachedLikely> likely;
     /** The record pass's full profile (the profile section). Absent
-     *  from legacy v1 entries, entries written before the section
-     *  existed, and synthetic entries; store() then writes none. */
+     *  from synthetic entries; store() then writes none. */
     std::optional<CachedProfile> profile;
     /** The owning stream (empty when `mapped` is set); store() writes
      *  its columns verbatim. */
     SoaTrace stream;
-    /** The zero-copy mapped stream (v2 warm hits). */
+    /** The zero-copy mapped stream (warm hits). */
     std::shared_ptr<const MappedEntry> mapped;
 
     TraceView
@@ -255,28 +258,39 @@ enum class MapFailure
     None,
     /** Unreadable, malformed, checksum- or hash-mismatched. */
     Corrupt,
-    /** Valid but carries feature bits this reader does not
+    /** Another format version, or feature bits this reader does not
      *  implement. */
     Foreign,
 };
 
 /**
- * Map and fully validate one entry file (v2 zero-copy; legacy v1
- * entries decode into an owning stream). On success fills @p out and
- * returns true. On failure returns false with a diagnostic in
- * @p error and the classification in @p failure; never warns, never
- * aborts, and never leaves a mapping behind. @p expected_hash must
- * match the embedded content hash. Exposed for the streaming bench
- * (bench/stream_smoke.cc) and the validation tests; cache consumers
- * go through TraceCache::load.
+ * Map and fully validate one entry file, zero-copy. On success fills
+ * @p out and returns true. On failure returns false with a diagnostic
+ * in @p error and the classification in @p failure; never warns,
+ * never aborts, and never leaves a mapping behind. The embedded
+ * content hash must equal @p expected_hash, the lookup key; a
+ * standalone trace file has none and passes std::nullopt, so it is
+ * held to the hash its own (checksummed) header declares. Cache
+ * consumers go through TraceCache::load.
  */
-bool mapEntryFile(const std::string &path, std::uint64_t expected_hash,
+bool mapEntryFile(const std::string &path,
+                  std::optional<std::uint64_t> expected_hash,
                   CachedWorkload &out, std::string &error,
                   MapFailure &failure);
 
-/** Serialize @p workload in the legacy v1 inline format
- *  (compatibility tests: v1 entries must keep loading). */
-std::string encodeLegacyEntryV1(const CachedWorkload &workload);
+/**
+ * Write @p workload (its owning `stream`) as a complete entry at
+ * @p path, atomically and durably: the entry streams into a
+ * `<path>.tmp-<pid>-<sequence>` file in the same directory, which is
+ * fsync'd and renamed over @p path, and the directory is then
+ * fsync'd. The stream's encoded columns are the entry's sections and
+ * are written verbatim. On failure returns false with a diagnostic
+ * in @p error, unlinks the temp file, and leaves @p path as it was.
+ * On success @p bytes_written is the entry's size.
+ */
+bool writeEntryFile(const std::string &path,
+                    const CachedWorkload &workload,
+                    std::uint64_t &bytes_written, std::string &error);
 
 /** The profile section's bytes for @p profile (trace/format.hh
  *  documents the layout; exposed so validation tests can plant
@@ -331,22 +345,20 @@ class TraceCache
 
     /**
      * Look up @p name / @p content_hash. On a hit, fill @p out and
-     * return true (v2 entries arrive mapped, zero-copy). Misses,
-     * corrupt entries, hash mismatches, and foreign-feature entries
-     * return false (corruption warns; a mismatch is treated as
-     * corruption -- the filename already encodes the hash).
+     * return true (the entry arrives mapped, zero-copy). Misses,
+     * corrupt entries, hash mismatches, and foreign entries return
+     * false (corruption warns; a mismatch is treated as corruption --
+     * the filename already encodes the hash).
      */
     bool load(const std::string &name, std::uint64_t content_hash,
               CachedWorkload &out) const;
 
     /**
      * Persist @p workload (its owning `stream`) as the entry for
-     * @p name. The stream's encoded columns are the entry's v2
-     * sections and are written verbatim. Creates the shard directory
-     * if needed; streams a temp file, fsyncs, and renames it into
-     * place. Failures warn, unlink the temp file, and leave the cache
-     * unchanged. A successful store then evicts LRU entries until the
-     * cache fits maxBytes().
+     * @p name through writeEntryFile(), creating the shard directory
+     * if needed. Failures warn and leave the cache unchanged. A
+     * successful store then evicts LRU entries until the cache fits
+     * maxBytes().
      */
     void store(const std::string &name,
                const CachedWorkload &workload) const;

@@ -87,6 +87,7 @@ encodeHeader(const EntryHeader &header)
         putU64(out, header.sections[s].length);
         putU64(out, header.sections[s].checksum);
     }
+    putU64(out, checksum64(out.data(), out.size()));
     return out;
 }
 
@@ -115,10 +116,19 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     if (size < kEntryHeaderBytes)
         return "truncated header";
     const std::uint8_t *p = data + sizeof(kEntryMagic) + 4;
+    // The section count only locates the checksum; no other field is
+    // read until the checksum has matched.
+    out.sectionCount = getU32(p + 20);
+    const std::uint64_t checksum_at =
+        headerChecksumOffset(out.sectionCount);
+    if (checksum_at > size - 8)
+        return "section table exceeds file";
+    if (checksum64(data, static_cast<std::size_t>(checksum_at)) !=
+        getU64(data + checksum_at))
+        return "header checksum mismatch";
     out.featureBits = getU64(p);
     out.contentHash = getU64(p + 8);
     out.runs = getU32(p + 16);
-    out.sectionCount = getU32(p + 20);
     out.stats.instructions = getU64(p + 24);
     out.stats.branches = getU64(p + 32);
     out.stats.conditional = getU64(p + 40);
@@ -130,14 +140,10 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     if (out.sectionCount < kEntrySectionCount)
         return "too few sections (" +
                std::to_string(out.sectionCount) + ")";
-    const std::uint64_t table_bytes =
-        static_cast<std::uint64_t>(out.sectionCount) * 24;
-    if (table_bytes > size - kEntryHeaderBytes)
-        return "section table exceeds file";
     const std::uint8_t *row = data + kEntryHeaderBytes;
     const std::size_t known =
         std::min<std::size_t>(out.sectionCount, kKnownSectionCount);
-    for (std::size_t s = 0; s < known; ++s, row += 24) {
+    for (std::size_t s = 0; s < known; ++s, row += kSectionRecordBytes) {
         out.sections[s].offset = getU64(row);
         out.sections[s].length = getU64(row + 8);
         out.sections[s].checksum = getU64(row + 16);
@@ -174,9 +180,9 @@ EntryWriter::beginSection(EntrySection s)
                 "sections must be written in order");
     if (offset_ == 0) {
         // Reserve the header region the first time a section opens
-        // (room for every known row; one page either way).
-        pad(alignSection(kEntryHeaderBytes +
-                         kKnownSectionCount * 24));
+        // (room for every known row and the header checksum; one page
+        // either way).
+        pad(alignSection(headerChecksumOffset(kKnownSectionCount) + 8));
     } else {
         pad(alignSection(offset_));
     }

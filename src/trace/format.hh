@@ -1,19 +1,22 @@
 /**
  * @file
- * The BLTC v2 sectioned cache-entry format: an mmap-friendly layout
- * for persisted traces, shared by the trace cache (trace/cache.cc)
- * and the out-of-core synthetic generator (bench/stream_smoke.cc).
+ * The BLTC sectioned cache-entry format: an mmap-friendly layout for
+ * persisted traces, shared by the trace cache (trace/cache.cc), the
+ * `branchlab record`/`replay` trace files, and the out-of-core
+ * synthetic generator (bench/stream_smoke.cc).
  *
  * File layout (all integers little-endian):
  *
  *   header:
- *     magic "BLTC", u32 version = 2, u64 feature bits,
+ *     magic "BLTC", u32 version = 3, u64 feature bits,
  *     u64 content hash, u32 runs, u32 section count (>= 8),
  *     u64 x5 trace stats (instructions, branches, conditional,
  *     condTaken, uncondKnown), u64 event count, u64 max pc,
  *     u64 likely count
  *   section table: section count x { u64 offset, u64 length,
  *     u64 checksum }
+ *   header checksum: u64 checksum64 over every byte before it (the
+ *     header and the section table)
  *   sections, each starting on a kSectionAlign boundary, in order:
  *     0 likely      17 bytes per profiled branch (pc, dominant
  *                   target, likely-taken byte)
@@ -57,17 +60,25 @@
  * and dominant target.
  *
  * Compatibility rules:
- *  - version 1 is the legacy inline entry (whole-file decode); it
- *    stays readable, see trace/cache.cc.
+ *  - a reader accepts exactly kEntryVersion. Any other version --
+ *    the retired inline v1 and unchecksummed v2 entries included --
+ *    is refused as foreign, and the cache re-records it: every entry
+ *    holds only data a VM pass can derive again.
+ *  - the header checksum is verified right after the version, before
+ *    any other header field is trusted (the section count only
+ *    locates it, and a damaged count points past the file or at the
+ *    wrong bytes). So damage to the run count, the trace stats, the
+ *    max pc or the section table reads as corruption, never as a
+ *    different entry.
  *  - feature bits declare semantics a reader MUST understand to use
  *    the entry. A reader that sees a bit outside kKnownFeatureBits
  *    refuses the entry cleanly (the cache re-records); a writer never
- *    sets bits it does not implement. Additive, ignorable extensions
- *    instead append sections (section count > 8) without a bit: old
- *    readers read the first eight sections and ignore the rest.
- *  - section 8 (profile) is the first such extension. Readers that
- *    predate it ignore it; entries without it (written before it
- *    existed, or by bench/stream_smoke.cc's generator) stay valid,
+ *    sets bits it does not implement, and seals the header it wrote,
+ *    bits included. Additive, ignorable extensions instead append
+ *    sections (section count > 8) without a bit: old readers read
+ *    the first eight sections and ignore the rest.
+ *  - section 8 (profile) is the first such extension. Entries without
+ *    it (bench/stream_smoke.cc's generator writes none) stay valid,
  *    and the cache's consumers fold the stream into the profile
  *    instead. This reader validates sections 0-8 and ignores any
  *    later ones.
@@ -91,15 +102,14 @@ namespace branchlab::trace
 {
 
 inline constexpr char kEntryMagic[4] = {'B', 'L', 'T', 'C'};
-inline constexpr std::uint32_t kEntryVersionV1 = 1;
-inline constexpr std::uint32_t kEntryVersion = 2;
+inline constexpr std::uint32_t kEntryVersion = 3;
 
 /** Sections start on this boundary (one page on every platform we
  *  target), so plane pointers into a mapping are byte-aligned and
  *  page-cache friendly. */
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
-/** The v2 sections this reader knows, in file order: the eight
+/** The sections this reader knows, in file order: the eight
  *  every entry carries, then the additive ones. */
 enum class EntrySection : std::size_t
 {
@@ -114,7 +124,7 @@ enum class EntrySection : std::size_t
     Profile = 8,
 };
 
-/** Sections every v2 entry carries. */
+/** Sections every entry carries. */
 inline constexpr std::size_t kEntrySectionCount = 8;
 
 /** Sections this reader validates and uses (required + additive). */
@@ -131,6 +141,17 @@ inline constexpr std::uint64_t kKnownFeatureBits = 0;
 /** Fixed header bytes before the section table. */
 inline constexpr std::size_t kEntryHeaderBytes = 96;
 
+/** Bytes per section-table row. */
+inline constexpr std::size_t kSectionRecordBytes = 24;
+
+/** Offset of the header checksum in an entry with @p section_count
+ *  sections: it follows the table and covers every byte before it. */
+inline std::uint64_t
+headerChecksumOffset(std::uint64_t section_count)
+{
+    return kEntryHeaderBytes + section_count * kSectionRecordBytes;
+}
+
 /** One section-table row. */
 struct SectionRecord
 {
@@ -139,7 +160,7 @@ struct SectionRecord
     std::uint64_t checksum = 0;
 };
 
-/** The decoded v2 header plus its section table. */
+/** The decoded header plus its section table. */
 struct EntryHeader
 {
     std::uint64_t featureBits = 0;
@@ -186,16 +207,16 @@ alignSection(std::uint64_t offset)
 }
 
 /**
- * Parse a v2 header (magic and version already verified by the
- * caller) out of @p data / @p size. Validates only the header's own
- * shape: section count >= 8 and a table that fits. @return empty
- * string on success, else a diagnostic.
+ * Parse a header (magic and version already verified by the caller)
+ * out of @p data / @p size. Verifies the header checksum before
+ * decoding any field, then the header's own shape: section count
+ * >= 8. @return empty string on success, else a diagnostic.
  */
 std::string decodeEntryHeader(const std::uint8_t *data,
                               std::size_t size, EntryHeader &out);
 
 /**
- * Streaming v2 entry writer: sections are written in order, in
+ * Streaming entry writer: sections are written in order, in
  * chunks of any size, and the header (with offsets, lengths, and
  * checksums accumulated along the way) is patched in by finish().
  * Nothing is buffered beyond the current chunk, so a generator can
@@ -254,7 +275,8 @@ class EntryWriter
     }
 
     /**
-     * Pad the file, patch the header and section table, and flush.
+     * Pad the file, patch the header, section table and header
+     * checksum, and flush.
      * @return true on success; on failure @p error describes the
      * write that broke.
      */

@@ -1,7 +1,7 @@
 /**
  * @file
  * The owning branch-trace buffer: a recorded stream held in exactly
- * the encoded form a BLTC v2 cache entry stores (trace/format.hh).
+ * the encoded form a BLTC cache entry stores (trace/format.hh).
  *
  * There is one encoded form of a stream, owned or mapped. SoaTrace
  * owns its seven columns -- the opcode bytes, four LSB-first

@@ -2,8 +2,8 @@
  * @file
  * Zig-zag LEB128 varint primitives shared by the v2 encoder
  * (SoaTrace::append, trace/soa.cc), the decoding view cursor
- * (trace/view.cc), the v2 payload validator (trace/io.cc), and the
- * out-of-core synthetic-trace generator (bench/stream_smoke.cc).
+ * (trace/view.cc), and the out-of-core synthetic-trace generator
+ * (bench/stream_smoke.cc).
  *
  * The encoding is the v2 payload's: signed address differences are
  * zig-zag mapped into small unsigneds, then emitted LEB128 (7 payload

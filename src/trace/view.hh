@@ -1,7 +1,7 @@
 /**
  * @file
  * Non-owning trace views: the one replay-facing interface over the
- * one encoded form of a recorded stream -- the BLTC v2 sections
+ * one encoded form of a recorded stream -- the BLTC stream sections
  * (trace/format.hh), owned by a SoaTrace after a cold record or
  * mapped out of a cache entry on a warm hit. Both arrive through the
  * same view and decode the same way.
@@ -125,7 +125,7 @@ class TraceView
     static TraceView of(const SoaTrace &stream);
 
     /**
-     * View v2 sections directly (zero-copy). @p deltas /
+     * View BLTC stream sections directly (zero-copy). @p deltas /
      * @p anomaly_deltas are the varint sections; the planes are
      * LSB-first with ceil(count / 8) bytes; @p max_pc is the declared
      * bound, enforced per event during decode.

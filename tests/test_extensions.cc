@@ -1,13 +1,12 @@
 /**
  * @file
  * Tests for the extension modules: the delayed-branch-with-squashing
- * analysis (McFarling & Hennessy), the gshare future-baseline, the
- * refined per-class cost model, and binary trace serialization.
+ * analysis (McFarling & Hennessy), the gshare future-baseline, and
+ * the refined per-class cost model. (Trace files are trace-cache
+ * entries; tests/test_trace_cache.cc covers them.)
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "helpers.hh"
 #include "pipeline/cycle_sim.hh"
@@ -15,7 +14,6 @@
 #include "predict/gshare.hh"
 #include "profile/delay_fill.hh"
 #include "support/logging.hh"
-#include "trace/io.hh"
 #include "trace/stats.hh"
 #include "workloads/workload.hh"
 
@@ -326,90 +324,6 @@ TEST(RefinedCost, MatchesTheCycleSimulatorExactly)
                                                 f_cond, config),
                     1e-9);
     }
-}
-
-// ---------------------------------------------------------------------
-// Trace serialization.
-// ---------------------------------------------------------------------
-
-TEST(TraceIo, RoundTripsARealTrace)
-{
-    const ir::Program prog = test::buildFactorial(6);
-    trace::BranchRecorder recorder;
-    test::runProgram(prog, &recorder);
-    ASSERT_FALSE(recorder.events().empty());
-
-    std::stringstream buffer;
-    const std::size_t bytes =
-        trace::writeTrace(buffer, recorder.events());
-    EXPECT_EQ(bytes, buffer.str().size());
-
-    const std::vector<trace::BranchEvent> loaded =
-        trace::readTrace(buffer);
-    ASSERT_EQ(loaded.size(), recorder.size());
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_EQ(loaded[i].pc, recorder.events()[i].pc);
-        EXPECT_EQ(loaded[i].nextPc, recorder.events()[i].nextPc);
-        EXPECT_EQ(loaded[i].targetAddr, recorder.events()[i].targetAddr);
-        EXPECT_EQ(loaded[i].fallthroughAddr,
-                  recorder.events()[i].fallthroughAddr);
-        EXPECT_EQ(loaded[i].op, recorder.events()[i].op);
-        EXPECT_EQ(loaded[i].conditional,
-                  recorder.events()[i].conditional);
-        EXPECT_EQ(loaded[i].taken, recorder.events()[i].taken);
-        EXPECT_EQ(loaded[i].targetKnown,
-                  recorder.events()[i].targetKnown);
-    }
-}
-
-TEST(TraceIo, EmptyTraceRoundTrips)
-{
-    std::stringstream buffer;
-    trace::writeTrace(buffer, std::vector<trace::BranchEvent>{});
-    EXPECT_TRUE(trace::readTrace(buffer).empty());
-}
-
-TEST(TraceIo, RejectsBadMagic)
-{
-    std::stringstream buffer("XXXX garbage");
-    EXPECT_THROW(trace::readTrace(buffer), ConfigFailure);
-}
-
-TEST(TraceIo, RejectsTruncation)
-{
-    const ir::Program prog = test::buildCountdown(5);
-    trace::BranchRecorder recorder;
-    test::runProgram(prog, &recorder);
-    std::stringstream buffer;
-    trace::writeTrace(buffer, recorder.events());
-    const std::string whole = buffer.str();
-    std::stringstream truncated(whole.substr(0, whole.size() - 3));
-    EXPECT_THROW(trace::readTrace(truncated), ConfigFailure);
-}
-
-TEST(TraceIo, ReplayStreamsIntoASink)
-{
-    const ir::Program prog = test::buildCountdown(9);
-    trace::BranchRecorder recorder;
-    test::runProgram(prog, &recorder);
-    std::stringstream buffer;
-    trace::writeTrace(buffer, recorder.events());
-
-    trace::TraceStats stats;
-    const std::size_t delivered = trace::replayTrace(buffer, stats);
-    EXPECT_EQ(delivered, recorder.size());
-    EXPECT_EQ(stats.branches(), recorder.size());
-}
-
-TEST(TraceIo, FileRoundTrip)
-{
-    const ir::Program prog = test::buildCountdown(4);
-    trace::BranchRecorder recorder;
-    test::runProgram(prog, &recorder);
-    const std::string path = ::testing::TempDir() + "/blab_trace.bin";
-    trace::writeTraceFile(path, recorder.events());
-    EXPECT_EQ(trace::readTraceFile(path).size(), recorder.size());
-    std::remove(path.c_str());
 }
 
 } // namespace

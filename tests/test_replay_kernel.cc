@@ -83,11 +83,11 @@ expectSameResult(const ReplayResult &kernel,
 /** Replay through the virtual-dispatch predictor the spec describes
  *  (the reference half of every differential check). */
 ReplayResult
-referenceReplay(const trace::SoaTrace &stream, const KernelSpec &spec)
+referenceReplay(const trace::TraceView &view, const KernelSpec &spec)
 {
     const std::unique_ptr<predict::BranchPredictor> predictor =
         makePredictor(spec);
-    return replay(stream, *predictor);
+    return replay(view, *predictor);
 }
 
 /** The full scheme roster the engine replays (paper + gshare). */
@@ -126,10 +126,9 @@ paperSpecs(const RecordedWorkload &recorded,
 
 /** Every distinct branch pc in the stream (table-identity probes). */
 std::set<ir::Addr>
-distinctPcs(const trace::SoaTrace &stream)
+distinctPcs(const trace::TraceView &view)
 {
     std::set<ir::Addr> pcs;
-    const trace::TraceView view = trace::TraceView::of(stream);
     trace::TraceView::Cursor cursor = view.cursor();
     trace::TraceBlock block;
     while (cursor.next(block))
@@ -150,11 +149,11 @@ TEST(ReplayKernel, MatchesVirtualDispatchOnEveryWorkload)
         const RecordedWorkload &recorded = recordedFor(workload->name());
         // The paper's workloads must be kernel-eligible; CI gates the
         // same property via the fallback counter.
-        ASSERT_LT(recorded.stream.maxPc(), predict::kMaxKernelPc);
+        ASSERT_LT(recorded.traceView().maxPc(), predict::kMaxKernelPc);
         for (const auto &[name, spec] : paperSpecs(recorded, config)) {
             SCOPED_TRACE(name);
-            expectSameResult(replayKernel(recorded.stream, spec),
-                             referenceReplay(recorded.stream, spec));
+            expectSameResult(replayKernel(recorded.traceView(), spec),
+                             referenceReplay(recorded.traceView(), spec));
         }
     }
     // Every one of those replays took a specialized kernel.
@@ -171,12 +170,12 @@ TEST(ReplayKernel, ReplayManyMatchesIndividualReplays)
         specs.push_back(spec);
 
     const std::vector<ReplayResult> many =
-        replayManyKernel(recorded.stream, specs);
+        replayManyKernel(recorded.traceView(), specs);
     ASSERT_EQ(many.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE(named[i].first);
         expectSameResult(many[i],
-                         replayKernel(recorded.stream, specs[i]));
+                         replayKernel(recorded.traceView(), specs[i]));
     }
 }
 
@@ -214,8 +213,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
         KernelSpec spec;
         spec.kind = SchemeKind::Sbtb;
         spec.btb = buffers[b];
-        expectSameResult(replayKernel(recorded.stream, spec),
-                         referenceReplay(recorded.stream, spec));
+        expectSameResult(replayKernel(recorded.traceView(), spec),
+                         referenceReplay(recorded.traceView(), spec));
 
         // Every counter width the CBTB kernel monomorphizes, plus a
         // non-default threshold per width.
@@ -226,8 +225,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
                 SCOPED_TRACE("bits " + std::to_string(bits) +
                              " threshold " + std::to_string(threshold));
                 spec.counter = {bits, threshold};
-                expectSameResult(replayKernel(recorded.stream, spec),
-                                 referenceReplay(recorded.stream,
+                expectSameResult(replayKernel(recorded.traceView(), spec),
+                                 referenceReplay(recorded.traceView(),
                                                  spec));
             }
         }
@@ -239,8 +238,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
         KernelSpec wide;
         wide.kind = SchemeKind::Cbtb;
         wide.counter = {6, 17};
-        expectSameResult(replayKernel(recorded.stream, wide),
-                         referenceReplay(recorded.stream, wide));
+        expectSameResult(replayKernel(recorded.traceView(), wide),
+                         referenceReplay(recorded.traceView(), wide));
     }
 
     // Gshare across history widths and target-buffer geometries.
@@ -252,8 +251,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
             spec.kind = SchemeKind::Gshare;
             spec.gshare.historyBits = history_bits;
             spec.gshare.targets.entries = entries;
-            expectSameResult(replayKernel(recorded.stream, spec),
-                             referenceReplay(recorded.stream, spec));
+            expectSameResult(replayKernel(recorded.traceView(), spec),
+                             referenceReplay(recorded.traceView(), spec));
         }
     }
 }
@@ -264,12 +263,12 @@ TEST(ReplayKernel, SbtbKernelTableMatchesSimpleBtb)
     const predict::BufferConfig geometry; // paper config
 
     predict::SbtbKernel kernel(geometry);
-    kernel.run(recorded.stream);
+    kernel.run(recorded.traceView());
     predict::SimpleBtb reference(geometry);
-    replay(recorded.stream, reference);
+    replay(recorded.traceView(), reference);
 
     EXPECT_EQ(kernel.occupancy(), reference.occupancy());
-    for (const ir::Addr pc : distinctPcs(recorded.stream))
+    for (const ir::Addr pc : distinctPcs(recorded.traceView()))
         EXPECT_EQ(kernel.targetOf(pc), reference.targetOf(pc))
             << "pc " << pc;
 }
@@ -281,12 +280,12 @@ TEST(ReplayKernel, CbtbKernelTableMatchesCounterBtb)
     const predict::CounterConfig counter{2, 2};
 
     predict::CbtbKernel kernel(geometry, counter);
-    kernel.run(recorded.stream);
+    kernel.run(recorded.traceView());
     predict::CounterBtb reference(geometry, counter);
-    replay(recorded.stream, reference);
+    replay(recorded.traceView(), reference);
 
     EXPECT_EQ(kernel.occupancy(), reference.occupancy());
-    for (const ir::Addr pc : distinctPcs(recorded.stream)) {
+    for (const ir::Addr pc : distinctPcs(recorded.traceView())) {
         EXPECT_EQ(kernel.targetOf(pc), reference.targetOf(pc))
             << "pc " << pc;
         EXPECT_EQ(kernel.counterOf(pc), reference.counterOf(pc))
@@ -300,12 +299,12 @@ TEST(ReplayKernel, GshareKernelStateMatchesGsharePredictor)
     const predict::GshareConfig config;
 
     predict::GshareKernel kernel(config);
-    kernel.run(recorded.stream);
+    kernel.run(recorded.traceView());
     predict::GsharePredictor reference(config);
-    replay(recorded.stream, reference);
+    replay(recorded.traceView(), reference);
 
     EXPECT_EQ(kernel.history(), reference.history());
-    for (const ir::Addr pc : distinctPcs(recorded.stream))
+    for (const ir::Addr pc : distinctPcs(recorded.traceView()))
         EXPECT_EQ(kernel.counterAt(pc), reference.counterAt(pc))
             << "pc " << pc;
 }
@@ -342,7 +341,7 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
     }
 
     const std::vector<predict::BtbBatchCell> cells =
-        replayBatch(recorded.stream, points);
+        replayBatch(recorded.traceView(), points);
     ASSERT_EQ(cells.size(), points.size());
     EXPECT_EQ(batch_counter.value(), batch_before + 1);
 
@@ -352,7 +351,7 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
         spec.kind = SchemeKind::Sbtb;
         spec.btb = points[p].btb;
         const ReplayResult sbtb =
-            referenceReplay(recorded.stream, spec);
+            referenceReplay(recorded.traceView(), spec);
         EXPECT_TRUE(cells[p].sbtb.hasMissRatio);
         EXPECT_EQ(cells[p].sbtb.missRatio, sbtb.missRatio);
         expectSameStats(cells[p].sbtb.stats, sbtb.stats);
@@ -360,7 +359,7 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
         spec.kind = SchemeKind::Cbtb;
         spec.counter = points[p].counter;
         const ReplayResult cbtb =
-            referenceReplay(recorded.stream, spec);
+            referenceReplay(recorded.traceView(), spec);
         EXPECT_TRUE(cells[p].cbtb.hasMissRatio);
         EXPECT_EQ(cells[p].cbtb.missRatio, cbtb.missRatio);
         expectSameStats(cells[p].cbtb.stats, cbtb.stats);
@@ -400,11 +399,11 @@ TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
         obs::Registry::global().counter("predict.sbtb.lookups");
     const std::uint64_t lookups_before = sbtb_lookups.value();
     const std::vector<predict::BtbBatchCell> cells =
-        predict::runBtbBatch(recorded.stream, points);
+        predict::runBtbBatch(recorded.traceView(), points);
     ASSERT_EQ(cells.size(), points.size());
     // predict.sbtb.* counts the shared kernels' lookups.
     EXPECT_EQ(sbtb_lookups.value() - lookups_before,
-              distinct_geometries * recorded.stream.size());
+              distinct_geometries * recorded.eventCount());
 
     const auto expect_same = [](const predict::KernelReplayResult &cell,
                                 const ReplayResult &reference) {
@@ -412,18 +411,19 @@ TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
         EXPECT_EQ(cell.missRatio, reference.missRatio);
         expectSameStats(cell.stats, reference.stats);
     };
+    const trace::TraceView view = recorded.traceView();
     for (std::size_t p = 0; p < points.size(); ++p) {
         SCOPED_TRACE("point " + std::to_string(p));
         KernelSpec spec;
         spec.kind = SchemeKind::Sbtb;
         spec.btb = points[p].btb;
-        expect_same(cells[p].sbtb, replayKernel(recorded.stream, spec));
-        expect_same(cells[p].sbtb, referenceReplay(recorded.stream, spec));
+        expect_same(cells[p].sbtb, replayKernel(view, spec));
+        expect_same(cells[p].sbtb, referenceReplay(view, spec));
 
         spec.kind = SchemeKind::Cbtb;
         spec.counter = points[p].counter;
-        expect_same(cells[p].cbtb, replayKernel(recorded.stream, spec));
-        expect_same(cells[p].cbtb, referenceReplay(recorded.stream, spec));
+        expect_same(cells[p].cbtb, replayKernel(view, spec));
+        expect_same(cells[p].cbtb, referenceReplay(view, spec));
     }
     // The two seeds must not have shared a kernel.
     EXPECT_NE(cells[5].sbtb.missRatio, cells[6].sbtb.missRatio);
@@ -434,7 +434,7 @@ TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
     for (const std::size_t p : order)
         permuted.push_back(points[p]);
     const std::vector<predict::BtbBatchCell> permuted_cells =
-        predict::runBtbBatch(recorded.stream, permuted);
+        predict::runBtbBatch(recorded.traceView(), permuted);
     ASSERT_EQ(permuted_cells.size(), order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
         SCOPED_TRACE("permuted " + std::to_string(i));
@@ -473,7 +473,8 @@ tallPcStream()
 TEST(ReplayKernel, TallPcStreamFallsBackAndStillMatches)
 {
     const trace::SoaTrace stream = tallPcStream();
-    ASSERT_GE(stream.maxPc(), predict::kMaxKernelPc);
+    const trace::TraceView view = trace::TraceView::of(stream);
+    ASSERT_GE(view.maxPc(), predict::kMaxKernelPc);
 
     const obs::Counter &fallback = obs::Registry::global().counter(
         "engine.replay.kernel.fallback");
@@ -484,19 +485,19 @@ TEST(ReplayKernel, TallPcStreamFallsBackAndStillMatches)
     const std::uint64_t specialized_before = specialized.value();
 
     KernelSpec spec; // SBTB at the paper config
-    const ReplayResult via_dispatch = replayKernel(stream, spec);
+    const ReplayResult via_dispatch = replayKernel(view, spec);
     EXPECT_EQ(fallback.value(), fallback_before + 1);
     EXPECT_EQ(specialized.value(), specialized_before);
 
     // The fallback path is the reference path; results are identical.
-    expectSameResult(via_dispatch, referenceReplay(stream, spec));
+    expectSameResult(via_dispatch, referenceReplay(view, spec));
 
     // Static kernels need no pc-indexed table, so they still
     // specialize on the same stream.
     KernelSpec taken;
     taken.kind = SchemeKind::AlwaysTaken;
-    expectSameResult(replayKernel(stream, taken),
-                     referenceReplay(stream, taken));
+    expectSameResult(replayKernel(view, taken),
+                     referenceReplay(view, taken));
     EXPECT_EQ(specialized.value(), specialized_before + 1);
     EXPECT_EQ(fallback.value(), fallback_before + 1);
 }
@@ -507,7 +508,8 @@ TEST(ReplayKernel, MixedEligibilityBatchSplitsFusedAndFallback)
     // pc-indexed schemes drop to the virtual fallback -- all within
     // one replayManyKernel call, with results in spec order.
     const trace::SoaTrace stream = tallPcStream();
-    ASSERT_GE(stream.maxPc(), predict::kMaxKernelPc);
+    const trace::TraceView view = trace::TraceView::of(stream);
+    ASSERT_GE(view.maxPc(), predict::kMaxKernelPc);
 
     const obs::Counter &fallback = obs::Registry::global().counter(
         "engine.replay.kernel.fallback");
@@ -525,13 +527,13 @@ TEST(ReplayKernel, MixedEligibilityBatchSplitsFusedAndFallback)
     const std::vector<KernelSpec> specs{sbtb, taken, btfnt};
 
     const std::vector<ReplayResult> results =
-        replayManyKernel(stream, specs);
+        replayManyKernel(view, specs);
     ASSERT_EQ(results.size(), specs.size());
     EXPECT_EQ(specialized.value(), specialized_before + 2);
     EXPECT_EQ(fallback.value(), fallback_before + 1);
     for (std::size_t i = 0; i < specs.size(); ++i)
         expectSameResult(results[i],
-                         referenceReplay(stream, specs[i]));
+                         referenceReplay(view, specs[i]));
 }
 
 TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
@@ -546,7 +548,7 @@ TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
     KernelSpec spec;
     spec.kind = SchemeKind::Sbtb;
     spec.btb = config.btb;
-    replayKernel(recorded.stream, spec);
+    replayKernel(recorded.traceView(), spec);
     EXPECT_EQ(specialized.value(), before + 1);
 }
 

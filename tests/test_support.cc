@@ -413,6 +413,41 @@ TEST(Strings, ReplaceAllHandlesAdjacentAndGrowth)
     EXPECT_EQ(replaceAll("ab", "ab", ""), "");
 }
 
+TEST(Strings, ParseDecimalTakesDigitsUpToTheBound)
+{
+    EXPECT_EQ(parseDecimal("0", 9), 0u);
+    EXPECT_EQ(parseDecimal("007", 9), 7u);
+    EXPECT_EQ(parseDecimal("4294967295", 4294967295u), 4294967295u);
+    EXPECT_EQ(parseDecimal("18446744073709551615", ~std::uint64_t{0}),
+              ~std::uint64_t{0});
+    // Past the bound, including values that wrap a 64-bit product.
+    EXPECT_EQ(parseDecimal("4294967296", 4294967295u), std::nullopt);
+    EXPECT_EQ(parseDecimal("18446744073709551616", ~std::uint64_t{0}),
+              std::nullopt);
+    EXPECT_EQ(parseDecimal("99999999999999999999999", ~std::uint64_t{0}),
+              std::nullopt);
+    EXPECT_EQ(parseDecimal("10", 9), std::nullopt);
+    EXPECT_EQ(parseDecimal("5", 0), std::nullopt);
+    // Anything but digits: signs, spaces, prefixes, trailing text.
+    for (const char *text : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                             "abc", "12abc"})
+        EXPECT_EQ(parseDecimal(text, ~std::uint64_t{0}), std::nullopt)
+            << "'" << text << "'";
+}
+
+TEST(Strings, ParseOptionNumberIsBoundedByTheDestinationType)
+{
+    EXPECT_EQ(parseOptionNumber<unsigned>("--runs", "4294967295"),
+              4294967295u);
+    EXPECT_EQ(parseOptionNumber<std::uint8_t>("--k", "255"), 255u);
+    EXPECT_THROW(parseOptionNumber<unsigned>("--runs", "4294967297"),
+                 ConfigFailure);
+    EXPECT_THROW(parseOptionNumber<std::uint8_t>("--k", "256"),
+                 ConfigFailure);
+    EXPECT_THROW(parseOptionNumber<unsigned>("--slots", "-1"),
+                 ConfigFailure);
+}
+
 // ---------------------------------------------------------------------
 // TextTable.
 // ---------------------------------------------------------------------

@@ -3,22 +3,25 @@
  * Tests for the productionized sweep journal, mirroring
  * test_trace_cache: segment round trips, truncation and checksum
  * damage (Corrupt: warn + counter, keep the verified prefix),
- * foreign versions/feature bits (quiet refusal), legacy v1 compat
- * (including the backported integrity check), byte-cap LRU eviction,
- * stale-temp reclamation, env resolution, thread safety, and a
- * mapped-vs-v1 resume bit-identity differential over a >= 100-point
- * grid.
+ * foreign versions/feature bits (quiet refusal), stale files of the
+ * retired v1 format (never read, drained by the byte cap), byte-cap
+ * LRU eviction, stale-temp reclamation, env resolution, thread
+ * safety, and a cold-vs-mapped resume bit-identity differential over
+ * a >= 100-point grid.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
 
+#include "core/runner.hh"
 #include "core/sweep.hh"
 #include "core/sweep_journal.hh"
 #include "obs/metrics.hh"
@@ -234,92 +237,92 @@ TEST(SweepJournalSegments, ForeignContainerVersionRefusesQuietly)
     EXPECT_FALSE(journal.load(1, cells));
 }
 
-TEST(SweepJournalLegacy, V1EntriesStillLoad)
+/** The bytes of a retired v1 per-point file ("BLSJ", u64 cell
+ *  schema, u64 key, u64 cell count, six little-endian doubles per
+ *  cell, no checksum). */
+std::string
+v1PointFile(std::uint64_t key, const std::vector<SweepCell> &cells)
 {
-    const std::string dir = makeDir("v1_load");
-    std::filesystem::create_directories(dir);
-    SweepJournal journal(dir);
-    const std::vector<SweepCell> cells = makeCells(7);
-    {
-        std::ofstream file(journal.legacyEntryPath(7),
-                           std::ios::binary | std::ios::trunc);
-        const std::string data = encodeJournalEntryV1(7, cells);
-        file.write(data.data(),
-                   static_cast<std::streamsize>(data.size()));
+    std::string data = "BLSJ";
+    const auto put = [&data](std::uint64_t value) {
+        for (int i = 0; i < 8; ++i)
+            data.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    };
+    put(kJournalSchemaVersion);
+    put(key);
+    put(cells.size());
+    for (const SweepCell &cell : cells) {
+        for (const double field :
+             {cell.sbtbAccuracy, cell.sbtbMissRatio, cell.cbtbAccuracy,
+              cell.cbtbMissRatio, cell.fsAccuracy, cell.codeIncrease})
+            put(std::bit_cast<std::uint64_t>(field));
     }
-    std::vector<SweepCell> loaded;
-    ASSERT_TRUE(journal.load(7, loaded));
-    EXPECT_EQ(loaded, cells);
+    return data;
 }
 
-TEST(SweepJournalLegacy, V1BitFlippedCellsAreRejectedNotTrusted)
+TEST(SweepJournalLegacy, StaleV1PointFilesAreNeverReadAndReEvaluate)
 {
-    const std::string dir = makeDir("v1_bitflip");
-    std::filesystem::create_directories(dir);
-    SweepJournal journal(dir);
-    {
-        std::ofstream file(journal.legacyEntryPath(9),
-                           std::ios::binary | std::ios::trunc);
-        const std::string data =
-            encodeJournalEntryV1(9, makeCells(9));
+    SweepConfig config;
+    config.axes.btbEntries = {16, 64};
+    config.axes.counterThresholds = {1, 2};
+    config.workloads = {"tee", "cmp"};
+    config.base.runsOverride = 1;
+    const SweepResult cold = runSweep(config);
+
+    // Plant a well-formed v1 file for every point of the grid, each
+    // carrying cells the sweep would never compute: resuming any of
+    // them would show in the grid.
+    config.journalDir = makeDir("stale_v1");
+    std::filesystem::create_directories(config.journalDir);
+    std::vector<std::uint64_t> hashes;
+    for (const std::string &name : config.workloads)
+        hashes.push_back(workloadContentHash(
+            workloads::findWorkload(name), config.base));
+    const std::vector<SweepCell> bogus(
+        config.workloads.size(), SweepCell{0.5, 0.5, 0.5, 0.5, 0.5, 0.5});
+    std::vector<std::uint64_t> keys;
+    for (const SweepPoint &point : expandGrid(config.axes)) {
+        keys.push_back(sweepPointKey(point, config.workloads, hashes));
+        char name[32];
+        std::snprintf(name, sizeof(name), "point-%016llx.blsj",
+                      static_cast<unsigned long long>(keys.back()));
+        std::ofstream file(
+            std::filesystem::path(config.journalDir) / name,
+            std::ios::binary | std::ios::trunc);
+        const std::string data = v1PointFile(keys.back(), bogus);
         file.write(data.data(),
                    static_cast<std::streamsize>(data.size()));
     }
-    // v1 has no checksum; flip the sign/exponent byte of the first
-    // cell double (header is 4 + 3 * 8 = 28 bytes). The backported
-    // domain check must reject it instead of resuming garbage.
-    patchByte(journal.legacyEntryPath(9), 28 + 7, 0x80);
-
-    const std::uint64_t corrupt_before =
-        counterValue("sweep.journal.corrupt");
-    resetWarningCount();
-    std::vector<SweepCell> loaded;
-    EXPECT_FALSE(journal.load(9, loaded));
-    EXPECT_GE(warningCount(), 1u);
-    EXPECT_EQ(counterValue("sweep.journal.corrupt"),
-              corrupt_before + 1);
-}
-
-TEST(SweepJournalLegacy, V1SchemaMismatchIsForeignNotCorrupt)
-{
-    const std::string dir = makeDir("v1_schema");
-    std::filesystem::create_directories(dir);
-    SweepJournal journal(dir);
+    ASSERT_EQ(keys.size(), cold.points.size());
     {
-        std::ofstream file(journal.legacyEntryPath(5),
-                           std::ios::binary | std::ios::trunc);
-        const std::string data =
-            encodeJournalEntryV1(5, makeCells(5));
-        file.write(data.data(),
-                   static_cast<std::streamsize>(data.size()));
+        SweepJournal journal(config.journalDir);
+        std::vector<SweepCell> cells;
+        for (const std::uint64_t key : keys)
+            EXPECT_FALSE(journal.load(key, cells));
     }
-    // The schema version is the u64 at offset 4; a bumped schema is
-    // another build's journal, not damage.
-    patchByte(journal.legacyEntryPath(5), 4, 0x40);
 
-    const std::uint64_t foreign_before =
-        counterValue("sweep.journal.foreign");
-    const std::uint64_t corrupt_before =
-        counterValue("sweep.journal.corrupt");
+    // A capped sweep re-evaluates every point and drains the stale
+    // files: only the segment it sealed itself survives the cap.
+    config.journalMaxBytes = 1;
     resetWarningCount();
-    std::vector<SweepCell> loaded;
-    EXPECT_FALSE(journal.load(5, loaded));
+    const SweepResult swept = runSweep(config);
+    EXPECT_EQ(swept.stats.resumed, 0u);
+    EXPECT_EQ(swept.stats.evaluated, cold.points.size());
+    EXPECT_EQ(sweepToCsv(swept), sweepToCsv(cold));
     EXPECT_EQ(warningCount(), 0u);
-    EXPECT_EQ(counterValue("sweep.journal.foreign"),
-              foreign_before + 1);
-    EXPECT_EQ(counterValue("sweep.journal.corrupt"), corrupt_before);
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(config.journalDir))
+        EXPECT_NE(entry.path().extension(), ".blsj") << entry.path();
+    EXPECT_EQ(segmentFiles(config.journalDir).size(), 1u);
 
-    // decodeJournalEntryV1 classifies directly, too.
-    std::string error;
-    const std::string data = encodeJournalEntryV1(5, makeCells(5));
-    std::string patched = data;
-    patched[4] = static_cast<char>(patched[4] ^ 0x40);
-    EXPECT_EQ(decodeJournalEntryV1(patched, 5, loaded, error),
-              JournalFailure::Foreign);
-    EXPECT_EQ(decodeJournalEntryV1(data, 5, loaded, error),
-              JournalFailure::None);
-    EXPECT_EQ(decodeJournalEntryV1("garbage", 5, loaded, error),
-              JournalFailure::Corrupt);
+    // The planted keys are the sweep's own: its sealed segment now
+    // serves every one of them, with the cells it computed.
+    SweepJournal resumed(config.journalDir);
+    std::vector<SweepCell> cells;
+    for (const std::uint64_t key : keys) {
+        ASSERT_TRUE(resumed.load(key, cells));
+        EXPECT_NE(cells, bogus);
+    }
 }
 
 TEST(SweepJournalEviction, ByteCapEvictsLeastRecentlyUsedFirst)
@@ -455,12 +458,10 @@ TEST(SweepJournalConcurrency, ParallelStoresAllPersist)
     }
 }
 
-/** The >= 100-point mapped-vs-v1 differential: a sweep journalled
- *  through the legacy v1 writer and one journalled through the
- *  segment writer must resume to byte-identical CSV grids (and to
- *  the uninterrupted cold grid). This is the upgrade-compat gate in
- *  miniature: store with the old format, resume with the new code. */
-TEST(SweepJournalResume, MappedAndV1JournalsResumeBitIdentically)
+/** The >= 100-point resume differential: a sweep journalled through
+ *  the segment writer must resume from the mapped segments to a CSV
+ *  grid byte-identical to the uninterrupted cold grid. */
+TEST(SweepJournalResume, MappedJournalResumesBitIdentically)
 {
     SweepConfig config;
     config.axes.btbEntries = {16, 32, 64, 128, 256};
@@ -478,41 +479,24 @@ TEST(SweepJournalResume, MappedAndV1JournalsResumeBitIdentically)
     const SweepResult cold = runSweep(reference);
     ASSERT_GE(cold.points.size(), 100u);
 
-    // Journal the grid through the LEGACY v1 writer...
-    config.journalDir = makeDir("differential_v1");
-    setenv("BRANCHLAB_SWEEP_JOURNAL_FORMAT", "v1", 1);
-    const SweepResult v1_cold = runSweep(config);
-    unsetenv("BRANCHLAB_SWEEP_JOURNAL_FORMAT");
-    EXPECT_EQ(v1_cold.stats.evaluated, cold.points.size());
-    // ...and the journal directory holds per-point files, no
-    // segments.
-    EXPECT_TRUE(segmentFiles(config.journalDir).empty());
-
-    // The new code resumes the v1 journal entry by entry.
-    const SweepResult v1_resumed = runSweep(config);
-    EXPECT_EQ(v1_resumed.stats.resumed, cold.points.size());
-    EXPECT_EQ(v1_resumed.stats.evaluated, 0u);
-
     // The same sweep journalled through the segment writer.
-    config.journalDir = makeDir("differential_v2");
-    const SweepResult v2_cold = runSweep(config);
-    EXPECT_EQ(v2_cold.stats.evaluated, cold.points.size());
+    config.journalDir = makeDir("differential");
+    const SweepResult journalled = runSweep(config);
+    EXPECT_EQ(journalled.stats.evaluated, cold.points.size());
     EXPECT_FALSE(segmentFiles(config.journalDir).empty());
     const std::uint64_t mapped_before =
         counterValue("sweep.journal.bytes_mapped");
-    const SweepResult v2_resumed = runSweep(config);
-    EXPECT_EQ(v2_resumed.stats.resumed, cold.points.size());
-    EXPECT_EQ(v2_resumed.stats.evaluated, 0u);
+    const SweepResult resumed = runSweep(config);
+    EXPECT_EQ(resumed.stats.resumed, cold.points.size());
+    EXPECT_EQ(resumed.stats.evaluated, 0u);
     // The mapped resume actually mapped.
     EXPECT_GT(counterValue("sweep.journal.bytes_mapped"),
               mapped_before);
 
     // Bit-identity across every path.
     const std::string csv = sweepToCsv(cold);
-    EXPECT_EQ(sweepToCsv(v1_cold), csv);
-    EXPECT_EQ(sweepToCsv(v1_resumed), csv);
-    EXPECT_EQ(sweepToCsv(v2_cold), csv);
-    EXPECT_EQ(sweepToCsv(v2_resumed), csv);
+    EXPECT_EQ(sweepToCsv(journalled), csv);
+    EXPECT_EQ(sweepToCsv(resumed), csv);
 }
 
 } // namespace

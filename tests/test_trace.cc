@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "helpers.hh"
 #include "support/logging.hh"
-#include "trace/io.hh"
+#include "trace/cache.hh"
+#include "trace/format.hh"
 #include "trace/soa.hh"
 #include "trace/stats.hh"
 
@@ -159,7 +162,7 @@ TEST(TraceStats, CountersRoundTripLosslessly)
 }
 
 // ---------------------------------------------------------------------
-// Trace formats: the v2 columnar codec and v1 compatibility.
+// The SoA trace buffer.
 // ---------------------------------------------------------------------
 
 void
@@ -189,166 +192,6 @@ recordFactorialTrace()
     return recorder.takeEvents();
 }
 
-TEST(TraceIoV2, V1AndV2ReadBackBitEquivalently)
-{
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    ASSERT_FALSE(events.empty());
-
-    std::stringstream v1, v2;
-    const std::size_t v1_bytes = writeTraceV1(v1, events);
-    const std::size_t v2_bytes = writeTrace(v2, events, 0xfeedu);
-    EXPECT_EQ(v1_bytes, v1.str().size());
-    EXPECT_EQ(v2_bytes, v2.str().size());
-    // The columnar layout is the point: several times smaller than
-    // the 34-byte fixed records.
-    EXPECT_LT(v2_bytes, v1_bytes / 4);
-
-    const std::vector<BranchEvent> from_v1 = readTrace(v1);
-    const std::vector<BranchEvent> from_v2 = readTrace(v2);
-    expectSameEvents(from_v1, events);
-    expectSameEvents(from_v2, events);
-}
-
-TEST(TraceIoV2, AnomalousNextPcRoundTrips)
-{
-    // Synthetic events may violate the VM invariant
-    // nextPc == (taken ? target : fallthrough); the anomaly side
-    // channel must preserve them bit-exactly.
-    std::vector<BranchEvent> events;
-    events.push_back(makeEvent(0x1000, true, true));
-    BranchEvent odd = makeEvent(0x1004, true, false);
-    odd.nextPc = 0x9999; // neither target nor fallthrough
-    events.push_back(odd);
-    BranchEvent far = makeEvent(0x2000, false, true);
-    far.nextPc = ir::kNoAddr; // extreme delta
-    events.push_back(far);
-
-    std::stringstream buffer;
-    writeTrace(buffer, events);
-    expectSameEvents(readTrace(buffer), events);
-}
-
-TEST(TraceIoV2, EncodeDecodePayloadRoundTrips)
-{
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    const std::string payload = encodeEventsV2(events);
-    std::vector<BranchEvent> decoded;
-    std::string error;
-    ASSERT_TRUE(decodeEventsV2(payload, events.size(), decoded, error))
-        << error;
-    expectSameEvents(decoded, events);
-}
-
-TEST(TraceIoV2, DecodeRejectsCorruptPayloadSoftly)
-{
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    const std::string payload = encodeEventsV2(events);
-
-    std::vector<BranchEvent> decoded;
-    std::string error;
-    // Truncation at any depth is a clean failure, never a crash.
-    EXPECT_FALSE(decodeEventsV2(payload.substr(0, payload.size() - 2),
-                                events.size(), decoded, error));
-    EXPECT_FALSE(error.empty());
-    // Wrong count: either short columns or trailing bytes.
-    EXPECT_FALSE(
-        decodeEventsV2(payload, events.size() + 1, decoded, error));
-    // A corrupt opcode byte is diagnosed.
-    std::string bad_op = payload;
-    bad_op[0] = '\x7f';
-    EXPECT_FALSE(
-        decodeEventsV2(bad_op, events.size(), decoded, error));
-}
-
-TEST(TraceIoV2, RejectsUnsupportedVersion)
-{
-    // A v2 header whose version field says 99.
-    std::string raw = "BLTR";
-    raw += '\x63'; // 99, little-endian u32
-    raw += std::string(3, '\0');
-    raw += std::string(24, '\0');
-    std::stringstream buffer(raw);
-    EXPECT_THROW(readTrace(buffer), ConfigFailure);
-}
-
-TEST(TraceIoV2, RejectsTruncatedV2Stream)
-{
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    std::stringstream buffer;
-    writeTrace(buffer, events);
-    const std::string whole = buffer.str();
-    std::stringstream truncated(whole.substr(0, whole.size() - 5));
-    EXPECT_THROW(readTrace(truncated), ConfigFailure);
-}
-
-// ---------------------------------------------------------------------
-// Header counts and sizes are untrusted: a lying header must end in a
-// clean diagnostic, never in arithmetic wrap or a giant allocation.
-// ---------------------------------------------------------------------
-
-/** Little-endian @p bytes-wide @p value, as the trace headers store
- *  it. */
-std::string
-le(std::uint64_t value, int bytes)
-{
-    std::string out;
-    for (int i = 0; i < bytes; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-    return out;
-}
-
-TEST(TraceIoV2, DecodeRejectsACountThatWrapsTheColumnLengths)
-{
-    // n + 4 * ceil(n / 8) wraps to 8 for this count, which once let a
-    // 16-byte payload pass the fixed-column length check.
-    const std::uint64_t count = 0xAAAAAAAAAAAAAAB0ull;
-    const std::string payload(16, '\0');
-    SoaTrace decoded;
-    std::string error;
-    EXPECT_FALSE(decodeEventsV2Soa(payload, count, decoded, error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_TRUE(decoded.empty());
-}
-
-TEST(TraceIoV2, RejectsAPayloadSizeBeyondTheStream)
-{
-    // A v2 header claiming a 2^62-byte payload over a few real bytes.
-    std::string raw = "BLTR" + le(kTraceFormatVersion, 4) + le(0, 8) +
-                      le(1, 8) + le(std::uint64_t{1} << 62, 8);
-    raw += std::string(8, '\0');
-    std::stringstream buffer(raw);
-    EXPECT_THROW(readTrace(buffer), ConfigFailure);
-}
-
-TEST(TraceIoV1, RejectsAnEventCountBeyondTheStream)
-{
-    // A v1 header claiming 2^61 records over one real record.
-    std::stringstream one;
-    writeTraceV1(one, {makeEvent(0x1000, true, true)});
-    std::string raw = one.str();
-    raw.replace(8, 8, le(std::uint64_t{1} << 61, 8));
-    std::stringstream buffer(raw);
-    EXPECT_THROW(readTrace(buffer), ConfigFailure);
-}
-
-TEST(TraceIoV2, ReplayHandlesBothVersions)
-{
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    std::stringstream v1, v2;
-    writeTraceV1(v1, events);
-    writeTrace(v2, events);
-
-    TraceStats from_v1, from_v2;
-    EXPECT_EQ(replayTrace(v1, from_v1), events.size());
-    EXPECT_EQ(replayTrace(v2, from_v2), events.size());
-    EXPECT_EQ(from_v1.branches(), from_v2.branches());
-    EXPECT_EQ(from_v1.conditionalTaken(), from_v2.conditionalTaken());
-}
-
-// ---------------------------------------------------------------------
-// The SoA trace buffer and the streaming column-wise v2 decoder.
-// ---------------------------------------------------------------------
-
 TEST(SoaTrace, FromEventsToEventsRoundTripsBitExactly)
 {
     std::vector<BranchEvent> events = recordFactorialTrace();
@@ -367,47 +210,47 @@ TEST(SoaTrace, FromEventsToEventsRoundTripsBitExactly)
     EXPECT_EQ(stream.maxPc(), max_pc);
 }
 
-TEST(SoaTrace, StreamingDecodeMatchesEventDecode)
+TEST(SoaTrace, ColumnsAreTheEntrySections)
 {
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    const std::string payload = encodeEventsV2(events);
-
-    // Decoding straight into columns must agree with the event-vector
-    // decoder, and re-encoding the SoA form must be byte-identical.
-    SoaTrace decoded;
-    std::string error;
-    ASSERT_TRUE(
-        decodeEventsV2Soa(payload, events.size(), decoded, error))
-        << error;
-    expectSameEvents(decoded.toEvents(), events);
-    EXPECT_EQ(encodeEventsV2(decoded), payload);
-
-    // Corruption fails softly on the SoA path as well.
-    SoaTrace scratch;
-    EXPECT_FALSE(decodeEventsV2Soa(payload.substr(0, payload.size() - 2),
-                                   events.size(), scratch, error));
-    EXPECT_FALSE(error.empty());
-}
-
-TEST(SoaTrace, ColumnsAreTheV2Payload)
-{
-    // The owned columns are the payload's sections, in payload order:
-    // encoding an SoA stream is a straight concatenation.
+    // The owned columns are a BLTC entry's stream sections, in file
+    // order: the entry writer copies them verbatim.
     std::vector<BranchEvent> events = recordFactorialTrace();
     BranchEvent odd = makeEvent(0x1004, true, false);
     odd.nextPc = 0x9999;
     events.push_back(odd);
-    const SoaTrace stream = SoaTrace::fromEvents(events);
-
-    std::string columns;
-    for (const std::vector<std::uint8_t> *column :
-         {&stream.ops(), &stream.conditionalPlane(), &stream.takenPlane(),
-          &stream.targetKnownPlane(), &stream.anomalyPlane(),
-          &stream.deltas(), &stream.anomalyDeltas()})
-        columns.append(column->begin(), column->end());
-    EXPECT_EQ(encodeEventsV2(stream), columns);
-    EXPECT_EQ(encodeEventsV2(events), columns);
+    CachedWorkload entry;
+    entry.stream = SoaTrace::fromEvents(events);
+    const SoaTrace &stream = entry.stream;
     EXPECT_FALSE(stream.anomalyDeltas().empty());
+
+    const std::string path = ::testing::TempDir() + "blab_columns.bltc";
+    std::uint64_t bytes = 0;
+    std::string error;
+    ASSERT_TRUE(writeEntryFile(path, entry, bytes, error)) << error;
+    std::ifstream file(path, std::ios::binary);
+    const std::string written(std::istreambuf_iterator<char>(file), {});
+    EXPECT_EQ(written.size(), bytes);
+    EntryHeader header;
+    ASSERT_EQ(decodeEntryHeader(
+                  reinterpret_cast<const std::uint8_t *>(written.data()),
+                  written.size(), header),
+              "");
+    const std::pair<EntrySection, const std::vector<std::uint8_t> *>
+        columns[] = {
+            {EntrySection::Ops, &stream.ops()},
+            {EntrySection::CondPlane, &stream.conditionalPlane()},
+            {EntrySection::TakenPlane, &stream.takenPlane()},
+            {EntrySection::TargetKnownPlane, &stream.targetKnownPlane()},
+            {EntrySection::AnomalyPlane, &stream.anomalyPlane()},
+            {EntrySection::Deltas, &stream.deltas()},
+            {EntrySection::AnomalyDeltas, &stream.anomalyDeltas()}};
+    for (const auto &[section, column] : columns) {
+        const SectionRecord &record = header.section(section);
+        EXPECT_EQ(written.substr(record.offset, record.length),
+                  std::string(column->begin(), column->end()))
+            << "section " << static_cast<int>(section);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceStats, AgreesWithMachineCountsOnRealProgram)

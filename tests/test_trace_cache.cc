@@ -10,10 +10,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -22,6 +25,10 @@
 #include "core/sweep.hh"
 #include "helpers.hh"
 #include "obs/metrics.hh"
+#include "predict/cbtb.hh"
+#include "predict/profile_predictor.hh"
+#include "predict/sbtb.hh"
+#include "predict/static_predictors.hh"
 #include "profile/forward_slots.hh"
 #include "profile/fs_opt.hh"
 #include "profile/profile.hh"
@@ -59,6 +66,79 @@ makeWorkload()
     return workload;
 }
 
+/** A stream the VM never emits: next pcs that are neither the
+ *  target nor the fall-through (one of them kNoAddr, the extreme
+ *  delta), and transfers whose target is unknown (kNoAddr). */
+SoaTrace
+makeOddStream()
+{
+    std::vector<BranchEvent> events;
+    BranchEvent taken;
+    taken.pc = 0x1000;
+    taken.op = ir::Opcode::Beq;
+    taken.conditional = true;
+    taken.targetAddr = 0x1010;
+    taken.fallthroughAddr = 0x1001;
+    taken.nextPc = taken.targetAddr;
+    events.push_back(taken);
+    BranchEvent odd = taken;
+    odd.pc = 0x1004;
+    odd.taken = false;
+    odd.fallthroughAddr = 0x1005;
+    odd.nextPc = 0x9999; // neither target nor fall-through
+    events.push_back(odd);
+    BranchEvent unknown;
+    unknown.pc = 0x2000;
+    unknown.op = ir::Opcode::JTab;
+    unknown.targetKnown = false;
+    unknown.targetAddr = ir::kNoAddr;
+    unknown.fallthroughAddr = 0x2001;
+    unknown.nextPc = 0x1000;
+    events.push_back(unknown);
+    BranchEvent far = unknown;
+    far.pc = 0x2004;
+    far.fallthroughAddr = 0x2005;
+    far.nextPc = ir::kNoAddr;
+    events.push_back(far);
+    return SoaTrace::fromEvents(events);
+}
+
+/** Write @p bytes at byte @p offset of @p path. */
+void
+writeAt(const std::string &path, std::streamoff offset,
+        const std::string &bytes)
+{
+    std::fstream file(path,
+                      std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.good());
+    file.seekp(offset);
+    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** @p value as @p width little-endian bytes, the header's encoding. */
+std::string
+littleEndian(std::uint64_t value, int width = 8)
+{
+    std::string out;
+    for (int i = 0; i < width; ++i)
+        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    return out;
+}
+
+/** Recompute the header checksum of the entry at @p path, as a writer
+ *  does after filling in the header it means to publish. */
+void
+resealHeader(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    std::uint32_t sections = 0; // header bytes 28..31, little-endian
+    std::memcpy(&sections, bytes.data() + 28, sizeof(sections));
+    const std::uint64_t at = headerChecksumOffset(sections);
+    writeAt(path, static_cast<std::streamoff>(at),
+            littleEndian(checksum64(bytes.data(), at)));
+}
+
 TEST(TraceCache, DisabledCacheNeverHitsAndStoresNothing)
 {
     const TraceCache cache;
@@ -68,23 +148,24 @@ TEST(TraceCache, DisabledCacheNeverHitsAndStoresNothing)
     cache.store("anything", makeWorkload()); // must be a no-op
 }
 
-TEST(TraceCache, StoreThenLoadRoundTripsBitExactly)
+/** Store @p stored in @p cache, load it back and require every field
+ *  and every event to match bit for bit. */
+void
+expectStoreLoadRoundTrip(const TraceCache &cache,
+                         const CachedWorkload &stored)
 {
-    const std::string dir = makeCacheDir("roundtrip");
-    const TraceCache cache(dir);
-    const CachedWorkload stored = makeWorkload();
     cache.store("fact", stored);
-
     CachedWorkload loaded;
     ASSERT_TRUE(cache.load("fact", stored.contentHash, loaded));
     EXPECT_EQ(loaded.contentHash, stored.contentHash);
     EXPECT_EQ(loaded.runs, stored.runs);
     EXPECT_EQ(loaded.stats, stored.stats);
     EXPECT_EQ(loaded.likely, stored.likely);
-    // A v2 hit arrives zero-copy mapped, the owning stream empty.
+    // A hit arrives zero-copy mapped, the owning stream empty.
     ASSERT_NE(loaded.mapped, nullptr);
     EXPECT_EQ(loaded.stream.size(), 0u);
     ASSERT_EQ(loaded.eventCount(), stored.stream.size());
+    EXPECT_EQ(loaded.traceView().maxPc(), stored.stream.maxPc());
     const std::vector<BranchEvent> decoded =
         materializeView(loaded.traceView()).toEvents();
     const std::vector<BranchEvent> expected = stored.stream.toEvents();
@@ -101,6 +182,31 @@ TEST(TraceCache, StoreThenLoadRoundTripsBitExactly)
         EXPECT_EQ(a.taken, b.taken);
         EXPECT_EQ(a.targetKnown, b.targetKnown);
     }
+}
+
+TEST(TraceCache, StoreThenLoadRoundTripsBitExactly)
+{
+    const std::string dir = makeCacheDir("roundtrip");
+    expectStoreLoadRoundTrip(TraceCache(dir), makeWorkload());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, EmptyStreamRoundTripsBitExactly)
+{
+    const std::string dir = makeCacheDir("roundtrip_empty");
+    CachedWorkload empty = makeWorkload();
+    empty.stream = SoaTrace();
+    expectStoreLoadRoundTrip(TraceCache(dir), empty);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, AnomalousNextPcsAndUnknownTargetsRoundTripBitExactly)
+{
+    const std::string dir = makeCacheDir("roundtrip_odd");
+    CachedWorkload odd = makeWorkload();
+    odd.stream = makeOddStream();
+    ASSERT_FALSE(odd.stream.anomalyDeltas().empty());
+    expectStoreLoadRoundTrip(TraceCache(dir), odd);
     std::filesystem::remove_all(dir);
 }
 
@@ -241,8 +347,8 @@ TEST(TraceCache, BitFlippedEntryCountsAsCorruptTelemetry)
         cache.entryPath("fact", stored.contentHash);
 
     // Flip one bit of the embedded content hash (bytes 16..23 of the
-    // v2 header, after magic + version + feature bits): the file
-    // still parses but the hash check must reject it as corrupt.
+    // header, after magic + version + feature bits): the header
+    // checksum must reject the entry as corrupt.
     {
         std::fstream file(
             path, std::ios::binary | std::ios::in | std::ios::out);
@@ -291,10 +397,12 @@ TEST(TraceCache, UnknownFeatureBitsRefuseWithoutCorruptionWarning)
     const std::string path =
         cache.entryPath("fact", stored.contentHash);
 
-    // Set an undefined feature bit (header bytes 8..15): the entry is
-    // structurally valid but written by a future writer, so the load
-    // must refuse it -- as a foreign entry, not a corrupt one.
+    // Set an undefined feature bit (header bytes 8..15) and seal the
+    // header, as a future writer that implements the bit would: the
+    // entry is intact but foreign, so the load must refuse it -- as a
+    // foreign entry, not a corrupt one.
     patchByte(path, 8, 0x10);
+    resealHeader(path);
 
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
@@ -321,12 +429,13 @@ TEST(TraceCache, BadSectionLengthIsRejectedAsCorrupt)
         cache.entryPath("fact", stored.contentHash);
 
     // Blow up the Ops section's recorded length (section-table row 1,
-    // 8 bytes into the {offset, length, checksum} record): the
-    // section no longer fits the file, so mapping must reject the
-    // entry instead of reading out of bounds.
+    // 8 bytes into the {offset, length, checksum} record) under a
+    // resealed header: the section no longer fits the file, so
+    // mapping must reject the entry instead of reading out of bounds.
     const std::streamoff ops_length_at =
         static_cast<std::streamoff>(kEntryHeaderBytes) + 24 + 8;
     patchByte(path, ops_length_at + 6, 0x7f);
+    resealHeader(path);
 
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
@@ -391,13 +500,30 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     ASSERT_NE(out.mapped, nullptr);
     EXPECT_EQ(out.eventCount(), stored.stream.size());
 
-    // Foreign: valid entry, undefined feature bit.
+    // Foreign: an intact entry with an undefined feature bit, sealed
+    // by the writer that set it.
     patchByte(path, 8, 0x01);
+    resealHeader(path);
     out = CachedWorkload{};
     EXPECT_FALSE(
         mapEntryFile(path, stored.contentHash, out, error, failure));
     EXPECT_EQ(failure, MapFailure::Foreign);
     patchByte(path, 8, 0x01); // restore
+    resealHeader(path);
+
+    // Foreign: every other format version, the retired v1 and v2
+    // included.
+    for (const std::uint32_t version : {1u, 2u, kEntryVersion + 1}) {
+        writeAt(path, 4, littleEndian(version, 4));
+        out = CachedWorkload{};
+        EXPECT_FALSE(
+            mapEntryFile(path, stored.contentHash, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Foreign) << version;
+        EXPECT_EQ(out.mapped, nullptr);
+    }
+    writeAt(path, 4, littleEndian(kEntryVersion, 4));
+    ASSERT_TRUE(
+        mapEntryFile(path, stored.contentHash, out, error, failure));
 
     // Corrupt: the file ends mid-section.
     std::filesystem::resize_file(
@@ -409,39 +535,54 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     std::filesystem::remove_all(dir);
 }
 
-TEST(TraceCache, LegacyV1EntriesStillLoad)
+TEST(TraceCache, RetiredV1EntriesAreForeignAndReRecorded)
 {
     const std::string dir = makeCacheDir("legacy");
-    const TraceCache cache(dir);
-    const CachedWorkload stored = makeWorkload();
+    const core::ExperimentConfig config = [&] {
+        core::ExperimentConfig c;
+        c.runsOverride = 1;
+        c.traceCacheDir = dir;
+        return c;
+    }();
+    const workloads::Workload &workload = workloads::findWorkload("tee");
+    const std::uint64_t hash = core::workloadContentHash(workload, config);
+    const std::string path = TraceCache(dir).entryPath("tee", hash);
 
-    // Plant a v1 entry by hand (nothing writes v1 anymore).
-    const std::string path =
-        cache.entryPath("fact", stored.contentHash);
+    // Plant an entry in the retired v1 inline layout: magic, version
+    // 1, content hash, runs, five stats, likely count, event count,
+    // payload size, payload. Nothing reads it any more.
     std::filesystem::create_directories(
         std::filesystem::path(path).parent_path());
     {
         std::ofstream file(path, std::ios::binary | std::ios::trunc);
-        file << encodeLegacyEntryV1(stored);
+        file << "BLTC" << littleEndian(1, 4) << littleEndian(hash)
+             << littleEndian(1, 4) << std::string(5 * 8, '\0')
+             << littleEndian(0) << littleEndian(1000)
+             << littleEndian(4096) << std::string(4096, '\0');
     }
 
-    CachedWorkload loaded;
-    ASSERT_TRUE(cache.load("fact", stored.contentHash, loaded));
-    // v1 entries take the owning decode path, not the mapping.
-    EXPECT_EQ(loaded.mapped, nullptr);
-    EXPECT_EQ(loaded.runs, stored.runs);
-    EXPECT_EQ(loaded.stats, stored.stats);
-    EXPECT_EQ(loaded.likely, stored.likely);
-    const std::vector<BranchEvent> decoded = loaded.stream.toEvents();
-    const std::vector<BranchEvent> expected = stored.stream.toEvents();
-    ASSERT_EQ(decoded.size(), expected.size());
-    for (std::size_t i = 0; i < decoded.size(); ++i) {
-        const BranchEvent &a = decoded[i];
-        const BranchEvent &b = expected[i];
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.nextPc, b.nextPc);
-        EXPECT_EQ(a.taken, b.taken);
-    }
+    obs::Counter &corrupt =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    obs::Counter &map_failures =
+        obs::Registry::global().counter("trace_cache.map_failures");
+    const std::uint64_t corrupt_before = corrupt.value();
+    const std::uint64_t failures_before = map_failures.value();
+    resetTraceCacheCounters();
+    resetWarningCount();
+    const core::RecordedWorkload recorded =
+        core::recordWorkload(workload, config);
+    EXPECT_FALSE(recorded.cacheHit);
+    EXPECT_EQ(map_failures.value(), failures_before + 1);
+    EXPECT_EQ(corrupt.value(), corrupt_before);
+    EXPECT_EQ(warningCount(), 0u);
+    EXPECT_EQ(traceCacheCounters().stores, 1u);
+
+    // The re-record replaced the planted entry: the next run hits.
+    const core::RecordedWorkload again =
+        core::recordWorkload(workload, config);
+    EXPECT_TRUE(again.cacheHit);
+    EXPECT_EQ(again.eventCount(), recorded.eventCount());
+    resetTraceCacheCounters();
     std::filesystem::remove_all(dir);
 }
 
@@ -636,6 +777,23 @@ plantProfileSection(const std::string &path, const std::string &section)
             bytes[row + 8 + 8 * f + i] =
                 static_cast<char>((fields[f] >> (8 * i)) & 0xff);
     writeFileBytes(path, bytes);
+    resealHeader(path);
+}
+
+/** Recompute @p section's table-row checksum from the bytes the
+ *  section now holds, then reseal the header, as a writer of those
+ *  bytes would: only the validator can object to them. */
+void
+resealSection(const std::string &path, EntrySection section)
+{
+    const std::string bytes = readFileBytes(path);
+    const SectionRecord record = headerOf(bytes).section(section);
+    const std::size_t row =
+        kEntryHeaderBytes + static_cast<std::size_t>(section) * 24;
+    writeAt(path, static_cast<std::streamoff>(row + 16),
+            littleEndian(checksum64(bytes.data() + record.offset,
+                                    record.length)));
+    resealHeader(path);
 }
 
 TEST(TraceCacheProfile, SectionRoundTripsAndIsOptional)
@@ -654,10 +812,10 @@ TEST(TraceCacheProfile, SectionRoundTripsAndIsOptional)
     EXPECT_EQ(*loaded.profile, *stored.profile);
     EXPECT_EQ(loaded.likely, stored.likely);
 
-    // Without a profile the writer emits the eight required sections,
-    // laid out exactly like an entry written before the section
-    // existed: the profiled entry minus its ninth table row and
-    // section, with a section count of 8 (header bytes 28..31).
+    // Without a profile the writer emits the eight required sections:
+    // the profiled entry minus its ninth table row and section, with
+    // a section count of 8 (header bytes 28..31) and the header
+    // checksum right after the eighth row.
     CachedWorkload bare = stored;
     bare.profile.reset();
     cache.store("bare", bare);
@@ -669,9 +827,12 @@ TEST(TraceCacheProfile, SectionRoundTripsAndIsOptional)
     std::string expected =
         full.substr(0, headerOf(full).section(EntrySection::Profile).offset);
     expected[28] = static_cast<char>(kEntrySectionCount);
-    std::fill_n(expected.begin() + kEntryHeaderBytes +
-                    kEntrySectionCount * 24,
-                24, '\0');
+    const std::size_t checksum_at =
+        headerChecksumOffset(kEntrySectionCount);
+    std::fill_n(expected.begin() + checksum_at, 32, '\0');
+    expected.replace(checksum_at, 8,
+                     littleEndian(checksum64(expected.data(),
+                                             checksum_at)));
     EXPECT_EQ(bare_bytes, expected);
     ASSERT_TRUE(cache.load("bare", bare.contentHash, loaded));
     EXPECT_FALSE(loaded.profile.has_value());
@@ -767,6 +928,215 @@ TEST(TraceCacheProfile, MutatedSectionsAreRejectedOrRoundTrip)
         }
     }
     EXPECT_GT(rejected, 150u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, LyingHeaderCountsAreRejectedAsCorrupt)
+{
+    // Counts the checksummed header declares but the file cannot hold
+    // (as a buggy writer could seal them) end in a diagnostic before
+    // any length arithmetic can wrap or any column is read.
+    const std::string dir = makeCacheDir("lying_counts");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    const std::string pristine = readFileBytes(path);
+    const std::uint64_t file_size = pristine.size();
+
+    const struct
+    {
+        std::streamoff offset;
+        std::uint64_t value;
+        const char *diagnostic;
+    } cases[] = {
+        // u64 event count at header byte 72: past the whole file.
+        {72, file_size + 1, "implausible event count"},
+        // u64 likely count at header byte 88: 17 bytes per record
+        // would wrap this count's byte length to a tiny number.
+        {88, (~std::uint64_t{0} / kLikelyRecordBytes) + 1,
+         "implausible likely-map count"},
+    };
+    for (const auto &lie : cases) {
+        SCOPED_TRACE(lie.diagnostic);
+        writeFileBytes(path, pristine);
+        writeAt(path, lie.offset, littleEndian(lie.value));
+        resealHeader(path);
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_FALSE(
+            mapEntryFile(path, stored.contentHash, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Corrupt);
+        EXPECT_EQ(error, lie.diagnostic);
+        EXPECT_EQ(out.mapped, nullptr);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, EveryHeaderBitFlipIsRefusedNeverServed)
+{
+    // One bit at a time, every bit of a stored entry's header, section
+    // table and header checksum. A flip in the version field makes a
+    // foreign entry; every other flip -- the run count, the trace
+    // stats and the max pc included -- is corruption. None may be
+    // served, and none may abort.
+    const std::string dir = makeCacheDir("header_flips");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeProfiledWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    const std::string pristine = readFileBytes(path);
+    const std::size_t header_bytes =
+        headerChecksumOffset(headerOf(pristine).sectionCount) + 8;
+
+    std::size_t foreign = 0;
+    for (std::size_t bit = 0; bit < header_bytes * 8; ++bit) {
+        const std::streamoff byte = static_cast<std::streamoff>(bit / 8);
+        const auto mask = static_cast<unsigned char>(1u << (bit % 8));
+        patchByte(path, byte, mask);
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_FALSE(
+            mapEntryFile(path, stored.contentHash, out, error, failure))
+            << "bit " << bit;
+        EXPECT_EQ(out.mapped, nullptr) << "bit " << bit;
+        const bool version_field = byte >= 4 && byte < 8;
+        EXPECT_EQ(failure, version_field ? MapFailure::Foreign
+                                         : MapFailure::Corrupt)
+            << "bit " << bit << ": " << error;
+        foreign += failure == MapFailure::Foreign ? 1 : 0;
+        patchByte(path, byte, mask);
+    }
+    EXPECT_EQ(foreign, 32u);
+
+    // Through the cache, a flipped run count is a counted, warned
+    // miss -- never a hit reporting another run count.
+    patchByte(path, 24, 0x02);
+    obs::Counter &corrupt =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    const std::uint64_t before = corrupt.value();
+    resetWarningCount();
+    CachedWorkload out;
+    EXPECT_FALSE(cache.load("fact", stored.contentHash, out));
+    EXPECT_EQ(corrupt.value(), before + 1);
+    EXPECT_GE(warningCount(), 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, BadMagicAndShortHeadersAreRejectedAsCorrupt)
+{
+    // A file of another kind, or one too short to hold a header, is
+    // never mistaken for an entry.
+    const std::string dir = makeCacheDir("not_an_entry");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    const std::string pristine = readFileBytes(path);
+
+    const struct
+    {
+        std::string bytes;
+        const char *diagnostic;
+    } cases[] = {
+        {"XXXX" + pristine.substr(4), "bad magic"},
+        {pristine.substr(0, kEntryHeaderBytes - 1), "truncated header"},
+    };
+    for (const auto &bad : cases) {
+        SCOPED_TRACE(bad.diagnostic);
+        writeFileBytes(path, bad.bytes);
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_FALSE(
+            mapEntryFile(path, stored.contentHash, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Corrupt);
+        EXPECT_EQ(error, bad.diagnostic);
+        EXPECT_EQ(out.mapped, nullptr);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, OpcodeOutsideTheIsaIsRejectedAsCorrupt)
+{
+    // An ops byte past the last opcode, sealed into an otherwise
+    // well-formed entry, is refused before any view could decode it.
+    const std::string dir = makeCacheDir("bad_opcode");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeWorkload();
+    cache.store("fact", stored);
+    const std::string path = cache.entryPath("fact", stored.contentHash);
+    const std::string pristine = readFileBytes(path);
+    const SectionRecord ops =
+        headerOf(pristine).section(EntrySection::Ops);
+    ASSERT_GT(ops.length, 0u);
+
+    for (const unsigned bad : {unsigned{ir::kNumOpcodes}, 0xffu}) {
+        SCOPED_TRACE(bad);
+        std::string bytes = pristine;
+        bytes[ops.offset + ops.length - 1] = static_cast<char>(bad);
+        writeFileBytes(path, bytes);
+        resealSection(path, EntrySection::Ops);
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_FALSE(
+            mapEntryFile(path, stored.contentHash, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Corrupt);
+        EXPECT_EQ(error, "bad opcode " + std::to_string(bad));
+        EXPECT_EQ(out.mapped, nullptr);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, StandaloneFileIsHeldToTheHashItsHeaderDeclares)
+{
+    // A trace file outside any cache has no lookup key: mapped without
+    // one, it must match the content hash its checksummed header
+    // declares, and it carries every field a cache hit does.
+    const std::string dir = makeCacheDir("standalone");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/trace.bltc";
+    const CachedWorkload stored = makeProfiledWorkload();
+    std::uint64_t bytes = 0;
+    std::string error;
+    ASSERT_TRUE(writeEntryFile(path, stored, bytes, error)) << error;
+    EXPECT_EQ(bytes, std::filesystem::file_size(path));
+
+    CachedWorkload out;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapEntryFile(path, std::nullopt, out, error, failure))
+        << error;
+    EXPECT_EQ(out.contentHash, stored.contentHash);
+    EXPECT_EQ(out.runs, stored.runs);
+    EXPECT_EQ(out.stats, stored.stats);
+    EXPECT_EQ(out.likely, stored.likely);
+    EXPECT_EQ(out.profile, stored.profile);
+    ASSERT_NE(out.mapped, nullptr);
+    const SoaTrace decoded = materializeView(out.traceView());
+    EXPECT_EQ(decoded.size(), stored.stream.size());
+    EXPECT_EQ(decoded.ops(), stored.stream.ops());
+    EXPECT_EQ(decoded.deltas(), stored.stream.deltas());
+
+    // Any other key is a mismatch.
+    out = CachedWorkload{};
+    EXPECT_FALSE(
+        mapEntryFile(path, stored.contentHash ^ 1, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+    EXPECT_EQ(error, "mismatched content hash");
+
+    // A damaged declared hash fails the header checksum, key or not.
+    patchByte(path, 16, 0x01);
+    const std::optional<std::uint64_t> keys[] = {std::nullopt,
+                                                  stored.contentHash};
+    for (const std::optional<std::uint64_t> &key : keys) {
+        out = CachedWorkload{};
+        EXPECT_FALSE(mapEntryFile(path, key, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Corrupt);
+        EXPECT_EQ(out.mapped, nullptr);
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -1066,8 +1436,7 @@ TEST(TraceCacheIntegration, EntriesWithoutProfileStillHitAndFoldOnce)
     entry.mapped.reset();
     entry.profile.reset();
 
-    // An eight-section entry, as written before the profile section
-    // existed.
+    // An eight-section entry, as a synthetic writer emits it.
     cache.store(cold.name, entry);
     ASSERT_EQ(headerOf(readFileBytes(path)).sectionCount,
               kEntrySectionCount);
@@ -1081,21 +1450,99 @@ TEST(TraceCacheIntegration, EntriesWithoutProfileStillHitAndFoldOnce)
         ASSERT_NE(warm.profile, nullptr);
         EXPECT_EQ(warm.profile->exportRows(), rows);
     }
-
-    // A legacy v1 entry.
-    writeFileBytes(path, encodeLegacyEntryV1(entry));
-    {
-        const ProfileCounterMark mark;
-        const core::RecordedWorkload warm =
-            core::recordWorkload(workload, config);
-        EXPECT_TRUE(warm.cacheHit);
-        EXPECT_EQ(warm.mapped, nullptr);
-        EXPECT_EQ(mark.foldsSince(), 1u);
-        EXPECT_EQ(mark.restoredSince(), 0u);
-        ASSERT_NE(warm.profile, nullptr);
-        EXPECT_EQ(warm.profile->exportRows(), rows);
-    }
     std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheIntegration, RecordedTraceFileIsTheCacheEntry)
+{
+    // A trace file and a cache store build their entry in one place
+    // (core::takeCacheEntry) and write it through one writer, so the
+    // file is byte for byte the cache's entry: from a cold record, and
+    // from a mapped hit, which is materialised first.
+    const std::string dir = makeCacheDir("record_file");
+    core::ExperimentConfig config;
+    config.runsOverride = 1;
+    config.traceCacheDir = dir;
+    const workloads::Workload &workload = workloads::findWorkload("tee");
+    const std::string path = ::testing::TempDir() + "blab_record.bltc";
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        core::RecordedWorkload recorded =
+            core::recordWorkload(workload, config);
+        EXPECT_EQ(recorded.cacheHit, warm);
+        const std::string cached = readFileBytes(
+            TraceCache(dir).entryPath(recorded.name, recorded.contentHash));
+        ASSERT_FALSE(cached.empty());
+
+        const CachedWorkload entry = core::takeCacheEntry(recorded);
+        std::uint64_t bytes = 0;
+        std::string error;
+        ASSERT_TRUE(writeEntryFile(path, entry, bytes, error)) << error;
+        EXPECT_EQ(bytes, cached.size());
+        EXPECT_EQ(readFileBytes(path), cached);
+    }
+    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheIntegration, TraceFileReplaysLikeTheRecordedStream)
+{
+    // A trace file replays from its mapping alone, the profiled scheme
+    // reading the entry's likely section: every scheme scores exactly
+    // as on the stream the file was recorded from.
+    core::ExperimentConfig config;
+    config.runsOverride = 1;
+    core::RecordedWorkload recorded =
+        core::recordWorkload(workloads::findWorkload("tee"), config);
+
+    const auto score = [](const TraceView &view,
+                          const predict::LikelyMap &likely) {
+        predict::SimpleBtb sbtb;
+        predict::CounterBtb cbtb;
+        predict::AlwaysTaken taken;
+        predict::AlwaysNotTaken not_taken;
+        predict::BackwardTaken btfnt;
+        predict::OpcodeBias opcode_bias;
+        predict::ProfilePredictor fs(likely);
+        predict::BranchPredictor *const schemes[] = {
+            &sbtb, &cbtb, &taken, &not_taken, &btfnt, &opcode_bias, &fs};
+        std::vector<core::ReplayResult> results;
+        for (predict::BranchPredictor *scheme : schemes)
+            results.push_back(core::replay(view, *scheme));
+        return results;
+    };
+    const std::vector<core::ReplayResult> expected =
+        score(recorded.traceView(), recorded.likelyMap);
+
+    const std::string path = ::testing::TempDir() + "blab_replay.bltc";
+    {
+        const CachedWorkload entry = core::takeCacheEntry(recorded);
+        std::uint64_t bytes = 0;
+        std::string error;
+        ASSERT_TRUE(writeEntryFile(path, entry, bytes, error)) << error;
+    }
+    CachedWorkload file;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapEntryFile(path, std::nullopt, file, error, failure))
+        << error;
+    const std::vector<core::ReplayResult> replayed =
+        score(file.traceView(), core::cachedToLikely(file.likely));
+
+    ASSERT_EQ(replayed.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        SCOPED_TRACE(i);
+        const predict::PredictorStats &a = replayed[i].stats;
+        const predict::PredictorStats &b = expected[i].stats;
+        EXPECT_EQ(a.accuracy.hits(), b.accuracy.hits());
+        EXPECT_EQ(a.accuracy.total(), b.accuracy.total());
+        EXPECT_EQ(a.conditionalAccuracy.hits(),
+                  b.conditionalAccuracy.hits());
+        EXPECT_EQ(a.predictedTaken.hits(), b.predictedTaken.hits());
+        EXPECT_EQ(replayed[i].missRatio, expected[i].missRatio);
+        EXPECT_EQ(replayed[i].hasMissRatio, expected[i].hasMissRatio);
+    }
+    std::remove(path.c_str());
 }
 
 /** Differential: on every workload, the profile a warm hit restores

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <vector>
 
@@ -98,6 +99,40 @@ TEST(TraceView, MaterializeRoundTripsTheOwnedView)
     const std::vector<BranchEvent> decoded = copy.toEvents();
     for (std::size_t i = 0; i < decoded.size(); ++i)
         expectSameEvent(decoded[i], events[i], i);
+}
+
+TEST(TraceView, MaterializeRoundTripsAMappedView)
+{
+    // Decoding a mapped entry back into columns gives the columns the
+    // entry was written from, byte for byte, anomalies included.
+    std::vector<BranchEvent> events = syntheticEvents(700);
+    events[350].nextPc = 0x9999; // neither target nor fall-through
+    CachedWorkload entry;
+    entry.stream = SoaTrace::fromEvents(events);
+    const SoaTrace &stream = entry.stream;
+    ASSERT_FALSE(stream.anomalyDeltas().empty());
+
+    const std::string path =
+        ::testing::TempDir() + "blab_view_materialize.bltc";
+    std::uint64_t bytes = 0;
+    std::string error;
+    ASSERT_TRUE(writeEntryFile(path, entry, bytes, error)) << error;
+    CachedWorkload mapped;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapEntryFile(path, std::nullopt, mapped, error, failure))
+        << error;
+    std::remove(path.c_str()); // the mapping pins the pages
+
+    const SoaTrace copy = materializeView(mapped.traceView());
+    EXPECT_EQ(copy.size(), stream.size());
+    EXPECT_EQ(copy.maxPc(), stream.maxPc());
+    EXPECT_EQ(copy.ops(), stream.ops());
+    EXPECT_EQ(copy.conditionalPlane(), stream.conditionalPlane());
+    EXPECT_EQ(copy.takenPlane(), stream.takenPlane());
+    EXPECT_EQ(copy.targetKnownPlane(), stream.targetKnownPlane());
+    EXPECT_EQ(copy.anomalyPlane(), stream.anomalyPlane());
+    EXPECT_EQ(copy.deltas(), stream.deltas());
+    EXPECT_EQ(copy.anomalyDeltas(), stream.anomalyDeltas());
 }
 
 TEST(TraceView, EmptyViewYieldsNoBlocks)

@@ -148,8 +148,7 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             opts.slots.clear();
             for (const std::string &item : splitList(value))
-                opts.slots.push_back(
-                    static_cast<unsigned>(std::stoul(item)));
+                opts.slots.push_back(parseOptionNumber<unsigned>(arg, item));
             if (opts.slots.empty())
                 return false;
         } else if (arg == "--fs-opt") {
@@ -166,12 +165,12 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *value = next();
             if (value == nullptr)
                 return false;
-            opts.runs = static_cast<unsigned>(std::stoul(value));
+            opts.runs = parseOptionNumber<unsigned>(arg, value);
         } else if (arg == "--seed") {
             const char *value = next();
             if (value == nullptr)
                 return false;
-            opts.seed = std::stoull(value);
+            opts.seed = parseOptionNumber<std::uint64_t>(arg, value);
         } else if (!arg.empty() && arg[0] == '-') {
             return false;
         } else {

@@ -41,6 +41,7 @@
 #include "obs/metrics.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
+#include "support/strings.hh"
 
 using namespace branchlab;
 
@@ -83,22 +84,13 @@ splitList(const std::string &text)
     return items;
 }
 
-std::vector<std::uint64_t>
+template <typename T>
+std::vector<T>
 parseNumberList(const std::string &flag, const std::string &text)
 {
-    std::vector<std::uint64_t> values;
-    for (const std::string &item : splitList(text)) {
-        try {
-            std::size_t used = 0;
-            const std::uint64_t value = std::stoull(item, &used);
-            if (used != item.size())
-                throw std::invalid_argument(item);
-            values.push_back(value);
-        } catch (const std::exception &) {
-            blab_fatal("value for ", flag, " must be a number, got '",
-                       item, "'");
-        }
-    }
+    std::vector<T> values;
+    for (const std::string &item : splitList(text))
+        values.push_back(parseOptionNumber<T>(flag, item));
     return values;
 }
 
@@ -123,9 +115,9 @@ parseDoubleList(const std::string &flag, const std::string &text)
 
 struct Options
 {
-    std::vector<std::uint64_t> k = {1};
-    std::vector<std::uint64_t> ell = {1};
-    std::vector<std::uint64_t> m = {1};
+    std::vector<unsigned> k = {1};
+    std::vector<unsigned> ell = {1};
+    std::vector<unsigned> m = {1};
     core::SweepAxes axes;
     core::SweepConfig sweep;
     std::string jsonPath;
@@ -145,43 +137,36 @@ parseOptions(int argc, char **argv)
                 blab_fatal("missing value for ", arg);
             return argv[++i];
         };
-        const auto need_numbers = [&]() {
-            return parseNumberList(arg, need_value());
+        const auto need_numbers = [&](auto &list) {
+            using Value = typename std::remove_reference_t<
+                decltype(list)>::value_type;
+            list = parseNumberList<Value>(arg, need_value());
+        };
+        const auto need_number = [&](auto &field) {
+            field = parseOptionNumber<std::remove_reference_t<
+                decltype(field)>>(arg, need_value());
         };
         if (arg == "--k")
-            options.k = need_numbers();
+            need_numbers(options.k);
         else if (arg == "--ell")
-            options.ell = need_numbers();
+            need_numbers(options.ell);
         else if (arg == "--m")
-            options.m = need_numbers();
+            need_numbers(options.m);
         else if (arg == "--btb-entries") {
-            options.axes.btbEntries.clear();
-            for (const std::uint64_t value : need_numbers())
-                options.axes.btbEntries.push_back(value);
+            need_numbers(options.axes.btbEntries);
         } else if (arg == "--btb-assoc") {
-            options.axes.btbAssociativity.clear();
-            for (const std::uint64_t value : need_numbers())
-                options.axes.btbAssociativity.push_back(value);
+            need_numbers(options.axes.btbAssociativity);
         } else if (arg == "--btb-policy") {
             options.axes.btbPolicies.clear();
             for (const std::string &name : splitList(need_value()))
                 options.axes.btbPolicies.push_back(
                     predict::parsePolicy(name));
         } else if (arg == "--counter-bits") {
-            options.axes.counterBits.clear();
-            for (const std::uint64_t value : need_numbers())
-                options.axes.counterBits.push_back(
-                    static_cast<unsigned>(value));
+            need_numbers(options.axes.counterBits);
         } else if (arg == "--counter-threshold") {
-            options.axes.counterThresholds.clear();
-            for (const std::uint64_t value : need_numbers())
-                options.axes.counterThresholds.push_back(
-                    static_cast<unsigned>(value));
+            need_numbers(options.axes.counterThresholds);
         } else if (arg == "--fs-slots") {
-            options.axes.fsSlots.clear();
-            for (const std::uint64_t value : need_numbers())
-                options.axes.fsSlots.push_back(
-                    static_cast<unsigned>(value));
+            need_numbers(options.axes.fsSlots);
         } else if (arg == "--trace-threshold") {
             options.axes.traceThresholds =
                 parseDoubleList(arg, need_value());
@@ -200,27 +185,21 @@ parseOptions(int argc, char **argv)
         } else if (arg == "--workloads") {
             options.sweep.workloads = splitList(need_value());
         } else if (arg == "--runs") {
-            options.sweep.base.runsOverride = static_cast<unsigned>(
-                parseNumberList(arg, need_value()).front());
+            need_number(options.sweep.base.runsOverride);
         } else if (arg == "--seed") {
-            options.sweep.base.seed =
-                parseNumberList(arg, need_value()).front();
+            need_number(options.sweep.base.seed);
         } else if (arg == "--jobs") {
-            options.sweep.base.jobs = static_cast<unsigned>(
-                parseNumberList(arg, need_value()).front());
+            need_number(options.sweep.base.jobs);
         } else if (arg == "--trace-cache") {
             options.sweep.base.traceCacheDir = need_value();
         } else if (arg == "--trace-cache-max-bytes") {
-            options.sweep.base.traceCacheMaxBytes =
-                parseNumberList(arg, need_value()).front();
+            need_number(options.sweep.base.traceCacheMaxBytes);
         } else if (arg == "--journal") {
             options.sweep.journalDir = need_value();
         } else if (arg == "--sweep-journal-max-bytes") {
-            options.sweep.journalMaxBytes =
-                parseNumberList(arg, need_value()).front();
+            need_number(options.sweep.journalMaxBytes);
         } else if (arg == "--max-points") {
-            options.sweep.maxPoints =
-                parseNumberList(arg, need_value()).front();
+            need_number(options.sweep.maxPoints);
         } else if (arg == "--json") {
             options.jsonPath = need_value();
         } else if (arg == "--csv") {
@@ -238,13 +217,13 @@ parseOptions(int argc, char **argv)
 
     // Cross the k/ell/m lists into the pipeline axis.
     options.axes.pipelines.clear();
-    for (const std::uint64_t k : options.k) {
-        for (const std::uint64_t ell : options.ell) {
-            for (const std::uint64_t m : options.m) {
+    for (const unsigned k : options.k) {
+        for (const unsigned ell : options.ell) {
+            for (const unsigned m : options.m) {
                 pipeline::PipelineConfig pipe;
-                pipe.k = static_cast<unsigned>(k);
-                pipe.ell = static_cast<unsigned>(ell);
-                pipe.m = static_cast<unsigned>(m);
+                pipe.k = k;
+                pipe.ell = ell;
+                pipe.m = m;
                 options.axes.pipelines.push_back(pipe);
             }
         }

@@ -6,8 +6,8 @@
  *
  *   branchlab list
  *   branchlab stats  <benchmark> [--runs N] [--seed S]
- *   branchlab record <benchmark> -o trace.bin [--runs N] [--seed S]
- *   branchlab replay <trace.bin> --scheme <name> [--flush-every Q]
+ *   branchlab record <benchmark> -o trace.bltc [--runs N] [--seed S]
+ *   branchlab replay <trace.bltc> --scheme <name> [--flush-every Q]
  *   branchlab tables [--runs N] [--seed S]
  *   branchlab figures [--runs N] [--seed S]
  *   branchlab client --connect ADDR [--workloads a,b,...]
@@ -20,9 +20,16 @@
  * the served cells (no hit flags), so two rounds against a warm
  * store must compare byte-identical.
  *
+ * A trace file is a BLTC entry (trace/format.hh), byte for byte the
+ * one the trace cache stores for the same workload: `record` writes
+ * it through the cache's durable writer, and `replay` maps it with
+ * the cache's validation, holding it to the content hash its own
+ * header declares.
+ *
  * Scheme names: sbtb, cbtb, gshare, always-taken, always-not-taken,
- * btfnt, opcode-bias, fs (fs derives its likely bits from the trace
- * itself, the paper's same-inputs methodology).
+ * btfnt, opcode-bias, fs (fs predicts from the likely map the trace
+ * file stores, profiled over that very stream -- the paper's
+ * same-inputs methodology).
  */
 
 #include <chrono>
@@ -44,7 +51,8 @@
 #include "predict/static_predictors.hh"
 #include "serve/client.hh"
 #include "support/logging.hh"
-#include "trace/io.hh"
+#include "support/strings.hh"
+#include "trace/cache.hh"
 
 using namespace branchlab;
 
@@ -110,35 +118,26 @@ parseOptions(int argc, char **argv, int first)
                 blab_fatal("missing value for ", arg);
             return argv[++i];
         };
-        const auto need_number = [&]() -> std::uint64_t {
-            const std::string text = need_value();
-            try {
-                std::size_t used = 0;
-                const std::uint64_t value = std::stoull(text, &used);
-                if (used != text.size())
-                    throw std::invalid_argument(text);
-                return value;
-            } catch (const std::exception &) {
-                blab_fatal("value for ", arg, " must be a number, got '",
-                           text, "'");
-            }
+        const auto need_number = [&](auto &field) {
+            field = parseOptionNumber<std::remove_reference_t<
+                decltype(field)>>(arg, need_value());
         };
         if (arg == "--runs")
-            options.runs = static_cast<unsigned>(need_number());
+            need_number(options.runs);
         else if (arg == "--seed")
-            options.seed = need_number();
+            need_number(options.seed);
         else if (arg == "--jobs")
-            options.jobs = static_cast<unsigned>(need_number());
+            need_number(options.jobs);
         else if (arg == "-o" || arg == "--output")
             options.output = need_value();
         else if (arg == "--scheme")
             options.scheme = need_value();
         else if (arg == "--flush-every")
-            options.flushEvery = need_number();
+            need_number(options.flushEvery);
         else if (arg == "--trace-cache")
             options.traceCache = need_value();
         else if (arg == "--trace-cache-max-bytes")
-            options.traceCacheMaxBytes = need_number();
+            need_number(options.traceCacheMaxBytes);
         else if (arg == "--telemetry")
             options.telemetry = need_value();
         else if (arg == "--connect")
@@ -146,7 +145,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--workloads")
             options.workloads = need_value();
         else if (arg == "--repeat")
-            options.repeat = static_cast<unsigned>(need_number());
+            need_number(options.repeat);
         else if (arg == "--expect-all-hits")
             options.expectAllHits = true;
         else
@@ -169,46 +168,9 @@ makeConfig(const Options &options)
     return config;
 }
 
-/** Derive FS likely bits straight from a recorded event stream. */
-predict::LikelyMap
-likelyMapFromEvents(const std::vector<trace::BranchEvent> &events)
-{
-    struct Counts
-    {
-        std::uint64_t taken = 0;
-        std::uint64_t not_taken = 0;
-        std::map<ir::Addr, std::uint64_t> targets;
-    };
-    std::unordered_map<ir::Addr, Counts> table;
-    for (const trace::BranchEvent &event : events) {
-        Counts &counts = table[event.pc];
-        if (event.taken)
-            ++counts.taken;
-        else
-            ++counts.not_taken;
-        ++counts.targets[event.nextPc];
-    }
-    predict::LikelyMap map;
-    for (const auto &[pc, counts] : table) {
-        predict::LikelyInfo info;
-        info.likelyTaken = counts.taken > counts.not_taken;
-        ir::Addr best = ir::kNoAddr;
-        std::uint64_t best_count = 0;
-        for (const auto &[addr, count] : counts.targets) {
-            if (count > best_count) {
-                best = addr;
-                best_count = count;
-            }
-        }
-        info.dominantTarget = best;
-        map.emplace(pc, info);
-    }
-    return map;
-}
-
 std::unique_ptr<predict::BranchPredictor>
 makeScheme(const std::string &name,
-           const std::vector<trace::BranchEvent> &events)
+           const std::vector<trace::CachedLikely> &likely)
 {
     if (name == "sbtb")
         return std::make_unique<predict::SimpleBtb>();
@@ -226,7 +188,7 @@ makeScheme(const std::string &name,
         return std::make_unique<predict::OpcodeBias>();
     if (name == "fs") {
         return std::make_unique<predict::ProfilePredictor>(
-            likelyMapFromEvents(events));
+            core::cachedToLikely(likely));
     }
     blab_fatal("unknown scheme '", name, "'");
 }
@@ -270,12 +232,12 @@ cmdRecord(const std::string &name, const Options &options)
         blab_fatal("record needs -o FILE");
     core::RecordedWorkload recorded = core::recordWorkload(
         workloads::findWorkload(name), makeConfig(options));
-    // writeTraceFile wants the whole stream; decode a mapped warm
-    // hit into an owning copy first.
-    const trace::SoaTrace &stream = recorded.materializedStream();
-    trace::writeTraceFile(options.output, stream,
-                          recorded.contentHash);
-    std::cout << "wrote " << stream.size() << " events to "
+    const trace::CachedWorkload entry = core::takeCacheEntry(recorded);
+    std::uint64_t bytes = 0;
+    std::string error;
+    if (!trace::writeEntryFile(options.output, entry, bytes, error))
+        blab_fatal("cannot write '", options.output, "': ", error);
+    std::cout << "wrote " << entry.stream.size() << " events to "
               << options.output << "\n";
     return 0;
 }
@@ -285,10 +247,15 @@ cmdReplay(const std::string &path, const Options &options)
 {
     if (options.scheme.empty())
         blab_fatal("replay needs --scheme NAME");
-    const std::vector<trace::BranchEvent> events =
-        trace::readTraceFile(path);
+    // A standalone file has no lookup key: its own header's content
+    // hash (covered by the header checksum) is the one it must match.
+    trace::CachedWorkload entry;
+    std::string error;
+    trace::MapFailure failure = trace::MapFailure::None;
+    if (!trace::mapEntryFile(path, std::nullopt, entry, error, failure))
+        blab_fatal("cannot read trace file '", path, "': ", error);
     std::unique_ptr<predict::BranchPredictor> scheme =
-        makeScheme(options.scheme, events);
+        makeScheme(options.scheme, entry.likely);
     predict::BranchPredictor *predictor = scheme.get();
     std::unique_ptr<predict::FlushingPredictor> flushed;
     if (options.flushEvery != 0) {
@@ -296,11 +263,9 @@ cmdReplay(const std::string &path, const Options &options)
             *scheme, options.flushEvery);
         predictor = flushed.get();
     }
-    predict::PredictionDriver driver(*predictor);
-    for (const trace::BranchEvent &event : events)
-        driver.onBranch(event);
-    const double a = driver.stats().accuracy.ratio();
-    std::cout << predictor->name() << " over " << events.size()
+    const double a =
+        core::replay(entry.traceView(), *predictor).accuracy;
+    std::cout << predictor->name() << " over " << entry.eventCount()
               << " branches:\n"
               << "  accuracy          " << formatPercent(a, 2) << "\n"
               << "  cost @ depth 4    "

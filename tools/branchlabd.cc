@@ -26,6 +26,7 @@
 #include "obs/metrics.hh"
 #include "serve/daemon.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 using namespace branchlab;
 
@@ -54,21 +55,6 @@ usage()
     return 2;
 }
 
-std::uint64_t
-parseNumber(const std::string &flag, const char *text)
-{
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(text, &used);
-        if (used != std::string(text).size())
-            throw std::invalid_argument(text);
-        return value;
-    } catch (const std::exception &) {
-        blab_fatal("value for ", flag, " must be a number, got '",
-                   text, "'");
-    }
-}
-
 } // namespace
 
 int
@@ -76,36 +62,36 @@ main(int argc, char **argv)
 {
     obs::initFromEnv();
 
+    // A bad option exits with its fatal diagnostic. Serving turns a
+    // request's fatal into an Error response, so fatals throw again
+    // once the options are parsed (before any thread exists).
+    setLoggingThrows(false);
     serve::DaemonConfig config;
     std::string telemetry;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto need_value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                // Parsing runs before setLoggingThrows decisions
-                // matter; fatal exits with the message either way.
+            if (i + 1 >= argc)
                 blab_fatal("missing value for ", arg);
-            }
             return argv[++i];
         };
         if (arg == "--listen")
             config.listen = need_value();
         else if (arg == "--serve-jobs")
-            config.jobs = static_cast<unsigned>(
-                parseNumber(arg, need_value()));
+            config.jobs = parseOptionNumber<unsigned>(arg, need_value());
         else if (arg == "--max-queue")
-            config.maxQueue = static_cast<std::size_t>(
-                parseNumber(arg, need_value()));
+            config.maxQueue =
+                parseOptionNumber<std::size_t>(arg, need_value());
         else if (arg == "--trace-cache")
             config.service.traceCacheDir = need_value();
         else if (arg == "--trace-cache-max-bytes")
             config.service.traceCacheMaxBytes =
-                parseNumber(arg, need_value());
+                parseOptionNumber<std::uint64_t>(arg, need_value());
         else if (arg == "--journal")
             config.service.journalDir = need_value();
         else if (arg == "--sweep-journal-max-bytes")
             config.service.journalMaxBytes =
-                parseNumber(arg, need_value());
+                parseOptionNumber<std::uint64_t>(arg, need_value());
         else if (arg == "--telemetry")
             telemetry = need_value();
         else if (arg == "--help" || arg == "-h")
@@ -115,6 +101,7 @@ main(int argc, char **argv)
             return usage();
         }
     }
+    setLoggingThrows(true);
 
     // Block the shutdown signals BEFORE any thread exists: spawned
     // threads inherit the mask, so sigwait() below is the only
