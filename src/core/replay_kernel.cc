@@ -282,6 +282,66 @@ replayManyKernel(const trace::TraceView &view,
     return results;
 }
 
+std::optional<ReplayResult>
+scoreClosedForm(const profile::ProgramProfile &profile,
+                const KernelSpec &spec)
+{
+    const bool stateless =
+        isStaticKind(spec.kind) ||
+        (spec.kind == SchemeKind::ForwardSemantic && spec.likely);
+    const auto sites = stateless ? profile.branchSites() : std::nullopt;
+    if (!sites)
+        return std::nullopt;
+
+    // The reference predictor decides each pc once, from its static
+    // facts alone; every execution of the pc shares that prediction.
+    const std::unique_ptr<predict::BranchPredictor> predictor =
+        makePredictor(spec);
+    predict::KernelStats acc;
+    for (const profile::BranchSite &site : *sites) {
+        const predict::Prediction guess = predictor->predict(site.query);
+        const profile::BranchCounts &counts = *site.counts;
+        const bool conditional = site.query.conditional;
+        // A taken conditional always reaches its static target.
+        const std::uint64_t correct =
+            !guess.taken  ? counts.notTaken
+            : conditional ? counts.taken
+                          : counts.nextCount(guess.target);
+        const std::uint64_t n = counts.executions();
+        acc.events += n;
+        acc.correct += correct;
+        acc.conditional += conditional ? n : 0;
+        acc.conditionalCorrect += conditional ? correct : 0;
+        acc.predictedTaken += guess.taken ? n : 0;
+    }
+    obs::Registry::global().counter("engine.replay.closed_form").add(1);
+    return toReplayResult({acc.toStats()});
+}
+
+std::vector<ReplayResult>
+replayProfiled(const trace::TraceView &view,
+               const profile::ProgramProfile &profile,
+               const std::vector<KernelSpec> &specs)
+{
+    std::vector<ReplayResult> results(specs.size());
+    std::vector<std::size_t> walkedAt;
+    std::vector<KernelSpec> walked;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (const auto scored = scoreClosedForm(profile, specs[i])) {
+            results[i] = *scored;
+        } else {
+            walkedAt.push_back(i);
+            walked.push_back(specs[i]);
+        }
+    }
+    if (!walked.empty()) {
+        const auto replays = replayManyKernel(view, walked);
+        for (std::size_t j = 0; j < walked.size(); ++j)
+            results[walkedAt[j]] = replays[j];
+    }
+    return results;
+}
+
 std::vector<predict::BtbBatchCell>
 replayBatch(const trace::TraceView &view,
             const std::vector<predict::BtbBatchPoint> &points)

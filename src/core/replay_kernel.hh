@@ -5,14 +5,19 @@
  * (predict/replay_kernels.hh), falling back to the virtual-dispatch
  * PredictionDriver path for anything it does not recognise.
  *
+ * Beside it, scoreClosedForm() reads the stateless schemes off a
+ * profile's per-pc tallies: exact for a profile folded from a stream
+ * the VM emitted for its own program (all recordWorkload returns).
+ *
  * The fallback is not an afterthought -- it *is* the reference
  * semantics. Kernels are an optimisation bound by differential tests
  * to produce bit-identical results; any spec the registry cannot
  * match (custom bias maps, traces whose pcs exceed the flat-table
  * bound, future schemes) silently takes the virtual path and is
  * merely slower. Coverage is observable via the
- * engine.replay.kernel.{specialized,fallback,batch} counters; CI
- * gates fallback == 0 for the paper's schemes.
+ * engine.replay.kernel.{specialized,fallback,batch} and
+ * engine.replay.closed_form counters; CI gates fallback == 0 and
+ * closed_form == 50 on the paper suite.
  */
 
 #ifndef BRANCHLAB_CORE_REPLAY_KERNEL_HH
@@ -88,6 +93,23 @@ ReplayResult replayKernel(const trace::TraceView &view,
 std::vector<ReplayResult>
 replayManyKernel(const trace::TraceView &view,
                  const std::vector<KernelSpec> &specs);
+
+/** A stateless spec's replayKernel result from @p profile's per-pc
+ *  tallies (engine.replay.closed_form): a not-taken prediction scores
+ *  notTaken, a taken conditional its taken count (nextCount(target)
+ *  would merge both sides when the target is the fall-through), a
+ *  taken unconditional to X nextCount(X). Nullopt for SBTB, CBTB,
+ *  gshare, FS without a likely map, and refused profiles. */
+std::optional<ReplayResult>
+scoreClosedForm(const profile::ProgramProfile &profile,
+                const KernelSpec &spec);
+
+/** replayManyKernel, but every spec scoreClosedForm takes is scored
+ *  from @p profile (folded from @p view) instead of walked. */
+std::vector<ReplayResult>
+replayProfiled(const trace::TraceView &view,
+               const profile::ProgramProfile &profile,
+               const std::vector<KernelSpec> &specs);
 
 /**
  * Batch-replay both hardware schemes at N sweep grid points in one

@@ -145,12 +145,12 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     result.runs = recorded.runs;
     result.stats = recorded.stats;
 
-    // ---- Replay the recorded stream against every scheme through
-    // the kernel dispatch layer (one monomorphized pass per scheme,
-    // virtual fallback for anything unregistered). The schemes never
-    // interact, so each observes exactly the stream it would see
-    // driven straight from the VM. The FS is profiled over the
-    // recorded runs and measured over the very same stream
+    // ---- Score every scheme on the recorded stream: the stateless
+    // ones (statics, FS) in closed form from the profile, SBTB and
+    // CBTB (and any refused spec) in one fused kernel walk. The
+    // schemes never interact, so each observes exactly the stream it
+    // would see driven straight from the VM. The FS is profiled over
+    // the recorded runs and measured over the very same stream
     // (profile-equals-measurement). ----
     std::vector<std::pair<const char *, KernelSpec>> schemes;
     KernelSpec sbtb_spec;
@@ -184,7 +184,7 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     for (const auto &[name, spec] : schemes)
         specs.push_back(spec);
     const std::vector<ReplayResult> replays =
-        replayManyKernel(recorded.traceView(), specs);
+        replayProfiled(recorded.traceView(), *recorded.profile, specs);
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const SchemeResult scheme{schemes[i].first, replays[i].accuracy,
@@ -286,6 +286,27 @@ recordWorkload(const workloads::Workload &workload,
                       "; re-recording");
             hit = false;
         }
+        if (hit && cached.profile) {
+            recorded.profile = std::make_unique<profile::ProgramProfile>(
+                *recorded.program, *recorded.layout, cached.runs,
+                *cached.profile);
+            telemetry.restored.add(1);
+        } else if (hit) {
+            // No profile section (synthetic entries): fold the stream,
+            // and hold the likely rows to the fold as the validator
+            // holds them to a stored profile.
+            const obs::ScopedSpan fold_span("engine.profile.fold");
+            recorded.profile = std::make_unique<profile::ProgramProfile>(
+                profile::foldProfile(*recorded.program, *recorded.layout,
+                                     cached.runs, cached.traceView()));
+            telemetry.folds.add(1);
+            if (cached.likely !=
+                likelyToCached(recorded.profile->buildLikelyMap())) {
+                blab_warn("trace cache entry for '", recorded.name,
+                          "' has wrong likely rows; re-recording");
+                hit = false;
+            }
+        }
         if (hit) {
             // Hits stay mmap'd (stream empty).
             recorded.mapped = std::move(cached.mapped);
@@ -293,24 +314,6 @@ recordWorkload(const workloads::Workload &workload,
             recorded.likelyMap = cachedToLikely(cached.likely);
             recorded.runs = cached.runs;
             recorded.cacheHit = true;
-            if (cached.profile) {
-                recorded.profile =
-                    std::make_unique<profile::ProgramProfile>(
-                        *recorded.program, *recorded.layout,
-                        recorded.runs, *cached.profile);
-                telemetry.restored.add(1);
-            } else {
-                // No profile section (synthetic entries): fold the
-                // stream back into the profile.
-                const obs::ScopedSpan fold_span("engine.profile.fold");
-                recorded.profile =
-                    std::make_unique<profile::ProgramProfile>(
-                        profile::foldProfile(*recorded.program,
-                                             *recorded.layout,
-                                             recorded.runs,
-                                             recorded.traceView()));
-                telemetry.folds.add(1);
-            }
             return recorded;
         }
     }

@@ -155,8 +155,9 @@ makeInputSuite(const workloads::Workload &workload,
  * first: a hit reconstructs the RecordedWorkload bit-identically
  * without running the VM; a miss records and then persists the entry,
  * handing the store the recorded columns without copying them.
- * Entries whose pcs lie past the program's code end are refused and
- * re-recorded.
+ * Entries whose pcs lie past the program's code end, and entries
+ * without a profile section whose likely rows disagree with the
+ * profile their stream folds to, are refused and re-recorded.
  * Hits bump the `engine.profile.restored` counter when the entry
  * carries its profile section and `engine.profile.folds` when the
  * profile had to be folded from the stream instead.

@@ -289,25 +289,22 @@ struct PreparedWorkload
 constexpr std::size_t kBatchPoints = 16;
 
 /** FS accuracy and code increase at one (level, slots, threshold)
- *  coordinate. Level none is the seed replay kernel (bit-identical to
- *  pre-optimizer sweeps); optimized levels score the analytic image
- *  walk. @p kernelAccuracy caches the kernel's number so triples
- *  sharing level none replay the stream once, not once per triple. */
+ *  coordinate from @p profile's tallies: the FS scheme in closed form
+ *  at level none, the image's row-form accuracy above it. A refused
+ *  profile walks the stream (the FS kernel, or the image walk). */
 std::pair<double, double>
 measureFs(const RecordedWorkload &recorded,
           const profile::ProgramProfile &profile,
-          profile::FsOptLevel level, unsigned slots, double threshold,
-          std::optional<double> &kernelAccuracy)
+          profile::FsOptLevel level, unsigned slots, double threshold)
 {
     if (level == profile::FsOptLevel::None) {
-        if (!kernelAccuracy) {
-            KernelSpec spec;
-            spec.kind = SchemeKind::ForwardSemantic;
-            spec.likely = &recorded.likelyMap;
-            kernelAccuracy =
-                replayKernel(recorded.traceView(), spec).accuracy;
-        }
-        return {*kernelAccuracy,
+        KernelSpec spec;
+        spec.kind = SchemeKind::ForwardSemantic;
+        spec.likely = &recorded.likelyMap;
+        const std::optional<ReplayResult> scored =
+            scoreClosedForm(profile, spec);
+        return {scored ? scored->accuracy
+                       : replayKernel(recorded.traceView(), spec).accuracy,
                 profile::codeIncreaseFor(profile, slots, threshold)};
     }
     profile::FsOptConfig config;
@@ -316,8 +313,11 @@ measureFs(const RecordedWorkload &recorded,
     config.level = level;
     const profile::FsOptResult optimized =
         profile::FsOptimizer(profile, config).build();
-    return {profile::fsOptAccuracy(profile, optimized,
-                                   recorded.traceView()),
+    const std::optional<double> scored =
+        profile::fsOptAccuracyFromProfile(profile, optimized);
+    return {scored ? *scored
+                   : profile::fsOptAccuracy(profile, optimized,
+                                            recorded.traceView()),
             optimized.codeSizeIncrease()};
 }
 
@@ -365,10 +365,9 @@ evaluatePointCell(const RecordedWorkload &recorded,
 
     blab_assert(recorded.profile != nullptr,
                 "evaluatePointCell needs recordWorkload's profile");
-    std::optional<double> kernel_accuracy;
     const auto [accuracy, code] =
         measureFs(recorded, *recorded.profile, point.fsOpt,
-                  point.fsSlots, point.traceThreshold, kernel_accuracy);
+                  point.fsSlots, point.traceThreshold);
     cell.fsAccuracy = accuracy;
     cell.codeIncrease = code;
     return cell;
@@ -428,12 +427,10 @@ runSweep(const SweepConfig &config)
             slot.recorded = recordWorkload(*suite[i], config.base);
             const profile::ProgramProfile &profile =
                 *slot.recorded.profile;
-            std::optional<double> kernel_accuracy;
             for (const FsTriple &triple : fs_triples) {
                 const auto &[level, slots, threshold] = triple;
-                const auto [accuracy, code] =
-                    measureFs(slot.recorded, profile, level, slots,
-                              threshold, kernel_accuracy);
+                const auto [accuracy, code] = measureFs(
+                    slot.recorded, profile, level, slots, threshold);
                 slot.fsAccuracy[triple] = accuracy;
                 slot.codeIncrease[triple] = code;
             }

@@ -282,8 +282,6 @@ class CbtbKernel
 
     KernelReplayResult run(const trace::TraceView &view);
 
-    void step(const KernelEvent &e) { stepImpl<0>(e); }
-
     /** Step a block, monomorphized per counter width like run(). */
     void
     stepBlock(const KernelEvent *events, std::size_t count)
@@ -407,25 +405,6 @@ class StaticKernel
     explicit StaticKernel(StaticKind kind);
 
     KernelReplayResult run(const trace::TraceView &view);
-
-    void
-    step(const KernelEvent &e)
-    {
-        switch (kind_) {
-          case StaticKind::AlwaysTaken:
-            stepImpl<StaticKind::AlwaysTaken>(e);
-            break;
-          case StaticKind::AlwaysNotTaken:
-            stepImpl<StaticKind::AlwaysNotTaken>(e);
-            break;
-          case StaticKind::BackwardTaken:
-            stepImpl<StaticKind::BackwardTaken>(e);
-            break;
-          case StaticKind::OpcodeBias:
-            stepImpl<StaticKind::OpcodeBias>(e);
-            break;
-        }
-    }
 
     /** Step a block, monomorphized per kind like run(). */
     void

@@ -1133,6 +1133,48 @@ fsOptAccuracy(const ProgramProfile &profile, const FsOptResult &result,
     return static_cast<double>(correct) / static_cast<double>(total);
 }
 
+std::optional<double>
+fsOptAccuracyFromProfile(const ProgramProfile &profile,
+                         const FsOptResult &result)
+{
+    const auto sites = profile.branchSites();
+    if (!sites)
+        return std::nullopt;
+    std::unordered_map<Addr, std::unordered_set<Addr>> refined;
+    for (const DupTail &dup : result.dups)
+        refined[dup.termAddr].insert(dup.predTermAddr);
+
+    std::uint64_t total = 0;
+    std::uint64_t correct = 0;
+    for (const BranchSite &site : *sites) {
+        const BranchCounts &counts = *site.counts;
+        const Addr pc = site.query.pc;
+        total += counts.executions();
+        if (!site.query.conditional) {
+            correct += site.query.staticTarget != ir::kNoAddr
+                           ? counts.executions()
+                           : counts.nextCount(counts.dominantTarget());
+            continue;
+        }
+        // Each redirecting predecessor's duplicate scores its own
+        // tally; the original block scores the remainder.
+        std::uint64_t taken = counts.taken;
+        std::uint64_t fall = counts.notTaken;
+        if (const auto it = refined.find(pc); it != refined.end()) {
+            for (const Addr pred : it->second) {
+                const BranchCounts &path = profile.pathCounts(pc, pred);
+                correct += std::max(path.taken, path.notTaken);
+                taken -= path.taken;
+                fall -= path.notTaken;
+            }
+        }
+        correct += std::max(taken, fall);
+    }
+    return total == 0 ? 0.0
+                      : static_cast<double>(correct) /
+                            static_cast<double>(total);
+}
+
 double
 codeIncreaseForOpt(const ProgramProfile &profile, FsOptLevel level,
                    unsigned slot_count, double trace_threshold)

@@ -217,17 +217,23 @@ class FsOptimizer
 };
 
 /**
- * FS prediction accuracy of an optimized image over a recorded branch
- * stream: one pass that scores every event exactly as the FS replay
- * kernel does (likely bit for profiled conditionals, dominant target
- * for indirect transfers, always-correct direct jumps/calls), except
- * that conditionals in tail-duplicated blocks are scored per entry
- * path -- the duplicate carries its own likely bit. At levels none
- * and slots this equals the FS kernel's accuracy bit for bit.
+ * FS prediction accuracy of an optimized image, walking a recorded
+ * stream and scoring each event as the FS replay kernel does (likely
+ * bit, dominant target of an indirect transfer, always-correct direct
+ * jumps/calls), but conditionals in tail-duplicated blocks per entry
+ * path: the duplicate carries its own likely bit. Equal to the FS
+ * kernel at levels none and slots; the reference for the row form.
  */
 double fsOptAccuracy(const ProgramProfile &profile,
                      const FsOptResult &result,
                      const trace::TraceView &view);
+
+/** fsOptAccuracy from @p profile's rows instead of a walk of the
+ *  stream it was folded from (core::scoreClosedForm's contract);
+ *  nullopt when the profile tallies a pc that holds no branch. */
+std::optional<double>
+fsOptAccuracyFromProfile(const ProgramProfile &profile,
+                         const FsOptResult &result);
 
 /**
  * Static safety verification of an optimized image: re-derives every

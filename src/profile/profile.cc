@@ -244,6 +244,31 @@ ProgramProfile::outArcs(FuncId func, BlockId block) const
     return arcs;
 }
 
+std::optional<std::vector<BranchSite>>
+ProgramProfile::branchSites() const
+{
+    std::vector<BranchSite> sites;
+    for (std::size_t pc = 0; pc < slotOf_.size(); ++pc) {
+        if (slotOf_[pc] == 0)
+            continue;
+        if (!layout_.isCodeAddr(pc))
+            return std::nullopt;
+        const ir::CodeLocation loc = layout_.locate(pc);
+        const ir::Instruction &inst =
+            prog_.function(loc.func).block(loc.block).inst(loc.index);
+        if (!inst.isBranch())
+            return std::nullopt;
+        predict::BranchQuery query{pc, inst.op, inst.isConditional(),
+                                   ir::hasKnownTarget(inst.op)};
+        if (query.conditional || inst.op == Opcode::Jmp)
+            query.staticTarget = layout_.blockAddr(loc.func, inst.target);
+        else if (inst.op == Opcode::Call)
+            query.staticTarget = layout_.funcEntry(inst.func);
+        sites.push_back({query, &branches_[slotOf_[pc] - 1].counts});
+    }
+    return sites;
+}
+
 predict::LikelyMap
 ProgramProfile::buildLikelyMap() const
 {

@@ -20,6 +20,7 @@
 #ifndef BRANCHLAB_PROFILE_PROFILE_HH
 #define BRANCHLAB_PROFILE_PROFILE_HH
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,14 @@ struct BranchCounts
     void add(bool taken_branch, ir::Addr next);
 
     bool operator==(const BranchCounts &) const = default;
+};
+
+/** One executed branch: its tallies, and its instruction's static
+ *  facts as makeQuery() derives them from each event the VM emits. */
+struct BranchSite
+{
+    predict::BranchQuery query;
+    const BranchCounts *counts = nullptr;
 };
 
 /**
@@ -113,12 +122,12 @@ class ProgramProfile : public trace::TraceSink
      * superblock pass duplicates for.
      *
      * Only noteRun() clears the context, and every caller (the
-     * record pass, foldProfile(), the two-pass engine) notes all of
-     * its runs before the first event: a recorded stream carries no
-     * run boundaries. Contexts therefore span runs -- the first event
-     * of run r+1 is tallied under the last event of run r -- and only
-     * the stream's very first event has none. The shipped result
-     * digests pin this behaviour.
+     * record pass and foldProfile()) notes all of its runs before the
+     * first event: a recorded stream carries no run boundaries.
+     * Contexts therefore span runs -- the first event of run r+1 is
+     * tallied under the last event of run r -- and only the stream's
+     * very first event has none. The shipped result digests pin this
+     * behaviour.
      */
     const BranchCounts &pathCounts(ir::Addr pc, ir::Addr prevPc) const;
 
@@ -146,6 +155,11 @@ class ProgramProfile : public trace::TraceSink
      * branch the dominant dynamic target.
      */
     predict::LikelyMap buildLikelyMap() const;
+
+    /** Every executed branch, ascending by pc: the closed-form
+     *  scorers' one source of per-pc facts. Nullopt when a tallied pc
+     *  holds no branch (a stream this program did not emit). */
+    std::optional<std::vector<BranchSite>> branchSites() const;
 
     /** Every tally as canonical rows (lossless: the restore
      *  constructor rebuilds this profile from them exactly). */

@@ -1,0 +1,95 @@
+/**
+ * @file
+ * The closed-form differential shared by the replay-kernel and fuzz
+ * suites: every stateless scheme scored from a profile must equal
+ * both its replay kernel and its virtual-dispatch reference over the
+ * stream the profile was folded from.
+ */
+
+#ifndef BRANCHLAB_TESTS_CLOSED_FORM_HH
+#define BRANCHLAB_TESTS_CLOSED_FORM_HH
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "core/replay_kernel.hh"
+
+namespace branchlab::test
+{
+
+/** The five schemes the closed form scores, FS over @p likely. */
+inline std::vector<std::pair<const char *, core::KernelSpec>>
+statelessSpecs(const predict::LikelyMap &likely)
+{
+    std::vector<std::pair<const char *, core::KernelSpec>> specs;
+    const std::pair<const char *, core::SchemeKind> kinds[] = {
+        {"always-taken", core::SchemeKind::AlwaysTaken},
+        {"always-not-taken", core::SchemeKind::AlwaysNotTaken},
+        {"btfnt", core::SchemeKind::BackwardTaken},
+        {"opcode-bias", core::SchemeKind::OpcodeBias},
+        {"FS", core::SchemeKind::ForwardSemantic},
+    };
+    for (const auto &[name, kind] : kinds) {
+        core::KernelSpec spec;
+        spec.kind = kind;
+        spec.likely = &likely;
+        specs.emplace_back(name, spec);
+    }
+    return specs;
+}
+
+/** Hits and totals of all four ratios, hasMissRatio and accuracy. */
+inline void
+expectSameScore(const core::ReplayResult &a, const core::ReplayResult &b)
+{
+    const auto same = [](const Ratio &x, const Ratio &y) {
+        EXPECT_EQ(x.hits(), y.hits());
+        EXPECT_EQ(x.total(), y.total());
+    };
+    same(a.stats.accuracy, b.stats.accuracy);
+    same(a.stats.conditionalAccuracy, b.stats.conditionalAccuracy);
+    same(a.stats.unconditionalAccuracy, b.stats.unconditionalAccuracy);
+    same(a.stats.predictedTaken, b.stats.predictedTaken);
+    EXPECT_EQ(a.hasMissRatio, b.hasMissRatio);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+}
+
+/**
+ * Every stateless scheme scored from @p profile (none may be refused)
+ * equals its replay kernel and its virtual-dispatch predictor over
+ * @p view, the stream @p profile was folded from.
+ */
+inline void
+expectClosedFormMatches(const trace::TraceView &view,
+                        const profile::ProgramProfile &profile,
+                        const predict::LikelyMap &likely)
+{
+    const auto named = statelessSpecs(likely);
+    std::vector<core::KernelSpec> specs;
+    std::vector<std::unique_ptr<predict::BranchPredictor>> owned;
+    std::vector<predict::BranchPredictor *> predictors;
+    for (const auto &[name, spec] : named) {
+        specs.push_back(spec);
+        owned.push_back(core::makePredictor(spec));
+        predictors.push_back(owned.back().get());
+    }
+    const std::vector<core::ReplayResult> kernels =
+        core::replayManyKernel(view, specs);
+    const std::vector<core::ReplayResult> references =
+        core::replayMany(view, predictors);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(named[i].first);
+        const std::optional<core::ReplayResult> scored =
+            core::scoreClosedForm(profile, specs[i]);
+        ASSERT_TRUE(scored.has_value()) << "closed form refused";
+        expectSameScore(*scored, kernels[i]);
+        expectSameScore(*scored, references[i]);
+    }
+}
+
+} // namespace branchlab::test
+
+#endif // BRANCHLAB_TESTS_CLOSED_FORM_HH

@@ -4,8 +4,9 @@
  * plumbing, bit-identity of level none with the seed transform,
  * liveness-proven slot filling, superblock tail duplication,
  * dominator-based hoisting, the accuracy walk against the FS replay
- * kernel, the adversarial corruption suite for verifyFsOptImage, and
- * the all-workloads equivalence sweep at every level.
+ * kernel and the profile-row form against the walk, the adversarial
+ * corruption suite for verifyFsOptImage, and the all-workloads
+ * equivalence sweep at every level.
  */
 
 #include <gtest/gtest.h>
@@ -425,7 +426,8 @@ TEST(FsOpt, ForwardsSingleEntryTargetHomes)
 }
 
 // ---------------------------------------------------------------------
-// The accuracy walk against the FS replay kernel
+// The accuracy walk against the FS replay kernel, and the row form
+// against the walk
 // ---------------------------------------------------------------------
 
 TEST(FsOpt, AccuracyWalkMatchesTheKernelBelowSuperblock)
@@ -440,13 +442,40 @@ TEST(FsOpt, AccuracyWalkMatchesTheKernelBelowSuperblock)
     spec.likely = &likely;
     const double kernel = core::replayKernel(view, spec).accuracy;
 
-    for (const FsOptLevel level :
-         {FsOptLevel::None, FsOptLevel::Slots}) {
+    for (const FsOptLevel level : allFsOptLevels()) {
         const FsOptResult opt = optimize(built, level);
-        EXPECT_DOUBLE_EQ(fsOptAccuracy(*built.profile, opt, view),
-                         kernel)
+        const double walk = fsOptAccuracy(*built.profile, opt, view);
+        if (level == FsOptLevel::None || level == FsOptLevel::Slots) {
+            EXPECT_DOUBLE_EQ(walk, kernel) << fsOptLevelName(level);
+        }
+        EXPECT_EQ(fsOptAccuracyFromProfile(*built.profile, opt), walk)
             << fsOptLevelName(level);
     }
+
+    // The row form equals the walk on every workload, level and slot
+    // count the sweep can ask for, duplicated tails included.
+    std::size_t dups = 0;
+    for (const workloads::Workload *workload :
+         workloads::allWorkloads()) {
+        const core::RecordedWorkload recorded =
+            core::recordWorkload(*workload);
+        for (const FsOptLevel level : allFsOptLevels()) {
+            for (const unsigned slots : {1u, 2u, 4u, 8u}) {
+                FsOptConfig config;
+                config.level = level;
+                config.fs.slotCount = slots;
+                const FsOptResult opt =
+                    FsOptimizer(*recorded.profile, config).build();
+                dups += opt.dups.size();
+                EXPECT_EQ(fsOptAccuracyFromProfile(*recorded.profile, opt),
+                          fsOptAccuracy(*recorded.profile, opt,
+                                        recorded.traceView()))
+                    << workload->name() << " " << fsOptLevelName(level)
+                    << " slots " << slots;
+            }
+        }
+    }
+    EXPECT_GT(dups, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "closed_form.hh"
 #include "helpers.hh"
+#include "profile/fs_opt.hh"
 #include "profile/fs_verify.hh"
 #include "profile/image_exec.hh"
 #include "profile/trace_select.hh"
@@ -296,6 +298,48 @@ TEST_P(FuzzPrograms, VerifyRunProfileAndTransform)
         EXPECT_EQ(profile::checkImageEquivalence(profile, image, {}),
                   "")
             << "seed " << seed << " slots " << slots;
+    }
+}
+
+TEST_P(FuzzPrograms, ClosedFormMatchesTheReferences)
+{
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    const ir::Program prog = buildRandomProgram(seed);
+    const ir::Layout layout(prog);
+    profile::ProgramProfile profile(prog, layout);
+    profile.noteRun();
+    trace::SoaRecorder recorder;
+    trace::FanoutSink fanout;
+    fanout.addSink(&recorder);
+    fanout.addSink(&profile);
+    vm::Machine machine(prog, layout);
+    machine.setSink(&fanout);
+    machine.run();
+    const trace::SoaTrace stream = recorder.take();
+    const trace::TraceView view = trace::TraceView::of(stream);
+
+    // The stateless schemes from per-pc tallies...
+    test::expectClosedFormMatches(view, profile, profile.buildLikelyMap());
+
+    // ...and every optimized image's FS accuracy from the profile's
+    // rows, at the default gates and with duplication forced.
+    for (const profile::FsOptLevel level : profile::allFsOptLevels()) {
+        for (const bool forced : {false, true}) {
+            profile::FsOptConfig config;
+            config.level = level;
+            if (forced) {
+                config.dupMaxGrowth = 1.0;
+                config.dupRequireGain = false;
+            }
+            const profile::FsOptResult opt =
+                profile::FsOptimizer(profile, config).build();
+            const std::optional<double> rows =
+                profile::fsOptAccuracyFromProfile(profile, opt);
+            ASSERT_TRUE(rows.has_value());
+            EXPECT_EQ(*rows, profile::fsOptAccuracy(profile, opt, view))
+                << "seed " << seed << " level "
+                << profile::fsOptLevelName(level) << " forced " << forced;
+        }
     }
 }
 

@@ -6,7 +6,9 @@
  * through the predictor makePredictor() builds, across all ten paper
  * workloads, a sweep-style config grid, and the batch entry point.
  * Internal predictor state (BTB targets, counters, gshare history) is
- * held identical too, not just the summary ratios.
+ * held identical too, not just the summary ratios. The closed-form
+ * scorer of the stateless schemes is bound to both the kernels and
+ * the reference the same way.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +17,15 @@
 #include <utility>
 #include <vector>
 
+#include "closed_form.hh"
 #include "core/replay_kernel.hh"
+#include "helpers.hh"
 #include "obs/metrics.hh"
 #include "predict/cbtb.hh"
 #include "predict/gshare.hh"
 #include "predict/sbtb.hh"
+#include "profile/fs_opt.hh"
+#include "support/random.hh"
 
 namespace branchlab::core
 {
@@ -550,6 +556,236 @@ TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
     spec.btb = config.btb;
     replayKernel(recorded.traceView(), spec);
     EXPECT_EQ(specialized.value(), before + 1);
+}
+
+// ---------------------------------------------------------------------
+// The closed form: stateless schemes scored from per-pc tallies
+// ---------------------------------------------------------------------
+
+/** A program's stream and the profile folded from it, recorded over
+ *  @p inputs (one VM run each; none runs once with no input). */
+struct Folded
+{
+    trace::SoaTrace stream;
+    std::unique_ptr<profile::ProgramProfile> profile;
+};
+
+Folded
+foldRuns(const ir::Program &program, const ir::Layout &layout,
+         const std::vector<workloads::WorkloadInput> &inputs)
+{
+    Folded folded;
+    folded.profile =
+        std::make_unique<profile::ProgramProfile>(program, layout);
+    trace::SoaRecorder recorder;
+    trace::FanoutSink fanout;
+    fanout.addSink(&recorder);
+    fanout.addSink(folded.profile.get());
+    // Every run is noted before the first event, as recordWorkload does.
+    const std::size_t runs = std::max<std::size_t>(inputs.size(), 1);
+    for (std::size_t r = 0; r < runs; ++r)
+        folded.profile->noteRun();
+    for (std::size_t r = 0; r < runs; ++r) {
+        vm::Machine machine(program, layout);
+        if (r < inputs.size()) {
+            for (std::size_t chan = 0;
+                 chan < inputs[r].channels.size(); ++chan)
+                machine.setInput(static_cast<int>(chan),
+                                 inputs[r].channels[chan]);
+        }
+        machine.setSink(&fanout);
+        machine.run();
+    }
+    folded.stream = recorder.take();
+    return folded;
+}
+
+TEST(ClosedForm, MatchesKernelAndReferenceOnEveryWorkload)
+{
+    ExperimentConfig paper;
+    ExperimentConfig one_run;
+    one_run.runsOverride = 1;
+    for (const ExperimentConfig &config : {paper, one_run}) {
+        SCOPED_TRACE("runsOverride " +
+                     std::to_string(config.runsOverride));
+        for (const workloads::Workload *workload :
+             workloads::allWorkloads()) {
+            SCOPED_TRACE(workload->name());
+            const RecordedWorkload recorded =
+                recordWorkload(*workload, config);
+            test::expectClosedFormMatches(recorded.traceView(),
+                                          *recorded.profile,
+                                          recorded.likelyMap);
+        }
+    }
+}
+
+TEST(ClosedForm, ScoresATestHalfWithItsTrainHalfsLikelyMap)
+{
+    // bench/ablation_fs_generalization's split: the likely map comes
+    // from other inputs, so it misses pcs the test half executes and
+    // holds pcs the test half never reaches.
+    for (const workloads::Workload *workload :
+         workloads::allWorkloads()) {
+        SCOPED_TRACE(workload->name());
+        const ir::Program program = workload->buildProgram();
+        const ir::Layout layout(program);
+        Rng rng(777 ^ hashString(workload->name()));
+        const std::vector<workloads::WorkloadInput> inputs =
+            workload->makeInputs(rng, workload->defaultRuns());
+        const auto split =
+            inputs.begin() + static_cast<std::ptrdiff_t>(inputs.size() / 2);
+        const Folded train =
+            foldRuns(program, layout, {inputs.begin(), split});
+        const Folded test = foldRuns(program, layout, {split, inputs.end()});
+        test::expectClosedFormMatches(trace::TraceView::of(test.stream),
+                                      *test.profile,
+                                      train.profile->buildLikelyMap());
+    }
+}
+
+/** A conditional whose target is its own fall-through, a JTab, a
+ *  direct Call, a CallInd and a Ret, each run many times with varying
+ *  outcomes and targets. */
+ir::Program
+buildEdgeCases()
+{
+    using ir::IrBuilder;
+    using ir::Reg;
+    ir::Program program("edges");
+    IrBuilder b(program);
+    const ir::FuncId helper = b.beginFunction("helper", 1);
+    b.ret(b.addi(b.arg(0), 1));
+    b.endFunction();
+    b.beginFunction("main");
+    const Reg i = b.newReg();
+    const Reg acc = b.newReg();
+    b.ldiTo(i, 12);
+    b.ldiTo(acc, 0);
+    b.doWhile(
+        [&] {
+            const ir::BlockId same = b.newBlock("same");
+            b.branch(IrBuilder::cmpEqi(b.remi(i, 2), 0), same, same);
+            std::vector<ir::BlockId> cases;
+            for (int k = 0; k < 3; ++k)
+                cases.push_back(b.newBlock("case" + std::to_string(k)));
+            const ir::BlockId join = b.newBlock("join");
+            b.jumpTable(b.remi(i, 3), cases);
+            for (int k = 0; k < 3; ++k) {
+                b.setBlock(cases[static_cast<std::size_t>(k)]);
+                b.emitBinaryImmTo(ir::Opcode::Add, acc, acc, k);
+                b.jmp(join);
+            }
+            b.setBlock(join);
+            b.movTo(acc, b.callInd(b.ldf(helper), {acc}));
+            b.movTo(acc, b.call(helper, {acc}));
+            b.emitBinaryImmTo(ir::Opcode::Sub, i, i, 1);
+        },
+        [&] { return IrBuilder::cmpGti(i, 0); });
+    b.out(acc, 1);
+    b.halt();
+    b.endFunction();
+    ir::verifyProgramOrDie(program);
+    return program;
+}
+
+TEST(ClosedForm, ScoresEdgeCaseBranches)
+{
+    const ir::Program program = buildEdgeCases();
+    const ir::Layout layout(program);
+    const Folded folded = foldRuns(program, layout, {});
+
+    // The conditional that continues at one pc either way is the case
+    // a nextCounts sum gets wrong: make sure it ran both ways.
+    const std::optional<std::vector<profile::BranchSite>> sites =
+        folded.profile->branchSites();
+    ASSERT_TRUE(sites.has_value());
+    bool merged_both_ways = false;
+    for (const profile::BranchSite &site : *sites) {
+        const profile::BranchCounts &counts = *site.counts;
+        if (site.query.conditional && counts.taken > 0 &&
+            counts.notTaken > 0 &&
+            counts.nextCount(site.query.staticTarget) ==
+                counts.executions())
+            merged_both_ways = true;
+    }
+    ASSERT_TRUE(merged_both_ways);
+    test::expectClosedFormMatches(trace::TraceView::of(folded.stream),
+                                  *folded.profile,
+                                  folded.profile->buildLikelyMap());
+}
+
+TEST(ClosedForm, RefusesAProfileTallyingANonBranchPc)
+{
+    const ir::Program program = test::buildCountdown(6);
+    const ir::Layout layout(program);
+    Folded folded = foldRuns(program, layout, {});
+    // One event at main's first instruction, an Ldi.
+    trace::BranchEvent stray;
+    stray.pc = layout.funcEntry(0);
+    stray.nextPc = stray.targetAddr = stray.pc + 1;
+    stray.fallthroughAddr = stray.pc + 1;
+    folded.stream.append(stray);
+    folded.profile->onBranch(stray);
+    ASSERT_FALSE(folded.profile->branchSites().has_value());
+    EXPECT_FALSE(profile::fsOptAccuracyFromProfile(*folded.profile,
+                                                   profile::FsOptResult{})
+                     .has_value());
+
+    const trace::TraceView view = trace::TraceView::of(folded.stream);
+    const predict::LikelyMap likely = folded.profile->buildLikelyMap();
+    std::vector<KernelSpec> specs;
+    for (const auto &[name, spec] : test::statelessSpecs(likely)) {
+        EXPECT_FALSE(scoreClosedForm(*folded.profile, spec).has_value())
+            << name;
+        specs.push_back(spec);
+    }
+    // Refused specs walk their kernels, and count as kernel replays.
+    auto &registry = obs::Registry::global();
+    const obs::Counter &closed =
+        registry.counter("engine.replay.closed_form");
+    const obs::Counter &specialized =
+        registry.counter("engine.replay.kernel.specialized");
+    const std::uint64_t closed_before = closed.value();
+    const std::uint64_t specialized_before = specialized.value();
+    const std::vector<ReplayResult> results =
+        replayProfiled(view, *folded.profile, specs);
+    EXPECT_EQ(closed.value(), closed_before);
+    EXPECT_EQ(specialized.value(), specialized_before + specs.size());
+    const std::vector<ReplayResult> kernels = replayManyKernel(view, specs);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        expectSameResult(results[i], kernels[i]);
+}
+
+TEST(ClosedForm, ReplayProfiledWalksOnlyTheStatefulSchemes)
+{
+    const ExperimentConfig config = quickConfig();
+    const RecordedWorkload &recorded = recordedFor("tee");
+    const auto named = paperSpecs(recorded, config);
+    std::vector<KernelSpec> specs;
+    for (const auto &[name, spec] : named)
+        specs.push_back(spec);
+
+    auto &registry = obs::Registry::global();
+    const obs::Counter &closed =
+        registry.counter("engine.replay.closed_form");
+    const obs::Counter &schemes = registry.counter("engine.replay.schemes");
+    const std::uint64_t closed_before = closed.value();
+    const std::uint64_t schemes_before = schemes.value();
+    const std::vector<ReplayResult> results =
+        replayProfiled(recorded.traceView(), *recorded.profile, specs);
+    // Five stateless specs scored; SBTB, CBTB and gshare walked.
+    EXPECT_EQ(closed.value(), closed_before + 5);
+    EXPECT_EQ(schemes.value(), schemes_before + 3);
+
+    const std::vector<ReplayResult> kernels =
+        replayManyKernel(recorded.traceView(), specs);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(named[i].first);
+        expectSameResult(results[i], kernels[i]);
+    }
 }
 
 } // namespace

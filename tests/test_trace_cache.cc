@@ -1453,6 +1453,59 @@ TEST(TraceCacheIntegration, EntriesWithoutProfileStillHitAndFoldOnce)
     std::filesystem::remove_all(dir);
 }
 
+TEST(TraceCacheIntegration, EntriesWithoutProfileReRecordOnWrongLikelyRows)
+{
+    // An eight-section entry has no profile section to hold its likely
+    // rows to, so the fold that rebuilds its profile checks them. Rows
+    // its stream does not fold to are re-recorded: flipped bits used
+    // to mis-score FS silently, and a row at a huge pc sized the FS
+    // kernel's table by that pc.
+    using Mutation = void (*)(std::vector<CachedLikely> &);
+    const std::pair<const char *, Mutation> cases[] = {
+        {"every likely bit flipped",
+         [](std::vector<CachedLikely> &likely) {
+             for (CachedLikely &row : likely)
+                 row.likelyTaken = !row.likelyTaken;
+         }},
+        {"a row at pc 2^40",
+         [](std::vector<CachedLikely> &likely) {
+             likely.push_back({ir::Addr{1} << 40, ir::kCodeBase, true});
+         }},
+    };
+    const workloads::Workload &workload = workloads::findWorkload("tee");
+    for (const auto &[name, mutate] : cases) {
+        SCOPED_TRACE(name);
+        const std::string dir = makeCacheDir("likely_rows");
+        const core::ExperimentConfig config = cachedConfig(dir);
+        const core::ExperimentRunner runner(config);
+        const core::BenchmarkResult cold = runner.runBenchmark(workload);
+
+        const TraceCache cache(dir);
+        const std::uint64_t hash =
+            core::workloadContentHash(workload, config);
+        CachedWorkload entry;
+        ASSERT_TRUE(cache.load(workload.name(), hash, entry));
+        entry.stream = materializeView(entry.traceView());
+        entry.mapped.reset();
+        entry.profile.reset();
+        mutate(entry.likely);
+        cache.store(workload.name(), entry);
+
+        const ProfileCounterMark mark;
+        core::BenchmarkResult warm;
+        ASSERT_NO_THROW(warm = runner.runBenchmark(workload));
+        EXPECT_EQ(mark.foldsSince(), 1u);
+        EXPECT_EQ(warm.fs.accuracy, cold.fs.accuracy);
+        EXPECT_EQ(warm.sbtb.accuracy, cold.sbtb.accuracy);
+        EXPECT_EQ(warm.cbtb.accuracy, cold.cbtb.accuracy);
+        EXPECT_EQ(warm.cbtb.missRatio, cold.cbtb.missRatio);
+        // The re-record stored a whole entry over the bad one.
+        EXPECT_TRUE(core::recordWorkload(workload, config).cacheHit);
+        EXPECT_EQ(mark.restoredSince(), 1u);
+        std::filesystem::remove_all(dir);
+    }
+}
+
 TEST(TraceCacheIntegration, RecordedTraceFileIsTheCacheEntry)
 {
     // A trace file and a cache store build their entry in one place
