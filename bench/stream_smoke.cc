@@ -33,6 +33,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <unistd.h>
@@ -201,7 +202,8 @@ std::uint64_t
 writeEntry(const std::string &path, const Options &options,
            std::uint64_t content_hash)
 {
-    trace::EntryWriter writer(path);
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    trace::EntryWriter writer(file);
     if (!writer.ok())
         blab_fatal("cannot open '", path, "' for writing");
 

@@ -10,6 +10,7 @@
 #include "obs/span.hh"
 #include "predict/profile_predictor.hh"
 #include "profile/profile.hh"
+#include "store/store.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "trace/cache.hh"
@@ -267,7 +268,8 @@ recordWorkload(const workloads::Workload &workload,
 
     const trace::TraceCache cache(
         trace::TraceCache::resolveDir(config.traceCacheDir),
-        trace::TraceCache::resolveMaxBytes(config.traceCacheMaxBytes));
+        store::resolveMaxBytes(config.traceCacheMaxBytes,
+                               trace::TraceCache::kMaxBytesEnv));
     recorded.contentHash = computeContentHash(
         *recorded.program, *recorded.layout, inputs, config, runs);
 

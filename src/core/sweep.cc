@@ -15,6 +15,7 @@
 #include "core/replay_kernel.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "store/store.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
@@ -447,8 +448,9 @@ runSweep(const SweepConfig &config)
     // journalled point from the index (grid order), then evaluate
     // only the remainder. ----
     SweepJournal journal(config.journalDir,
-                         SweepJournal::resolveMaxBytes(
-                             config.journalMaxBytes));
+                         store::resolveMaxBytes(
+                             config.journalMaxBytes,
+                             SweepJournal::kMaxBytesEnv));
     journal.open();
     std::vector<std::uint64_t> stream_hashes;
     stream_hashes.reserve(prepared.size());

@@ -30,8 +30,8 @@
  *
  * Resume: when SweepConfig::journalDir is set, every completed point
  * is persisted through the SweepJournal (core/sweep_journal.hh):
- * checksummed, feature-bit-versioned segments sealed via the trace
- * cache's fsync+rename discipline and mmap'd back on resume, keyed by
+ * checksummed, feature-bit-versioned segments sealed through
+ * store::publish and mmap'd back on resume, keyed by
  * a content hash of the point configuration AND the recorded streams
  * it was measured over. An interrupted sweep rerun with the same
  * journal reloads completed points bit-identically and evaluates only

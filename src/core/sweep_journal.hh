@@ -1,31 +1,30 @@
 /**
  * @file
- * The sweep resume journal, productionized like the trace cache: a
- * segmented, content-addressed store of completed grid points.
+ * The sweep resume journal: a segmented, content-addressed store of
+ * completed grid points, on the trace cache's lifecycle
+ * (store::Directory, store/store.hh).
  *
- *  - Completed points accumulate in a streaming writer and are sealed
- *    into BLSG *segments* (many records per file) under two-hex-digit
- *    shard subdirectories, named by the segment's content hash.
+ *  - Completed points accumulate in a pending tail and are sealed
+ *    into BLSG *segments* (many records per file) named by their
+ *    content hash, `<dir>/<hh>/seg-<hash16>.blsg`.
  *  - Every segment carries a feature-bit-versioned header and a
  *    checksum64 per record; resume `mmap`s each segment once,
  *    validates it, and serves every point lookup from the in-memory
  *    index -- no per-point file I/O.
- *  - Sealing follows the trace cache's durability discipline: a
- *    pid+sequence temp file, fsync of the file, atomic rename, fsync
- *    of the directory. A crash leaves either nothing or a complete
- *    segment (plus at most the unsealed in-memory tail, which the
- *    resumed run simply re-evaluates).
+ *  - A seal is one store::publish(): a crash leaves either nothing or
+ *    a complete segment (plus at most the unsealed in-memory tail,
+ *    which the resumed run simply re-evaluates). A failed seal warns;
+ *    its points stay resumable from memory for the rest of the run.
  *  - Validation failures are classified exactly like trace/cache.*:
  *    **Foreign** (a version or feature bit this reader does not know;
  *    quiet counter, clean re-evaluate) vs **Corrupt** (actual damage;
  *    warning + counter). A corrupt record abandons the rest of its
  *    segment but keeps the verified prefix.
  *  - `--sweep-journal-max-bytes` / BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES
- *    cap the store; eviction is LRU by mtime with a cost-aware
- *    tie-break (fewer records per byte evict first) and never touches
- *    a segment sealed by this run.
+ *    cap the store; eviction is LRU by mtime, ties broken by path, and
+ *    never touches a segment sealed by this run.
  *  - Stale `*.tmp-<pid>-<seq>` files from killed runs are reclaimed
- *    on open.
+ *    on open and by every capped flush.
  *  - The retired v1 format (one unchecksummed `point-<key16>.blsj`
  *    file per point) is never read: its points simply re-evaluate,
  *    which is correct because the journal only holds derivable
@@ -33,7 +32,8 @@
  *    so a capped journal drains them.
  *
  * Telemetry: sweep.journal.{stores, segments, corrupt, foreign,
- * evictions, bytes_mapped, bytes_evicted, tmp_reclaimed}.
+ * bytes_mapped} and the store lifecycle's sweep.journal.{evictions,
+ * bytes_evicted, tmp_reclaimed, tmp_evicted}.
  */
 
 #ifndef BRANCHLAB_CORE_SWEEP_JOURNAL_HH
@@ -45,6 +45,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "store/store.hh"
 
 namespace branchlab::trace
 {
@@ -107,18 +109,20 @@ class SweepJournal
     SweepJournal(const SweepJournal &) = delete;
     SweepJournal &operator=(const SweepJournal &) = delete;
 
-    /** The byte cap: @p configured if non-zero, else
-     *  BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES, else 0 (uncapped). */
-    static std::uint64_t resolveMaxBytes(std::uint64_t configured);
+    /** The environment variable that caps the journal (see
+     *  store::resolveMaxBytes). */
+    static constexpr const char *kMaxBytesEnv =
+        "BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES";
 
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
-    std::uint64_t maxBytes() const { return maxBytes_; }
+    bool enabled() const { return dir_.enabled(); }
+    const std::string &dir() const { return dir_.root(); }
+    std::uint64_t maxBytes() const { return dir_.maxBytes(); }
 
     /**
-     * Bring the journal up: reclaim stale temp files left by killed
-     * runs, then map and validate every segment and build the key
-     * index. Idempotent; load() and store() call it lazily.
+     * Bring the journal up: scan the directory (reclaiming stale temp
+     * files left by killed runs), then map and validate every segment
+     * and build the key index. Idempotent; load() and store() call it
+     * lazily.
      */
     void open();
 
@@ -132,9 +136,9 @@ class SweepJournal
      *  flush()/destruction. Thread-safe. */
     void store(std::uint64_t key, const std::vector<SweepCell> &cells);
 
-    /** Seal the pending tail (fsync + atomic rename) and enforce the
-     *  byte cap. Called by runSweep() after the grid completes and by
-     *  the destructor. */
+    /** Seal the pending tail (store::publish) and enforce the byte
+     *  cap. Called by runSweep() after the grid completes and by the
+     *  destructor. */
     void flush();
 
     /** Mapped-segment observability for tests and the perf
@@ -146,15 +150,11 @@ class SweepJournal
     struct Segment;
 
     void ensureOpenLocked();
-    void reclaimStaleTempsLocked();
-    void mapSegmentsLocked();
     void indexSegmentLocked(std::size_t segment_index);
     void sealLocked();
-    void enforceByteCapLocked();
 
     mutable std::mutex mutex_;
-    std::string dir_;
-    std::uint64_t maxBytes_ = 0;
+    store::Directory dir_;
     bool opened_ = false;
 
     /** A record inside a mapped segment: a borrowed pointer to its

@@ -2,14 +2,15 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "support/bytes.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace branchlab::serve
 {
@@ -67,14 +68,14 @@ Client::Client(const std::string &address)
             blab_fatal("tcp address needs host:port, got '", address,
                        "'");
         const std::string host(spec.substr(0, colon));
-        const int port =
-            std::atoi(std::string(spec.substr(colon + 1)).c_str());
+        const auto port = parseOptionNumber<std::uint16_t>(
+            "the tcp port", spec.substr(colon + 1));
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         if (fd_ < 0)
             blab_fatal("socket(): ", std::strerror(errno));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
+        addr.sin_port = htons(port);
         const std::string target =
             host.empty() || host == "0.0.0.0" ? "127.0.0.1" : host;
         if (::inet_pton(AF_INET, target.c_str(), &addr.sin_addr) != 1)
@@ -148,17 +149,13 @@ bool
 Client::receive(Response &response)
 {
     blab_assert(fd_ >= 0, "client is closed");
-    unsigned char header[4];
+    std::uint8_t header[4];
     const int got = readExact(fd_, header, sizeof header);
     if (got == 0)
         return false;
     if (got < 0)
         blab_fatal("read: truncated response header");
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(header[0]) |
-        (static_cast<std::uint32_t>(header[1]) << 8) |
-        (static_cast<std::uint32_t>(header[2]) << 16) |
-        (static_cast<std::uint32_t>(header[3]) << 24);
+    const std::uint32_t length = loadU32(header);
     if (length > kMaxFrameBytes)
         blab_fatal("response frame exceeds the 1 MiB limit");
     std::string payload(length, '\0');

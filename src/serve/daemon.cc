@@ -12,7 +12,9 @@
 #include <utility>
 
 #include "obs/metrics.hh"
+#include "support/bytes.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace branchlab::serve
 {
@@ -105,7 +107,7 @@ readFrame(int fd, std::string &payload)
         return errno == EINTR ? FrameStatus::Timeout
                               : FrameStatus::Failed;
 
-    unsigned char header[4];
+    std::uint8_t header[4];
     switch (readExact(fd, header, sizeof header)) {
       case ReadExact::Eof:
         return FrameStatus::Eof;
@@ -114,11 +116,7 @@ readFrame(int fd, std::string &payload)
       case ReadExact::Ok:
         break;
     }
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(header[0]) |
-        (static_cast<std::uint32_t>(header[1]) << 8) |
-        (static_cast<std::uint32_t>(header[2]) << 16) |
-        (static_cast<std::uint32_t>(header[3]) << 24);
+    const std::uint32_t length = loadU32(header);
     if (length > kMaxFrameBytes)
         return FrameStatus::Oversized;
     payload.resize(length);
@@ -203,11 +201,8 @@ Daemon::start()
             blab_fatal("tcp listen address needs host:port, got '",
                        config_.listen, "'");
         const std::string host(listen.substr(0, colon));
-        const int port = std::atoi(
-            std::string(listen.substr(colon + 1)).c_str());
-        if (port < 0 || port > 65535)
-            blab_fatal("tcp port out of range in '", config_.listen,
-                       "'");
+        const auto port = parseOptionNumber<std::uint16_t>(
+            "the tcp port", listen.substr(colon + 1));
         listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd_ < 0)
             blab_fatal("socket(): ", std::strerror(errno));
@@ -216,7 +211,7 @@ Daemon::start()
                      sizeof one);
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
+        addr.sin_port = htons(port);
         if (host.empty() || host == "*") {
             addr.sin_addr.s_addr = htonl(INADDR_ANY);
         } else if (::inet_pton(AF_INET, host.c_str(),

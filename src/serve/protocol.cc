@@ -1,122 +1,12 @@
 #include "serve/protocol.hh"
 
-#include <bit>
-#include <cstring>
+#include "support/bytes.hh"
 
 namespace branchlab::serve
 {
 
 namespace
 {
-
-void
-putU16(std::string &out, std::uint16_t v)
-{
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void
-putF64(std::string &out, double v)
-{
-    putU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/** Bounded little-endian reader over a payload. */
-class Reader
-{
-  public:
-    explicit Reader(std::string_view data) : data_(data) {}
-
-    bool
-    u8(std::uint8_t &v)
-    {
-        if (pos_ + 1 > data_.size())
-            return false;
-        v = static_cast<std::uint8_t>(data_[pos_++]);
-        return true;
-    }
-
-    bool
-    u16(std::uint16_t &v)
-    {
-        if (pos_ + 2 > data_.size())
-            return false;
-        v = static_cast<std::uint16_t>(byte(0) | (byte(1) << 8));
-        pos_ += 2;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        if (pos_ + 4 > data_.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(byte(i)) << (8 * i);
-        pos_ += 4;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        if (pos_ + 8 > data_.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(byte(i)) << (8 * i);
-        pos_ += 8;
-        return true;
-    }
-
-    bool
-    f64(double &v)
-    {
-        std::uint64_t bits = 0;
-        if (!u64(bits))
-            return false;
-        v = std::bit_cast<double>(bits);
-        return true;
-    }
-
-    bool
-    bytes(std::size_t n, std::string &v)
-    {
-        if (pos_ + n > data_.size())
-            return false;
-        v.assign(data_.substr(pos_, n));
-        pos_ += n;
-        return true;
-    }
-
-    bool exhausted() const { return pos_ == data_.size(); }
-
-  private:
-    std::uint32_t
-    byte(int i) const
-    {
-        return static_cast<std::uint8_t>(data_[pos_ + i]);
-    }
-
-    std::string_view data_;
-    std::size_t pos_ = 0;
-};
 
 bool
 fail(std::string &error, const char *what)
@@ -173,7 +63,7 @@ bool
 decodeRequest(std::string_view payload, Request &out,
               std::string &error)
 {
-    Reader reader(payload);
+    ByteReader reader(payload);
     std::uint32_t magic = 0;
     std::uint16_t version = 0;
     std::uint8_t type = 0;
@@ -275,7 +165,7 @@ bool
 decodeResponse(std::string_view payload, Response &out,
                std::string &error)
 {
-    Reader reader(payload);
+    ByteReader reader(payload);
     std::uint32_t magic = 0;
     std::uint16_t version = 0;
     std::uint8_t status = 0;

@@ -6,6 +6,7 @@
 #include "core/runner.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "store/store.hh"
 #include "workloads/workload.hh"
 
 namespace branchlab::serve
@@ -53,8 +54,8 @@ configFor(const Request &request, const ServiceConfig &service)
 ExperimentService::ExperimentService(ServiceConfig config)
     : config_(std::move(config)),
       journal_(config_.journalDir,
-               core::SweepJournal::resolveMaxBytes(
-                   config_.journalMaxBytes))
+               store::resolveMaxBytes(config_.journalMaxBytes,
+                                      core::SweepJournal::kMaxBytesEnv))
 {
     journal_.open();
 }

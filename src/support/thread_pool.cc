@@ -2,12 +2,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 
 #include "obs/metrics.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace branchlab
 {
@@ -85,9 +88,9 @@ envJobs()
     const char *raw = std::getenv("BRANCHLAB_JOBS");
     if (raw == nullptr || *raw == '\0')
         return 0;
-    char *end = nullptr;
-    const long value = std::strtol(raw, &end, 10);
-    if (end == raw || *end != '\0' || value <= 0) {
+    const std::optional<std::uint64_t> value =
+        parseDecimal(raw, std::numeric_limits<unsigned>::max());
+    if (!value || *value == 0) {
         // Warn-once latch. Pools are constructed from multiple threads
         // (nested parallelFor, concurrent tests), so a plain bool here
         // would be a data race; exchange makes exactly one caller the
@@ -97,7 +100,7 @@ envJobs()
             blab_warn("ignoring unparsable BRANCHLAB_JOBS='", raw, "'");
         return 0;
     }
-    return static_cast<unsigned>(value);
+    return static_cast<unsigned>(*value);
 }
 
 unsigned

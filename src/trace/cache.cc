@@ -5,13 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <iomanip>
 #include <sstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "obs/metrics.hh"
+#include "support/bytes.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
 
@@ -27,11 +24,6 @@ namespace
 std::atomic<std::uint64_t> g_hits{0};
 std::atomic<std::uint64_t> g_misses{0};
 std::atomic<std::uint64_t> g_stores{0};
-
-// Distinguishes concurrent stores of the same entry within one
-// process: the temp suffix is <pid>-<sequence>, so no two in-flight
-// writers -- threads or processes -- ever share a temp file.
-std::atomic<std::uint64_t> g_tmpSequence{0};
 
 /** Telemetry handles (see obs/metrics.hh for the naming scheme). */
 struct CacheTelemetry
@@ -50,12 +42,6 @@ struct CacheTelemetry
         obs::Registry::global().counter("trace_cache.bytes_mapped");
     obs::Counter &bytesWritten =
         obs::Registry::global().counter("trace_cache.bytes_written");
-    obs::Counter &tmpEvicted =
-        obs::Registry::global().counter("trace_cache.tmp_evicted");
-    obs::Counter &evictions =
-        obs::Registry::global().counter("trace_cache.evictions");
-    obs::Counter &bytesEvicted =
-        obs::Registry::global().counter("trace_cache.bytes_evicted");
 };
 
 CacheTelemetry &
@@ -65,59 +51,12 @@ cacheTelemetry()
     return *telemetry;
 }
 
-void
-putU64(std::string &out, std::uint64_t value)
+const store::Kind &
+cacheKind()
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-bool
-getU64(std::string_view in, std::size_t &pos, std::uint64_t &value)
-{
-    if (pos + 8 > in.size())
-        return false;
-    value = 0;
-    for (int i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    }
-    pos += 8;
-    return true;
-}
-
-std::uint64_t
-loadU64Le(const std::uint8_t *p)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::uint32_t
-loadU32Le(const std::uint8_t *p)
-{
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::string
-hash16(std::uint64_t content_hash)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0')
-       << content_hash;
-    return os.str();
-}
-
-std::string
-entryFileName(const std::string &name, std::uint64_t content_hash)
-{
-    return name + '-' + hash16(content_hash) + ".bltc";
+    static const store::Kind *kind =
+        new store::Kind("trace cache", "trace_cache", {".bltc"});
+    return *kind;
 }
 
 const char *
@@ -147,27 +86,25 @@ putProfileRow(std::string &out, const CachedProfileRow &row)
 /** Fixed bytes of one profile row before its next-PC pairs. */
 constexpr std::size_t kProfileRowBytes = 5 * 8;
 
-/** Parse the profile row at @p pos, checking its own shape: next-PC
- *  addresses strictly ascending, counts nonzero and summing to the
- *  row's executions. @return empty string on success, else a
+/** Parse the next profile row from @p in, checking its own shape:
+ *  next-PC addresses strictly ascending, counts nonzero and summing to
+ *  the row's executions. @return empty string on success, else a
  *  diagnostic. */
 std::string
-readProfileRow(std::string_view in, std::size_t &pos,
-               CachedProfileRow &row)
+readProfileRow(ByteReader &in, CachedProfileRow &row)
 {
     std::uint64_t next_count = 0;
-    if (!getU64(in, pos, row.pc) || !getU64(in, pos, row.prevPc) ||
-        !getU64(in, pos, row.taken) || !getU64(in, pos, row.notTaken) ||
-        !getU64(in, pos, next_count))
+    if (!in.u64(row.pc) || !in.u64(row.prevPc) || !in.u64(row.taken) ||
+        !in.u64(row.notTaken) || !in.u64(next_count))
         return "truncated profile row";
-    if (next_count > (in.size() - pos) / 16)
+    if (next_count > in.remaining() / 16)
         return "implausible profile next count";
     row.next.resize(static_cast<std::size_t>(next_count));
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < row.next.size(); ++i) {
         auto &[addr, count] = row.next[i];
-        getU64(in, pos, addr);
-        getU64(in, pos, count);
+        in.u64(addr);
+        in.u64(count);
         if (i != 0 && addr <= row.next[i - 1].first)
             return "profile next pcs out of order";
         if (count == 0 || __builtin_add_overflow(sum, count, &sum))
@@ -205,17 +142,16 @@ findBranchRow(const std::vector<CachedProfileRow> &rows, ir::Addr pc)
  * diagnostic.
  */
 std::string
-decodeProfileSection(std::string_view in, const EntryHeader &header,
+decodeProfileSection(std::string_view section, const EntryHeader &header,
                      const std::vector<CachedLikely> &likely,
                      CachedProfile &out)
 {
-    std::size_t pos = 0;
+    ByteReader in(section);
     std::uint64_t branch_rows = 0;
     std::uint64_t path_rows = 0;
-    if (!getU64(in, pos, branch_rows) || !getU64(in, pos, path_rows) ||
-        !getU64(in, pos, out.lastPc))
+    if (!in.u64(branch_rows) || !in.u64(path_rows) || !in.u64(out.lastPc))
         return "truncated profile section";
-    const std::size_t row_capacity = (in.size() - pos) / kProfileRowBytes;
+    const std::size_t row_capacity = in.remaining() / kProfileRowBytes;
     if (branch_rows > row_capacity ||
         path_rows > row_capacity - branch_rows)
         return "implausible profile row count";
@@ -225,7 +161,7 @@ decodeProfileSection(std::string_view in, const EntryHeader &header,
     bool wrapped = false;
     for (std::size_t i = 0; i < out.branches.size(); ++i) {
         CachedProfileRow &row = out.branches[i];
-        std::string error = readProfileRow(in, pos, row);
+        std::string error = readProfileRow(in, row);
         if (!error.empty())
             return error;
         if (row.prevPc != ir::kNoAddr)
@@ -267,7 +203,7 @@ decodeProfileSection(std::string_view in, const EntryHeader &header,
     std::uint64_t branch_paths = 0; // path executions of `branch`
     for (std::size_t i = 0; i < out.paths.size(); ++i) {
         CachedProfileRow &row = out.paths[i];
-        std::string error = readProfileRow(in, pos, row);
+        std::string error = readProfileRow(in, row);
         if (!error.empty())
             return error;
         if (i != 0 && std::pair(row.pc, row.prevPc) <=
@@ -307,20 +243,60 @@ decodeProfileSection(std::string_view in, const EntryHeader &header,
             : findBranchRow(out.branches, out.lastPc) ==
                   out.branches.size())
         return "profile last pc is not a profiled branch";
-    if (pos != in.size())
+    if (!in.exhausted())
         return "trailing bytes in profile section";
     return "";
 }
 
-bool
-syncFd(const std::string &path)
+/** The store::Writer of @p workload's entry; it sets @p bytes_written
+ *  to the entry's size. */
+store::Writer
+entryWriter(const CachedWorkload &workload, std::uint64_t &bytes_written)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
+    blab_assert(!workload.mapped,
+                "writeEntryFile() expects an owning stream, not a "
+                "mapped hit");
+    return [&workload, &bytes_written](std::ostream &out,
+                                       std::string &error) {
+        const SoaTrace &stream = workload.stream;
+        EntryWriter writer(out);
+        writer.setMeta(workload.contentHash, workload.runs,
+                       workload.stats, stream.size(), stream.maxPc(),
+                       workload.likely.size());
+        std::string likely;
+        likely.reserve(kLikelyRecordBytes * workload.likely.size());
+        for (const CachedLikely &entry : workload.likely) {
+            putU64(likely, entry.pc);
+            putU64(likely, entry.dominantTarget);
+            likely.push_back(entry.likelyTaken ? 1 : 0);
+        }
+        writer.writeSection(EntrySection::Likely, likely.data(),
+                            likely.size());
+        // The stream already holds the entry's stream sections: write
+        // them verbatim.
+        const std::pair<EntrySection, const std::vector<std::uint8_t> *>
+            columns[] = {
+                {EntrySection::Ops, &stream.ops()},
+                {EntrySection::CondPlane, &stream.conditionalPlane()},
+                {EntrySection::TakenPlane, &stream.takenPlane()},
+                {EntrySection::TargetKnownPlane,
+                 &stream.targetKnownPlane()},
+                {EntrySection::AnomalyPlane, &stream.anomalyPlane()},
+                {EntrySection::Deltas, &stream.deltas()},
+                {EntrySection::AnomalyDeltas, &stream.anomalyDeltas()}};
+        for (const auto &[section, column] : columns)
+            writer.writeSection(section, column->data(), column->size());
+        if (workload.profile) {
+            const std::string profile =
+                encodeProfileSection(*workload.profile);
+            writer.writeSection(EntrySection::Profile, profile.data(),
+                                profile.size());
+        }
+        if (!writer.finish(error))
+            return false;
+        bytes_written = writer.bytesWritten();
+        return true;
+    };
 }
 
 } // namespace
@@ -363,7 +339,7 @@ mapEntryFile(const std::string &path,
     // included: an entry only holds what a record pass derives, so
     // the cache re-records instead of reading an older layout. The
     // header checksum is verified next, before any other field.
-    const std::uint32_t version = loadU32Le(data + sizeof(kEntryMagic));
+    const std::uint32_t version = loadU32(data + sizeof(kEntryMagic));
     if (version != kEntryVersion) {
         failure = MapFailure::Foreign;
         error = "format version " + std::to_string(version) +
@@ -459,8 +435,8 @@ mapEntryFile(const std::string &path,
         data + header.section(EntrySection::Likely).offset;
     for (std::uint64_t i = 0; i < header.likelyCount; ++i) {
         CachedLikely entry;
-        entry.pc = loadU64Le(likely);
-        entry.dominantTarget = loadU64Le(likely + 8);
+        entry.pc = loadU64(likely);
+        entry.dominantTarget = loadU64(likely + 8);
         entry.likelyTaken = likely[16] != 0;
         likely_rows.push_back(entry);
         likely += kLikelyRecordBytes;
@@ -516,91 +492,8 @@ bool
 writeEntryFile(const std::string &path, const CachedWorkload &workload,
                std::uint64_t &bytes_written, std::string &error)
 {
-    blab_assert(!workload.mapped,
-                "writeEntryFile() expects an owning stream, not a "
-                "mapped hit");
-    // Unique temp name per in-flight write: the pid separates
-    // processes and the process-wide atomic sequence separates
-    // threads, so two threads writing the same entry concurrently can
-    // never clobber each other's temp file mid-write. The rename into
-    // place is atomic either way (last writer wins with a complete
-    // entry).
-    const std::string tmp =
-        path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) +
-        "-" +
-        std::to_string(
-            g_tmpSequence.fetch_add(1, std::memory_order_relaxed));
-    const SoaTrace &stream = workload.stream;
-    bool written = false;
-    {
-        EntryWriter writer(tmp);
-        if (!writer.ok()) {
-            error = "cannot create '" + tmp + "'";
-            return false;
-        }
-        writer.setMeta(workload.contentHash, workload.runs,
-                       workload.stats, stream.size(), stream.maxPc(),
-                       workload.likely.size());
-        std::string likely_bytes;
-        likely_bytes.reserve(kLikelyRecordBytes *
-                             workload.likely.size());
-        for (const CachedLikely &entry : workload.likely) {
-            putU64(likely_bytes, entry.pc);
-            putU64(likely_bytes, entry.dominantTarget);
-            likely_bytes.push_back(entry.likelyTaken ? 1 : 0);
-        }
-        writer.writeSection(EntrySection::Likely, likely_bytes.data(),
-                            likely_bytes.size());
-        // The stream already holds the entry's stream sections: write
-        // them verbatim.
-        const std::pair<EntrySection, const std::vector<std::uint8_t> *>
-            columns[] = {
-                {EntrySection::Ops, &stream.ops()},
-                {EntrySection::CondPlane, &stream.conditionalPlane()},
-                {EntrySection::TakenPlane, &stream.takenPlane()},
-                {EntrySection::TargetKnownPlane,
-                 &stream.targetKnownPlane()},
-                {EntrySection::AnomalyPlane, &stream.anomalyPlane()},
-                {EntrySection::Deltas, &stream.deltas()},
-                {EntrySection::AnomalyDeltas, &stream.anomalyDeltas()}};
-        for (const auto &[section, column] : columns)
-            writer.writeSection(section, column->data(), column->size());
-        if (workload.profile) {
-            const std::string profile =
-                encodeProfileSection(*workload.profile);
-            writer.writeSection(EntrySection::Profile, profile.data(),
-                                profile.size());
-        }
-        if (writer.finish(error)) {
-            bytes_written = writer.bytesWritten();
-            written = true;
-        }
-    }
-    // Durability before visibility: the entry's bytes reach the disk
-    // before the rename can publish its name, and the directory entry
-    // itself is synced after. A crash leaves either the old entry or
-    // the complete new one.
-    if (written && !syncFd(tmp)) {
-        error = "cannot sync '" + tmp + "'";
-        written = false;
-    }
-    std::error_code ec;
-    if (written) {
-        std::filesystem::rename(tmp, path, ec);
-        if (ec)
-            error = "cannot publish: " + ec.message();
-        written = !ec;
-    }
-    if (!written) {
-        std::filesystem::remove(tmp, ec);
-        cacheTelemetry().tmpEvicted.add(1);
-        return false;
-    }
-    // Best-effort: the entry is already complete under its name.
-    const std::filesystem::path dir =
-        std::filesystem::path(path).parent_path();
-    syncFd(dir.empty() ? "." : dir.string());
-    return true;
+    return store::publish(path, entryWriter(workload, bytes_written),
+                          error);
 }
 
 TraceCacheCounters
@@ -627,33 +520,15 @@ TraceCache::resolveDir(const std::string &configured)
     return "";
 }
 
-std::uint64_t
-TraceCache::resolveMaxBytes(std::uint64_t configured)
-{
-    if (configured != 0)
-        return configured;
-    if (const char *env =
-            std::getenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES")) {
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return parsed;
-        blab_warn("ignoring unparsable "
-                  "BRANCHLAB_TRACE_CACHE_MAX_BYTES='",
-                  env, "'");
-    }
-    return 0;
-}
+TraceCache::TraceCache(std::string dir, std::uint64_t max_bytes)
+    : dir_(std::move(dir), max_bytes, cacheKind())
+{}
 
 std::string
 TraceCache::entryPath(const std::string &name,
                       std::uint64_t content_hash) const
 {
-    const std::string file = entryFileName(name, content_hash);
-    return (std::filesystem::path(dir_) / file.substr(file.size() - 21,
-                                                      2) /
-            file)
-        .string();
+    return dir_.path(name, content_hash, ".bltc");
 }
 
 bool
@@ -692,8 +567,7 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
     out = std::move(loaded);
     cacheTelemetry().bytesMapped.add(out.mapped->file->size());
     // LRU touch: a hit makes the entry recently used.
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now(), ec);
+    dir_.touch(path);
     ++g_hits;
     cacheTelemetry().hits.add(1);
     blab_inform("trace cache hit: ", name, " (", out.eventCount(),
@@ -708,18 +582,9 @@ TraceCache::store(const std::string &name,
     if (!enabled())
         return;
     const std::string path = entryPath(name, workload.contentHash);
-    const std::filesystem::path shard_dir =
-        std::filesystem::path(path).parent_path();
-    std::error_code ec;
-    std::filesystem::create_directories(shard_dir, ec);
-    if (ec) {
-        blab_warn("cannot create trace cache directory '",
-                  shard_dir.string(), "': ", ec.message());
-        return;
-    }
     std::uint64_t entry_size = 0;
     std::string error;
-    if (!writeEntryFile(path, workload, entry_size, error)) {
+    if (!dir_.put(path, entryWriter(workload, entry_size), error)) {
         blab_warn("cannot store trace cache entry '", path, "' (", error,
                   ")");
         return;
@@ -729,71 +594,7 @@ TraceCache::store(const std::string &name,
     cacheTelemetry().bytesWritten.add(entry_size);
     blab_inform("trace cache store: ", name, " (",
                 workload.stream.size(), " events)");
-    enforceByteCap(path);
-}
-
-void
-TraceCache::enforceByteCap(const std::string &just_stored) const
-{
-    if (maxBytes_ == 0)
-        return;
-    struct Row
-    {
-        std::filesystem::path path;
-        std::uint64_t size = 0;
-        std::filesystem::file_time_type mtime;
-    };
-    std::vector<Row> rows;
-    std::uint64_t total = 0;
-    std::error_code ec;
-    const std::filesystem::path stored =
-        std::filesystem::path(just_stored).lexically_normal();
-    for (std::filesystem::recursive_directory_iterator
-             it(dir_,
-                std::filesystem::directory_options::
-                    skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->path().extension() != ".bltc")
-            continue;
-        std::error_code file_ec;
-        if (!it->is_regular_file(file_ec) || file_ec)
-            continue;
-        Row row;
-        row.path = it->path();
-        row.size = it->file_size(file_ec);
-        if (file_ec)
-            continue;
-        row.mtime = it->last_write_time(file_ec);
-        if (file_ec)
-            continue;
-        total += row.size;
-        rows.push_back(std::move(row));
-    }
-    if (total <= maxBytes_)
-        return;
-    std::sort(rows.begin(), rows.end(),
-              [](const Row &a, const Row &b) {
-                  return a.mtime < b.mtime;
-              });
-    for (const Row &row : rows) {
-        if (total <= maxBytes_)
-            break;
-        // Never evict what this store just published -- even a cap
-        // smaller than one entry must leave the newest usable.
-        if (row.path.lexically_normal() == stored)
-            continue;
-        std::error_code remove_ec;
-        if (std::filesystem::remove(row.path, remove_ec) &&
-            !remove_ec) {
-            total -= row.size;
-            cacheTelemetry().evictions.add(1);
-            cacheTelemetry().bytesEvicted.add(row.size);
-            blab_inform("trace cache evicted '", row.path.string(),
-                        "' (", row.size, " bytes)");
-        }
-    }
+    dir_.enforceCap({path});
 }
 
 } // namespace branchlab::trace

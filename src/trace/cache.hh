@@ -4,10 +4,10 @@
  * store it on disk keyed by a content hash of everything that
  * determines it, and skip the VM record pass entirely on later runs.
  *
- * Entries are sharded two hex digits deep
- * (`<dir>/<hh>/<name>-<hash16>.bltc`, where `hh` is the leading byte
- * of the hash) so a large cache never piles thousands of files into
- * one directory. Each file is a BLTC sectioned entry
+ * Entries live at `<dir>/<hh>/<name>-<hash16>.bltc` in a
+ * store::Directory (store/store.hh), which owns the cache's lifecycle:
+ * sharding, the durable publish, the LRU touch, stale-temp reclaim and
+ * the byte cap. Each file is a BLTC sectioned entry
  * (trace/format.hh): the recorded stream's
  * columns plus the profile data derived alongside it (run count, the
  * TraceStats counters, the per-branch likely map used by the
@@ -47,31 +47,23 @@
  * Nothing in the load path can abort a run.
  *
  * Writes are atomic and durable: writeEntryFile() streams the entry
- * through an EntryWriter into a temp file next to its destination,
- * fsyncs it, and renames it into place (followed by a directory
- * fsync), so
- * concurrent runs, crashes, and power loss leave either the old file
- * or the complete new one -- never a torn entry under the published
- * name. Temp names carry a `<pid>-<sequence>` suffix (the sequence is
- * a process-wide atomic counter), so concurrent stores of the same
- * entry -- across threads or processes -- never share a temp file,
- * and every failed write unlinks its temp file.
- *
- * Lifecycle: an optional byte cap (constructor argument,
- * `--trace-cache-max-bytes`, or BRANCHLAB_TRACE_CACHE_MAX_BYTES)
- * bounds the cache directory. After each store the cache evicts
- * least-recently-used entries (by mtime; loads touch their entry)
- * until the total is back under the cap, never evicting the entry
- * just stored. 0 means unbounded.
+ * through an EntryWriter into store::publish(). An optional byte cap
+ * (constructor argument, `--trace-cache-max-bytes`, or
+ * BRANCHLAB_TRACE_CACHE_MAX_BYTES) bounds the directory: after each
+ * store a capped cache reclaims stale temps and evicts
+ * least-recently-used entries (loads touch their entry), never the
+ * entry just stored. 0 means unbounded; an unbounded cache never walks
+ * its directory.
  *
  * Besides the functional TraceCacheCounters below, the cache reports
  * telemetry to obs::Registry::global(): `trace_cache.hits`,
  * `.misses`, `.stores`, `.corrupt_entries` (unreadable, undecodable,
  * or hash-mismatched entries), `.map_failures` (entries that could
  * not be mapped and validated -- the corrupt ones plus foreign
- * refusals), `.bytes_mapped`, `.bytes_written`, `.tmp_evicted` (temp
- * files removed after failed writes/renames), `.evictions`, and
- * `.bytes_evicted`.
+ * refusals), `.bytes_mapped`, `.bytes_written`, and the store
+ * lifecycle's `.tmp_evicted` (temp files removed after failed
+ * stores), `.tmp_reclaimed` (stale temps of killed runs), `.evictions`
+ * and `.bytes_evicted`.
  */
 
 #ifndef BRANCHLAB_TRACE_CACHE_HH
@@ -85,6 +77,7 @@
 #include <utility>
 #include <vector>
 
+#include "store/store.hh"
 #include "trace/event.hh"
 #include "trace/mmap.hh"
 #include "trace/soa.hh"
@@ -280,13 +273,11 @@ bool mapEntryFile(const std::string &path,
 
 /**
  * Write @p workload (its owning `stream`) as a complete entry at
- * @p path, atomically and durably: the entry streams into a
- * `<path>.tmp-<pid>-<sequence>` file in the same directory, which is
- * fsync'd and renamed over @p path, and the directory is then
- * fsync'd. The stream's encoded columns are the entry's sections and
- * are written verbatim. On failure returns false with a diagnostic
- * in @p error, unlinks the temp file, and leaves @p path as it was.
- * On success @p bytes_written is the entry's size.
+ * @p path through store::publish(): atomically and durably, into an
+ * existing directory. The stream's encoded columns are the entry's
+ * sections and are written verbatim. On failure returns false with a
+ * diagnostic in @p error and leaves @p path as it was. On success
+ * @p bytes_written is the entry's size.
  */
 bool writeEntryFile(const std::string &path,
                     const CachedWorkload &workload,
@@ -317,9 +308,12 @@ class TraceCache
 {
   public:
     TraceCache() = default;
-    explicit TraceCache(std::string dir, std::uint64_t max_bytes = 0)
-        : dir_(std::move(dir)), maxBytes_(max_bytes)
-    {}
+    explicit TraceCache(std::string dir, std::uint64_t max_bytes = 0);
+
+    /** The environment variable that caps the cache (see
+     *  store::resolveMaxBytes). */
+    static constexpr const char *kMaxBytesEnv =
+        "BRANCHLAB_TRACE_CACHE_MAX_BYTES";
 
     /**
      * Pick the cache directory: @p configured if non-empty, else the
@@ -327,16 +321,9 @@ class TraceCache
      */
     static std::string resolveDir(const std::string &configured);
 
-    /**
-     * Pick the byte cap: @p configured if non-zero, else the
-     * BRANCHLAB_TRACE_CACHE_MAX_BYTES environment variable, else 0
-     * (unbounded).
-     */
-    static std::uint64_t resolveMaxBytes(std::uint64_t configured);
-
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
-    std::uint64_t maxBytes() const { return maxBytes_; }
+    bool enabled() const { return dir_.enabled(); }
+    const std::string &dir() const { return dir_.root(); }
+    std::uint64_t maxBytes() const { return dir_.maxBytes(); }
 
     /** Path of the entry for @p name under @p content_hash (sharded;
      *  see the file comment). */
@@ -355,19 +342,16 @@ class TraceCache
 
     /**
      * Persist @p workload (its owning `stream`) as the entry for
-     * @p name through writeEntryFile(), creating the shard directory
-     * if needed. Failures warn and leave the cache unchanged. A
-     * successful store then evicts LRU entries until the cache fits
-     * maxBytes().
+     * @p name, written as writeEntryFile() writes it, creating the
+     * shard directory if needed. Failures warn and leave the cache
+     * unchanged. A successful store then evicts LRU entries until the
+     * cache fits maxBytes().
      */
     void store(const std::string &name,
                const CachedWorkload &workload) const;
 
   private:
-    void enforceByteCap(const std::string &just_stored) const;
-
-    std::string dir_;
-    std::uint64_t maxBytes_ = 0;
+    store::Directory dir_;
 };
 
 } // namespace branchlab::trace

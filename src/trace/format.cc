@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/bytes.hh"
 #include "support/logging.hh"
 
 namespace branchlab::trace
@@ -28,38 +29,6 @@ mixWord(std::uint64_t hash, std::uint64_t word)
 {
     hash ^= word;
     return hash * kFnvPrime;
-}
-
-void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return value;
 }
 
 std::string
@@ -118,25 +87,25 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     const std::uint8_t *p = data + sizeof(kEntryMagic) + 4;
     // The section count only locates the checksum; no other field is
     // read until the checksum has matched.
-    out.sectionCount = getU32(p + 20);
+    out.sectionCount = loadU32(p + 20);
     const std::uint64_t checksum_at =
         headerChecksumOffset(out.sectionCount);
     if (checksum_at > size - 8)
         return "section table exceeds file";
     if (checksum64(data, static_cast<std::size_t>(checksum_at)) !=
-        getU64(data + checksum_at))
+        loadU64(data + checksum_at))
         return "header checksum mismatch";
-    out.featureBits = getU64(p);
-    out.contentHash = getU64(p + 8);
-    out.runs = getU32(p + 16);
-    out.stats.instructions = getU64(p + 24);
-    out.stats.branches = getU64(p + 32);
-    out.stats.conditional = getU64(p + 40);
-    out.stats.condTaken = getU64(p + 48);
-    out.stats.uncondKnown = getU64(p + 56);
-    out.eventCount = getU64(p + 64);
-    out.maxPc = getU64(p + 72);
-    out.likelyCount = getU64(p + 80);
+    out.featureBits = loadU64(p);
+    out.contentHash = loadU64(p + 8);
+    out.runs = loadU32(p + 16);
+    out.stats.instructions = loadU64(p + 24);
+    out.stats.branches = loadU64(p + 32);
+    out.stats.conditional = loadU64(p + 40);
+    out.stats.condTaken = loadU64(p + 48);
+    out.stats.uncondKnown = loadU64(p + 56);
+    out.eventCount = loadU64(p + 64);
+    out.maxPc = loadU64(p + 72);
+    out.likelyCount = loadU64(p + 80);
     if (out.sectionCount < kEntrySectionCount)
         return "too few sections (" +
                std::to_string(out.sectionCount) + ")";
@@ -144,17 +113,11 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     const std::size_t known =
         std::min<std::size_t>(out.sectionCount, kKnownSectionCount);
     for (std::size_t s = 0; s < known; ++s, row += kSectionRecordBytes) {
-        out.sections[s].offset = getU64(row);
-        out.sections[s].length = getU64(row + 8);
-        out.sections[s].checksum = getU64(row + 16);
+        out.sections[s].offset = loadU64(row);
+        out.sections[s].length = loadU64(row + 8);
+        out.sections[s].checksum = loadU64(row + 16);
     }
     return "";
-}
-
-EntryWriter::EntryWriter(const std::string &path)
-{
-    file_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                         std::ios::trunc);
 }
 
 void

@@ -92,7 +92,7 @@
 
 #include <array>
 #include <cstdint>
-#include <fstream>
+#include <ostream>
 #include <string>
 
 #include "ir/types.hh"
@@ -218,17 +218,19 @@ std::string decodeEntryHeader(const std::uint8_t *data,
 /**
  * Streaming entry writer: sections are written in order, in
  * chunks of any size, and the header (with offsets, lengths, and
- * checksums accumulated along the way) is patched in by finish().
- * Nothing is buffered beyond the current chunk, so a generator can
- * emit entries far larger than memory (bench/stream_smoke.cc).
+ * checksums accumulated along the way) is patched in by finish(),
+ * which seeks the stream back to its start. Nothing is buffered beyond
+ * the current chunk, so a generator can emit entries far larger than
+ * memory (bench/stream_smoke.cc).
  *
- * The writer does NOT fsync or rename; atomic-publish discipline
- * stays with the caller (trace/cache.cc).
+ * The writer does NOT fsync or rename; the cache and `branchlab
+ * record` hand it store::publish()'s temp file (trace/cache.cc).
  */
 class EntryWriter
 {
   public:
-    explicit EntryWriter(const std::string &path);
+    /** Write into @p out, a seekable stream positioned at its start. */
+    explicit EntryWriter(std::ostream &out) : file_(out) {}
 
     /** False after any stream failure; finish() reports it too. */
     bool ok() const { return static_cast<bool>(file_); }
@@ -288,7 +290,7 @@ class EntryWriter
   private:
     void pad(std::uint64_t target_offset);
 
-    std::fstream file_;
+    std::ostream &file_;
     EntryHeader header_;
     std::uint64_t offset_ = 0;
     std::uint64_t bytesWritten_ = 0;

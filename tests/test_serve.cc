@@ -285,6 +285,23 @@ TEST(ServeDaemon, TcpListenResolvesEphemeralPortAndServes)
     EXPECT_EQ(pong.requestId, 7u);
 }
 
+TEST(ServeDaemon, TcpPortsOtherThanZeroTo65535AreFatal)
+{
+    // Once parsed with atoi: "8080x" meant 8080, "abc" an ephemeral
+    // port, and a client connected to 99999 reached port 34463.
+    for (const char *port : {"8080x", "abc", "99999", "65536", "-1",
+                             "+80", " 80", ""}) {
+        const std::string address = std::string("tcp:127.0.0.1:") + port;
+        SCOPED_TRACE(address);
+        EXPECT_THROW(Client client(address), ConfigFailure);
+        DaemonConfig config;
+        config.listen = address;
+        config.jobs = 1;
+        Daemon daemon(config);
+        EXPECT_THROW(daemon.start(), ConfigFailure);
+    }
+}
+
 TEST(ServeDaemon, MalformedFrameGetsErrorResponseAndCloses)
 {
     TestDaemon daemon("malformed");

@@ -671,9 +671,17 @@ TEST(Jobs, ResolutionPrefersExplicitThenEnvThenHardware)
     EXPECT_EQ(resolveJobs(0), 5u);
     EXPECT_EQ(resolveJobs(2), 2u); // explicit still wins
 
-    ASSERT_EQ(setenv("BRANCHLAB_JOBS", "zero", 1), 0);
-    EXPECT_EQ(envJobs(), 0u);
-    EXPECT_EQ(resolveJobs(0), hardwareJobs());
+    // Anything but a plain decimal from 1 to UINT_MAX is ignored: at
+    // one time 99999999999 wrapped to 1215752191 worker threads.
+    for (const char *bad : {"zero", "0", "-1", "+4", " 4", "4 ",
+                            "99999999999", "4294967296"}) {
+        SCOPED_TRACE(bad);
+        ASSERT_EQ(setenv("BRANCHLAB_JOBS", bad, 1), 0);
+        EXPECT_EQ(envJobs(), 0u);
+        EXPECT_EQ(resolveJobs(0), hardwareJobs());
+    }
+    ASSERT_EQ(setenv("BRANCHLAB_JOBS", "4294967295", 1), 0);
+    EXPECT_EQ(envJobs(), 4294967295u);
     ASSERT_EQ(unsetenv("BRANCHLAB_JOBS"), 0);
     EXPECT_GE(hardwareJobs(), 1u);
 }

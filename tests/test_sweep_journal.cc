@@ -5,9 +5,10 @@
  * damage (Corrupt: warn + counter, keep the verified prefix),
  * foreign versions/feature bits (quiet refusal), stale files of the
  * retired v1 format (never read, drained by the byte cap), byte-cap
- * LRU eviction, stale-temp reclamation, env resolution, thread
- * safety, and a cold-vs-mapped resume bit-identity differential over
- * a >= 100-point grid.
+ * LRU eviction, thread safety, and a cold-vs-mapped resume
+ * bit-identity differential over a >= 100-point grid. Stale-temp
+ * reclaim, the byte-cap environment variable and failed seals are
+ * tested with the shared store lifecycle, in test_store.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -382,55 +382,6 @@ TEST(SweepJournalEviction, ByteCapEvictsLeastRecentlyUsedFirst)
     EXPECT_FALSE(journal.load(2, cells));
     EXPECT_TRUE(journal.load(3, cells));
     EXPECT_TRUE(journal.load(4, cells));
-}
-
-TEST(SweepJournalEviction, ResolveMaxBytesPrefersConfigThenEnv)
-{
-    unsetenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES");
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(123), 123u);
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(0), 0u);
-
-    setenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES", "4096", 1);
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(0), 4096u);
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(123), 123u);
-
-    setenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES", "not-a-number", 1);
-    resetWarningCount();
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(0), 0u);
-    EXPECT_GE(warningCount(), 1u);
-    unsetenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES");
-}
-
-TEST(SweepJournalTemps, StaleTempsAreReclaimedFreshOnesKept)
-{
-    const std::string dir = makeDir("temps");
-    std::filesystem::create_directories(dir);
-    const std::string stale =
-        dir + "/seg-dead.blsg.tmp-99999-0";
-    const std::string fresh =
-        dir + "/seg-beef.blsg.tmp-99999-1";
-    {
-        std::ofstream(stale) << "torn";
-        std::ofstream(fresh) << "in-flight";
-    }
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        stale,
-        std::filesystem::file_time_type::clock::now() -
-            std::chrono::hours(1),
-        ec);
-    ASSERT_FALSE(ec);
-
-    const std::uint64_t reclaimed_before =
-        counterValue("sweep.journal.tmp_reclaimed");
-    SweepJournal journal(dir);
-    journal.open();
-    EXPECT_EQ(counterValue("sweep.journal.tmp_reclaimed"),
-              reclaimed_before + 1);
-    // The orphan of a killed run is gone; a temp young enough to
-    // belong to a live concurrent writer survives.
-    EXPECT_FALSE(std::filesystem::exists(stale, ec));
-    EXPECT_TRUE(std::filesystem::exists(fresh, ec));
 }
 
 TEST(SweepJournalConcurrency, ParallelStoresAllPersist)

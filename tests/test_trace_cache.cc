@@ -636,18 +636,19 @@ TEST(TraceCache, ByteCapEvictsLeastRecentlyUsedEntries)
             total += entry.file_size();
     }
     EXPECT_LE(total, cache.maxBytes());
-    std::filesystem::remove_all(dir);
-}
 
-TEST(TraceCache, ResolveMaxBytesPrefersConfigThenEnvironment)
-{
-    unsetenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES");
-    EXPECT_EQ(TraceCache::resolveMaxBytes(123), 123u);
-    EXPECT_EQ(TraceCache::resolveMaxBytes(0), 0u);
-    setenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES", "4096", 1);
-    EXPECT_EQ(TraceCache::resolveMaxBytes(0), 4096u);
-    EXPECT_EQ(TraceCache::resolveMaxBytes(123), 123u);
-    unsetenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES");
+    // A cap smaller than one entry evicts everything else but never
+    // the entry just stored.
+    TraceCache(dir, 1).store("dd", workload);
+    const std::string path_d = cache.entryPath("dd", workload.contentHash);
+    std::vector<std::string> left;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (entry.is_regular_file())
+            left.push_back(entry.path().string());
+    }
+    EXPECT_EQ(left, std::vector<std::string>{path_d});
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceCache, MismatchedContentHashIsNeverServed)
