@@ -31,14 +31,15 @@ namespace
 constexpr std::size_t kRecorderReserveEvents = 1u << 20;
 
 /** Execute every input of a suite, feeding one sink. The program is
- *  predecoded once and shared by every per-input machine. */
-void
+ *  predecoded once and shared by every per-input machine. @return
+ *  the instructions executed. */
+std::uint64_t
 runSuite(const ir::Program &program, const ir::Layout &layout,
          const std::vector<workloads::WorkloadInput> &inputs,
-         trace::TraceSink &sink, trace::TraceStats &stats,
-         std::uint64_t max_instructions)
+         trace::TraceSink &sink, std::uint64_t max_instructions)
 {
     const vm::PredecodedProgram code(program, layout);
+    std::uint64_t instructions = 0;
     for (const workloads::WorkloadInput &input : inputs) {
         vm::Machine machine(code);
         for (std::size_t chan = 0; chan < input.channels.size(); ++chan) {
@@ -54,8 +55,9 @@ runSuite(const ir::Program &program, const ir::Layout &layout,
                        "' exceeded the instruction limit on input '",
                        input.description, "'");
         }
-        stats.addInstructions(result.instructions);
+        instructions += result.instructions;
     }
+    return instructions;
 }
 
 unsigned
@@ -320,6 +322,9 @@ recordWorkload(const workloads::Workload &workload,
         }
     }
 
+    // The VM hands each block of branches to the two block
+    // consumers, the encoder and the profile; Table 1/2's counters
+    // are then read off the finished profile.
     trace::SoaRecorder recorder(kRecorderReserveEvents);
     recorded.profile = std::make_unique<profile::ProgramProfile>(
         *recorded.program, *recorded.layout);
@@ -328,12 +333,14 @@ recordWorkload(const workloads::Workload &workload,
     trace::FanoutSink fanout;
     fanout.addSink(&recorder);
     fanout.addSink(recorded.profile.get());
-    fanout.addSink(&recorded.stats);
-    runSuite(*recorded.program, *recorded.layout, inputs, fanout,
-             recorded.stats, config.maxInstructionsPerRun);
+    const std::uint64_t instructions =
+        runSuite(*recorded.program, *recorded.layout, inputs, fanout,
+                 config.maxInstructionsPerRun);
 
     recorded.stream = recorder.take();
     recorded.likelyMap = recorded.profile->buildLikelyMap();
+    recorded.stats = trace::TraceStats::fromCounters(
+        recorded.profile->traceCounters(instructions));
 
     if (cache.enabled()) {
         // The recorded columns are the entry's sections: lend them to

@@ -64,6 +64,9 @@ struct RecordedWorkload
     trace::SoaTrace stream;
     /** The zero-copy mapped cache entry (warm hits), else null. */
     std::shared_ptr<const trace::MappedEntry> mapped;
+    /** Table 1/2's counters: derived from the record pass's profile
+     *  (ProgramProfile::traceCounters), or the entry header's on a
+     *  cache hit. */
     trace::TraceStats stats;
     /** The Forward Semantic's compiled-in predictions, profiled over
      *  exactly these events. */

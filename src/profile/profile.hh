@@ -7,14 +7,25 @@
  * section 2.2); we observe terminators instead of inserting probes,
  * which yields identical counts.
  *
- * The profile runs on every recorded event, so its tallies live in
- * dense tables: a pc-indexed slot table sized by the program's layout
- * (four bytes per code address) points each executed branch at its
- * counts and its list of path contexts, sorted by the preceding
- * event's pc. Next-PC distributions are short ascending (address,
- * count) vectors. No event does a hash or tree lookup, and every pc
- * is bounds-checked against the layout's code end before it indexes
- * a table.
+ * The profile runs on every recorded event, so it folds a block at a
+ * time (onBlock(): the VM's blocks on a cold record, a view's blocks
+ * in foldProfile(); onBranch() is a one-event block through the same
+ * loop) into dense tables. A pc-indexed slot table sized by the
+ * program's layout (four bytes per code address) gives each executed
+ * branch a dense ordinal, and every pc is bounds-checked against the
+ * layout's code end before it indexes a table. A (prev, pc) path
+ * context is found by its ordinal pair: first in the previous
+ * branch's successor of the same taken bit, else in an open-addressed
+ * index. Both grow with the pairs that executed, never with the
+ * square of the branches. Each tally keeps one cell per side of the
+ * taken bit holding that side's first next pc, so a branch whose
+ * next pc the taken bit fixes -- conditionals, jumps, direct calls --
+ * keeps no next-pc list; only executions that continue elsewhere
+ * (Ret, JTab, CallInd, anomalies) go to a short ascending list.
+ *
+ * Table 1/2's counters are per-pc sums of these tallies, so the
+ * record pass derives them (traceCounters()) instead of counting
+ * each event a second time.
  */
 
 #ifndef BRANCHLAB_PROFILE_PROFILE_HH
@@ -34,26 +45,71 @@
 namespace branchlab::profile
 {
 
-/** Dynamic counts for one static branch instruction. */
-struct BranchCounts
+/**
+ * Dynamic counts for one static branch instruction, or for one path
+ * context of it. `taken` and `notTaken` are read-only outside add()
+ * and the constructor; the next-pc distribution is kept as each
+ * side's first next pc plus a list of the executions that continued
+ * elsewhere (see the file comment), and read through nextCounts(),
+ * nextCount() and dominantTarget().
+ */
+class BranchCounts
 {
+  public:
+    using NextCounts = std::vector<std::pair<ir::Addr, std::uint64_t>>;
+
     std::uint64_t taken = 0;
     std::uint64_t notTaken = 0;
-    /** Dynamic next-PC distribution (targets of taken executions and,
-     *  for conditionals, the fallthrough address of not-taken ones):
-     *  ascending addresses, every count nonzero. */
-    std::vector<std::pair<ir::Addr, std::uint64_t>> nextCounts;
+
+    BranchCounts() = default;
+
+    /** Counts with next-PC distribution @p next (ascending addresses,
+     *  every count nonzero, summing to taken + notTaken). */
+    BranchCounts(std::uint64_t taken_count, std::uint64_t not_taken_count,
+                 NextCounts next);
 
     std::uint64_t executions() const { return taken + notTaken; }
     bool majorityTaken() const { return taken > notTaken; }
-    /** Most frequent dynamic target (kNoAddr when never executed). */
+    /** Most frequent dynamic target, the lowest address on a tie
+     *  (kNoAddr when never executed). */
     ir::Addr dominantTarget() const;
     /** Executions that continued at @p next (0 when none did). */
     std::uint64_t nextCount(ir::Addr next) const;
-    /** Tally one execution that continued at @p next. */
-    void add(bool taken_branch, ir::Addr next);
+    /** Dynamic next-PC distribution (targets of taken executions and,
+     *  for conditionals, the fallthrough address of not-taken ones):
+     *  ascending addresses, every count nonzero. */
+    NextCounts nextCounts() const;
 
-    bool operator==(const BranchCounts &) const = default;
+    /** Tally one execution that continued at @p next: the one tally
+     *  routine of every branch and path cell. */
+    void
+    add(bool taken_branch, ir::Addr next)
+    {
+        std::uint64_t &side = taken_branch ? taken : notTaken;
+        if (side++ == 0)
+            first_[taken_branch] = next;
+        else if (next != first_[taken_branch])
+            addElsewhere(taken_branch, next);
+    }
+
+    /** Equal tallies: the same counts and next-PC distribution. */
+    bool operator==(const BranchCounts &other) const;
+
+  private:
+    void addElsewhere(bool taken_branch, ir::Addr next);
+
+    /** Visit the distribution as (addr, count), ascending. */
+    template <typename Visit> void forEachNext(Visit &&visit) const;
+
+    /** Per side (index: the taken bit), the next pc of its first
+     *  execution; every execution of the side that did not continue
+     *  elsewhere continued there. */
+    ir::Addr first_[2] = {ir::kNoAddr, ir::kNoAddr};
+    /** Per side, the executions that continued elsewhere. */
+    std::uint64_t elsewhere_[2] = {0, 0};
+    /** Where those executions continued: ascending, counts nonzero;
+     *  an address may also be a side's first next pc. */
+    NextCounts others_;
 };
 
 /** One executed branch: its tallies, and its instruction's static
@@ -87,15 +143,21 @@ class ProgramProfile : public trace::TraceSink
      * Restore a profile from exportRows() output (the trace cache's
      * profile section) over @p runs noted runs. The result answers
      * every query exactly as the exported profile did, and further
-     * onBranch() calls continue its fold identically. Rows must be in
-     * exportRows() order; a row whose pc lies past the layout's code
-     * end is fatal (core::recordWorkload refuses such entries first).
+     * onBlock() calls continue its fold identically. Rows must be in
+     * exportRows() order, and every path context and the last pc must
+     * be a profiled branch, as the entry validator requires; a row
+     * whose pc lies past the layout's code end is fatal
+     * (core::recordWorkload refuses such entries first).
      */
     ProgramProfile(const ir::Program &program, const ir::Layout &layout,
                    std::uint64_t runs, const trace::CachedProfile &rows);
 
-    /** Tally one event. A pc past the layout's code end is fatal:
-     *  such a stream did not come from this program. */
+    /** Tally one block of events in order: the one fold. A pc past
+     *  the layout's code end is fatal, before any of the block is
+     *  tallied: such a stream did not come from this program. */
+    void onBlock(const trace::TraceBlock &block) override;
+
+    /** Tally one event (a one-event block). */
     void onBranch(const trace::BranchEvent &event) override;
 
     /** Record that a run started (weights the entry block). Also
@@ -105,7 +167,7 @@ class ProgramProfile : public trace::TraceSink
     noteRun()
     {
         ++runs_;
-        prevPc_ = ir::kNoAddr;
+        prevSlot_ = 0;
     }
 
     std::uint64_t runs() const { return runs_; }
@@ -165,20 +227,49 @@ class ProgramProfile : public trace::TraceSink
      *  constructor rebuilds this profile from them exactly). */
     trace::CachedProfile exportRows() const;
 
+    /**
+     * Table 1/2's counters of the folded stream, summed over
+     * branchSites() with @p instructions as the executed-instruction
+     * total: every execution is a branch, conditional sites split
+     * taken from not taken, and an unconditional site counts as known
+     * when ir::hasKnownTarget() holds for its opcode -- the
+     * classification the VM gives each event. Exact for every stream
+     * the VM emits for this program; a tallied pc that holds no
+     * branch is fatal.
+     */
+    trace::TraceCounters traceCounters(std::uint64_t instructions) const;
+
     const ir::Program &program() const { return prog_; }
     const ir::Layout &layout() const { return layout_; }
 
   private:
-    /** One context of a branch: the preceding event's pc and the
-     *  branch's tallies under it. */
-    using PathRow = std::pair<ir::Addr, BranchCounts>;
-
-    /** Everything tallied for one executed branch. */
+    /** One executed branch, by ordinal. */
     struct Branch
     {
+        ir::Addr pc = ir::kNoAddr;
         BranchCounts counts;
-        /** The branch's contexts, ascending by prevPc. */
-        std::vector<PathRow> paths;
+        /** Per side of the taken bit, the pair this branch last led
+         *  into: the next event's slot and the pair's index in paths_.
+         *  A branch whose next pc the taken bit fixes always leads to
+         *  the same branch, so the fold finds almost every pair here
+         *  without probing the index. */
+        std::uint32_t succSlot[2] = {0, 0};
+        std::uint32_t succPath[2] = {0, 0};
+    };
+
+    /** One executed (prev, pc) pair, as slots (1 + ordinal). */
+    struct Path
+    {
+        std::uint32_t slot = 0;
+        std::uint32_t prevSlot = 0;
+        BranchCounts counts;
+    };
+
+    /** One entry of the open-addressed path index: key 0 is empty. */
+    struct PathIndexEntry
+    {
+        std::uint64_t key = 0;
+        std::uint32_t path = 0;
     };
 
     /** Address of a block's terminator instruction. */
@@ -188,27 +279,48 @@ class ProgramProfile : public trace::TraceSink
      *  executed, or lies outside the code). */
     const Branch *find(ir::Addr pc) const;
 
-    /** The tallies of the branch at @p pc, created on first use; a pc
+    /** The slot of the branch at @p pc, created on first use; a pc
      *  past the code end is fatal. */
-    Branch &at(ir::Addr pc);
+    std::uint32_t slotFor(ir::Addr pc);
+
+    [[noreturn]] void pastCodeEnd(ir::Addr pc) const;
+    /** Give the branch at @p pc (inside the code) the next slot. */
+    std::uint32_t addBranch(ir::Addr pc);
+
+    /** The index of @p key's path entry, or of the empty entry where
+     *  it would go. */
+    std::size_t probe(std::uint64_t key) const;
+
+    /** The index in paths_ of the pair (@p prev_slot, @p slot),
+     *  created on first use. */
+    std::uint32_t pathOf(std::uint32_t prev_slot, std::uint32_t slot);
 
     const ir::Program &prog_;
     const ir::Layout &layout_;
     /** Indexed by pc, sized to the layout's code end: 0 for a branch
-     *  that never executed, else 1 + its index in branches_. */
+     *  that never executed, else its slot, 1 + its ordinal. */
     std::vector<std::uint32_t> slotOf_;
-    /** Executed branches, in first-execution order. */
+    /** Executed branches, by ordinal (first-execution order). */
     std::vector<Branch> branches_;
-    ir::Addr prevPc_ = ir::kNoAddr;
+    /** Executed pairs, in first-execution order. */
+    std::vector<Path> paths_;
+    /** paths_ by (prevSlot << 32 | slot): a power-of-two table at
+     *  most half full, so memory grows with the pairs that executed. */
+    std::vector<PathIndexEntry> pathIndex_;
+    /** The preceding event's slot; 0 before a stream's first event. */
+    std::uint32_t prevSlot_ = 0;
+    /** The preceding event's taken bit (which successor to try). */
+    bool prevTaken_ = false;
     std::uint64_t runs_ = 0;
     BranchCounts zero_;
 };
 
 /**
  * Fold a recorded stream into the profile its record pass collected
- * online: @p runs noteRun() calls, then every event in order. A pure
- * fold, so the result equals the online profile exactly; the fallback
- * for trace-cache entries without a profile section.
+ * online: @p runs noteRun() calls, then every view block in order
+ * through onBlock(), the record pass's own fold. A pure fold, so the
+ * result equals the online profile exactly; the fallback for
+ * trace-cache entries without a profile section.
  */
 ProgramProfile foldProfile(const ir::Program &program,
                            const ir::Layout &layout, std::uint64_t runs,

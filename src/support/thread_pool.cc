@@ -1,8 +1,8 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -88,8 +88,7 @@ envJobs()
     const char *raw = std::getenv("BRANCHLAB_JOBS");
     if (raw == nullptr || *raw == '\0')
         return 0;
-    const std::optional<std::uint64_t> value =
-        parseDecimal(raw, std::numeric_limits<unsigned>::max());
+    const std::optional<std::uint64_t> value = parseDecimal(raw, kMaxJobs);
     if (!value || *value == 0) {
         // Warn-once latch. Pools are constructed from multiple threads
         // (nested parallelFor, concurrent tests), so a plain bool here
@@ -97,7 +96,8 @@ envJobs()
         // warner with no torn reads.
         static std::atomic<bool> warned{false};
         if (!warned.exchange(true, std::memory_order_relaxed))
-            blab_warn("ignoring unparsable BRANCHLAB_JOBS='", raw, "'");
+            blab_warn("ignoring BRANCHLAB_JOBS='", raw,
+                      "': not a job count from 1 to ", kMaxJobs);
         return 0;
     }
     return static_cast<unsigned>(*value);
@@ -107,9 +107,15 @@ unsigned
 resolveJobs(unsigned requested)
 {
     if (requested > 0)
-        return requested;
+        return std::min(requested, kMaxJobs);
     const unsigned env = envJobs();
     return env > 0 ? env : hardwareJobs();
+}
+
+unsigned
+parseJobsOption(std::string_view flag, std::string_view text)
+{
+    return static_cast<unsigned>(parseOptionNumber(flag, text, kMaxJobs));
 }
 
 ThreadPool::ThreadPool(unsigned workers, std::string_view name)

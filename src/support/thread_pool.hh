@@ -10,7 +10,7 @@
  *
  * Job-count resolution (resolveJobs): an explicit request wins, then
  * the BRANCHLAB_JOBS environment variable, then the hardware
- * concurrency.
+ * concurrency. No pool is sized past kMaxJobs, whichever source asks.
  *
  * Error semantics are fail-fast: the first exception a job throws is
  * captured, every job still queued at that point is drained and
@@ -47,19 +47,31 @@ namespace branchlab
 /** A pool's named telemetry family (defined in the .cc). */
 struct PoolMetricsFamily;
 
+/** The most worker threads a job count may ask for: BRANCHLAB_JOBS
+ *  past it is ignored, --jobs and --serve-jobs past it are fatal, and
+ *  resolveJobs() clamps explicit requests to it. */
+inline constexpr unsigned kMaxJobs = 1024;
+
 /** max(1, std::thread::hardware_concurrency()). */
 unsigned hardwareJobs();
 
-/** BRANCHLAB_JOBS parsed as a positive integer, or 0 when unset or
- *  unparsable (a bad value warns once per process; the once-latch is
- *  atomic, so concurrent pool construction is race-free). */
+/** BRANCHLAB_JOBS parsed as an integer from 1 to kMaxJobs, or 0 when
+ *  unset, unparsable or out of range (a bad value warns once per
+ *  process; the once-latch is atomic, so concurrent pool construction
+ *  is race-free). */
 unsigned envJobs();
 
 /**
- * Resolve an effective job count: @p requested when > 0, else
- * BRANCHLAB_JOBS when set, else the hardware concurrency.
+ * Resolve an effective job count: @p requested (at most kMaxJobs)
+ * when > 0, else BRANCHLAB_JOBS when set, else the hardware
+ * concurrency.
  */
 unsigned resolveJobs(unsigned requested);
+
+/** The value @p text of job-count option @p flag (--jobs,
+ *  --serve-jobs): parseOptionNumber() bounded by kMaxJobs, so a
+ *  larger count is a fatal diagnostic at parse time. */
+unsigned parseJobsOption(std::string_view flag, std::string_view text);
 
 /**
  * A fixed set of workers draining a FIFO queue of jobs. Exceptions

@@ -40,7 +40,7 @@
  *
  * Sections 1-7 are byte for byte the columns a trace::SoaTrace holds
  * in memory (trace/soa.hh): there is one encoded form of a stream,
- * owned or mapped. A cold record builds it event by event, the cache
+ * owned or mapped. A cold record builds it block by block, the cache
  * writes it verbatim, and a warm hit maps it back.
  *
  * Section alignment means a mapped reader hands the ops bytes and the

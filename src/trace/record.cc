@@ -51,6 +51,13 @@ FanoutSink::onInstruction(const InstEvent &event)
 }
 
 void
+FanoutSink::onBlock(const TraceBlock &block)
+{
+    for (TraceSink *sink : sinks_)
+        sink->onBlock(block);
+}
+
+void
 FanoutSink::onBranch(const BranchEvent &event)
 {
     for (TraceSink *sink : sinks_)

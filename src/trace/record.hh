@@ -67,7 +67,9 @@ class InstRecorder : public TraceSink
     std::vector<ir::Addr> addrs_;
 };
 
-/** Forwards events to several sinks in order. Does not own them. */
+/** Forwards events to several sinks in order. Does not own them.
+ *  A block goes to each sink whole, one sink after the other, so the
+ *  sinks must not read one another's state. */
 class FanoutSink : public TraceSink
 {
   public:
@@ -75,6 +77,7 @@ class FanoutSink : public TraceSink
 
     bool wantsInstructions() const override;
     void onInstruction(const InstEvent &event) override;
+    void onBlock(const TraceBlock &block) override;
     void onBranch(const BranchEvent &event) override;
 
   private:

@@ -7,9 +7,13 @@
  * owns its seven columns -- the opcode bytes, four LSB-first
  * bit-planes (conditional, taken, target-known, anomalous next), the
  * interleaved zig-zag delta column and the anomalous-next delta
- * column -- and append() is the only v2 encoder. A cold record
- * therefore builds, event by event, the very bytes a warm cache hit
- * maps: TraceCache::store writes the columns verbatim as the entry's
+ * column -- and appendBlock() is the only v2 encoder: it takes the
+ * TraceBlock the VM hands SoaRecorder (or a view's cursor yields),
+ * copies the opcodes and planes a block at a time, and writes the
+ * block's varints into a stack buffer it appends once. append() is a
+ * one-event block through the same code. A cold record therefore
+ * builds, block by block, the very bytes a warm cache hit maps:
+ * TraceCache::store writes the columns verbatim as the entry's
  * sections, and TraceView::of() hands replay the same decoding view
  * a mapped entry gives (trace/view.hh), so cold and warm replay walk
  * one form.
@@ -48,7 +52,11 @@ class SoaTrace
      *  case that dominates real traces). */
     void reserve(std::size_t n);
 
-    /** Append one event: the v2 encoder (the recording path). */
+    /** Append one block of events: the v2 encoder (the recording
+     *  path). Blocks may start at any event index. */
+    void appendBlock(const TraceBlock &block);
+
+    /** Append one event (a one-event block). */
     void append(const BranchEvent &event);
 
     /** Largest branch pc in the stream (0 when empty). The replay
@@ -103,8 +111,9 @@ class SoaTrace
     ir::Addr maxPc_ = 0;
 };
 
-/** Records every branch event straight into the encoded columns --
- *  the replay engine's recorder (no intermediate event vector). */
+/** Records every block of branch events straight into the encoded
+ *  columns -- the replay engine's recorder (no intermediate event
+ *  vector). */
 class SoaRecorder : public TraceSink
 {
   public:
@@ -113,6 +122,11 @@ class SoaRecorder : public TraceSink
     explicit SoaRecorder(std::size_t reserve_hint)
     {
         trace_.reserve(reserve_hint);
+    }
+
+    void onBlock(const TraceBlock &block) override
+    {
+        trace_.appendBlock(block);
     }
 
     void onBranch(const BranchEvent &event) override

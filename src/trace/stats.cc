@@ -1,19 +1,32 @@
 #include "trace/stats.hh"
 
+#include <bit>
+
 namespace branchlab::trace
 {
 
 void
+TraceStats::onBlock(const TraceBlock &block)
+{
+    branches_ += block.count;
+    const std::size_t bytes = (block.count + 7) / 8;
+    for (std::size_t byte = 0; byte < bytes; ++byte) {
+        const unsigned live = byte + 1 == bytes && (block.count & 7) != 0
+                                  ? (1u << (block.count & 7)) - 1
+                                  : 0xffu;
+        const unsigned cond = block.condPlane[byte] & live;
+        conditional_ += std::popcount(cond);
+        condTaken_ += std::popcount(cond & block.takenPlane[byte]);
+        uncondKnown_ +=
+            std::popcount(~cond & live & block.targetKnownPlane[byte]);
+    }
+}
+
+void
 TraceStats::onBranch(const BranchEvent &event)
 {
-    ++branches_;
-    if (event.conditional) {
-        ++conditional_;
-        if (event.taken)
-            ++condTaken_;
-    } else if (event.targetKnown) {
-        ++uncondKnown_;
-    }
+    const BlockBuffer<1> one(event);
+    onBlock(one.block());
 }
 
 void

@@ -35,13 +35,16 @@ struct TraceCounters
 };
 
 /**
- * Accumulates branch statistics over one or many runs. Instruction
- * totals are fed from the machine's run result (cheaper than
- * instruction-level tracing) via addInstructions().
+ * Accumulates branch statistics over one or many runs, a block at a
+ * time from the bit-planes. Instruction totals are fed from the
+ * machine's run result (cheaper than instruction-level tracing) via
+ * addInstructions(). The record pass derives the same counters from
+ * its profile instead (ProgramProfile::traceCounters).
  */
 class TraceStats : public TraceSink
 {
   public:
+    void onBlock(const TraceBlock &block) override;
     void onBranch(const BranchEvent &event) override;
 
     /** Add a run's total executed instruction count. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Zig-zag LEB128 varint primitives shared by the v2 encoder
- * (SoaTrace::append, trace/soa.cc), the decoding view cursor
+ * (SoaTrace::appendBlock, trace/soa.cc), the decoding view cursor
  * (trace/view.cc), and the out-of-core synthetic-trace generator
  * (bench/stream_smoke.cc).
  *
@@ -15,6 +15,7 @@
 #ifndef BRANCHLAB_TRACE_VARINT_HH
 #define BRANCHLAB_TRACE_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -36,18 +37,32 @@ unzigzag(std::uint64_t z)
     return (z >> 1) ^ (~(z & 1) + 1);
 }
 
-/** LEB128: 7 payload bits per byte, high bit = continuation. Appends
- *  to any byte container (std::string, std::vector<std::uint8_t>). */
+/** Longest LEB128 encoding of a 64-bit value. */
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/** LEB128: 7 payload bits per byte, high bit = continuation. Writes
+ *  at @p out, which has room for kMaxVarintBytes; @return one past
+ *  the last byte written. The one varint writer. */
+inline std::uint8_t *
+writeVarint(std::uint8_t *out, std::uint64_t value)
+{
+    while (value >= 0x80) {
+        *out++ = static_cast<std::uint8_t>((value & 0x7f) | 0x80);
+        value >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(value);
+    return out;
+}
+
+/** writeVarint() appended to any byte container (std::string,
+ *  std::vector<std::uint8_t>). */
 template <typename Bytes>
 inline void
 putVarint(Bytes &out, std::uint64_t value)
 {
-    using Byte = typename Bytes::value_type;
-    while (value >= 0x80) {
-        out.push_back(static_cast<Byte>((value & 0x7f) | 0x80));
-        value >>= 7;
-    }
-    out.push_back(static_cast<Byte>(value));
+    std::uint8_t bytes[kMaxVarintBytes];
+    std::uint8_t *end = writeVarint(bytes, value);
+    out.insert(out.end(), bytes, end);
 }
 
 /**

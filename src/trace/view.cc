@@ -67,7 +67,7 @@ TraceView::Cursor::decode(TraceBlock &block, std::size_t count)
         if (!deltas.get(zpc) || !deltas.get(ztarget) ||
             !deltas.get(zfall)) {
             // Mapped sections were checksum-validated at map time and
-            // owned ones were encoded by append(), so a short column
+            // owned ones were encoded by appendBlock(), so a short column
             // here is an internal inconsistency (writer bug), not
             // media corruption to soft-fail on.
             blab_fatal("trace view: delta column ended at event ",
@@ -153,8 +153,7 @@ materializeView(const TraceView &view)
     TraceView::Cursor cursor = view.cursor();
     TraceBlock block;
     while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            out.append(block.event(i));
+        out.appendBlock(block);
     return out;
 }
 

@@ -8,7 +8,10 @@
  *
  * Replay is strictly sequential (every kernel is a fold over the
  * stream), so the view hands out fixed-size blocks through a Cursor
- * instead of random access. The opcode bytes and all four bit-planes
+ * instead of random access. A block is the TraceBlock the VM hands
+ * its sinks (trace/event.hh), so the encoder's, the profile's and
+ * every kernel's block loop reads the VM's events and a mapped
+ * stream's the same way. The opcode bytes and all four bit-planes
  * point straight into the sections -- no per-plane copy, ever --
  * while the varint-encoded address columns decode lazily into a small
  * cursor-owned scratch buffer, one block at a time. Memory per
@@ -23,7 +26,7 @@
  * Corruption discipline: a mapped entry is fully validated (section
  * bounds, checksums, opcode range) before a view over it exists
  * (trace/cache.cc), and an owned stream was encoded by
- * SoaTrace::append, so decode errors are internal inconsistencies and
+ * SoaTrace's block encoder, so decode errors are internal inconsistencies and
  * fail fatally rather than soft-failing. The per-event pc <= maxPc
  * guard backs the replay kernels' pc-indexed flat tables: a view can
  * never hand them an out-of-range pc.
@@ -40,72 +43,6 @@
 
 namespace branchlab::trace
 {
-
-/** Events per cursor block. Multiple of 8 (bit-plane byte
- *  alignment); sized so a block of materialised kernel events stays
- *  L1-resident (predict/replay_kernels.hh strip-mines at the same
- *  width). */
-inline constexpr std::size_t kTraceBlockEvents = 512;
-
-/**
- * One block of events [base, base + count). Field pointers are
- * block-local: element i of the block is ops[i], pc[i], and bit
- * (i & 7) of plane byte (i >> 3).
- */
-struct TraceBlock
-{
-    std::size_t base = 0;
-    std::size_t count = 0;
-    const std::uint8_t *ops = nullptr;
-    const std::uint8_t *condPlane = nullptr;
-    const std::uint8_t *takenPlane = nullptr;
-    const std::uint8_t *targetKnownPlane = nullptr;
-    const ir::Addr *pc = nullptr;
-    const ir::Addr *nextPc = nullptr;
-    const ir::Addr *targetAddr = nullptr;
-    const ir::Addr *fallthroughAddr = nullptr;
-
-    ir::Opcode
-    opcode(std::size_t i) const
-    {
-        return static_cast<ir::Opcode>(ops[i]);
-    }
-
-    bool conditional(std::size_t i) const
-    {
-        return bit(condPlane, i);
-    }
-
-    bool taken(std::size_t i) const { return bit(takenPlane, i); }
-
-    bool targetKnown(std::size_t i) const
-    {
-        return bit(targetKnownPlane, i);
-    }
-
-    /** Materialise block element @p i as a whole event. */
-    BranchEvent
-    event(std::size_t i) const
-    {
-        BranchEvent e;
-        e.pc = pc[i];
-        e.nextPc = nextPc[i];
-        e.targetAddr = targetAddr[i];
-        e.fallthroughAddr = fallthroughAddr[i];
-        e.op = opcode(i);
-        e.conditional = conditional(i);
-        e.taken = taken(i);
-        e.targetKnown = targetKnown(i);
-        return e;
-    }
-
-  private:
-    static bool
-    bit(const std::uint8_t *plane, std::size_t i)
-    {
-        return (plane[i >> 3] >> (i & 7)) & 1u;
-    }
-};
 
 /**
  * A non-owning view of one recorded stream. Plain value: copy
@@ -191,7 +128,8 @@ class TraceView
 };
 
 /** Decode a view into an owning SoaTrace (exact copy; re-encoded
- *  event by event, so the result is append()'s canonical bytes). */
+ *  block by block through SoaTrace::appendBlock, so the result is the
+ *  encoder's canonical bytes). */
 SoaTrace materializeView(const TraceView &view);
 
 } // namespace branchlab::trace

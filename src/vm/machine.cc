@@ -83,8 +83,26 @@ Machine::reset()
 }
 
 void
+Machine::flushBranches()
+{
+    if (pending_.size() != 0) {
+        sink_->onBlock(pending_.block());
+        pending_.clear();
+    }
+}
+
+inline void
+Machine::emit(const trace::BranchEvent &event)
+{
+    pending_.push(event);
+    if (pending_.size() == flushAt_)
+        flushBranches();
+}
+
+void
 Machine::fault(const std::string &what, Addr pc)
 {
+    flushBranches();
     std::ostringstream os;
     os << "execution fault in '" << prog_.name() << "' at address " << pc
        << ": " << what;
@@ -140,6 +158,7 @@ Machine::run(const RunLimits &limits)
     pushFrame(main_func, {}, kNoReg, lim, 0, 0);
 
     const bool want_insts = sink_ != nullptr && sink_->wantsInstructions();
+    flushAt_ = want_insts ? 1 : trace::kTraceBlockEvents;
 
     const DecodedInst *code = code_.slots();
     std::uint32_t ip = code_.func(main_func).entrySlot;
@@ -153,6 +172,7 @@ Machine::run(const RunLimits &limits)
 
         if (result.instructions >= lim.maxInstructions) {
             result.reason = StopReason::InstructionLimit;
+            flushBranches();
             return result;
         }
         ++result.instructions;
@@ -294,7 +314,7 @@ Machine::run(const RunLimits &limits)
                 ev.targetAddr = d.takenAddr;
                 ev.fallthroughAddr = d.fallAddr;
                 ev.nextPc = taken ? d.takenAddr : d.fallAddr;
-                sink_->onBranch(ev);
+                emit(ev);
             }
             ip = taken ? d.takenSlot : d.nextSlot;
             continue;
@@ -311,7 +331,7 @@ Machine::run(const RunLimits &limits)
                 ev.targetAddr = d.takenAddr;
                 ev.fallthroughAddr = d.pc + 1;
                 ev.nextPc = d.takenAddr;
-                sink_->onBranch(ev);
+                emit(ev);
             }
             ip = d.takenSlot;
             continue;
@@ -339,7 +359,7 @@ Machine::run(const RunLimits &limits)
                 ev.targetAddr = code[target_slot].pc;
                 ev.fallthroughAddr = d.pc + 1;
                 ev.nextPc = ev.targetAddr;
-                sink_->onBranch(ev);
+                emit(ev);
             }
             ip = target_slot;
             continue;
@@ -373,7 +393,7 @@ Machine::run(const RunLimits &limits)
                 ev.targetAddr = callee_info.entryAddr;
                 ev.fallthroughAddr = d.pc + 1;
                 ev.nextPc = callee_info.entryAddr;
-                sink_->onBranch(ev);
+                emit(ev);
             }
             arg_values.clear();
             for (Reg a : d.inst->args)
@@ -391,6 +411,7 @@ Machine::run(const RunLimits &limits)
                 // Returning from main ends the run; not a branch event
                 // (there is no target to fetch).
                 result.reason = StopReason::MainReturned;
+                flushBranches();
                 return result;
             }
             ++result.branches;
@@ -413,13 +434,14 @@ Machine::run(const RunLimits &limits)
                 ev.targetAddr = code[ip].pc;
                 ev.fallthroughAddr = d.pc + 1;
                 ev.nextPc = code[ip].pc;
-                sink_->onBranch(ev);
+                emit(ev);
             }
             continue;
           }
 
           case Opcode::Halt:
             result.reason = StopReason::Halted;
+            flushBranches();
             return result;
         }
 

@@ -4,6 +4,13 @@
  * emits trace events for every branch (and optionally every
  * instruction).
  *
+ * Branch events reach the sink a block at a time: the machine fills
+ * a trace::BlockBuffer and hands it to TraceSink::onBlock when it is
+ * full and before run() returns or throws, so every executed branch
+ * arrives, in order, whatever ends the run. A sink that wants
+ * instructions gets each branch as a one-event block, before the
+ * next onInstruction.
+ *
  * This plays the role of the profiling runs in the paper: a benchmark
  * program is executed over its input suite and the resulting dynamic
  * branch stream drives the three prediction schemes.
@@ -125,7 +132,12 @@ class Machine
         std::uint32_t resumeSlot;
     };
 
+    /** Flush the pending branches, then throw an ExecutionFault. */
     [[noreturn]] void fault(const std::string &what, ir::Addr pc);
+    /** Buffer one branch event, handing the block on when full. */
+    void emit(const trace::BranchEvent &event);
+    /** Hand the pending branches (if any) to the sink. */
+    void flushBranches();
     void pushFrame(ir::FuncId func, const std::vector<ir::Word> &args,
                    ir::Reg ret_dst, const RunLimits &limits, ir::Addr pc,
                    std::uint32_t resume_slot);
@@ -137,6 +149,11 @@ class Machine
     const ir::Layout &layout_;
     Memory memory_;
     trace::TraceSink *sink_ = nullptr;
+    /** Branches not yet handed to the sink: the one emit path. */
+    trace::BlockBuffer<trace::kTraceBlockEvents> pending_;
+    /** Block size this run hands on: a full block, or one event when
+     *  the sink interleaves instructions. */
+    std::size_t flushAt_ = trace::kTraceBlockEvents;
 
     std::vector<Frame> frames_;
     std::vector<ir::Word> regStack_;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "block_path.hh"
 #include "closed_form.hh"
 #include "helpers.hh"
 #include "profile/fs_opt.hh"
@@ -341,6 +342,27 @@ TEST_P(FuzzPrograms, ClosedFormMatchesTheReferences)
                 << profile::fsOptLevelName(level) << " forced " << forced;
         }
     }
+}
+
+TEST_P(FuzzPrograms, BlockPathMatchesPerEvent)
+{
+    // Arbitrary control flow through the record pass's block path,
+    // over two runs so the second starts mid-block.
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    const ir::Program prog = buildRandomProgram(seed);
+    const ir::Layout layout(prog);
+    const test::SuiteRun run = [&](trace::TraceSink &sink) {
+        std::uint64_t instructions = 0;
+        for (int r = 0; r < 2; ++r) {
+            vm::Machine machine(prog, layout);
+            machine.setSink(&sink);
+            const vm::RunResult result = machine.run();
+            EXPECT_EQ(result.reason, vm::StopReason::Halted);
+            instructions += result.instructions;
+        }
+        return instructions;
+    };
+    test::expectBlockPathMatchesPerEvent(prog, layout, 2, run);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPrograms, ::testing::Range(0, 40));

@@ -12,6 +12,7 @@
 #include "predict/cbtb.hh"
 #include "predict/flushing.hh"
 #include "predict/profile_predictor.hh"
+#include "predict/replay_kernels.hh"
 #include "predict/sbtb.hh"
 #include "predict/static_predictors.hh"
 #include "support/logging.hh"
@@ -506,6 +507,49 @@ TEST(Sbtb, FlushForgetsEverything)
     step(sbtb, condEvent(0x100, true));
     sbtb.flush();
     EXPECT_FALSE(step(sbtb, condEvent(0x100, true)).taken);
+}
+
+TEST(Sbtb, AnEntryEvictedBeforeADeletionStaysEvicted)
+{
+    // Conditionals A, B and C taken, then C falls through, then A
+    // taken again, fully associative under LRU. At 2 entries C's
+    // insertion evicts A before C's deletion frees a way, so A misses;
+    // an LRU stack with C removed would put A at depth 2 and call it a
+    // hit. At 3 entries nothing is evicted and A hits. Presence at a
+    // size needs each entry's deepest stack position since its last
+    // insertion, and a one-walk SBTB kernel must match this.
+    const ir::Addr a = 0x100;
+    const std::vector<BranchEvent> events = {
+        condEvent(a, true), condEvent(0x200, true), condEvent(0x300, true),
+        condEvent(0x300, false), condEvent(a, true)};
+    for (const std::size_t entries : {std::size_t{2}, std::size_t{3}}) {
+        SCOPED_TRACE(entries);
+        const bool a_hits = entries == 3;
+        BufferConfig config;
+        config.entries = entries;
+        config.associativity = 0;
+
+        SimpleBtb sbtb(config);
+        SbtbKernel kernel(config);
+        for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+            step(sbtb, events[i]);
+            const trace::BlockBuffer<1> one(events[i]);
+            kernel.step(kernelEventFrom(one.block(), 0));
+        }
+        EXPECT_EQ(kernel.targetOf(a) != ir::kNoAddr, a_hits);
+        EXPECT_EQ(step(sbtb, events.back()).taken, a_hits);
+        const trace::BlockBuffer<1> last(events.back());
+        kernel.step(kernelEventFrom(last.block(), 0));
+
+        // C's fall-through lookup hits either way; A's only at 3.
+        EXPECT_EQ(sbtb.lookups(), 5u);
+        EXPECT_EQ(sbtb.hits(), a_hits ? 2u : 1u);
+        const KernelReplayResult result = kernel.result();
+        EXPECT_EQ(result.missRatio, sbtb.missRatio());
+        // Only A's second execution can be predicted right.
+        EXPECT_EQ(result.stats.accuracy.hits(), a_hits ? 1u : 0u);
+        EXPECT_EQ(sbtb.missRatio(), a_hits ? 3.0 / 5.0 : 4.0 / 5.0);
+    }
 }
 
 // ---------------------------------------------------------------------

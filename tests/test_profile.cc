@@ -56,10 +56,7 @@ profileProgram(ir::Program prog, std::vector<ir::Word> input = {})
 
 TEST(BranchCounts, MajorityAndDominantTarget)
 {
-    BranchCounts counts;
-    counts.taken = 3;
-    counts.notTaken = 1;
-    counts.nextCounts = {{100, 3}, {101, 1}};
+    const BranchCounts counts(3, 1, {{100, 3}, {101, 1}});
     EXPECT_TRUE(counts.majorityTaken());
     EXPECT_EQ(counts.dominantTarget(), 100u);
     EXPECT_EQ(counts.executions(), 4u);
@@ -301,11 +298,7 @@ struct ReferenceProfile
         BranchCounts
         toCounts() const
         {
-            BranchCounts counts;
-            counts.taken = taken;
-            counts.notTaken = notTaken;
-            counts.nextCounts.assign(next.begin(), next.end());
-            return counts;
+            return BranchCounts(taken, notTaken, {next.begin(), next.end()});
         }
     };
 
@@ -467,6 +460,15 @@ TEST(ProfileDifferential, PcsPastTheCodeEndNeverIndexATable)
     EXPECT_THROW(profile.onBranch(tall), ConfigFailure);
     tall.pc = ir::kNoAddr;
     EXPECT_THROW(profile.onBranch(tall), ConfigFailure);
+    EXPECT_EQ(profile.exportRows(), trace::CachedProfile{});
+    // A block is refused whole: its in-range events are not tallied.
+    trace::BranchEvent inside;
+    inside.pc = layout.codeEnd() - 1;
+    inside.nextPc = inside.pc + 1;
+    trace::BlockBuffer<2> mixed;
+    mixed.push(inside);
+    mixed.push(tall);
+    EXPECT_THROW(profile.onBlock(mixed.block()), ConfigFailure);
     EXPECT_EQ(profile.exportRows(), trace::CachedProfile{});
 
     trace::CachedProfile rows;

@@ -671,19 +671,37 @@ TEST(Jobs, ResolutionPrefersExplicitThenEnvThenHardware)
     EXPECT_EQ(resolveJobs(0), 5u);
     EXPECT_EQ(resolveJobs(2), 2u); // explicit still wins
 
-    // Anything but a plain decimal from 1 to UINT_MAX is ignored: at
-    // one time 99999999999 wrapped to 1215752191 worker threads.
-    for (const char *bad : {"zero", "0", "-1", "+4", " 4", "4 ",
-                            "99999999999", "4294967296"}) {
+    // Anything but a plain decimal from 1 to kMaxJobs is ignored: at
+    // one time 99999999999 wrapped to 1215752191 worker threads, and
+    // 4294967295 asked for that many.
+    for (const char *bad : {"zero", "0", "-1", "+4", " 4", "4 ", "1025",
+                            "99999999999", "4294967296", "4294967295"}) {
         SCOPED_TRACE(bad);
         ASSERT_EQ(setenv("BRANCHLAB_JOBS", bad, 1), 0);
         EXPECT_EQ(envJobs(), 0u);
         EXPECT_EQ(resolveJobs(0), hardwareJobs());
     }
-    ASSERT_EQ(setenv("BRANCHLAB_JOBS", "4294967295", 1), 0);
-    EXPECT_EQ(envJobs(), 4294967295u);
+    ASSERT_EQ(setenv("BRANCHLAB_JOBS", "1024", 1), 0);
+    EXPECT_EQ(envJobs(), kMaxJobs);
     ASSERT_EQ(unsetenv("BRANCHLAB_JOBS"), 0);
     EXPECT_GE(hardwareJobs(), 1u);
+}
+
+TEST(Jobs, NoSourceAsksForMoreThanTheCeiling)
+{
+    // Return values only: a pool is never built from these counts.
+    EXPECT_EQ(kMaxJobs, 1024u);
+    EXPECT_EQ(resolveJobs(kMaxJobs), kMaxJobs);
+    EXPECT_EQ(resolveJobs(kMaxJobs + 1), kMaxJobs);
+    EXPECT_EQ(resolveJobs(4294967295u), kMaxJobs);
+
+    EXPECT_EQ(parseJobsOption("--jobs", "1"), 1u);
+    EXPECT_EQ(parseJobsOption("--serve-jobs", "1024"), kMaxJobs);
+    for (const char *bad : {"1025", "4294967295", "99999999999", "-1", ""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseJobsOption("--jobs", bad), ConfigFailure);
+        EXPECT_THROW(parseJobsOption("--serve-jobs", bad), ConfigFailure);
+    }
 }
 
 // ---------------------------------------------------------------------

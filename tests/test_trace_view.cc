@@ -14,8 +14,10 @@
 #include <filesystem>
 #include <vector>
 
+#include "block_path.hh"
 #include "core/replay_kernel.hh"
 #include "core/runner.hh"
+#include "helpers.hh"
 #include "predict/replay_kernels.hh"
 #include "support/random.hh"
 #include "trace/cache.hh"
@@ -294,6 +296,92 @@ TEST(SoaEncoderDifferential, ExtremeSeededStreamMatchesTheReference)
     ASSERT_EQ(decoded.size(), events.size());
     for (std::size_t i = 0; i < decoded.size(); ++i)
         expectSameEvent(decoded[i], events[i], i);
+}
+
+// ---------------------------------------------------------------------
+// The block-path differential: the record pass's block consumers
+// against the per-event references, on every workload's suite.
+// ---------------------------------------------------------------------
+
+TEST(BlockPathDifferential, EveryWorkloadAtDefaultRunsAndOneRun)
+{
+    for (const unsigned runs_override : {0u, 1u}) {
+        core::ExperimentConfig config;
+        config.runsOverride = runs_override;
+        for (const workloads::Workload *workload :
+             workloads::allWorkloads()) {
+            SCOPED_TRACE(workload->name() + " runs " +
+                         std::to_string(runs_override));
+            const ir::Program program = workload->buildProgram();
+            const ir::Layout layout(program);
+            const vm::PredecodedProgram code(program, layout);
+            const std::vector<workloads::WorkloadInput> inputs =
+                core::makeInputSuite(*workload, config);
+            const test::SuiteRun run = [&](TraceSink &sink) {
+                std::uint64_t instructions = 0;
+                for (const workloads::WorkloadInput &input : inputs) {
+                    vm::Machine machine(code);
+                    for (std::size_t chan = 0; chan < input.channels.size();
+                         ++chan)
+                        machine.setInput(static_cast<int>(chan),
+                                         input.channels[chan]);
+                    machine.setSink(&sink);
+                    vm::RunLimits limits;
+                    limits.maxInstructions = config.maxInstructionsPerRun;
+                    instructions += machine.run(limits).instructions;
+                }
+                return instructions;
+            };
+            EXPECT_GT(test::expectBlockPathMatchesPerEvent(
+                          program, layout, inputs.size(), run),
+                      0u);
+        }
+    }
+}
+
+TEST(BlockPathDifferential, ViewBlocksFoldAndEncodeLikeSingleEvents)
+{
+    // A synthetic stream the VM never emits: anomalous next pcs,
+    // kNoAddr targets and next pcs, pcs inside a real program's code.
+    // foldProfile and materializeView walk its view blocks through
+    // the block routines; the references feed the same events one
+    // at a time through onBranch and append.
+    const ir::Program program = test::buildFactorial(6);
+    ir::verifyProgramOrDie(program);
+    const ir::Layout layout(program);
+    Rng rng(19890528);
+    std::vector<BranchEvent> events;
+    for (std::size_t i = 0; i < 3 * kTraceBlockEvents + 77; ++i) {
+        BranchEvent e;
+        e.pc = ir::kCodeBase + rng.nextBelow(layout.totalSize());
+        e.op = static_cast<ir::Opcode>(rng.nextBelow(ir::kNumOpcodes));
+        e.conditional = rng.nextBool();
+        e.taken = rng.nextBool();
+        e.targetKnown = rng.nextBool();
+        e.targetAddr = rng.nextBool(0.2) ? ir::kNoAddr
+                                         : e.pc + rng.nextBelow(64);
+        e.fallthroughAddr = e.pc + 1;
+        const ir::Addr implied = e.taken ? e.targetAddr : e.fallthroughAddr;
+        e.nextPc = rng.nextBool(0.1)   ? ir::kNoAddr
+                   : rng.nextBool(0.1) ? rng.nextBelow(1u << 20)
+                                       : implied;
+        events.push_back(e);
+    }
+    const SoaTrace reference = SoaTrace::fromEvents(events);
+    ASSERT_FALSE(reference.anomalyDeltas().empty());
+    const TraceView view = TraceView::of(reference);
+    test::expectSameColumns(materializeView(view), reference);
+
+    for (const std::uint64_t runs : {1u, 3u}) {
+        profile::ProgramProfile by_event(program, layout);
+        for (std::uint64_t r = 0; r < runs; ++r)
+            by_event.noteRun();
+        for (const BranchEvent &event : events)
+            by_event.onBranch(event);
+        const profile::ProgramProfile folded =
+            profile::foldProfile(program, layout, runs, view);
+        EXPECT_EQ(folded.exportRows(), by_event.exportRows());
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "block_path.hh"
 #include "helpers.hh"
 
 namespace branchlab::vm
@@ -548,6 +549,199 @@ TEST(VmTrace, RunsAreDeterministic)
         EXPECT_EQ(first.events()[i].nextPc, second.events()[i].nextPc);
         EXPECT_EQ(first.events()[i].taken, second.events()[i].taken);
     }
+}
+
+// ---------------------------------------------------------------------
+// Block emission: every executed branch reaches the sink, in order,
+// in blocks, whatever ends the run; the record pass's block consumers
+// match the per-event references on each.
+// ---------------------------------------------------------------------
+
+/** buildCountdown(), then a division by zero once the loop is done. */
+ir::Program
+buildCountdownThenFault(Word n)
+{
+    ir::Program prog("countdown_fault");
+    IrBuilder b(prog);
+    b.beginFunction("main");
+    const Reg i = b.newReg();
+    const Reg total = b.newReg();
+    b.ldiTo(i, n);
+    b.ldiTo(total, 0);
+    b.doWhile(
+        [&] {
+            b.emitBinaryImmTo(Opcode::Add, total, total, 1);
+            b.emitBinaryImmTo(Opcode::Sub, i, i, 1);
+        },
+        [&] { return IrBuilder::cmpGti(i, 0); });
+    b.emitBinaryImmTo(Opcode::Div, total, total, 0);
+    b.out(total, 1);
+    b.halt();
+    b.endFunction();
+    return prog;
+}
+
+/** Run @p prog @p runs times into each sink, on fresh machines. */
+test::SuiteRun
+suiteOf(const ir::Program &prog, const ir::Layout &layout, unsigned runs,
+        const RunLimits &limits = RunLimits{})
+{
+    return [&prog, &layout, runs, limits](trace::TraceSink &sink) {
+        std::uint64_t instructions = 0;
+        for (unsigned r = 0; r < runs; ++r) {
+            Machine machine(prog, layout);
+            machine.setSink(&sink);
+            instructions += machine.run(limits).instructions;
+        }
+        return instructions;
+    };
+}
+
+TEST(VmBlocks, StreamsAroundTheBlockSizeArriveWhole)
+{
+    // countdown(n) emits n + 1 branches: 511, 512, 513 and 1024
+    // events, one run each and three runs that each end mid-block.
+    for (const Word n : {510, 511, 512, 1023}) {
+        SCOPED_TRACE(n);
+        const ir::Program prog = test::buildCountdown(n);
+        ir::verifyProgramOrDie(prog);
+        const ir::Layout layout(prog);
+        for (const unsigned runs : {1u, 3u}) {
+            const std::size_t events = test::expectBlockPathMatchesPerEvent(
+                prog, layout, runs, suiteOf(prog, layout, runs));
+            EXPECT_EQ(events, runs * static_cast<std::size_t>(n + 1));
+        }
+        // The block stream equals the encoder fed a BranchRecorder's
+        // events one at a time.
+        trace::BranchRecorder recorder;
+        trace::SoaRecorder blocks;
+        trace::FanoutSink fanout;
+        fanout.addSink(&recorder);
+        fanout.addSink(&blocks);
+        const RunResult result = test::runProgram(prog, &fanout);
+        EXPECT_EQ(result.branches, recorder.size());
+        test::expectSameColumns(
+            blocks.trace(), trace::SoaTrace::fromEvents(recorder.events()));
+    }
+}
+
+TEST(VmBlocks, AnEmptyRunHandsOnNothing)
+{
+    ir::Program prog("empty");
+    IrBuilder b(prog);
+    b.beginFunction("main");
+    b.halt();
+    b.endFunction();
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    EXPECT_EQ(test::expectBlockPathMatchesPerEvent(prog, layout, 2,
+                                                   suiteOf(prog, layout, 2)),
+              0u);
+}
+
+TEST(VmBlocks, BranchesBeforeAFaultStillArrive)
+{
+    // 600 branches (a full block and a partial one), then a division
+    // by zero: the partial block reaches the sink before the throw.
+    const ir::Program prog = buildCountdownThenFault(599);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    const test::SuiteRun run = [&](trace::TraceSink &sink) {
+        Machine machine(prog, layout);
+        machine.setSink(&sink);
+        EXPECT_THROW(machine.run(), ExecutionFault);
+        return std::uint64_t{0};
+    };
+    EXPECT_EQ(test::expectBlockPathMatchesPerEvent(prog, layout, 1, run),
+              600u);
+}
+
+TEST(VmBlocks, TheInstructionLimitFlushesThePartialBlock)
+{
+    ir::Program prog("spin");
+    IrBuilder b(prog);
+    b.beginFunction("main");
+    const ir::BlockId head = b.newBlock("head");
+    b.jmp(head);
+    b.setBlock(head);
+    b.nop();
+    b.jmp(head);
+    b.endFunction();
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    RunLimits limits;
+    limits.maxInstructions = 2001; // 1001 jumps: one past two blocks
+    trace::BranchRecorder recorder;
+    Machine machine(prog, layout);
+    machine.setSink(&recorder);
+    const RunResult result = machine.run(limits);
+    EXPECT_EQ(result.reason, StopReason::InstructionLimit);
+    EXPECT_EQ(result.branches, 1001u);
+    EXPECT_EQ(recorder.size(), 1001u);
+    EXPECT_EQ(test::expectBlockPathMatchesPerEvent(
+                  prog, layout, 1, suiteOf(prog, layout, 1, limits)),
+              1001u);
+}
+
+/** Logs instructions and branches in the order they arrive. */
+class InterleaveLog : public trace::TraceSink
+{
+  public:
+    bool wantsInstructions() const override { return true; }
+
+    void
+    onInstruction(const trace::InstEvent &event) override
+    {
+        log.emplace_back(false, event.pc);
+    }
+
+    void
+    onBranch(const trace::BranchEvent &event) override
+    {
+        log.emplace_back(true, event.pc);
+    }
+
+    /** (is a branch, pc) per call. */
+    std::vector<std::pair<bool, ir::Addr>> log;
+};
+
+TEST(VmBlocks, InstructionTracingSeesEachBranchBeforeTheNextInstruction)
+{
+    const ir::Program prog = test::buildFactorial(6);
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    InterleaveLog interleave;
+    const RunResult result = test::runProgram(prog, &interleave);
+    std::size_t branches = 0;
+    for (std::size_t k = 0; k < interleave.log.size(); ++k) {
+        if (!interleave.log[k].first)
+            continue;
+        ++branches;
+        // The branch instruction itself came just before its event,
+        // and the next call, if any, is the next instruction.
+        ASSERT_GT(k, 0u);
+        EXPECT_FALSE(interleave.log[k - 1].first);
+        EXPECT_EQ(interleave.log[k - 1].second, interleave.log[k].second);
+        if (k + 1 < interleave.log.size()) {
+            EXPECT_FALSE(interleave.log[k + 1].first);
+        }
+    }
+    EXPECT_EQ(branches, result.branches);
+    EXPECT_EQ(interleave.log.size(), result.instructions + result.branches);
+
+    // The block consumers behind an instruction-tracing fan-out get
+    // one-event blocks and still build the same bytes.
+    const test::SuiteRun run = [&](trace::TraceSink &sink) {
+        InterleaveLog log;
+        trace::FanoutSink fanout;
+        fanout.addSink(&sink);
+        fanout.addSink(&log);
+        Machine machine(prog, layout);
+        machine.setSink(&fanout);
+        return machine.run().instructions;
+    };
+    EXPECT_EQ(test::expectBlockPathMatchesPerEvent(prog, layout, 1, run),
+              result.branches);
 }
 
 TEST(VmPredecode, SharedDecodingMatchesOwnedDecoding)

@@ -42,6 +42,7 @@
 #include "support/logging.hh"
 #include "support/stats.hh"
 #include "support/strings.hh"
+#include "support/thread_pool.hh"
 
 using namespace branchlab;
 
@@ -189,7 +190,7 @@ parseOptions(int argc, char **argv)
         } else if (arg == "--seed") {
             need_number(options.sweep.base.seed);
         } else if (arg == "--jobs") {
-            need_number(options.sweep.base.jobs);
+            options.sweep.base.jobs = parseJobsOption(arg, need_value());
         } else if (arg == "--trace-cache") {
             options.sweep.base.traceCacheDir = need_value();
         } else if (arg == "--trace-cache-max-bytes") {

@@ -52,6 +52,7 @@
 #include "serve/client.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
+#include "support/thread_pool.hh"
 #include "trace/cache.hh"
 
 using namespace branchlab;
@@ -127,7 +128,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--seed")
             need_number(options.seed);
         else if (arg == "--jobs")
-            need_number(options.jobs);
+            options.jobs = parseJobsOption(arg, need_value());
         else if (arg == "-o" || arg == "--output")
             options.output = need_value();
         else if (arg == "--scheme")

@@ -27,6 +27,7 @@
 #include "serve/daemon.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
+#include "support/thread_pool.hh"
 
 using namespace branchlab;
 
@@ -78,7 +79,7 @@ main(int argc, char **argv)
         if (arg == "--listen")
             config.listen = need_value();
         else if (arg == "--serve-jobs")
-            config.jobs = parseOptionNumber<unsigned>(arg, need_value());
+            config.jobs = parseJobsOption(arg, need_value());
         else if (arg == "--max-queue")
             config.maxQueue =
                 parseOptionNumber<std::size_t>(arg, need_value());
@@ -115,19 +116,28 @@ main(int argc, char **argv)
         return 1;
     }
 
-    serve::Daemon daemon(config);
-    daemon.start();
-    std::cerr << "branchlabd listening on " << daemon.address()
-              << "\n";
+    // A fatal while the daemon is built or started (an unparsable or
+    // unbindable listen address) ends the process like a bad option:
+    // its diagnostic and status 1. The daemon is destroyed, its pool
+    // joined, before the handler runs.
+    try {
+        serve::Daemon daemon(config);
+        daemon.start();
+        std::cerr << "branchlabd listening on " << daemon.address()
+                  << "\n";
 
-    int signal_number = 0;
-    sigwait(&signals, &signal_number);
-    std::cerr << "branchlabd: caught "
-              << (signal_number == SIGTERM ? "SIGTERM" : "SIGINT")
-              << ", draining\n";
-    daemon.requestDrain();
-    daemon.waitStopped();
-    std::cerr << "branchlabd: drained\n";
+        int signal_number = 0;
+        sigwait(&signals, &signal_number);
+        std::cerr << "branchlabd: caught "
+                  << (signal_number == SIGTERM ? "SIGTERM" : "SIGINT")
+                  << ", draining\n";
+        daemon.requestDrain();
+        daemon.waitStopped();
+        std::cerr << "branchlabd: drained\n";
+    } catch (const ConfigFailure &failure) {
+        std::cerr << failure.what() << std::endl;
+        return 1;
+    }
 
     if (!telemetry.empty())
         obs::setExportPath(telemetry);
