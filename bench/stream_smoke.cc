@@ -407,7 +407,8 @@ main(int argc, char **argv)
     Stopwatch replay_watch;
     predict::SbtbKernel sbtb(
         predict::kernelIndexedConfig(predict::BufferConfig{}));
-    const predict::KernelReplayResult mapped_result = sbtb.run(view);
+    predict::walkKernels(view, {&sbtb});
+    const predict::KernelReplayResult mapped_result = sbtb.result();
     const double replay_s = replay_watch.seconds();
     const double meps = replay_s > 0.0
         ? static_cast<double>(options.events) / replay_s / 1e6
@@ -424,8 +425,9 @@ main(int argc, char **argv)
         const trace::SoaTrace owned = trace::materializeView(view);
         predict::SbtbKernel owned_sbtb(
             predict::kernelIndexedConfig(predict::BufferConfig{}));
+        predict::walkKernels(trace::TraceView::of(owned), {&owned_sbtb});
         const predict::KernelReplayResult owned_result =
-            owned_sbtb.run(trace::TraceView::of(owned));
+            owned_sbtb.result();
         if (owned.size() != options.events ||
             !sameStats(owned_result.stats, mapped_result.stats)) {
             std::cerr << "  FAIL: owning replay differs from mapped "

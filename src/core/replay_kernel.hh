@@ -1,22 +1,25 @@
 /**
  * @file
- * Kernel-dispatched replay: the engine-side registry that maps a
- * (scheme, config) pair onto a monomorphized replay kernel
- * (predict/replay_kernels.hh), falling back to the virtual-dispatch
- * PredictionDriver path for anything it does not recognise.
+ * Kernel-dispatched replay: the engine side of the monomorphized
+ * replay kernels (predict/replay_kernels.hh). replayKernel,
+ * replayManyKernel and replayBatch are entry points over one fused
+ * walk: one eligibility function decides per spec whether a kernel
+ * takes it on the stream at hand, identical specs share one kernel,
+ * and every taken spec steps through one walkKernels() pass. Every
+ * spec no kernel takes goes through the virtual-dispatch walk that
+ * replay() and replayMany() use.
  *
  * Beside it, scoreClosedForm() reads the stateless schemes off a
  * profile's per-pc tallies: exact for a profile folded from a stream
  * the VM emitted for its own program (all recordWorkload returns).
  *
- * The fallback is not an afterthought -- it *is* the reference
+ * The virtual path is not an afterthought -- it *is* the reference
  * semantics. Kernels are an optimisation bound by differential tests
- * to produce bit-identical results; any spec the registry cannot
- * match (custom bias maps, traces whose pcs exceed the flat-table
- * bound, future schemes) silently takes the virtual path and is
- * merely slower. Coverage is observable via the
- * engine.replay.kernel.{specialized,fallback,batch} and
- * engine.replay.closed_form counters; CI gates fallback == 0 and
+ * to produce bit-identical results; any spec no kernel takes (traces
+ * whose pcs exceed the flat-table bound, FS without a likely map)
+ * silently takes the virtual path and is merely slower. Coverage is
+ * observable via the engine.replay.kernel.{specialized,fallback,batch}
+ * and engine.replay.closed_form counters; CI gates fallback == 0 and
  * closed_form == 50 on the paper suite.
  */
 
@@ -42,37 +45,22 @@ enum class SchemeKind
     BackwardTaken,
     OpcodeBias,
     ForwardSemantic,
-    Gshare,
 };
 
 /**
  * A replayable (scheme, config) pair. Only the fields relevant to
- * `kind` are consulted: btb for Sbtb/Cbtb, counter for Cbtb, gshare
- * for Gshare, likely for ForwardSemantic (must outlive the call).
+ * `kind` are consulted: btb for Sbtb/Cbtb, counter for Cbtb, likely
+ * for ForwardSemantic (must outlive the call).
  */
 struct KernelSpec
 {
     SchemeKind kind = SchemeKind::Sbtb;
     predict::BufferConfig btb{};
     predict::CounterConfig counter{};
-    predict::GshareConfig gshare{};
     const predict::LikelyMap *likely = nullptr;
-};
 
-/** One registry row: can this spec run as a kernel on this stream,
- *  and if so, run it. Streams arrive as views, so one row serves both
- *  cold SoA traces and mmap'd cache entries. */
-struct KernelRegistration
-{
-    const char *name;
-    bool (*matches)(const KernelSpec &spec,
-                    const trace::TraceView &view);
-    predict::KernelReplayResult (*run)(const KernelSpec &spec,
-                                       const trace::TraceView &view);
+    bool operator==(const KernelSpec &) const = default;
 };
-
-/** The ordered kernel registry (first match wins). */
-const std::vector<KernelRegistration> &kernelRegistry();
 
 /** Build the virtual-dispatch predictor a spec describes (the
  *  fallback path, and the reference half of differential tests). */
@@ -80,16 +68,17 @@ std::unique_ptr<predict::BranchPredictor>
 makePredictor(const KernelSpec &spec);
 
 /**
- * Replay a stream against one spec: a registered kernel when one
- * matches (engine.replay.kernel.specialized), the virtual path
- * otherwise (engine.replay.kernel.fallback). Results are bit-
- * identical either way.
+ * Replay a stream against one spec: a kernel when one takes it
+ * (engine.replay.kernel.specialized), the virtual path otherwise
+ * (engine.replay.kernel.fallback). Results are bit-identical either
+ * way.
  */
 ReplayResult replayKernel(const trace::TraceView &view,
                           const KernelSpec &spec);
 
-/** Replay a stream against several specs in one fused trace walk.
- *  Results are in spec order. */
+/** Replay a stream against several specs in one fused trace walk
+ *  (plus one virtual walk for the specs no kernel takes). Results are
+ *  in spec order. */
 std::vector<ReplayResult>
 replayManyKernel(const trace::TraceView &view,
                  const std::vector<KernelSpec> &specs);
@@ -99,7 +88,7 @@ replayManyKernel(const trace::TraceView &view,
  *  notTaken, a taken conditional its taken count (nextCount(target)
  *  would merge both sides when the target is the fall-through), a
  *  taken unconditional to X nextCount(X). Nullopt for SBTB, CBTB,
- *  gshare, FS without a likely map, and refused profiles. */
+ *  FS without a likely map, and refused profiles. */
 std::optional<ReplayResult>
 scoreClosedForm(const profile::ProgramProfile &profile,
                 const KernelSpec &spec);
@@ -113,9 +102,11 @@ replayProfiled(const trace::TraceView &view,
 
 /**
  * Batch-replay both hardware schemes at N sweep grid points in one
- * walk of the stream (engine.replay.kernel.batch). Falls back to
- * point-by-point virtual replay for ineligible streams; every cell is
- * bit-identical to a standalone replay of its point.
+ * walk of the stream (engine.replay.kernel.batch). Points that differ
+ * only in their counter share one SBTB kernel, so predict.sbtb.*
+ * counts one kernel's lookups per distinct geometry. On a stream past
+ * the flat-table bound all 2N predictors share one virtual walk;
+ * every cell is bit-identical to a standalone replay of its point.
  */
 std::vector<predict::BtbBatchCell>
 replayBatch(const trace::TraceView &view,

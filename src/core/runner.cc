@@ -401,20 +401,7 @@ replay(const trace::TraceView &view,
 {
     const obs::ScopedSpan span("engine.replay");
     noteReplayTelemetry(view.size(), 0);
-    return replayVirtual(view, predictor);
-}
-
-ReplayResult
-replayVirtual(const trace::TraceView &view,
-              predict::BranchPredictor &predictor)
-{
-    predict::PredictionDriver driver(predictor);
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            driver.onBranch(block.event(i));
-    return driverResult(driver, predictor);
+    return replayVirtual(view, {&predictor}).front();
 }
 
 std::vector<ReplayResult>
@@ -423,6 +410,13 @@ replayMany(const trace::TraceView &view,
 {
     const obs::ScopedSpan span("engine.replay");
     noteReplayTelemetry(view.size(), predictors.size());
+    return replayVirtual(view, predictors);
+}
+
+std::vector<ReplayResult>
+replayVirtual(const trace::TraceView &view,
+              const std::vector<predict::BranchPredictor *> &predictors)
+{
     std::vector<predict::PredictionDriver> drivers;
     drivers.reserve(predictors.size());
     for (predict::BranchPredictor *predictor : predictors)

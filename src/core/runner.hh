@@ -212,11 +212,12 @@ void noteReplayTelemetry(std::size_t event_count,
 ReplayResult replay(const trace::TraceView &view,
                     predict::BranchPredictor &predictor);
 
-/** replay()'s driver loop without its span and telemetry: the one
- *  loop that drives a virtual predictor over a view, shared with the
- *  kernel dispatch's fallback. */
-ReplayResult replayVirtual(const trace::TraceView &view,
-                           predict::BranchPredictor &predictor);
+/** replayMany() without its span and telemetry: the one loop that
+ *  drives virtual predictors over a view, under replay(),
+ *  replayMany() and the kernel engine's fallback. */
+std::vector<ReplayResult>
+replayVirtual(const trace::TraceView &view,
+              const std::vector<predict::BranchPredictor *> &predictors);
 
 /** Replay a stream view against several independent predictors in
  *  one pass (the schemes never interact, so the results are identical

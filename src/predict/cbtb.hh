@@ -25,6 +25,8 @@ struct CounterConfig
 {
     unsigned bits = 2;
     unsigned threshold = 2;
+
+    bool operator==(const CounterConfig &) const = default;
 };
 
 class CounterBtb : public BranchPredictor

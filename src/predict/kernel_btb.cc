@@ -1,11 +1,8 @@
 /**
  * @file
- * BTB replay kernels: SBTB, CBTB (per counter width), and the batch
- * driver that replays one stream against many grid points per pass.
+ * BTB replay kernels: SBTB and CBTB (per counter width), and the one
+ * walk that steps every kernel over a view.
  */
-
-#include <algorithm>
-#include <memory>
 
 #include "obs/metrics.hh"
 #include "predict/replay_kernels.hh"
@@ -24,12 +21,6 @@ SbtbKernel::~SbtbKernel()
     auto &reg = obs::Registry::global();
     reg.counter("predict.sbtb.lookups").add(lookups_);
     reg.counter("predict.sbtb.hits").add(lookupHits_);
-}
-
-KernelReplayResult
-SbtbKernel::run(const trace::TraceView &view)
-{
-    return runKernelOverView(*this, view);
 }
 
 KernelReplayResult
@@ -66,14 +57,6 @@ CbtbKernel::~CbtbKernel()
 }
 
 KernelReplayResult
-CbtbKernel::run(const trace::TraceView &view)
-{
-    // stepBlock monomorphizes the common counter widths so the
-    // saturation ceiling is a compile-time constant per block.
-    return runKernelOverView(*this, view);
-}
-
-KernelReplayResult
 CbtbKernel::result() const
 {
     KernelReplayResult out;
@@ -85,56 +68,18 @@ CbtbKernel::result() const
     return out;
 }
 
-std::vector<BtbBatchCell>
-runBtbBatch(const trace::TraceView &view,
-            const std::vector<BtbBatchPoint> &points)
+void
+walkKernels(const trace::TraceView &view,
+            const std::vector<ReplayKernel *> &kernels)
 {
-    // Kernels are non-movable (their destructors fold telemetry), so
-    // hold them by pointer. Allocation cost is per batch, not per
-    // event. SBTB state depends on the buffer geometry alone, so
-    // points differing only in their counter share one SBTB kernel
-    // (sbtbOf maps each point to it); every point keeps its own CBTB.
-    const std::size_t num_points = points.size();
-    std::vector<std::unique_ptr<SbtbKernel>> sbtbs;
-    std::vector<BufferConfig> sbtbConfigs;
-    std::vector<std::size_t> sbtbOf(num_points);
-    std::vector<std::unique_ptr<CbtbKernel>> cbtbs;
-    cbtbs.reserve(num_points);
-    for (std::size_t p = 0; p < num_points; ++p) {
-        const BufferConfig config = kernelIndexedConfig(points[p].btb);
-        const auto shared =
-            std::find(sbtbConfigs.begin(), sbtbConfigs.end(), config);
-        sbtbOf[p] = static_cast<std::size_t>(shared - sbtbConfigs.begin());
-        if (shared == sbtbConfigs.end()) {
-            sbtbConfigs.push_back(config);
-            sbtbs.push_back(std::make_unique<SbtbKernel>(config));
-        }
-        cbtbs.push_back(
-            std::make_unique<CbtbKernel>(points[p].btb, points[p].counter));
-    }
-
-    // Strip-mined, events outer: decode one L1-resident block of the
-    // stream, then advance every kernel's predictor state over it in a
-    // tight per-kernel loop. Each kernel still sees the events in
-    // stream order, so the cells match a point-at-a-time replay
-    // bit-for-bit.
     std::vector<KernelEvent> events(kKernelBlockEvents);
     trace::TraceView::Cursor cursor = view.cursor();
     trace::TraceBlock block;
     while (cursor.next(block)) {
         fillKernelBlock(block, events.data());
-        for (const auto &kernel : sbtbs)
-            kernel->stepBlock(events.data(), block.count);
-        for (const auto &kernel : cbtbs)
+        for (ReplayKernel *kernel : kernels)
             kernel->stepBlock(events.data(), block.count);
     }
-
-    std::vector<BtbBatchCell> cells(num_points);
-    for (std::size_t p = 0; p < num_points; ++p) {
-        cells[p].sbtb = sbtbs[sbtbOf[p]]->result();
-        cells[p].cbtb = cbtbs[p]->result();
-    }
-    return cells;
 }
 
 } // namespace branchlab::predict

@@ -22,13 +22,6 @@ StaticKernel::StaticKernel(StaticKind kind) : kind_(kind)
 }
 
 KernelReplayResult
-StaticKernel::run(const trace::TraceView &view)
-{
-    // stepBlock monomorphizes per kind.
-    return runKernelOverView(*this, view);
-}
-
-KernelReplayResult
 StaticKernel::result() const
 {
     KernelReplayResult out;
@@ -57,12 +50,6 @@ FsKernel::FsKernel(const LikelyMap &map, ir::Addr max_pc)
         slot.likelyTaken = info.likelyTaken ? 1 : 0;
         slot.dominantTarget = info.dominantTarget;
     }
-}
-
-KernelReplayResult
-FsKernel::run(const trace::TraceView &view)
-{
-    return runKernelOverView(*this, view);
 }
 
 KernelReplayResult

@@ -5,15 +5,18 @@
  * loop. Kernels consume only a trace::TraceView (trace/view.hh), so
  * one code path serves both owned SoaTrace streams (through
  * TraceView::of) and mmap'd cache entries -- they share one encoded
- * form, and the view's cursor hands
- * each kernel block pointers straight into its bit-plane and opcode
- * sections.
+ * form, and the view's cursor hands the walk block pointers straight
+ * into its bit-plane and opcode sections.
+ *
+ * walkKernels() is the one loop that feeds kernels: it decodes each
+ * cursor block into KernelEvents once and steps every kernel it is
+ * given through the block, one virtual call per kernel and block;
+ * the per-event loop stays inside each kernel's stepBlock.
  *
  * The virtual-dispatch path (PredictionDriver over BranchPredictor)
  * stays the authoritative reference; every kernel here replicates
  * each buffer touch of its scheme's predict()/update() sequence that
- * can affect replacement order -- e.g. gshare's target lookup before
- * the static-target early return. Touches that provably cannot (the
+ * can affect replacement order. Touches that provably cannot (the
  * update-path re-find of a way the predict-phase find just moved to
  * the recency tail, with nothing in between) are elided. Kernel
  * results are bit-identical to the virtual engine, predictor-internal
@@ -23,9 +26,9 @@
  * The BTB-backed kernels use the flat pc-indexed tag index
  * (FlatTagIndex): the traces our programs emit live in small dense
  * address spaces, so one vector load replaces a hash lookup. The
- * kernel registry (core/replay_kernel.hh) only selects a kernel when
- * the trace's maxPc is below kMaxKernelPc, keeping the flat tables
- * bounded; everything else falls back to the virtual path.
+ * engine (core/replay_kernel.hh) only gives a pc-indexed kernel a
+ * trace whose maxPc is below kMaxKernelPc, keeping the flat tables
+ * bounded; everything else takes the virtual path.
  *
  * Each kernel accumulates stats in plain integers (KernelStats) and
  * folds them into PredictorStats at the end -- the per-event path
@@ -41,7 +44,6 @@
 
 #include "predict/assoc_buffer.hh"
 #include "predict/cbtb.hh"
-#include "predict/gshare.hh"
 #include "predict/predictor.hh"
 #include "predict/profile_predictor.hh"
 #include "trace/view.hh"
@@ -106,11 +108,11 @@ kernelEventFrom(const trace::TraceBlock &block, std::size_t i)
 }
 
 /**
- * Strip-mine width for the fused multi-kernel replays: events are
- * materialised into a block this long, then each kernel runs a tight
- * loop over the block while it is still L1-resident, so N kernels
- * share one pass of column decoding instead of paying it N times.
- * 512 events x ~40 bytes keeps the block around 20 KiB.
+ * Strip-mine width of walkKernels(): events are materialised into a
+ * block this long, then each kernel runs a tight loop over the block
+ * while it is still L1-resident, so N kernels share one pass of
+ * column decoding instead of paying it N times. 512 events x ~40
+ * bytes keeps the block around 20 KiB.
  */
 inline constexpr std::size_t kKernelBlockEvents = 512;
 
@@ -170,43 +172,43 @@ struct KernelStats
     }
 };
 
-/**
- * The shared single-kernel replay loop: walk @p view block-by-block
- * (zero-copy when the view is mapped), materialise each block into
- * kernel events while it is L1-resident, and fold it through
- * @p kernel's stepBlock -- which every kernel monomorphizes
- * internally (counter width, static kind). Every kernel's
- * run(TraceView) delegates here.
- */
-template <typename Kernel>
-KernelReplayResult
-runKernelOverView(Kernel &kernel, const trace::TraceView &view)
+/** A kernel as walkKernels() drives it: one virtual stepBlock call
+ *  per block, the per-event loop monomorphized inside it. */
+class ReplayKernel
 {
-    std::array<KernelEvent, kKernelBlockEvents> events;
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block)) {
-        fillKernelBlock(block, events.data());
-        kernel.stepBlock(events.data(), block.count);
-    }
-    return kernel.result();
-}
+  public:
+    ReplayKernel() = default;
+    virtual ~ReplayKernel() = default;
+
+    ReplayKernel(const ReplayKernel &) = delete;
+    ReplayKernel &operator=(const ReplayKernel &) = delete;
+
+    /** Step a whole block of materialised events. */
+    virtual void stepBlock(const KernelEvent *events,
+                           std::size_t count) = 0;
+
+    virtual KernelReplayResult result() const = 0;
+};
+
+/**
+ * The one loop that feeds kernels: walk @p view block by block
+ * (zero-copy when the view is mapped), materialise each block into
+ * kernel events once, and step every kernel through it in order. The
+ * kernels are independent state machines, so block-major order gives
+ * each the same event sequence as a walk of its own. Read each
+ * kernel's result() afterwards.
+ */
+void walkKernels(const trace::TraceView &view,
+                 const std::vector<ReplayKernel *> &kernels);
 
 /** The SBTB (SimpleBtb) as a monomorphized kernel. */
-class SbtbKernel
+class SbtbKernel final : public ReplayKernel
 {
   public:
     explicit SbtbKernel(const BufferConfig &config);
     /** Folds predict.sbtb.lookups/.hits, like ~SimpleBtb(). */
-    ~SbtbKernel();
+    ~SbtbKernel() override;
 
-    SbtbKernel(const SbtbKernel &) = delete;
-    SbtbKernel &operator=(const SbtbKernel &) = delete;
-
-    /** Replay the full stream through this kernel's state. */
-    KernelReplayResult run(const trace::TraceView &view);
-
-    /** One event; the batch driver interleaves many kernels. */
     void
     step(const KernelEvent &e)
     {
@@ -236,15 +238,14 @@ class SbtbKernel
         }
     }
 
-    /** Step a whole block of materialised events. */
     void
-    stepBlock(const KernelEvent *events, std::size_t count)
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
         for (std::size_t i = 0; i < count; ++i)
             step(events[i]);
     }
 
-    KernelReplayResult result() const;
+    KernelReplayResult result() const override;
 
     ir::Addr
     targetOf(ir::Addr pc) const
@@ -267,24 +268,20 @@ class SbtbKernel
     std::uint64_t lookupHits_ = 0;
 };
 
-/** The CBTB (CounterBtb) as a monomorphized kernel. run() further
- *  specialises the inner loop per counter width (1..4 bits). */
-class CbtbKernel
+/** The CBTB (CounterBtb) as a monomorphized kernel. stepBlock
+ *  further specialises the inner loop per counter width (1..4 bits). */
+class CbtbKernel final : public ReplayKernel
 {
   public:
     CbtbKernel(const BufferConfig &buffer,
                const CounterConfig &counter);
     /** Folds predict.cbtb.lookups/.hits, like ~CounterBtb(). */
-    ~CbtbKernel();
+    ~CbtbKernel() override;
 
-    CbtbKernel(const CbtbKernel &) = delete;
-    CbtbKernel &operator=(const CbtbKernel &) = delete;
-
-    KernelReplayResult run(const trace::TraceView &view);
-
-    /** Step a block, monomorphized per counter width like run(). */
+    /** Monomorphized per counter width: the saturation ceiling is a
+     *  compile-time constant per block. */
     void
-    stepBlock(const KernelEvent *events, std::size_t count)
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
         switch (maxCount_) {
           case 1:
@@ -305,7 +302,7 @@ class CbtbKernel
         }
     }
 
-    KernelReplayResult result() const;
+    KernelReplayResult result() const override;
 
     ir::Addr
     targetOf(ir::Addr pc) const
@@ -397,18 +394,16 @@ enum class StaticKind
 };
 
 /** The four static predictors as one kernel, monomorphized per kind
- *  inside run(). Only the default OpcodeBias table is supported --
+ *  inside stepBlock. Only the default OpcodeBias table is supported --
  *  custom bias maps take the virtual fallback. */
-class StaticKernel
+class StaticKernel final : public ReplayKernel
 {
   public:
     explicit StaticKernel(StaticKind kind);
 
-    KernelReplayResult run(const trace::TraceView &view);
-
-    /** Step a block, monomorphized per kind like run(). */
+    /** Monomorphized per kind. */
     void
-    stepBlock(const KernelEvent *events, std::size_t count)
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
         switch (kind_) {
           case StaticKind::AlwaysTaken:
@@ -426,7 +421,7 @@ class StaticKernel
         }
     }
 
-    KernelReplayResult result() const;
+    KernelReplayResult result() const override;
 
   private:
     template <StaticKind Kind>
@@ -479,13 +474,11 @@ class StaticKernel
 
 /** The Forward Semantic scheme (ProfilePredictor) over flat
  *  pc-indexed likely/dominant tables. */
-class FsKernel
+class FsKernel final : public ReplayKernel
 {
   public:
     /** @p max_pc bounds the flat tables (the stream's maxPc). */
     FsKernel(const LikelyMap &map, ir::Addr max_pc);
-
-    KernelReplayResult run(const trace::TraceView &view);
 
     void
     step(const KernelEvent &e)
@@ -512,15 +505,14 @@ class FsKernel
                     kernelCorrect(predicted_taken, target, e));
     }
 
-    /** Step a whole block of materialised events. */
     void
-    stepBlock(const KernelEvent *events, std::size_t count)
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
         for (std::size_t i = 0; i < count; ++i)
             step(events[i]);
     }
 
-    KernelReplayResult result() const;
+    KernelReplayResult result() const override;
 
   private:
     /** One profiled branch, packed so a prediction is one load. */
@@ -535,105 +527,7 @@ class FsKernel
     KernelStats acc_;
 };
 
-/** gshare (GsharePredictor) as a monomorphized kernel. */
-class GshareKernel
-{
-  public:
-    explicit GshareKernel(const GshareConfig &config);
-
-    GshareKernel(const GshareKernel &) = delete;
-    GshareKernel &operator=(const GshareKernel &) = delete;
-
-    KernelReplayResult run(const trace::TraceView &view);
-
-    void
-    step(const KernelEvent &e)
-    {
-        bool predicted_taken = false;
-        ir::Addr target = ir::kNoAddr;
-        TargetEntry *entry = nullptr;
-        if (!e.conditional) {
-            // The reference touches the target buffer *before* the
-            // static-target early return; the find's LRU effect is
-            // part of the semantics being replicated.
-            entry = targets_.find(e.pc);
-            if (e.staticTarget != ir::kNoAddr) {
-                predicted_taken = true;
-                target = e.staticTarget;
-            } else if (entry != nullptr) {
-                predicted_taken = true;
-                target = entry->target;
-            }
-        } else if (counters_[indexFor(e.pc)] >= 2) {
-            predicted_taken = true;
-            target = e.staticTarget;
-        }
-        acc_.record(e.conditional, predicted_taken,
-                    kernelCorrect(predicted_taken, target, e));
-        // update(): conditionals never touched the target buffer in
-        // predict(), so their taken-path find is a real LRU touch and
-        // stays; unconditionals reuse the predict-phase pointer (the
-        // way is already at the recency tail -- re-finding is a
-        // no-op for replacement order).
-        if (e.taken) {
-            TargetEntry *resident =
-                e.conditional ? targets_.find(e.pc) : entry;
-            if (resident == nullptr)
-                resident = &targets_.insert(e.pc);
-            resident->target = e.nextPc;
-        }
-        if (e.conditional) {
-            std::uint8_t &counter = counters_[indexFor(e.pc)];
-            if (e.taken) {
-                if (counter < 3)
-                    ++counter;
-            } else if (counter > 0) {
-                --counter;
-            }
-            history_ = ((history_ << 1) | (e.taken ? 1 : 0)) & mask_;
-        }
-    }
-
-    /** Step a whole block of materialised events. */
-    void
-    stepBlock(const KernelEvent *events, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            step(events[i]);
-    }
-
-    KernelReplayResult result() const;
-
-    unsigned
-    counterAt(ir::Addr pc) const
-    {
-        return counters_[static_cast<std::size_t>((history_ ^ pc) &
-                                                  mask_)];
-    }
-
-    std::uint64_t history() const { return history_; }
-
-  private:
-    struct TargetEntry
-    {
-        ir::Addr target = ir::kNoAddr;
-    };
-
-    std::size_t
-    indexFor(ir::Addr pc) const
-    {
-        return static_cast<std::size_t>((history_ ^ pc) & mask_);
-    }
-
-    GshareConfig config_;
-    std::uint64_t mask_;
-    std::uint64_t history_ = 0;
-    std::vector<std::uint8_t> counters_;
-    AssociativeBuffer<TargetEntry, FlatTagIndex> targets_;
-    KernelStats acc_;
-};
-
-/** One sweep grid point for the batch BTB replay. */
+/** One sweep grid point for core::replayBatch. */
 struct BtbBatchPoint
 {
     BufferConfig btb;
@@ -646,19 +540,6 @@ struct BtbBatchCell
     KernelReplayResult sbtb;
     KernelReplayResult cbtb;
 };
-
-/**
- * Replay one recorded stream against every grid point in a single
- * trace walk: events in the outer loop, per-point predictor state in
- * the inner loop, so N points cost one trace traversal instead of N.
- * Points with the same BufferConfig (lookup strategy aside) share one
- * SBTB kernel, whose state does not depend on the counter, so
- * predict.sbtb.* counts one kernel's lookups per distinct geometry.
- * Each point's result is bit-identical to replaying it alone.
- */
-std::vector<BtbBatchCell>
-runBtbBatch(const trace::TraceView &view,
-            const std::vector<BtbBatchPoint> &points);
 
 } // namespace branchlab::predict
 

@@ -7,14 +7,13 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #include <utility>
 
 #include "obs/metrics.hh"
+#include "serve/socket.hh"
 #include "support/bytes.hh"
 #include "support/logging.hh"
-#include "support/strings.hh"
 
 namespace branchlab::serve
 {
@@ -32,54 +31,6 @@ rejectsCounter()
 
 /** Reader poll period; bounds how long drain waits on idle readers. */
 constexpr int kPollMs = 50;
-
-/** Write all of @p data; MSG_NOSIGNAL so a vanished client surfaces
- *  as EPIPE instead of killing the process. */
-bool
-writeAll(int fd, const void *data, std::size_t size)
-{
-    const char *cursor = static_cast<const char *>(data);
-    while (size > 0) {
-        const ssize_t wrote =
-            ::send(fd, cursor, size, MSG_NOSIGNAL);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        cursor += wrote;
-        size -= static_cast<std::size_t>(wrote);
-    }
-    return true;
-}
-
-enum class ReadExact
-{
-    Ok,
-    /** Clean EOF before the first byte. */
-    Eof,
-    /** Error or EOF mid-buffer (a truncated frame). */
-    Failed,
-};
-
-ReadExact
-readExact(int fd, void *data, std::size_t size)
-{
-    char *cursor = static_cast<char *>(data);
-    std::size_t got = 0;
-    while (got < size) {
-        const ssize_t n = ::read(fd, cursor + got, size - got);
-        if (n == 0)
-            return got == 0 ? ReadExact::Eof : ReadExact::Failed;
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return ReadExact::Failed;
-        }
-        got += static_cast<std::size_t>(n);
-    }
-    return ReadExact::Ok;
-}
 
 enum class FrameStatus
 {
@@ -193,40 +144,32 @@ Daemon::start()
 {
     blab_assert(!started_, "daemon already started");
 
-    std::string_view listen = config_.listen;
-    if (listen.substr(0, 4) == "tcp:") {
-        listen.remove_prefix(4);
-        const std::size_t colon = listen.rfind(':');
-        if (colon == std::string_view::npos)
-            blab_fatal("tcp listen address needs host:port, got '",
-                       config_.listen, "'");
-        const std::string host(listen.substr(0, colon));
-        const auto port = parseOptionNumber<std::uint16_t>(
-            "the tcp port", listen.substr(colon + 1));
-        listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listenFd_ < 0)
-            blab_fatal("socket(): ", std::strerror(errno));
+    const SocketAddress where = splitAddress(config_.listen);
+    const std::string host =
+        where.host.empty() || where.host == "*" ? "0.0.0.0" : where.host;
+    // Closed again if anything below throws; a started daemon owns
+    // it until waitStopped().
+    Socket listener(where, host);
+    if (where.tcp) {
         const int one = 1;
-        ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
+        ::setsockopt(listener.fd(), SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        if (host.empty() || host == "*") {
-            addr.sin_addr.s_addr = htonl(INADDR_ANY);
-        } else if (::inet_pton(AF_INET, host.c_str(),
-                               &addr.sin_addr) != 1) {
-            blab_fatal("unparsable tcp host '", host, "'");
-        }
-        if (::bind(listenFd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof addr) != 0) {
-            blab_fatal("bind(", config_.listen,
-                       "): ", std::strerror(errno));
-        }
+    } else {
+        // The daemon owns its path: a stale socket from a previous
+        // (killed) instance is reclaimed, like the stores' temp files.
+        ::unlink(where.path.c_str());
+    }
+    if (::bind(listener.fd(), listener.addr(), listener.addrLen()) != 0) {
+        blab_fatal("bind(", where.tcp ? config_.listen : where.path,
+                   "): ", std::strerror(errno));
+    }
+    if (::listen(listener.fd(), 64) != 0)
+        blab_fatal("listen(): ", std::strerror(errno));
+
+    if (where.tcp) {
         sockaddr_in bound{};
         socklen_t bound_len = sizeof bound;
-        ::getsockname(listenFd_,
+        ::getsockname(listener.fd(),
                       reinterpret_cast<sockaddr *>(&bound),
                       &bound_len);
         char text[INET_ADDRSTRLEN] = "0.0.0.0";
@@ -234,35 +177,10 @@ Daemon::start()
         address_ = "tcp:" + std::string(text) + ":" +
                    std::to_string(ntohs(bound.sin_port));
     } else {
-        if (listen.substr(0, 5) == "unix:")
-            listen.remove_prefix(5);
-        if (listen.empty())
-            blab_fatal("empty unix socket path");
-        socketPath_ = std::string(listen);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (socketPath_.size() >= sizeof addr.sun_path)
-            blab_fatal("unix socket path too long: '", socketPath_,
-                       "'");
-        std::strncpy(addr.sun_path, socketPath_.c_str(),
-                     sizeof addr.sun_path - 1);
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listenFd_ < 0)
-            blab_fatal("socket(): ", std::strerror(errno));
-        // The daemon owns its path: a stale socket from a previous
-        // (killed) instance is reclaimed, like the stores' temp files.
-        ::unlink(socketPath_.c_str());
-        if (::bind(listenFd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof addr) != 0) {
-            blab_fatal("bind(", socketPath_,
-                       "): ", std::strerror(errno));
-        }
+        socketPath_ = where.path;
         address_ = "unix:" + socketPath_;
     }
-
-    if (::listen(listenFd_, 64) != 0)
-        blab_fatal("listen(): ", std::strerror(errno));
+    listenFd_ = listener.release();
     started_ = true;
     acceptThread_ = std::thread([this] { acceptLoop(); });
 }

@@ -1,14 +1,14 @@
 /**
  * @file
  * Differential tests binding the specialized replay kernels to the
- * virtual-dispatch reference: every kernel the registry can select
+ * virtual-dispatch reference: every kernel the engine can select
  * must produce results bit-identical to replaying the same stream
  * through the predictor makePredictor() builds, across all ten paper
  * workloads, a sweep-style config grid, and the batch entry point.
- * Internal predictor state (BTB targets, counters, gshare history) is
- * held identical too, not just the summary ratios. The closed-form
- * scorer of the stateless schemes is bound to both the kernels and
- * the reference the same way.
+ * Internal predictor state (BTB targets and counters) is held
+ * identical too, not just the summary ratios. The closed-form scorer
+ * of the stateless schemes is bound to both the kernels and the
+ * reference the same way.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "helpers.hh"
 #include "obs/metrics.hh"
 #include "predict/cbtb.hh"
-#include "predict/gshare.hh"
 #include "predict/sbtb.hh"
 #include "profile/fs_opt.hh"
 #include "support/random.hh"
@@ -96,7 +95,7 @@ referenceReplay(const trace::TraceView &view, const KernelSpec &spec)
     return replay(view, *predictor);
 }
 
-/** The full scheme roster the engine replays (paper + gshare). */
+/** The full scheme roster the engine replays. */
 std::vector<std::pair<const char *, KernelSpec>>
 paperSpecs(const RecordedWorkload &recorded,
            const ExperimentConfig &config)
@@ -124,9 +123,6 @@ paperSpecs(const RecordedWorkload &recorded,
     fs.kind = SchemeKind::ForwardSemantic;
     fs.likely = &recorded.likelyMap;
     specs.emplace_back("FS", fs);
-    KernelSpec gshare;
-    gshare.kind = SchemeKind::Gshare;
-    specs.emplace_back("gshare", gshare);
     return specs;
 }
 
@@ -247,20 +243,6 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
         expectSameResult(replayKernel(recorded.traceView(), wide),
                          referenceReplay(recorded.traceView(), wide));
     }
-
-    // Gshare across history widths and target-buffer geometries.
-    for (const unsigned history_bits : {4u, 10u, 14u}) {
-        for (const std::size_t entries : {64u, 256u}) {
-            SCOPED_TRACE("gshare h" + std::to_string(history_bits) +
-                         " e" + std::to_string(entries));
-            KernelSpec spec;
-            spec.kind = SchemeKind::Gshare;
-            spec.gshare.historyBits = history_bits;
-            spec.gshare.targets.entries = entries;
-            expectSameResult(replayKernel(recorded.traceView(), spec),
-                             referenceReplay(recorded.traceView(), spec));
-        }
-    }
 }
 
 TEST(ReplayKernel, SbtbKernelTableMatchesSimpleBtb)
@@ -269,7 +251,7 @@ TEST(ReplayKernel, SbtbKernelTableMatchesSimpleBtb)
     const predict::BufferConfig geometry; // paper config
 
     predict::SbtbKernel kernel(geometry);
-    kernel.run(recorded.traceView());
+    predict::walkKernels(recorded.traceView(), {&kernel});
     predict::SimpleBtb reference(geometry);
     replay(recorded.traceView(), reference);
 
@@ -286,7 +268,7 @@ TEST(ReplayKernel, CbtbKernelTableMatchesCounterBtb)
     const predict::CounterConfig counter{2, 2};
 
     predict::CbtbKernel kernel(geometry, counter);
-    kernel.run(recorded.traceView());
+    predict::walkKernels(recorded.traceView(), {&kernel});
     predict::CounterBtb reference(geometry, counter);
     replay(recorded.traceView(), reference);
 
@@ -297,22 +279,6 @@ TEST(ReplayKernel, CbtbKernelTableMatchesCounterBtb)
         EXPECT_EQ(kernel.counterOf(pc), reference.counterOf(pc))
             << "pc " << pc;
     }
-}
-
-TEST(ReplayKernel, GshareKernelStateMatchesGsharePredictor)
-{
-    const RecordedWorkload &recorded = recordedFor("wc");
-    const predict::GshareConfig config;
-
-    predict::GshareKernel kernel(config);
-    kernel.run(recorded.traceView());
-    predict::GsharePredictor reference(config);
-    replay(recorded.traceView(), reference);
-
-    EXPECT_EQ(kernel.history(), reference.history());
-    for (const ir::Addr pc : distinctPcs(recorded.traceView()))
-        EXPECT_EQ(kernel.counterAt(pc), reference.counterAt(pc))
-            << "pc " << pc;
 }
 
 TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
@@ -405,7 +371,7 @@ TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
         obs::Registry::global().counter("predict.sbtb.lookups");
     const std::uint64_t lookups_before = sbtb_lookups.value();
     const std::vector<predict::BtbBatchCell> cells =
-        predict::runBtbBatch(recorded.traceView(), points);
+        replayBatch(recorded.traceView(), points);
     ASSERT_EQ(cells.size(), points.size());
     // predict.sbtb.* counts the shared kernels' lookups.
     EXPECT_EQ(sbtb_lookups.value() - lookups_before,
@@ -440,7 +406,7 @@ TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
     for (const std::size_t p : order)
         permuted.push_back(points[p]);
     const std::vector<predict::BtbBatchCell> permuted_cells =
-        predict::runBtbBatch(recorded.traceView(), permuted);
+        replayBatch(recorded.traceView(), permuted);
     ASSERT_EQ(permuted_cells.size(), order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
         SCOPED_TRACE("permuted " + std::to_string(i));
@@ -542,6 +508,65 @@ TEST(ReplayKernel, MixedEligibilityBatchSplitsFusedAndFallback)
                          referenceReplay(view, specs[i]));
 }
 
+TEST(ReplayKernel, BatchOnATallPcStreamMatchesTheReference)
+{
+    // Past the flat-table bound no BTB kernel takes the stream, so
+    // every point's pair of predictors takes the virtual path.
+    const trace::SoaTrace stream = tallPcStream();
+    const trace::TraceView view = trace::TraceView::of(stream);
+    ASSERT_GE(view.maxPc(), predict::kMaxKernelPc);
+
+    predict::BufferConfig set_assoc;
+    set_assoc.entries = 4;
+    set_assoc.associativity = 2;
+    predict::BufferConfig random;
+    random.entries = 4;
+    random.associativity = 4;
+    random.policy = predict::ReplacementPolicy::Random;
+    random.seed = 7;
+    const std::vector<predict::BtbBatchPoint> points = {
+        {predict::BufferConfig{}, predict::CounterConfig{}},
+        {set_assoc, {2, 2}},
+        {set_assoc, {1, 1}},
+        {random, {3, 4}},
+    };
+
+    auto &registry = obs::Registry::global();
+    const obs::Counter &fallback =
+        registry.counter("engine.replay.kernel.fallback");
+    const obs::Counter &specialized =
+        registry.counter("engine.replay.kernel.specialized");
+    const obs::Counter &batch =
+        registry.counter("engine.replay.kernel.batch");
+    const std::uint64_t fallback_before = fallback.value();
+    const std::uint64_t specialized_before = specialized.value();
+    const std::uint64_t batch_before = batch.value();
+    const std::vector<predict::BtbBatchCell> cells =
+        replayBatch(view, points);
+    EXPECT_EQ(fallback.value(), fallback_before + 2 * points.size());
+    EXPECT_EQ(specialized.value(), specialized_before);
+    EXPECT_EQ(batch.value(), batch_before);
+
+    ASSERT_EQ(cells.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        SCOPED_TRACE("point " + std::to_string(p));
+        KernelSpec spec;
+        spec.kind = SchemeKind::Sbtb;
+        spec.btb = points[p].btb;
+        const ReplayResult sbtb = referenceReplay(view, spec);
+        EXPECT_TRUE(cells[p].sbtb.hasMissRatio);
+        EXPECT_EQ(cells[p].sbtb.missRatio, sbtb.missRatio);
+        expectSameStats(cells[p].sbtb.stats, sbtb.stats);
+
+        spec.kind = SchemeKind::Cbtb;
+        spec.counter = points[p].counter;
+        const ReplayResult cbtb = referenceReplay(view, spec);
+        EXPECT_TRUE(cells[p].cbtb.hasMissRatio);
+        EXPECT_EQ(cells[p].cbtb.missRatio, cbtb.missRatio);
+        expectSameStats(cells[p].cbtb.stats, cbtb.stats);
+    }
+}
+
 TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
 {
     const ExperimentConfig config = quickConfig();
@@ -549,13 +574,18 @@ TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
     const obs::Counter &specialized =
         obs::Registry::global().counter(
             "engine.replay.kernel.specialized");
+    const obs::Counter &schemes =
+        obs::Registry::global().counter("engine.replay.schemes");
     const std::uint64_t before = specialized.value();
+    const std::uint64_t schemes_before = schemes.value();
 
     KernelSpec spec;
     spec.kind = SchemeKind::Sbtb;
     spec.btb = config.btb;
     replayKernel(recorded.traceView(), spec);
     EXPECT_EQ(specialized.value(), before + 1);
+    // One spec, one scheme, as replayManyKernel counts them.
+    EXPECT_EQ(schemes.value(), schemes_before + 1);
 }
 
 // ---------------------------------------------------------------------
@@ -775,9 +805,9 @@ TEST(ClosedForm, ReplayProfiledWalksOnlyTheStatefulSchemes)
     const std::uint64_t schemes_before = schemes.value();
     const std::vector<ReplayResult> results =
         replayProfiled(recorded.traceView(), *recorded.profile, specs);
-    // Five stateless specs scored; SBTB, CBTB and gshare walked.
+    // Five stateless specs scored; SBTB and CBTB walked.
     EXPECT_EQ(closed.value(), closed_before + 5);
-    EXPECT_EQ(schemes.value(), schemes_before + 3);
+    EXPECT_EQ(schemes.value(), schemes_before + 2);
 
     const std::vector<ReplayResult> kernels =
         replayManyKernel(recorded.traceView(), specs);

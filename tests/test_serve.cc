@@ -302,6 +302,45 @@ TEST(ServeDaemon, TcpPortsOtherThanZeroTo65535AreFatal)
     }
 }
 
+std::size_t
+openDescriptors()
+{
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++count;
+    return count;
+}
+
+TEST(ServeDaemon, FailedStartsCloseTheirSocket)
+{
+    // A daemon that throws out of start() never stops, so the socket
+    // it opened is closed on the failure path or not at all.
+    const std::string dir = makeDir("failed_start");
+    DaemonConfig held_config;
+    held_config.listen = "tcp:127.0.0.1:0";
+    held_config.jobs = 1;
+    held_config.service.traceCacheDir = dir + "/tc";
+    held_config.service.journalDir = dir + "/jr";
+    Daemon holder(held_config);
+    holder.start();
+
+    for (const std::string &address :
+         {std::string("unix:/nonexistent-dir/x.sock"),
+          std::string("tcp:abc:0"), holder.address()}) {
+        SCOPED_TRACE(address);
+        const std::size_t before = openDescriptors();
+        for (int attempt = 0; attempt < 5; ++attempt) {
+            DaemonConfig config;
+            config.listen = address;
+            config.jobs = 1;
+            Daemon daemon(config);
+            EXPECT_THROW(daemon.start(), ConfigFailure);
+        }
+        EXPECT_EQ(openDescriptors(), before);
+    }
+}
+
 TEST(ServeDaemon, MalformedFrameGetsErrorResponseAndCloses)
 {
     TestDaemon daemon("malformed");

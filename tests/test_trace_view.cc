@@ -476,15 +476,21 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
         // therefore identical internal tables) in both modes.
         const predict::BufferConfig btb =
             predict::kernelIndexedConfig(config.btb);
+        const auto expect_same_over_both = [&](auto &a, auto &b,
+                                               const char *what) {
+            predict::walkKernels(mapped, {&a});
+            predict::walkKernels(owned, {&b});
+            expectSameResult(a.result(), b.result(), what);
+        };
         {
             predict::SbtbKernel a(btb);
             predict::SbtbKernel b(btb);
-            expectSameResult(a.run(mapped), b.run(owned), "sbtb");
+            expect_same_over_both(a, b, "sbtb");
         }
         {
             predict::CbtbKernel a(btb, config.counter);
             predict::CbtbKernel b(btb, config.counter);
-            expectSameResult(a.run(mapped), b.run(owned), "cbtb");
+            expect_same_over_both(a, b, "cbtb");
         }
         for (const predict::StaticKind kind :
              {predict::StaticKind::AlwaysTaken,
@@ -493,17 +499,12 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
               predict::StaticKind::OpcodeBias}) {
             predict::StaticKernel a(kind);
             predict::StaticKernel b(kind);
-            expectSameResult(a.run(mapped), b.run(owned), "static");
+            expect_same_over_both(a, b, "static");
         }
         {
             predict::FsKernel a(cold.likelyMap, owned.maxPc());
             predict::FsKernel b(cold.likelyMap, owned.maxPc());
-            expectSameResult(a.run(mapped), b.run(owned), "fs");
-        }
-        {
-            predict::GshareKernel a(predict::GshareConfig{});
-            predict::GshareKernel b(predict::GshareConfig{});
-            expectSameResult(a.run(mapped), b.run(owned), "gshare");
+            expect_same_over_both(a, b, "fs");
         }
 
         // The engine's fused replay agrees over both views too.
@@ -514,8 +515,7 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
               core::SchemeKind::AlwaysNotTaken,
               core::SchemeKind::BackwardTaken,
               core::SchemeKind::OpcodeBias,
-              core::SchemeKind::ForwardSemantic,
-              core::SchemeKind::Gshare}) {
+              core::SchemeKind::ForwardSemantic}) {
             core::KernelSpec spec;
             spec.kind = kind;
             spec.btb = config.btb;
