@@ -3,8 +3,8 @@
  * Out-of-core streaming smoke bench: prove the zero-copy mapped
  * replay path is constant-memory end to end.
  *
- * A deterministic synthetic generator streams a BLTC v2 entry through
- * trace::EntryWriter one section at a time (eight regeneration passes,
+ * A deterministic synthetic generator streams a BLTC v4 entry through
+ * trace::EntryWriter one section at a time (six regeneration passes,
  * nothing buffered beyond a small chunk), so the entry can be far
  * larger than RAM. The entry is then mapped and validated with
  * trace::mapEntryFile and replayed two ways off the same mapping:
@@ -207,12 +207,8 @@ writeEntry(const std::string &path, const Options &options,
     if (!writer.ok())
         blab_fatal("cannot open '", path, "' for writing");
 
-    // Likely map: the synthetic trace profiles nothing.
-    writer.beginSection(trace::EntrySection::Likely);
-    writer.endSection();
-
-    // Ops, accumulating the header stats along the way.
-    trace::TraceCounters stats;
+    // Ops. The synthetic trace profiles nothing, so the entry is
+    // stream-only: no profile section.
     {
         writer.beginSection(trace::EntrySection::Ops);
         std::string buffer;
@@ -221,14 +217,6 @@ writeEntry(const std::string &path, const Options &options,
         trace::BranchEvent e;
         while (gen.next(e)) {
             buffer.push_back(static_cast<char>(e.op));
-            ++stats.instructions;
-            ++stats.branches;
-            if (e.conditional) {
-                ++stats.conditional;
-                stats.condTaken += e.taken ? 1 : 0;
-            } else {
-                ++stats.uncondKnown;
-            }
             if (buffer.size() >= kChunkBytes) {
                 writer.write(buffer);
                 buffer.clear();
@@ -276,8 +264,10 @@ writeEntry(const std::string &path, const Options &options,
     writer.beginSection(trace::EntrySection::AnomalyDeltas);
     writer.endSection();
 
-    writer.setMeta(content_hash, /*runs=*/1, stats, options.events,
-                   /*max_pc=*/kPcMask, /*likely_count=*/0);
+    // One instruction per event: the stream is all branches.
+    writer.setMeta(content_hash, /*runs=*/1,
+                   /*instructions=*/options.events, options.events,
+                   /*max_pc=*/kPcMask);
     std::string error;
     if (!writer.finish(error))
         blab_fatal("entry write failed: ", error);

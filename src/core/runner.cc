@@ -1,6 +1,5 @@
 #include "core/runner.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "core/replay_kernel.hh"
@@ -100,38 +99,6 @@ computeContentHash(const ir::Program &program, const ir::Layout &layout,
     hasher.u64(runs);
     hasher.u64(config.maxInstructionsPerRun);
     return hasher.digest();
-}
-
-/** LikelyMap -> persistable entries, sorted by pc so the cache file
- *  is byte-stable across unordered_map iteration orders. */
-std::vector<trace::CachedLikely>
-likelyToCached(const predict::LikelyMap &map)
-{
-    std::vector<trace::CachedLikely> entries;
-    entries.reserve(map.size());
-    for (const auto &[pc, info] : map)
-        entries.push_back({pc, info.dominantTarget, info.likelyTaken});
-    std::sort(entries.begin(), entries.end(),
-              [](const trace::CachedLikely &a,
-                 const trace::CachedLikely &b) { return a.pc < b.pc; });
-    return entries;
-}
-
-/** recordWorkload's profile counters, registered together on first
- *  use so every snapshot shows both, zero or not. */
-struct ProfileTelemetry
-{
-    obs::Counter &restored =
-        obs::Registry::global().counter("engine.profile.restored");
-    obs::Counter &folds =
-        obs::Registry::global().counter("engine.profile.folds");
-};
-
-ProfileTelemetry &
-profileTelemetry()
-{
-    static ProfileTelemetry telemetry;
-    return telemetry;
 }
 
 } // namespace
@@ -255,7 +222,9 @@ recordWorkload(const workloads::Workload &workload,
                const ExperimentConfig &config)
 {
     const obs::ScopedSpan span("engine.record");
-    ProfileTelemetry &telemetry = profileTelemetry();
+    // Registered on first use, so every snapshot shows it, zero or not.
+    static obs::Counter &restored =
+        obs::Registry::global().counter("engine.profile.restored");
     RecordedWorkload recorded;
     recorded.name = workload.name();
     recorded.program =
@@ -290,28 +259,19 @@ recordWorkload(const workloads::Workload &workload,
                       "; re-recording");
             hit = false;
         }
-        if (hit && cached.profile) {
+        if (hit && !cached.profile) {
+            // A stream-only entry (a synthetic writer's): the profile
+            // is the entry's one derived record, so record it again
+            // rather than fold the stream.
+            blab_inform("trace cache entry for '", recorded.name,
+                        "' has no profile section; re-recording");
+            hit = false;
+        }
+        if (hit) {
             recorded.profile = std::make_unique<profile::ProgramProfile>(
                 *recorded.program, *recorded.layout, cached.runs,
                 *cached.profile);
-            telemetry.restored.add(1);
-        } else if (hit) {
-            // No profile section (synthetic entries): fold the stream,
-            // and hold the likely rows to the fold as the validator
-            // holds them to a stored profile.
-            const obs::ScopedSpan fold_span("engine.profile.fold");
-            recorded.profile = std::make_unique<profile::ProgramProfile>(
-                profile::foldProfile(*recorded.program, *recorded.layout,
-                                     cached.runs, cached.traceView()));
-            telemetry.folds.add(1);
-            if (cached.likely !=
-                likelyToCached(recorded.profile->buildLikelyMap())) {
-                blab_warn("trace cache entry for '", recorded.name,
-                          "' has wrong likely rows; re-recording");
-                hit = false;
-            }
-        }
-        if (hit) {
+            restored.add(1);
             // Hits stay mmap'd (stream empty).
             recorded.mapped = std::move(cached.mapped);
             recorded.stats = trace::TraceStats::fromCounters(cached.stats);
@@ -359,7 +319,6 @@ takeCacheEntry(RecordedWorkload &recorded)
     entry.contentHash = recorded.contentHash;
     entry.runs = recorded.runs;
     entry.stats = recorded.stats.counters();
-    entry.likely = likelyToCached(recorded.likelyMap);
     entry.profile = recorded.profile->exportRows();
     recorded.materializedStream();
     entry.stream = std::move(recorded.stream);

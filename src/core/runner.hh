@@ -12,7 +12,11 @@
  *
  * The engine records the branch stream in a single VM pass (or maps
  * it from the trace cache) and replays that one stream against every
- * scheme (record-once/replay-many). Because the inputs are
+ * scheme (record-once/replay-many). A cache hit restores the profile
+ * from the entry's profile section, the one record the entry derives
+ * from the stream, and reads the likely map and Table 1/2's counters
+ * off what the entry holds; an entry without a profile is recorded
+ * again, never folded. Because the inputs are
  * deterministic, this is observationally equivalent to driving each
  * scheme straight from the VM: tests/test_core.cc holds every
  * BenchmarkResult field bit-identical to a reference that does
@@ -65,16 +69,17 @@ struct RecordedWorkload
     /** The zero-copy mapped cache entry (warm hits), else null. */
     std::shared_ptr<const trace::MappedEntry> mapped;
     /** Table 1/2's counters: derived from the record pass's profile
-     *  (ProgramProfile::traceCounters), or the entry header's on a
-     *  cache hit. */
+     *  (ProgramProfile::traceCounters), or on a cache hit from the
+     *  entry's instruction count and bit-planes. */
     trace::TraceStats stats;
     /** The Forward Semantic's compiled-in predictions, profiled over
-     *  exactly these events. */
+     *  exactly these events: built from the profile, or on a cache hit
+     *  from the rows trace::mapEntryFile derives from its profile
+     *  section. */
     predict::LikelyMap likelyMap;
     /** The full block/arc profile, always set by recordWorkload: the
-     *  record pass's online profile, restored from the cache entry's
-     *  profile section on a hit, or folded from the stream when the
-     *  entry has none. */
+     *  record pass's online profile, or restored from the cache
+     *  entry's profile section on a hit. */
     std::unique_ptr<profile::ProgramProfile> profile;
     /** Profiling runs the stream covers. */
     unsigned runs = 0;
@@ -159,29 +164,27 @@ makeInputSuite(const workloads::Workload &workload,
  * without running the VM; a miss records and then persists the entry,
  * handing the store the recorded columns without copying them.
  * Entries whose pcs lie past the program's code end, and entries
- * without a profile section whose likely rows disagree with the
- * profile their stream folds to, are refused and re-recorded.
- * Hits bump the `engine.profile.restored` counter when the entry
- * carries its profile section and `engine.profile.folds` when the
- * profile had to be folded from the stream instead.
+ * without a profile section (stream-only files a synthetic writer
+ * stores), are refused and re-recorded: a hit never folds the stream.
+ * Each hit restores its profile and bumps `engine.profile.restored`.
  */
 RecordedWorkload
 recordWorkload(const workloads::Workload &workload,
                const ExperimentConfig &config = ExperimentConfig{});
 
-/** A stored likely map (a cache entry's likely section) as the
- *  profiled-static scheme's LikelyMap. */
+/** A mapped entry's likely rows (derived from its profile section)
+ *  as the profiled-static scheme's LikelyMap. */
 predict::LikelyMap
 cachedToLikely(const std::vector<trace::CachedLikely> &entries);
 
 /**
  * The trace-cache entry that persists @p recorded: its run count,
- * trace stats, likely map and profile, and its stream. The stream's
- * columns move into the entry rather than being copied (a mapped hit
- * is materialised first); move them back into `recorded.stream` to
- * keep replaying. The one place a RecordedWorkload becomes a
- * CachedWorkload, so a cache store and `branchlab record -o` write
- * the same bytes.
+ * trace stats (the entry keeps their instruction count), profile and
+ * stream. The stream's columns move into the entry rather than being
+ * copied (a mapped hit is materialised first); move them back into
+ * `recorded.stream` to keep replaying. The one place a
+ * RecordedWorkload becomes a CachedWorkload, so a cache store and
+ * `branchlab record -o` write the same bytes.
  */
 trace::CachedWorkload takeCacheEntry(RecordedWorkload &recorded);
 

@@ -202,11 +202,12 @@ Directory::scan() const
     return files;
 }
 
-void
-Directory::enforceCap(const std::vector<std::string> &keep) const
+bool
+Directory::enforceCap(const std::vector<std::string> &keep,
+                      const std::string &admit) const
 {
     if (maxBytes_ == 0)
-        return;
+        return true;
     struct Row
     {
         std::filesystem::file_time_type mtime;
@@ -226,18 +227,31 @@ Directory::enforceCap(const std::vector<std::string> &keep) const
         rows.push_back(Row{mtime, std::move(path), size});
     }
     if (total <= maxBytes_)
-        return;
+        return true;
+    // scan() and path() both join the root with `/`, so a kept path
+    // compares equal to its scanned row.
+    const auto kept = [&](const std::string &path) {
+        return path == admit ||
+               std::find(keep.begin(), keep.end(), path) != keep.end();
+    };
+    if (!admit.empty()) {
+        std::uint64_t pinned = 0;
+        for (const Row &row : rows)
+            pinned += kept(row.path) ? row.size : 0;
+        if (pinned > maxBytes_) {
+            std::error_code ec;
+            std::filesystem::remove(admit, ec);
+            return false;
+        }
+    }
     std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
         return std::tie(a.mtime, a.path) < std::tie(b.mtime, b.path);
     });
     for (const Row &row : rows) {
         if (total <= maxBytes_)
             break;
-        // scan() and path() both join the root with `/`, so a kept path
-        // compares equal to its scanned row.
         std::error_code ec;
-        if (std::find(keep.begin(), keep.end(), row.path) != keep.end() ||
-            !std::filesystem::remove(row.path, ec) || ec)
+        if (kept(row.path) || !std::filesystem::remove(row.path, ec) || ec)
             continue;
         total -= row.size;
         kind_->evictions.add(1);
@@ -245,6 +259,7 @@ Directory::enforceCap(const std::vector<std::string> &keep) const
         blab_inform(kind_->name, " evicted '", row.path, "' (", row.size,
                     " bytes)");
     }
+    return true;
 }
 
 } // namespace branchlab::store

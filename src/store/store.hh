@@ -11,6 +11,14 @@
  * prefix: `<prefix>.evictions` and `.bytes_evicted` (the cap pass),
  * `.tmp_reclaimed` (stale temps a scan removed) and `.tmp_evicted`
  * (temps removed after a failed put).
+ *
+ * The cap pass never evicts what its owner keeps: the sweep journal
+ * keeps the segments its run sealed, and the trace cache every entry
+ * its process mapped or stored. The trace cache also asks the pass to
+ * admit each new entry, which is refused, rather than evicting
+ * anything, when it does not fit beside the kept ones; so a suite
+ * that cycles through more than the cap keeps a stable set instead of
+ * evicting the next entry it needs.
  */
 
 #ifndef BRANCHLAB_STORE_STORE_HH
@@ -110,10 +118,16 @@ class Directory
      *  orphans of killed runs, on the way. */
     std::vector<std::string> scan() const;
 
-    /** When capped, scan() and evict the least recently used files
-     *  (by mtime, ties by path) until the rest fit maxBytes(), never
-     *  one of the paths from path() in @p keep. */
-    void enforceCap(const std::vector<std::string> &keep) const;
+    /**
+     * When capped, scan() and bring the directory under maxBytes(),
+     * never evicting one of the paths from path() in @p keep. With
+     * @p admit, a file just published: when it does not fit beside
+     * the kept files, it is removed instead, nothing is evicted, and
+     * the call returns false. Otherwise the least recently used other
+     * files go (by mtime, ties by path) until the rest fit.
+     */
+    bool enforceCap(const std::vector<std::string> &keep,
+                    const std::string &admit = "") const;
 
   private:
     std::string root_;

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <sstream>
 
 #include "obs/metrics.hh"
@@ -42,6 +44,8 @@ struct CacheTelemetry
         obs::Registry::global().counter("trace_cache.bytes_mapped");
     obs::Counter &bytesWritten =
         obs::Registry::global().counter("trace_cache.bytes_written");
+    obs::Counter &refusals =
+        obs::Registry::global().counter("trace_cache.refusals");
 };
 
 CacheTelemetry &
@@ -49,6 +53,36 @@ cacheTelemetry()
 {
     static CacheTelemetry *telemetry = new CacheTelemetry;
     return *telemetry;
+}
+
+/** The entries this process mapped or stored, which a capped cache
+ *  never evicts. Process-wide, because every core::recordWorkload
+ *  builds its own TraceCache. */
+struct TouchedEntries
+{
+    std::mutex mutex;
+    std::set<std::string> paths;
+
+    void
+    add(const std::string &path)
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        paths.insert(path);
+    }
+
+    std::vector<std::string>
+    snapshot()
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        return {paths.begin(), paths.end()};
+    }
+};
+
+TouchedEntries &
+touchedEntries()
+{
+    static TouchedEntries *touched = new TouchedEntries;
+    return *touched;
 }
 
 const store::Kind &
@@ -63,9 +97,9 @@ const char *
 sectionName(std::size_t s)
 {
     static const char *const kNames[kKnownSectionCount] = {
-        "likely",        "ops",          "cond-plane",
-        "taken-plane",   "tknown-plane", "anomaly-plane",
-        "deltas",        "anomaly-deltas", "profile"};
+        "ops",           "cond-plane",   "taken-plane",
+        "tknown-plane",  "anomaly-plane", "deltas",
+        "anomaly-deltas", "profile"};
     return kNames[s];
 }
 
@@ -143,7 +177,6 @@ findBranchRow(const std::vector<CachedProfileRow> &rows, ir::Addr pc)
  */
 std::string
 decodeProfileSection(std::string_view section, const EntryHeader &header,
-                     const std::vector<CachedLikely> &likely,
                      CachedProfile &out)
 {
     ByteReader in(section);
@@ -176,26 +209,6 @@ decodeProfileSection(std::string_view section, const EntryHeader &header,
     }
     if (wrapped || executions != header.eventCount)
         return "profile executions do not sum to the event count";
-
-    if (out.branches.size() != likely.size())
-        return "profile disagrees with the likely section";
-    for (std::size_t i = 0; i < likely.size(); ++i) {
-        const CachedProfileRow &row = out.branches[i];
-        // BranchCounts::dominantTarget: the first (lowest-address)
-        // next pc with the highest count.
-        ir::Addr dominant = ir::kNoAddr;
-        std::uint64_t best = 0;
-        for (const auto &[addr, count] : row.next) {
-            if (count > best) {
-                dominant = addr;
-                best = count;
-            }
-        }
-        if (row.pc != likely[i].pc ||
-            (row.taken > row.notTaken) != likely[i].likelyTaken ||
-            dominant != likely[i].dominantTarget)
-            return "profile disagrees with the likely section";
-    }
 
     out.paths.resize(static_cast<std::size_t>(path_rows));
     std::uint64_t path_executions = 0;
@@ -248,6 +261,50 @@ decodeProfileSection(std::string_view section, const EntryHeader &header,
     return "";
 }
 
+/** The likely records of @p profile's branch rows, by the rule
+ *  ProgramProfile::buildLikelyMap applies: likely taken when taken
+ *  beats not-taken, and the dominant target is the first
+ *  (lowest-address) next pc with the highest count. */
+std::vector<CachedLikely>
+likelyRows(const CachedProfile &profile)
+{
+    std::vector<CachedLikely> rows;
+    rows.reserve(profile.branches.size());
+    for (const CachedProfileRow &row : profile.branches) {
+        CachedLikely likely{row.pc, ir::kNoAddr, row.taken > row.notTaken};
+        std::uint64_t best = 0;
+        for (const auto &[addr, count] : row.next) {
+            if (count > best) {
+                likely.dominantTarget = addr;
+                best = count;
+            }
+        }
+        rows.push_back(likely);
+    }
+    return rows;
+}
+
+/** Table 1/2's counters of @p entry's stream: @p instructions from
+ *  the header, the branch counts from one pass over the cond, taken
+ *  and target-known planes. */
+TraceCounters
+planeCounters(const MappedEntry &entry, std::uint64_t instructions)
+{
+    TraceStats stats;
+    stats.addInstructions(instructions);
+    const auto events = static_cast<std::size_t>(entry.eventCount);
+    for (std::size_t base = 0; base < events; base += kTraceBlockEvents) {
+        TraceBlock block;
+        block.base = base;
+        block.count = std::min(kTraceBlockEvents, events - base);
+        block.condPlane = entry.condPlane + base / 8;
+        block.takenPlane = entry.takenPlane + base / 8;
+        block.targetKnownPlane = entry.targetKnownPlane + base / 8;
+        stats.onBlock(block);
+    }
+    return stats.counters();
+}
+
 /** The store::Writer of @p workload's entry; it sets @p bytes_written
  *  to the entry's size. */
 store::Writer
@@ -261,17 +318,8 @@ entryWriter(const CachedWorkload &workload, std::uint64_t &bytes_written)
         const SoaTrace &stream = workload.stream;
         EntryWriter writer(out);
         writer.setMeta(workload.contentHash, workload.runs,
-                       workload.stats, stream.size(), stream.maxPc(),
-                       workload.likely.size());
-        std::string likely;
-        likely.reserve(kLikelyRecordBytes * workload.likely.size());
-        for (const CachedLikely &entry : workload.likely) {
-            putU64(likely, entry.pc);
-            putU64(likely, entry.dominantTarget);
-            likely.push_back(entry.likelyTaken ? 1 : 0);
-        }
-        writer.writeSection(EntrySection::Likely, likely.data(),
-                            likely.size());
+                       workload.stats.instructions, stream.size(),
+                       stream.maxPc());
         // The stream already holds the entry's stream sections: write
         // them verbatim.
         const std::pair<EntrySection, const std::vector<std::uint8_t> *>
@@ -364,22 +412,17 @@ mapEntryFile(const std::string &path,
         error = "implausible event count";
         return false;
     }
-    if (header.likelyCount > size / kLikelyRecordBytes) {
-        error = "implausible likely-map count";
-        return false;
-    }
 
     const std::uint64_t plane_bytes = (header.eventCount + 7) / 8;
     const std::uint64_t expected_length[kKnownSectionCount] = {
-        header.likelyCount * kLikelyRecordBytes, // likely
-        header.eventCount,                       // ops
-        plane_bytes,                             // cond plane
-        plane_bytes,                             // taken plane
-        plane_bytes,                             // target-known plane
-        plane_bytes,                             // anomaly plane
-        0,                                       // deltas: any
-        0,                                       // anomaly deltas: any
-        0,                                       // profile: any
+        header.eventCount, // ops
+        plane_bytes,       // cond plane
+        plane_bytes,       // taken plane
+        plane_bytes,       // target-known plane
+        plane_bytes,       // anomaly plane
+        0,                 // deltas: any
+        0,                 // anomaly deltas: any
+        0,                 // profile: any
     };
     const std::size_t sections =
         std::min<std::size_t>(header.sectionCount, kKnownSectionCount);
@@ -429,18 +472,6 @@ mapEntryFile(const std::string &path,
         }
     }
 
-    std::vector<CachedLikely> likely_rows;
-    likely_rows.reserve(static_cast<std::size_t>(header.likelyCount));
-    const std::uint8_t *likely =
-        data + header.section(EntrySection::Likely).offset;
-    for (std::uint64_t i = 0; i < header.likelyCount; ++i) {
-        CachedLikely entry;
-        entry.pc = loadU64(likely);
-        entry.dominantTarget = loadU64(likely + 8);
-        entry.likelyTaken = likely[16] != 0;
-        likely_rows.push_back(entry);
-        likely += kLikelyRecordBytes;
-    }
     std::optional<CachedProfile> profile;
     if (header.has(EntrySection::Profile)) {
         const SectionRecord &section =
@@ -449,17 +480,10 @@ mapEntryFile(const std::string &path,
             std::string_view(
                 reinterpret_cast<const char *>(data + section.offset),
                 static_cast<std::size_t>(section.length)),
-            header, likely_rows, profile.emplace());
+            header, profile.emplace());
         if (!error.empty())
             return false;
     }
-
-    out.contentHash = header.contentHash;
-    out.runs = header.runs;
-    out.stats = header.stats;
-    out.likely = std::move(likely_rows);
-    out.profile = std::move(profile);
-    out.stream.clear();
 
     auto mapped = std::make_shared<MappedEntry>();
     mapped->featureBits = header.featureBits;
@@ -483,6 +507,13 @@ mapEntryFile(const std::string &path,
     mapped->anomalyDeltasLen = static_cast<std::size_t>(
         header.section(EntrySection::AnomalyDeltas).length);
     mapped->file = std::move(file);
+
+    out.contentHash = header.contentHash;
+    out.runs = header.runs;
+    out.stats = planeCounters(*mapped, header.instructions);
+    out.likely = profile ? likelyRows(*profile) : std::vector<CachedLikely>{};
+    out.profile = std::move(profile);
+    out.stream.clear();
     out.mapped = std::move(mapped);
     failure = MapFailure::None;
     return true;
@@ -566,8 +597,10 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
     }
     out = std::move(loaded);
     cacheTelemetry().bytesMapped.add(out.mapped->file->size());
-    // LRU touch: a hit makes the entry recently used.
+    // LRU touch: a hit makes the entry recently used, and the cap
+    // never evicts it in this process.
     dir_.touch(path);
+    touchedEntries().add(path);
     ++g_hits;
     cacheTelemetry().hits.add(1);
     blab_inform("trace cache hit: ", name, " (", out.eventCount(),
@@ -589,12 +622,22 @@ TraceCache::store(const std::string &name,
                   ")");
         return;
     }
+    cacheTelemetry().bytesWritten.add(entry_size);
+    // Refuse before evicting: an entry that does not fit beside the
+    // ones this process holds would only evict what the next lookup
+    // needs.
+    if (!dir_.enforceCap(touchedEntries().snapshot(), path)) {
+        cacheTelemetry().refusals.add(1);
+        blab_inform("trace cache refused: ", name, " (", entry_size,
+                    " bytes do not fit the cap beside the entries this "
+                    "process holds)");
+        return;
+    }
+    touchedEntries().add(path);
     ++g_stores;
     cacheTelemetry().stores.add(1);
-    cacheTelemetry().bytesWritten.add(entry_size);
     blab_inform("trace cache store: ", name, " (",
                 workload.stream.size(), " events)");
-    dir_.enforceCap({path});
 }
 
 } // namespace branchlab::trace

@@ -8,21 +8,24 @@
  * store::Directory (store/store.hh), which owns the cache's lifecycle:
  * sharding, the durable publish, the LRU touch, stale-temp reclaim and
  * the byte cap. Each file is a BLTC sectioned entry
- * (trace/format.hh): the recorded stream's
- * columns plus the profile data derived alongside it (run count, the
- * TraceStats counters, the per-branch likely map used by the
- * profiled-static scheme and the Forward Semantic transform, and the
- * record pass's full per-branch and per-path profile that the
- * transform's trace selection and slot filling read), laid out for
+ * (trace/format.hh): the recorded stream's columns, its run and
+ * instruction counts, and one record derived from the stream, the
+ * record pass's full per-branch and per-path profile that the Forward
+ * Semantic's trace selection and slot filling read, laid out for
  * mmap. A warm load walks the stream neither to decode it nor to
  * re-profile it -- it maps the file, validates it (header and section
  * checksums, section bounds, opcode range, content hash, feature
- * bits, and the profile rows against the event count and the likely
- * map), and hands replay a zero-copy TraceView over the mapping
- * (trace/view.hh) and the profiler its restored rows. Entries without
- * the profile section (synthetic ones) still load, profile-less.
- * Entries of any other format version -- the retired v1 and v2
- * included -- are refused as foreign and re-recorded.
+ * bits, and the profile rows against the event count), and hands
+ * replay a zero-copy TraceView over the mapping (trace/view.hh) and
+ * the profiler its restored rows. What else a consumer reads is
+ * derived from those at map time: the likely map of the
+ * profiled-static scheme from the profile's branch rows, and the
+ * TraceStats counters from the header's instruction count and the
+ * stream's bit-planes. Entries without the profile section
+ * (synthetic ones) still map, profile-less and with no likely rows;
+ * core::recordWorkload re-records them. Entries of any other format
+ * version -- the retired v1, v2 and v3 included -- are refused as
+ * foreign and re-recorded.
  *
  * The same entry is the standalone trace file of `branchlab record`
  * and `branchlab replay`: writeEntryFile() is the one durable writer,
@@ -50,17 +53,23 @@
  * through an EntryWriter into store::publish(). An optional byte cap
  * (constructor argument, `--trace-cache-max-bytes`, or
  * BRANCHLAB_TRACE_CACHE_MAX_BYTES) bounds the directory: after each
- * store a capped cache reclaims stale temps and evicts
- * least-recently-used entries (loads touch their entry), never the
- * entry just stored. 0 means unbounded; an unbounded cache never walks
- * its directory.
+ * store a capped cache reclaims stale temps and never evicts an entry
+ * its process mapped or stored (one process-wide set, since every
+ * record builds its own TraceCache). A new entry that does not fit
+ * beside those is removed at once and evicts nothing (a refusal);
+ * any other store evicts least-recently-used untouched entries (loads
+ * touch their entry). So a suite that cycles through more than the
+ * cap keeps hitting a stable set, and a long-lived process refuses
+ * new stores once what it touched fills the cap. 0 means unbounded;
+ * an unbounded cache never walks its directory.
  *
  * Besides the functional TraceCacheCounters below, the cache reports
  * telemetry to obs::Registry::global(): `trace_cache.hits`,
- * `.misses`, `.stores`, `.corrupt_entries` (unreadable, undecodable,
- * or hash-mismatched entries), `.map_failures` (entries that could
- * not be mapped and validated -- the corrupt ones plus foreign
- * refusals), `.bytes_mapped`, `.bytes_written`, and the store
+ * `.misses`, `.stores`, `.refusals` (new entries the cap removed),
+ * `.corrupt_entries` (unreadable, undecodable, or hash-mismatched
+ * entries), `.map_failures` (entries that could not be mapped and
+ * validated -- the corrupt ones plus foreign refusals),
+ * `.bytes_mapped`, `.bytes_written`, and the store
  * lifecycle's `.tmp_evicted` (temp files removed after failed
  * stores), `.tmp_reclaimed` (stale temps of killed runs), `.evictions`
  * and `.bytes_evicted`.
@@ -124,7 +133,8 @@ class ContentHasher
     std::uint64_t hash_ = 0xcbf29ce484222325ULL; // FNV offset basis
 };
 
-/** One profiled branch site, as persisted (predict-layer agnostic). */
+/** One profiled branch site's compiled-in prediction
+ *  (predict-layer agnostic), derived from its profile row. */
 struct CachedLikely
 {
     ir::Addr pc = ir::kNoAddr;
@@ -221,7 +231,13 @@ struct CachedWorkload
     std::uint64_t contentHash = 0;
     /** Number of profiling runs the stream covers. */
     std::uint32_t runs = 0;
+    /** Table 1/2's counters. The writer stores only `instructions`;
+     *  mapEntryFile() derives the branch counts from the stream's
+     *  cond, taken and target-known planes. */
     TraceCounters stats;
+    /** The likely map, pc-sorted: mapEntryFile() derives one row per
+     *  profile branch row (empty without a profile). The writer
+     *  ignores it. */
     std::vector<CachedLikely> likely;
     /** The record pass's full profile (the profile section). Absent
      *  from synthetic entries; store() then writes none. */
@@ -258,9 +274,11 @@ enum class MapFailure
 
 /**
  * Map and fully validate one entry file, zero-copy. On success fills
- * @p out and returns true. On failure returns false with a diagnostic
- * in @p error and the classification in @p failure; never warns,
- * never aborts, and never leaves a mapping behind. The embedded
+ * @p out, its `likely` rows and `stats` derived from what the entry
+ * holds (see CachedWorkload), and returns true. On failure returns
+ * false with a diagnostic in @p error and the classification in
+ * @p failure; never warns, never aborts, and never leaves a mapping
+ * behind. The embedded
  * content hash must equal @p expected_hash, the lookup key; a
  * standalone trace file has none and passes std::nullopt, so it is
  * held to the hash its own (checksummed) header declares. Cache
@@ -344,8 +362,10 @@ class TraceCache
      * Persist @p workload (its owning `stream`) as the entry for
      * @p name, written as writeEntryFile() writes it, creating the
      * shard directory if needed. Failures warn and leave the cache
-     * unchanged. A successful store then evicts LRU entries until the
-     * cache fits maxBytes().
+     * unchanged. A capped cache then removes the new entry again when
+     * it does not fit maxBytes() beside the entries this process
+     * mapped or stored (`trace_cache.refusals`), and otherwise evicts
+     * LRU entries the process never touched until the cache fits.
      */
     void store(const std::string &name,
                const CachedWorkload &workload) const;

@@ -41,14 +41,9 @@ encodeHeader(const EntryHeader &header)
     putU64(out, header.contentHash);
     putU32(out, header.runs);
     putU32(out, header.sectionCount);
-    putU64(out, header.stats.instructions);
-    putU64(out, header.stats.branches);
-    putU64(out, header.stats.conditional);
-    putU64(out, header.stats.condTaken);
-    putU64(out, header.stats.uncondKnown);
+    putU64(out, header.instructions);
     putU64(out, header.eventCount);
     putU64(out, header.maxPc);
-    putU64(out, header.likelyCount);
     blab_assert(out.size() == kEntryHeaderBytes,
                 "entry header layout drifted");
     for (std::size_t s = 0; s < header.sectionCount; ++s) {
@@ -98,14 +93,9 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     out.featureBits = loadU64(p);
     out.contentHash = loadU64(p + 8);
     out.runs = loadU32(p + 16);
-    out.stats.instructions = loadU64(p + 24);
-    out.stats.branches = loadU64(p + 32);
-    out.stats.conditional = loadU64(p + 40);
-    out.stats.condTaken = loadU64(p + 48);
-    out.stats.uncondKnown = loadU64(p + 56);
-    out.eventCount = loadU64(p + 64);
-    out.maxPc = loadU64(p + 72);
-    out.likelyCount = loadU64(p + 80);
+    out.instructions = loadU64(p + 24);
+    out.eventCount = loadU64(p + 32);
+    out.maxPc = loadU64(p + 40);
     if (out.sectionCount < kEntrySectionCount)
         return "too few sections (" +
                std::to_string(out.sectionCount) + ")";

@@ -8,28 +8,24 @@
  * File layout (all integers little-endian):
  *
  *   header:
- *     magic "BLTC", u32 version = 3, u64 feature bits,
- *     u64 content hash, u32 runs, u32 section count (>= 8),
- *     u64 x5 trace stats (instructions, branches, conditional,
- *     condTaken, uncondKnown), u64 event count, u64 max pc,
- *     u64 likely count
+ *     magic "BLTC", u32 version = 4, u64 feature bits,
+ *     u64 content hash, u32 runs, u32 section count (>= 7),
+ *     u64 instructions, u64 event count, u64 max pc
  *   section table: section count x { u64 offset, u64 length,
  *     u64 checksum }
  *   header checksum: u64 checksum64 over every byte before it (the
  *     header and the section table)
  *   sections, each starting on a kSectionAlign boundary, in order:
- *     0 likely      17 bytes per profiled branch (pc, dominant
- *                   target, likely-taken byte)
- *     1 ops         one opcode byte per event
- *     2 cond plane  LSB-first bit-plane, ceil(n/8) bytes
- *     3 taken plane
- *     4 target-known plane
- *     5 anomaly plane ("anomalous next" bits, same layout)
- *     6 deltas      interleaved zig-zag varint triples per event
+ *     0 ops         one opcode byte per event
+ *     1 cond plane  LSB-first bit-plane, ceil(n/8) bytes
+ *     2 taken plane
+ *     3 target-known plane
+ *     4 anomaly plane ("anomalous next" bits, same layout)
+ *     5 deltas      interleaved zig-zag varint triples per event
  *                   (pc vs prev pc, target vs pc, fallthrough vs pc)
- *     7 anomaly deltas  one zig-zag varint (nextPc vs pc) per set
+ *     6 anomaly deltas  one zig-zag varint (nextPc vs pc) per set
  *                   anomaly bit
- *     8 profile     (additive, optional) the record pass's full
+ *     7 profile     (additive, optional) the record pass's full
  *                   per-branch and per-path profile, so a warm run
  *                   never folds the stream to rebuild it:
  *                   u64 branch rows B, u64 path rows P, u64 last pc,
@@ -38,10 +34,19 @@
  *                     u64 n, n x { u64 next pc, u64 count } }
  *                   with prev pc = kNoAddr on branch rows
  *
- * Sections 1-7 are byte for byte the columns a trace::SoaTrace holds
+ * Sections 0-6 are byte for byte the columns a trace::SoaTrace holds
  * in memory (trace/soa.hh): there is one encoded form of a stream,
  * owned or mapped. A cold record builds it block by block, the cache
  * writes it verbatim, and a warm hit maps it back.
+ *
+ * The profile section is the entry's one record derived from the
+ * stream (the paper's profiling pass, section 2.2). Everything else a
+ * reader reports is derived from what the entry holds, never stored
+ * beside it: the likely map the Forward Semantic compiles in comes
+ * from the profile's branch rows (trace/cache.hh, CachedLikely), and
+ * Table 1/2's branch counters from the cond, taken and target-known
+ * planes; only the instruction count, which no column records, sits
+ * in the header.
  *
  * Section alignment means a mapped reader hands the ops bytes and the
  * four bit-planes to the replay kernels directly out of the mapping
@@ -54,33 +59,34 @@
  * (pc, prev pc)), every pc <= max pc, next-counts ascending, nonzero
  * and summing to taken + not-taken, branch executions summing to the
  * event count and path executions to one less (only the stream's
- * first event has no context), every path's branches profiled, the
- * last pc profiled (kNoAddr for an empty stream), and one branch row
- * per likely record that agrees with it on pc, majority direction
- * and dominant target.
+ * first event has no context), every path's branches profiled, and
+ * the last pc profiled (kNoAddr for an empty stream).
  *
  * Compatibility rules:
  *  - a reader accepts exactly kEntryVersion. Any other version --
- *    the retired inline v1 and unchecksummed v2 entries included --
- *    is refused as foreign, and the cache re-records it: every entry
- *    holds only data a VM pass can derive again.
+ *    the retired inline v1, unchecksummed v2 and likely-section v3
+ *    entries included -- is refused as foreign, and the cache
+ *    re-records it: every entry holds only data a VM pass can derive
+ *    again.
  *  - the header checksum is verified right after the version, before
  *    any other header field is trusted (the section count only
  *    locates it, and a damaged count points past the file or at the
- *    wrong bytes). So damage to the run count, the trace stats, the
- *    max pc or the section table reads as corruption, never as a
+ *    wrong bytes). So damage to the run count, the instruction count,
+ *    the max pc or the section table reads as corruption, never as a
  *    different entry.
  *  - feature bits declare semantics a reader MUST understand to use
  *    the entry. A reader that sees a bit outside kKnownFeatureBits
  *    refuses the entry cleanly (the cache re-records); a writer never
  *    sets bits it does not implement, and seals the header it wrote,
  *    bits included. Additive, ignorable extensions instead append
- *    sections (section count > 8) without a bit: old readers read
- *    the first eight sections and ignore the rest.
- *  - section 8 (profile) is the first such extension. Entries without
- *    it (bench/stream_smoke.cc's generator writes none) stay valid,
- *    and the cache's consumers fold the stream into the profile
- *    instead. This reader validates sections 0-8 and ignores any
+ *    sections after the first seven (section count > 7) without a
+ *    bit: old readers read the sections they know and ignore the
+ *    rest.
+ *  - section 7 (profile) is the first such extension. Entries without
+ *    it (bench/stream_smoke.cc's generator writes none) stay valid
+ *    stream-only files for mapEntryFile's callers, with no likely
+ *    rows; core::recordWorkload re-records them instead of folding
+ *    the stream. This reader validates sections 0-7 and ignores any
  *    later ones.
  *  - the per-section checksum (checksum64 below) covers each
  *    section's bytes; readers verify all of them at map time, so a
@@ -96,50 +102,44 @@
 #include <string>
 
 #include "ir/types.hh"
-#include "trace/stats.hh"
 
 namespace branchlab::trace
 {
 
 inline constexpr char kEntryMagic[4] = {'B', 'L', 'T', 'C'};
-inline constexpr std::uint32_t kEntryVersion = 3;
+inline constexpr std::uint32_t kEntryVersion = 4;
 
 /** Sections start on this boundary (one page on every platform we
  *  target), so plane pointers into a mapping are byte-aligned and
  *  page-cache friendly. */
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
-/** The sections this reader knows, in file order: the eight
+/** The sections this reader knows, in file order: the seven
  *  every entry carries, then the additive ones. */
 enum class EntrySection : std::size_t
 {
-    Likely = 0,
-    Ops = 1,
-    CondPlane = 2,
-    TakenPlane = 3,
-    TargetKnownPlane = 4,
-    AnomalyPlane = 5,
-    Deltas = 6,
-    AnomalyDeltas = 7,
-    Profile = 8,
+    Ops = 0,
+    CondPlane = 1,
+    TakenPlane = 2,
+    TargetKnownPlane = 3,
+    AnomalyPlane = 4,
+    Deltas = 5,
+    AnomalyDeltas = 6,
+    Profile = 7,
 };
 
 /** Sections every entry carries. */
-inline constexpr std::size_t kEntrySectionCount = 8;
+inline constexpr std::size_t kEntrySectionCount = 7;
 
 /** Sections this reader validates and uses (required + additive). */
-inline constexpr std::size_t kKnownSectionCount = 9;
-
-/** Bytes per persisted likely-map record (u64 pc, u64 dominant
- *  target, u8 likely-taken). */
-inline constexpr std::size_t kLikelyRecordBytes = 17;
+inline constexpr std::size_t kKnownSectionCount = 8;
 
 /** Feature bits this reader implements. Currently none are defined;
  *  any set bit marks a foreign entry and is refused at map time. */
 inline constexpr std::uint64_t kKnownFeatureBits = 0;
 
 /** Fixed header bytes before the section table. */
-inline constexpr std::size_t kEntryHeaderBytes = 96;
+inline constexpr std::size_t kEntryHeaderBytes = 56;
 
 /** Bytes per section-table row. */
 inline constexpr std::size_t kSectionRecordBytes = 24;
@@ -167,10 +167,10 @@ struct EntryHeader
     std::uint64_t contentHash = 0;
     std::uint32_t runs = 0;
     std::uint32_t sectionCount = kEntrySectionCount;
-    TraceCounters stats;
+    /** Dynamic instructions the stream's runs executed. */
+    std::uint64_t instructions = 0;
     std::uint64_t eventCount = 0;
     ir::Addr maxPc = 0;
-    std::uint64_t likelyCount = 0;
     /** The first min(sectionCount, kKnownSectionCount) rows (later
      *  sections, if any, are ignored by this reader). */
     std::array<SectionRecord, kKnownSectionCount> sections{};
@@ -210,7 +210,7 @@ alignSection(std::uint64_t offset)
  * Parse a header (magic and version already verified by the caller)
  * out of @p data / @p size. Verifies the header checksum before
  * decoding any field, then the header's own shape: section count
- * >= 8. @return empty string on success, else a diagnostic.
+ * >= 7. @return empty string on success, else a diagnostic.
  */
 std::string decodeEntryHeader(const std::uint8_t *data,
                               std::size_t size, EntryHeader &out);
@@ -238,21 +238,19 @@ class EntryWriter
     /** Header fields (any time before finish()). */
     void
     setMeta(std::uint64_t content_hash, std::uint32_t runs,
-            const TraceCounters &stats, std::uint64_t event_count,
-            ir::Addr max_pc, std::uint64_t likely_count,
-            std::uint64_t feature_bits = 0)
+            std::uint64_t instructions, std::uint64_t event_count,
+            ir::Addr max_pc, std::uint64_t feature_bits = 0)
     {
         header_.contentHash = content_hash;
         header_.runs = runs;
-        header_.stats = stats;
+        header_.instructions = instructions;
         header_.eventCount = event_count;
         header_.maxPc = max_pc;
-        header_.likelyCount = likely_count;
         header_.featureBits = feature_bits;
     }
 
     /** Start section @p s; sections must arrive in enum order. The
-     *  eight required sections are mandatory, additive ones optional:
+     *  seven required sections are mandatory, additive ones optional:
      *  the header's section count is however many were written. */
     void beginSection(EntrySection s);
 

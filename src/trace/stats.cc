@@ -1,6 +1,7 @@
 #include "trace/stats.hh"
 
 #include <bit>
+#include <cstring>
 
 namespace branchlab::trace
 {
@@ -9,8 +10,21 @@ void
 TraceStats::onBlock(const TraceBlock &block)
 {
     branches_ += block.count;
+    // Whole words first: a warm map counts every plane of a mapped
+    // entry this way, and a popcount per byte cost as much as the
+    // entry's checksums.
+    const std::size_t words = block.count / 64;
+    for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t cond = 0, taken = 0, known = 0;
+        std::memcpy(&cond, block.condPlane + 8 * w, 8);
+        std::memcpy(&taken, block.takenPlane + 8 * w, 8);
+        std::memcpy(&known, block.targetKnownPlane + 8 * w, 8);
+        conditional_ += std::popcount(cond);
+        condTaken_ += std::popcount(cond & taken);
+        uncondKnown_ += std::popcount(~cond & known);
+    }
     const std::size_t bytes = (block.count + 7) / 8;
-    for (std::size_t byte = 0; byte < bytes; ++byte) {
+    for (std::size_t byte = 8 * words; byte < bytes; ++byte) {
         const unsigned live = byte + 1 == bytes && (block.count & 7) != 0
                                   ? (1u << (block.count & 7)) - 1
                                   : 0xffu;

@@ -39,7 +39,8 @@ struct TraceCounters
  * time from the bit-planes. Instruction totals are fed from the
  * machine's run result (cheaper than instruction-level tracing) via
  * addInstructions(). The record pass derives the same counters from
- * its profile instead (ProgramProfile::traceCounters).
+ * its profile instead (ProgramProfile::traceCounters); a trace-cache
+ * map counts a mapped entry's planes through onBlock().
  */
 class TraceStats : public TraceSink
 {

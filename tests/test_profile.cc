@@ -339,7 +339,7 @@ struct ReferenceProfile
         return out;
     }
 
-    /** Likely records as the trace cache persists them. */
+    /** Likely records as a trace-cache map derives them. */
     std::vector<trace::CachedLikely>
     likely() const
     {
@@ -482,8 +482,8 @@ TEST(ProfileDifferential, PcsPastTheCodeEndNeverIndexATable)
 }
 
 /** A cache entry for @p cold's workload with @p events as its stream
- *  and a profile, likely map and stats consistent with them: valid in
- *  every way the entry validator checks. */
+ *  and a profile consistent with them: valid in every way the entry
+ *  validator checks. */
 trace::CachedWorkload
 plantedEntry(const core::RecordedWorkload &cold,
              const std::vector<trace::BranchEvent> &events)
@@ -495,7 +495,6 @@ plantedEntry(const core::RecordedWorkload &cold,
     entry.contentHash = cold.contentHash;
     entry.runs = cold.runs;
     entry.stats = cold.stats.counters();
-    entry.likely = ref.likely();
     entry.profile = ref.rows();
     entry.stream = trace::SoaTrace::fromEvents(events);
     return entry;
@@ -557,7 +556,6 @@ TEST(ProfileDifferential, PlantedEntriesPastTheCodeEndAreReRecorded)
     {
         trace::CachedWorkload entry = plantedEntry(cold, events);
         entry.profile->branches.back().pc = code_end + 8;
-        entry.likely.back().pc = code_end + 8;
         cache.store(cold.name, entry);
         expectReRecorded("profile row past the code end");
     }

@@ -210,8 +210,7 @@ smallEntry()
     trace::CachedWorkload workload;
     workload.contentHash = 0x5eed5eed5eed5eedULL;
     workload.runs = 1;
-    workload.stats = {100, 20, 15, 9, 4};
-    workload.likely = {{0x1000, 0x1010, true}};
+    workload.stats.instructions = 100;
     workload.stream = trace::SoaTrace::fromEvents(recorder.takeEvents());
     return workload;
 }

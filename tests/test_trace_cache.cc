@@ -19,6 +19,7 @@
 #include <optional>
 #include <random>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/runner.hh"
@@ -50,6 +51,20 @@ makeCacheDir(const std::string &tag)
     return dir;
 }
 
+/** The counters mapEntryFile reports for an entry holding @p stream
+ *  and @p instructions: Table 1/2's branch counts tallied event by
+ *  event. */
+TraceCounters
+streamCounters(const SoaTrace &stream, std::uint64_t instructions)
+{
+    TraceStats stats;
+    stats.addInstructions(instructions);
+    for (const BranchEvent &event : stream.toEvents())
+        stats.onBranch(event);
+    return stats.counters();
+}
+
+/** A stream-only entry (no profile section, so no likely rows). */
 CachedWorkload
 makeWorkload()
 {
@@ -60,9 +75,8 @@ makeWorkload()
     CachedWorkload workload;
     workload.contentHash = 0x1234abcd5678ef01ULL;
     workload.runs = 3;
-    workload.stats = {1000, 200, 150, 90, 40};
-    workload.likely = {{0x1000, 0x1010, true}, {0x1004, ir::kNoAddr, false}};
     workload.stream = SoaTrace::fromEvents(recorder.takeEvents());
+    workload.stats = streamCounters(workload.stream, 1000);
     return workload;
 }
 
@@ -159,8 +173,11 @@ expectStoreLoadRoundTrip(const TraceCache &cache,
     ASSERT_TRUE(cache.load("fact", stored.contentHash, loaded));
     EXPECT_EQ(loaded.contentHash, stored.contentHash);
     EXPECT_EQ(loaded.runs, stored.runs);
-    EXPECT_EQ(loaded.stats, stored.stats);
-    EXPECT_EQ(loaded.likely, stored.likely);
+    // The entry keeps the instruction count; the branch counts come
+    // from its planes, and a stream-only entry has no likely rows.
+    EXPECT_EQ(loaded.stats,
+              streamCounters(stored.stream, stored.stats.instructions));
+    EXPECT_TRUE(loaded.likely.empty());
     // A hit arrives zero-copy mapped, the owning stream empty.
     ASSERT_NE(loaded.mapped, nullptr);
     EXPECT_EQ(loaded.stream.size(), 0u);
@@ -428,12 +445,12 @@ TEST(TraceCache, BadSectionLengthIsRejectedAsCorrupt)
     const std::string path =
         cache.entryPath("fact", stored.contentHash);
 
-    // Blow up the Ops section's recorded length (section-table row 1,
+    // Blow up the Ops section's recorded length (section-table row 0,
     // 8 bytes into the {offset, length, checksum} record) under a
     // resealed header: the section no longer fits the file, so
     // mapping must reject the entry instead of reading out of bounds.
     const std::streamoff ops_length_at =
-        static_cast<std::streamoff>(kEntryHeaderBytes) + 24 + 8;
+        static_cast<std::streamoff>(kEntryHeaderBytes) + 8;
     patchByte(path, ops_length_at + 6, 0x7f);
     resealHeader(path);
 
@@ -511,9 +528,9 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     patchByte(path, 8, 0x01); // restore
     resealHeader(path);
 
-    // Foreign: every other format version, the retired v1 and v2
+    // Foreign: every other format version, the retired v1, v2 and v3
     // included.
-    for (const std::uint32_t version : {1u, 2u, kEntryVersion + 1}) {
+    for (const std::uint32_t version : {1u, 2u, 3u, kEntryVersion + 1}) {
         writeAt(path, 4, littleEndian(version, 4));
         out = CachedWorkload{};
         EXPECT_FALSE(
@@ -535,73 +552,48 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     std::filesystem::remove_all(dir);
 }
 
-TEST(TraceCache, RetiredV1EntriesAreForeignAndReRecorded)
+/** Publish @p workload as @p name's entry of @p cache without going
+ *  through it, as another process would: this one never touched it.
+ *  @return the entry's path. */
+std::string
+plantEntry(const TraceCache &cache, const std::string &name,
+           const CachedWorkload &workload)
 {
-    const std::string dir = makeCacheDir("legacy");
-    const core::ExperimentConfig config = [&] {
-        core::ExperimentConfig c;
-        c.runsOverride = 1;
-        c.traceCacheDir = dir;
-        return c;
-    }();
-    const workloads::Workload &workload = workloads::findWorkload("tee");
-    const std::uint64_t hash = core::workloadContentHash(workload, config);
-    const std::string path = TraceCache(dir).entryPath("tee", hash);
-
-    // Plant an entry in the retired v1 inline layout: magic, version
-    // 1, content hash, runs, five stats, likely count, event count,
-    // payload size, payload. Nothing reads it any more.
+    const std::string path = cache.entryPath(name, workload.contentHash);
     std::filesystem::create_directories(
         std::filesystem::path(path).parent_path());
-    {
-        std::ofstream file(path, std::ios::binary | std::ios::trunc);
-        file << "BLTC" << littleEndian(1, 4) << littleEndian(hash)
-             << littleEndian(1, 4) << std::string(5 * 8, '\0')
-             << littleEndian(0) << littleEndian(1000)
-             << littleEndian(4096) << std::string(4096, '\0');
+    std::uint64_t bytes = 0;
+    std::string error;
+    EXPECT_TRUE(writeEntryFile(path, workload, bytes, error)) << error;
+    return path;
+}
+
+/** Bytes of every file under @p dir. */
+std::uint64_t
+treeBytes(const std::string &dir)
+{
+    std::uint64_t total = 0;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (entry.is_regular_file())
+            total += entry.file_size();
     }
-
-    obs::Counter &corrupt =
-        obs::Registry::global().counter("trace_cache.corrupt_entries");
-    obs::Counter &map_failures =
-        obs::Registry::global().counter("trace_cache.map_failures");
-    const std::uint64_t corrupt_before = corrupt.value();
-    const std::uint64_t failures_before = map_failures.value();
-    resetTraceCacheCounters();
-    resetWarningCount();
-    const core::RecordedWorkload recorded =
-        core::recordWorkload(workload, config);
-    EXPECT_FALSE(recorded.cacheHit);
-    EXPECT_EQ(map_failures.value(), failures_before + 1);
-    EXPECT_EQ(corrupt.value(), corrupt_before);
-    EXPECT_EQ(warningCount(), 0u);
-    EXPECT_EQ(traceCacheCounters().stores, 1u);
-
-    // The re-record replaced the planted entry: the next run hits.
-    const core::RecordedWorkload again =
-        core::recordWorkload(workload, config);
-    EXPECT_TRUE(again.cacheHit);
-    EXPECT_EQ(again.eventCount(), recorded.eventCount());
-    resetTraceCacheCounters();
-    std::filesystem::remove_all(dir);
+    return total;
 }
 
 TEST(TraceCache, ByteCapEvictsLeastRecentlyUsedEntries)
 {
     const std::string dir = makeCacheDir("evict");
     const CachedWorkload workload = makeWorkload();
+    // Two entries another process stored.
     const TraceCache probe(dir);
-    probe.store("aa", workload);
-    const std::string path_a =
-        probe.entryPath("aa", workload.contentHash);
+    const std::string path_a = plantEntry(probe, "aa", workload);
+    const std::string path_b = plantEntry(probe, "bb", workload);
     const std::uint64_t entry_bytes =
         std::filesystem::file_size(path_a);
 
     // Cap admits two entries but not three.
     const TraceCache cache(dir, 2 * entry_bytes + entry_bytes / 2);
-    cache.store("bb", workload);
-    const std::string path_b =
-        cache.entryPath("bb", workload.contentHash);
 
     // Age "aa" well behind "bb" so the LRU order is unambiguous.
     const auto now = std::filesystem::file_time_type::clock::now();
@@ -629,25 +621,109 @@ TEST(TraceCache, ByteCapEvictsLeastRecentlyUsedEntries)
     CachedWorkload out;
     EXPECT_TRUE(cache.load("cc", workload.contentHash, out));
     EXPECT_TRUE(cache.load("bb", workload.contentHash, out));
-    std::uint64_t total = 0;
-    for (const auto &entry :
-         std::filesystem::recursive_directory_iterator(dir)) {
-        if (entry.is_regular_file())
-            total += entry.file_size();
-    }
-    EXPECT_LE(total, cache.maxBytes());
+    EXPECT_LE(treeBytes(dir), cache.maxBytes());
 
-    // A cap smaller than one entry evicts everything else but never
-    // the entry just stored.
+    // This process now holds both, so a cap smaller than one entry
+    // refuses the next store instead of evicting either.
     TraceCache(dir, 1).store("dd", workload);
-    const std::string path_d = cache.entryPath("dd", workload.contentHash);
     std::vector<std::string> left;
     for (const auto &entry :
          std::filesystem::recursive_directory_iterator(dir)) {
         if (entry.is_regular_file())
             left.push_back(entry.path().string());
     }
-    EXPECT_EQ(left, std::vector<std::string>{path_d});
+    std::sort(left.begin(), left.end());
+    std::vector<std::string> kept = {
+        path_b, cache.entryPath("cc", workload.contentHash)};
+    std::sort(kept.begin(), kept.end());
+    EXPECT_EQ(left, kept);
+    EXPECT_EQ(evictions.value(), evictions_before + 1);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, ByteCapKeepsWhatThisProcessTouched)
+{
+    // A suite walked in a fixed order through a cache capped below
+    // its total: evicting by age alone removes, on every store, the
+    // entry the next rerun looks up first, so no rerun ever hits. The
+    // cap instead keeps every entry this process mapped or stored and
+    // refuses a new entry that does not fit beside them.
+    const std::string dir = makeCacheDir("cap_touched");
+    const CachedWorkload workload = makeWorkload();
+    const std::string sizing = makeCacheDir("cap_touched_size");
+    const std::uint64_t entry_bytes = std::filesystem::file_size(
+        plantEntry(TraceCache(sizing), "size", workload));
+    std::filesystem::remove_all(sizing);
+    const std::uint64_t cap = 2 * entry_bytes + entry_bytes / 2;
+
+    obs::Counter &refusals =
+        obs::Registry::global().counter("trace_cache.refusals");
+    obs::Counter &evictions =
+        obs::Registry::global().counter("trace_cache.evictions");
+    const std::uint64_t evictions_before = evictions.value();
+    const std::string names[] = {"aa", "bb", "cc", "dd"};
+    for (int run = 0; run < 3; ++run) {
+        SCOPED_TRACE(run);
+        // Every record builds its own cache, as every recordWorkload
+        // does; the set of touched entries is the process's.
+        const TraceCache cache(dir, cap);
+        resetTraceCacheCounters();
+        const std::uint64_t refusals_before = refusals.value();
+        for (const std::string &name : names) {
+            CachedWorkload out;
+            if (!cache.load(name, workload.contentHash, out))
+                cache.store(name, workload);
+        }
+        const TraceCacheCounters counters = traceCacheCounters();
+        EXPECT_EQ(counters.hits, run == 0 ? 0u : 2u);
+        EXPECT_EQ(counters.stores, run == 0 ? 2u : 0u);
+        EXPECT_EQ(refusals.value(), refusals_before + 2);
+        for (const std::string &name : names) {
+            EXPECT_EQ(std::filesystem::exists(
+                          cache.entryPath(name, workload.contentHash)),
+                      name == "aa" || name == "bb")
+                << name;
+        }
+        EXPECT_LE(treeBytes(dir), cap);
+    }
+    EXPECT_EQ(evictions.value(), evictions_before);
+    resetTraceCacheCounters();
+
+    // Stores and loads from many threads share the touched set; the
+    // tree ends within the cap, and every kept entry serves.
+    const std::string shared = makeCacheDir("cap_touched_threads");
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&shared, &workload, cap, t] {
+            for (int i = 0; i < 4; ++i) {
+                const std::string name =
+                    "t" + std::to_string(t) + "_" + std::to_string(i);
+                const TraceCache cache(shared, cap);
+                CachedWorkload out;
+                cache.store(name, workload);
+                cache.load(name, workload.contentHash, out);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_LE(treeBytes(shared), cap);
+    std::size_t served = 0;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(shared)) {
+        if (!entry.is_regular_file())
+            continue;
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_TRUE(mapEntryFile(entry.path().string(),
+                                 workload.contentHash, out, error,
+                                 failure))
+            << error;
+        ++served;
+    }
+    EXPECT_LE(served, 2u);
+    std::filesystem::remove_all(shared);
     std::filesystem::remove_all(dir);
 }
 
@@ -703,15 +779,30 @@ TEST(TraceCache, ContentHasherIsOrderSensitive)
     EXPECT_NE(c, d);
 }
 
-/** A synthetic workload whose likely map and profile section are
- *  both derived from its stream, as a cold record writes them. */
+/** @p map's rows in pc order, as mapEntryFile derives them. */
+std::vector<CachedLikely>
+sortedLikely(const predict::LikelyMap &map)
+{
+    std::vector<CachedLikely> rows;
+    for (const auto &[pc, info] : map)
+        rows.push_back({pc, info.dominantTarget, info.likelyTaken});
+    std::sort(rows.begin(), rows.end(),
+              [](const CachedLikely &a, const CachedLikely &b) {
+                  return a.pc < b.pc;
+              });
+    return rows;
+}
+
+/** A synthetic workload with a profile section folded from its
+ *  stream, as a cold record writes it, plus the likely rows and
+ *  counters a map of its entry derives. */
 CachedWorkload
 makeProfiledWorkload()
 {
     const ir::Program prog = test::buildFactorial(5);
     const ir::Layout layout(prog);
     BranchRecorder recorder;
-    test::runProgram(prog, &recorder);
+    const vm::RunResult run = test::runProgram(prog, &recorder);
     const SoaTrace stream = SoaTrace::fromEvents(recorder.takeEvents());
     const profile::ProgramProfile folded =
         profile::foldProfile(prog, layout, 1, TraceView::of(stream));
@@ -719,13 +810,8 @@ makeProfiledWorkload()
     CachedWorkload workload;
     workload.contentHash = 0x0badc0ffee0ddf00ULL;
     workload.runs = 1;
-    for (const auto &[pc, info] : folded.buildLikelyMap())
-        workload.likely.push_back({pc, info.dominantTarget,
-                                   info.likelyTaken});
-    std::sort(workload.likely.begin(), workload.likely.end(),
-              [](const CachedLikely &a, const CachedLikely &b) {
-                  return a.pc < b.pc;
-              });
+    workload.stats = streamCounters(stream, run.instructions);
+    workload.likely = sortedLikely(folded.buildLikelyMap());
     workload.profile = folded.exportRows();
     workload.stream = stream;
     return workload;
@@ -812,11 +898,12 @@ TEST(TraceCacheProfile, SectionRoundTripsAndIsOptional)
     ASSERT_TRUE(loaded.profile.has_value());
     EXPECT_EQ(*loaded.profile, *stored.profile);
     EXPECT_EQ(loaded.likely, stored.likely);
+    EXPECT_EQ(loaded.stats, stored.stats);
 
-    // Without a profile the writer emits the eight required sections:
-    // the profiled entry minus its ninth table row and section, with
-    // a section count of 8 (header bytes 28..31) and the header
-    // checksum right after the eighth row.
+    // Without a profile the writer emits the seven required sections:
+    // the profiled entry minus its eighth table row and section, with
+    // a section count of 7 (header bytes 28..31) and the header
+    // checksum right after the seventh row.
     CachedWorkload bare = stored;
     bare.profile.reset();
     cache.store("bare", bare);
@@ -837,6 +924,8 @@ TEST(TraceCacheProfile, SectionRoundTripsAndIsOptional)
     EXPECT_EQ(bare_bytes, expected);
     ASSERT_TRUE(cache.load("bare", bare.contentHash, loaded));
     EXPECT_FALSE(loaded.profile.has_value());
+    EXPECT_TRUE(loaded.likely.empty());
+    EXPECT_EQ(loaded.stats, stored.stats);
     EXPECT_EQ(loaded.eventCount(), stored.stream.size());
     std::filesystem::remove_all(dir);
 }
@@ -932,46 +1021,90 @@ TEST(TraceCacheProfile, MutatedSectionsAreRejectedOrRoundTrip)
     std::filesystem::remove_all(dir);
 }
 
+TEST(TraceCacheProfile, DerivedFieldsFollowTheProfilesRules)
+{
+    // One conditional branch taken once and not taken once, so its two
+    // next pcs tie: it is not likely taken (taken must beat not-taken)
+    // and its dominant target is the lower address, the fall-through
+    // -- what ProgramProfile::buildLikelyMap answers. Two
+    // unconditional branches, one with a known target and one
+    // without, feed the target-known plane.
+    const ir::Program prog = test::buildFactorial(5);
+    const ir::Layout layout(prog);
+    const ir::Addr branch = ir::kCodeBase;
+    std::vector<BranchEvent> events(4);
+    for (int i = 0; i < 2; ++i) {
+        events[i].pc = branch;
+        events[i].op = ir::Opcode::Beq;
+        events[i].conditional = true;
+        events[i].taken = i == 0;
+        events[i].targetAddr = branch + 8;
+        events[i].fallthroughAddr = branch + 1;
+        events[i].nextPc = i == 0 ? branch + 8 : branch + 1;
+    }
+    for (int i = 2; i < 4; ++i) {
+        events[i].pc = branch + static_cast<ir::Addr>(i);
+        events[i].op = i == 2 ? ir::Opcode::Jmp : ir::Opcode::JTab;
+        events[i].targetKnown = i == 2;
+        events[i].targetAddr = i == 2 ? branch : ir::kNoAddr;
+        events[i].fallthroughAddr = events[i].pc + 1;
+        events[i].nextPc = branch;
+    }
+    const SoaTrace stream = SoaTrace::fromEvents(events);
+    const profile::ProgramProfile folded =
+        profile::foldProfile(prog, layout, 1, TraceView::of(stream));
+
+    CachedWorkload workload;
+    workload.contentHash = 0x7135ULL;
+    workload.runs = 1;
+    workload.stats.instructions = 40;
+    workload.profile = folded.exportRows();
+    workload.stream = stream;
+    const std::string dir = makeCacheDir("derived_rules");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/ties.bltc";
+    std::uint64_t bytes = 0;
+    std::string error;
+    ASSERT_TRUE(writeEntryFile(path, workload, bytes, error)) << error;
+
+    CachedWorkload out;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapEntryFile(path, std::nullopt, out, error, failure))
+        << error;
+    EXPECT_EQ(out.likely, sortedLikely(folded.buildLikelyMap()));
+    ASSERT_FALSE(out.likely.empty());
+    EXPECT_EQ(out.likely.front(),
+              (CachedLikely{branch, branch + 1, false}));
+    // instructions, branches, conditional, cond taken, uncond known.
+    EXPECT_EQ(out.stats, (TraceCounters{40, 4, 2, 1, 1}));
+    EXPECT_EQ(out.stats, streamCounters(stream, 40));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(TraceCache, LyingHeaderCountsAreRejectedAsCorrupt)
 {
-    // Counts the checksummed header declares but the file cannot hold
-    // (as a buggy writer could seal them) end in a diagnostic before
-    // any length arithmetic can wrap or any column is read.
+    // An event count the checksummed header declares but the file
+    // cannot hold (as a buggy writer could seal it) ends in a
+    // diagnostic before any length arithmetic can wrap or any column
+    // is read.
     const std::string dir = makeCacheDir("lying_counts");
     const TraceCache cache(dir);
     const CachedWorkload stored = makeWorkload();
     cache.store("fact", stored);
     const std::string path = cache.entryPath("fact", stored.contentHash);
-    const std::string pristine = readFileBytes(path);
-    const std::uint64_t file_size = pristine.size();
+    const std::uint64_t file_size = std::filesystem::file_size(path);
 
-    const struct
-    {
-        std::streamoff offset;
-        std::uint64_t value;
-        const char *diagnostic;
-    } cases[] = {
-        // u64 event count at header byte 72: past the whole file.
-        {72, file_size + 1, "implausible event count"},
-        // u64 likely count at header byte 88: 17 bytes per record
-        // would wrap this count's byte length to a tiny number.
-        {88, (~std::uint64_t{0} / kLikelyRecordBytes) + 1,
-         "implausible likely-map count"},
-    };
-    for (const auto &lie : cases) {
-        SCOPED_TRACE(lie.diagnostic);
-        writeFileBytes(path, pristine);
-        writeAt(path, lie.offset, littleEndian(lie.value));
-        resealHeader(path);
-        CachedWorkload out;
-        std::string error;
-        MapFailure failure = MapFailure::None;
-        EXPECT_FALSE(
-            mapEntryFile(path, stored.contentHash, out, error, failure));
-        EXPECT_EQ(failure, MapFailure::Corrupt);
-        EXPECT_EQ(error, lie.diagnostic);
-        EXPECT_EQ(out.mapped, nullptr);
-    }
+    // u64 event count at header byte 40: past the whole file.
+    writeAt(path, 40, littleEndian(file_size + 1));
+    resealHeader(path);
+    CachedWorkload out;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    EXPECT_FALSE(
+        mapEntryFile(path, stored.contentHash, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+    EXPECT_EQ(error, "implausible event count");
+    EXPECT_EQ(out.mapped, nullptr);
     std::filesystem::remove_all(dir);
 }
 
@@ -979,8 +1112,8 @@ TEST(TraceCache, EveryHeaderBitFlipIsRefusedNeverServed)
 {
     // One bit at a time, every bit of a stored entry's header, section
     // table and header checksum. A flip in the version field makes a
-    // foreign entry; every other flip -- the run count, the trace
-    // stats and the max pc included -- is corruption. None may be
+    // foreign entry; every other flip -- the run count, the
+    // instruction count and the max pc included -- is corruption. None may be
     // served, and none may abort.
     const std::string dir = makeCacheDir("header_flips");
     const TraceCache cache(dir);
@@ -1288,21 +1421,17 @@ TEST(TraceCacheIntegration, DifferentConfigsUseDifferentEntries)
     EXPECT_EQ(core::workloadContentHash(workload, config), base);
 }
 
-/** Deltas of recordWorkload's profile counters across a scope. */
+/** Delta of recordWorkload's profile counter across a scope. */
 struct ProfileCounterMark
 {
     obs::Counter &restored =
         obs::Registry::global().counter("engine.profile.restored");
-    obs::Counter &folds =
-        obs::Registry::global().counter("engine.profile.folds");
     std::uint64_t restoredAt = restored.value();
-    std::uint64_t foldsAt = folds.value();
 
     std::uint64_t restoredSince() const
     {
         return restored.value() - restoredAt;
     }
-    std::uint64_t foldsSince() const { return folds.value() - foldsAt; }
 };
 
 /** One self-consistent-looking but wrong profile section, and the
@@ -1347,20 +1476,11 @@ const ProfileMutation kProfileMutations[] = {
     {"execution-sum", "profile executions do not sum to the event count",
      [](CachedProfile &p, ir::Addr) {
          // One more execution on the majority side and the dominant
-         // target: the row stays consistent with itself and with its
-         // likely record, only the total is off.
+         // target: the row stays consistent with itself, only the
+         // total is off.
          CachedProfileRow &row = p.branches[0];
          ++(row.taken > row.notTaken ? row.taken : row.notTaken);
          ++dominantNext(row).second;
-     }},
-    {"likely-disagreement", "profile disagrees with the likely section",
-     [](CachedProfile &p, ir::Addr) {
-         for (CachedProfileRow &row : p.branches) {
-             if (row.taken != row.notTaken) {
-                 std::swap(row.taken, row.notTaken);
-                 return;
-             }
-         }
      }},
     {"path-sum", "profile path executions do not match the event count",
      [](CachedProfile &p, ir::Addr) { p.paths.pop_back(); }},
@@ -1418,9 +1538,13 @@ TEST(TraceCacheIntegration, InconsistentProfileSectionIsReRecorded)
     std::filesystem::remove_all(dir);
 }
 
-TEST(TraceCacheIntegration, EntriesWithoutProfileStillHitAndFoldOnce)
+TEST(TraceCacheIntegration, EntriesWithoutProfileAreReRecorded)
 {
-    const std::string dir = makeCacheDir("profile_fold");
+    // A stream-only entry, as a synthetic writer stores it: the
+    // profile is the entry's one derived record, so recordWorkload
+    // records again and stores a whole entry rather than fold the
+    // stream, and the next call restores the profile from it.
+    const std::string dir = makeCacheDir("profile_less");
     const core::ExperimentConfig config = cachedConfig(dir);
     const workloads::Workload &workload =
         workloads::findWorkload("tee");
@@ -1436,75 +1560,122 @@ TEST(TraceCacheIntegration, EntriesWithoutProfileStillHitAndFoldOnce)
     entry.stream = materializeView(entry.traceView());
     entry.mapped.reset();
     entry.profile.reset();
-
-    // An eight-section entry, as a synthetic writer emits it.
     cache.store(cold.name, entry);
     ASSERT_EQ(headerOf(readFileBytes(path)).sectionCount,
               kEntrySectionCount);
-    {
-        const ProfileCounterMark mark;
-        const core::RecordedWorkload warm =
-            core::recordWorkload(workload, config);
-        EXPECT_TRUE(warm.cacheHit);
-        EXPECT_EQ(mark.foldsSince(), 1u);
-        EXPECT_EQ(mark.restoredSince(), 0u);
-        ASSERT_NE(warm.profile, nullptr);
-        EXPECT_EQ(warm.profile->exportRows(), rows);
-    }
+
+    const obs::Counter &stores =
+        obs::Registry::global().counter("trace_cache.stores");
+    const ProfileCounterMark mark;
+    const std::uint64_t stores_before = stores.value();
+    const core::RecordedWorkload again =
+        core::recordWorkload(workload, config);
+    EXPECT_FALSE(again.cacheHit);
+    EXPECT_EQ(stores.value(), stores_before + 1);
+    EXPECT_EQ(mark.restoredSince(), 0u);
+    EXPECT_EQ(again.profile->exportRows(), rows);
+    EXPECT_EQ(headerOf(readFileBytes(path)).sectionCount,
+              kKnownSectionCount);
+
+    const core::RecordedWorkload warm =
+        core::recordWorkload(workload, config);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(mark.restoredSince(), 1u);
+    EXPECT_EQ(warm.profile->exportRows(), rows);
     std::filesystem::remove_all(dir);
 }
 
-TEST(TraceCacheIntegration, EntriesWithoutProfileReRecordOnWrongLikelyRows)
+/** @p v4, an entry's bytes, in the retired v3 layout: a 96-byte
+ *  header that also stores @p stats' four branch counters and a
+ *  likely count, and a likely section (17 bytes per row) ahead of the
+ *  same sections. */
+std::string
+retiredV3Entry(const std::string &v4, const std::vector<CachedLikely> &likely,
+               const TraceCounters &stats)
 {
-    // An eight-section entry has no profile section to hold its likely
-    // rows to, so the fold that rebuilds its profile checks them. Rows
-    // its stream does not fold to are re-recorded: flipped bits used
-    // to mis-score FS silently, and a row at a huge pc sized the FS
-    // kernel's table by that pc.
-    using Mutation = void (*)(std::vector<CachedLikely> &);
-    const std::pair<const char *, Mutation> cases[] = {
-        {"every likely bit flipped",
-         [](std::vector<CachedLikely> &likely) {
-             for (CachedLikely &row : likely)
-                 row.likelyTaken = !row.likelyTaken;
-         }},
-        {"a row at pc 2^40",
-         [](std::vector<CachedLikely> &likely) {
-             likely.push_back({ir::Addr{1} << 40, ir::kCodeBase, true});
-         }},
-    };
-    const workloads::Workload &workload = workloads::findWorkload("tee");
-    for (const auto &[name, mutate] : cases) {
-        SCOPED_TRACE(name);
-        const std::string dir = makeCacheDir("likely_rows");
-        const core::ExperimentConfig config = cachedConfig(dir);
-        const core::ExperimentRunner runner(config);
-        const core::BenchmarkResult cold = runner.runBenchmark(workload);
-
-        const TraceCache cache(dir);
-        const std::uint64_t hash =
-            core::workloadContentHash(workload, config);
-        CachedWorkload entry;
-        ASSERT_TRUE(cache.load(workload.name(), hash, entry));
-        entry.stream = materializeView(entry.traceView());
-        entry.mapped.reset();
-        entry.profile.reset();
-        mutate(entry.likely);
-        cache.store(workload.name(), entry);
-
-        const ProfileCounterMark mark;
-        core::BenchmarkResult warm;
-        ASSERT_NO_THROW(warm = runner.runBenchmark(workload));
-        EXPECT_EQ(mark.foldsSince(), 1u);
-        EXPECT_EQ(warm.fs.accuracy, cold.fs.accuracy);
-        EXPECT_EQ(warm.sbtb.accuracy, cold.sbtb.accuracy);
-        EXPECT_EQ(warm.cbtb.accuracy, cold.cbtb.accuracy);
-        EXPECT_EQ(warm.cbtb.missRatio, cold.cbtb.missRatio);
-        // The re-record stored a whole entry over the bad one.
-        EXPECT_TRUE(core::recordWorkload(workload, config).cacheHit);
-        EXPECT_EQ(mark.restoredSince(), 1u);
-        std::filesystem::remove_all(dir);
+    const EntryHeader header = headerOf(v4);
+    std::vector<std::string> sections(1);
+    for (const CachedLikely &row : likely)
+        sections[0] += littleEndian(row.pc) +
+                       littleEndian(row.dominantTarget) +
+                       std::string(1, row.likelyTaken ? '\1' : '\0');
+    for (std::size_t s = 0; s < header.sectionCount; ++s)
+        sections.push_back(v4.substr(header.sections[s].offset,
+                                     header.sections[s].length));
+    std::string out =
+        "BLTC" + littleEndian(3, 4) + littleEndian(header.featureBits) +
+        littleEndian(header.contentHash) + littleEndian(header.runs, 4) +
+        littleEndian(sections.size(), 4) + littleEndian(stats.instructions) +
+        littleEndian(stats.branches) + littleEndian(stats.conditional) +
+        littleEndian(stats.condTaken) + littleEndian(stats.uncondKnown) +
+        littleEndian(header.eventCount) + littleEndian(header.maxPc) +
+        littleEndian(likely.size());
+    std::uint64_t offset = kSectionAlign;
+    for (const std::string &section : sections) {
+        out += littleEndian(offset) + littleEndian(section.size()) +
+               littleEndian(checksum64(section.data(), section.size()));
+        offset = alignSection(offset + section.size());
     }
+    out += littleEndian(checksum64(out.data(), out.size()));
+    for (const std::string &section : sections) {
+        out.resize(alignSection(out.size()), '\0');
+        out += section;
+    }
+    out.resize(alignSection(out.size()), '\0');
+    return out;
+}
+
+TEST(TraceCacheIntegration, RetiredEntriesAreForeignAndReRecorded)
+{
+    // Entries in a retired layout are intact but foreign: refused
+    // without the corruption warning, re-recorded, and replaced by a
+    // current entry. v1 held an inline payload; v3 stored the likely
+    // rows and branch counters beside the profile they derive from.
+    const std::string dir = makeCacheDir("retired");
+    core::ExperimentConfig config;
+    config.runsOverride = 1;
+    config.traceCacheDir = dir;
+    const workloads::Workload &workload = workloads::findWorkload("tee");
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    ASSERT_FALSE(cold.cacheHit);
+    const std::string path =
+        TraceCache(dir).entryPath(cold.name, cold.contentHash);
+    const std::string current = readFileBytes(path);
+
+    const std::pair<const char *, std::string> plants[] = {
+        // magic, version 1, content hash, runs, five stats, likely
+        // count, event count, payload size, payload.
+        {"v1", "BLTC" + littleEndian(1, 4) + littleEndian(cold.contentHash) +
+                   littleEndian(1, 4) + std::string(5 * 8, '\0') +
+                   littleEndian(0) + littleEndian(1000) +
+                   littleEndian(4096) + std::string(4096, '\0')},
+        {"v3", retiredV3Entry(current, sortedLikely(cold.likelyMap),
+                              cold.stats.counters())},
+    };
+    obs::Counter &corrupt =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    obs::Counter &map_failures =
+        obs::Registry::global().counter("trace_cache.map_failures");
+    for (const auto &[version, bytes] : plants) {
+        SCOPED_TRACE(version);
+        writeFileBytes(path, bytes);
+        const std::uint64_t corrupt_before = corrupt.value();
+        const std::uint64_t failures_before = map_failures.value();
+        resetTraceCacheCounters();
+        resetWarningCount();
+        const core::RecordedWorkload again =
+            core::recordWorkload(workload, config);
+        EXPECT_FALSE(again.cacheHit);
+        EXPECT_EQ(map_failures.value(), failures_before + 1);
+        EXPECT_EQ(corrupt.value(), corrupt_before);
+        EXPECT_EQ(warningCount(), 0u);
+        EXPECT_EQ(traceCacheCounters().stores, 1u);
+        EXPECT_EQ(readFileBytes(path), current);
+        EXPECT_TRUE(core::recordWorkload(workload, config).cacheHit);
+    }
+    resetTraceCacheCounters();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceCacheIntegration, RecordedTraceFileIsTheCacheEntry)
@@ -1542,8 +1713,9 @@ TEST(TraceCacheIntegration, RecordedTraceFileIsTheCacheEntry)
 TEST(TraceCacheIntegration, TraceFileReplaysLikeTheRecordedStream)
 {
     // A trace file replays from its mapping alone, the profiled scheme
-    // reading the entry's likely section: every scheme scores exactly
-    // as on the stream the file was recorded from.
+    // reading the likely rows derived from the entry's profile
+    // section: every scheme scores exactly as on the stream the file
+    // was recorded from.
     core::ExperimentConfig config;
     config.runsOverride = 1;
     core::RecordedWorkload recorded =
@@ -1599,6 +1771,37 @@ TEST(TraceCacheIntegration, TraceFileReplaysLikeTheRecordedStream)
     std::remove(path.c_str());
 }
 
+/** Differential: on every workload, at its default runs and at one
+ *  run, the fields a map derives from a cold record's entry -- the
+ *  likely rows and Table 1/2's counters -- equal the record's own. */
+class DerivedFieldsDifferential
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
+{};
+
+TEST_P(DerivedFieldsDifferential, MatchTheColdRecord)
+{
+    const auto &[name, runs] = GetParam();
+    const std::string dir =
+        makeCacheDir("derived_" + name + "_" + std::to_string(runs));
+    core::ExperimentConfig config;
+    config.runsOverride = runs;
+    config.traceCacheDir = dir;
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workloads::findWorkload(name), config);
+    ASSERT_FALSE(cold.cacheHit);
+
+    CachedWorkload entry;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapEntryFile(TraceCache(dir).entryPath(name,
+                                                       cold.contentHash),
+                             cold.contentHash, entry, error, failure))
+        << error;
+    EXPECT_EQ(entry.likely, sortedLikely(cold.profile->buildLikelyMap()));
+    EXPECT_EQ(entry.stats, cold.stats.counters());
+    std::filesystem::remove_all(dir);
+}
+
 /** Differential: on every workload, the profile a warm hit restores
  *  from the profile section must be the cold record's online profile
  *  in everything the Forward Semantic reads from it. */
@@ -1631,7 +1834,6 @@ TEST_P(RestoredProfileDifferential, EqualsTheOnlineProfile)
         core::recordWorkload(workload, config);
     ASSERT_TRUE(warm.cacheHit);
     EXPECT_EQ(mark.restoredSince(), 1u);
-    EXPECT_EQ(mark.foldsSince(), 0u);
     const profile::ProgramProfile &online = *cold.profile;
     const profile::ProgramProfile &restored = *warm.profile;
 
@@ -1693,6 +1895,17 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(allWorkloadNames()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, DerivedFieldsDifferential,
+    ::testing::Combine(::testing::ValuesIn(allWorkloadNames()),
+                       ::testing::Values(0u, 1u)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, unsigned>>
+           &info) {
+        const unsigned runs = std::get<1>(info.param);
+        return std::get<0>(info.param) +
+               (runs == 0 ? "_DefaultRuns" : "_Runs" + std::to_string(runs));
     });
 
 } // namespace

@@ -242,16 +242,10 @@ writeFile(const std::string &path, const std::string &content)
     file << content;
 }
 
-} // namespace
-
+/** Everything after option parsing; @return the exit status. */
 int
-main(int argc, char **argv)
+run(const Options &options)
 {
-    setLoggingThrows(false); // CLI: fatal() exits with a message
-    const Options options = parseOptions(argc, argv);
-    if (!options.telemetry.empty())
-        obs::setExportPath(options.telemetry);
-
     if (options.listOnly) {
         const std::vector<core::SweepPoint> grid =
             core::expandGrid(options.sweep.axes);
@@ -288,4 +282,21 @@ main(int argc, char **argv)
     if (!options.csvPath.empty())
         writeFile(options.csvPath, core::sweepToCsv(result));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    setLoggingThrows(false); // CLI: fatal() exits with a message
+    obs::initFromEnv();      // BRANCHLAB_TELEMETRY
+    const Options options = parseOptions(argc, argv);
+    const int rc = run(options);
+    // --telemetry wins over the environment; either exports the final
+    // snapshot once the sweep has fully run.
+    if (!options.telemetry.empty())
+        obs::setExportPath(options.telemetry);
+    obs::exportIfConfigured();
+    return rc;
 }
