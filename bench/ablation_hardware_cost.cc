@@ -27,9 +27,7 @@ main()
         return 256 * entry;
     };
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runStaticSchemes = false;
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     double avg_increase[9] = {};
     for (const auto &r : results) {

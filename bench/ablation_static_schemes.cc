@@ -18,11 +18,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runCodeSize = false;
-    config.runStaticSchemes = true;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     bench::printCaption(
         "Static prediction schemes (paper section 1 survey)");

@@ -19,11 +19,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runCodeSize = false;
-    config.runStaticSchemes = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     for (unsigned k : {1u, 2u}) {
         const core::FigurePanel panel =

@@ -15,11 +15,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runCodeSize = false;
-    config.runStaticSchemes = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     for (unsigned k : {4u, 8u}) {
         const core::FigurePanel panel =

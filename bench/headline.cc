@@ -20,11 +20,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runCodeSize = false;
-    config.runStaticSchemes = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     const double a_sbtb = core::averageAccuracy(results, "SBTB");
     const double a_cbtb = core::averageAccuracy(results, "CBTB");

@@ -13,12 +13,10 @@
  * run's scheme accuracies, miss ratios, trace statistics and code
  * growth bit for bit, and that the kernel replay pass reproduces the
  * virtual-dispatch reference's per-scheme results on every workload;
- * micro-benchmarks the linear-scan vs hash-indexed AssociativeBuffer
- * lookup on the paper's 256-way fully-assoc geometry, measures the
- * telemetry layer's replay overhead (collection enabled vs compiled in
- * but disabled), and emits everything machine-readable -- including
- * the engine phase spans the run accumulated -- to BENCH_engine.json
- * so the perf trajectory is tracked PR over PR.
+ * measures the telemetry layer's replay overhead (collection enabled
+ * vs compiled in but disabled), and emits everything machine-readable
+ * -- including the engine phase spans the run accumulated -- to
+ * BENCH_engine.json so the perf trajectory is tracked PR over PR.
  *
  *   perf_engine [--runs N] [--jobs N] [--repeat N] [--out FILE]
  *
@@ -43,10 +41,8 @@
 
 #include "core/replay_kernel.hh"
 #include "obs/metrics.hh"
-#include "predict/assoc_buffer.hh"
 #include "predict/profile_predictor.hh"
 #include "predict/static_predictors.hh"
-#include "support/random.hh"
 #include "support/strings.hh"
 #include "trace/cache.hh"
 
@@ -373,69 +369,6 @@ streamSetBytes(const std::vector<core::RecordedWorkload> &recorded)
     return total;
 }
 
-struct LookupBench
-{
-    std::uint64_t ops = 0;
-    double linearMops = 0.0;
-    double indexedMops = 0.0;
-    double speedup = 0.0;
-};
-
-/** Drive one buffer strategy with a BTB-shaped find/insert stream. */
-double
-lookupMops(predict::LookupStrategy strategy, std::uint64_t ops)
-{
-    struct Payload
-    {
-        std::uint64_t target = 0;
-    };
-    predict::BufferConfig config;
-    config.entries = 256;
-    config.associativity = 0; // the paper's fully-associative geometry
-    config.lookup = strategy;
-    predict::AssociativeBuffer<Payload> buffer(config);
-
-    // A working set of 4x capacity keeps hits, misses, and evictions
-    // all on the measured path.
-    Rng rng(20260806);
-    std::vector<ir::Addr> tags(1024);
-    for (ir::Addr &tag : tags)
-        tag = rng.next() & 0xffffff;
-
-    std::uint64_t found = 0;
-    Stopwatch watch;
-    for (std::uint64_t op = 0; op < ops; ++op) {
-        const ir::Addr tag = tags[rng.nextBelow(tags.size())];
-        if (Payload *hit = buffer.find(tag)) {
-            found += hit->target != 0;
-        } else {
-            buffer.insert(tag).target = tag | 1;
-        }
-    }
-    const double seconds = watch.seconds();
-    // Keep the loop observable so it cannot be optimised away.
-    std::cerr << "    "
-              << (strategy == predict::LookupStrategy::Linear
-                      ? "linear "
-                      : "indexed")
-              << ": " << formatFixed(seconds * 1e3, 1) << " ms ("
-              << found << " hits)\n";
-    return static_cast<double>(ops) / 1e6 / seconds;
-}
-
-LookupBench
-benchBufferLookup()
-{
-    LookupBench bench;
-    bench.ops = 4'000'000;
-    bench.linearMops =
-        lookupMops(predict::LookupStrategy::Linear, bench.ops);
-    bench.indexedMops =
-        lookupMops(predict::LookupStrategy::Indexed, bench.ops);
-    bench.speedup = bench.indexedMops / bench.linearMops;
-    return bench;
-}
-
 void
 writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
           unsigned repeat, const TimedRun &replay_serial,
@@ -445,8 +378,7 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
           double warm_decode_s, double replay_enabled_s,
           double replay_disabled_s, double telemetry_overhead_pct,
           const trace::TraceCacheCounters &cache_counters,
-          const RssSamples &rss, const LookupBench &lookup,
-          std::size_t mismatches)
+          const RssSamples &rss, std::size_t mismatches)
 {
     const obs::Snapshot snapshot = obs::Registry::global().snapshot();
     std::ostringstream os;
@@ -505,11 +437,6 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
            << (i + 1 < snapshot.spans.size() ? "," : "") << "\n";
     }
     os << "  },\n"
-       << "  \"btb_lookup\": {\n"
-       << "    \"ops\": " << lookup.ops << ",\n"
-       << "    \"linear_mops\": " << lookup.linearMops << ",\n"
-       << "    \"indexed_mops\": " << lookup.indexedMops << ",\n"
-       << "    \"indexed_speedup\": " << lookup.speedup << "\n  },\n"
        << "  \"mismatches\": " << mismatches << ",\n"
        << "  \"accuracy\": {\n";
     for (std::size_t i = 0; i < replay_serial.results.size(); ++i) {
@@ -698,9 +625,6 @@ main(int argc, char **argv)
         ++mismatches;
     }
 
-    std::cerr << "BTB lookup micro-bench (256-entry fully-assoc):\n";
-    const LookupBench lookup = benchBufferLookup();
-
     TextTable table({"Phase", "seconds"});
     table.addRow({"suite serial", formatFixed(replay_serial.seconds, 3)});
     table.addRow(
@@ -720,11 +644,7 @@ main(int argc, char **argv)
               << " s; hits " << cache_counters.hits << ", misses "
               << cache_counters.misses << ", stores "
               << cache_counters.stores << ")\n";
-    std::cout << "\nBTB lookup: linear "
-              << formatFixed(lookup.linearMops, 1) << " Mops/s, indexed "
-              << formatFixed(lookup.indexedMops, 1) << " Mops/s ("
-              << formatFixed(lookup.speedup, 2) << "x)\n"
-              << "Telemetry replay overhead: "
+    std::cout << "\nTelemetry replay overhead: "
               << formatFixed(telemetry_overhead_pct, 2) << "% (on "
               << formatFixed(replay_enabled_s, 3) << " s, off "
               << formatFixed(replay_disabled_s, 3) << " s)\n"
@@ -743,7 +663,6 @@ main(int argc, char **argv)
               replay_serial, replay_parallel, record_s, replay_only_s,
               replay_fallback_s, warm_cache.seconds, warm_decode_s,
               replay_enabled_s, replay_disabled_s,
-              telemetry_overhead_pct, cache_counters, rss, lookup,
-              mismatches);
+              telemetry_overhead_pct, cache_counters, rss, mismatches);
     return mismatches == 0 ? 0 : 1;
 }

@@ -395,8 +395,7 @@ main(int argc, char **argv)
               << " s)\n";
 
     Stopwatch replay_watch;
-    predict::SbtbKernel sbtb(
-        predict::kernelIndexedConfig(predict::BufferConfig{}));
+    predict::SbtbKernel sbtb(predict::BufferConfig{});
     predict::walkKernels(view, {&sbtb});
     const predict::KernelReplayResult mapped_result = sbtb.result();
     const double replay_s = replay_watch.seconds();
@@ -413,8 +412,7 @@ main(int argc, char **argv)
         // Owning-path differential: decode the mapping into a
         // SoaTrace and hold the kernel bit-identical across modes.
         const trace::SoaTrace owned = trace::materializeView(view);
-        predict::SbtbKernel owned_sbtb(
-            predict::kernelIndexedConfig(predict::BufferConfig{}));
+        predict::SbtbKernel owned_sbtb(predict::BufferConfig{});
         predict::walkKernels(trace::TraceView::of(owned), {&owned_sbtb});
         const predict::KernelReplayResult owned_result =
             owned_sbtb.result();

@@ -13,12 +13,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    // Table 1/2 need no prediction runs; keep the bench snappy.
-    config.runStaticSchemes = false;
-    config.runCodeSize = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     bench::printCaption("Table 1: Benchmark characteristics");
     core::makeTable1(results).render(std::cout);

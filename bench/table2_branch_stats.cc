@@ -13,11 +13,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runStaticSchemes = false;
-    config.runCodeSize = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     bench::printCaption("Table 2: Benchmark branch statistics");
     core::makeTable2(results).render(std::cout);

@@ -16,11 +16,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runCodeSize = false;
-    config.runStaticSchemes = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     bench::printCaption(
         "Table 3: Branch prediction performance of the benchmarks");

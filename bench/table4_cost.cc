@@ -13,11 +13,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runCodeSize = false;
-    config.runStaticSchemes = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     bench::printCaption(
         "Table 4: Branch cost for k+l-bar = 2 and 3, m-bar = 1");

@@ -17,10 +17,7 @@ main()
 {
     using namespace branchlab;
 
-    core::ExperimentConfig config = bench::paperConfig();
-    config.runStaticSchemes = false;
-
-    const auto results = bench::runSuite(config);
+    const auto results = bench::runSuite();
 
     bench::printCaption(
         "Table 5: Percentage code-size increase vs k + l");

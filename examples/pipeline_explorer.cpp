@@ -25,8 +25,6 @@ main()
     // ten).
     core::ExperimentConfig config;
     config.runsOverride = 3;
-    config.runCodeSize = false;
-    config.runStaticSchemes = false;
     core::ExperimentRunner runner(config);
     std::vector<core::BenchmarkResult> results;
     for (const char *name : {"grep", "compress", "yacc"}) {

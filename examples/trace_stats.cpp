@@ -22,10 +22,7 @@ main(int argc, char **argv)
     const std::string name = argc > 1 ? argv[1] : "wc";
 
     std::cerr << "running '" << name << "'...\n";
-    core::ExperimentConfig config;
-    config.runStaticSchemes = true;
-    config.runCodeSize = true;
-    core::ExperimentRunner runner(config);
+    core::ExperimentRunner runner;
     const core::BenchmarkResult result =
         runner.runBenchmark(workloads::findWorkload(name));
 

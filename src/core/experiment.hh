@@ -44,12 +44,6 @@ struct ExperimentConfig
     /** Trace-selection arc threshold. */
     double traceThreshold = 0.7;
 
-    /** Also evaluate the static schemes of the paper's section 1. */
-    bool runStaticSchemes = true;
-
-    /** Also run the Table 5 code-size transformation. */
-    bool runCodeSize = true;
-
     /** Per-run safety valve. */
     std::uint64_t maxInstructionsPerRun = 400'000'000ULL;
 
@@ -89,7 +83,8 @@ struct BenchmarkResult
     SchemeResult sbtb;
     SchemeResult cbtb;
     SchemeResult fs;
-    /** Section 1 baselines (empty unless runStaticSchemes). */
+    /** Section 1 baselines: always-taken, always-not-taken, btfnt and
+     *  opcode-bias, in that order. */
     std::vector<SchemeResult> staticSchemes;
 
     /** Table 5: code-size increase keyed by k + l. */

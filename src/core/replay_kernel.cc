@@ -80,16 +80,15 @@ kernelTakes(const KernelSpec &spec, const trace::TraceView &view)
     return flat;
 }
 
-/** @p spec with every field its kernel ignores at its default, and
- *  the BTB at the indexed lookup every kernel uses: two specs with
- *  equal keys step identical kernels, so they share one. */
+/** @p spec with every field its kernel ignores at its default: two
+ *  specs with equal keys step identical kernels, so they share one. */
 KernelSpec
 kernelKey(const KernelSpec &spec)
 {
     KernelSpec key;
     key.kind = spec.kind;
     if (spec.kind == SchemeKind::Sbtb || spec.kind == SchemeKind::Cbtb)
-        key.btb = predict::kernelIndexedConfig(spec.btb);
+        key.btb = spec.btb;
     if (spec.kind == SchemeKind::Cbtb)
         key.counter = spec.counter;
     if (spec.kind == SchemeKind::ForwardSemantic)

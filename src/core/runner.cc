@@ -132,17 +132,15 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     cbtb_spec.btb = config_.btb;
     cbtb_spec.counter = config_.counter;
     schemes.emplace_back("CBTB", cbtb_spec);
-    if (config_.runStaticSchemes) {
-        const std::pair<const char *, SchemeKind> statics[] = {
-            {"always-taken", SchemeKind::AlwaysTaken},
-            {"always-not-taken", SchemeKind::AlwaysNotTaken},
-            {"btfnt", SchemeKind::BackwardTaken},
-            {"opcode-bias", SchemeKind::OpcodeBias}};
-        for (const auto &[name, kind] : statics) {
-            KernelSpec spec;
-            spec.kind = kind;
-            schemes.emplace_back(name, spec);
-        }
+    const std::pair<const char *, SchemeKind> statics[] = {
+        {"always-taken", SchemeKind::AlwaysTaken},
+        {"always-not-taken", SchemeKind::AlwaysNotTaken},
+        {"btfnt", SchemeKind::BackwardTaken},
+        {"opcode-bias", SchemeKind::OpcodeBias}};
+    for (const auto &[name, kind] : statics) {
+        KernelSpec spec;
+        spec.kind = kind;
+        schemes.emplace_back(name, spec);
     }
     KernelSpec fs_spec;
     fs_spec.kind = SchemeKind::ForwardSemantic;
@@ -177,12 +175,10 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     }
 
     // ---- Table 5: the code-size cost of the FS transform. ----
-    if (config_.runCodeSize) {
-        const obs::ScopedSpan span("engine.codesize");
-        for (unsigned slots : config_.codeSizeSlots) {
-            result.codeIncrease[slots] = profile::codeIncreaseFor(
-                *recorded.profile, slots, config_.traceThreshold);
-        }
+    const obs::ScopedSpan span("engine.codesize");
+    for (unsigned slots : config_.codeSizeSlots) {
+        result.codeIncrease[slots] = profile::codeIncreaseFor(
+            *recorded.profile, slots, config_.traceThreshold);
     }
     return result;
 }
@@ -244,30 +240,26 @@ recordWorkload(const workloads::Workload &workload,
     recorded.contentHash = computeContentHash(
         *recorded.program, *recorded.layout, inputs, config, runs);
 
+    // What the cache cannot check without the program. An entry whose
+    // checksums and hash match but whose pcs lie outside the program
+    // is refused: the profile's pc-indexed tables must never see
+    // them. So is a stream-only entry (a synthetic writer's): the
+    // profile is the entry's one derived record, so record it again
+    // rather than fold the stream.
+    const auto fits_program = [&](const trace::CachedWorkload &cached) {
+        const ir::Addr code_end = recorded.layout->codeEnd();
+        if (cached.eventCount() != 0 &&
+            cached.traceView().maxPc() >= code_end) {
+            return "max pc " + std::to_string(cached.traceView().maxPc()) +
+                   " past the program's code end " +
+                   std::to_string(code_end);
+        }
+        return std::string(cached.profile ? "" : "no profile section");
+    };
     if (cache.enabled()) {
         trace::CachedWorkload cached;
-        bool hit = cache.load(recorded.name, recorded.contentHash, cached);
-        const ir::Addr code_end = recorded.layout->codeEnd();
-        if (hit && cached.eventCount() != 0 &&
-            cached.traceView().maxPc() >= code_end) {
-            // Checksums and hash match, but the stream's pcs lie
-            // outside the program; the profile's pc-indexed tables
-            // must never see them.
-            blab_warn("trace cache entry for '", recorded.name,
-                      "' has max pc ", cached.traceView().maxPc(),
-                      " past the program's code end ", code_end,
-                      "; re-recording");
-            hit = false;
-        }
-        if (hit && !cached.profile) {
-            // A stream-only entry (a synthetic writer's): the profile
-            // is the entry's one derived record, so record it again
-            // rather than fold the stream.
-            blab_inform("trace cache entry for '", recorded.name,
-                        "' has no profile section; re-recording");
-            hit = false;
-        }
-        if (hit) {
+        if (cache.load(recorded.name, recorded.contentHash, cached,
+                       fits_program)) {
             recorded.profile = std::make_unique<profile::ProgramProfile>(
                 *recorded.program, *recorded.layout, cached.runs,
                 *cached.profile);

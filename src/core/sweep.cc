@@ -491,7 +491,7 @@ runSweep(const SweepConfig &config)
     std::vector<std::vector<std::size_t>> classes;
     {
         std::map<std::tuple<std::size_t, std::size_t, int,
-                            std::uint64_t, int, unsigned, unsigned>,
+                            std::uint64_t, unsigned, unsigned>,
                  std::size_t>
             by_pair;
         for (const std::size_t g : pending) {
@@ -499,7 +499,6 @@ runSweep(const SweepConfig &config)
             const auto key = std::make_tuple(
                 point.btb.entries, point.btb.associativity,
                 static_cast<int>(point.btb.policy), point.btb.seed,
-                static_cast<int>(point.btb.lookup),
                 point.counter.bits, point.counter.threshold);
             const auto [slot, fresh] =
                 by_pair.try_emplace(key, classes.size());

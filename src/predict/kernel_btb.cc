@@ -11,7 +11,7 @@ namespace branchlab::predict
 {
 
 SbtbKernel::SbtbKernel(const BufferConfig &config)
-    : buffer_(kernelIndexedConfig(config))
+    : buffer_(config)
 {}
 
 SbtbKernel::~SbtbKernel()
@@ -37,7 +37,7 @@ SbtbKernel::result() const
 
 CbtbKernel::CbtbKernel(const BufferConfig &buffer,
                        const CounterConfig &counter)
-    : buffer_(kernelIndexedConfig(buffer)), counter_(counter)
+    : buffer_(buffer), counter_(counter)
 {
     blab_assert(counter_.bits >= 1 && counter_.bits <= 16,
                 "counter bits out of range");

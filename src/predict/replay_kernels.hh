@@ -17,8 +17,8 @@
  * stays the authoritative reference; every kernel here replicates
  * each buffer touch of its scheme's predict()/update() sequence that
  * can affect replacement order. Touches that provably cannot (the
- * update-path re-find of a way the predict-phase find just moved to
- * the recency tail, with nothing in between) are elided. Kernel
+ * update-path re-find of a way the predict-phase find just stamped
+ * most recent, with nothing in between) are elided. Kernel
  * results are bit-identical to the virtual engine, predictor-internal
  * tables included; differential tests enforce this, see
  * tests/test_replay_kernel.cc.
@@ -54,16 +54,6 @@ namespace branchlab::predict
 /** Kernels (and their flat tables) are only eligible for traces whose
  *  branch pcs stay below this bound. */
 inline constexpr ir::Addr kMaxKernelPc = 1u << 20;
-
-/** Kernels always run their buffers through the indexed lookup
- *  strategy (the strategies are behaviourally identical; indexed is
- *  the fast one for the flat tag index). */
-inline BufferConfig
-kernelIndexedConfig(BufferConfig config)
-{
-    config.lookup = LookupStrategy::Indexed;
-    return config;
-}
 
 /** What one kernel replay yields -- mirrors core::ReplayResult
  *  without depending on the core layer. */

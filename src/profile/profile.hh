@@ -319,8 +319,11 @@ class ProgramProfile : public trace::TraceSink
  * Fold a recorded stream into the profile its record pass collected
  * online: @p runs noteRun() calls, then every view block in order
  * through onBlock(), the record pass's own fold. A pure fold, so the
- * result equals the online profile exactly; the fallback for
- * trace-cache entries without a profile section.
+ * result equals the online profile exactly. No product path folds a
+ * stream -- a trace-cache entry carries its profile, and
+ * core::recordWorkload re-records one that does not -- so only tests
+ * call it, to hold the online and the restored profiles to the
+ * stream they came from.
  */
 ProgramProfile foldProfile(const ir::Program &program,
                            const ir::Layout &layout, std::uint64_t runs,

@@ -1,5 +1,8 @@
 #include "serve/protocol.hh"
 
+#include <string>
+#include <utility>
+
 #include "support/bytes.hh"
 
 namespace branchlab::serve
@@ -9,9 +12,9 @@ namespace
 {
 
 bool
-fail(std::string &error, const char *what)
+fail(std::string &error, std::string what)
 {
-    error = what;
+    error = std::move(what);
     return false;
 }
 
@@ -108,6 +111,23 @@ decodeRequest(std::string_view payload, Request &out,
         return fail(error, "unknown replacement policy");
     if (fs_opt > static_cast<std::uint8_t>(profile::FsOptLevel::Hoist))
         return fail(error, "unknown FS optimizer level");
+    if (out.runs > kMaxRequestRuns)
+        return fail(error, "runs above " + std::to_string(kMaxRequestRuns));
+    if (entries == 0 || entries > kMaxRequestEntries) {
+        return fail(error, "btb entries outside 1-" +
+                               std::to_string(kMaxRequestEntries));
+    }
+    if (associativity != 0 && entries % associativity != 0)
+        return fail(error, "btb associativity neither 0 nor a divisor "
+                           "of the entries");
+    if (bits < 1 || bits > 16)
+        return fail(error, "counter bits outside 1-16");
+    if (threshold < 1 || threshold > (1u << bits) - 1)
+        return fail(error, "counter threshold outside [1, 2^bits - 1]");
+    if (out.fsSlots > kMaxRequestFsSlots) {
+        return fail(error,
+                    "fs slots above " + std::to_string(kMaxRequestFsSlots));
+    }
     if (count == 0)
         return fail(error, "request names no workloads");
     out.btb.entries = entries;

@@ -50,6 +50,16 @@ namespace branchlab::serve
  *  allocation. */
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 
+/** The largest design point a request may name. Keying a request
+ *  builds its input suite for `runs` before any journal lookup, and
+ *  the entries and slots size the buffers' ways and the forward-slot
+ *  images, so each is bounded, well above any point the tools and
+ *  benchmarks ask for (default runs reach 20, serve-zipf's largest
+ *  BTB is 2048 entries, the paper's largest k + l is 8). */
+inline constexpr std::uint32_t kMaxRequestRuns = 256;
+inline constexpr std::uint32_t kMaxRequestEntries = 65536;
+inline constexpr std::uint32_t kMaxRequestFsSlots = 64;
+
 /** Protocol version; bumped on any wire-layout change. */
 inline constexpr std::uint16_t kProtocolVersion = 1;
 
@@ -124,8 +134,13 @@ std::string encodeResponse(const Response &response);
 
 /**
  * Parse a payload. False when the payload is malformed (bad magic,
- * unknown version or enum value, truncated body, trailing bytes)
- * with a diagnostic in @p error; @p out is unspecified on failure.
+ * unknown version or enum value, truncated body, trailing bytes) or
+ * names a design point the engine cannot build or that sizes
+ * unbounded work (runs, entries or slots past the kMaxRequest*
+ * limits, ways that are neither 0 nor a divisor of the entries, a
+ * counter outside 1-16 bits or a threshold outside
+ * [1, 2^bits - 1]), with a diagnostic in @p error; @p out is
+ * unspecified on failure.
  */
 bool decodeRequest(std::string_view payload, Request &out,
                    std::string &error);

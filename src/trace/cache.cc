@@ -564,7 +564,7 @@ TraceCache::entryPath(const std::string &name,
 
 bool
 TraceCache::load(const std::string &name, std::uint64_t content_hash,
-                 CachedWorkload &out) const
+                 CachedWorkload &out, const EntryCheck &accept) const
 {
     if (!enabled())
         return false;
@@ -595,8 +595,18 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
         }
         return false;
     }
+    cacheTelemetry().bytesMapped.add(loaded.mapped->file->size());
+    if (accept) {
+        const std::string refusal = accept(loaded);
+        if (!refusal.empty()) {
+            ++g_misses;
+            cacheTelemetry().misses.add(1);
+            blab_inform("trace cache miss: ", name, " (", refusal,
+                        "; re-recording)");
+            return false;
+        }
+    }
     out = std::move(loaded);
-    cacheTelemetry().bytesMapped.add(out.mapped->file->size());
     // LRU touch: a hit makes the entry recently used, and the cap
     // never evicts it in this process.
     dir_.touch(path);

@@ -23,9 +23,10 @@
  * TraceStats counters from the header's instruction count and the
  * stream's bit-planes. Entries without the profile section
  * (synthetic ones) still map, profile-less and with no likely rows;
- * core::recordWorkload re-records them. Entries of any other format
- * version -- the retired v1, v2 and v3 included -- are refused as
- * foreign and re-recorded.
+ * core::recordWorkload refuses them through load's entry check, so
+ * they count as misses, and re-records them. Entries of any other
+ * format version -- the retired v1, v2 and v3 included -- are refused
+ * as foreign and re-recorded.
  *
  * The same entry is the standalone trace file of `branchlab record`
  * and `branchlab replay`: writeEntryFile() is the one durable writer,
@@ -79,6 +80,7 @@
 #define BRANCHLAB_TRACE_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -348,15 +350,22 @@ class TraceCache
     std::string entryPath(const std::string &name,
                           std::uint64_t content_hash) const;
 
+    /** A caller's last word on a mapped entry: an empty string
+     *  serves it, anything else is the reason it is refused. */
+    using EntryCheck = std::function<std::string(const CachedWorkload &)>;
+
     /**
      * Look up @p name / @p content_hash. On a hit, fill @p out and
      * return true (the entry arrives mapped, zero-copy). Misses,
      * corrupt entries, hash mismatches, and foreign entries return
      * false (corruption warns; a mismatch is treated as corruption --
-     * the filename already encodes the hash).
+     * the filename already encodes the hash). So does an entry that
+     * @p accept refuses -- checks that need what the cache cannot
+     * know, such as the program the stream must fit -- and it counts
+     * and logs as the miss it is, never as a hit.
      */
     bool load(const std::string &name, std::uint64_t content_hash,
-              CachedWorkload &out) const;
+              CachedWorkload &out, const EntryCheck &accept = {}) const;
 
     /**
      * Persist @p workload (its owning `stream`) as the entry for

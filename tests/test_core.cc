@@ -27,14 +27,12 @@ namespace branchlab::core
 namespace
 {
 
-/** A fast configuration: two runs, no extras. */
+/** A fast configuration: two runs. */
 ExperimentConfig
 quickConfig()
 {
     ExperimentConfig config;
     config.runsOverride = 2;
-    config.runStaticSchemes = false;
-    config.runCodeSize = false;
     return config;
 }
 
@@ -42,13 +40,9 @@ quickConfig()
 const BenchmarkResult &
 wcResult()
 {
-    static const BenchmarkResult result = [] {
-        ExperimentConfig config = quickConfig();
-        config.runStaticSchemes = true;
-        config.runCodeSize = true;
-        return ExperimentRunner(config).runBenchmark(
-            workloads::findWorkload("wc"));
-    }();
+    static const BenchmarkResult result =
+        ExperimentRunner(quickConfig())
+            .runBenchmark(workloads::findWorkload("wc"));
     return result;
 }
 
@@ -235,15 +229,13 @@ referenceBenchmark(const workloads::Workload &workload,
     predict::AlwaysNotTaken always_not_taken;
     predict::BackwardTaken btfnt;
     predict::OpcodeBias opcode_bias;
-    std::vector<std::pair<const char *, predict::BranchPredictor *>>
-        schemes = {{"SBTB", &sbtb}, {"CBTB", &cbtb}};
-    if (config.runStaticSchemes) {
-        schemes.insert(schemes.end(),
-                       {{"always-taken", &always_taken},
-                        {"always-not-taken", &always_not_taken},
-                        {"btfnt", &btfnt},
-                        {"opcode-bias", &opcode_bias}});
-    }
+    const std::vector<std::pair<const char *, predict::BranchPredictor *>>
+        schemes = {{"SBTB", &sbtb},
+                   {"CBTB", &cbtb},
+                   {"always-taken", &always_taken},
+                   {"always-not-taken", &always_not_taken},
+                   {"btfnt", &btfnt},
+                   {"opcode-bias", &opcode_bias}};
     std::vector<predict::PredictionDriver> drivers;
     drivers.reserve(schemes.size());
     profile::ProgramProfile profile(program, layout);
@@ -276,30 +268,19 @@ referenceBenchmark(const workloads::Workload &workload,
     result.fs = SchemeResult{"FS", fs_driver.stats().accuracy.ratio(),
                              0.0, false};
 
-    if (config.runCodeSize) {
-        for (unsigned slots : config.codeSizeSlots) {
-            result.codeIncrease[slots] = profile::codeIncreaseFor(
-                profile, slots, config.traceThreshold);
-        }
+    for (unsigned slots : config.codeSizeSlots) {
+        result.codeIncrease[slots] = profile::codeIncreaseFor(
+            profile, slots, config.traceThreshold);
     }
     return result;
 }
 
 TEST(ExperimentRunner, EngineMatchesTheVmDrivenReference)
 {
-    ExperimentConfig config = quickConfig();
-    config.runStaticSchemes = true;
-    config.runCodeSize = true;
-
-    // The seed engine also scanned BTB ways linearly; pin that in the
-    // reference to prove the full seed configuration is reproduced
-    // bit for bit by the engine's indexed lookup.
-    ExperimentConfig reference = config;
-    reference.btb.lookup = predict::LookupStrategy::Linear;
-
+    const ExperimentConfig config = quickConfig();
     const workloads::Workload &wc = workloads::findWorkload("wc");
     expectIdenticalResults({ExperimentRunner(config).runBenchmark(wc)},
-                           {referenceBenchmark(wc, reference)});
+                           {referenceBenchmark(wc, config)});
 }
 
 TEST(ExperimentRunner, EngineMatchesTheReferenceUnderNonDefaultConfigs)
@@ -336,7 +317,6 @@ TEST(ExperimentRunner, EngineMatchesTheReferenceUnderNonDefaultConfigs)
     const workloads::Workload &tee = workloads::findWorkload("tee");
     for (const Variant &variant : variants) {
         ExperimentConfig config = quickConfig();
-        config.runCodeSize = true;
         config.btb = variant.btb;
         config.counter = variant.counter;
         expectIdenticalResults(
@@ -347,8 +327,7 @@ TEST(ExperimentRunner, EngineMatchesTheReferenceUnderNonDefaultConfigs)
 
 TEST(ExperimentRunner, ParallelRunAllIsBitIdenticalToSerial)
 {
-    ExperimentConfig config = quickConfig();
-    config.runStaticSchemes = true;
+    const ExperimentConfig config = quickConfig();
 
     ExperimentConfig serial = config;
     serial.jobs = 1;
@@ -381,10 +360,7 @@ const std::vector<BenchmarkResult> &
 twoResults()
 {
     static const std::vector<BenchmarkResult> results = [] {
-        ExperimentConfig config = quickConfig();
-        config.runCodeSize = true;
-        config.runStaticSchemes = true;
-        ExperimentRunner runner(config);
+        ExperimentRunner runner(quickConfig());
         std::vector<BenchmarkResult> out;
         out.push_back(
             runner.runBenchmark(workloads::findWorkload("wc")));

@@ -40,7 +40,6 @@ suite()
     static const std::vector<BenchmarkResult> results = [] {
         ExperimentConfig config;
         config.runsOverride = 3;
-        config.runStaticSchemes = true;
         return ExperimentRunner(config).runAll();
     }();
     return results;

@@ -307,7 +307,6 @@ TEST(Differential, TablesAreBitIdenticalWithTelemetryOnAndOff)
     const EnabledGuard guard;
     core::ExperimentConfig config;
     config.runsOverride = 1;
-    config.runStaticSchemes = true;
     config.jobs = 2;
 
     setEnabled(true);

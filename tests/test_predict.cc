@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "predict/assoc_buffer.hh"
 #include "predict/cbtb.hh"
 #include "predict/flushing.hh"
@@ -186,37 +191,151 @@ TEST(AssocBuffer, GeometryIsValidated)
     EXPECT_THROW(AssociativeBuffer<Payload>{bad}, LogicFailure);
 }
 
-TEST(AssocBuffer, AutoStrategyIndexesWideSetsOnly)
+/**
+ * The reference the buffer is held to: the seed's linear scan, which
+ * models the hardware directly. A set is `assoc` consecutive ways; a
+ * lookup scans them for the tag; an insert fills the lowest invalid
+ * way, or on a full set evicts the least `lastUse` (LRU), the least
+ * `inserted` (FIFO), or way `Rng(seed).nextBelow(assoc)` (Random).
+ */
+class ModelBuffer
 {
-    AssociativeBuffer<Payload> paper(BufferConfig{});
-    EXPECT_TRUE(paper.indexed()); // 256-way fully associative
-    AssociativeBuffer<Payload> narrow(
-        BufferConfig{8, 4, ReplacementPolicy::Lru, 1});
-    EXPECT_FALSE(narrow.indexed());
-    AssociativeBuffer<Payload> forced(
-        BufferConfig{8, 4, ReplacementPolicy::Lru, 1,
-                     LookupStrategy::Indexed});
-    EXPECT_TRUE(forced.indexed());
-}
+  public:
+    explicit ModelBuffer(const BufferConfig &config)
+        : policy_(config.policy),
+          assoc_(config.associativity == 0 ? config.entries
+                                           : config.associativity),
+          sets_(config.entries / assoc_), ways_(config.entries),
+          rng_(config.seed)
+    {}
 
-/** Victim-selection behaviour must not depend on the lookup
- *  strategy; run the policy tests over both. */
-class AssocBufferStrategy
-    : public ::testing::TestWithParam<LookupStrategy>
+    Payload *
+    find(ir::Addr tag)
+    {
+        Way *way = wayOf(tag);
+        if (way == nullptr)
+            return nullptr;
+        way->lastUse = ++tick_;
+        return &way->entry;
+    }
+
+    const Payload *
+    peek(ir::Addr tag)
+    {
+        const Way *way = wayOf(tag);
+        return way == nullptr ? nullptr : &way->entry;
+    }
+
+    Payload &
+    insert(ir::Addr tag)
+    {
+        Way *base = &ways_[(tag % sets_) * assoc_];
+        Way *victim = std::find_if(base, base + assoc_,
+                                   [](const Way &way) { return !way.valid; });
+        if (victim == base + assoc_)
+            victim = pickVictim(base);
+        ++tick_;
+        *victim = Way{true, tag, tick_, tick_, Payload{}};
+        return victim->entry;
+    }
+
+    void
+    erase(ir::Addr tag)
+    {
+        if (Way *way = wayOf(tag))
+            way->valid = false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &way : ways_)
+            way.valid = false;
+    }
+
+    std::size_t
+    occupancy() const
+    {
+        return static_cast<std::size_t>(std::count_if(
+            ways_.begin(), ways_.end(),
+            [](const Way &way) { return way.valid; }));
+    }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        ir::Addr tag = 0;
+        std::uint64_t lastUse = 0;
+        std::uint64_t inserted = 0;
+        Payload entry;
+    };
+
+    Way *
+    wayOf(ir::Addr tag)
+    {
+        Way *base = &ways_[(tag % sets_) * assoc_];
+        for (std::size_t w = 0; w < assoc_; ++w) {
+            if (base[w].valid && base[w].tag == tag)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    Way *
+    pickVictim(Way *base)
+    {
+        switch (policy_) {
+          case ReplacementPolicy::Lru:
+            return std::min_element(base, base + assoc_,
+                                    [](const Way &a, const Way &b) {
+                                        return a.lastUse < b.lastUse;
+                                    });
+          case ReplacementPolicy::Fifo:
+            return std::min_element(base, base + assoc_,
+                                    [](const Way &a, const Way &b) {
+                                        return a.inserted < b.inserted;
+                                    });
+          case ReplacementPolicy::Random:
+            return base + rng_.nextBelow(assoc_);
+        }
+        return nullptr;
+    }
+
+    ReplacementPolicy policy_;
+    std::size_t assoc_;
+    std::size_t sets_;
+    std::vector<Way> ways_;
+    Rng rng_;
+    std::uint64_t tick_ = 0;
+};
+
+/** Replacement must not depend on the index policy: every test of
+ *  this suite runs over both. */
+template <typename Index>
+class AssocBufferIndex : public ::testing::Test
 {
   protected:
-    BufferConfig
-    makeConfig(std::size_t entries, std::size_t assoc,
-               ReplacementPolicy policy, std::uint64_t seed = 1) const
+    using Buffer = AssociativeBuffer<Payload, Index>;
+};
+
+struct IndexPolicyNames
+{
+    template <typename Index>
+    static std::string
+    GetName(int)
     {
-        return BufferConfig{entries, assoc, policy, seed, GetParam()};
+        return std::is_same_v<Index, HashTagIndex> ? "Hash" : "Flat";
     }
 };
 
-TEST_P(AssocBufferStrategy, FifoVictimIgnoresTouches)
+using IndexPolicies = ::testing::Types<HashTagIndex, FlatTagIndex>;
+TYPED_TEST_SUITE(AssocBufferIndex, IndexPolicies, IndexPolicyNames);
+
+TYPED_TEST(AssocBufferIndex, FifoVictimIgnoresTouches)
 {
-    AssociativeBuffer<Payload> buffer(
-        makeConfig(3, 0, ReplacementPolicy::Fifo));
+    typename TestFixture::Buffer buffer(
+        BufferConfig{3, 0, ReplacementPolicy::Fifo, 1});
     buffer.insert(1);
     buffer.insert(2);
     buffer.insert(3);
@@ -232,10 +351,10 @@ TEST_P(AssocBufferStrategy, FifoVictimIgnoresTouches)
     EXPECT_NE(buffer.find(5), nullptr);
 }
 
-TEST_P(AssocBufferStrategy, FifoEraseThenInsertMovesToNewest)
+TYPED_TEST(AssocBufferIndex, FifoEraseThenInsertMovesToNewest)
 {
-    AssociativeBuffer<Payload> buffer(
-        makeConfig(2, 0, ReplacementPolicy::Fifo));
+    typename TestFixture::Buffer buffer(
+        BufferConfig{2, 0, ReplacementPolicy::Fifo, 1});
     buffer.insert(1);
     buffer.insert(2);
     buffer.erase(1);
@@ -246,10 +365,10 @@ TEST_P(AssocBufferStrategy, FifoEraseThenInsertMovesToNewest)
     EXPECT_NE(buffer.find(3), nullptr);
 }
 
-TEST_P(AssocBufferStrategy, EraseThenInsertReusesTheFreeWay)
+TYPED_TEST(AssocBufferIndex, EraseThenInsertReusesTheFreeWay)
 {
-    AssociativeBuffer<Payload> buffer(
-        makeConfig(2, 0, ReplacementPolicy::Lru));
+    typename TestFixture::Buffer buffer(
+        BufferConfig{2, 0, ReplacementPolicy::Lru, 1});
     buffer.insert(10).value = 1;
     buffer.insert(20).value = 2;
     buffer.erase(10);
@@ -268,10 +387,10 @@ TEST_P(AssocBufferStrategy, EraseThenInsertReusesTheFreeWay)
     EXPECT_NE(buffer.find(10), nullptr);
 }
 
-TEST_P(AssocBufferStrategy, RandomVictimStaysResidentElsewhere)
+TYPED_TEST(AssocBufferIndex, RandomVictimStaysResidentElsewhere)
 {
-    AssociativeBuffer<Payload> buffer(
-        makeConfig(4, 0, ReplacementPolicy::Random, 42));
+    typename TestFixture::Buffer buffer(
+        BufferConfig{4, 0, ReplacementPolicy::Random, 42});
     for (ir::Addr tag = 0; tag < 100; ++tag)
         buffer.insert(tag * 8 + 1);
     EXPECT_EQ(buffer.occupancy(), 4u);
@@ -282,19 +401,9 @@ TEST_P(AssocBufferStrategy, RandomVictimStaysResidentElsewhere)
     EXPECT_EQ(resident, 4u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothStrategies, AssocBufferStrategy,
-                         ::testing::Values(LookupStrategy::Linear,
-                                           LookupStrategy::Indexed),
-                         [](const auto &info) {
-                             return info.param ==
-                                            LookupStrategy::Linear
-                                        ? "Linear"
-                                        : "Indexed";
-                         });
-
-/** The two lookup strategies must agree on a randomized trace of
+/** The buffer must agree with the model on a randomized trace of
  *  find/insert/erase/flush, for every policy and geometry. */
-TEST(AssocBuffer, StrategiesAgreeOnRandomizedTraces)
+TYPED_TEST(AssocBufferIndex, AgreesWithTheModelOnRandomizedTraces)
 {
     const std::vector<std::pair<std::size_t, std::size_t>> geometries =
         {{256, 0}, {64, 0}, {64, 16}, {32, 4}};
@@ -302,12 +411,9 @@ TEST(AssocBuffer, StrategiesAgreeOnRandomizedTraces)
         for (ReplacementPolicy policy :
              {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
               ReplacementPolicy::Random}) {
-            AssociativeBuffer<Payload> linear(
-                BufferConfig{entries, assoc, policy, 7,
-                             LookupStrategy::Linear});
-            AssociativeBuffer<Payload> indexed(
-                BufferConfig{entries, assoc, policy, 7,
-                             LookupStrategy::Indexed});
+            const BufferConfig config{entries, assoc, policy, 7};
+            ModelBuffer model(config);
+            typename TestFixture::Buffer buffer(config);
             // A working set of 3x capacity keeps evictions frequent.
             Rng rng(0xabcdef ^ entries ^ (assoc << 8) ^
                     static_cast<std::uint64_t>(policy));
@@ -315,119 +421,110 @@ TEST(AssocBuffer, StrategiesAgreeOnRandomizedTraces)
                 const ir::Addr tag = rng.nextBelow(3 * entries);
                 const std::uint64_t kind = rng.nextBelow(100);
                 if (kind < 70) { // find, insert on miss (BTB shape)
-                    Payload *a = linear.find(tag);
-                    Payload *b = indexed.find(tag);
+                    Payload *a = model.find(tag);
+                    Payload *b = buffer.find(tag);
                     ASSERT_EQ(a == nullptr, b == nullptr)
                         << "op " << op << " tag " << tag;
                     if (a == nullptr) {
-                        linear.insert(tag).value = op;
-                        indexed.insert(tag).value = op;
+                        model.insert(tag).value = op;
+                        buffer.insert(tag).value = op;
                     } else {
                         ASSERT_EQ(a->value, b->value);
                     }
                 } else if (kind < 95) {
-                    linear.erase(tag);
-                    indexed.erase(tag);
+                    model.erase(tag);
+                    buffer.erase(tag);
                 } else if (kind < 96) {
-                    linear.flush();
-                    indexed.flush();
+                    model.flush();
+                    buffer.flush();
                 } else {
-                    const Payload *a = linear.peek(tag);
-                    const Payload *b = indexed.peek(tag);
+                    const Payload *a = model.peek(tag);
+                    const Payload *b = buffer.peek(tag);
                     ASSERT_EQ(a == nullptr, b == nullptr);
                     if (a != nullptr) {
                         ASSERT_EQ(a->value, b->value);
                     }
                 }
-                ASSERT_EQ(linear.occupancy(), indexed.occupancy());
+                ASSERT_EQ(model.occupancy(), buffer.occupancy());
             }
         }
     }
 }
 
-TEST(AssocBuffer, StrategiesPickIdenticalVictimsExhaustively)
+TYPED_TEST(AssocBufferIndex, PicksTheModelsVictimsExhaustively)
 {
-    // The header claims both strategies draw identical rng sequences
-    // under the Random policy (and identical victims under all
-    // policies). Occupancy equality alone would not catch a divergent
-    // victim choice, so this test audits the full resident content --
-    // every tag in the working-set domain, presence and payload --
-    // across every policy x geometry combination, including the
-    // degenerate ones (direct-mapped, two-way, tiny fully-assoc).
+    // Occupancy equality alone would not catch a divergent victim
+    // choice (or a Random draw that names a different way), so this
+    // test audits the full resident content -- every tag in the
+    // working-set domain, presence and payload -- across every
+    // policy x geometry combination, including the degenerate ones
+    // (direct-mapped, two-way, tiny fully-assoc) and a set count
+    // that is not a power of two.
     const std::vector<std::pair<std::size_t, std::size_t>> geometries =
-        {{2, 1}, {4, 1}, {4, 2}, {4, 0}, {8, 2},  {8, 4},
-         {8, 0}, {16, 1}, {16, 4}, {16, 8}, {16, 0}, {32, 8}};
+        {{2, 1},  {4, 1},  {4, 2},  {4, 0},  {8, 2},  {8, 4}, {8, 0},
+         {16, 1}, {16, 4}, {16, 8}, {16, 0}, {32, 8}, {12, 4}};
     for (const auto &[entries, assoc] : geometries) {
         for (ReplacementPolicy policy :
              {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
               ReplacementPolicy::Random}) {
-            {
-                AssociativeBuffer<Payload> linear(
-                    BufferConfig{entries, assoc, policy, 11,
-                                 LookupStrategy::Linear});
-                AssociativeBuffer<Payload> indexed(
-                    BufferConfig{entries, assoc, policy, 11,
-                                 LookupStrategy::Indexed});
+            const BufferConfig config{entries, assoc, policy, 11};
+            ModelBuffer model(config);
+            typename TestFixture::Buffer buffer(config);
 
-                const std::size_t domain = 4 * entries;
-                Rng rng(0x5eed ^ (entries << 16) ^ (assoc << 8) ^
-                        static_cast<std::uint64_t>(policy));
-                for (int op = 0; op < 4000; ++op) {
-                    const ir::Addr tag = rng.nextBelow(domain);
-                    const std::uint64_t kind = rng.nextBelow(100);
-                    if (kind < 60) { // insert-on-miss (BTB shape)
-                        Payload *a = linear.find(tag);
-                        Payload *b = indexed.find(tag);
-                        ASSERT_EQ(a == nullptr, b == nullptr)
-                            << entries << "/" << assoc << " op "
-                            << op;
-                        if (a == nullptr) {
-                            linear.insert(tag).value = op;
-                            indexed.insert(tag).value = op;
-                        }
-                    } else if (kind < 90) {
-                        // Erase-heavy: punches holes so the Random
-                        // policy's free-slot bookkeeping (sorted free
-                        // list vs first-invalid scan) is exercised
-                        // constantly, not just at warm-up.
-                        linear.erase(tag);
-                        indexed.erase(tag);
-                    } else if (kind < 92) {
-                        linear.flush();
-                        indexed.flush();
-                    } else {
-                        // Overwrite-or-insert: refreshes recency on
-                        // hits, forces an eviction decision on
-                        // misses into full sets.
-                        Payload *a = linear.find(tag);
-                        Payload *b = indexed.find(tag);
-                        ASSERT_EQ(a == nullptr, b == nullptr)
-                            << entries << "/" << assoc << " op "
-                            << op;
-                        if (a == nullptr) {
-                            linear.insert(tag).value = -op;
-                            indexed.insert(tag).value = -op;
-                        } else {
-                            a->value = -op;
-                            b->value = -op;
-                        }
+            const std::size_t domain = 4 * entries;
+            Rng rng(0x5eed ^ (entries << 16) ^ (assoc << 8) ^
+                    static_cast<std::uint64_t>(policy));
+            for (int op = 0; op < 4000; ++op) {
+                const ir::Addr tag = rng.nextBelow(domain);
+                const std::uint64_t kind = rng.nextBelow(100);
+                if (kind < 60) { // insert-on-miss (BTB shape)
+                    Payload *a = model.find(tag);
+                    Payload *b = buffer.find(tag);
+                    ASSERT_EQ(a == nullptr, b == nullptr)
+                        << entries << "/" << assoc << " op " << op;
+                    if (a == nullptr) {
+                        model.insert(tag).value = op;
+                        buffer.insert(tag).value = op;
                     }
+                } else if (kind < 90) {
+                    // Erase-heavy: punches holes so the Random
+                    // policy's free-slot bookkeeping (the ascending
+                    // free list vs the first-invalid scan) is
+                    // exercised constantly, not just at warm-up.
+                    model.erase(tag);
+                    buffer.erase(tag);
+                } else if (kind < 92) {
+                    model.flush();
+                    buffer.flush();
+                } else {
+                    // Overwrite-or-insert: refreshes recency on
+                    // hits, forces an eviction decision on misses
+                    // into full sets.
+                    Payload *a = model.find(tag);
+                    Payload *b = buffer.find(tag);
+                    ASSERT_EQ(a == nullptr, b == nullptr)
+                        << entries << "/" << assoc << " op " << op;
+                    if (a == nullptr) {
+                        model.insert(tag).value = -op;
+                        buffer.insert(tag).value = -op;
+                    } else {
+                        a->value = -op;
+                        b->value = -op;
+                    }
+                }
 
-                    // Full-content audit every 256 ops and at the
-                    // end: identical victims leave identical
-                    // residents.
-                    if (op % 256 == 255 || op == 3999) {
-                        for (ir::Addr probe = 0; probe < domain;
-                             ++probe) {
-                            const Payload *a = linear.peek(probe);
-                            const Payload *b = indexed.peek(probe);
-                            ASSERT_EQ(a == nullptr, b == nullptr)
-                                << entries << "/" << assoc
-                                << " policy "
-                                << policyName(policy) << " op " << op
-                                << " tag " << probe;
-                            if (a != nullptr)
-                                ASSERT_EQ(a->value, b->value);
+                // Full-content audit every 256 ops and at the end:
+                // identical victims leave identical residents.
+                if (op % 256 == 255 || op == 3999) {
+                    for (ir::Addr probe = 0; probe < domain; ++probe) {
+                        const Payload *a = model.peek(probe);
+                        const Payload *b = buffer.peek(probe);
+                        ASSERT_EQ(a == nullptr, b == nullptr)
+                            << entries << "/" << assoc << " policy "
+                            << policyName(policy) << " op " << op
+                            << " tag " << probe;
+                        if (a != nullptr) {
+                            ASSERT_EQ(a->value, b->value);
                         }
                     }
                 }

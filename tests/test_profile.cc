@@ -515,16 +515,28 @@ TEST(ProfileDifferential, PlantedEntriesPastTheCodeEndAreReRecorded)
     const ir::Addr code_end = cold.layout->codeEnd();
     const std::vector<trace::BranchEvent> events = cold.stream.toEvents();
     const trace::TraceCache cache(dir);
-    const obs::Counter &stores =
-        obs::Registry::global().counter("trace_cache.stores");
+    obs::Registry &reg = obs::Registry::global();
+    const obs::Counter &stores = reg.counter("trace_cache.stores");
+    const obs::Counter &hits = reg.counter("trace_cache.hits");
+    const obs::Counter &misses = reg.counter("trace_cache.misses");
 
     const auto expectReRecorded = [&](const char *what) {
         SCOPED_TRACE(what);
         const std::uint64_t stores_before = stores.value();
+        const std::uint64_t hits_before = hits.value();
+        const std::uint64_t misses_before = misses.value();
+        const trace::TraceCacheCounters counters_before =
+            trace::traceCacheCounters();
         const core::RecordedWorkload again =
             core::recordWorkload(workload, config);
         EXPECT_FALSE(again.cacheHit);
         EXPECT_EQ(stores.value(), stores_before + 1);
+        // One miss, never a hit, in both counter families.
+        EXPECT_EQ(hits.value(), hits_before);
+        EXPECT_EQ(misses.value(), misses_before + 1);
+        EXPECT_EQ(trace::traceCacheCounters().hits, counters_before.hits);
+        EXPECT_EQ(trace::traceCacheCounters().misses,
+                  counters_before.misses + 1);
         EXPECT_EQ(again.profile->exportRows(), cold.profile->exportRows());
         EXPECT_EQ(again.stream.deltas(), cold.stream.deltas());
         // The re-record stored a clean entry over the planted one.

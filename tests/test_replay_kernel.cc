@@ -31,14 +31,12 @@ namespace branchlab::core
 namespace
 {
 
-/** A fast configuration: two runs, nothing extra. */
+/** A fast configuration: two runs. */
 ExperimentConfig
 quickConfig()
 {
     ExperimentConfig config;
     config.runsOverride = 2;
-    config.runStaticSchemes = false;
-    config.runCodeSize = false;
     return config;
 }
 
@@ -203,11 +201,10 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
         random.seed = 7;
         buffers.push_back(random);
 
-        predict::BufferConfig linear;
-        linear.entries = 16;
-        linear.associativity = 2;
-        linear.lookup = predict::LookupStrategy::Linear;
-        buffers.push_back(linear);
+        predict::BufferConfig two_way;
+        two_way.entries = 16;
+        two_way.associativity = 2;
+        buffers.push_back(two_way);
     }
 
     for (std::size_t b = 0; b < buffers.size(); ++b) {
@@ -354,16 +351,13 @@ TEST(ReplayKernel, BatchSharesSbtbKernelsAcrossCounterVariants)
     random.seed = 7;
     predict::BufferConfig reseeded = random;
     reseeded.seed = 8;
-    // Same state as set_assoc: kernels always use the indexed lookup.
-    predict::BufferConfig linear = set_assoc;
-    linear.lookup = predict::LookupStrategy::Linear;
 
     // Counter variants over shared geometries, a duplicated point, and
     // two Random-policy points that differ only in their seed.
     const std::vector<predict::BtbBatchPoint> points = {
         {set_assoc, {2, 2}}, {set_assoc, {1, 1}}, {set_assoc, {3, 4}},
         {set_assoc, {2, 1}}, {set_assoc, {2, 2}}, {random, {2, 2}},
-        {reseeded, {2, 2}},  {random, {4, 8}},    {linear, {2, 3}},
+        {reseeded, {2, 2}},  {random, {4, 8}},    {set_assoc, {2, 3}},
     };
     const std::size_t distinct_geometries = 3;
 

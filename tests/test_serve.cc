@@ -200,6 +200,54 @@ TEST(ServeProtocol, MalformedRequestsAreRejectedWithDiagnostics)
     encoded[4 + 2 + 1 + 1 + 8 + 8 + 4 + 4 + 4] = 9;
     EXPECT_FALSE(decodeRequest(encoded, out, error));
     EXPECT_NE(error.find("policy"), std::string::npos);
+
+    // Design points that would size unbounded work or reach an
+    // engine assert are refused with a diagnostic that names the
+    // field; a legal value at each edge decodes.
+    struct Case
+    {
+        const char *what;
+        void (*set)(Request &);
+        bool ok;
+    };
+    const Case cases[] = {
+        {"runs", [](Request &r) { r.runs = 256; }, true},
+        {"runs", [](Request &r) { r.runs = 257; }, false},
+        {"runs", [](Request &r) { r.runs = 4294967295u; }, false},
+        {"entries", [](Request &r) { r.btb.entries = 0; }, false},
+        {"entries", [](Request &r) { r.btb.entries = 65536; }, true},
+        {"entries", [](Request &r) { r.btb.entries = 65537; }, false},
+        {"associativity",
+         [](Request &r) {
+             r.btb.entries = 12;
+             r.btb.associativity = 8;
+         },
+         false},
+        {"associativity",
+         [](Request &r) {
+             r.btb.entries = 12;
+             r.btb.associativity = 12;
+         },
+         true},
+        {"bits", [](Request &r) { r.counter = {0, 1}; }, false},
+        {"bits", [](Request &r) { r.counter = {17, 1}; }, false},
+        {"bits", [](Request &r) { r.counter = {16, 255}; }, true},
+        {"threshold", [](Request &r) { r.counter = {2, 0}; }, false},
+        {"threshold", [](Request &r) { r.counter = {2, 4}; }, false},
+        {"threshold", [](Request &r) { r.counter = {2, 3}; }, true},
+        {"slots", [](Request &r) { r.fsSlots = 64; }, true},
+        {"slots", [](Request &r) { r.fsSlots = 65; }, false},
+    };
+    for (const Case &c : cases) {
+        Request request = tinyRequest();
+        c.set(request);
+        SCOPED_TRACE(std::string(c.what) + (c.ok ? " ok" : " refused"));
+        error.clear();
+        EXPECT_EQ(decodeRequest(encodeRequest(request), out, error), c.ok);
+        if (!c.ok) {
+            EXPECT_NE(error.find(c.what), std::string::npos) << error;
+        }
+    }
 }
 
 TEST(ServeProtocol, EmptyWorkloadListIsMalformed)

@@ -265,7 +265,6 @@ TEST(Sweep, PaperPointMatchesTheExperimentRunnerBitForBit)
     // paper point; the sweep's row must reproduce it bit for bit.
     ExperimentConfig runner_config;
     runner_config.runsOverride = 2;
-    runner_config.runStaticSchemes = false;
     const ExperimentRunner runner(runner_config);
     for (std::size_t w = 0; w < config.workloads.size(); ++w) {
         const BenchmarkResult reference = runner.runBenchmark(

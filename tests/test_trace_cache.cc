@@ -1283,7 +1283,6 @@ cachedConfig(const std::string &dir)
 {
     core::ExperimentConfig config;
     config.runsOverride = 2;
-    config.runStaticSchemes = false;
     config.traceCacheDir = dir;
     return config;
 }
@@ -1337,8 +1336,7 @@ TEST(TraceCacheIntegration, WarmRecordWorkloadIsBitIdentical)
 TEST(TraceCacheIntegration, WarmBenchmarkResultsAreBitIdentical)
 {
     const std::string dir = makeCacheDir("bench");
-    core::ExperimentConfig config = cachedConfig(dir);
-    config.runCodeSize = true; // Table 5 must work from cached events
+    const core::ExperimentConfig config = cachedConfig(dir);
     const workloads::Workload &workload =
         workloads::findWorkload("cmp");
 
@@ -1357,6 +1355,7 @@ TEST(TraceCacheIntegration, WarmBenchmarkResultsAreBitIdentical)
     EXPECT_EQ(warm.fs.accuracy, cold.fs.accuracy);
     EXPECT_EQ(warm.stats.instructions(), cold.stats.instructions());
     EXPECT_EQ(warm.stats.branches(), cold.stats.branches());
+    // Table 5 works from cached events too.
     EXPECT_EQ(warm.codeIncrease, cold.codeIncrease);
     EXPECT_EQ(warm.runs, cold.runs);
     EXPECT_EQ(warm.staticSize, cold.staticSize);
@@ -1564,14 +1563,25 @@ TEST(TraceCacheIntegration, EntriesWithoutProfileAreReRecorded)
     ASSERT_EQ(headerOf(readFileBytes(path)).sectionCount,
               kEntrySectionCount);
 
-    const obs::Counter &stores =
-        obs::Registry::global().counter("trace_cache.stores");
+    obs::Registry &reg = obs::Registry::global();
+    const obs::Counter &stores = reg.counter("trace_cache.stores");
+    const obs::Counter &hits = reg.counter("trace_cache.hits");
+    const obs::Counter &misses = reg.counter("trace_cache.misses");
     const ProfileCounterMark mark;
     const std::uint64_t stores_before = stores.value();
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t misses_before = misses.value();
+    const TraceCacheCounters counters_before = traceCacheCounters();
     const core::RecordedWorkload again =
         core::recordWorkload(workload, config);
     EXPECT_FALSE(again.cacheHit);
     EXPECT_EQ(stores.value(), stores_before + 1);
+    // The refused entry is one miss, never a hit, in both counter
+    // families.
+    EXPECT_EQ(hits.value(), hits_before);
+    EXPECT_EQ(misses.value(), misses_before + 1);
+    EXPECT_EQ(traceCacheCounters().hits, counters_before.hits);
+    EXPECT_EQ(traceCacheCounters().misses, counters_before.misses + 1);
     EXPECT_EQ(mark.restoredSince(), 0u);
     EXPECT_EQ(again.profile->exportRows(), rows);
     EXPECT_EQ(headerOf(readFileBytes(path)).sectionCount,

@@ -474,8 +474,6 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
 
         // Every kernel sees the same stream: identical results (and
         // therefore identical internal tables) in both modes.
-        const predict::BufferConfig btb =
-            predict::kernelIndexedConfig(config.btb);
         const auto expect_same_over_both = [&](auto &a, auto &b,
                                                const char *what) {
             predict::walkKernels(mapped, {&a});
@@ -483,13 +481,13 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
             expectSameResult(a.result(), b.result(), what);
         };
         {
-            predict::SbtbKernel a(btb);
-            predict::SbtbKernel b(btb);
+            predict::SbtbKernel a(config.btb);
+            predict::SbtbKernel b(config.btb);
             expect_same_over_both(a, b, "sbtb");
         }
         {
-            predict::CbtbKernel a(btb, config.counter);
-            predict::CbtbKernel b(btb, config.counter);
+            predict::CbtbKernel a(config.btb, config.counter);
+            predict::CbtbKernel b(config.btb, config.counter);
             expect_same_over_both(a, b, "cbtb");
         }
         for (const predict::StaticKind kind :

@@ -279,9 +279,7 @@ cmdReplay(const std::string &path, const Options &options)
 int
 cmdTables(const Options &options)
 {
-    core::ExperimentConfig config = makeConfig(options);
-    config.runStaticSchemes = true;
-    core::ExperimentRunner runner(config);
+    core::ExperimentRunner runner(makeConfig(options));
     std::cerr << "running the suite...\n";
     const std::vector<core::BenchmarkResult> results = runner.runAll();
     const auto print = [](const char *title, const TextTable &table) {
@@ -304,10 +302,7 @@ cmdTables(const Options &options)
 int
 cmdFigures(const Options &options)
 {
-    core::ExperimentConfig config = makeConfig(options);
-    config.runStaticSchemes = false;
-    config.runCodeSize = false;
-    core::ExperimentRunner runner(config);
+    core::ExperimentRunner runner(makeConfig(options));
     std::cerr << "running the suite...\n";
     const std::vector<core::BenchmarkResult> results = runner.runAll();
     for (unsigned k : {1u, 2u, 4u, 8u}) {
@@ -326,6 +321,8 @@ cmdClient(const Options &options)
 {
     if (options.connect.empty())
         blab_fatal("client needs --connect ADDR");
+    if (options.runs > serve::kMaxRequestRuns)
+        blab_fatal("client --runs is at most ", serve::kMaxRequestRuns);
     std::vector<std::string> names;
     if (options.workloads.empty()) {
         for (const workloads::Workload *workload :
