@@ -8,6 +8,8 @@
 #include "core/replay_kernel.hh"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -80,6 +82,12 @@ kernelTakes(const KernelSpec &spec, const trace::TraceView &view)
     return flat;
 }
 
+bool
+isBtbKind(SchemeKind kind)
+{
+    return kind == SchemeKind::Sbtb || kind == SchemeKind::Cbtb;
+}
+
 /** @p spec with every field its kernel ignores at its default: two
  *  specs with equal keys step identical kernels, so they share one. */
 KernelSpec
@@ -113,6 +121,329 @@ makeKernel(const KernelSpec &spec, const trace::TraceView &view)
         return std::make_unique<predict::StaticKernel>(
             staticKindOf(spec.kind));
     }
+}
+
+/** Whether no set of @p btb holds more of @p candidates than it has
+ *  ways: then no insert ever finds its set full, and the buffer never
+ *  evicts under any replacement policy. */
+bool
+neverEvicts(const predict::BufferConfig &btb,
+            const std::vector<ir::Addr> &candidates)
+{
+    const predict::BufferGeometry geometry(btb);
+    std::vector<std::size_t> load(geometry.sets(), 0);
+    for (const ir::Addr pc : candidates)
+        ++load[geometry.setOf(pc)];
+    return std::all_of(load.begin(), load.end(), [&](std::size_t n) {
+        return n <= geometry.ways();
+    });
+}
+
+/** A scored BTB spec's counts, as its kernel would end them. */
+struct PerPcScore
+{
+    predict::KernelStats acc;
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+
+    /** Add one pc: @p n executions, each one lookup, of which @p hit
+     *  hit, @p correct were predicted right and @p predicted_taken
+     *  predicted taken. */
+    void
+    add(bool conditional, std::uint64_t n, std::uint64_t hit,
+        std::uint64_t correct, std::uint64_t predicted_taken)
+    {
+        lookups += n;
+        hits += hit;
+        acc.events += n;
+        acc.correct += correct;
+        acc.conditional += conditional ? n : 0;
+        acc.conditionalCorrect += conditional ? correct : 0;
+        acc.predictedTaken += predicted_taken;
+    }
+
+    /** Add an unconditional pc, the same in either buffer: always
+     *  taken, so its first execution misses and inserts it, and every
+     *  later one hits (an SBTB erases only on not taken, and a CBTB
+     *  counter inserted at T never drops below it) and predicts the
+     *  previous next pc. */
+    void
+    addUnconditional(const profile::BranchSite &site)
+    {
+        const std::uint64_t n = site.counts->executions();
+        add(false, n, n - 1, site.history->repeats, n - 1);
+    }
+};
+
+/** Outcomes of @p history's @p n executions that differ from the
+ *  one before (a not-taken one before the first). */
+std::uint64_t
+outcomeFlips(const profile::BranchHistory &history, std::uint64_t n)
+{
+    std::uint64_t flips = 0;
+    std::uint64_t carry = 0;
+    for (std::size_t w = 0; w < history.outcomes.size(); ++w) {
+        const std::uint64_t word = history.outcomes[w];
+        std::uint64_t diff = word ^ (word << 1 | carry);
+        if (w + 1 == history.outcomes.size() && n % 64 != 0)
+            diff &= (std::uint64_t{1} << (n % 64)) - 1;
+        flips += static_cast<std::uint64_t>(std::popcount(diff));
+        carry = word >> 63;
+    }
+    return flips;
+}
+
+/** The SBTB over @p sites. A conditional branch is resident exactly
+ *  after a taken outcome (not taken erases it) and then predicts its
+ *  static target, so a prediction is right when the outcome repeats
+ *  the previous one. */
+PerPcScore
+scoreSbtb(const std::vector<profile::BranchSite> &sites)
+{
+    PerPcScore score;
+    for (const profile::BranchSite &site : sites) {
+        if (!site.history->conditional) {
+            score.addUnconditional(site);
+            continue;
+        }
+        const std::uint64_t n = site.counts->executions();
+        const std::uint64_t hits =
+            site.counts->taken - (site.history->outcome(n - 1) ? 1 : 0);
+        score.add(true, n, hits, n - outcomeFlips(*site.history, n), hits);
+    }
+    return score;
+}
+
+/** The CBTB with @p counter over @p sites. A conditional branch's
+ *  first outcome misses and inserts its counter at T or T - 1; every
+ *  later one hits, predicts taken (its static target) when the
+ *  counter is at least T, and steps the counter. */
+PerPcScore
+scoreCbtb(const std::vector<profile::BranchSite> &sites,
+          const predict::CounterConfig &counter)
+{
+    const unsigned ceiling = predict::counterCeiling(counter);
+    const unsigned threshold = counter.threshold;
+    PerPcScore score;
+    for (const profile::BranchSite &site : sites) {
+        if (!site.history->conditional) {
+            score.addUnconditional(site);
+            continue;
+        }
+        const profile::BranchHistory &history = *site.history;
+        const std::uint64_t n = site.counts->executions();
+        const bool first = history.outcome(0);
+        unsigned count = first ? threshold : threshold - 1;
+        std::uint64_t correct = first ? 0 : 1;
+        std::uint64_t predicted_taken = 0;
+        for (std::uint64_t i = 1; i < n; ++i) {
+            const bool taken = history.outcome(i);
+            const bool predicted = count >= threshold;
+            predicted_taken += predicted ? 1 : 0;
+            correct += predicted == taken ? 1 : 0;
+            if (taken)
+                count += count < ceiling ? 1 : 0;
+            else
+                count -= count > 0 ? 1 : 0;
+        }
+        score.add(true, n, n - 1, correct, predicted_taken);
+    }
+    return score;
+}
+
+/**
+ * The per-pc scorer over one profile and the stream it was folded
+ * from. It decides once whether the profile's histories stand in for
+ * the stream -- no anomalous event, every tallied pc a branch, every
+ * history of its instruction's kind, every unconditional branch
+ * always taken -- then takes each SBTB or CBTB spec whose buffer
+ * never evicts. Without eviction each pc is its own small automaton
+ * and the geometry and policy drop out, so one SBTB score serves
+ * every fitting geometry and one CBTB score every fitting geometry
+ * of a counter config.
+ */
+class PerPcScorer
+{
+  public:
+    PerPcScorer(const trace::TraceView &view,
+                const profile::ProgramProfile &profile)
+    {
+        if (view.hasAnomalies())
+            return;
+        sites_ = profile.branchSites();
+        if (!sites_)
+            return;
+        for (const profile::BranchSite &site : *sites_) {
+            const profile::BranchHistory &history = *site.history;
+            if (history.conditional != site.query.conditional ||
+                (!history.conditional && site.counts->notTaken != 0)) {
+                sites_.reset();
+                return;
+            }
+            executed_.push_back(site.query.pc);
+            if (site.counts->taken != 0)
+                taken_.push_back(site.query.pc);
+        }
+    }
+
+    /** Whether @p spec is an SBTB or CBTB spec whose buffer never
+     *  evicts on this stream: no set holds more candidates than ways,
+     *  the candidates being the pcs ever taken for an SBTB (only a
+     *  taken outcome inserts) and every executed pc for a CBTB. */
+    bool
+    takes(const KernelSpec &spec) const
+    {
+        if (!sites_ || !isBtbKind(spec.kind))
+            return false;
+        return neverEvicts(spec.btb,
+                           spec.kind == SchemeKind::Sbtb ? taken_
+                                                         : executed_);
+    }
+
+    /** @p spec's result; takes(spec) must hold. Adds its kernel's
+     *  predict.{sbtb,cbtb}.{lookups,hits} once per distinct kernel,
+     *  as the walk would, and counts engine.replay.per_pc. */
+    ReplayResult
+    score(const KernelSpec &spec)
+    {
+        const bool sbtb = spec.kind == SchemeKind::Sbtb;
+        const PerPcScore &score =
+            sbtb ? sbtbScore() : cbtbScore(spec.counter);
+        auto &registry = obs::Registry::global();
+        const KernelSpec key = kernelKey(spec);
+        if (std::find(noted_.begin(), noted_.end(), key) == noted_.end()) {
+            noted_.push_back(key);
+            if (obs::enabled()) {
+                const std::string prefix =
+                    sbtb ? "predict.sbtb." : "predict.cbtb.";
+                registry.counter(prefix + "lookups").add(score.lookups);
+                registry.counter(prefix + "hits").add(score.hits);
+            }
+        }
+        registry.counter("engine.replay.per_pc").add(1);
+        return toReplayResult(
+            predict::btbResult(score.acc, score.lookups, score.hits));
+    }
+
+  private:
+    const PerPcScore &
+    sbtbScore()
+    {
+        if (!sbtb_)
+            sbtb_ = scoreSbtb(*sites_);
+        return *sbtb_;
+    }
+
+    const PerPcScore &
+    cbtbScore(const predict::CounterConfig &counter)
+    {
+        for (const auto &[config, score] : cbtb_) {
+            if (config == counter)
+                return score;
+        }
+        cbtb_.emplace_back(counter, scoreCbtb(*sites_, counter));
+        return cbtb_.back().second;
+    }
+
+    /** Every executed branch; nullopt when the profile cannot stand
+     *  in for the stream. */
+    std::optional<std::vector<profile::BranchSite>> sites_;
+    std::vector<ir::Addr> executed_;
+    std::vector<ir::Addr> taken_;
+    std::optional<PerPcScore> sbtb_;
+    std::vector<std::pair<predict::CounterConfig, PerPcScore>> cbtb_;
+    /** Kernel keys whose predict.* lookups were added. */
+    std::vector<KernelSpec> noted_;
+};
+
+/** Score every spec of @p specs @p profile answers into @p results --
+ *  the stateless ones in closed form, non-evicting SBTB and CBTB per
+ *  pc -- and return the indexes of the rest, in order. */
+std::vector<std::size_t>
+scoreFromProfile(const trace::TraceView &view,
+                 const profile::ProgramProfile &profile,
+                 const std::vector<KernelSpec> &specs,
+                 std::vector<ReplayResult> &results)
+{
+    const obs::ScopedSpan span("engine.score");
+    std::optional<PerPcScorer> per_pc;
+    std::vector<std::size_t> rest;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (const auto scored = scoreClosedForm(profile, specs[i])) {
+            results[i] = *scored;
+            continue;
+        }
+        if (isBtbKind(specs[i].kind)) {
+            if (!per_pc)
+                per_pc.emplace(view, profile);
+            if (per_pc->takes(specs[i])) {
+                results[i] = per_pc->score(specs[i]);
+                continue;
+            }
+        }
+        rest.push_back(i);
+    }
+    return rest;
+}
+
+/** Walk the specs at @p at in one replayManyKernel call, into
+ *  @p results. */
+void
+walkInto(const trace::TraceView &view, const std::vector<KernelSpec> &specs,
+         const std::vector<std::size_t> &at,
+         std::vector<ReplayResult> &results)
+{
+    if (at.empty())
+        return;
+    std::vector<KernelSpec> walked;
+    walked.reserve(at.size());
+    for (const std::size_t i : at)
+        walked.push_back(specs[i]);
+    const std::vector<ReplayResult> replays = replayManyKernel(view, walked);
+    for (std::size_t j = 0; j < at.size(); ++j)
+        results[at[j]] = replays[j];
+}
+
+/** A batch's specs: every SBTB spec, then every CBTB spec. The walk
+ *  steps kernels in spec order, and stepping one kernel type's loop
+ *  back to back is measurably faster than alternating the two. */
+std::vector<KernelSpec>
+batchSpecs(const std::vector<predict::BtbBatchPoint> &points)
+{
+    const std::size_t n = points.size();
+    std::vector<KernelSpec> specs(2 * n);
+    for (std::size_t p = 0; p < n; ++p) {
+        specs[p].btb = specs[n + p].btb = points[p].btb;
+        specs[p].counter = specs[n + p].counter = points[p].counter;
+        specs[p].kind = SchemeKind::Sbtb;
+        specs[n + p].kind = SchemeKind::Cbtb;
+    }
+    return specs;
+}
+
+/** batchSpecs()' results as cells. */
+std::vector<predict::BtbBatchCell>
+batchCells(const std::vector<ReplayResult> &results)
+{
+    const auto cellOf = [](const ReplayResult &result) {
+        return predict::KernelReplayResult{result.stats, result.missRatio,
+                                           result.hasMissRatio};
+    };
+    const std::size_t n = results.size() / 2;
+    std::vector<predict::BtbBatchCell> cells(n);
+    for (std::size_t p = 0; p < n; ++p) {
+        cells[p].sbtb = cellOf(results[p]);
+        cells[p].cbtb = cellOf(results[n + p]);
+    }
+    return cells;
+}
+
+/** Count one batch walk whenever the BTB kernels take the stream. */
+void
+noteBatchWalk(const trace::TraceView &view)
+{
+    if (kernelTakes(KernelSpec{}, view))
+        obs::Registry::global().counter("engine.replay.kernel.batch").add(1);
 }
 
 } // namespace
@@ -243,27 +574,24 @@ scoreClosedForm(const profile::ProgramProfile &profile,
     return toReplayResult({acc.toStats()});
 }
 
+std::optional<ReplayResult>
+scorePerPc(const trace::TraceView &view,
+           const profile::ProgramProfile &profile, const KernelSpec &spec)
+{
+    PerPcScorer scorer(view, profile);
+    if (!scorer.takes(spec))
+        return std::nullopt;
+    return scorer.score(spec);
+}
+
 std::vector<ReplayResult>
 replayProfiled(const trace::TraceView &view,
                const profile::ProgramProfile &profile,
                const std::vector<KernelSpec> &specs)
 {
     std::vector<ReplayResult> results(specs.size());
-    std::vector<std::size_t> walkedAt;
-    std::vector<KernelSpec> walked;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (const auto scored = scoreClosedForm(profile, specs[i])) {
-            results[i] = *scored;
-        } else {
-            walkedAt.push_back(i);
-            walked.push_back(specs[i]);
-        }
-    }
-    if (!walked.empty()) {
-        const auto replays = replayManyKernel(view, walked);
-        for (std::size_t j = 0; j < walked.size(); ++j)
-            results[walkedAt[j]] = replays[j];
-    }
+    walkInto(view, specs, scoreFromProfile(view, profile, specs, results),
+             results);
     return results;
 }
 
@@ -271,32 +599,23 @@ std::vector<predict::BtbBatchCell>
 replayBatch(const trace::TraceView &view,
             const std::vector<predict::BtbBatchPoint> &points)
 {
-    // Every SBTB spec, then every CBTB spec: the walk steps kernels in
-    // spec order, and stepping one kernel type's loop back to back is
-    // measurably faster than alternating the two.
-    const std::size_t n = points.size();
-    std::vector<KernelSpec> specs(2 * n);
-    for (std::size_t p = 0; p < n; ++p) {
-        specs[p].btb = specs[n + p].btb = points[p].btb;
-        specs[p].counter = specs[n + p].counter = points[p].counter;
-        specs[p].kind = SchemeKind::Sbtb;
-        specs[n + p].kind = SchemeKind::Cbtb;
-    }
-    // One batch walk whenever the BTB kernels take the stream.
-    if (kernelTakes(KernelSpec{}, view))
-        obs::Registry::global().counter("engine.replay.kernel.batch").add(1);
-    const std::vector<ReplayResult> results = replayManyKernel(view, specs);
+    noteBatchWalk(view);
+    return batchCells(replayManyKernel(view, batchSpecs(points)));
+}
 
-    const auto cellOf = [](const ReplayResult &result) {
-        return predict::KernelReplayResult{result.stats, result.missRatio,
-                                           result.hasMissRatio};
-    };
-    std::vector<predict::BtbBatchCell> cells(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        cells[p].sbtb = cellOf(results[p]);
-        cells[p].cbtb = cellOf(results[n + p]);
-    }
-    return cells;
+std::vector<predict::BtbBatchCell>
+replayBatch(const trace::TraceView &view,
+            const profile::ProgramProfile &profile,
+            const std::vector<predict::BtbBatchPoint> &points)
+{
+    const std::vector<KernelSpec> specs = batchSpecs(points);
+    std::vector<ReplayResult> results(specs.size());
+    const std::vector<std::size_t> rest =
+        scoreFromProfile(view, profile, specs, results);
+    if (!rest.empty())
+        noteBatchWalk(view);
+    walkInto(view, specs, rest, results);
+    return batchCells(results);
 }
 
 } // namespace branchlab::core

@@ -9,18 +9,32 @@
  * spec no kernel takes goes through the virtual-dispatch walk that
  * replay() and replayMany() use.
  *
- * Beside it, scoreClosedForm() reads the stateless schemes off a
- * profile's per-pc tallies: exact for a profile folded from a stream
- * the VM emitted for its own program (all recordWorkload returns).
+ * Beside the walk, two scorers read results off a profile instead:
+ *  - scoreClosedForm() scores the stateless schemes from the
+ *    profile's per-pc tallies;
+ *  - scorePerPc() scores an SBTB or CBTB spec whose buffer never
+ *    evicts -- no set ever holds more candidate pcs than it has ways
+ *    (the pcs ever taken for an SBTB, every executed pc for a CBTB)
+ *    -- from the profile's per-pc histories
+ *    (profile::BranchHistory): the SBTB from each conditional pc's
+ *    outcome flips, the CBTB by stepping each conditional pc's
+ *    counter over its outcome bits, and every other pc from its
+ *    repeats. A stream with an anomalous-next event is refused.
+ * Both are exact for a profile folded from a stream the VM emitted
+ * for its own program (all recordWorkload returns). replayProfiled()
+ * (the paper suite) and replayBatch() given the profile (the sweep
+ * and the daemon) score what the scorers take and walk only the rest.
  *
  * The virtual path is not an afterthought -- it *is* the reference
- * semantics. Kernels are an optimisation bound by differential tests
- * to produce bit-identical results; any spec no kernel takes (traces
- * whose pcs exceed the flat-table bound, FS without a likely map)
- * silently takes the virtual path and is merely slower. Coverage is
- * observable via the engine.replay.kernel.{specialized,fallback,batch}
- * and engine.replay.closed_form counters; CI gates fallback == 0 and
- * closed_form == 50 on the paper suite.
+ * semantics. Kernels and scorers are optimisations bound by
+ * differential tests to produce bit-identical results; any spec no
+ * kernel takes (traces whose pcs exceed the flat-table bound, FS
+ * without a likely map) silently takes the virtual path and is merely
+ * slower. Coverage is observable via the
+ * engine.replay.kernel.{specialized,fallback,batch},
+ * engine.replay.closed_form and engine.replay.per_pc counters; CI
+ * gates fallback == 0, closed_form == 50 and per_pc == 20 on the
+ * paper suite, which walks no stream.
  */
 
 #ifndef BRANCHLAB_CORE_REPLAY_KERNEL_HH
@@ -93,8 +107,22 @@ std::optional<ReplayResult>
 scoreClosedForm(const profile::ProgramProfile &profile,
                 const KernelSpec &spec);
 
-/** replayManyKernel, but every spec scoreClosedForm takes is scored
- *  from @p profile (folded from @p view) instead of walked. */
+/** A non-evicting SBTB or CBTB spec's replayKernel result from
+ *  @p profile's per-pc histories (engine.replay.per_pc; also adds
+ *  the predict.{sbtb,cbtb}.{lookups,hits} its kernel would). Nullopt
+ *  for other kinds, for a geometry some set of which holds more
+ *  candidate pcs than ways, for a @p view (the stream @p profile was
+ *  folded from) with an anomalous-next event, and for a profile that
+ *  tallies a non-branch pc or whose histories disagree with their
+ *  instructions. */
+std::optional<ReplayResult>
+scorePerPc(const trace::TraceView &view,
+           const profile::ProgramProfile &profile, const KernelSpec &spec);
+
+/** replayManyKernel, but every spec scoreClosedForm or scorePerPc
+ *  takes is scored from @p profile (folded from @p view) instead of
+ *  walked; one SBTB score serves every SBTB spec scored, one CBTB
+ *  score every CBTB spec of a counter config. */
 std::vector<ReplayResult>
 replayProfiled(const trace::TraceView &view,
                const profile::ProgramProfile &profile,
@@ -110,6 +138,14 @@ replayProfiled(const trace::TraceView &view,
  */
 std::vector<predict::BtbBatchCell>
 replayBatch(const trace::TraceView &view,
+            const std::vector<predict::BtbBatchPoint> &points);
+
+/** replayBatch, but the cells scorePerPc takes are scored from
+ *  @p profile (folded from @p view) and only the rest walk; the batch
+ *  counts as a walk only when some cell walked. */
+std::vector<predict::BtbBatchCell>
+replayBatch(const trace::TraceView &view,
+            const profile::ProgramProfile &profile,
             const std::vector<predict::BtbBatchPoint> &points);
 
 } // namespace branchlab::core

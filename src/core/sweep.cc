@@ -354,8 +354,11 @@ evaluatePointCell(const RecordedWorkload &recorded,
                   const SweepPoint &point)
 {
     const obs::ScopedSpan point_span("sweep.point");
-    const std::vector<predict::BtbBatchCell> hw = replayBatch(
-        recorded.traceView(), {{point.btb, point.counter}});
+    blab_assert(recorded.profile != nullptr,
+                "evaluatePointCell needs recordWorkload's profile");
+    const std::vector<predict::BtbBatchCell> hw =
+        replayBatch(recorded.traceView(), *recorded.profile,
+                    {{point.btb, point.counter}});
     sweepTelemetry().replays.add(2);
 
     SweepCell cell;
@@ -364,8 +367,6 @@ evaluatePointCell(const RecordedWorkload &recorded,
     cell.cbtbAccuracy = hw.front().cbtb.stats.accuracy.ratio();
     cell.cbtbMissRatio = hw.front().cbtb.missRatio;
 
-    blab_assert(recorded.profile != nullptr,
-                "evaluatePointCell needs recordWorkload's profile");
     const auto [accuracy, code] =
         measureFs(recorded, *recorded.profile, point.fsOpt,
                   point.fsSlots, point.traceThreshold);
@@ -547,8 +548,8 @@ runSweep(const SweepConfig &config)
         const std::size_t w = by_size[task % prepared.size()];
         const PreparedWorkload &slot = prepared[w];
         const std::vector<predict::BtbBatchPoint> &batch = batches[group];
-        const std::vector<predict::BtbBatchCell> cells =
-            replayBatch(slot.recorded.traceView(), batch);
+        const std::vector<predict::BtbBatchCell> cells = replayBatch(
+            slot.recorded.traceView(), *slot.recorded.profile, batch);
         sweepTelemetry().replays.add(2 * batch.size());
         const std::size_t begin = group * kBatchPoints;
         for (std::size_t c = begin; c < begin + batch.size(); ++c) {

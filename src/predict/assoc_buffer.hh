@@ -104,6 +104,48 @@ struct BufferConfig
     bool operator==(const BufferConfig &) const = default;
 };
 
+/**
+ * The sets a BufferConfig describes: ways per set, the set count, and
+ * the set a tag maps to. The one set-index function, shared by
+ * AssociativeBuffer and by core's per-pc scorer, which must ask
+ * exactly which tags compete for a set.
+ */
+class BufferGeometry
+{
+  public:
+    explicit BufferGeometry(const BufferConfig &config)
+    {
+        blab_assert(config.entries > 0, "buffer needs entries");
+        ways_ = config.associativity == 0 ? config.entries
+                                          : config.associativity;
+        blab_assert(config.entries % ways_ == 0,
+                    "entries must be a multiple of associativity");
+        sets_ = config.entries / ways_;
+        setsPow2_ = (sets_ & (sets_ - 1)) == 0;
+        setMask_ = sets_ - 1;
+    }
+
+    std::size_t ways() const { return ways_; }
+    std::size_t sets() const { return sets_; }
+
+    std::size_t
+    setOf(ir::Addr tag) const
+    {
+        // Power-of-two set counts (every geometry the paper and the
+        // benches sweep, including the fully-associative single set)
+        // reduce the modulo to a mask; the division only survives for
+        // exotic set counts.
+        return setsPow2_ ? static_cast<std::size_t>(tag) & setMask_
+                         : static_cast<std::size_t>(tag) % sets_;
+    }
+
+  private:
+    std::size_t ways_ = 0;
+    std::size_t sets_ = 0;
+    std::size_t setMask_ = 0;
+    bool setsPow2_ = false;
+};
+
 /** "No way" sentinel shared by the buffer and its index policies. */
 inline constexpr std::uint32_t kInvalidWay = 0xffffffffu;
 
@@ -193,21 +235,11 @@ class AssociativeBuffer
 {
   public:
     explicit AssociativeBuffer(const BufferConfig &config)
-        : config_(config), rng_(config.seed)
+        : config_(config), geometry_(config), rng_(config.seed)
     {
-        blab_assert(config.entries > 0, "buffer needs entries");
-        const std::size_t assoc = config.associativity == 0
-                                      ? config.entries
-                                      : config.associativity;
-        blab_assert(config.entries % assoc == 0,
-                    "entries must be a multiple of associativity");
-        assoc_ = assoc;
-        numSets_ = config.entries / assoc;
-        setsPow2_ = (numSets_ & (numSets_ - 1)) == 0;
-        setMask_ = numSets_ - 1;
         ways_.assign(config.entries, Way{});
         index_.reserve(config.entries);
-        freeHead_.assign(numSets_, kInvalidWay);
+        freeHead_.assign(geometry_.sets(), kInvalidWay);
         resetFreeLists();
     }
 
@@ -315,16 +347,7 @@ class AssociativeBuffer
         Entry entry{};
     };
 
-    std::size_t
-    setOf(ir::Addr tag) const
-    {
-        // Power-of-two set counts (every geometry the paper and the
-        // benches sweep, including the fully-associative single set)
-        // reduce the modulo to a mask; the division only survives for
-        // exotic set counts.
-        return setsPow2_ ? static_cast<std::size_t>(tag) & setMask_
-                         : static_cast<std::size_t>(tag) % numSets_;
-    }
+    std::size_t setOf(ir::Addr tag) const { return geometry_.setOf(tag); }
 
     /** The victim in a full @p set: a random way, or the way with the
      *  oldest use (LRU) or insertion (FIFO) stamp. Stamps are unique,
@@ -332,14 +355,13 @@ class AssociativeBuffer
     std::uint32_t
     pickVictim(std::size_t set)
     {
-        const std::size_t base = set * assoc_;
-        if (config_.policy == ReplacementPolicy::Random) {
-            return static_cast<std::uint32_t>(base +
-                                              rng_.nextBelow(assoc_));
-        }
+        const std::size_t ways = geometry_.ways();
+        const std::size_t base = set * ways;
+        if (config_.policy == ReplacementPolicy::Random)
+            return static_cast<std::uint32_t>(base + rng_.nextBelow(ways));
         const bool lru = config_.policy == ReplacementPolicy::Lru;
         std::size_t victim = base;
-        for (std::size_t w = 1; w < assoc_; ++w) {
+        for (std::size_t w = 1; w < ways; ++w) {
             const Way &way = ways_[base + w];
             const Way &best = ways_[victim];
             if (lru ? way.lastUse < best.lastUse
@@ -384,13 +406,12 @@ class AssociativeBuffer
     void
     resetFreeLists()
     {
-        for (std::size_t set = 0; set < numSets_; ++set) {
+        const std::size_t ways = geometry_.ways();
+        for (std::size_t set = 0; set < geometry_.sets(); ++set) {
             freeHead_[set] = kInvalidWay;
             // Push in reverse so ways pop in ascending slot order.
-            for (std::size_t w = assoc_; w-- > 0;) {
-                pushFree(set,
-                         static_cast<std::uint32_t>(set * assoc_ + w));
-            }
+            for (std::size_t w = ways; w-- > 0;)
+                pushFree(set, static_cast<std::uint32_t>(set * ways + w));
         }
     }
 
@@ -432,11 +453,8 @@ class AssociativeBuffer
     }
 
     BufferConfig config_;
+    BufferGeometry geometry_;
     LocalCounts counts_;
-    std::size_t assoc_ = 0;
-    std::size_t numSets_ = 0;
-    std::size_t setMask_ = 0;
-    bool setsPow2_ = false;
     std::uint64_t tick_ = 0;
     std::vector<Way> ways_;
     IndexPolicy index_;

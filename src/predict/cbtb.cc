@@ -5,17 +5,21 @@
 namespace branchlab::predict
 {
 
+unsigned
+counterCeiling(const CounterConfig &counter)
+{
+    blab_assert(counter.bits >= 1 && counter.bits <= 16,
+                "counter bits out of range");
+    const unsigned ceiling = (1u << counter.bits) - 1;
+    blab_assert(counter.threshold >= 1 && counter.threshold <= ceiling,
+                "threshold must lie within the counter range");
+    return ceiling;
+}
+
 CounterBtb::CounterBtb(const BufferConfig &buffer,
                        const CounterConfig &counter)
-    : buffer_(buffer), counter_(counter)
-{
-    blab_assert(counter_.bits >= 1 && counter_.bits <= 16,
-                "counter bits out of range");
-    maxCount_ = (1u << counter_.bits) - 1;
-    blab_assert(counter_.threshold >= 1 &&
-                    counter_.threshold <= maxCount_,
-                "threshold must lie within the counter range");
-}
+    : buffer_(buffer), counter_(counter), maxCount_(counterCeiling(counter))
+{}
 
 CounterBtb::~CounterBtb()
 {

@@ -29,6 +29,10 @@ struct CounterConfig
     bool operator==(const CounterConfig &) const = default;
 };
 
+/** The saturation ceiling 2^bits - 1 of a valid counter config:
+ *  1-16 bits and a threshold within 1..ceiling (fatal otherwise). */
+unsigned counterCeiling(const CounterConfig &counter);
+
 class CounterBtb : public BranchPredictor
 {
   public:

@@ -24,28 +24,27 @@ SbtbKernel::~SbtbKernel()
 }
 
 KernelReplayResult
-SbtbKernel::result() const
+btbResult(const KernelStats &acc, std::uint64_t lookups, std::uint64_t hits)
 {
     KernelReplayResult out;
-    out.stats = acc_.toStats();
-    Ratio lookups;
-    lookups.add(lookupHits_, lookups_);
-    out.missRatio = lookups.complement();
+    out.stats = acc.toStats();
+    Ratio ratio;
+    ratio.add(hits, lookups);
+    out.missRatio = ratio.complement();
     out.hasMissRatio = true;
     return out;
 }
 
+KernelReplayResult
+SbtbKernel::result() const
+{
+    return btbResult(acc_, lookups_, lookupHits_);
+}
+
 CbtbKernel::CbtbKernel(const BufferConfig &buffer,
                        const CounterConfig &counter)
-    : buffer_(buffer), counter_(counter)
-{
-    blab_assert(counter_.bits >= 1 && counter_.bits <= 16,
-                "counter bits out of range");
-    maxCount_ = (1u << counter_.bits) - 1;
-    blab_assert(counter_.threshold >= 1 &&
-                    counter_.threshold <= maxCount_,
-                "threshold must lie within the counter range");
-}
+    : buffer_(buffer), counter_(counter), maxCount_(counterCeiling(counter))
+{}
 
 CbtbKernel::~CbtbKernel()
 {
@@ -59,13 +58,7 @@ CbtbKernel::~CbtbKernel()
 KernelReplayResult
 CbtbKernel::result() const
 {
-    KernelReplayResult out;
-    out.stats = acc_.toStats();
-    Ratio lookups;
-    lookups.add(lookupHits_, lookups_);
-    out.missRatio = lookups.complement();
-    out.hasMissRatio = true;
-    return out;
+    return btbResult(acc_, lookups_, lookupHits_);
 }
 
 void

@@ -162,6 +162,12 @@ struct KernelStats
     }
 };
 
+/** A BTB scheme's result from its stats and buffer lookups: the miss
+ *  ratio is the share of lookups that missed (SbtbKernel,
+ *  CbtbKernel, and core's per-pc scorer). */
+KernelReplayResult btbResult(const KernelStats &acc,
+                             std::uint64_t lookups, std::uint64_t hits);
+
 /** A kernel as walkKernels() drives it: one virtual stepBlock call
  *  per block, the per-event loop monomorphized inside it. */
 class ReplayKernel

@@ -31,6 +31,12 @@ countsOf(const trace::CachedProfileRow &row)
     return BranchCounts(row.taken, row.notTaken, row.next);
 }
 
+BranchHistory
+historyOf(const trace::CachedProfileRow &row)
+{
+    return {row.conditional, row.outcomes, row.repeats, row.lastNext};
+}
+
 trace::CachedProfileRow
 rowOf(Addr pc, Addr prevPc, const BranchCounts &counts)
 {
@@ -40,6 +46,19 @@ rowOf(Addr pc, Addr prevPc, const BranchCounts &counts)
     row.taken = counts.taken;
     row.notTaken = counts.notTaken;
     row.next = counts.nextCounts();
+    return row;
+}
+
+/** A branch row: the tallies plus the branch's history. */
+trace::CachedProfileRow
+branchRowOf(Addr pc, const BranchCounts &counts,
+            const BranchHistory &history)
+{
+    trace::CachedProfileRow row = rowOf(pc, ir::kNoAddr, counts);
+    row.conditional = history.conditional;
+    row.outcomes = history.outcomes;
+    row.repeats = history.repeats;
+    row.lastNext = history.lastNext;
     return row;
 }
 
@@ -172,8 +191,11 @@ ProgramProfile::ProgramProfile(const ir::Program &program,
 {
     runs_ = runs;
     branches_.reserve(rows.branches.size());
-    for (const trace::CachedProfileRow &row : rows.branches)
-        branches_[slotFor(row.pc) - 1].counts = countsOf(row);
+    for (const trace::CachedProfileRow &row : rows.branches) {
+        Branch &branch = branches_[slotFor(row.pc) - 1];
+        branch.counts = countsOf(row);
+        branch.history = historyOf(row);
+    }
     const auto profiled = [this](Addr pc) {
         const std::uint32_t slot = slotFor(pc);
         blab_assert(branches_[slot - 1].counts.executions() != 0,
@@ -197,9 +219,11 @@ ProgramProfile::exportRows() const
     rows.lastPc = prevSlot_ == 0 ? ir::kNoAddr : branches_[prevSlot_ - 1].pc;
     rows.branches.reserve(branches_.size());
     for (std::size_t pc = 0; pc < slotOf_.size(); ++pc) {
-        if (slotOf_[pc] != 0)
+        if (slotOf_[pc] != 0) {
+            const Branch &branch = branches_[slotOf_[pc] - 1];
             rows.branches.push_back(
-                rowOf(pc, ir::kNoAddr, branches_[slotOf_[pc] - 1].counts));
+                branchRowOf(pc, branch.counts, branch.history));
+        }
     }
     // Paths in (pc, prevPc) order.
     const auto pcOf = [this](std::uint32_t slot) {
@@ -263,13 +287,15 @@ ProgramProfile::slotFor(Addr pc)
 {
     if (pc >= slotOf_.size())
         pastCodeEnd(pc);
-    return slotOf_[pc] != 0 ? slotOf_[pc] : addBranch(pc);
+    return slotOf_[pc] != 0 ? slotOf_[pc] : addBranch(pc, false);
 }
 
 std::uint32_t
-ProgramProfile::addBranch(Addr pc)
+ProgramProfile::addBranch(Addr pc, bool conditional)
 {
-    branches_.push_back({pc, BranchCounts{}});
+    branches_.emplace_back();
+    branches_.back().pc = pc;
+    branches_.back().history.conditional = conditional;
     const auto slot = static_cast<std::uint32_t>(branches_.size());
     slotOf_[pc] = slot;
     return slot;
@@ -325,10 +351,12 @@ ProgramProfile::onBlock(const trace::TraceBlock &block)
     for (std::size_t i = 0; i < block.count; ++i) {
         std::uint32_t slot = slotOf_[block.pc[i]];
         if (slot == 0)
-            slot = addBranch(block.pc[i]);
+            slot = addBranch(block.pc[i], block.conditional(i));
         const bool taken = block.taken(i);
         const Addr next = block.nextPc[i];
-        branches_[slot - 1].counts.add(taken, next);
+        Branch &branch = branches_[slot - 1];
+        branch.history.add(branch.counts.executions(), taken, next);
+        branch.counts.add(taken, next);
         if (prev != 0) {
             Branch &from = branches_[prev - 1];
             if (from.succSlot[prev_taken] != slot) {
@@ -450,7 +478,8 @@ ProgramProfile::branchSites() const
             query.staticTarget = layout_.blockAddr(loc.func, inst.target);
         else if (inst.op == Opcode::Call)
             query.staticTarget = layout_.funcEntry(inst.func);
-        sites.push_back({query, &branches_[slotOf_[pc] - 1].counts});
+        const Branch &branch = branches_[slotOf_[pc] - 1];
+        sites.push_back({query, &branch.counts, &branch.history});
     }
     return sites;
 }

@@ -26,6 +26,14 @@
  * Table 1/2's counters are per-pc sums of these tallies, so the
  * record pass derives them (traceCounters()) instead of counting
  * each event a second time.
+ *
+ * Beside its tallies each branch keeps a BranchHistory, the one
+ * per-pc record that is ordered in time: a conditional branch's
+ * outcome bits (one bit per execution), or for any other branch the
+ * number of executions that continued where the previous one did.
+ * A buffer that never evicts treats each pc as its own small
+ * automaton, so core::scorePerPc scores the SBTB and CBTB from these
+ * histories instead of walking the stream.
  */
 
 #ifndef BRANCHLAB_PROFILE_PROFILE_HH
@@ -112,12 +120,58 @@ class BranchCounts
     NextCounts others_;
 };
 
-/** One executed branch: its tallies, and its instruction's static
- *  facts as makeQuery() derives them from each event the VM emits. */
+/**
+ * One branch's executions in order, as far as a buffer that never
+ * evicts can tell them apart (core::scorePerPc): a conditional branch
+ * keeps its outcome bits, any other branch a tally of the executions
+ * that continued where its previous execution did. Which record a
+ * branch keeps is fixed by its first execution; in a stream the VM
+ * emits, every execution of a pc agrees.
+ */
+struct BranchHistory
+{
+    /** Whether the branch's first execution was conditional. */
+    bool conditional = false;
+    /** Conditional branches: execution i's taken bit is bit i % 64 of
+     *  word i / 64, one bit per execution. */
+    std::vector<std::uint64_t> outcomes;
+    /** Other branches: the executions whose next pc equals the
+     *  previous execution's. */
+    std::uint64_t repeats = 0;
+    /** Other branches: the last execution's next pc (kNoAddr before
+     *  the first), so a restored profile keeps folding identically. */
+    ir::Addr lastNext = ir::kNoAddr;
+
+    /** Record the branch's execution number @p n (from 0). */
+    void
+    add(std::uint64_t n, bool taken, ir::Addr next)
+    {
+        if (conditional) {
+            if (n % 64 == 0)
+                outcomes.push_back(0);
+            outcomes.back() |= std::uint64_t{taken} << (n % 64);
+        } else {
+            repeats += n != 0 && next == lastNext ? 1 : 0;
+            lastNext = next;
+        }
+    }
+
+    /** Execution @p i's taken bit (conditional branches). */
+    bool
+    outcome(std::uint64_t i) const
+    {
+        return (outcomes[i / 64] >> (i % 64) & 1) != 0;
+    }
+};
+
+/** One executed branch: its tallies and history, and its
+ *  instruction's static facts as makeQuery() derives them from each
+ *  event the VM emits. */
 struct BranchSite
 {
     predict::BranchQuery query;
     const BranchCounts *counts = nullptr;
+    const BranchHistory *history = nullptr;
 };
 
 /**
@@ -218,9 +272,10 @@ class ProgramProfile : public trace::TraceSink
      */
     predict::LikelyMap buildLikelyMap() const;
 
-    /** Every executed branch, ascending by pc: the closed-form
-     *  scorers' one source of per-pc facts. Nullopt when a tallied pc
-     *  holds no branch (a stream this program did not emit). */
+    /** Every executed branch, ascending by pc: the closed-form and
+     *  per-pc scorers' one source of per-pc facts. Nullopt when a
+     *  tallied pc holds no branch (a stream this program did not
+     *  emit). */
     std::optional<std::vector<BranchSite>> branchSites() const;
 
     /** Every tally as canonical rows (lossless: the restore
@@ -248,6 +303,7 @@ class ProgramProfile : public trace::TraceSink
     {
         ir::Addr pc = ir::kNoAddr;
         BranchCounts counts;
+        BranchHistory history;
         /** Per side of the taken bit, the pair this branch last led
          *  into: the next event's slot and the pair's index in paths_.
          *  A branch whose next pc the taken bit fixes always leads to
@@ -284,8 +340,9 @@ class ProgramProfile : public trace::TraceSink
     std::uint32_t slotFor(ir::Addr pc);
 
     [[noreturn]] void pastCodeEnd(ir::Addr pc) const;
-    /** Give the branch at @p pc (inside the code) the next slot. */
-    std::uint32_t addBranch(ir::Addr pc);
+    /** Give the branch at @p pc (inside the code), whose first
+     *  execution was @p conditional, the next slot. */
+    std::uint32_t addBranch(ir::Addr pc, bool conditional);
 
     /** The index of @p key's path entry, or of the empty entry where
      *  it would go. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -117,6 +118,19 @@ putProfileRow(std::string &out, const CachedProfileRow &row)
     }
 }
 
+/** A branch row: the tally, then the branch's history. */
+void
+putBranchRow(std::string &out, const CachedProfileRow &row)
+{
+    putProfileRow(out, row);
+    putU64(out, row.conditional ? 1 : 0);
+    putU64(out, row.conditional ? row.taken + row.notTaken : 0);
+    for (const std::uint64_t word : row.outcomes)
+        putU64(out, word);
+    putU64(out, row.repeats);
+    putU64(out, row.lastNext);
+}
+
 /** Fixed bytes of one profile row before its next-PC pairs. */
 constexpr std::size_t kProfileRowBytes = 5 * 8;
 
@@ -150,6 +164,55 @@ readProfileRow(ByteReader &in, CachedProfileRow &row)
         return "profile next-counts do not sum to executions";
     if (executions == 0)
         return "profile row never executed";
+    return "";
+}
+
+/** Parse the history that follows a branch row's tally from @p in,
+ *  checking it against the tally: a conditional row carries one
+ *  outcome bit per execution (no bits past them) whose popcount is
+ *  its taken count, and no repeats or last next pc; any other row
+ *  carries no bits, at most executions - 1 repeats, and a last next
+ *  pc among its next pcs. @return empty string on success, else a
+ *  diagnostic. */
+std::string
+readBranchHistory(ByteReader &in, CachedProfileRow &row)
+{
+    std::uint64_t conditional = 0;
+    std::uint64_t bits = 0;
+    if (!in.u64(conditional) || !in.u64(bits))
+        return "truncated profile history";
+    if (conditional > 1)
+        return "bad profile history kind";
+    row.conditional = conditional != 0;
+    const std::uint64_t executions = row.taken + row.notTaken;
+    if (bits != (row.conditional ? executions : 0))
+        return "profile outcome bits do not match executions";
+    if ((bits + 63) / 64 > in.remaining() / 8)
+        return "truncated profile history";
+    row.outcomes.resize(static_cast<std::size_t>((bits + 63) / 64));
+    std::uint64_t popcount = 0;
+    for (std::uint64_t &word : row.outcomes) {
+        in.u64(word);
+        popcount += static_cast<std::uint64_t>(std::popcount(word));
+    }
+    if (bits % 64 != 0 && row.outcomes.back() >> (bits % 64) != 0)
+        return "profile outcome bits past the executions";
+    if (row.conditional && popcount != row.taken)
+        return "profile outcome bits do not match the taken count";
+    if (!in.u64(row.repeats) || !in.u64(row.lastNext))
+        return "truncated profile history";
+    if (row.conditional) {
+        if (row.repeats != 0 || row.lastNext != ir::kNoAddr)
+            return "conditional profile row carries repeats";
+        return "";
+    }
+    if (row.repeats > executions - 1)
+        return "profile repeats exceed executions - 1";
+    if (std::none_of(row.next.begin(), row.next.end(),
+                     [&row](const auto &next) {
+                         return next.first == row.lastNext;
+                     }))
+        return "profile last next pc never followed the branch";
     return "";
 }
 
@@ -195,6 +258,8 @@ decodeProfileSection(std::string_view section, const EntryHeader &header,
     for (std::size_t i = 0; i < out.branches.size(); ++i) {
         CachedProfileRow &row = out.branches[i];
         std::string error = readProfileRow(in, row);
+        if (error.empty())
+            error = readBranchHistory(in, row);
         if (!error.empty())
             return error;
         if (row.prevPc != ir::kNoAddr)
@@ -357,7 +422,7 @@ encodeProfileSection(const CachedProfile &profile)
     putU64(out, profile.paths.size());
     putU64(out, profile.lastPc);
     for (const CachedProfileRow &row : profile.branches)
-        putProfileRow(out, row);
+        putBranchRow(out, row);
     for (const CachedProfileRow &row : profile.paths)
         putProfileRow(out, row);
     return out;
@@ -585,13 +650,15 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
         cacheTelemetry().mapFailures.add(1);
         if (failure == MapFailure::Foreign) {
             // Foreign, not broken: refuse quietly and re-record.
-            blab_inform("trace cache entry '", path,
-                        "' was written by another format (", error,
-                        "); re-recording");
+            blab_inform("trace cache miss: ", name,
+                        " (written by another format: ", error,
+                        "; re-recording)");
         } else {
             cacheTelemetry().corrupt.add(1);
             blab_warn("trace cache entry '", path, "' is corrupt (",
                       error, "); re-recording");
+            blab_inform("trace cache miss: ", name, " (corrupt entry: ",
+                        error, "; re-recording)");
         }
         return false;
     }

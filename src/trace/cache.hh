@@ -11,7 +11,8 @@
  * (trace/format.hh): the recorded stream's columns, its run and
  * instruction counts, and one record derived from the stream, the
  * record pass's full per-branch and per-path profile that the Forward
- * Semantic's trace selection and slot filling read, laid out for
+ * Semantic's trace selection and slot filling read, with each
+ * branch's history that the per-pc BTB scorer reads, laid out for
  * mmap. A warm load walks the stream neither to decode it nor to
  * re-profile it -- it maps the file, validates it (header and section
  * checksums, section bounds, opcode range, content hash, feature
@@ -25,8 +26,9 @@
  * (synthetic ones) still map, profile-less and with no likely rows;
  * core::recordWorkload refuses them through load's entry check, so
  * they count as misses, and re-records them. Entries of any other
- * format version -- the retired v1, v2 and v3 included -- are refused
- * as foreign and re-recorded.
+ * format version -- the retired v1, v2, v3 and v4 included -- are
+ * refused as foreign and re-recorded. Every refused entry, corrupt
+ * and foreign ones included, logs one `trace cache miss:` line.
  *
  * The same entry is the standalone trace file of `branchlab record`
  * and `branchlab replay`: writeEntryFile() is the one durable writer,
@@ -150,7 +152,9 @@ struct CachedLikely
  * One persisted profile tally (the plain-data form of a
  * profile::BranchCounts): the executions of the branch at `pc` or,
  * in CachedProfile::paths, only those whose preceding branch event
- * was at `prevPc`.
+ * was at `prevPc`. Branch rows also carry the branch's history (the
+ * plain-data form of a profile::BranchHistory); path rows leave those
+ * four fields at their defaults.
  */
 struct CachedProfileRow
 {
@@ -162,6 +166,15 @@ struct CachedProfileRow
     /** Dynamic next-PC distribution: ascending addresses, every count
      *  nonzero. */
     std::vector<std::pair<ir::Addr, std::uint64_t>> next;
+    /** Whether the branch's first execution was conditional. */
+    bool conditional = false;
+    /** Conditional rows: one taken bit per execution, LSB-first in
+     *  64-bit words. */
+    std::vector<std::uint64_t> outcomes;
+    /** Other rows: executions that continued where the previous one
+     *  did, and the last execution's next pc. */
+    std::uint64_t repeats = 0;
+    ir::Addr lastNext = ir::kNoAddr;
 
     bool operator==(const CachedProfileRow &) const = default;
 };

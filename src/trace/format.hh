@@ -8,7 +8,7 @@
  * File layout (all integers little-endian):
  *
  *   header:
- *     magic "BLTC", u32 version = 4, u64 feature bits,
+ *     magic "BLTC", u32 version = 5, u64 feature bits,
  *     u64 content hash, u32 runs, u32 section count (>= 7),
  *     u64 instructions, u64 event count, u64 max pc
  *   section table: section count x { u64 offset, u64 length,
@@ -29,10 +29,16 @@
  *                   per-branch and per-path profile, so a warm run
  *                   never folds the stream to rebuild it:
  *                   u64 branch rows B, u64 path rows P, u64 last pc,
- *                   then B branch rows and P path rows, each
+ *                   then B branch rows and P path rows, each a tally
  *                   { u64 pc, u64 prev pc, u64 taken, u64 not-taken,
  *                     u64 n, n x { u64 next pc, u64 count } }
- *                   with prev pc = kNoAddr on branch rows
+ *                   with prev pc = kNoAddr on branch rows; a branch
+ *                   row's tally is followed by the branch's history
+ *                   (profile::BranchHistory):
+ *                   { u64 conditional (0 or 1), u64 outcome bits b,
+ *                     ceil(b / 64) x u64 outcome words (execution i's
+ *                     taken bit is bit i % 64 of word i / 64),
+ *                     u64 repeats, u64 last next pc }
  *
  * Sections 0-6 are byte for byte the columns a trace::SoaTrace holds
  * in memory (trace/soa.hh): there is one encoded form of a stream,
@@ -60,14 +66,21 @@
  * and summing to taken + not-taken, branch executions summing to the
  * event count and path executions to one less (only the stream's
  * first event has no context), every path's branches profiled, and
- * the last pc profiled (kNoAddr for an empty stream).
+ * the last pc profiled (kNoAddr for an empty stream). Each branch
+ * row's history is checked against its tally: only conditional rows
+ * carry outcome bits, and their bit count equals the executions,
+ * their popcount equals taken, and no bit lies past the last
+ * execution; other rows carry at most executions - 1 repeats and a
+ * last next pc among their next pcs (conditional rows: 0 and
+ * kNoAddr).
  *
  * Compatibility rules:
  *  - a reader accepts exactly kEntryVersion. Any other version --
- *    the retired inline v1, unchecksummed v2 and likely-section v3
- *    entries included -- is refused as foreign, and the cache
- *    re-records it: every entry holds only data a VM pass can derive
- *    again.
+ *    the retired inline v1, unchecksummed v2, likely-section v3 and
+ *    history-less v4 entries included -- is refused as foreign, and
+ *    the cache re-records it: every entry holds only data a VM pass
+ *    can derive again. A v5 entry's header fields and sections 0-6
+ *    are byte for byte the v4 entry's; only the profile rows grew.
  *  - the header checksum is verified right after the version, before
  *    any other header field is trusted (the section count only
  *    locates it, and a damaged count points past the file or at the
@@ -107,7 +120,7 @@ namespace branchlab::trace
 {
 
 inline constexpr char kEntryMagic[4] = {'B', 'L', 'T', 'C'};
-inline constexpr std::uint32_t kEntryVersion = 4;
+inline constexpr std::uint32_t kEntryVersion = 5;
 
 /** Sections start on this boundary (one page on every platform we
  *  target), so plane pointers into a mapping are byte-aligned and

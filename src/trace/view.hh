@@ -81,6 +81,12 @@ class TraceView
     bool empty() const { return size_ == 0; }
     ir::Addr maxPc() const { return maxPc_; }
 
+    /** Whether any event continues where its taken bit does not send
+     *  it ("anomalous next", never VM-emitted): each such event owns
+     *  a varint of the anomalous-next column, so it is nonempty
+     *  exactly then. */
+    bool hasAnomalies() const { return anomalyDeltasLen_ != 0; }
+
     Cursor cursor() const;
 
     /**

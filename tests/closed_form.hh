@@ -1,9 +1,10 @@
 /**
  * @file
- * The closed-form differential shared by the replay-kernel and fuzz
- * suites: every stateless scheme scored from a profile must equal
- * both its replay kernel and its virtual-dispatch reference over the
- * stream the profile was folded from.
+ * The profile scorers' differentials shared by the replay-kernel and
+ * fuzz suites: every stateless scheme scored from a profile in closed
+ * form, and every non-evicting SBTB or CBTB scored per pc, must
+ * equal both its replay kernel and its virtual-dispatch reference
+ * over the stream the profile was folded from.
  */
 
 #ifndef BRANCHLAB_TESTS_CLOSED_FORM_HH
@@ -11,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/replay_kernel.hh"
+#include "obs/metrics.hh"
 
 namespace branchlab::test
 {
@@ -88,6 +91,63 @@ expectClosedFormMatches(const trace::TraceView &view,
         expectSameScore(*scored, kernels[i]);
         expectSameScore(*scored, references[i]);
     }
+}
+
+/** predict.{sbtb,cbtb}.{lookups,hits}, in that order. */
+inline std::array<std::uint64_t, 4>
+btbLookupCounters()
+{
+    obs::Registry &registry = obs::Registry::global();
+    return {registry.counter("predict.sbtb.lookups").value(),
+            registry.counter("predict.sbtb.hits").value(),
+            registry.counter("predict.cbtb.lookups").value(),
+            registry.counter("predict.cbtb.hits").value()};
+}
+
+/** What @p run adds to btbLookupCounters(). */
+template <typename Run>
+std::array<std::uint64_t, 4>
+btbLookupsAddedBy(Run &&run)
+{
+    const std::array<std::uint64_t, 4> before = btbLookupCounters();
+    run();
+    std::array<std::uint64_t, 4> added = btbLookupCounters();
+    for (std::size_t i = 0; i < added.size(); ++i)
+        added[i] -= before[i];
+    return added;
+}
+
+/**
+ * @p spec (SBTB or CBTB) scored per pc from @p profile -- it must not
+ * be refused -- equals its kernel walk and its virtual-dispatch
+ * predictor over @p view, the stream @p profile was folded from: all
+ * four ratios, the miss ratio, and the buffer lookups and hits each
+ * adds to telemetry.
+ */
+inline void
+expectPerPcMatches(const trace::TraceView &view,
+                   const profile::ProgramProfile &profile,
+                   const core::KernelSpec &spec)
+{
+    std::optional<core::ReplayResult> scored;
+    const auto scored_adds = btbLookupsAddedBy(
+        [&] { scored = core::scorePerPc(view, profile, spec); });
+    ASSERT_TRUE(scored.has_value()) << "per-pc scorer refused";
+    core::ReplayResult kernel;
+    const auto kernel_adds = btbLookupsAddedBy(
+        [&] { kernel = core::replayManyKernel(view, {spec}).front(); });
+    core::ReplayResult reference;
+    const auto reference_adds = btbLookupsAddedBy([&] {
+        const std::unique_ptr<predict::BranchPredictor> predictor =
+            core::makePredictor(spec);
+        reference = core::replay(view, *predictor);
+    });
+    expectSameScore(*scored, kernel);
+    expectSameScore(*scored, reference);
+    EXPECT_EQ(scored->missRatio, kernel.missRatio);
+    EXPECT_EQ(scored->missRatio, reference.missRatio);
+    EXPECT_EQ(scored_adds, kernel_adds);
+    EXPECT_EQ(scored_adds, reference_adds);
 }
 
 } // namespace branchlab::test

@@ -344,6 +344,48 @@ TEST_P(FuzzPrograms, ClosedFormMatchesTheReferences)
     }
 }
 
+TEST_P(FuzzPrograms, PerPcMatchesTheReferences)
+{
+    // Arbitrary control flow through the per-pc BTB scorer: the
+    // paper's buffers and a few counters, and a buffer exactly as
+    // large as the executed pcs.
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    const ir::Program prog = buildRandomProgram(seed);
+    const ir::Layout layout(prog);
+    profile::ProgramProfile profile(prog, layout);
+    profile.noteRun();
+    trace::SoaRecorder recorder;
+    trace::FanoutSink fanout;
+    fanout.addSink(&recorder);
+    fanout.addSink(&profile);
+    vm::Machine machine(prog, layout);
+    machine.setSink(&fanout);
+    machine.run();
+    const trace::SoaTrace stream = recorder.take();
+    const trace::TraceView view = trace::TraceView::of(stream);
+    const std::optional<std::vector<profile::BranchSite>> sites =
+        profile.branchSites();
+    ASSERT_TRUE(sites.has_value());
+
+    predict::BufferConfig snug;
+    snug.entries = std::max<std::size_t>(sites->size(), 1);
+    for (const predict::BufferConfig &btb : {predict::BufferConfig{}, snug}) {
+        core::KernelSpec spec;
+        spec.btb = btb;
+        spec.kind = core::SchemeKind::Sbtb;
+        SCOPED_TRACE("seed " + std::to_string(seed) + " entries " +
+                     std::to_string(btb.entries));
+        test::expectPerPcMatches(view, profile, spec);
+        spec.kind = core::SchemeKind::Cbtb;
+        for (const predict::CounterConfig counter :
+             {predict::CounterConfig{2, 2}, predict::CounterConfig{1, 1},
+              predict::CounterConfig{3, 4}}) {
+            spec.counter = counter;
+            test::expectPerPcMatches(view, profile, spec);
+        }
+    }
+}
+
 TEST_P(FuzzPrograms, BlockPathMatchesPerEvent)
 {
     // Arbitrary control flow through the record pass's block path,

@@ -287,12 +287,40 @@ struct ReferenceProfile
         std::uint64_t taken = 0;
         std::uint64_t notTaken = 0;
         std::map<ir::Addr, std::uint64_t> next;
+        /** Every execution in order: the first one's direction kind,
+         *  then each outcome and next pc. */
+        bool conditional = false;
+        std::vector<bool> outcomes;
+        std::vector<ir::Addr> nexts;
 
         void
         add(const trace::BranchEvent &event)
         {
+            if (outcomes.empty())
+                conditional = event.conditional;
             ++(event.taken ? taken : notTaken);
             ++next[event.nextPc];
+            outcomes.push_back(event.taken);
+            nexts.push_back(event.nextPc);
+        }
+
+        /** The history a branch row carries. */
+        void
+        historyInto(trace::CachedProfileRow &row) const
+        {
+            row.conditional = conditional;
+            if (conditional) {
+                for (std::size_t i = 0; i < outcomes.size(); ++i) {
+                    if (i % 64 == 0)
+                        row.outcomes.push_back(0);
+                    if (outcomes[i])
+                        row.outcomes.back() |= std::uint64_t{1} << (i % 64);
+                }
+                return;
+            }
+            for (std::size_t i = 1; i < nexts.size(); ++i)
+                row.repeats += nexts[i] == nexts[i - 1] ? 1 : 0;
+            row.lastNext = nexts.back();
         }
 
         BranchCounts
@@ -332,8 +360,10 @@ struct ReferenceProfile
     {
         trace::CachedProfile out;
         out.lastPc = lastPc;
-        for (const auto &[pc, counts] : branches)
+        for (const auto &[pc, counts] : branches) {
             out.branches.push_back(rowOf(pc, ir::kNoAddr, counts));
+            counts.historyInto(out.branches.back());
+        }
         for (const auto &[key, counts] : paths)
             out.paths.push_back(rowOf(key.first, key.second, counts));
         return out;

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -794,14 +796,18 @@ TEST(ClosedForm, ReplayProfiledWalksOnlyTheStatefulSchemes)
     auto &registry = obs::Registry::global();
     const obs::Counter &closed =
         registry.counter("engine.replay.closed_form");
+    const obs::Counter &per_pc = registry.counter("engine.replay.per_pc");
     const obs::Counter &schemes = registry.counter("engine.replay.schemes");
     const std::uint64_t closed_before = closed.value();
+    const std::uint64_t per_pc_before = per_pc.value();
     const std::uint64_t schemes_before = schemes.value();
     const std::vector<ReplayResult> results =
         replayProfiled(recorded.traceView(), *recorded.profile, specs);
-    // Five stateless specs scored; SBTB and CBTB walked.
+    // Five stateless specs scored in closed form; SBTB and CBTB, whose
+    // 256-entry buffers never fill, per pc: nothing walks.
     EXPECT_EQ(closed.value(), closed_before + 5);
-    EXPECT_EQ(schemes.value(), schemes_before + 2);
+    EXPECT_EQ(per_pc.value(), per_pc_before + 2);
+    EXPECT_EQ(schemes.value(), schemes_before);
 
     const std::vector<ReplayResult> kernels =
         replayManyKernel(recorded.traceView(), specs);
@@ -810,6 +816,350 @@ TEST(ClosedForm, ReplayProfiledWalksOnlyTheStatefulSchemes)
         SCOPED_TRACE(named[i].first);
         expectSameResult(results[i], kernels[i]);
     }
+}
+
+// ---------------------------------------------------------------------
+// The per-pc scorer: non-evicting SBTB and CBTB from per-pc histories
+// ---------------------------------------------------------------------
+
+KernelSpec
+btbSpec(SchemeKind kind, const predict::BufferConfig &btb,
+        const predict::CounterConfig &counter = {})
+{
+    KernelSpec spec;
+    spec.kind = kind;
+    spec.btb = btb;
+    spec.counter = counter;
+    return spec;
+}
+
+/** The pcs a @p kind buffer competes for: every pc ever taken for an
+ *  SBTB, every executed pc for a CBTB. */
+std::vector<ir::Addr>
+candidatePcs(const profile::ProgramProfile &profile, SchemeKind kind)
+{
+    const std::optional<std::vector<profile::BranchSite>> sites =
+        profile.branchSites();
+    std::vector<ir::Addr> pcs;
+    for (const profile::BranchSite &site : *sites) {
+        if (kind == SchemeKind::Cbtb || site.counts->taken != 0)
+            pcs.push_back(site.query.pc);
+    }
+    return pcs;
+}
+
+/** The most of @p pcs any one set of @p btb holds. */
+std::size_t
+fullestSet(const predict::BufferConfig &btb, const std::vector<ir::Addr> &pcs)
+{
+    const predict::BufferGeometry geometry(btb);
+    std::vector<std::size_t> load(geometry.sets(), 0);
+    for (const ir::Addr pc : pcs)
+        ++load[geometry.setOf(pc)];
+    return *std::max_element(load.begin(), load.end());
+}
+
+/** The first @p ways-way geometry with a power-of-two set count whose
+ *  fullest set holds exactly @p load of @p pcs (entries 0: none). */
+predict::BufferConfig
+geometryWithLoad(std::size_t ways, std::size_t load,
+                 const std::vector<ir::Addr> &pcs)
+{
+    for (std::size_t sets = 1; sets <= (std::size_t{1} << 16); sets *= 2) {
+        predict::BufferConfig btb;
+        btb.entries = sets * ways;
+        btb.associativity = ways;
+        if (fullestSet(btb, pcs) == load)
+            return btb;
+    }
+    return predict::BufferConfig{0};
+}
+
+/** @p spec is refused by the per-pc scorer, and replayProfiled walks
+ *  it to its kernel's result. */
+void
+expectWalked(const trace::TraceView &view,
+             const profile::ProgramProfile &profile, const KernelSpec &spec)
+{
+    EXPECT_FALSE(scorePerPc(view, profile, spec).has_value());
+    const obs::Counter &schemes =
+        obs::Registry::global().counter("engine.replay.schemes");
+    const std::uint64_t schemes_before = schemes.value();
+    const ReplayResult walked = replayProfiled(view, profile, {spec}).front();
+    EXPECT_EQ(schemes.value(), schemes_before + 1);
+    expectSameResult(walked, replayKernel(view, spec));
+}
+
+TEST(PerPc, MatchesKernelAndReferenceOnEveryWorkload)
+{
+    ExperimentConfig paper;
+    ExperimentConfig one_run;
+    one_run.runsOverride = 1;
+    for (const ExperimentConfig &config : {paper, one_run}) {
+        SCOPED_TRACE("runsOverride " +
+                     std::to_string(config.runsOverride));
+        for (const workloads::Workload *workload :
+             workloads::allWorkloads()) {
+            SCOPED_TRACE(workload->name());
+            const RecordedWorkload recorded =
+                recordWorkload(*workload, config);
+            const profile::ProgramProfile &online = *recorded.profile;
+            // A restored profile scores exactly as the online one.
+            const profile::ProgramProfile restored(
+                online.program(), online.layout(), online.runs(),
+                online.exportRows());
+            for (const SchemeKind kind :
+                 {SchemeKind::Sbtb, SchemeKind::Cbtb}) {
+                const KernelSpec spec =
+                    btbSpec(kind, config.btb, config.counter);
+                test::expectPerPcMatches(recorded.traceView(), online,
+                                         spec);
+                const auto from_online =
+                    scorePerPc(recorded.traceView(), online, spec);
+                const auto from_restored =
+                    scorePerPc(recorded.traceView(), restored, spec);
+                ASSERT_TRUE(from_online && from_restored);
+                expectSameResult(*from_restored, *from_online);
+            }
+        }
+    }
+}
+
+TEST(PerPc, EveryCounterWidthAndThreshold)
+{
+    const RecordedWorkload &recorded = recordedFor("tee");
+    const predict::BufferConfig paper;
+    std::vector<predict::CounterConfig> counters;
+    for (unsigned bits = 1; bits <= 5; ++bits) {
+        for (unsigned threshold = 1; threshold < (1u << bits); ++threshold)
+            counters.push_back({bits, threshold});
+    }
+    for (const unsigned threshold : {1u, 2u, 1u << 15, (1u << 16) - 1})
+        counters.push_back({16, threshold});
+    for (const predict::CounterConfig &counter : counters) {
+        SCOPED_TRACE("bits " + std::to_string(counter.bits) +
+                     " threshold " + std::to_string(counter.threshold));
+        test::expectPerPcMatches(recorded.traceView(), *recorded.profile,
+                                 btbSpec(SchemeKind::Cbtb, paper, counter));
+    }
+}
+
+TEST(PerPc, ScoresEveryGeometryAtCapacityAndWalksOnePast)
+{
+    // Fully associative, direct-mapped, 2- and 4-way buffers whose
+    // fullest set holds exactly as many candidate pcs as it has ways
+    // never evict, under every policy, and are scored; one candidate
+    // more and they are walked.
+    const RecordedWorkload &recorded = recordedFor("wc");
+    const trace::TraceView view = recorded.traceView();
+    const profile::ProgramProfile &profile = *recorded.profile;
+    for (const SchemeKind kind : {SchemeKind::Sbtb, SchemeKind::Cbtb}) {
+        SCOPED_TRACE(kind == SchemeKind::Sbtb ? "SBTB" : "CBTB");
+        const std::vector<ir::Addr> pcs = candidatePcs(profile, kind);
+        std::vector<std::pair<predict::BufferConfig, predict::BufferConfig>>
+            geometries;
+        predict::BufferConfig full_at;
+        full_at.entries = pcs.size();
+        predict::BufferConfig full_past = full_at;
+        full_past.entries = pcs.size() - 1;
+        geometries.emplace_back(full_at, full_past);
+        for (const std::size_t ways : {1, 2, 4}) {
+            geometries.emplace_back(geometryWithLoad(ways, ways, pcs),
+                                    geometryWithLoad(ways, ways + 1, pcs));
+        }
+        for (const auto &[at, past] : geometries) {
+            SCOPED_TRACE("ways " + std::to_string(at.associativity));
+            ASSERT_NE(at.entries, 0u) << "no geometry at capacity";
+            ASSERT_NE(past.entries, 0u) << "no geometry one past it";
+            for (const predict::ReplacementPolicy policy :
+                 {predict::ReplacementPolicy::Lru,
+                  predict::ReplacementPolicy::Fifo,
+                  predict::ReplacementPolicy::Random}) {
+                SCOPED_TRACE(predict::policyName(policy));
+                predict::BufferConfig scored = at;
+                scored.policy = policy;
+                test::expectPerPcMatches(view, profile,
+                                         btbSpec(kind, scored));
+                predict::BufferConfig walked = past;
+                walked.policy = policy;
+                expectWalked(view, profile, btbSpec(kind, walked));
+            }
+        }
+    }
+}
+
+/** A loop over @p k conditionals in a row, each continuing at the next
+ *  either way and taken on a different stride: k + 1 conditional pcs
+ *  with the loop's own, all executed both ways. */
+ir::Program
+buildChain(int k)
+{
+    using ir::IrBuilder;
+    ir::Program program("chain");
+    IrBuilder b(program);
+    b.beginFunction("main");
+    const ir::Reg i = b.newReg();
+    b.ldiTo(i, 12);
+    b.doWhile(
+        [&] {
+            for (int c = 0; c < k; ++c) {
+                const ir::BlockId next =
+                    b.newBlock("after" + std::to_string(c));
+                b.branch(IrBuilder::cmpEqi(b.remi(i, c + 2), 0), next,
+                         next);
+            }
+            b.emitBinaryImmTo(ir::Opcode::Sub, i, i, 1);
+        },
+        [&] { return IrBuilder::cmpGti(i, 0); });
+    b.halt();
+    b.endFunction();
+    ir::verifyProgramOrDie(program);
+    return program;
+}
+
+TEST(PerPc, ThreeSetsTakeTheModuloPath)
+{
+    // 12 entries, 4 ways: three sets, so the set index is a modulo,
+    // not a mask. Chains of growing length fill the fullest set to
+    // exactly 4 pcs (scored) and then to 5 (walked).
+    predict::BufferConfig btb;
+    btb.entries = 12;
+    btb.associativity = 4;
+    bool scored = false;
+    bool walked = false;
+    for (int k = 1; k <= 16 && !(scored && walked); ++k) {
+        const ir::Program program = buildChain(k);
+        const ir::Layout layout(program);
+        const Folded folded = foldRuns(program, layout, {});
+        const trace::TraceView view = trace::TraceView::of(folded.stream);
+        const profile::ProgramProfile &profile = *folded.profile;
+        for (const SchemeKind kind : {SchemeKind::Sbtb, SchemeKind::Cbtb}) {
+            SCOPED_TRACE("chain " + std::to_string(k));
+            const std::size_t load =
+                fullestSet(btb, candidatePcs(profile, kind));
+            if (load == 4) {
+                test::expectPerPcMatches(view, profile, btbSpec(kind, btb));
+                scored = true;
+            } else if (load == 5) {
+                expectWalked(view, profile, btbSpec(kind, btb));
+                walked = true;
+            }
+        }
+    }
+    EXPECT_TRUE(scored) << "no chain fills a set to its 4 ways";
+    EXPECT_TRUE(walked) << "no chain puts a fifth pc in a set";
+}
+
+TEST(PerPc, ScoresTheSbtbWhenOnlyTheCbtbEvicts)
+{
+    // Only taken pcs compete for an SBTB, so a buffer as large as the
+    // pcs ever taken fits it but not the CBTB, for which every
+    // executed pc competes.
+    const RecordedWorkload &recorded = recordedFor("grep");
+    const trace::TraceView view = recorded.traceView();
+    const profile::ProgramProfile &profile = *recorded.profile;
+    predict::BufferConfig btb;
+    btb.entries = candidatePcs(profile, SchemeKind::Sbtb).size();
+    ASSERT_LT(btb.entries, candidatePcs(profile, SchemeKind::Cbtb).size());
+    test::expectPerPcMatches(view, profile, btbSpec(SchemeKind::Sbtb, btb));
+    expectWalked(view, profile, btbSpec(SchemeKind::Cbtb, btb));
+}
+
+TEST(PerPc, RefusesAStreamWithAnAnomalousEvent)
+{
+    const ir::Program program = buildEdgeCases();
+    const ir::Layout layout(program);
+    Folded folded = foldRuns(program, layout, {});
+    const predict::BufferConfig paper;
+    ASSERT_TRUE(scorePerPc(trace::TraceView::of(folded.stream),
+                           *folded.profile, btbSpec(SchemeKind::Sbtb, paper))
+                    .has_value());
+    // One more execution of the first conditional, taken but
+    // continuing at its fall-through: an anomalous next.
+    trace::BranchEvent odd;
+    const std::optional<std::vector<profile::BranchSite>> sites =
+        folded.profile->branchSites();
+    for (const profile::BranchSite &site : *sites) {
+        if (site.query.conditional) {
+            odd.pc = site.query.pc;
+            odd.op = site.query.op;
+            odd.targetAddr = site.query.staticTarget;
+            break;
+        }
+    }
+    odd.conditional = true;
+    odd.taken = true;
+    odd.fallthroughAddr = odd.pc + 1;
+    odd.nextPc = odd.pc + 1;
+    ASSERT_NE(odd.nextPc, odd.targetAddr);
+    folded.stream.append(odd);
+    folded.profile->onBranch(odd);
+    const trace::TraceView view = trace::TraceView::of(folded.stream);
+    ASSERT_TRUE(view.hasAnomalies());
+    for (const SchemeKind kind : {SchemeKind::Sbtb, SchemeKind::Cbtb}) {
+        const KernelSpec spec = btbSpec(kind, paper);
+        expectWalked(view, *folded.profile, spec);
+        expectSameResult(replayKernel(view, spec),
+                         referenceReplay(view, spec));
+    }
+}
+
+TEST(PerPc, BatchScoresFittingCellsAndWalksTheRest)
+{
+    // A batch with fitting and evicting geometries: given the profile
+    // it scores the first, walks the second in one batch walk, and
+    // every cell and every telemetry count equals the profile-less
+    // batch, which walks them all.
+    const RecordedWorkload &recorded = recordedFor("cccp");
+    const trace::TraceView view = recorded.traceView();
+    std::vector<predict::BtbBatchPoint> points(4);
+    points[1].counter = {1, 1};
+    points[2].btb.entries = 16;
+    points[2].btb.associativity = 2;
+    points[3].btb.entries = 32;
+    points[3].counter = {3, 4};
+    for (const predict::BtbBatchPoint &point : points) {
+        const bool fits = fullestSet(point.btb, candidatePcs(
+                                                    *recorded.profile,
+                                                    SchemeKind::Cbtb)) <=
+                          predict::BufferGeometry(point.btb).ways();
+        ASSERT_EQ(fits, point.btb.entries == 256);
+    }
+
+    auto &registry = obs::Registry::global();
+    const obs::Counter &batch = registry.counter("engine.replay.kernel.batch");
+    const obs::Counter &per_pc = registry.counter("engine.replay.per_pc");
+    const obs::Counter &schemes = registry.counter("engine.replay.schemes");
+    const std::uint64_t batch_before = batch.value();
+    const std::uint64_t per_pc_before = per_pc.value();
+    const std::uint64_t schemes_before = schemes.value();
+    std::vector<predict::BtbBatchCell> profiled;
+    const auto profiled_adds = test::btbLookupsAddedBy([&] {
+        profiled = replayBatch(view, *recorded.profile, points);
+    });
+    EXPECT_EQ(batch.value(), batch_before + 1);
+    EXPECT_EQ(per_pc.value(), per_pc_before + 4);
+    EXPECT_EQ(schemes.value(), schemes_before + 4);
+    std::vector<predict::BtbBatchCell> walked;
+    const auto walked_adds = test::btbLookupsAddedBy(
+        [&] { walked = replayBatch(view, points); });
+    EXPECT_EQ(profiled_adds, walked_adds);
+    ASSERT_EQ(profiled.size(), walked.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        SCOPED_TRACE("point " + std::to_string(p));
+        for (const auto &[a, b] :
+             {std::pair(profiled[p].sbtb, walked[p].sbtb),
+              std::pair(profiled[p].cbtb, walked[p].cbtb)}) {
+            expectSameStats(a.stats, b.stats);
+            EXPECT_EQ(a.missRatio, b.missRatio);
+            EXPECT_EQ(a.hasMissRatio, b.hasMissRatio);
+        }
+    }
+
+    // A batch that only fits walks nothing, so it is no batch walk.
+    const std::uint64_t batch_after = batch.value();
+    replayBatch(view, *recorded.profile, {points[0], points[1]});
+    EXPECT_EQ(batch.value(), batch_after);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
@@ -26,13 +27,10 @@ namespace branchlab::serve
 namespace
 {
 
-std::string
+test::ScratchDir
 makeDir(const std::string &tag)
 {
-    const std::string dir = ::testing::TempDir() + "blab_serve_" + tag;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
+    return test::ScratchDir("blab_serve_" + tag, true);
 }
 
 /** A fast experiment request at the paper's design point. */
@@ -51,7 +49,7 @@ struct TestDaemon
 {
     explicit TestDaemon(const std::string &tag, unsigned jobs = 2,
                         std::size_t max_queue = 64)
-        : dir(makeDir(tag))
+        : scratch(makeDir(tag)), dir(scratch.path())
     {
         DaemonConfig config;
         config.listen = "unix:" + dir + "/d.sock";
@@ -69,6 +67,8 @@ struct TestDaemon
         return Client(daemon->address());
     }
 
+    /** Declared first: outlives the daemon that writes into it. */
+    const test::ScratchDir scratch;
     std::string dir;
     std::unique_ptr<Daemon> daemon;
 };
@@ -285,17 +285,17 @@ TEST(ServeDaemon, ColdThenWarmServesIdenticalCellsFromTheStore)
 
 TEST(ServeDaemon, RestartServesFromThePersistentStores)
 {
+    TestDaemon first("restart");
+    const std::string &dir = first.dir;
     Response cold;
-    std::string dir;
     {
-        TestDaemon first("restart");
-        dir = first.dir;
         Client client = first.connect();
         cold = client.call(tinyRequest(1));
         ASSERT_EQ(cold.status, ResponseStatus::Ok);
         first.daemon->requestDrain();
         first.daemon->waitStopped();
     }
+    first.daemon.reset();
     // A fresh daemon over the same directories serves the stored
     // result as a hit -- the key is content-addressed, not per-process.
     DaemonConfig config;
@@ -314,7 +314,8 @@ TEST(ServeDaemon, RestartServesFromThePersistentStores)
 
 TEST(ServeDaemon, TcpListenResolvesEphemeralPortAndServes)
 {
-    const std::string dir = makeDir("tcp");
+    const test::ScratchDir scratch = makeDir("tcp");
+    const std::string &dir = scratch.path();
     DaemonConfig config;
     config.listen = "tcp:127.0.0.1:0";
     config.jobs = 1;
@@ -364,7 +365,8 @@ TEST(ServeDaemon, FailedStartsCloseTheirSocket)
 {
     // A daemon that throws out of start() never stops, so the socket
     // it opened is closed on the failure path or not at all.
-    const std::string dir = makeDir("failed_start");
+    const test::ScratchDir scratch = makeDir("failed_start");
+    const std::string &dir = scratch.path();
     DaemonConfig held_config;
     held_config.listen = "tcp:127.0.0.1:0";
     held_config.jobs = 1;

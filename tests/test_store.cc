@@ -33,6 +33,7 @@
 #include "core/sweep_journal.hh"
 #include "helpers.hh"
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 #include "store/store.hh"
 #include "support/logging.hh"
 #include "trace/cache.hh"
@@ -44,12 +45,10 @@ namespace
 {
 
 /** Fresh throwaway directory per test. */
-std::string
+test::ScratchDir
 makeDir(const std::string &tag)
 {
-    const std::string dir = ::testing::TempDir() + "blab_store_" + tag;
-    std::filesystem::remove_all(dir);
-    return dir;
+    return test::ScratchDir("blab_store_" + tag);
 }
 
 std::uint64_t
@@ -136,7 +135,8 @@ oneCell()
 TEST(StorePublish, SegmentSealFailsAtEveryLimitBelowItsSize)
 {
     constexpr std::uint64_t kKey = 42;
-    const std::string reference_dir = makeDir("seal_reference");
+    const test::ScratchDir reference_dir_scratch = makeDir("seal_reference");
+    const std::string &reference_dir = reference_dir_scratch.path();
     {
         core::SweepJournal journal(reference_dir);
         journal.store(kKey, oneCell());
@@ -152,7 +152,8 @@ TEST(StorePublish, SegmentSealFailsAtEveryLimitBelowItsSize)
 
     for (rlim_t limit = 0; limit < reference.size(); ++limit) {
         SCOPED_TRACE("limit " + std::to_string(limit));
-        const std::string dir = makeDir("seal_limit");
+        const test::ScratchDir dir_scratch = makeDir("seal_limit");
+        const std::string &dir = dir_scratch.path();
         core::SweepJournal journal(dir);
         journal.store(kKey, oneCell());
         const std::uint64_t segments =
@@ -218,7 +219,8 @@ smallEntry()
 TEST(StorePublish, EntryWriteFailsAtEveryLimitBelowItsSize)
 {
     const trace::CachedWorkload workload = smallEntry();
-    const std::string dir = makeDir("entry_limit");
+    const test::ScratchDir dir_scratch = makeDir("entry_limit");
+    const std::string &dir = dir_scratch.path();
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/fact.bltc";
     std::uint64_t bytes = 0;
@@ -278,7 +280,8 @@ TEST(StorePublish, EntryWriteFailsAtEveryLimitBelowItsSize)
 
     // The cache's store goes through the same publish: it warns, counts
     // the removed temp, and stores nothing.
-    const trace::TraceCache cache(makeDir("entry_limit_cache"));
+    const test::ScratchDir cache_scratch = makeDir("entry_limit_cache");
+    const trace::TraceCache cache(cache_scratch.path());
     const std::uint64_t tmp_evicted =
         counterValue("trace_cache.tmp_evicted");
     resetWarningCount();
@@ -293,7 +296,8 @@ TEST(StorePublish, EntryWriteFailsAtEveryLimitBelowItsSize)
 
 TEST(StorePublish, RenameFailureAndMissingDirectoryChangeNothing)
 {
-    const std::string dir = makeDir("rename");
+    const test::ScratchDir dir_scratch = makeDir("rename");
+    const std::string &dir = dir_scratch.path();
     const std::string destination = dir + "/entry.bltc";
     std::filesystem::create_directories(destination);
     writeBytes(destination + "/occupant", "keep me");
@@ -321,7 +325,8 @@ TEST(StorePublish, RenameFailureAndMissingDirectoryChangeNothing)
 TEST(StoreCrash, TempsHoldingEverySegmentPrefixAreNeverIndexed)
 {
     constexpr std::uint64_t kKey = 7;
-    const std::string source = makeDir("crash_source");
+    const test::ScratchDir source_scratch = makeDir("crash_source");
+    const std::string &source = source_scratch.path();
     {
         core::SweepJournal journal(source);
         journal.store(kKey, oneCell());
@@ -337,7 +342,8 @@ TEST(StoreCrash, TempsHoldingEverySegmentPrefixAreNeverIndexed)
     // A killed seal leaves its temp holding any prefix of the segment,
     // the whole of it included (killed between the fsync and the
     // rename).
-    const std::string dir = makeDir("crash");
+    const test::ScratchDir dir_scratch = makeDir("crash");
+    const std::string &dir = dir_scratch.path();
     std::filesystem::create_directories(dir + "/" + shard);
     std::vector<std::string> temps;
     for (std::size_t n = 0; n <= segment.size(); ++n) {
@@ -395,7 +401,8 @@ class StoreTemps : public ::testing::TestWithParam<StoreCase>
 TEST_P(StoreTemps, StaleTempsAreReclaimedFreshOnesKept)
 {
     const StoreCase &store = GetParam();
-    const std::string dir = makeDir("temps_" + store.name);
+    const test::ScratchDir dir_scratch = makeDir("temps_" + store.name);
+    const std::string &dir = dir_scratch.path();
     std::filesystem::create_directories(dir + "/de");
     const std::string stale = dir + "/de/" + store.file + ".tmp-99999-0";
     const std::string fresh = dir + "/de/" + store.file + ".tmp-99999-1";

@@ -14,6 +14,7 @@
 #include "core/runner.hh"
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 #include "support/logging.hh"
 
 namespace branchlab::core
@@ -22,26 +23,23 @@ namespace
 {
 
 /** Fresh throwaway journal directory per test. */
-std::string
+test::ScratchDir
 makeJournalDir(const std::string &tag)
 {
-    const std::string dir =
-        ::testing::TempDir() + "blab_sweep_" + tag;
-    std::filesystem::remove_all(dir);
-    return dir;
+    return test::ScratchDir("blab_sweep_" + tag);
 }
 
-/** A fast sweep: one small workload, two runs, a 2x2 grid around the
- *  paper point. */
+/** A fast sweep journalled to @p journal_dir: one small workload, two
+ *  runs, a 2x2 grid around the paper point. */
 SweepConfig
-quickSweep(const std::string &tag)
+quickSweep(const test::ScratchDir &journal_dir)
 {
     SweepConfig config;
     config.axes.btbEntries = {64, 256};
     config.axes.counterThresholds = {1, 2};
     config.workloads = {"tee"};
     config.base.runsOverride = 2;
-    config.journalDir = makeJournalDir(tag);
+    config.journalDir = journal_dir.path();
     return config;
 }
 
@@ -109,7 +107,8 @@ TEST(SweepGrid, LabelsAndPaperDesignDetection)
 
 TEST(SweepJournal, RoundTripsCellsAcrossInstances)
 {
-    const std::string dir = makeJournalDir("roundtrip");
+    const test::ScratchDir dir_scratch = makeJournalDir("roundtrip");
+    const std::string &dir = dir_scratch.path();
     const std::vector<SweepCell> cells = {
         {0.5, 0.25, 0.75, 0.125, 0.875, 0.1},
         {0.25, 0.5, 0.625, 0.0625, 0.9375, 0.2},
@@ -169,7 +168,8 @@ TEST(SweepJournal, KeyCoversConfigAndStreams)
 
 TEST(Sweep, ResumeSkipsCompletedPointsBitIdentically)
 {
-    const SweepConfig config = quickSweep("resume");
+    const test::ScratchDir journal_dir = makeJournalDir("resume");
+    const SweepConfig config = quickSweep(journal_dir);
 
     const SweepResult cold = runSweep(config);
     EXPECT_EQ(cold.points.size(), 4u);
@@ -192,7 +192,8 @@ TEST(Sweep, ResumeSkipsCompletedPointsBitIdentically)
 
 TEST(Sweep, MaxPointsInterruptsAndTheRerunFinishes)
 {
-    SweepConfig config = quickSweep("cap");
+    const test::ScratchDir journal_dir = makeJournalDir("cap");
+    SweepConfig config = quickSweep(journal_dir);
     config.maxPoints = 3;
 
     const SweepResult capped = runSweep(config);
@@ -206,7 +207,8 @@ TEST(Sweep, MaxPointsInterruptsAndTheRerunFinishes)
     EXPECT_EQ(finished.points.size(), 4u);
 
     // And against a never-interrupted reference sweep: identical.
-    SweepConfig reference = quickSweep("cap_ref");
+    const test::ScratchDir reference_journal = makeJournalDir("cap_ref");
+    SweepConfig reference = quickSweep(reference_journal);
     const SweepResult uninterrupted = runSweep(reference);
     EXPECT_EQ(sweepToCsv(finished), sweepToCsv(uninterrupted));
 }
@@ -284,7 +286,7 @@ TEST(Sweep, PaperPointMatchesTheExperimentRunnerBitForBit)
  *  engine batches 16 pairs per walk) and six (group, workload)
  *  tasks. */
 SweepConfig
-multiGroupSweep(const std::string &tag)
+multiGroupSweep(const test::ScratchDir &journal_dir)
 {
     SweepConfig config;
     config.axes.btbEntries = {16, 32, 64};
@@ -292,7 +294,7 @@ multiGroupSweep(const std::string &tag)
     config.axes.counterThresholds = {1, 2, 3};
     config.workloads = {"tee", "cmp", "wc"};
     config.base.runsOverride = 1;
-    config.journalDir = makeJournalDir(tag);
+    config.journalDir = journal_dir.path();
     return config;
 }
 
@@ -320,8 +322,9 @@ TEST(Sweep, ParallelSweepIsBitIdenticalToSerial)
     std::string serial_csv;
     for (const unsigned jobs : {1u, 2u, 4u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
-        SweepConfig config =
-            multiGroupSweep("parallel_j" + std::to_string(jobs));
+        const test::ScratchDir journal_dir =
+            makeJournalDir("parallel_j" + std::to_string(jobs));
+        SweepConfig config = multiGroupSweep(journal_dir);
         config.base.jobs = jobs;
         const SweepResult result = runSweep(config);
         ASSERT_EQ(result.points.size(), 18u);
@@ -351,7 +354,8 @@ TEST(Sweep, BatchPhaseFansOutOneTaskPerGroupAndWorkload)
     obs::Counter &stores =
         obs::Registry::global().counter("sweep.journal.stores");
 
-    SweepConfig config = multiGroupSweep("fanout");
+    const test::ScratchDir journal_dir = makeJournalDir("fanout");
+    SweepConfig config = multiGroupSweep(journal_dir);
     config.base.jobs = 2;
     const std::uint64_t jobs_before = pool_jobs.value();
     const std::uint64_t stores_before = stores.value();
@@ -377,7 +381,8 @@ TEST(Sweep, BatchPhaseFansOutOneTaskPerGroupAndWorkload)
 
     // A capped parallel sweep still evaluates only up to the cap and
     // omits every point past it.
-    SweepConfig capped = multiGroupSweep("fanout_cap");
+    const test::ScratchDir capped_journal = makeJournalDir("fanout_cap");
+    SweepConfig capped = multiGroupSweep(capped_journal);
     capped.base.jobs = 2;
     capped.maxPoints = 5;
     const SweepResult partial = runSweep(capped);
@@ -391,7 +396,8 @@ TEST(Sweep, BatchPhaseFansOutOneTaskPerGroupAndWorkload)
 
 TEST(SweepReport, TablesAndEmittersCoverTheGrid)
 {
-    SweepConfig config = quickSweep("report");
+    const test::ScratchDir journal_dir = makeJournalDir("report");
+    SweepConfig config = quickSweep(journal_dir);
     config.journalDir.clear();
     const SweepResult result = runSweep(config);
 

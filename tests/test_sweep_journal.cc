@@ -25,6 +25,7 @@
 #include "core/sweep.hh"
 #include "core/sweep_journal.hh"
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 #include "support/logging.hh"
 
 namespace branchlab::core
@@ -33,13 +34,10 @@ namespace
 {
 
 /** Fresh throwaway journal directory per test. */
-std::string
+test::ScratchDir
 makeDir(const std::string &tag)
 {
-    const std::string dir =
-        ::testing::TempDir() + "blab_sweep_journal_" + tag;
-    std::filesystem::remove_all(dir);
-    return dir;
+    return test::ScratchDir("blab_sweep_journal_" + tag);
 }
 
 std::vector<SweepCell>
@@ -95,7 +93,8 @@ counterValue(const char *name)
 
 TEST(SweepJournalSegments, RoundTripsManyRecordsAcrossSegments)
 {
-    const std::string dir = makeDir("segments");
+    const test::ScratchDir dir_scratch = makeDir("segments");
+    const std::string &dir = dir_scratch.path();
     const std::uint64_t mapped_before =
         counterValue("sweep.journal.bytes_mapped");
     {
@@ -125,7 +124,8 @@ TEST(SweepJournalSegments, RoundTripsManyRecordsAcrossSegments)
 
 TEST(SweepJournalSegments, TruncationKeepsTheVerifiedPrefix)
 {
-    const std::string dir = makeDir("truncate");
+    const test::ScratchDir dir_scratch = makeDir("truncate");
+    const std::string &dir = dir_scratch.path();
     {
         SweepJournal journal(dir);
         for (std::uint64_t key = 1; key <= 3; ++key)
@@ -159,7 +159,8 @@ TEST(SweepJournalSegments, TruncationKeepsTheVerifiedPrefix)
 
 TEST(SweepJournalSegments, ChecksumFlipAbandonsTheSegmentTail)
 {
-    const std::string dir = makeDir("bitflip");
+    const test::ScratchDir dir_scratch = makeDir("bitflip");
+    const std::string &dir = dir_scratch.path();
     {
         SweepJournal journal(dir);
         journal.store(1, makeCells(1));
@@ -187,7 +188,8 @@ TEST(SweepJournalSegments, ChecksumFlipAbandonsTheSegmentTail)
 
 TEST(SweepJournalSegments, ForeignFeatureBitsRefuseQuietly)
 {
-    const std::string dir = makeDir("foreign_bits");
+    const test::ScratchDir dir_scratch = makeDir("foreign_bits");
+    const std::string &dir = dir_scratch.path();
     {
         SweepJournal journal(dir);
         journal.store(1, makeCells(1));
@@ -216,7 +218,8 @@ TEST(SweepJournalSegments, ForeignFeatureBitsRefuseQuietly)
 
 TEST(SweepJournalSegments, ForeignContainerVersionRefusesQuietly)
 {
-    const std::string dir = makeDir("foreign_version");
+    const test::ScratchDir dir_scratch = makeDir("foreign_version");
+    const std::string &dir = dir_scratch.path();
     {
         SweepJournal journal(dir);
         journal.store(1, makeCells(1));
@@ -272,7 +275,8 @@ TEST(SweepJournalLegacy, StaleV1PointFilesAreNeverReadAndReEvaluate)
     // Plant a well-formed v1 file for every point of the grid, each
     // carrying cells the sweep would never compute: resuming any of
     // them would show in the grid.
-    config.journalDir = makeDir("stale_v1");
+    const test::ScratchDir journal = makeDir("stale_v1");
+    config.journalDir = journal.path();
     std::filesystem::create_directories(config.journalDir);
     std::vector<std::uint64_t> hashes;
     for (const std::string &name : config.workloads)
@@ -327,7 +331,8 @@ TEST(SweepJournalLegacy, StaleV1PointFilesAreNeverReadAndReEvaluate)
 
 TEST(SweepJournalEviction, ByteCapEvictsLeastRecentlyUsedFirst)
 {
-    const std::string dir = makeDir("evict");
+    const test::ScratchDir dir_scratch = makeDir("evict");
+    const std::string &dir = dir_scratch.path();
     const auto seal_one = [&](std::uint64_t key,
                               std::chrono::hours age) {
         {
@@ -386,7 +391,8 @@ TEST(SweepJournalEviction, ByteCapEvictsLeastRecentlyUsedFirst)
 
 TEST(SweepJournalConcurrency, ParallelStoresAllPersist)
 {
-    const std::string dir = makeDir("parallel");
+    const test::ScratchDir dir_scratch = makeDir("parallel");
+    const std::string &dir = dir_scratch.path();
     {
         SweepJournal journal(dir);
         std::vector<std::thread> threads;
@@ -431,7 +437,8 @@ TEST(SweepJournalResume, MappedJournalResumesBitIdentically)
     ASSERT_GE(cold.points.size(), 100u);
 
     // The same sweep journalled through the segment writer.
-    config.journalDir = makeDir("differential");
+    const test::ScratchDir journal = makeDir("differential");
+    config.journalDir = journal.path();
     const SweepResult journalled = runSweep(config);
     EXPECT_EQ(journalled.stats.evaluated, cold.points.size());
     EXPECT_FALSE(segmentFiles(config.journalDir).empty());

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -1453,6 +1454,21 @@ dominantNext(CachedProfileRow &row)
     return *best;
 }
 
+/** The first branch row of @p conditional kind whose execution count
+ *  is not a multiple of @p stride (1: any row of that kind). */
+CachedProfileRow &
+historyRow(CachedProfile &profile, bool conditional, std::uint64_t stride)
+{
+    const auto it = std::find_if(
+        profile.branches.begin(), profile.branches.end(),
+        [&](const CachedProfileRow &row) {
+            return row.conditional == conditional &&
+                   (stride == 1 || (row.taken + row.notTaken) % 64 != 0);
+        });
+    EXPECT_NE(it, profile.branches.end());
+    return *it;
+}
+
 const ProfileMutation kProfileMutations[] = {
     {"unsorted", "profile branch rows out of order",
      [](CachedProfile &p, ir::Addr) {
@@ -1483,6 +1499,27 @@ const ProfileMutation kProfileMutations[] = {
      }},
     {"path-sum", "profile path executions do not match the event count",
      [](CachedProfile &p, ir::Addr) { p.paths.pop_back(); }},
+    {"outcome-bit", "profile outcome bits do not match the taken count",
+     [](CachedProfile &p, ir::Addr) {
+         historyRow(p, true, 1).outcomes[0] ^= 1;
+     }},
+    {"stray-outcome-bit", "profile outcome bits past the executions",
+     [](CachedProfile &p, ir::Addr) {
+         CachedProfileRow &row = historyRow(p, true, 2);
+         row.outcomes.back() |= std::uint64_t{1}
+                                << ((row.taken + row.notTaken) % 64);
+     }},
+    {"conditional-repeats", "conditional profile row carries repeats",
+     [](CachedProfile &p, ir::Addr) { historyRow(p, true, 1).repeats = 1; }},
+    {"repeats", "profile repeats exceed executions - 1",
+     [](CachedProfile &p, ir::Addr) {
+         CachedProfileRow &row = historyRow(p, false, 1);
+         row.repeats = row.taken + row.notTaken;
+     }},
+    {"last-next", "profile last next pc never followed the branch",
+     [](CachedProfile &p, ir::Addr) {
+         historyRow(p, false, 1).lastNext = ir::kNoAddr - 1;
+     }},
 };
 
 TEST(TraceCacheIntegration, InconsistentProfileSectionIsReRecorded)
@@ -1595,23 +1632,24 @@ TEST(TraceCacheIntegration, EntriesWithoutProfileAreReRecorded)
     std::filesystem::remove_all(dir);
 }
 
-/** @p v4, an entry's bytes, in the retired v3 layout: a 96-byte
+/** @p current, an entry's bytes, in the retired v3 layout: a 96-byte
  *  header that also stores @p stats' four branch counters and a
  *  likely count, and a likely section (17 bytes per row) ahead of the
  *  same sections. */
 std::string
-retiredV3Entry(const std::string &v4, const std::vector<CachedLikely> &likely,
+retiredV3Entry(const std::string &current,
+               const std::vector<CachedLikely> &likely,
                const TraceCounters &stats)
 {
-    const EntryHeader header = headerOf(v4);
+    const EntryHeader header = headerOf(current);
     std::vector<std::string> sections(1);
     for (const CachedLikely &row : likely)
         sections[0] += littleEndian(row.pc) +
                        littleEndian(row.dominantTarget) +
                        std::string(1, row.likelyTaken ? '\1' : '\0');
     for (std::size_t s = 0; s < header.sectionCount; ++s)
-        sections.push_back(v4.substr(header.sections[s].offset,
-                                     header.sections[s].length));
+        sections.push_back(current.substr(header.sections[s].offset,
+                                          header.sections[s].length));
     std::string out =
         "BLTC" + littleEndian(3, 4) + littleEndian(header.featureBits) +
         littleEndian(header.contentHash) + littleEndian(header.runs, 4) +
@@ -1635,12 +1673,128 @@ retiredV3Entry(const std::string &v4, const std::vector<CachedLikely> &likely,
     return out;
 }
 
+/** @p v5, an entry's bytes, in the retired v4 layout: the same
+ *  header fields and stream sections, and a profile section whose
+ *  rows carry only their tallies (@p profile's), not the branch
+ *  histories v5 appends. */
+std::string
+retiredV4Entry(const std::string &v5, const CachedProfile &profile)
+{
+    std::string section = littleEndian(profile.branches.size()) +
+                          littleEndian(profile.paths.size()) +
+                          littleEndian(profile.lastPc);
+    for (const auto *rows : {&profile.branches, &profile.paths}) {
+        for (const CachedProfileRow &row : *rows) {
+            section += littleEndian(row.pc) + littleEndian(row.prevPc) +
+                       littleEndian(row.taken) + littleEndian(row.notTaken) +
+                       littleEndian(row.next.size());
+            for (const auto &[addr, count] : row.next)
+                section += littleEndian(addr) + littleEndian(count);
+        }
+    }
+    const EntryHeader header = headerOf(v5);
+    std::string out =
+        v5.substr(0, header.section(EntrySection::Profile).offset) + section;
+    out.resize(alignSection(out.size()), '\0');
+    out.replace(4, 4, littleEndian(4, 4));
+    const std::size_t row =
+        kEntryHeaderBytes +
+        static_cast<std::size_t>(EntrySection::Profile) * kSectionRecordBytes;
+    out.replace(row + 8, 16,
+                littleEndian(section.size()) +
+                    littleEndian(checksum64(section.data(), section.size())));
+    const std::uint64_t at = headerChecksumOffset(header.sectionCount);
+    out.replace(at, 8, littleEndian(checksum64(out.data(), at)));
+    return out;
+}
+
+/** Every line written to std::cerr, the log's sink, while alive. */
+class CapturedLog
+{
+  public:
+    CapturedLog() : saved_(std::cerr.rdbuf(text_.rdbuf())) {}
+    ~CapturedLog() { std::cerr.rdbuf(saved_); }
+    CapturedLog(const CapturedLog &) = delete;
+    CapturedLog &operator=(const CapturedLog &) = delete;
+
+    /** The captured lines that contain @p needle. */
+    std::size_t
+    count(const std::string &needle) const
+    {
+        std::istringstream lines(text_.str());
+        std::size_t n = 0;
+        for (std::string line; std::getline(lines, line);)
+            n += line.find(needle) != std::string::npos ? 1 : 0;
+        return n;
+    }
+
+  private:
+    std::ostringstream text_;
+    std::streambuf *saved_;
+};
+
+TEST(TraceCacheIntegration, RefusedEntriesLogOneMissLineEach)
+{
+    // A corrupt entry and a foreign (v4) one each log exactly one
+    // `trace cache miss:` line, the line scripts/run_all.sh counts,
+    // beside the corruption warning and the counters.
+    const std::string dir = makeCacheDir("miss_lines");
+    core::ExperimentConfig config;
+    config.runsOverride = 1;
+    config.traceCacheDir = dir;
+    const workloads::Workload &workload = workloads::findWorkload("tee");
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    ASSERT_FALSE(cold.cacheHit);
+    const TraceCache cache(dir);
+    const std::string path = cache.entryPath(cold.name, cold.contentHash);
+    const std::string current = readFileBytes(path);
+    std::string corrupt = current;
+    corrupt[corrupt.size() / 2] ^= 0x10;
+
+    obs::Counter &corrupt_entries =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    obs::Counter &map_failures =
+        obs::Registry::global().counter("trace_cache.map_failures");
+    const std::pair<const char *, std::string> plants[] = {
+        {"corrupt", corrupt},
+        {"v4", retiredV4Entry(current, cold.profile->exportRows())},
+    };
+    for (const auto &[name, bytes] : plants) {
+        SCOPED_TRACE(name);
+        writeFileBytes(path, bytes);
+        const bool is_corrupt = std::string(name) == "corrupt";
+        const std::uint64_t corrupt_before = corrupt_entries.value();
+        const std::uint64_t failures_before = map_failures.value();
+        resetTraceCacheCounters();
+        resetWarningCount();
+        CachedWorkload out;
+        bool hit = true;
+        std::size_t miss_lines = 0;
+        {
+            const CapturedLog log;
+            hit = cache.load(cold.name, cold.contentHash, out);
+            miss_lines = log.count("trace cache miss: " + cold.name + " (");
+        }
+        EXPECT_FALSE(hit);
+        EXPECT_EQ(miss_lines, 1u);
+        EXPECT_EQ(traceCacheCounters().misses, 1u);
+        EXPECT_EQ(map_failures.value(), failures_before + 1);
+        EXPECT_EQ(corrupt_entries.value(),
+                  corrupt_before + (is_corrupt ? 1 : 0));
+        EXPECT_EQ(warningCount(), is_corrupt ? 1u : 0u);
+    }
+    resetTraceCacheCounters();
+    std::filesystem::remove_all(dir);
+}
+
 TEST(TraceCacheIntegration, RetiredEntriesAreForeignAndReRecorded)
 {
     // Entries in a retired layout are intact but foreign: refused
     // without the corruption warning, re-recorded, and replaced by a
     // current entry. v1 held an inline payload; v3 stored the likely
-    // rows and branch counters beside the profile they derive from.
+    // rows and branch counters beside the profile they derive from;
+    // v4 profile rows lacked the branch histories.
     const std::string dir = makeCacheDir("retired");
     core::ExperimentConfig config;
     config.runsOverride = 1;
@@ -1662,6 +1816,7 @@ TEST(TraceCacheIntegration, RetiredEntriesAreForeignAndReRecorded)
                    littleEndian(4096) + std::string(4096, '\0')},
         {"v3", retiredV3Entry(current, sortedLikely(cold.likelyMap),
                               cold.stats.counters())},
+        {"v4", retiredV4Entry(current, cold.profile->exportRows())},
     };
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
