@@ -175,21 +175,36 @@ struct PerPcScore
     }
 };
 
+/** Calls @p fn(w, flips) for each outcome word w of @p history's
+ *  @p n executions, where bit i of flips is set when execution
+ *  64 w + i's outcome differs from the one before (a not-taken one
+ *  before the first) and bits past execution n - 1 are clear. */
+template <typename Fn>
+void
+forEachFlipWord(const profile::BranchHistory &history, std::uint64_t n,
+                Fn &&fn)
+{
+    const std::size_t words = history.outcomes.size();
+    std::uint64_t carry = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t word = history.outcomes[w];
+        std::uint64_t flips = word ^ (word << 1 | carry);
+        if (w + 1 == words && n % 64 != 0)
+            flips &= (std::uint64_t{1} << (n % 64)) - 1;
+        carry = word >> 63;
+        fn(w, flips);
+    }
+}
+
 /** Outcomes of @p history's @p n executions that differ from the
  *  one before (a not-taken one before the first). */
 std::uint64_t
 outcomeFlips(const profile::BranchHistory &history, std::uint64_t n)
 {
     std::uint64_t flips = 0;
-    std::uint64_t carry = 0;
-    for (std::size_t w = 0; w < history.outcomes.size(); ++w) {
-        const std::uint64_t word = history.outcomes[w];
-        std::uint64_t diff = word ^ (word << 1 | carry);
-        if (w + 1 == history.outcomes.size() && n % 64 != 0)
-            diff &= (std::uint64_t{1} << (n % 64)) - 1;
-        flips += static_cast<std::uint64_t>(std::popcount(diff));
-        carry = word >> 63;
-    }
+    forEachFlipWord(history, n, [&](std::size_t, std::uint64_t word) {
+        flips += static_cast<std::uint64_t>(std::popcount(word));
+    });
     return flips;
 }
 
@@ -214,39 +229,23 @@ scoreSbtb(const std::vector<profile::BranchSite> &sites)
     return score;
 }
 
-/** The CBTB with @p counter over @p sites. A conditional branch's
- *  first outcome misses and inserts its counter at T or T - 1; every
- *  later one hits, predicts taken (its static target) when the
- *  counter is at least T, and steps the counter. */
+/** The CBTB with @p counter over @p sites: every conditional branch's
+ *  first execution misses, every later one hits
+ *  (scoreCounterHistory). */
 PerPcScore
 scoreCbtb(const std::vector<profile::BranchSite> &sites,
           const predict::CounterConfig &counter)
 {
-    const unsigned ceiling = predict::counterCeiling(counter);
-    const unsigned threshold = counter.threshold;
     PerPcScore score;
     for (const profile::BranchSite &site : sites) {
         if (!site.history->conditional) {
             score.addUnconditional(site);
             continue;
         }
-        const profile::BranchHistory &history = *site.history;
         const std::uint64_t n = site.counts->executions();
-        const bool first = history.outcome(0);
-        unsigned count = first ? threshold : threshold - 1;
-        std::uint64_t correct = first ? 0 : 1;
-        std::uint64_t predicted_taken = 0;
-        for (std::uint64_t i = 1; i < n; ++i) {
-            const bool taken = history.outcome(i);
-            const bool predicted = count >= threshold;
-            predicted_taken += predicted ? 1 : 0;
-            correct += predicted == taken ? 1 : 0;
-            if (taken)
-                count += count < ceiling ? 1 : 0;
-            else
-                count -= count > 0 ? 1 : 0;
-        }
-        score.add(true, n, n - 1, correct, predicted_taken);
+        const CounterScore counts =
+            scoreCounterHistory(*site.history, n, counter);
+        score.add(true, n, n - 1, counts.correct, counts.predictedTaken);
     }
     return score;
 }
@@ -572,6 +571,55 @@ scoreClosedForm(const profile::ProgramProfile &profile,
     }
     obs::Registry::global().counter("engine.replay.closed_form").add(1);
     return toReplayResult({acc.toStats()});
+}
+
+CounterScore
+scoreCounterHistory(const profile::BranchHistory &history, std::uint64_t n,
+                    const predict::CounterConfig &counter)
+{
+    const std::int64_t ceiling = predict::counterCeiling(counter);
+    const std::int64_t threshold = counter.threshold;
+    const bool first = history.outcome(0);
+    std::int64_t count = first ? threshold : threshold - 1;
+    CounterScore score;
+    score.correct = first ? 0 : 1;
+    if (n < 2)
+        return score;
+    // Executions 1 to n - 1 each predict and step: walk them as runs
+    // of equal outcomes, the first run in execution 1's direction and
+    // each later one the other way.
+    bool taken = history.outcome(1);
+    std::uint64_t start = 1;
+    const auto run_to = [&](std::uint64_t end) {
+        const auto k = static_cast<std::int64_t>(end - start);
+        std::int64_t predicted = 0;
+        if (taken) {
+            // The first max(0, T - c) steps climb to T unpredicted.
+            predicted = std::max<std::int64_t>(
+                0, k - std::max<std::int64_t>(0, threshold - count));
+            count = std::min(ceiling, count + k);
+        } else {
+            // Counts c down to T predict taken: c - T + 1 steps.
+            predicted = std::min(
+                k, std::max<std::int64_t>(0, count - threshold + 1));
+            count = std::max<std::int64_t>(0, count - k);
+        }
+        score.predictedTaken += static_cast<std::uint64_t>(predicted);
+        score.correct +=
+            static_cast<std::uint64_t>(taken ? predicted : k - predicted);
+        start = end;
+        taken = !taken;
+    };
+    forEachFlipWord(history, n, [&](std::size_t w, std::uint64_t flips) {
+        // Execution 0 inserts and execution 1 starts the first run,
+        // so neither ends one.
+        if (w == 0)
+            flips &= ~std::uint64_t{3};
+        for (; flips != 0; flips &= flips - 1)
+            run_to(64 * w + static_cast<unsigned>(std::countr_zero(flips)));
+    });
+    run_to(n);
+    return score;
 }
 
 std::optional<ReplayResult>

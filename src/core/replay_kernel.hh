@@ -18,12 +18,25 @@
  *    -- from the profile's per-pc histories
  *    (profile::BranchHistory): the SBTB from each conditional pc's
  *    outcome flips, the CBTB by stepping each conditional pc's
- *    counter over its outcome bits, and every other pc from its
- *    repeats. A stream with an anomalous-next event is refused.
+ *    counter over its runs of equal outcomes, and every other pc
+ *    from its repeats. A stream with an anomalous-next event is
+ *    refused.
  * Both are exact for a profile folded from a stream the VM emitted
  * for its own program (all recordWorkload returns). replayProfiled()
  * (the paper suite) and replayBatch() given the profile (the sweep
  * and the daemon) score what the scorers take and walk only the rest.
+ *
+ * The CBTB step is run-length, not bit-serial. The flip mask
+ * `word ^ (word << 1 | carry)` marks where an outcome differs from
+ * the one before, and countr_zero walks it, so the counter steps
+ * once per run of equal outcomes; runs alternate direction. From
+ * counter c with threshold T and ceiling 2^bits - 1, a taken run of
+ * k outcomes predicts taken max(0, k - max(0, T - c)) times (the
+ * steps that climb to T predict not taken) and ends at
+ * min(ceiling, c + k); a not-taken run predicts taken
+ * min(k, max(0, c - T + 1)) times (the steps from c down to T) and
+ * ends at max(0, c - k). One path serves every width from 1 to 16
+ * bits.
  *
  * The virtual path is not an afterthought -- it *is* the reference
  * semantics. Kernels and scorers are optimisations bound by
@@ -40,6 +53,7 @@
 #ifndef BRANCHLAB_CORE_REPLAY_KERNEL_HH
 #define BRANCHLAB_CORE_REPLAY_KERNEL_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -118,6 +132,26 @@ scoreClosedForm(const profile::ProgramProfile &profile,
 std::optional<ReplayResult>
 scorePerPc(const trace::TraceView &view,
            const profile::ProgramProfile &profile, const KernelSpec &spec);
+
+/** One conditional branch's CBTB counts over its executions. */
+struct CounterScore
+{
+    std::uint64_t correct = 0;
+    std::uint64_t predictedTaken = 0;
+};
+
+/**
+ * The CBTB's counts over the @p n >= 1 outcomes of one conditional
+ * branch's @p history, with @p counter (T its threshold): the first
+ * execution misses, predicts not taken and inserts the counter at T
+ * (taken) or T - 1; every later one predicts taken when the counter
+ * is at least T, then steps it. scorePerPc's CBTB step, exposed for
+ * the differential tests: it steps once per run of equal outcomes,
+ * not once per outcome (see the file comment).
+ */
+CounterScore
+scoreCounterHistory(const profile::BranchHistory &history, std::uint64_t n,
+                    const predict::CounterConfig &counter);
 
 /** replayManyKernel, but every spec scoreClosedForm or scorePerPc
  *  takes is scored from @p profile (folded from @p view) instead of

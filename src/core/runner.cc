@@ -223,22 +223,25 @@ recordWorkload(const workloads::Workload &workload,
         obs::Registry::global().counter("engine.profile.restored");
     RecordedWorkload recorded;
     recorded.name = workload.name();
-    recorded.program =
-        std::make_unique<ir::Program>(workload.buildProgram());
-    ir::verifyProgramOrDie(*recorded.program);
-    recorded.layout = std::make_unique<ir::Layout>(*recorded.program);
-
     const unsigned runs = runsFor(workload, config);
     recorded.runs = runs;
-    const std::vector<workloads::WorkloadInput> inputs =
-        makeInputSuite(workload, config);
+    std::vector<workloads::WorkloadInput> inputs;
+    {
+        // The key: everything the content hash covers, and the hash.
+        const obs::ScopedSpan key_span("engine.key");
+        recorded.program =
+            std::make_unique<ir::Program>(workload.buildProgram());
+        ir::verifyProgramOrDie(*recorded.program);
+        recorded.layout = std::make_unique<ir::Layout>(*recorded.program);
+        inputs = makeInputSuite(workload, config);
+        recorded.contentHash = computeContentHash(
+            *recorded.program, *recorded.layout, inputs, config, runs);
+    }
 
     const trace::TraceCache cache(
         trace::TraceCache::resolveDir(config.traceCacheDir),
         store::resolveMaxBytes(config.traceCacheMaxBytes,
                                trace::TraceCache::kMaxBytesEnv));
-    recorded.contentHash = computeContentHash(
-        *recorded.program, *recorded.layout, inputs, config, runs);
 
     // What the cache cannot check without the program. An entry whose
     // checksums and hash match but whose pcs lie outside the program
@@ -258,11 +261,18 @@ recordWorkload(const workloads::Workload &workload,
     };
     if (cache.enabled()) {
         trace::CachedWorkload cached;
-        if (cache.load(recorded.name, recorded.contentHash, cached,
-                       fits_program)) {
-            recorded.profile = std::make_unique<profile::ProgramProfile>(
-                *recorded.program, *recorded.layout, cached.runs,
-                *cached.profile);
+        const bool hit = [&] {
+            const obs::ScopedSpan map_span("engine.map");
+            return cache.load(recorded.name, recorded.contentHash, cached,
+                              fits_program);
+        }();
+        if (hit) {
+            {
+                const obs::ScopedSpan restore_span("engine.restore");
+                recorded.profile = std::make_unique<profile::ProgramProfile>(
+                    *recorded.program, *recorded.layout, cached.runs,
+                    *cached.profile);
+            }
             restored.add(1);
             // Hits stay mmap'd (stream empty).
             recorded.mapped = std::move(cached.mapped);

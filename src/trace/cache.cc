@@ -412,6 +412,35 @@ entryWriter(const CachedWorkload &workload, std::uint64_t &bytes_written)
     };
 }
 
+/** The first of @p count opcode bytes at @p ops past the ISA, or
+ *  null. Eight bytes at a time: a byte x below 0x80 gets its high bit
+ *  from (x & 0x7f) + (0x80 - kNumOpcodes) exactly when x >= kNumOpcodes
+ *  (the sum never carries into the next byte), and a byte from 0x80
+ *  has it already; a word that fails, and the tail, are scanned a
+ *  byte at a time, so the first bad byte is the one reported. */
+const std::uint8_t *
+firstBadOpcode(const std::uint8_t *ops, std::uint64_t count)
+{
+    static_assert(ir::kNumOpcodes <= 0x80,
+                  "the word-at-a-time check needs opcodes below 0x80");
+    constexpr std::uint64_t kLanes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x80 * kLanes;
+    constexpr std::uint64_t kBias = (0x80 - ir::kNumOpcodes) * kLanes;
+    std::uint64_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, ops + i, sizeof(word));
+        const std::uint64_t high = ((word & ~kHigh) + kBias) | word;
+        if ((high & kHigh) != 0)
+            break;
+    }
+    for (; i < count; ++i) {
+        if (ops[i] >= ir::kNumOpcodes)
+            return ops + i;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 std::string
@@ -530,11 +559,9 @@ mapEntryFile(const std::string &path,
 
     const std::uint8_t *ops =
         data + header.section(EntrySection::Ops).offset;
-    for (std::uint64_t i = 0; i < header.eventCount; ++i) {
-        if (ops[i] >= ir::kNumOpcodes) {
-            error = "bad opcode " + std::to_string(ops[i]);
-            return false;
-        }
+    if (const std::uint8_t *bad = firstBadOpcode(ops, header.eventCount)) {
+        error = "bad opcode " + std::to_string(*bad);
+        return false;
     }
 
     std::optional<CachedProfile> profile;

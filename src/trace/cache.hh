@@ -81,6 +81,8 @@
 #ifndef BRANCHLAB_TRACE_CACHE_HH
 #define BRANCHLAB_TRACE_CACHE_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -100,14 +102,29 @@
 namespace branchlab::trace
 {
 
-/** Streaming FNV-1a 64-bit hasher for cache keys. */
+/**
+ * Streaming FNV-1a 64-bit hasher for cache keys, byte-serial over
+ * every byte fed: u64() feeds a value's eight bytes little-endian.
+ * A zero byte's xor does nothing, so each zero byte above a value's
+ * highest nonzero byte only multiplies the state by the prime; u64()
+ * folds those multiplies, and the last nonzero byte's, into one
+ * multiply by a power of the prime. Nearly every word hashed (input
+ * channels, data segments) has at most one nonzero byte, so it costs
+ * one xor and one multiply, and every digest stays the byte-serial
+ * one.
+ */
 class ContentHasher
 {
   public:
     ContentHasher &u64(std::uint64_t value)
     {
-        for (int i = 0; i < 8; ++i)
+        // The highest nonzero byte's index (0 for a zero value, whose
+        // byte 0 is fed as the last "nonzero" one).
+        const int last = (std::bit_width(value | 1) - 1) / 8;
+        for (int i = 0; i < last; ++i)
             byte(static_cast<unsigned char>((value >> (8 * i)) & 0xff));
+        hash_ ^= (value >> (8 * last)) & 0xff;
+        hash_ *= kPrimePowers[8 - last];
         return *this;
     }
 
@@ -128,10 +145,20 @@ class ContentHasher
     std::uint64_t digest() const { return hash_; }
 
   private:
+    static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+
+    /** kPrimePowers[i] is kPrime^i (mod 2^64), i from 0 to 8. */
+    static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+        std::array<std::uint64_t, 9> powers{1};
+        for (std::size_t i = 1; i < powers.size(); ++i)
+            powers[i] = powers[i - 1] * kPrime;
+        return powers;
+    }();
+
     void byte(unsigned char b)
     {
         hash_ ^= b;
-        hash_ *= 0x100000001b3ULL;
+        hash_ *= kPrime;
     }
 
     std::uint64_t hash_ = 0xcbf29ce484222325ULL; // FNV offset basis

@@ -4,7 +4,8 @@
  * fuzz suites: every stateless scheme scored from a profile in closed
  * form, and every non-evicting SBTB or CBTB scored per pc, must
  * equal both its replay kernel and its virtual-dispatch reference
- * over the stream the profile was folded from.
+ * over the stream the profile was folded from. The CBTB's per-pc
+ * counter step is also held to the bit-serial step it replaced.
  */
 
 #ifndef BRANCHLAB_TESTS_CLOSED_FORM_HH
@@ -19,6 +20,7 @@
 
 #include "core/replay_kernel.hh"
 #include "obs/metrics.hh"
+#include "predict/cbtb.hh"
 
 namespace branchlab::test
 {
@@ -91,6 +93,35 @@ expectClosedFormMatches(const trace::TraceView &view,
         expectSameScore(*scored, kernels[i]);
         expectSameScore(*scored, references[i]);
     }
+}
+
+/**
+ * core::scoreCounterHistory's model: the CBTB counter stepped one
+ * outcome at a time over @p history's @p n outcomes, as the kernel
+ * and the virtual CounterBtb step it. The first outcome misses,
+ * predicts not taken and inserts the counter at T or T - 1.
+ */
+inline core::CounterScore
+bitSerialCounterScore(const profile::BranchHistory &history,
+                      std::uint64_t n, const predict::CounterConfig &counter)
+{
+    const unsigned ceiling = predict::counterCeiling(counter);
+    const unsigned threshold = counter.threshold;
+    const bool first = history.outcome(0);
+    unsigned count = first ? threshold : threshold - 1;
+    core::CounterScore score;
+    score.correct = first ? 0 : 1;
+    for (std::uint64_t i = 1; i < n; ++i) {
+        const bool taken = history.outcome(i);
+        const bool predicted = count >= threshold;
+        score.predictedTaken += predicted ? 1 : 0;
+        score.correct += predicted == taken ? 1 : 0;
+        if (taken)
+            count += count < ceiling ? 1 : 0;
+        else
+            count -= count > 0 ? 1 : 0;
+    }
+    return score;
 }
 
 /** predict.{sbtb,cbtb}.{lookups,hits}, in that order. */

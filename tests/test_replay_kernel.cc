@@ -927,7 +927,6 @@ TEST(PerPc, MatchesKernelAndReferenceOnEveryWorkload)
 
 TEST(PerPc, EveryCounterWidthAndThreshold)
 {
-    const RecordedWorkload &recorded = recordedFor("tee");
     const predict::BufferConfig paper;
     std::vector<predict::CounterConfig> counters;
     for (unsigned bits = 1; bits <= 5; ++bits) {
@@ -936,11 +935,111 @@ TEST(PerPc, EveryCounterWidthAndThreshold)
     }
     for (const unsigned threshold : {1u, 2u, 1u << 15, (1u << 16) - 1})
         counters.push_back({16, threshold});
-    for (const predict::CounterConfig &counter : counters) {
-        SCOPED_TRACE("bits " + std::to_string(counter.bits) +
-                     " threshold " + std::to_string(counter.threshold));
-        test::expectPerPcMatches(recorded.traceView(), *recorded.profile,
-                                 btbSpec(SchemeKind::Cbtb, paper, counter));
+    for (const workloads::Workload *workload : workloads::allWorkloads()) {
+        SCOPED_TRACE(workload->name());
+        const RecordedWorkload &recorded = recordedFor(workload->name());
+        for (const predict::CounterConfig &counter : counters) {
+            SCOPED_TRACE("bits " + std::to_string(counter.bits) +
+                         " threshold " + std::to_string(counter.threshold));
+            test::expectPerPcMatches(
+                recorded.traceView(), *recorded.profile,
+                btbSpec(SchemeKind::Cbtb, paper, counter));
+        }
+    }
+}
+
+/** A conditional branch's history of @p outcomes. */
+profile::BranchHistory
+historyOf(const std::vector<bool> &outcomes)
+{
+    profile::BranchHistory history;
+    history.conditional = true;
+    for (std::size_t i = 0; i < outcomes.size(); ++i)
+        history.add(i, outcomes[i], ir::kNoAddr);
+    return history;
+}
+
+/** @p n outcomes, outcome i being @p taken(i). */
+template <typename Taken>
+std::vector<bool>
+outcomesOf(std::uint64_t n, Taken &&taken)
+{
+    std::vector<bool> outcomes(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        outcomes[i] = taken(i);
+    return outcomes;
+}
+
+TEST(PerPc, RunLengthStepMatchesTheBitSerialModel)
+{
+    // Every counter width's edge thresholds: 1, 2 where legal, the
+    // ceiling, and 2^15 at 16 bits.
+    std::vector<predict::CounterConfig> counters;
+    for (const unsigned bits : {1u, 2u, 5u, 16u}) {
+        const unsigned ceiling = (1u << bits) - 1;
+        std::set<unsigned> thresholds = {1, ceiling};
+        if (bits >= 2)
+            thresholds.insert(2);
+        if (bits == 16)
+            thresholds.insert(1u << 15);
+        for (const unsigned threshold : thresholds)
+            counters.push_back({bits, threshold});
+    }
+
+    std::vector<std::pair<std::string, std::vector<bool>>> histories;
+    for (const std::uint64_t n : {1, 2, 63, 64, 65, 127, 128, 129}) {
+        const std::string at = " n " + std::to_string(n);
+        const auto add = [&](const std::string &name, auto taken) {
+            histories.emplace_back(name + at, outcomesOf(n, taken));
+        };
+        add("all taken", [](std::uint64_t) { return true; });
+        add("all not taken", [](std::uint64_t) { return false; });
+        add("alternating", [](std::uint64_t i) { return i % 2 == 0; });
+        add("alternating from not taken",
+            [](std::uint64_t i) { return i % 2 == 1; });
+        // Runs that end exactly on a word boundary, and one before it.
+        add("word runs", [](std::uint64_t i) { return i / 64 % 2 == 0; });
+        add("word runs from not taken",
+            [](std::uint64_t i) { return i / 64 % 2 == 1; });
+        add("runs ending at bit 62",
+            [](std::uint64_t i) { return (i + 1) / 64 % 2 == 0; });
+        // Runs of 7: past a 1- or 2-bit counter's ceiling, inside a
+        // 5-bit counter's range.
+        add("runs of 7", [](std::uint64_t i) { return i / 7 % 2 == 0; });
+        Rng rng(n);
+        std::vector<bool> random(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            random[i] = rng.nextBool(0.7);
+        histories.emplace_back("random" + at, random);
+    }
+    // Runs longer than a 16-bit counter's ceiling, in both directions
+    // and across many words.
+    const std::uint64_t past_ceiling = (1u << 16) + 2;
+    histories.emplace_back(
+        "runs past the 16-bit ceiling",
+        outcomesOf(3 * past_ceiling + 5, [&](std::uint64_t i) {
+            return i / past_ceiling % 2 == 0;
+        }));
+    histories.emplace_back(
+        "runs past the 16-bit ceiling from not taken",
+        outcomesOf(3 * past_ceiling + 5, [&](std::uint64_t i) {
+            return i / past_ceiling % 2 == 1;
+        }));
+
+    for (const auto &[name, outcomes] : histories) {
+        SCOPED_TRACE(name);
+        const profile::BranchHistory history = historyOf(outcomes);
+        const std::uint64_t n = outcomes.size();
+        for (const predict::CounterConfig &counter : counters) {
+            SCOPED_TRACE("bits " + std::to_string(counter.bits) +
+                         " threshold " + std::to_string(counter.threshold));
+            const CounterScore model =
+                test::bitSerialCounterScore(history, n, counter);
+            const CounterScore scored =
+                scoreCounterHistory(history, n, counter);
+            EXPECT_EQ(scored.correct, model.correct);
+            EXPECT_EQ(scored.predictedTaken, model.predictedTaken);
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -780,6 +782,65 @@ TEST(TraceCache, ContentHasherIsOrderSensitive)
     EXPECT_NE(c, d);
 }
 
+/** FNV-1a 64 over @p value's eight bytes, little-endian, one byte at
+ *  a time from @p hash: the reference ContentHasher::u64 folds. */
+std::uint64_t
+fnv1aBytes(std::uint64_t hash, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+TEST(TraceCache, ContentHasherIsByteSerialFnv1a)
+{
+    // The published FNV-1a 64 vectors, through bytes().
+    const auto of_string = [](std::string_view text) {
+        return ContentHasher().bytes(text.data(), text.size()).digest();
+    };
+    EXPECT_EQ(of_string(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(of_string("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(of_string("foobar"), 0x85944171f73967e8ULL);
+
+    // u64() folds the zero bytes above a word's highest nonzero byte;
+    // hold it to the byte loop on every count of significant bytes,
+    // 0 through 8, from the offset basis and from a mid-stream state.
+    std::vector<std::uint64_t> values = {
+        0,
+        0xff,
+        0x100,
+        0xffff,
+        (std::uint64_t{1} << 56) - 1,
+        std::uint64_t{1} << 56,
+        UINT64_MAX,
+        static_cast<std::uint64_t>(std::int64_t{-1}),
+        static_cast<std::uint64_t>(std::int64_t{-2}),
+        static_cast<std::uint64_t>(std::int64_t{-256}),
+        static_cast<std::uint64_t>(INT64_MIN),
+    };
+    for (int significant = 1; significant <= 8; ++significant) {
+        const int shift = 8 * (significant - 1);
+        values.push_back(std::uint64_t{1} << shift);
+        values.push_back(std::uint64_t{0x80} << shift);
+        values.push_back(0x0123456789abcdefULL >> (56 - shift));
+    }
+    const std::uint64_t basis = ContentHasher().digest();
+    for (const std::uint64_t value : values) {
+        SCOPED_TRACE(value);
+        EXPECT_EQ(ContentHasher().u64(value).digest(),
+                  fnv1aBytes(basis, value));
+        EXPECT_EQ(ContentHasher().u64(0x5a).u64(value).digest(),
+                  fnv1aBytes(fnv1aBytes(basis, 0x5a), value));
+        unsigned char little_endian[8];
+        for (int i = 0; i < 8; ++i)
+            little_endian[i] = static_cast<unsigned char>(value >> (8 * i));
+        EXPECT_EQ(ContentHasher().u64(value).digest(),
+                  ContentHasher().bytes(little_endian, 8).digest());
+    }
+}
+
 /** @p map's rows in pc order, as mapEntryFile derives them. */
 std::vector<CachedLikely>
 sortedLikely(const predict::LikelyMap &map)
@@ -1197,7 +1258,10 @@ TEST(TraceCache, BadMagicAndShortHeadersAreRejectedAsCorrupt)
 TEST(TraceCache, OpcodeOutsideTheIsaIsRejectedAsCorrupt)
 {
     // An ops byte past the last opcode, sealed into an otherwise
-    // well-formed entry, is refused before any view could decode it.
+    // well-formed entry, is refused before any view could decode it,
+    // wherever it sits in the word-at-a-time check: byte 0, every lane
+    // of an interior word, and the sub-word tail. With two bad bytes
+    // the error names the first.
     const std::string dir = makeCacheDir("bad_opcode");
     const TraceCache cache(dir);
     const CachedWorkload stored = makeWorkload();
@@ -1206,22 +1270,49 @@ TEST(TraceCache, OpcodeOutsideTheIsaIsRejectedAsCorrupt)
     const std::string pristine = readFileBytes(path);
     const SectionRecord ops =
         headerOf(pristine).section(EntrySection::Ops);
-    ASSERT_GT(ops.length, 0u);
+    // Two whole words and a tail, so word 1 is interior.
+    ASSERT_GT(ops.length, 16u);
+    ASSERT_NE(ops.length % 8, 0u) << "no sub-word tail";
 
-    for (const unsigned bad : {unsigned{ir::kNumOpcodes}, 0xffu}) {
-        SCOPED_TRACE(bad);
-        std::string bytes = pristine;
-        bytes[ops.offset + ops.length - 1] = static_cast<char>(bad);
-        writeFileBytes(path, bytes);
-        resealSection(path, EntrySection::Ops);
-        CachedWorkload out;
-        std::string error;
-        MapFailure failure = MapFailure::None;
-        EXPECT_FALSE(
-            mapEntryFile(path, stored.contentHash, out, error, failure));
-        EXPECT_EQ(failure, MapFailure::Corrupt);
-        EXPECT_EQ(error, "bad opcode " + std::to_string(bad));
-        EXPECT_EQ(out.mapped, nullptr);
+    const auto expect_refused =
+        [&](const std::vector<std::pair<std::uint64_t, unsigned>> &planted,
+            unsigned named) {
+            std::string bytes = pristine;
+            for (const auto &[at, bad] : planted)
+                bytes[ops.offset + at] = static_cast<char>(bad);
+            writeFileBytes(path, bytes);
+            resealSection(path, EntrySection::Ops);
+            CachedWorkload out;
+            std::string error;
+            MapFailure failure = MapFailure::None;
+            EXPECT_FALSE(mapEntryFile(path, stored.contentHash, out, error,
+                                      failure));
+            EXPECT_EQ(failure, MapFailure::Corrupt);
+            EXPECT_EQ(error, "bad opcode " + std::to_string(named));
+            EXPECT_EQ(out.mapped, nullptr);
+        };
+    std::vector<std::uint64_t> positions = {0};
+    for (std::uint64_t lane = 0; lane < 8; ++lane)
+        positions.push_back(8 + lane);
+    positions.push_back(ops.length / 8 * 8); // the tail's first byte
+    positions.push_back(ops.length - 1);
+    // 0x80 is past the ISA only by its high bit.
+    for (const unsigned bad : {unsigned{ir::kNumOpcodes}, 0x80u, 0xffu}) {
+        for (const std::uint64_t at : positions) {
+            SCOPED_TRACE("opcode " + std::to_string(bad) + " at byte " +
+                         std::to_string(at));
+            expect_refused({{at, bad}}, bad);
+        }
+    }
+    const unsigned first = ir::kNumOpcodes + 1;
+    const unsigned second = 0xfe;
+    {
+        SCOPED_TRACE("two bad bytes in one word");
+        expect_refused({{13, second}, {11, first}}, first);
+    }
+    {
+        SCOPED_TRACE("two bad bytes in different words");
+        expect_refused({{ops.length - 1, second}, {2, first}}, first);
     }
     std::filesystem::remove_all(dir);
 }
@@ -1393,6 +1484,47 @@ TEST(TraceCacheIntegration, CorruptEntryIsReRecordedAndOverwritten)
         core::recordWorkload(workload, config);
     EXPECT_TRUE(warm.cacheHit);
     EXPECT_EQ(warm.eventCount(), cold.eventCount());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheIntegration, WarmSuiteTimesTheKeyTheMapAndTheRestore)
+{
+    // Inside each workload's engine.record span, a warm suite times
+    // the key (program, inputs, content hash), the map (load and
+    // validation) and the profile restore once each, and those spans
+    // never hold more than engine.record does.
+    const std::string dir = makeCacheDir("record_spans");
+    core::ExperimentConfig config = cachedConfig(dir);
+    config.runsOverride = 1;
+    (void)core::ExperimentRunner(config).runAll();
+
+    obs::Registry &registry = obs::Registry::global();
+    const std::string parts[] = {"engine.key", "engine.map",
+                                 "engine.restore"};
+    const auto spans = [&] {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> now;
+        for (const std::string &name : parts)
+            now.emplace_back(registry.span(name).count(),
+                             registry.span(name).totalNs());
+        now.emplace_back(registry.span("engine.record").count(),
+                         registry.span("engine.record").totalNs());
+        return now;
+    };
+    const auto before = spans();
+    resetTraceCacheCounters();
+    (void)core::ExperimentRunner(config).runAll();
+    const auto after = spans();
+    const std::uint64_t suite_size = workloads::allWorkloads().size();
+    ASSERT_EQ(traceCacheCounters().hits, suite_size);
+
+    std::uint64_t parts_ns = 0;
+    for (std::size_t i = 0; i < std::size(parts); ++i) {
+        SCOPED_TRACE(parts[i]);
+        EXPECT_EQ(after[i].first - before[i].first, suite_size);
+        parts_ns += after[i].second - before[i].second;
+    }
+    EXPECT_EQ(after.back().first - before.back().first, suite_size);
+    EXPECT_LE(parts_ns, after.back().second - before.back().second);
     std::filesystem::remove_all(dir);
 }
 
