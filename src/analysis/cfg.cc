@@ -85,4 +85,27 @@ sequentialSuccessor(const Instruction &term, bool reversed)
     }
 }
 
+std::vector<std::vector<bool>>
+blockReachability(const Cfg &cfg)
+{
+    const std::size_t n = cfg.numBlocks();
+    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+    for (BlockId from = 0; from < static_cast<BlockId>(n); ++from) {
+        // BFS through at least one edge (so reach[b][b] means "b sits
+        // on a cycle", not the trivial empty path).
+        std::vector<BlockId> work(cfg.successors(from).begin(),
+                                  cfg.successors(from).end());
+        while (!work.empty()) {
+            const BlockId b = work.back();
+            work.pop_back();
+            if (reach[from][b])
+                continue;
+            reach[from][b] = true;
+            for (BlockId s : cfg.successors(b))
+                work.push_back(s);
+        }
+    }
+    return reach;
+}
+
 } // namespace branchlab::analysis

@@ -84,6 +84,13 @@ class Cfg
  */
 ir::BlockId sequentialSuccessor(const ir::Instruction &term, bool reversed);
 
+/**
+ * Block-to-block reachability through at least one CFG edge, so
+ * reach[b][b] means "b lies on a cycle" rather than the trivial empty
+ * path. Quadratic in blocks -- fine for the workloads' CFGs.
+ */
+std::vector<std::vector<bool>> blockReachability(const Cfg &cfg);
+
 } // namespace branchlab::analysis
 
 #endif // BRANCHLAB_ANALYSIS_CFG_HH

@@ -22,11 +22,7 @@
 #include <memory>
 #include <string>
 
-#include "analysis/cfg.hh"
-#include "analysis/constprop.hh"
-#include "analysis/defuse.hh"
-#include "analysis/dominators.hh"
-#include "analysis/liveness.hh"
+#include "analysis/analysis_cache.hh"
 #include "profile/forward_slots.hh"
 
 namespace branchlab::profile
@@ -69,33 +65,6 @@ struct Diagnostic
 
     /** "severity: [rule] message (at where)". */
     std::string text() const;
-};
-
-/**
- * Lazily built per-function analyses over one program, shared by all
- * rules of a lint run. The program must outlive the cache.
- */
-class AnalysisCache
-{
-  public:
-    explicit AnalysisCache(const ir::Program &program);
-    ~AnalysisCache();
-
-    const ir::Program &program() const { return prog_; }
-
-    const Cfg &cfg(ir::FuncId func);
-    const DominatorTree &dominators(ir::FuncId func);
-    const Liveness &liveness(ir::FuncId func);
-    const DefiniteAssignment &assignment(ir::FuncId func);
-    const ConstProp &constants(ir::FuncId func);
-
-  private:
-    const ir::Program &prog_;
-    std::vector<std::unique_ptr<Cfg>> cfgs_;
-    std::vector<std::unique_ptr<DominatorTree>> doms_;
-    std::vector<std::unique_ptr<Liveness>> live_;
-    std::vector<std::unique_ptr<DefiniteAssignment>> assigned_;
-    std::vector<std::unique_ptr<ConstProp>> consts_;
 };
 
 /** What a program-level rule sees. */

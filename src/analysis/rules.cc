@@ -13,6 +13,7 @@
 #include "analysis/diagnostics.hh"
 #include "analysis/operands.hh"
 #include "ir/layout.hh"
+#include "ir/printer.hh"
 #include "profile/fs_opt.hh"
 #include "profile/fs_opt_internal.hh"
 
@@ -23,18 +24,10 @@ namespace
 {
 
 using ir::BlockId;
+using ir::formatLocation;
 using ir::FuncId;
 using ir::Opcode;
 using ir::Reg;
-
-std::string
-locText(const ir::Function &fn, BlockId block, std::size_t index)
-{
-    std::ostringstream os;
-    os << fn.name() << "." << fn.block(block).label() << "[" << index
-       << "]";
-    return os.str();
-}
 
 std::string
 blockText(const ir::Function &fn, BlockId block)
@@ -118,7 +111,7 @@ class UseBeforeDefRule final : public LintRule
                             Severity::Warning, std::string(name()),
                             "register r" + std::to_string(use) +
                                 " may be read before any assignment",
-                            locText(fn, b, i), true, "inst", i, i + 1});
+                            formatLocation(fn, b, i), true, "inst", i, i + 1});
                         assigned[use] = true; // one report per path
                     }
                     const Reg def = definedReg(inst);
@@ -166,7 +159,7 @@ class DeadStoreRule final : public LintRule
                                     std::to_string(def) + " by '" +
                                     ir::opcodeName(inst.op) +
                                     "' is never read",
-                                locText(fn, b, i), true, "inst", i,
+                                formatLocation(fn, b, i), true, "inst", i,
                                 i + 1});
                         }
                         live[def] = false;
@@ -221,7 +214,7 @@ class ConstantConditionRule final : public LintRule
                     std::string("branch condition is always ") +
                         (*outcome != 0 ? "true (taken)"
                                        : "false (fallthrough)"),
-                    locText(fn, b, index), true, "inst", index,
+                    formatLocation(fn, b, index), true, "inst", index,
                     index + 1});
             }
         });
@@ -275,7 +268,7 @@ class JumpTableRule final : public LintRule
                 Severity::Warning, std::string(name()),
                 "jump table has a single distinct target; a direct "
                 "jump would do",
-                locText(fn, b, index), true, "inst", index, index + 1});
+                formatLocation(fn, b, index), true, "inst", index, index + 1});
         } else if (distinct.size() < jtab.table.size()) {
             out.push_back(Diagnostic{
                 Severity::Note, std::string(name()),
@@ -283,7 +276,7 @@ class JumpTableRule final : public LintRule
                     std::to_string(jtab.table.size() -
                                    distinct.size()) +
                     " arm(s)",
-                locText(fn, b, index), true, "inst", index, index + 1});
+                formatLocation(fn, b, index), true, "inst", index, index + 1});
         }
 
         const auto value = constants.constantConditionValue(b, index);
@@ -297,14 +290,14 @@ class JumpTableRule final : public LintRule
                     ", outside the table of " +
                     std::to_string(jtab.table.size()) +
                     " arms (the VM faults here)",
-                locText(fn, b, index), true, "inst", index, index + 1});
+                formatLocation(fn, b, index), true, "inst", index, index + 1});
         } else {
             out.push_back(Diagnostic{
                 Severity::Warning, std::string(name()),
                 "jump-table index is always " + std::to_string(*value) +
                     "; every other arm is unreachable through this "
                     "table",
-                locText(fn, b, index), true, "inst", index, index + 1});
+                formatLocation(fn, b, index), true, "inst", index, index + 1});
         }
     }
 };
@@ -371,7 +364,7 @@ class FsSlotRegionTargetRule final : public LintRule
                 out.push_back(Diagnostic{
                     Severity::Error, std::string(name()),
                     "home index of " +
-                        locText(fn, loc.block, loc.index) +
+                        formatLocation(fn, loc.block, loc.index) +
                         " points past the image end",
                     "image slot " + std::to_string(index)});
                 continue;
@@ -389,7 +382,7 @@ class FsSlotRegionTargetRule final : public LintRule
                 out.push_back(Diagnostic{
                     Severity::Error, std::string(name()),
                     "branch target " +
-                        locText(fn, loc.block, loc.index) +
+                        formatLocation(fn, loc.block, loc.index) +
                         " resolves into a forward-slot region",
                     "image slot " + std::to_string(index), true,
                     "image-slot", index, index + 1});
@@ -411,7 +404,7 @@ class FsSlotRegionTargetRule final : public LintRule
                 out.push_back(Diagnostic{
                     Severity::Error, std::string(name()),
                     "slot-site resume point " +
-                        locText(fn, resume.block, resume.index) +
+                        formatLocation(fn, resume.block, resume.index) +
                         " has no home in the image",
                     "image slot " +
                         std::to_string(site.branchImageIndex)});
@@ -493,7 +486,7 @@ class FsClobberedLiveRegisterRule final : public LintRule
                         ", live on the untaken path to '" +
                         fn.block(untaken).label() +
                         "' (safe only with slot squashing)",
-                    locText(fn, branch.block, branch.index), true,
+                    formatLocation(fn, branch.block, branch.index), true,
                     "image-slot",
                     site.branchImageIndex + 1 + site.filled,
                     site.branchImageIndex + 1 + site.filled +
@@ -538,7 +531,7 @@ class FsSpeculativeSlotClobberRule final : public LintRule
             const ir::Instruction &term =
                 fn.block(branch.block).inst(branch.index);
             const std::string where =
-                locText(fn, branch.block, branch.index);
+                formatLocation(fn, branch.block, branch.index);
 
             if (site.viaCall) {
                 // The machine enters the callee frame at a call; the
@@ -776,7 +769,7 @@ class FsProfileCfgMismatchRule final : public LintRule
                             std::to_string(impossible) +
                             " execution(s) of the impossible "
                             "direction",
-                        locText(fn, b, index), true, "inst", index,
+                        formatLocation(fn, b, index), true, "inst", index,
                         index + 1});
                 }
             }

@@ -290,24 +290,14 @@ struct PreparedWorkload
 constexpr std::size_t kBatchPoints = 16;
 
 /** FS accuracy and code increase at one (level, slots, threshold)
- *  coordinate from @p profile's tallies: the FS scheme in closed form
- *  at level none, the image's row-form accuracy above it. A refused
- *  profile walks the stream (the FS kernel, or the image walk). */
+ *  coordinate: the image's row-form accuracy from @p profile's
+ *  tallies, or the image walk over the stream when the profile is
+ *  refused. */
 std::pair<double, double>
 measureFs(const RecordedWorkload &recorded,
           const profile::ProgramProfile &profile,
           profile::FsOptLevel level, unsigned slots, double threshold)
 {
-    if (level == profile::FsOptLevel::None) {
-        KernelSpec spec;
-        spec.kind = SchemeKind::ForwardSemantic;
-        spec.likely = &recorded.likelyMap;
-        const std::optional<ReplayResult> scored =
-            scoreClosedForm(profile, spec);
-        return {scored ? scored->accuracy
-                       : replayKernel(recorded.traceView(), spec).accuracy,
-                profile::codeIncreaseFor(profile, slots, threshold)};
-    }
     profile::FsOptConfig config;
     config.fs.slotCount = slots;
     config.fs.trace.minArcProbability = threshold;

@@ -31,6 +31,21 @@ blockLabel(const Function &func, BlockId block)
 } // namespace
 
 std::string
+formatLocation(const Function &func, BlockId block, std::size_t index)
+{
+    std::ostringstream os;
+    os << func.name() << "." << func.block(block).label() << "[" << index
+       << "]";
+    return os.str();
+}
+
+std::string
+formatLocation(const Program &program, const CodeLocation &loc)
+{
+    return formatLocation(program.function(loc.func), loc.block, loc.index);
+}
+
+std::string
 formatInstruction(const Program &program, const Function &func,
                   const Instruction &inst)
 {

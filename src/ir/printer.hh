@@ -16,6 +16,14 @@
 namespace branchlab::ir
 {
 
+/** Name one instruction's position, e.g. "main.loop[3]": the form
+ *  every verifier and lint message uses. */
+std::string formatLocation(const Function &func, BlockId block,
+                           std::size_t index);
+
+/** formatLocation of @p loc in @p program. */
+std::string formatLocation(const Program &program, const CodeLocation &loc);
+
 /** Render one instruction as text, e.g. "add r3, r1, r2". */
 std::string formatInstruction(const Program &program,
                               const Function &func,

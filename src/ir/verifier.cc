@@ -1,8 +1,7 @@
 #include "ir/verifier.hh"
 
-#include <sstream>
-
 #include "analysis/operands.hh"
+#include "ir/printer.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -59,10 +58,7 @@ class Checker
         }
         for (const BasicBlock &block : func.blocks()) {
             for (std::size_t i = 0; i < block.size(); ++i) {
-                std::ostringstream ctx;
-                ctx << func.name() << "." << block.label() << "[" << i
-                    << "]";
-                context_ = ctx.str();
+                context_ = formatLocation(func, block.id(), i);
                 checkInst(func, block, i);
             }
             context_ = func.name() + "." + block.label();

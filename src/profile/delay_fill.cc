@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/operands.hh"
 #include "support/logging.hh"
 
 namespace branchlab::profile
@@ -13,72 +14,19 @@ using ir::Instruction;
 using ir::Opcode;
 using ir::Reg;
 
-namespace
-{
-
-/** Registers the terminator reads (its condition/index operands). */
-std::vector<Reg>
-terminatorSources(const Instruction &term)
-{
-    std::vector<Reg> sources;
-    const auto add = [&](Reg reg) {
-        if (reg != ir::kNoReg)
-            sources.push_back(reg);
-    };
-    switch (term.op) {
-      case Opcode::Jmp:
-      case Opcode::Halt:
-        break;
-      case Opcode::JTab:
-      case Opcode::CallInd:
-        add(term.src1);
-        break;
-      case Opcode::Ret:
-        add(term.src1);
-        break;
-      case Opcode::Call:
-        break;
-      default:
-        blab_assert(term.isConditional(), "unexpected terminator");
-        add(term.src1);
-        if (!term.useImm)
-            add(term.src2);
-        break;
-    }
-    for (Reg arg : term.args)
-        add(arg);
-    return sources;
-}
-
-/** Destination register written by an instruction (kNoReg if none). */
-Reg
-destinationOf(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::St:
-      case Opcode::Out:
-      case Opcode::Nop:
-        return ir::kNoReg;
-      default:
-        return inst.isTerminator() ? ir::kNoReg : inst.dst;
-    }
-}
-
-} // namespace
-
 unsigned
 fillableFromAbove(const ir::BasicBlock &block, unsigned slots)
 {
     blab_assert(block.isSealed(), "fill analysis on unsealed block");
     const Instruction &term = block.terminator();
-    const std::vector<Reg> sources = terminatorSources(term);
+    const std::vector<Reg> sources = analysis::usedRegs(term);
 
     unsigned filled = 0;
     // Walk backward from the instruction just above the terminator.
     for (std::size_t offset = 1; offset < block.size() && filled < slots;
          ++offset) {
         const Instruction &inst = block.inst(block.size() - 1 - offset);
-        const Reg dst = destinationOf(inst);
+        const Reg dst = analysis::definedReg(inst);
         if (dst != ir::kNoReg &&
             std::find(sources.begin(), sources.end(), dst) !=
                 sources.end()) {

@@ -49,62 +49,62 @@ codeIncreaseFor(const ProgramProfile &profile, unsigned slot_count,
     return ForwardSlotFiller(profile, config).build().codeSizeIncrease();
 }
 
-namespace
+FsPlan
+planForwardSlots(const ProgramProfile &profile, const FsConfig &config)
 {
+    const ir::Program &prog = profile.program();
+    const ir::Layout &layout = profile.layout();
 
-/** A pending slot site discovered during trace walking. */
-struct PendingSite
-{
-    std::size_t traceIdx;        ///< Trace containing the branch.
-    std::size_t branchOffset;    ///< Offset of the branch in base
-                                 ///< content.
-    CodeLocation branchOrig;
-    FuncId targetFunc;
-    BlockId targetBlock;
-    bool viaCall;
-};
+    FsPlan plan;
+    TraceSelector selector(profile, config.trace);
+    plan.traces = selector.selectProgram();
 
-} // namespace
-
-FsResult
-ForwardSlotFiller::build() const
-{
-    const ir::Program &prog = profile_.program();
-    const ir::Layout &layout = profile_.layout();
-
-    FsResult result;
-    result.originalSize = prog.staticSize();
-
-    TraceSelector selector(profile_, config_.trace);
-    result.traces = selector.selectProgram();
-
-    // Where each block lives: trace index and position in the chain.
+    // Base content of each trace (home instructions, in order), and
+    // where each block lives: its trace and its base offset there.
+    plan.base.resize(plan.traces.size());
     std::map<std::pair<FuncId, BlockId>, std::pair<std::size_t, std::size_t>>
         block_home;
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        const Trace &trace = result.traces[t];
-        for (std::size_t j = 0; j < trace.blocks.size(); ++j)
-            block_home[{trace.func, trace.blocks[j]}] = {t, j};
-    }
-
-    // Base content of each trace (home instructions, in order) and
-    // the base offset of each block within its trace.
-    std::vector<std::vector<CodeLocation>> base(result.traces.size());
-    std::map<std::pair<FuncId, BlockId>, std::size_t> block_offset;
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        const Trace &trace = result.traces[t];
+    for (std::size_t t = 0; t < plan.traces.size(); ++t) {
+        const Trace &trace = plan.traces[t];
         for (BlockId b : trace.blocks) {
-            block_offset[{trace.func, b}] = base[t].size();
+            block_home[{trace.func, b}] = {t, plan.base[t].size()};
             const ir::BasicBlock &bb = prog.function(trace.func).block(b);
             for (std::uint32_t i = 0; i < bb.size(); ++i)
-                base[t].push_back(CodeLocation{trace.func, b, i});
+                plan.base[t].push_back(CodeLocation{trace.func, b, i});
         }
     }
 
-    // Pass 1: alignment reversals and slot-site discovery.
-    std::vector<PendingSite> pending;
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        const Trace &trace = result.traces[t];
+    // A site at the branch @p term_loc whose likely path enters
+    // @p target: the seed window copies the first slotCount
+    // instructions of the target path and pads the rest.
+    const auto add_site = [&](std::size_t t, const CodeLocation &term_loc,
+                              BlockId target) {
+        const auto home_it = block_home.find({term_loc.func, target});
+        blab_assert(home_it != block_home.end(),
+                    "slot-site target block missing from all traces");
+        PendingSite pending;
+        pending.targetTrace = home_it->second.first;
+        pending.targetOffset = home_it->second.second;
+        const std::span<const CodeLocation> path =
+            plan.targetPath(pending);
+        SlotSite &site = pending.site;
+        site.branchOrig = term_loc;
+        site.origTargetAddr = layout.blockAddr(term_loc.func, target);
+        site.copied = static_cast<unsigned>(
+            std::min<std::size_t>(config.slotCount, path.size()));
+        site.padded = config.slotCount - site.copied;
+        site.consumed = site.copied;
+        if (site.copied < path.size())
+            site.resume = path[site.copied];
+        const std::size_t offset =
+            block_home.at({term_loc.func, term_loc.block}).second +
+            term_loc.index;
+        plan.sites.emplace(std::make_pair(t, offset), pending);
+    };
+
+    // Alignment reversals and slot-site discovery.
+    for (std::size_t t = 0; t < plan.traces.size(); ++t) {
+        const Trace &trace = plan.traces[t];
         const ir::Function &fn = prog.function(trace.func);
         for (std::size_t j = 0; j < trace.blocks.size(); ++j) {
             const BlockId b = trace.blocks[j];
@@ -115,20 +115,15 @@ ForwardSlotFiller::build() const
             const Addr term_addr =
                 layout.blockAddr(trace.func, b) + term_index;
             const CodeLocation term_loc{trace.func, b, term_index};
-            const std::size_t term_offset =
-                block_offset[{trace.func, b}] + term_index;
             const bool is_last = j + 1 == trace.blocks.size();
             const BlockId next_in_trace =
                 is_last ? ir::kNoBlock : trace.blocks[j + 1];
 
             switch (term.op) {
               case Opcode::Jmp:
-                if (config_.slotUnconditional &&
-                    (is_last || next_in_trace != term.target)) {
-                    pending.push_back(PendingSite{t, term_offset,
-                                                  term_loc, trace.func,
-                                                  term.target, false});
-                }
+                if (config.slotUnconditional &&
+                    (is_last || next_in_trace != term.target))
+                    add_site(t, term_loc, term.target);
                 break;
               case Opcode::Call:
                 // The paper's filling algorithm is function-local: it
@@ -143,14 +138,14 @@ ForwardSlotFiller::build() const
               default: {
                 blab_assert(term.isConditional(), "bad terminator");
                 const BranchCounts &counts =
-                    profile_.branchCounts(term_addr);
+                    profile.branchCounts(term_addr);
                 if (!is_last) {
                     // In-trace transition: make the likely path fall
                     // through by reversing when the successor is the
                     // taken side.
                     if (term.target == next_in_trace &&
                         term.next != next_in_trace) {
-                        result.reversed.insert(term_addr);
+                        plan.reversed.insert(term_addr);
                     }
                 } else if (counts.taken != counts.notTaken) {
                     // Trace-ending executed conditional: ensure the
@@ -158,87 +153,56 @@ ForwardSlotFiller::build() const
                     // slots for it.
                     BlockId likely = term.target;
                     if (counts.notTaken > counts.taken) {
-                        result.reversed.insert(term_addr);
+                        plan.reversed.insert(term_addr);
                         likely = term.next;
                     }
-                    pending.push_back(PendingSite{t, term_offset,
-                                                  term_loc, trace.func,
-                                                  likely, false});
+                    add_site(t, term_loc, likely);
                 }
                 break;
               }
             }
         }
     }
+    return plan;
+}
 
-    // Pass 2: fill each site from the target trace's base content.
-    // Key sites by (trace, branch offset) for image materialisation.
-    std::map<std::pair<std::size_t, std::size_t>, SlotSite> filled;
-    for (const PendingSite &site : pending) {
-        const auto home_it =
-            block_home.find({site.targetFunc, site.targetBlock});
-        blab_assert(home_it != block_home.end(),
-                    "slot-site target block missing from all traces");
-        const std::size_t target_trace = home_it->second.first;
-        const std::size_t offset =
-            block_offset[{site.targetFunc, site.targetBlock}];
-        const std::vector<CodeLocation> &window = base[target_trace];
+FsResult
+ForwardSlotFiller::build() const
+{
+    FsPlan plan = planForwardSlots(profile_, config_);
+    const ir::Layout &layout = profile_.layout();
 
-        SlotSite out;
-        out.branchOrig = site.branchOrig;
-        out.viaCall = site.viaCall;
-        out.origTargetAddr =
-            layout.blockAddr(site.targetFunc, site.targetBlock);
-        const std::size_t avail = window.size() - offset;
-        out.copied = static_cast<unsigned>(
-            std::min<std::size_t>(config_.slotCount, avail));
-        out.padded = config_.slotCount - out.copied;
-        out.consumed = out.copied;
-        if (offset + out.copied < window.size())
-            out.resume = window[offset + out.copied];
-        filled.emplace(std::make_pair(site.traceIdx, site.branchOffset),
-                       out);
-    }
-
-    // Pass 3: materialise the image.
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        for (std::size_t pos = 0; pos < base[t].size(); ++pos) {
-            const CodeLocation &loc = base[t][pos];
+    FsResult result;
+    result.originalSize = profile_.program().staticSize();
+    // Each home, then after a site's branch its copies of the target
+    // path and its NO-OP pads.
+    for (std::size_t t = 0; t < plan.traces.size(); ++t) {
+        for (std::size_t pos = 0; pos < plan.base[t].size(); ++pos) {
+            const CodeLocation &loc = plan.base[t][pos];
             result.homeIndex[layout.instAddr(loc.func, loc.block,
                                              loc.index)] =
                 result.slots.size();
             result.slots.push_back(
                 ImageSlot{ImageSlot::Kind::Home, loc});
 
-            const auto site_it = filled.find({t, pos});
-            if (site_it == filled.end())
+            const auto site_it = plan.sites.find({t, pos});
+            if (site_it == plan.sites.end())
                 continue;
-            SlotSite site = site_it->second;
+            SlotSite site = site_it->second.site;
             site.branchImageIndex = result.slots.size() - 1;
-
-            // Copies come from the target trace's base content.
-            const auto target_home = block_home.find(
-                {site.viaCall
-                     ? layout.locate(site.origTargetAddr).func
-                     : loc.func,
-                 layout.locate(site.origTargetAddr).block});
-            blab_assert(target_home != block_home.end(),
-                        "target trace vanished");
-            const std::size_t ut = target_home->second.first;
-            const std::size_t uoff =
-                block_offset[{layout.locate(site.origTargetAddr).func,
-                              layout.locate(site.origTargetAddr).block}];
+            const std::span<const CodeLocation> path =
+                plan.targetPath(site_it->second);
             for (unsigned c = 0; c < site.copied; ++c) {
-                result.slots.push_back(ImageSlot{ImageSlot::Kind::Copy,
-                                                 base[ut][uoff + c]});
+                result.slots.push_back(
+                    ImageSlot{ImageSlot::Kind::Copy, path[c]});
             }
             for (unsigned p = 0; p < site.padded; ++p)
                 result.slots.push_back(ImageSlot{});
-
             result.sites.push_back(site);
         }
     }
-
+    result.traces = std::move(plan.traces);
+    result.reversed = std::move(plan.reversed);
     return result;
 }
 

@@ -25,12 +25,21 @@
  * instructions, before slot insertion), which makes the result
  * independent of fill order; the paper's lightest-first ordering is
  * therefore immaterial here and noted in EXPERIMENTS.md.
+ *
+ * Steps 1-3 and each site's unrefined window form one plan
+ * (planForwardSlots). ForwardSlotFiller materialises it as it stands
+ * (copies plus NO-OP pads); the FS optimizer (fs_opt.hh) refines the
+ * same plan's windows and materialises its own image, so the two
+ * builders never disagree on traces, reversals or which branches are
+ * sites.
  */
 
 #ifndef BRANCHLAB_PROFILE_FORWARD_SLOTS_HH
 #define BRANCHLAB_PROFILE_FORWARD_SLOTS_HH
 
+#include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -139,6 +148,51 @@ struct FsResult
     /** Table 5's metric: (expanded - original) / original. */
     double codeSizeIncrease() const;
 };
+
+/** A slot site of the seed plan, pending materialisation. */
+struct PendingSite
+{
+    /** The site with the seed window: copied + padded == slotCount,
+     *  consumed == copied, resume after the copies (branchImageIndex
+     *  is set when the image is laid out). */
+    SlotSite site;
+    /** Where the target path starts: the target block's trace and
+     *  its offset in that trace's base content. */
+    std::size_t targetTrace = 0;
+    std::size_t targetOffset = 0;
+};
+
+/**
+ * Steps 1-3 of the transform, everything but the image: the traces,
+ * the alignment reversals, each trace's base content (home
+ * instructions, in order) and every slot site with its unrefined
+ * target window. The seed filler materialises it as it stands; the
+ * optimizer (fs_opt.hh) refines each window first.
+ */
+struct FsPlan
+{
+    /** Traces in layout order (function by function, hottest first).*/
+    std::vector<Trace> traces;
+    /** Original terminator addresses whose condition is reversed. */
+    std::unordered_set<ir::Addr> reversed;
+    /** Base content of each trace. */
+    std::vector<std::vector<ir::CodeLocation>> base;
+    /** Sites keyed by (trace, offset of the branch in base content). */
+    std::map<std::pair<std::size_t, std::size_t>, PendingSite> sites;
+
+    /** The target path of @p site: its target trace's base content
+     *  from the target block on. */
+    std::span<const ir::CodeLocation>
+    targetPath(const PendingSite &site) const
+    {
+        return std::span<const ir::CodeLocation>(base[site.targetTrace])
+            .subspan(site.targetOffset);
+    }
+};
+
+/** Plan the transform of one profiled program. */
+FsPlan planForwardSlots(const ProgramProfile &profile,
+                        const FsConfig &config);
 
 /** Runs the transformation for one profiled program. */
 class ForwardSlotFiller

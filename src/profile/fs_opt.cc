@@ -1,23 +1,22 @@
 /**
  * @file
- * The analysis-driven FS optimizer: builds the optimized image (all
- * levels) and scores its prediction accuracy over a recorded stream.
- * The static safety re-verification lives in fs_opt_verify.cc; the
- * shared proof helpers (speculable opcode set, block reachability,
- * hoist interference scan) are defined here so builder and verifier
- * reason from one implementation exercised by adversarial tests.
+ * The analysis-driven FS optimizer: refines the seed plan into the
+ * optimized image (all levels) and scores its prediction accuracy over
+ * a recorded stream. The static safety re-verification lives in
+ * fs_opt_verify.cc; the shared proof helpers (speculable opcode set,
+ * instruction identity, hoist interference scan) are defined here so
+ * builder and verifier reason from one implementation exercised by
+ * adversarial tests.
  */
 
 #include "profile/fs_opt.hh"
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <tuple>
 
-#include "analysis/dominators.hh"
-#include "analysis/liveness.hh"
+#include "analysis/analysis_cache.hh"
 #include "analysis/operands.hh"
 #include "obs/metrics.hh"
 #include "profile/fs_opt_internal.hh"
@@ -105,33 +104,6 @@ fsRegionMovable(const ir::Instruction &inst)
     return fsSpeculablePure(inst) || inst.op == Opcode::Ld;
 }
 
-std::vector<std::vector<bool>>
-fsBlockReachability(const analysis::Cfg &cfg)
-{
-    const std::size_t n = cfg.numBlocks();
-    std::vector<std::vector<bool>> reach(n,
-                                         std::vector<bool>(n, false));
-    for (BlockId from = 0; from < static_cast<BlockId>(n); ++from) {
-        // BFS through at least one edge (so reach[b][b] means "b sits
-        // on a cycle", not the trivial empty path).
-        std::vector<BlockId> work(cfg.successors(from).begin(),
-                                  cfg.successors(from).end());
-        while (!work.empty()) {
-            const BlockId b = work.back();
-            work.pop_back();
-            if (reach[from][b])
-                continue;
-            reach[from][b] = true;
-            for (BlockId s : cfg.successors(b))
-                work.push_back(s);
-        }
-    }
-    return reach;
-}
-
-namespace
-{
-
 bool
 sameInstruction(const ir::Instruction &a, const ir::Instruction &b)
 {
@@ -139,6 +111,18 @@ sameInstruction(const ir::Instruction &a, const ir::Instruction &b)
            a.src2 == b.src2 && a.imm == b.imm && a.useImm == b.useImm &&
            a.func == b.func;
 }
+
+namespace
+{
+
+/** Largest block (instructions) tail duplication will copy. */
+constexpr std::size_t kDupMaxBlockInstrs = 8;
+
+/** Minimum fraction of the side-entered block's executions the
+ *  entrance arc must carry to earn a duplicate. With the
+ *  profile-guided gain gate screening usefulness, this floor only
+ *  prunes noise arcs. */
+constexpr double kDupMinArcFraction = 0.02;
 
 bool
 definesAny(const ir::Instruction &inst, const std::vector<Reg> &regs)
@@ -234,77 +218,6 @@ FsOptimizer::FsOptimizer(const ProgramProfile &profile,
     : profile_(profile), config_(config)
 {}
 
-namespace
-{
-
-/** A pending slot site discovered during trace walking (the seed
- *  transform's pass-1 result, re-derived here so the optimizer can
- *  rebuild the image from scratch). */
-struct PendingSite
-{
-    std::size_t traceIdx;
-    std::size_t branchOffset;
-    CodeLocation branchOrig;
-    FuncId targetFunc;
-    BlockId targetBlock;
-    bool viaCall;
-};
-
-/** Lazily-built per-function analyses for the optimizer passes. */
-struct FuncAnalyses
-{
-    explicit FuncAnalyses(const ir::Program &prog) : prog_(prog)
-    {
-        cfgs_.resize(prog.numFunctions());
-        live_.resize(prog.numFunctions());
-        doms_.resize(prog.numFunctions());
-        reach_.resize(prog.numFunctions());
-    }
-
-    const analysis::Cfg &
-    cfg(FuncId f)
-    {
-        if (!cfgs_[f])
-            cfgs_[f] =
-                std::make_unique<analysis::Cfg>(prog_.function(f));
-        return *cfgs_[f];
-    }
-
-    const analysis::Liveness &
-    liveness(FuncId f)
-    {
-        if (!live_[f])
-            live_[f] = std::make_unique<analysis::Liveness>(cfg(f));
-        return *live_[f];
-    }
-
-    const analysis::DominatorTree &
-    dominators(FuncId f)
-    {
-        if (!doms_[f])
-            doms_[f] =
-                std::make_unique<analysis::DominatorTree>(cfg(f));
-        return *doms_[f];
-    }
-
-    const std::vector<std::vector<bool>> &
-    reachability(FuncId f)
-    {
-        if (reach_[f].empty() && cfg(f).numBlocks() > 0)
-            reach_[f] = fsBlockReachability(cfg(f));
-        return reach_[f];
-    }
-
-  private:
-    const ir::Program &prog_;
-    std::vector<std::unique_ptr<analysis::Cfg>> cfgs_;
-    std::vector<std::unique_ptr<analysis::Liveness>> live_;
-    std::vector<std::unique_ptr<analysis::DominatorTree>> doms_;
-    std::vector<std::vector<std::vector<bool>>> reach_;
-};
-
-} // namespace
-
 FsOptResult
 FsOptimizer::build() const
 {
@@ -321,137 +234,40 @@ FsOptimizer::build() const
     FsResult &result = out.image;
     result.originalSize = prog.staticSize();
 
-    TraceSelector selector(profile_, config_.fs.trace);
-    result.traces = selector.selectProgram();
+    // The seed plan: the optimizer changes slot *content*, never the
+    // traces, the reversals or which branches are sites.
+    FsPlan seed = planForwardSlots(profile_, config_.fs);
+    result.traces = std::move(seed.traces);
+    result.reversed = std::move(seed.reversed);
 
-    // Where each block lives, the base content of each trace, and the
-    // base offset of each block within its trace (the seed's layout
-    // maps, re-derived identically).
-    std::map<std::pair<FuncId, BlockId>,
-             std::pair<std::size_t, std::size_t>>
-        block_home;
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        const Trace &trace = result.traces[t];
-        for (std::size_t j = 0; j < trace.blocks.size(); ++j)
-            block_home[{trace.func, trace.blocks[j]}] = {t, j};
-    }
-    std::vector<std::vector<CodeLocation>> base(result.traces.size());
-    std::map<std::pair<FuncId, BlockId>, std::size_t> block_offset;
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        const Trace &trace = result.traces[t];
-        for (BlockId b : trace.blocks) {
-            block_offset[{trace.func, b}] = base[t].size();
-            const ir::BasicBlock &bb =
-                prog.function(trace.func).block(b);
-            for (std::uint32_t i = 0; i < bb.size(); ++i)
-                base[t].push_back(CodeLocation{trace.func, b, i});
-        }
-    }
+    analysis::AnalysisCache analyses(prog);
 
-    FuncAnalyses analyses(prog);
-
-    // Pass 1: alignment reversals and slot-site discovery (identical
-    // to the seed -- the optimizer changes slot *content*, never
-    // which branches are sites).
-    std::vector<PendingSite> pending;
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        const Trace &trace = result.traces[t];
-        const ir::Function &fn = prog.function(trace.func);
-        for (std::size_t j = 0; j < trace.blocks.size(); ++j) {
-            const BlockId b = trace.blocks[j];
-            const ir::BasicBlock &bb = fn.block(b);
-            const ir::Instruction &term = bb.terminator();
-            const auto term_index =
-                static_cast<std::uint32_t>(bb.size() - 1);
-            const Addr term_addr =
-                layout.blockAddr(trace.func, b) + term_index;
-            const CodeLocation term_loc{trace.func, b, term_index};
-            const std::size_t term_offset =
-                block_offset[{trace.func, b}] + term_index;
-            const bool is_last = j + 1 == trace.blocks.size();
-            const BlockId next_in_trace =
-                is_last ? ir::kNoBlock : trace.blocks[j + 1];
-
-            switch (term.op) {
-              case Opcode::Jmp:
-                if (config_.fs.slotUnconditional &&
-                    (is_last || next_in_trace != term.target)) {
-                    pending.push_back(PendingSite{t, term_offset,
-                                                  term_loc, trace.func,
-                                                  term.target, false});
-                }
-                break;
-              case Opcode::Call:
-              case Opcode::JTab:
-              case Opcode::CallInd:
-              case Opcode::Ret:
-              case Opcode::Halt:
-                break;
-              default: {
-                blab_assert(term.isConditional(), "bad terminator");
-                const BranchCounts &counts =
-                    profile_.branchCounts(term_addr);
-                if (!is_last) {
-                    if (term.target == next_in_trace &&
-                        term.next != next_in_trace) {
-                        result.reversed.insert(term_addr);
-                    }
-                } else if (counts.taken != counts.notTaken) {
-                    BlockId likely = term.target;
-                    if (counts.notTaken > counts.taken) {
-                        result.reversed.insert(term_addr);
-                        likely = term.next;
-                    }
-                    pending.push_back(PendingSite{t, term_offset,
-                                                  term_loc, trace.func,
-                                                  likely, false});
-                }
-                break;
-              }
-            }
-        }
-    }
-
-    // Pass 2: plan each site's window with truncation at the first
-    // redirecting copy and per-instruction-liveness dead-copy drops.
-    std::map<std::pair<std::size_t, std::size_t>, SlotSite> planned;
-    for (const PendingSite &site : pending) {
-        const auto home_it =
-            block_home.find({site.targetFunc, site.targetBlock});
-        blab_assert(home_it != block_home.end(),
-                    "slot-site target block missing from all traces");
-        const std::size_t target_trace = home_it->second.first;
-        const std::size_t offset =
-            block_offset[{site.targetFunc, site.targetBlock}];
-        const std::vector<CodeLocation> &window = base[target_trace];
-
-        SlotSite plan;
-        plan.branchOrig = site.branchOrig;
-        plan.viaCall = site.viaCall;
-        plan.origTargetAddr =
-            layout.blockAddr(site.targetFunc, site.targetBlock);
-        const std::size_t avail = window.size() - offset;
-        unsigned copied = static_cast<unsigned>(
-            std::min<std::size_t>(config_.fs.slotCount, avail));
-        out.counters.padsDropped += config_.fs.slotCount - copied;
-        unsigned consumed = copied;
+    // Refine each site's window: truncation at the first redirecting
+    // copy and per-instruction-liveness dead-copy drops.
+    for (auto &[key, pending] : seed.sites) {
+        SlotSite &plan = pending.site;
+        const std::span<const CodeLocation> path =
+            seed.targetPath(pending);
+        out.counters.padsDropped += plan.padded;
+        unsigned copied = plan.copied;
 
         // Truncation: a copied terminator always leaves the region
         // (copies are not sites; both outcomes redirect home), so
         // later copies can never execute.
         for (unsigned c = 0; c < copied; ++c) {
-            const CodeLocation &loc = window[offset + c];
+            const CodeLocation &loc = path[c];
             const ir::Instruction &inst =
                 prog.function(loc.func).block(loc.block).inst(loc.index);
             if (inst.isTerminator()) {
                 out.counters.copiesTruncated += copied - (c + 1);
                 copied = c + 1;
-                consumed = copied;
                 break;
             }
         }
-        if (offset + consumed < window.size())
-            plan.resume = window[offset + consumed];
+        const unsigned consumed = copied;
+        plan.resume.reset();
+        if (consumed < path.size())
+            plan.resume = path[consumed];
 
         // Dead-copy drops: a trailing pure copy whose definition is
         // dead at the resume point never influences the region path;
@@ -459,9 +275,9 @@ FsOptimizer::build() const
         // its home still executes on every other path.
         if (plan.resume.has_value()) {
             const analysis::Liveness &live =
-                analyses.liveness(site.targetFunc);
+                analyses.liveness(plan.branchOrig.func);
             while (copied > 0) {
-                const CodeLocation &loc = window[offset + copied - 1];
+                const CodeLocation &loc = path[copied - 1];
                 const ir::Instruction &inst = prog.function(loc.func)
                                                   .block(loc.block)
                                                   .inst(loc.index);
@@ -484,18 +300,16 @@ FsOptimizer::build() const
         plan.copied = copied;
         plan.consumed = consumed;
         plan.padded = 0;
-        planned.emplace(
-            std::make_pair(site.traceIdx, site.branchOffset), plan);
     }
 
     // Resume points must keep their homes: nothing may move or elide
     // an instruction a region resumes into.
     std::unordered_set<Addr> resume_addrs;
-    for (const auto &[key, plan] : planned) {
-        if (plan.resume.has_value()) {
-            resume_addrs.insert(layout.instAddr(plan.resume->func,
-                                                plan.resume->block,
-                                                plan.resume->index));
+    for (const auto &[key, pending] : seed.sites) {
+        const std::optional<CodeLocation> &resume = pending.site.resume;
+        if (resume.has_value()) {
+            resume_addrs.insert(
+                layout.instAddr(resume->func, resume->block, resume->index));
         }
     }
 
@@ -586,12 +400,8 @@ FsOptimizer::build() const
              std::vector<CodeLocation>>
         site_fills;
     std::unordered_set<Addr> moved_addrs;
-    for (auto &[key, plan] : planned) {
-        // A call site's region never executes (the machine enters the
-        // callee frame instead), so a moved instruction there would
-        // simply vanish.
-        if (plan.viaCall)
-            continue;
+    for (auto &[key, pending] : seed.sites) {
+        SlotSite &plan = pending.site;
         // A proven fill beats a copy: the copy duplicates its target
         // (+1 image slot) while the fill relocates a home (net -1).
         // When the region kept exactly its copy run (no dead-drop
@@ -705,17 +515,12 @@ FsOptimizer::build() const
         // point, so it must keep its home: not moved by an earlier
         // site's fill, not elided by the hoist pass.
         if (fills.size() + plan.copied > config_.fs.slotCount) {
-            const CodeLocation target =
-                layout.locate(plan.origTargetAddr);
-            const std::size_t tt =
-                block_home.at({target.func, target.block}).first;
-            const std::size_t toff =
-                block_offset.at({target.func, target.block});
-            const std::vector<CodeLocation> &window = base[tt];
+            const std::span<const CodeLocation> path =
+                seed.targetPath(pending);
             unsigned copied = plan.copied;
             while (fills.size() + copied > config_.fs.slotCount &&
                    copied > 0) {
-                const CodeLocation &cand = window[toff + copied - 1];
+                const CodeLocation &cand = path[copied - 1];
                 if (elided[cand.func].count({cand.block, cand.index}))
                     break;
                 const Addr cand_addr = layout.instAddr(
@@ -741,7 +546,7 @@ FsOptimizer::build() const
                 out.counters.copiesDisplaced += plan.copied - copied;
                 plan.copied = copied;
                 plan.consumed = copied;
-                plan.resume = window[toff + copied];
+                plan.resume = path[copied];
                 resume_addrs.insert(layout.instAddr(plan.resume->func,
                                                     plan.resume->block,
                                                     plan.resume->index));
@@ -769,12 +574,14 @@ FsOptimizer::build() const
         site_forwards;
     std::vector<std::set<std::pair<BlockId, std::uint32_t>>> forwarded(
         prog.numFunctions());
-    for (auto &[key, plan] : planned) {
-        if (plan.viaCall || plan.copied == 0)
+    for (const auto &[key, pending] : seed.sites) {
+        const SlotSite &plan = pending.site;
+        if (plan.copied == 0)
             continue;
+        // Sites are function-local: the target shares the branch's
+        // function.
         const CodeLocation target = layout.locate(plan.origTargetAddr);
-        if (target.func != plan.branchOrig.func ||
-            target.block == plan.branchOrig.block)
+        if (target.block == plan.branchOrig.block)
             continue;
         const ir::Function &fn = prog.function(target.func);
         if (target.block == fn.entry())
@@ -805,10 +612,11 @@ FsOptimizer::build() const
         // entries, but stay defensive: the forwarded copies must be
         // the block's unique image carrier.
         bool shared = false;
-        for (const auto &[okey, other] : planned) {
+        for (const auto &[okey, other] : seed.sites) {
             if (okey == key)
                 continue;
-            const CodeLocation ot = layout.locate(other.origTargetAddr);
+            const CodeLocation ot =
+                layout.locate(other.site.origTargetAddr);
             if (ot.func == target.func && ot.block == target.block) {
                 shared = true;
                 break;
@@ -817,14 +625,12 @@ FsOptimizer::build() const
         if (shared)
             continue;
         const ir::BasicBlock &tb = fn.block(target.block);
-        const std::size_t tt =
-            block_home.at({target.func, target.block}).first;
-        const std::size_t toff =
-            block_offset.at({target.func, target.block});
+        const std::span<const CodeLocation> path =
+            seed.targetPath(pending);
         unsigned n = 0;
         while (n < plan.copied &&
                static_cast<std::size_t>(n) + 1 < tb.size()) {
-            const CodeLocation &loc = base[tt][toff + n];
+            const CodeLocation &loc = path[n];
             if (loc.func != target.func || loc.block != target.block ||
                 loc.index != n)
                 break;
@@ -856,7 +662,7 @@ FsOptimizer::build() const
                 continue;
             const ir::Function &fn = prog.function(e.func);
             const ir::BasicBlock &bb = fn.block(e.block);
-            if (bb.size() > config_.dupMaxBlockInstrs) {
+            if (bb.size() > kDupMaxBlockInstrs) {
                 ++out.counters.rejectedDups;
                 continue;
             }
@@ -880,7 +686,7 @@ FsOptimizer::build() const
                 profile_.blockWeight(e.func, e.block);
             if (block_weight == 0 ||
                 static_cast<double>(e.arcWeight) <
-                    config_.dupMinArcFraction *
+                    kDupMinArcFraction *
                         static_cast<double>(block_weight)) {
                 ++out.counters.rejectedDups;
                 continue;
@@ -895,7 +701,8 @@ FsOptimizer::build() const
             // this block enters the site's region instead; the two
             // redirects would conflict.
             bool conflict = false;
-            for (const auto &[key, plan] : planned) {
+            for (const auto &[key, pending] : seed.sites) {
+                const SlotSite &plan = pending.site;
                 if (plan.branchOrig.func == e.func &&
                     plan.branchOrig.block == e.pred &&
                     plan.origTargetAddr == block_start) {
@@ -923,7 +730,7 @@ FsOptimizer::build() const
                     std::max(via.taken, via.notTaken) +
                     std::max(rest_taken, rest_fall);
                 if (split <= std::max(counts.taken, counts.notTaken)) {
-                ++out.counters.rejectedDups;
+                    ++out.counters.rejectedDups;
                     continue;
                 }
             }
@@ -956,12 +763,12 @@ FsOptimizer::build() const
         }
     }
 
-    // Pass 3: materialise the image. Homes are skipped for moved and
-    // elided instructions; sites lay out [fills][copies]; duplicates
-    // are appended after every trace.
-    for (std::size_t t = 0; t < result.traces.size(); ++t) {
-        for (std::size_t pos = 0; pos < base[t].size(); ++pos) {
-            const CodeLocation &loc = base[t][pos];
+    // Materialise the image. Homes are skipped for moved, elided and
+    // forwarded instructions; sites lay out [fills][copies];
+    // duplicates are appended after every trace.
+    for (std::size_t t = 0; t < seed.base.size(); ++t) {
+        for (std::size_t pos = 0; pos < seed.base[t].size(); ++pos) {
+            const CodeLocation &loc = seed.base[t][pos];
             const Addr addr =
                 layout.instAddr(loc.func, loc.block, loc.index);
             const bool is_elided =
@@ -978,10 +785,10 @@ FsOptimizer::build() const
                               SlotProvenance::Seed});
             }
 
-            const auto site_it = planned.find({t, pos});
-            if (site_it == planned.end())
+            const auto site_it = seed.sites.find({t, pos});
+            if (site_it == seed.sites.end())
                 continue;
-            SlotSite site = site_it->second;
+            SlotSite site = site_it->second.site;
             site.branchImageIndex = result.slots.size() - 1;
 
             const auto fills_it = site_fills.find({t, pos});
@@ -999,20 +806,13 @@ FsOptimizer::build() const
                 }
             }
 
-            const CodeLocation target =
-                layout.locate(site.origTargetAddr);
-            const auto target_home =
-                block_home.find({target.func, target.block});
-            blab_assert(target_home != block_home.end(),
-                        "target trace vanished");
-            const std::size_t ut = target_home->second.first;
-            const std::size_t uoff =
-                block_offset[{target.func, target.block}];
+            const std::span<const CodeLocation> path =
+                seed.targetPath(site_it->second);
             const auto fwd_it = site_forwards.find({t, pos});
             const unsigned fwd_n =
                 fwd_it == site_forwards.end() ? 0 : fwd_it->second;
             for (unsigned c = 0; c < site.copied; ++c) {
-                const CodeLocation &cloc = base[ut][uoff + c];
+                const CodeLocation &cloc = path[c];
                 if (c < fwd_n) {
                     // The Copy slot carries the forwarded home: the
                     // block start (and prefix) stays resolvable for
@@ -1173,17 +973,6 @@ fsOptAccuracyFromProfile(const ProgramProfile &profile,
     return total == 0 ? 0.0
                       : static_cast<double>(correct) /
                             static_cast<double>(total);
-}
-
-double
-codeIncreaseForOpt(const ProgramProfile &profile, FsOptLevel level,
-                   unsigned slot_count, double trace_threshold)
-{
-    FsOptConfig config;
-    config.level = level;
-    config.fs.slotCount = slot_count;
-    config.fs.trace.minArcProbability = trace_threshold;
-    return FsOptimizer(profile, config).build().codeSizeIncrease();
 }
 
 } // namespace branchlab::profile

@@ -33,6 +33,10 @@
  *                its home (the dominating computation already produced
  *                the value), shrinking the image.
  *
+ * Every level starts from the seed plan (planForwardSlots in
+ * forward_slots.hh): the optimizer changes slot content, never the
+ * traces, the reversals or which branches are sites.
+ *
  * Every emitted image must pass verifyFsOptImage (fs_opt_verify.cc),
  * which re-runs liveness/def-use over the *output* image and re-proves
  * each transformation from scratch, reporting all violations with
@@ -75,13 +79,6 @@ struct FsOptConfig
 {
     FsConfig fs;
     FsOptLevel level = FsOptLevel::None;
-    /** Largest block (instructions) tail duplication will copy. */
-    unsigned dupMaxBlockInstrs = 8;
-    /** Minimum fraction of the side-entered block's executions the
-     *  entrance arc must carry to earn a duplicate. With the
-     *  profile-guided gain gate screening usefulness, this floor only
-     *  prunes noise arcs. */
-    double dupMinArcFraction = 0.02;
     /** Ceiling on total duplicated instructions, as a fraction of the
      *  original static size. */
     double dupMaxGrowth = 0.05;
@@ -246,14 +243,6 @@ fsOptAccuracyFromProfile(const ProgramProfile &profile,
  */
 FsVerifyResult verifyFsOptImage(const ProgramProfile &profile,
                                 const FsOptResult &result);
-
-/**
- * Table 5's metric at one (level, slot count, trace threshold) design
- * point (sweep axis hook, mirroring codeIncreaseFor).
- */
-double codeIncreaseForOpt(const ProgramProfile &profile,
-                          FsOptLevel level, unsigned slot_count,
-                          double trace_threshold);
 
 } // namespace branchlab::profile
 

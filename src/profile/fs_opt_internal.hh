@@ -2,11 +2,12 @@
  * @file
  * Proof helpers shared by the FS optimizer (fs_opt.cc) and its safety
  * verifier (fs_opt_verify.cc). Builder and verifier must reason from
- * the same definitions of "speculable", "reachable" and "interferes";
+ * the same definitions of "speculable", "identical" and "interferes";
  * a divergence here would let the builder emit what the verifier then
  * rejects (or worse, the reverse), so both link against this single
  * implementation and the adversarial tests corrupt images specifically
- * to exercise each predicate.
+ * to exercise each predicate. Block reachability is a plain CFG query
+ * (analysis::blockReachability, memoised by analysis::AnalysisCache).
  */
 
 #ifndef BRANCHLAB_PROFILE_FS_OPT_INTERNAL_HH
@@ -39,12 +40,11 @@ bool fsSpeculablePure(const ir::Instruction &inst);
 bool fsRegionMovable(const ir::Instruction &inst);
 
 /**
- * Block-to-block reachability through at least one CFG edge, so
- * reach[b][b] means "b lies on a cycle" rather than the trivial empty
- * path. Quadratic in blocks -- fine for the workloads' CFGs.
+ * The hoist pass's identity test: @p a and @p b compute the same value
+ * from the same operands (opcode, registers, immediate and callee all
+ * equal), so a dominating @p a may stand in for @p b.
  */
-std::vector<std::vector<bool>>
-fsBlockReachability(const analysis::Cfg &cfg);
+bool sameInstruction(const ir::Instruction &a, const ir::Instruction &b);
 
 /**
  * True when some instruction on a path from source position (d, j) to

@@ -27,16 +27,14 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <unordered_map>
 
-#include "analysis/dominators.hh"
-#include "analysis/liveness.hh"
+#include "analysis/analysis_cache.hh"
 #include "analysis/operands.hh"
+#include "ir/printer.hh"
 #include "profile/fs_opt.hh"
 #include "profile/fs_opt_internal.hh"
-#include "support/strings.hh"
 
 namespace branchlab::profile
 {
@@ -49,83 +47,6 @@ using ir::Reg;
 
 using analysis::definedReg;
 using analysis::usedRegs;
-
-namespace
-{
-
-std::string
-describeLoc(const ir::Program &prog, const CodeLocation &loc)
-{
-    const ir::Function &fn = prog.function(loc.func);
-    std::ostringstream os;
-    os << fn.name() << "." << fn.block(loc.block).label() << "["
-       << loc.index << "]";
-    return os.str();
-}
-
-bool
-sameInstruction(const ir::Instruction &a, const ir::Instruction &b)
-{
-    return a.op == b.op && a.dst == b.dst && a.src1 == b.src1 &&
-           a.src2 == b.src2 && a.imm == b.imm && a.useImm == b.useImm &&
-           a.func == b.func;
-}
-
-/** Fresh per-function analyses, built on demand (never shared with
- *  the builder -- the whole point is an independent derivation). */
-struct VerifyAnalyses
-{
-    explicit VerifyAnalyses(const ir::Program &prog) : prog_(prog)
-    {
-        cfgs_.resize(prog.numFunctions());
-        live_.resize(prog.numFunctions());
-        doms_.resize(prog.numFunctions());
-        reach_.resize(prog.numFunctions());
-    }
-
-    const analysis::Cfg &
-    cfg(FuncId f)
-    {
-        if (!cfgs_[f])
-            cfgs_[f] =
-                std::make_unique<analysis::Cfg>(prog_.function(f));
-        return *cfgs_[f];
-    }
-
-    const analysis::Liveness &
-    liveness(FuncId f)
-    {
-        if (!live_[f])
-            live_[f] = std::make_unique<analysis::Liveness>(cfg(f));
-        return *live_[f];
-    }
-
-    const analysis::DominatorTree &
-    dominators(FuncId f)
-    {
-        if (!doms_[f])
-            doms_[f] =
-                std::make_unique<analysis::DominatorTree>(cfg(f));
-        return *doms_[f];
-    }
-
-    const std::vector<std::vector<bool>> &
-    reachability(FuncId f)
-    {
-        if (reach_[f].empty() && cfg(f).numBlocks() > 0)
-            reach_[f] = fsBlockReachability(cfg(f));
-        return reach_[f];
-    }
-
-  private:
-    const ir::Program &prog_;
-    std::vector<std::unique_ptr<analysis::Cfg>> cfgs_;
-    std::vector<std::unique_ptr<analysis::Liveness>> live_;
-    std::vector<std::unique_ptr<analysis::DominatorTree>> doms_;
-    std::vector<std::vector<std::vector<bool>>> reach_;
-};
-
-} // namespace
 
 FsVerifyResult
 verifyFsOptImage(const ProgramProfile &profile,
@@ -151,7 +72,9 @@ verifyFsOptImage(const ProgramProfile &profile,
         return prog.function(loc.func).block(loc.block).inst(loc.index);
     };
 
-    VerifyAnalyses analyses(prog);
+    // The verifier's own analyses, never shared with the builder: the
+    // whole point is an independent derivation.
+    analysis::AnalysisCache analyses(prog);
 
     // Rebuild the base content of each trace and each block's window
     // position, independently of the builder.
@@ -255,7 +178,7 @@ verifyFsOptImage(const ProgramProfile &profile,
     // O1 + O3 per site: group layout, copy content, truncation and
     // dead-drop re-proof, resume point.
     for (const SlotSite &site : image.sites) {
-        const std::string where = describeLoc(prog, site.branchOrig);
+        const std::string where = ir::formatLocation(prog, site.branchOrig);
         if (site.padded != 0) {
             std::ostringstream os;
             os << "O1: site at " << where << " kept " << site.padded
@@ -303,7 +226,7 @@ verifyFsOptImage(const ProgramProfile &profile,
         const auto home_it = home.find({target.func, target.block});
         if (home_it == home.end()) {
             std::ostringstream os;
-            os << "O3: site target " << describeLoc(prog, target)
+            os << "O3: site target " << ir::formatLocation(prog, target)
                << " not in any trace [seed]";
             fail(os);
             continue; // Window checks need the target trace.
@@ -398,7 +321,7 @@ verifyFsOptImage(const ProgramProfile &profile,
             const ir::Instruction &inst = inst_at(loc);
             std::ostringstream os;
             os << "O3: dropped copy " << c << " after " << where
-               << " (" << describeLoc(prog, loc) << ") ";
+               << " (" << ir::formatLocation(prog, loc) << ") ";
             if (!fsSpeculablePure(inst)) {
                 os << "is not a speculable pure write [seed]";
                 fail(os);
@@ -440,7 +363,7 @@ verifyFsOptImage(const ProgramProfile &profile,
     }
     for (auto &[site_idx, records] : fills_of) {
         const SlotSite &site = image.sites[site_idx];
-        const std::string where = describeLoc(prog, site.branchOrig);
+        const std::string where = ir::formatLocation(prog, site.branchOrig);
         if (site.viaCall) {
             std::ostringstream os;
             os << "O2: call site at " << where
@@ -479,7 +402,7 @@ verifyFsOptImage(const ProgramProfile &profile,
         for (std::size_t k = 0; k < records.size(); ++k) {
             const FillRecord &fr = *records[k];
             std::ostringstream os;
-            os << "O2: fill of " << describeLoc(prog, fr.origin)
+            os << "O2: fill of " << ir::formatLocation(prog, fr.origin)
                << " into the site at " << where << " ";
             if (fr.origin.func != site.branchOrig.func ||
                 fr.origin.block != site.branchOrig.block) {
@@ -571,7 +494,7 @@ verifyFsOptImage(const ProgramProfile &profile,
                 if (inst.op == ir::Opcode::Ld &&
                     stay.op == ir::Opcode::St) {
                     os << "moves a load past the store at "
-                       << describeLoc(
+                       << ir::formatLocation(
                               prog, CodeLocation{fr.origin.func,
                                                  fr.origin.block, s})
                        << " [slot-fill]";
@@ -590,7 +513,7 @@ verifyFsOptImage(const ProgramProfile &profile,
                                stay_def) != inst_uses.end());
                 if (hazard) {
                     os << "moves past the dependent instruction at "
-                       << describeLoc(
+                       << ir::formatLocation(
                               prog, CodeLocation{fr.origin.func,
                                                  fr.origin.block, s})
                        << " [slot-fill]";
@@ -615,7 +538,7 @@ verifyFsOptImage(const ProgramProfile &profile,
         }
         std::ostringstream os;
         os << "O5: duplicate of "
-           << describeLoc(prog, CodeLocation{dup.func, dup.block, 0})
+           << ir::formatLocation(prog, CodeLocation{dup.func, dup.block, 0})
            << " for predecessor block " << dup.pred << " ";
         const ir::Function &fn = prog.function(dup.func);
         const ir::BasicBlock &bb = fn.block(dup.block);
@@ -663,8 +586,8 @@ verifyFsOptImage(const ProgramProfile &profile,
                   CodeLocation{dup.func, dup.block, i})) {
                 std::ostringstream bad;
                 bad << "O5: duplicate of "
-                    << describeLoc(prog,
-                                   CodeLocation{dup.func, dup.block, 0})
+                    << ir::formatLocation(
+                           prog, CodeLocation{dup.func, dup.block, 0})
                     << " has wrong content at offset " << i;
                 if (slot != nullptr) {
                     bad << " ["
@@ -682,8 +605,8 @@ verifyFsOptImage(const ProgramProfile &profile,
     // value source).
     for (const HoistElision &e : result.elisions) {
         std::ostringstream os;
-        os << "O6: elision of " << describeLoc(prog, e.loc)
-           << " against " << describeLoc(prog, e.from) << " ";
+        os << "O6: elision of " << ir::formatLocation(prog, e.loc)
+           << " against " << ir::formatLocation(prog, e.from) << " ";
         if (e.loc.func != e.from.func) {
             os << "crosses functions [hoist]";
             fail(os);
@@ -804,7 +727,7 @@ verifyFsOptImage(const ProgramProfile &profile,
              !(is_fwd && slot->kind == ImageSlot::Kind::Copy))) {
             std::ostringstream os;
             os << "O7: homeIndex entry for "
-               << describeLoc(prog, loc)
+               << ir::formatLocation(prog, loc)
                << " does not resolve to its instruction";
             if (slot != nullptr) {
                 os << " [" << slotProvenanceName(slot->provenance)
@@ -817,26 +740,26 @@ verifyFsOptImage(const ProgramProfile &profile,
             !moved_addrs.count(addr)) {
             std::ostringstream os;
             os << "O7: unmoved instruction "
-               << describeLoc(prog, loc)
+               << ir::formatLocation(prog, loc)
                << " is indexed at a Fill slot [slot-fill]";
             fail(os);
         }
         if (elided_addrs.count(addr)) {
             std::ostringstream os;
-            os << "O7: elided instruction " << describeLoc(prog, loc)
+            os << "O7: elided instruction " << ir::formatLocation(prog, loc)
                << " still has a homeIndex entry [hoist]";
             fail(os);
         }
         if (dup_interior.count(index)) {
             std::ostringstream os;
-            os << "O4: homeIndex entry for " << describeLoc(prog, loc)
+            os << "O4: homeIndex entry for " << ir::formatLocation(prog, loc)
                << " resolves into a duplicate [superblock]";
             fail(os);
         }
         if (region_interior.count(index) && !fill_indices.count(index) &&
             !fwd_indices.count(index)) {
             std::ostringstream os;
-            os << "O4: homeIndex entry for " << describeLoc(prog, loc)
+            os << "O4: homeIndex entry for " << ir::formatLocation(prog, loc)
                << " resolves into a slot region";
             fail(os);
         }
@@ -856,7 +779,7 @@ verifyFsOptImage(const ProgramProfile &profile,
             const auto it = image.homeIndex.find(addr);
             std::ostringstream os;
             os << "O8: block entry "
-               << describeLoc(prog, CodeLocation{f, b, 0}) << " ";
+               << ir::formatLocation(prog, CodeLocation{f, b, 0}) << " ";
             if (it == image.homeIndex.end()) {
                 os << "has no home in the image";
                 fail(os);
@@ -896,7 +819,7 @@ verifyFsOptImage(const ProgramProfile &profile,
     for (const ForwardedHome &fh : result.forwards) {
         if (fh.site >= image.sites.size()) {
             std::ostringstream os;
-            os << "O9: forwarded home " << describeLoc(prog, fh.loc)
+            os << "O9: forwarded home " << ir::formatLocation(prog, fh.loc)
                << " names out-of-range site " << fh.site << " [seed]";
             fail(os);
             continue;
@@ -905,7 +828,7 @@ verifyFsOptImage(const ProgramProfile &profile,
     }
     for (auto &[site_idx, records] : fwd_by_site) {
         const SlotSite &site = image.sites[site_idx];
-        const std::string where = describeLoc(prog, site.branchOrig);
+        const std::string where = ir::formatLocation(prog, site.branchOrig);
         if (site.viaCall) {
             std::ostringstream os;
             os << "O9: site at " << where
@@ -951,7 +874,7 @@ verifyFsOptImage(const ProgramProfile &profile,
         if (!sole || in_edges != 1) {
             std::ostringstream os;
             os << "O9: site at " << where << " forwards "
-               << describeLoc(prog, CodeLocation{target.func,
+               << ir::formatLocation(prog, CodeLocation{target.func,
                                                  target.block, 0})
                << " which has " << in_edges
                << " CFG entries (need exactly its likely edge) [seed]";
@@ -982,7 +905,7 @@ verifyFsOptImage(const ProgramProfile &profile,
         for (std::size_t i = 0; i < records.size(); ++i) {
             const ForwardedHome &fh = *records[i];
             std::ostringstream os;
-            os << "O9: forwarded home " << describeLoc(prog, fh.loc)
+            os << "O9: forwarded home " << ir::formatLocation(prog, fh.loc)
                << " at site " << where << " ";
             if (fh.loc.func != target.func ||
                 fh.loc.block != target.block ||

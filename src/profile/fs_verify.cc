@@ -1,11 +1,9 @@
 #include "profile/fs_verify.hh"
 
 #include <map>
-#include <memory>
 #include <sstream>
-#include <unordered_map>
 
-#include "analysis/cfg.hh"
+#include "analysis/analysis_cache.hh"
 #include "ir/printer.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -36,16 +34,6 @@ rebuildBase(const ir::Program &prog, const std::vector<Trace> &traces)
         }
     }
     return base;
-}
-
-std::string
-describeLoc(const ir::Program &prog, const CodeLocation &loc)
-{
-    const ir::Function &fn = prog.function(loc.func);
-    std::ostringstream os;
-    os << fn.name() << "." << fn.block(loc.block).label() << "["
-       << loc.index << "]";
-    return os.str();
 }
 
 } // namespace
@@ -89,7 +77,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
     for (const SlotSite &site : image.sites) {
         if (site.copied + site.padded != slot_count) {
             std::ostringstream os;
-            os << "V1: site at " << describeLoc(prog, site.branchOrig)
+            os << "V1: site at " << ir::formatLocation(prog, site.branchOrig)
                << " has " << site.copied << "+" << site.padded
                << " slots, expected " << slot_count;
             fail(os);
@@ -112,7 +100,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
             !(branch_slot->orig == site.branchOrig)) {
             std::ostringstream os;
             os << "V1: site branch slot mismatch at "
-               << describeLoc(prog, site.branchOrig);
+               << ir::formatLocation(prog, site.branchOrig);
             if (branch_slot != nullptr) {
                 os << " ["
                    << slotProvenanceName(branch_slot->provenance)
@@ -125,7 +113,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
         const auto home_it = home.find({target.func, target.block});
         if (home_it == home.end()) {
             std::ostringstream os;
-            os << "V2: site target " << describeLoc(prog, target)
+            os << "V2: site target " << ir::formatLocation(prog, target)
                << " not in any trace";
             fail(os);
             continue; // Content and resume checks need the window.
@@ -141,7 +129,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
             if (slot->kind != ImageSlot::Kind::Copy) {
                 std::ostringstream os;
                 os << "V1: expected Copy slot " << c << " after "
-                   << describeLoc(prog, site.branchOrig) << " ["
+                   << ir::formatLocation(prog, site.branchOrig) << " ["
                    << slotProvenanceName(slot->provenance) << "]";
                 fail(os);
                 continue;
@@ -150,7 +138,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
                 !(slot->orig == base[ut][uoff + c])) {
                 std::ostringstream os;
                 os << "V2: copy slot " << c << " after "
-                   << describeLoc(prog, site.branchOrig)
+                   << ir::formatLocation(prog, site.branchOrig)
                    << " does not match the target path ["
                    << slotProvenanceName(slot->provenance) << "]";
                 fail(os);
@@ -164,14 +152,14 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
             if (slot->kind != ImageSlot::Kind::Pad) {
                 std::ostringstream os;
                 os << "V1: expected Pad slot after copies at "
-                   << describeLoc(prog, site.branchOrig) << " ["
+                   << ir::formatLocation(prog, site.branchOrig) << " ["
                    << slotProvenanceName(slot->provenance) << "]";
                 fail(os);
             }
         }
         if (site.padded > 0 && uoff + site.copied != base[ut].size()) {
             std::ostringstream os;
-            os << "V3: pads at " << describeLoc(prog, site.branchOrig)
+            os << "V3: pads at " << ir::formatLocation(prog, site.branchOrig)
                << " although the target trace was not exhausted";
             fail(os);
         }
@@ -180,7 +168,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
                 !(*site.resume == base[ut][uoff + site.copied])) {
                 std::ostringstream os;
                 os << "V3: resume point after "
-                   << describeLoc(prog, site.branchOrig)
+                   << ir::formatLocation(prog, site.branchOrig)
                    << " is not the target path advanced by "
                    << site.copied;
                 fail(os);
@@ -188,7 +176,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
         } else if (uoff + site.copied < base[ut].size()) {
             std::ostringstream os;
             os << "V3: missing resume point at "
-               << describeLoc(prog, site.branchOrig);
+               << ir::formatLocation(prog, site.branchOrig);
             fail(os);
         }
     }
@@ -196,13 +184,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
     // V4: consecutive trace blocks follow the effective likely path —
     // the terminator's sequential successor (analysis/cfg.hh), or for
     // a jump table any CFG edge out of the block.
-    std::unordered_map<FuncId, std::unique_ptr<analysis::Cfg>> cfgs;
-    const auto cfgOf = [&](FuncId f) -> const analysis::Cfg & {
-        auto &slot = cfgs[f];
-        if (!slot)
-            slot = std::make_unique<analysis::Cfg>(prog.function(f));
-        return *slot;
-    };
+    analysis::AnalysisCache analyses(prog);
     for (const Trace &trace : image.traces) {
         const ir::Function &fn = prog.function(trace.func);
         for (std::size_t j = 0; j + 1 < trace.blocks.size(); ++j) {
@@ -219,8 +201,8 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
                 seq != ir::kNoBlock
                     ? seq == next
                     : term.op == Opcode::JTab &&
-                          cfgOf(trace.func).hasEdge(trace.blocks[j],
-                                                    next);
+                          analyses.cfg(trace.func).hasEdge(trace.blocks[j],
+                                                           next);
             if (!ok) {
                 std::ostringstream os;
                 os << "V4: trace in " << fn.name() << " connects block "
@@ -267,7 +249,7 @@ verifyFsImage(const ProgramProfile &profile, const FsResult &image,
         if (!inst.isConditional()) {
             std::ostringstream os;
             os << "V6: reversed mark on non-conditional at "
-               << describeLoc(prog, loc);
+               << ir::formatLocation(prog, loc);
             fail(os);
         }
     }

@@ -520,23 +520,30 @@ ImageExecutor::run(const std::vector<std::vector<Word>> &inputs,
     }
 }
 
-std::string
-checkImageEquivalence(const ProgramProfile &profile, const FsResult &image,
-                      const std::vector<std::vector<Word>> &inputs)
+namespace
 {
-    const ir::Program &prog = profile.program();
-    const ir::Layout &layout = profile.layout();
 
+/**
+ * Run the original program and @p executor over @p inputs, then
+ * compare stop reasons, committed streams and outputs. With @p relaxed
+ * set, those addresses are filtered from both streams first (and the
+ * stream messages say "filtered").
+ */
+std::string
+compareWithOriginal(const ProgramProfile &profile,
+                    const ImageExecutor &executor,
+                    const std::vector<std::vector<Word>> &inputs,
+                    const std::unordered_set<Addr> *relaxed)
+{
     // Reference run on the original program.
     trace::InstRecorder recorder;
-    vm::Machine machine(prog, layout);
+    vm::Machine machine(profile.program(), profile.layout());
     for (std::size_t chan = 0; chan < inputs.size(); ++chan)
         machine.setInput(static_cast<int>(chan), inputs[chan]);
     machine.setSink(&recorder);
     const vm::RunResult reference = machine.run();
 
     // Transformed-image run.
-    ImageExecutor executor(profile, image);
     const ImageRunResult transformed = executor.run(inputs);
 
     std::ostringstream os;
@@ -544,17 +551,28 @@ checkImageEquivalence(const ProgramProfile &profile, const FsResult &image,
         os << "stop reasons differ";
         return os.str();
     }
-    if (transformed.committed.size() != recorder.addrs().size()) {
-        os << "committed stream lengths differ: original "
-           << recorder.addrs().size() << ", image "
-           << transformed.committed.size();
+    const auto filtered = [relaxed](const std::vector<Addr> &stream) {
+        std::vector<Addr> out;
+        out.reserve(stream.size());
+        for (Addr addr : stream) {
+            if (relaxed == nullptr || !relaxed->count(addr))
+                out.push_back(addr);
+        }
+        return out;
+    };
+    const std::vector<Addr> want = filtered(recorder.addrs());
+    const std::vector<Addr> got = filtered(transformed.committed);
+    const char *stream = relaxed ? "filtered committed stream"
+                                 : "committed stream";
+    if (got.size() != want.size()) {
+        os << stream << " lengths differ: original " << want.size()
+           << ", image " << got.size();
         return os.str();
     }
-    for (std::size_t i = 0; i < transformed.committed.size(); ++i) {
-        if (transformed.committed[i] != recorder.addrs()[i]) {
-            os << "committed streams diverge at instruction " << i
-               << ": original " << recorder.addrs()[i] << ", image "
-               << transformed.committed[i];
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i] != want[i]) {
+            os << stream << "s diverge at instruction " << i
+               << ": original " << want[i] << ", image " << got[i];
             return os.str();
         }
     }
@@ -568,63 +586,25 @@ checkImageEquivalence(const ProgramProfile &profile, const FsResult &image,
     return std::string();
 }
 
+} // namespace
+
+std::string
+checkImageEquivalence(const ProgramProfile &profile, const FsResult &image,
+                      const std::vector<std::vector<Word>> &inputs)
+{
+    return compareWithOriginal(profile, ImageExecutor(profile, image),
+                               inputs, nullptr);
+}
+
 std::string
 checkImageEquivalenceOpt(const ProgramProfile &profile,
                          const FsOptResult &opt,
                          const std::vector<std::vector<Word>> &inputs)
 {
-    const ir::Program &prog = profile.program();
-    const ir::Layout &layout = profile.layout();
-
-    trace::InstRecorder recorder;
-    vm::Machine machine(prog, layout);
-    for (std::size_t chan = 0; chan < inputs.size(); ++chan)
-        machine.setInput(static_cast<int>(chan), inputs[chan]);
-    machine.setSink(&recorder);
-    const vm::RunResult reference = machine.run();
-
-    ImageExecutor executor(profile, opt);
-    const ImageRunResult transformed = executor.run(inputs);
-
-    std::ostringstream os;
-    if (transformed.reason != reference.reason) {
-        os << "stop reasons differ";
-        return os.str();
-    }
-
     // The committed streams, with the provably indifferent addresses
     // (moved fills, dropped dead copies, elisions) removed from both.
-    const auto filtered = [&opt](const std::vector<Addr> &stream) {
-        std::vector<Addr> out;
-        out.reserve(stream.size());
-        for (Addr addr : stream) {
-            if (!opt.relaxedAddrs.count(addr))
-                out.push_back(addr);
-        }
-        return out;
-    };
-    const std::vector<Addr> want = filtered(recorder.addrs());
-    const std::vector<Addr> got = filtered(transformed.committed);
-    if (got.size() != want.size()) {
-        os << "filtered committed stream lengths differ: original "
-           << want.size() << ", image " << got.size();
-        return os.str();
-    }
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        if (got[i] != want[i]) {
-            os << "filtered committed streams diverge at instruction "
-               << i << ": original " << want[i] << ", image " << got[i];
-            return os.str();
-        }
-    }
-    for (int chan = 0; chan < 8; ++chan) {
-        if (transformed.outputs[static_cast<std::size_t>(chan)] !=
-            machine.output(chan)) {
-            os << "outputs differ on channel " << chan;
-            return os.str();
-        }
-    }
-    return std::string();
+    return compareWithOriginal(profile, ImageExecutor(profile, opt),
+                               inputs, &opt.relaxedAddrs);
 }
 
 } // namespace branchlab::profile

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/logging.hh"
-
 namespace branchlab
 {
 
@@ -106,94 +104,6 @@ double
 RunningStat::max() const
 {
     return count_ == 0 ? 0.0 : max_;
-}
-
-Histogram::Histogram(std::int64_t lo, std::int64_t hi, std::size_t buckets)
-    : lo_(lo), hi_(hi)
-{
-    blab_assert(hi > lo, "histogram range must be non-empty");
-    blab_assert(buckets > 0, "histogram needs at least one bucket");
-    width_ = (hi - lo + static_cast<std::int64_t>(buckets)) /
-             static_cast<std::int64_t>(buckets);
-    counts_.assign(buckets, 0);
-}
-
-void
-Histogram::addSample(std::int64_t value, std::uint64_t weight)
-{
-    total_ += weight;
-    weighted_sum_ += static_cast<double>(value) *
-                     static_cast<double>(weight);
-    if (value < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    if (value > hi_) {
-        overflow_ += weight;
-        return;
-    }
-    const auto index = static_cast<std::size_t>((value - lo_) / width_);
-    counts_[std::min(index, counts_.size() - 1)] += weight;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    total_ = 0;
-    weighted_sum_ = 0.0;
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t index) const
-{
-    blab_assert(index < counts_.size(), "bucket index out of range");
-    return counts_[index];
-}
-
-std::int64_t
-Histogram::bucketLow(std::size_t index) const
-{
-    blab_assert(index < counts_.size(), "bucket index out of range");
-    return lo_ + static_cast<std::int64_t>(index) * width_;
-}
-
-double
-Histogram::meanSample() const
-{
-    if (total_ == 0)
-        return 0.0;
-    return weighted_sum_ / static_cast<double>(total_);
-}
-
-void
-StatRegistry::setScalar(const std::string &name, double value)
-{
-    scalars_[name] = value;
-}
-
-double
-StatRegistry::scalar(const std::string &name) const
-{
-    auto it = scalars_.find(name);
-    if (it == scalars_.end())
-        blab_fatal("unknown statistic '", name, "'");
-    return it->second;
-}
-
-bool
-StatRegistry::has(const std::string &name) const
-{
-    return scalars_.count(name) != 0;
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, value] : scalars_)
-        os << name << " " << value << "\n";
 }
 
 std::string

@@ -1,11 +1,12 @@
 /**
  * @file
- * A small statistics package: counters, ratios, running mean / standard
- * deviation, and histograms.
+ * A small statistics package: ratios, running mean / standard
+ * deviation, and number formatting. Live counters and histograms are
+ * obs/metrics.hh's.
  *
  * The paper reports averages and standard deviations across benchmarks
  * (Tables 3-5); RunningStat computes both with Welford's online
- * algorithm. All statistics are named so they can be dumped uniformly.
+ * algorithm.
  */
 
 #ifndef BRANCHLAB_SUPPORT_STATS_HH
@@ -19,20 +20,6 @@
 
 namespace branchlab
 {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void increment(std::uint64_t amount = 1) { value_ += amount; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * A hit/total ratio, e.g. prediction accuracy or BTB miss ratio.
@@ -97,67 +84,6 @@ class RunningStat
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-/**
- * A fixed-bucket histogram over integer sample values, with overflow
- * and underflow buckets.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo    lowest bucketed value (inclusive)
-     * @param hi    highest bucketed value (inclusive)
-     * @param buckets number of equal-width buckets across [lo, hi]
-     */
-    Histogram(std::int64_t lo, std::int64_t hi, std::size_t buckets);
-
-    void addSample(std::int64_t value, std::uint64_t weight = 1);
-    void reset();
-
-    std::size_t numBuckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t index) const;
-    /** Inclusive lower bound of a bucket. */
-    std::int64_t bucketLow(std::size_t index) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t totalSamples() const { return total_; }
-    double meanSample() const;
-
-  private:
-    std::int64_t lo_;
-    std::int64_t hi_;
-    std::int64_t width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-    double weighted_sum_ = 0.0;
-};
-
-/**
- * A named collection of scalar statistics, dumpable as text. Modules
- * register their counters under hierarchical dotted names, mirroring
- * the gem5 stats-dump idiom at a much smaller scale.
- */
-class StatRegistry
-{
-  public:
-    /** Record (or overwrite) a scalar statistic value. */
-    void setScalar(const std::string &name, double value);
-
-    /** Look up a scalar; fatal error when missing. */
-    double scalar(const std::string &name) const;
-
-    bool has(const std::string &name) const;
-    std::size_t size() const { return scalars_.size(); }
-
-    /** Dump all stats as "name value" lines in sorted order. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::map<std::string, double> scalars_;
 };
 
 /** Format a fraction as a percentage string, e.g. 0.915 -> "91.5%". */

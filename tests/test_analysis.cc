@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analysis_cache.hh"
 #include "analysis/cfg.hh"
 #include "analysis/constprop.hh"
 #include "analysis/defuse.hh"
@@ -135,6 +136,36 @@ TEST(Cfg, SequentialSuccessorFollowsTheUntakenPath)
     EXPECT_EQ(sequentialSuccessor(ir::makeHalt(), false), ir::kNoBlock);
     EXPECT_EQ(sequentialSuccessor(ir::makeJTab(0, {1, 2}), false),
               ir::kNoBlock);
+}
+
+// ---------------------------------------------------------------------
+// Block reachability and the analysis cache
+// ---------------------------------------------------------------------
+
+TEST(AnalysisCache, ReachabilityPutsOnlyLoopBlocksOnACycle)
+{
+    ir::Program prog = test::buildCountdown(3);
+    ir::verifyProgramOrDie(prog);
+    const ir::Function &fn = prog.function(0);
+    AnalysisCache cache(prog);
+    const std::vector<std::vector<bool>> &reach = cache.reachability(0);
+    EXPECT_EQ(&cache.reachability(0), &reach); // built once
+    EXPECT_EQ(reach, blockReachability(cache.cfg(0)));
+
+    // The entry and the halting exit lie on no cycle; the loop does.
+    std::size_t cyclic = 0;
+    for (BlockId blk = 0; blk < fn.numBlocks(); ++blk) {
+        const bool halts =
+            fn.block(blk).terminator().op == Opcode::Halt;
+        if (blk == fn.entry() || halts) {
+            EXPECT_FALSE(reach[blk][blk]) << fn.block(blk).label();
+        } else if (reach[blk][blk]) {
+            ++cyclic;
+        }
+        EXPECT_EQ(reach[fn.entry()][blk], blk != fn.entry())
+            << fn.block(blk).label();
+    }
+    EXPECT_GT(cyclic, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -5,12 +5,14 @@
  * liveness-proven slot filling, superblock tail duplication,
  * dominator-based hoisting, the accuracy walk against the FS replay
  * kernel and the profile-row form against the walk, the adversarial
- * corruption suite for verifyFsOptImage, and the all-workloads
- * equivalence sweep at every level.
+ * corruption suite for verifyFsOptImage, the all-workloads
+ * equivalence sweep at every level, and the image pins that hold
+ * every workload's images to committed digests.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/replay_kernel.hh"
@@ -208,10 +210,13 @@ buildForwardable()
  * derives base = x * 9, the loop leaves x and base alone, and the
  * exit recomputes base = x * 9 identically -- the dominating value
  * still holds. x is defined in a separate predecessor so no
- * definition of it sits on the compute -> exit paths.
+ * definition of it sits on the compute -> exit paths. The compute
+ * block multiplies by @p compute_imm (9 makes the two identical).
+ * With @p redefine_after the exit bumps x after the recomputation:
+ * the exit lies on no cycle, so that later write cannot reach the use.
  */
 ir::Program
-buildHoistable()
+buildHoistable(ir::Word compute_imm = 9, bool redefine_after = false)
 {
     ir::Program prog("hoistable");
     IrBuilder b(prog);
@@ -224,7 +229,7 @@ buildHoistable()
     const ir::BlockId compute = b.newBlock("compute");
     b.jmp(compute);
     b.setBlock(compute);
-    b.emitBinaryImmTo(Opcode::Mul, base, x, 9);
+    b.emitBinaryImmTo(Opcode::Mul, base, x, compute_imm);
     b.ldiTo(i, 25);
     b.ldiTo(t, 0);
     b.doWhile(
@@ -236,6 +241,8 @@ buildHoistable()
     b.emitBinaryImmTo(Opcode::Add, t, t, 7);
     b.emitBinaryImmTo(Opcode::Mul, base, x, 9);
     b.emitBinaryTo(Opcode::Add, t, t, base);
+    if (redefine_after)
+        b.emitBinaryImmTo(Opcode::Add, x, x, 1);
     b.out(t, 1);
     b.halt();
     b.endFunction();
@@ -385,6 +392,28 @@ TEST(FsOpt, HoistElidesDominatedRecomputation)
     }
     const FsOptResult none = optimize(built, FsOptLevel::None);
     EXPECT_LT(opt.codeSizeIncrease(), none.codeSizeIncrease());
+    EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
+    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+}
+
+TEST(FsOpt, HoistNeedsAnIdenticalSource)
+{
+    // base = x * 8 cannot supply base = x * 9: the immediate is part
+    // of the instruction's identity.
+    Built built = profileOver(buildHoistable(8));
+    const FsOptResult opt = optimize(built, FsOptLevel::Hoist);
+    EXPECT_EQ(opt.counters.hoistElisions, 0u);
+    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+}
+
+TEST(FsOpt, HoistIgnoresWritesAfterAnAcyclicUse)
+{
+    // Only blocks on a path from source to use (or a cycle through
+    // either) can interfere; a write after the use in an acyclic exit
+    // never runs between them.
+    Built built = profileOver(buildHoistable(9, true));
+    const FsOptResult opt = optimize(built, FsOptLevel::Hoist);
+    EXPECT_GT(opt.counters.hoistElisions, 0u);
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
     EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
 }
@@ -650,5 +679,186 @@ INSTANTIATE_TEST_SUITE_P(
     AllWorkloadsAllLevels, FsOptEquivalenceSweep,
     ::testing::Combine(::testing::Range(0, 10),
                        ::testing::Range(0, 4)));
+
+// ---------------------------------------------------------------------
+// Image pins: every workload's result at every level, hashed from a
+// canonical dump, holds the images themselves across a refactor
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::ostream &
+operator<<(std::ostream &os, const ir::CodeLocation &loc)
+{
+    return os << loc.func << ":" << loc.block << ":" << loc.index;
+}
+
+template <typename T>
+std::vector<T>
+sortedOf(const std::unordered_set<T> &set)
+{
+    std::vector<T> out(set.begin(), set.end());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** Every field of @p opt, in a fixed order: the image's slots, sites,
+ *  traces, home index and reversals (maps and sets sorted), then the
+ *  optimizer's records, counters and relaxed addresses. */
+std::string
+canonicalDump(const FsOptResult &opt)
+{
+    const FsResult &image = opt.image;
+    std::ostringstream os;
+    os << "level " << fsOptLevelName(opt.level) << " slots "
+       << opt.config.fs.slotCount << " original " << image.originalSize
+       << "\n";
+    for (const ImageSlot &slot : image.slots) {
+        os << "slot " << static_cast<int>(slot.kind) << " " << slot.orig
+           << " " << slotProvenanceName(slot.provenance) << "\n";
+    }
+    for (const SlotSite &site : image.sites) {
+        os << "site " << site.branchImageIndex << " " << site.branchOrig
+           << " " << site.copied << " " << site.padded << " "
+           << site.filled << " " << site.consumed << " "
+           << site.origTargetAddr << " " << site.viaCall << " ";
+        if (site.resume)
+            os << *site.resume;
+        else
+            os << "-";
+        os << "\n";
+    }
+    for (const Trace &trace : image.traces) {
+        os << "trace " << trace.func << " " << trace.weight;
+        for (const ir::BlockId b : trace.blocks)
+            os << " " << b;
+        os << "\n";
+    }
+    std::vector<std::pair<ir::Addr, std::size_t>> homes(
+        image.homeIndex.begin(), image.homeIndex.end());
+    std::sort(homes.begin(), homes.end());
+    for (const auto &[addr, index] : homes)
+        os << "home " << addr << " " << index << "\n";
+    for (const ir::Addr addr : sortedOf(image.reversed))
+        os << "reversed " << addr << "\n";
+    for (const FillRecord &fill : opt.fills) {
+        os << "fill " << fill.site << " " << fill.origin << " "
+           << fill.originAddr << " " << fill.imageIndex << "\n";
+    }
+    for (const ForwardedHome &fwd : opt.forwards) {
+        os << "forward " << fwd.site << " " << fwd.loc << " " << fwd.addr
+           << " " << fwd.imageIndex << "\n";
+    }
+    for (const DupTail &dup : opt.dups) {
+        os << "dup " << dup.func << " " << dup.pred << " " << dup.block
+           << " " << dup.predTermAddr << " " << dup.blockStartAddr << " "
+           << dup.termAddr << " " << dup.arcWeight << " "
+           << dup.imageStart << " " << dup.length << "\n";
+    }
+    for (const HoistElision &e : opt.elisions) {
+        os << "elision " << e.loc << " " << e.addr << " " << e.from
+           << " " << e.fromAddr << "\n";
+    }
+    const FsOptCounters &c = opt.counters;
+    os << "counters " << c.padsDropped << " " << c.copiesTruncated << " "
+       << c.deadCopiesDropped << " " << c.copiesDisplaced << " "
+       << c.homesForwarded << " " << c.slotsFilled << " "
+       << c.tailsDuplicated << " " << c.dupInstructions << " "
+       << c.hoistElisions << " " << c.rejectedFills << " "
+       << c.rejectedDups << " " << c.rejectedHoists << "\n";
+    for (const ir::Addr addr : sortedOf(opt.relaxedAddrs))
+        os << "relaxed " << addr << "\n";
+    return os.str();
+}
+
+/** 64-bit FNV-1a. */
+std::uint64_t
+fnv1a(std::string_view bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** Pinned digests, one per workload (Table 1 order) and level (none,
+ *  slots, superblock, hoist), each over k + l = 1, 2 and 8 at one run
+ *  per workload. A change meant to move an image regenerates them from
+ *  this test's failure output. */
+constexpr std::uint64_t kImagePins[10][4] = {
+    // cccp
+    {0x658b15d78a328802ULL, 0x8c63bfb912312ab4ULL, 0x31e86c4dc9fe9106ULL,
+     0x2db467b622f8dbb3ULL},
+    // cmp
+    {0x5fbf4cef83082e6eULL, 0x29ca0453c5c934e1ULL, 0x5d7535f4b673940aULL,
+     0x7a185cbb359dae6dULL},
+    // compress
+    {0x8016e88f4df16ac3ULL, 0x1a22b860f70ae0cbULL, 0x6b577a43531a12fcULL,
+     0xf7a81bbc0b573cc3ULL},
+    // grep
+    {0x1c2417e3338f7507ULL, 0xeef2f199a3e939edULL, 0xd6945afdfcbbfdaeULL,
+     0x73ee801c61dfd1abULL},
+    // lex
+    {0x8a8bb013fd1eed6bULL, 0xfff94b2128f8200eULL, 0x316e2459472db78cULL,
+     0x52536c7b9abc687bULL},
+    // make
+    {0x750846089b5edd5bULL, 0xbcdd3ffd81d6ddefULL, 0x80dd8fa9c91ae917ULL,
+     0x3c787f038d09e714ULL},
+    // tar
+    {0xde2c1a6b77e3072cULL, 0x1ec147adbdca52a4ULL, 0x5c129db8f569eeedULL,
+     0x6aedb6d4f3165e18ULL},
+    // tee
+    {0xf216a71d46bd2bfULL, 0x71a4990e6b27d937ULL, 0xeba59db87e1c8815ULL,
+     0xac6081e01376f3beULL},
+    // wc
+    {0x66ce8bf413bec2cfULL, 0x15768406e96bedefULL, 0xe6d9260a4bd0704eULL,
+     0xb8ace0dd0739e5d1ULL},
+    // yacc
+    {0x7ca32fcaf0ecf00fULL, 0xe0a029387b0c90abULL, 0x1a2aee5c07221e0ULL,
+     0x219e1d651c12b454ULL},
+};
+
+} // namespace
+
+class FsImagePin : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FsImagePin, EveryLevelMatchesItsPinnedDigest)
+{
+    const auto w = static_cast<std::size_t>(GetParam());
+    const workloads::Workload *workload = workloads::allWorkloads()[w];
+    core::ExperimentConfig config;
+    config.runsOverride = 1;
+    const core::RecordedWorkload recorded =
+        core::recordWorkload(*workload, config);
+
+    std::ostringstream actual;
+    for (std::size_t l = 0; l < allFsOptLevels().size(); ++l) {
+        std::string dumps;
+        for (const unsigned slots : {1u, 2u, 8u}) {
+            FsOptConfig opt_config;
+            opt_config.level = allFsOptLevels()[l];
+            opt_config.fs.slotCount = slots;
+            dumps += canonicalDump(
+                FsOptimizer(*recorded.profile, opt_config).build());
+        }
+        const std::uint64_t digest = fnv1a(dumps);
+        actual << (l == 0 ? "{" : ", ") << "0x" << std::hex << digest
+               << "ULL" << std::dec;
+        EXPECT_EQ(digest, kImagePins[w][l])
+            << workload->name() << " at "
+            << fsOptLevelName(allFsOptLevels()[l]);
+    }
+    if (HasFailure())
+        ADD_FAILURE() << workload->name() << " row: " << actual.str()
+                      << "}";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, FsImagePin,
+                         ::testing::Range(0, 10));
 
 } // namespace branchlab::profile

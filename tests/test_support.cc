@@ -290,60 +290,6 @@ TEST(RunningStat, ResetClearsEverything)
     EXPECT_EQ(stat.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndBoundsBehave)
-{
-    Histogram hist(0, 99, 10);
-    hist.addSample(0);
-    hist.addSample(5);
-    hist.addSample(10);
-    hist.addSample(99);
-    hist.addSample(-1);
-    hist.addSample(100);
-    EXPECT_EQ(hist.numBuckets(), 10u);
-    EXPECT_EQ(hist.bucketCount(0), 2u);
-    EXPECT_EQ(hist.bucketCount(1), 1u);
-    EXPECT_EQ(hist.bucketCount(9), 1u);
-    EXPECT_EQ(hist.underflow(), 1u);
-    EXPECT_EQ(hist.overflow(), 1u);
-    EXPECT_EQ(hist.totalSamples(), 6u);
-}
-
-TEST(Histogram, WeightedSamplesAndMean)
-{
-    Histogram hist(0, 9, 2);
-    hist.addSample(2, 3);
-    hist.addSample(8, 1);
-    EXPECT_EQ(hist.totalSamples(), 4u);
-    EXPECT_NEAR(hist.meanSample(), (2.0 * 3 + 8.0) / 4.0, 1e-12);
-}
-
-TEST(Histogram, BucketLowIsInclusiveLowerBound)
-{
-    Histogram hist(10, 29, 2);
-    EXPECT_EQ(hist.bucketLow(0), 10);
-    EXPECT_EQ(hist.bucketLow(1), 20);
-}
-
-TEST(StatRegistry, SetAndGetScalar)
-{
-    StatRegistry registry;
-    registry.setScalar("vm.instructions", 100.0);
-    EXPECT_TRUE(registry.has("vm.instructions"));
-    EXPECT_EQ(registry.scalar("vm.instructions"), 100.0);
-    EXPECT_FALSE(registry.has("missing"));
-    EXPECT_THROW(registry.scalar("missing"), ConfigFailure);
-}
-
-TEST(StatRegistry, DumpIsSorted)
-{
-    StatRegistry registry;
-    registry.setScalar("b", 2);
-    registry.setScalar("a", 1);
-    std::ostringstream os;
-    registry.dump(os);
-    EXPECT_EQ(os.str(), "a 1\nb 2\n");
-}
-
 TEST(Formatting, PercentAndFixed)
 {
     EXPECT_EQ(formatPercent(0.915), "91.5%");
