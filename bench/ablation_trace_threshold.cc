@@ -81,12 +81,11 @@ main()
             profile::FsConfig config;
             config.slotCount = 2;
             config.trace.minArcProbability = threshold;
-            const profile::FsResult image =
-                profile::ForwardSlotFiller(*entry.profile, config)
-                    .build();
-            sites += image.sites.size();
-            growth += image.codeSizeIncrease();
-            for (const profile::Trace &trace : image.traces) {
+            const profile::FsPlan plan =
+                profile::planForwardSlots(*entry.profile, config);
+            sites += plan.sites.size();
+            growth += plan.codeSizeIncrease(config.slotCount);
+            for (const profile::Trace &trace : plan.traces) {
                 ++traces;
                 blocks += trace.blocks.size();
                 // Dynamic weight of in-trace transitions: the arc

@@ -13,7 +13,7 @@
 #include "ir/builder.hh"
 #include "ir/printer.hh"
 #include "ir/verifier.hh"
-#include "profile/fs_verify.hh"
+#include "profile/fs_opt.hh"
 #include "vm/machine.hh"
 
 using namespace branchlab;
@@ -75,11 +75,13 @@ main()
     machine.setSink(&profile);
     machine.run();
 
-    // Transform with k + l = 2, exactly Figure 2's slot count.
-    profile::FsConfig config;
-    config.slotCount = 2;
-    const profile::FsResult image =
-        profile::ForwardSlotFiller(profile, config).build();
+    // Transform with k + l = 2, exactly Figure 2's slot count. The
+    // optimizer's level none is the paper's transform as it stands.
+    profile::FsOptConfig config;
+    config.fs.slotCount = 2;
+    const profile::FsOptResult transformed =
+        profile::FsOptimizer(profile, config).build();
+    const profile::FsResult &image = transformed.image;
 
     std::cout << "\n=== After the Forward Semantic transformation ===\n";
     profile::printFsImage(std::cout, profile, image);
@@ -98,7 +100,7 @@ main()
               << formatPercent(image.codeSizeIncrease(), 2) << ")\n";
 
     const profile::FsVerifyResult verdict =
-        profile::verifyFsImage(profile, image, config.slotCount);
+        profile::verifyFsOptImage(profile, transformed);
     std::cout << "Invariant check: "
               << (verdict.ok() ? "OK" : verdict.message()) << "\n";
     return verdict.ok() ? 0 : 1;

@@ -99,26 +99,10 @@ DiagnosticEngine::lintProgram(const ir::Program &program) const
 
 std::vector<Diagnostic>
 DiagnosticEngine::lintFsImage(const profile::ProgramProfile &profile,
-                              const profile::FsResult &image,
-                              unsigned slot_count) const
-{
-    AnalysisCache cache(profile.program());
-    FsImageContext context{profile, image, slot_count, cache};
-    std::vector<Diagnostic> diags;
-    for (const auto &rule : rules_) {
-        if (ruleEnabled(*rule))
-            rule->checkFsImage(context, diags);
-    }
-    return postProcess(std::move(diags));
-}
-
-std::vector<Diagnostic>
-DiagnosticEngine::lintFsImage(const profile::ProgramProfile &profile,
                               const profile::FsOptResult &opt) const
 {
     AnalysisCache cache(profile.program());
-    FsImageContext context{profile, opt.image,
-                           opt.config.fs.slotCount, cache, &opt};
+    FsImageContext context{profile, opt, cache};
     std::vector<Diagnostic> diags;
     for (const auto &rule : rules_) {
         if (ruleEnabled(*rule))

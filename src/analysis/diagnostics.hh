@@ -23,7 +23,7 @@
 #include <string>
 
 #include "analysis/analysis_cache.hh"
-#include "profile/forward_slots.hh"
+#include "profile/profile.hh"
 
 namespace branchlab::profile
 {
@@ -74,18 +74,14 @@ struct ProgramContext
     AnalysisCache &analyses;
 };
 
-/** What an FS-image rule sees (analyses are over the original
- *  program the image was derived from). */
+/** What an FS-image rule sees: the image with the optimizer's
+ *  evidence records (analyses are over the original program the image
+ *  was derived from). */
 struct FsImageContext
 {
     const profile::ProgramProfile &profile;
-    const profile::FsResult &image;
-    unsigned slotCount;
+    const profile::FsOptResult &opt;
     AnalysisCache &analyses;
-    /** The optimizer's evidence records when the image came from
-     *  fs_opt (null for seed images; rules that need fill/dup/elision
-     *  provenance skip their checks without it). */
-    const profile::FsOptResult *opt = nullptr;
 };
 
 /**
@@ -145,15 +141,8 @@ class DiagnosticEngine
      *  ir::verifyProgram first. */
     std::vector<Diagnostic> lintProgram(const ir::Program &program) const;
 
-    /** Run every enabled rule's FS-image check. */
-    std::vector<Diagnostic>
-    lintFsImage(const profile::ProgramProfile &profile,
-                const profile::FsResult &image,
-                unsigned slot_count) const;
-
-    /** Run every enabled rule's FS-image check over an *optimized*
-     *  image, making the optimizer's evidence records available to
-     *  provenance-aware rules. */
+    /** Run every enabled rule's FS-image check over the image of
+     *  @p opt, at any optimizer level. */
     std::vector<Diagnostic>
     lintFsImage(const profile::ProgramProfile &profile,
                 const profile::FsOptResult &opt) const;

@@ -345,7 +345,7 @@ class FsSlotRegionTargetRule final : public LintRule
     checkFsImage(FsImageContext &context,
                  std::vector<Diagnostic> &out) const override
     {
-        const profile::FsResult &image = context.image;
+        const profile::FsResult &image = context.opt.image;
         const ir::Layout &layout = context.profile.layout();
         const std::vector<bool> in_region = slotRegionMarks(image);
 
@@ -439,8 +439,9 @@ class FsClobberedLiveRegisterRule final : public LintRule
     {
         const ir::Program &prog = context.profile.program();
         const ir::Layout &layout = context.profile.layout();
+        const profile::FsResult &image = context.opt.image;
 
-        for (const profile::SlotSite &site : context.image.sites) {
+        for (const profile::SlotSite &site : image.sites) {
             if (site.viaCall)
                 continue; // copies live in the callee's register file
             const ir::CodeLocation &branch = site.branchOrig;
@@ -461,8 +462,8 @@ class FsClobberedLiveRegisterRule final : public LintRule
             RegSet clobbered(fn.numRegs(), false);
             for (unsigned c = 0; c < site.copied; ++c) {
                 const profile::ImageSlot &slot =
-                    context.image.slots[site.branchImageIndex + 1 +
-                                        site.filled + c];
+                    image.slots[site.branchImageIndex + 1 +
+                                site.filled + c];
                 if (slot.kind != profile::ImageSlot::Kind::Copy ||
                     slot.orig.func != branch.func)
                     continue;
@@ -522,8 +523,9 @@ class FsSpeculativeSlotClobberRule final : public LintRule
     {
         const ir::Program &prog = context.profile.program();
         const ir::Layout &layout = context.profile.layout();
+        const profile::FsResult &image = context.opt.image;
 
-        for (const profile::SlotSite &site : context.image.sites) {
+        for (const profile::SlotSite &site : image.sites) {
             if (site.filled == 0)
                 continue;
             const ir::CodeLocation &branch = site.branchOrig;
@@ -560,10 +562,9 @@ class FsSpeculativeSlotClobberRule final : public LintRule
             for (unsigned k = 0; k < site.filled; ++k) {
                 const std::size_t idx =
                     site.branchImageIndex + 1 + k;
-                if (idx >= context.image.slots.size())
+                if (idx >= image.slots.size())
                     break; // structural damage; the verifier's job
-                const profile::ImageSlot &slot =
-                    context.image.slots[idx];
+                const profile::ImageSlot &slot = image.slots[idx];
                 if (slot.kind != profile::ImageSlot::Kind::Fill)
                     continue;
                 const ir::Instruction &inst =
@@ -635,11 +636,9 @@ class FsUnreachableDupTailRule final : public LintRule
     checkFsImage(FsImageContext &context,
                  std::vector<Diagnostic> &out) const override
     {
-        if (context.opt == nullptr)
-            return; // seed image: no duplicates to check
         const ir::Program &prog = context.profile.program();
 
-        for (const profile::DupTail &dup : context.opt->dups) {
+        for (const profile::DupTail &dup : context.opt.dups) {
             if (dup.func >= prog.numFunctions())
                 continue; // structural damage; the verifier's job
             const ir::Function &fn = prog.function(dup.func);

@@ -8,6 +8,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "predict/profile_predictor.hh"
+#include "profile/forward_slots.hh"
 #include "profile/profile.hh"
 #include "store/store.hh"
 #include "support/logging.hh"
@@ -175,11 +176,14 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     }
 
     // ---- Table 5: the code-size cost of the FS transform. ----
+    // The sites do not depend on k + l, so one plan prices every k + l.
     const obs::ScopedSpan span("engine.codesize");
-    for (unsigned slots : config_.codeSizeSlots) {
-        result.codeIncrease[slots] = profile::codeIncreaseFor(
-            *recorded.profile, slots, config_.traceThreshold);
-    }
+    profile::FsConfig fs;
+    fs.trace.minArcProbability = config_.traceThreshold;
+    const profile::FsPlan plan =
+        profile::planForwardSlots(*recorded.profile, fs);
+    for (unsigned slots : config_.codeSizeSlots)
+        result.codeIncrease[slots] = plan.codeSizeIncrease(slots);
     return result;
 }
 

@@ -34,10 +34,14 @@ FsResult::codeSizeIncrease() const
            static_cast<double>(originalSize);
 }
 
-ForwardSlotFiller::ForwardSlotFiller(const ProgramProfile &profile,
-                                     const FsConfig &config)
-    : profile_(profile), config_(config)
-{}
+double
+FsPlan::codeSizeIncrease(unsigned slot_count) const
+{
+    if (originalSize == 0)
+        return 0.0;
+    return static_cast<double>(sites.size() * slot_count) /
+           static_cast<double>(originalSize);
+}
 
 double
 codeIncreaseFor(const ProgramProfile &profile, unsigned slot_count,
@@ -46,7 +50,7 @@ codeIncreaseFor(const ProgramProfile &profile, unsigned slot_count,
     FsConfig config;
     config.slotCount = slot_count;
     config.trace.minArcProbability = trace_threshold;
-    return ForwardSlotFiller(profile, config).build().codeSizeIncrease();
+    return planForwardSlots(profile, config).codeSizeIncrease(slot_count);
 }
 
 FsPlan
@@ -56,6 +60,7 @@ planForwardSlots(const ProgramProfile &profile, const FsConfig &config)
     const ir::Layout &layout = profile.layout();
 
     FsPlan plan;
+    plan.originalSize = prog.staticSize();
     TraceSelector selector(profile, config.trace);
     plan.traces = selector.selectProgram();
 
@@ -121,10 +126,8 @@ planForwardSlots(const ProgramProfile &profile, const FsConfig &config)
 
             switch (term.op) {
               case Opcode::Jmp:
-                if (config.slotUnconditional &&
-                    (is_last || next_in_trace != term.target))
-                    add_site(t, term_loc, term.target);
-                break;
+                // The slot mechanism masks conditional branches
+                // (Figure 2); a jump's target resolves at decode.
               case Opcode::Call:
                 // The paper's filling algorithm is function-local: it
                 // copies from trace[i]->next_trace, and a callee is
@@ -164,46 +167,6 @@ planForwardSlots(const ProgramProfile &profile, const FsConfig &config)
         }
     }
     return plan;
-}
-
-FsResult
-ForwardSlotFiller::build() const
-{
-    FsPlan plan = planForwardSlots(profile_, config_);
-    const ir::Layout &layout = profile_.layout();
-
-    FsResult result;
-    result.originalSize = profile_.program().staticSize();
-    // Each home, then after a site's branch its copies of the target
-    // path and its NO-OP pads.
-    for (std::size_t t = 0; t < plan.traces.size(); ++t) {
-        for (std::size_t pos = 0; pos < plan.base[t].size(); ++pos) {
-            const CodeLocation &loc = plan.base[t][pos];
-            result.homeIndex[layout.instAddr(loc.func, loc.block,
-                                             loc.index)] =
-                result.slots.size();
-            result.slots.push_back(
-                ImageSlot{ImageSlot::Kind::Home, loc});
-
-            const auto site_it = plan.sites.find({t, pos});
-            if (site_it == plan.sites.end())
-                continue;
-            SlotSite site = site_it->second.site;
-            site.branchImageIndex = result.slots.size() - 1;
-            const std::span<const CodeLocation> path =
-                plan.targetPath(site_it->second);
-            for (unsigned c = 0; c < site.copied; ++c) {
-                result.slots.push_back(
-                    ImageSlot{ImageSlot::Kind::Copy, path[c]});
-            }
-            for (unsigned p = 0; p < site.padded; ++p)
-                result.slots.push_back(ImageSlot{});
-            result.sites.push_back(site);
-        }
-    }
-    result.traces = std::move(plan.traces);
-    result.reversed = std::move(plan.reversed);
-    return result;
 }
 
 } // namespace branchlab::profile

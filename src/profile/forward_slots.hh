@@ -9,17 +9,18 @@
  *     likely side ("all conditional branches that are predicted taken
  *     are placed at the end of these traces");
  *  3. lay traces out (hottest first) and reserve k + l forward slots
- *     after every predicted-taken branch with a statically known
- *     target (likely-taken conditionals, escaping jumps, calls);
+ *     after every likely-taken trace-ending conditional branch;
  *  4. fill each slot group with the first k + l instructions of the
  *     branch's target path (the target trace's content), padding with
  *     NO-OPs when the target trace is shorter, and advance the branch
  *     target past the copied prefix (the paper's target_addr
  *     adjustment).
  *
- * Branches without compile-time targets (returns, jump tables,
- * indirect calls) receive no slots and contribute no code growth; see
- * DESIGN.md for how their prediction accuracy is modelled.
+ * The slot mechanism masks conditional branches (Figure 2): jumps and
+ * calls resolve their targets at decode, and returns, jump tables and
+ * indirect calls have no compile-time target, so none of them receives
+ * slots or contributes code growth; see DESIGN.md for how their
+ * prediction accuracy is modelled.
  *
  * The copy window reads the target trace's *base* content (home
  * instructions, before slot insertion), which makes the result
@@ -27,11 +28,13 @@
  * therefore immaterial here and noted in EXPERIMENTS.md.
  *
  * Steps 1-3 and each site's unrefined window form one plan
- * (planForwardSlots). ForwardSlotFiller materialises it as it stands
- * (copies plus NO-OP pads); the FS optimizer (fs_opt.hh) refines the
- * same plan's windows and materialises its own image, so the two
- * builders never disagree on traces, reversals or which branches are
- * sites.
+ * (planForwardSlots). The FS optimizer (fs_opt.hh) is the one builder
+ * of images: at level none it materialises the plan as it stands
+ * (copies plus NO-OP pads), and higher levels refine the same plan's
+ * windows first, so no level disagrees on traces, reversals or which
+ * branches are sites. Table 5 needs no image at all: every site
+ * reserves exactly k + l slots, so the plan's site count prices the
+ * code growth of every k + l.
  */
 
 #ifndef BRANCHLAB_PROFILE_FORWARD_SLOTS_HH
@@ -53,14 +56,6 @@ struct FsConfig
 {
     /** Number of forward slots per predicted-taken branch (k + l). */
     unsigned slotCount = 2;
-    /**
-     * Also reserve slots after trace-escaping direct jumps. The
-     * paper's slot mechanism exists to mask *conditional* branches
-     * (Figure 2); unconditional targets resolve at decode, so the
-     * default matches the paper's Table 5 densities. Enable to model
-     * fetch-penalty masking for jumps too.
-     */
-    bool slotUnconditional = false;
     TraceSelectConfig trace;
 };
 
@@ -166,11 +161,13 @@ struct PendingSite
  * Steps 1-3 of the transform, everything but the image: the traces,
  * the alignment reversals, each trace's base content (home
  * instructions, in order) and every slot site with its unrefined
- * target window. The seed filler materialises it as it stands; the
- * optimizer (fs_opt.hh) refines each window first.
+ * target window. The optimizer (fs_opt.hh) materialises it as it
+ * stands at level none and refines each window first above it.
  */
 struct FsPlan
 {
+    /** Static size before transformation (instructions). */
+    std::size_t originalSize = 0;
     /** Traces in layout order (function by function, hottest first).*/
     std::vector<Trace> traces;
     /** Original terminator addresses whose condition is reversed. */
@@ -188,32 +185,22 @@ struct FsPlan
         return std::span<const ir::CodeLocation>(base[site.targetTrace])
             .subspan(site.targetOffset);
     }
+
+    /** Table 5's metric at @p slot_count slots per site: the seed
+     *  image's (expanded - original) / original. Every site reserves
+     *  exactly slot_count slots (V5) and neither the traces nor the
+     *  sites depend on the slot count, so one plan prices every k + l. */
+    double codeSizeIncrease(unsigned slot_count) const;
 };
 
 /** Plan the transform of one profiled program. */
 FsPlan planForwardSlots(const ProgramProfile &profile,
                         const FsConfig &config);
 
-/** Runs the transformation for one profiled program. */
-class ForwardSlotFiller
-{
-  public:
-    ForwardSlotFiller(const ProgramProfile &profile,
-                      const FsConfig &config = FsConfig{});
-
-    /** Build the transformed image. */
-    FsResult build() const;
-
-  private:
-    const ProgramProfile &profile_;
-    FsConfig config_;
-};
-
 /**
  * Table 5's metric for one (slot count, trace threshold) design point:
- * build the FS image and return its relative code-size increase. The
- * sweep engine calls this once per distinct pair and shares the result
- * across every grid point that uses it.
+ * plan the transform and return the seed image's relative code-size
+ * increase, without materialising the image.
  */
 double codeIncreaseFor(const ProgramProfile &profile, unsigned slot_count,
                        double trace_threshold);

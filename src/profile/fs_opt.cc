@@ -218,28 +218,36 @@ FsOptimizer::FsOptimizer(const ProgramProfile &profile,
     : profile_(profile), config_(config)
 {}
 
-FsOptResult
-FsOptimizer::build() const
+struct FsOptimizer::Refinements
 {
-    FsOptResult out;
-    out.level = config_.level;
-    out.config = config_;
-    if (config_.level == FsOptLevel::None) {
-        out.image = ForwardSlotFiller(profile_, config_.fs).build();
-        return out;
-    }
+    explicit Refinements(std::size_t functions)
+        : elided(functions), forwarded(functions)
+    {}
 
+    /** Homes the hoist pass removed, per function. */
+    std::vector<std::set<std::pair<BlockId, std::uint32_t>>> elided;
+    /** Homes forwarded into their Copy slots, per function. */
+    std::vector<std::set<std::pair<BlockId, std::uint32_t>>> forwarded;
+    /** Addresses moved into Fill slots. */
+    std::unordered_set<Addr> moved;
+    /** Each filled site's fills, in program order, keyed like
+     *  FsPlan::sites. */
+    std::map<std::pair<std::size_t, std::size_t>,
+             std::vector<CodeLocation>>
+        fills;
+    /** Each forwarding site's forwarded prefix length. */
+    std::map<std::pair<std::size_t, std::size_t>, unsigned> forwards;
+    /** Tail duplicates, in image order. */
+    std::vector<DupTail> dups;
+};
+
+void
+FsOptimizer::refine(FsPlan &seed, FsOptResult &out,
+                    Refinements &chosen) const
+{
     const ir::Program &prog = profile_.program();
     const ir::Layout &layout = profile_.layout();
-    FsResult &result = out.image;
-    result.originalSize = prog.staticSize();
-
-    // The seed plan: the optimizer changes slot *content*, never the
-    // traces, the reversals or which branches are sites.
-    FsPlan seed = planForwardSlots(profile_, config_.fs);
-    result.traces = std::move(seed.traces);
-    result.reversed = std::move(seed.reversed);
-
+    const FsResult &result = out.image;
     analysis::AnalysisCache analyses(prog);
 
     // Refine each site's window: truncation at the first redirecting
@@ -317,8 +325,7 @@ FsOptimizer::build() const
     // visited in reverse postorder so every dominator's elisions are
     // final before its subtree is considered (sources are never
     // chosen from positions already elided).
-    std::vector<std::set<std::pair<BlockId, std::uint32_t>>> elided(
-        prog.numFunctions());
+    auto &elided = chosen.elided;
     if (config_.level >= FsOptLevel::Hoist) {
         for (FuncId f = 0; f < prog.numFunctions(); ++f) {
             const ir::Function &fn = prog.function(f);
@@ -396,10 +403,8 @@ FsOptimizer::build() const
     // after the branch, taken path only). Candidates need not be a
     // contiguous suffix: an immovable instruction only blocks the
     // candidates that depend on it.
-    std::map<std::pair<std::size_t, std::size_t>,
-             std::vector<CodeLocation>>
-        site_fills;
-    std::unordered_set<Addr> moved_addrs;
+    auto &site_fills = chosen.fills;
+    auto &moved_addrs = chosen.moved;
     for (auto &[key, pending] : seed.sites) {
         SlotSite &plan = pending.site;
         // A proven fill beats a copy: the copy duplicates its target
@@ -570,10 +575,8 @@ FsOptimizer::build() const
     // into their Copy slots (classic branch target forwarding). The
     // committed stream is untouched: the copies already emit the same
     // addresses the homes would have.
-    std::map<std::pair<std::size_t, std::size_t>, unsigned>
-        site_forwards;
-    std::vector<std::set<std::pair<BlockId, std::uint32_t>>> forwarded(
-        prog.numFunctions());
+    auto &site_forwards = chosen.forwards;
+    auto &forwarded = chosen.forwarded;
     for (const auto &[key, pending] : seed.sites) {
         const SlotSite &plan = pending.site;
         if (plan.copied == 0)
@@ -650,7 +653,6 @@ FsOptimizer::build() const
     }
 
     // Superblock pass: absorb hot side entrances by tail duplication.
-    std::vector<DupTail> dups;
     if (config_.level >= FsOptLevel::Superblock) {
         std::set<std::tuple<FuncId, BlockId, BlockId>> seen;
         std::vector<DupTail> candidates;
@@ -759,26 +761,57 @@ FsOptimizer::build() const
                 continue;
             }
             total += dup.length;
-            dups.push_back(dup);
+            ++out.counters.tailsDuplicated;
+            out.counters.dupInstructions += dup.length;
+            chosen.dups.push_back(dup);
         }
     }
 
+    FsOptTelemetry &telemetry = fsOptTelemetry();
+    telemetry.slotsFilled.add(out.counters.slotsFilled);
+    telemetry.padsDropped.add(out.counters.padsDropped);
+    telemetry.copiesTruncated.add(out.counters.copiesTruncated);
+    telemetry.deadCopiesDropped.add(out.counters.deadCopiesDropped);
+    telemetry.tailsDuplicated.add(out.counters.tailsDuplicated);
+    telemetry.hoists.add(out.counters.hoistElisions);
+    telemetry.homesForwarded.add(out.counters.homesForwarded);
+}
+
+FsOptResult
+FsOptimizer::build() const
+{
+    FsOptResult out;
+    out.level = config_.level;
+    out.config = config_;
+
+    const ir::Program &prog = profile_.program();
+    const ir::Layout &layout = profile_.layout();
+    FsResult &result = out.image;
+
+    // The seed plan: the optimizer changes slot *content*, never the
+    // traces, the reversals or which branches are sites. Level none
+    // lays it out as it stands.
+    FsPlan seed = planForwardSlots(profile_, config_.fs);
+    result.originalSize = seed.originalSize;
+    result.traces = std::move(seed.traces);
+    result.reversed = std::move(seed.reversed);
+    Refinements chosen(prog.numFunctions());
+    if (config_.level >= FsOptLevel::Slots)
+        refine(seed, out, chosen);
+
     // Materialise the image. Homes are skipped for moved, elided and
-    // forwarded instructions; sites lay out [fills][copies];
+    // forwarded instructions; sites lay out [fills][copies][pads];
     // duplicates are appended after every trace.
     for (std::size_t t = 0; t < seed.base.size(); ++t) {
         for (std::size_t pos = 0; pos < seed.base[t].size(); ++pos) {
             const CodeLocation &loc = seed.base[t][pos];
             const Addr addr =
                 layout.instAddr(loc.func, loc.block, loc.index);
-            const bool is_elided =
-                !elided[loc.func].empty() &&
-                elided[loc.func].count({loc.block, loc.index}) > 0;
-            const bool is_forwarded =
-                !forwarded[loc.func].empty() &&
-                forwarded[loc.func].count({loc.block, loc.index}) > 0;
-            if (!is_elided && !is_forwarded &&
-                !moved_addrs.count(addr)) {
+            const std::pair<BlockId, std::uint32_t> at{loc.block,
+                                                       loc.index};
+            if (!chosen.elided[loc.func].count(at) &&
+                !chosen.forwarded[loc.func].count(at) &&
+                !chosen.moved.count(addr)) {
                 result.homeIndex[addr] = result.slots.size();
                 result.slots.push_back(
                     ImageSlot{ImageSlot::Kind::Home, loc,
@@ -791,8 +824,8 @@ FsOptimizer::build() const
             SlotSite site = site_it->second.site;
             site.branchImageIndex = result.slots.size() - 1;
 
-            const auto fills_it = site_fills.find({t, pos});
-            if (fills_it != site_fills.end()) {
+            const auto fills_it = chosen.fills.find({t, pos});
+            if (fills_it != chosen.fills.end()) {
                 for (const CodeLocation &fill : fills_it->second) {
                     const Addr fill_addr = layout.instAddr(
                         fill.func, fill.block, fill.index);
@@ -808,9 +841,9 @@ FsOptimizer::build() const
 
             const std::span<const CodeLocation> path =
                 seed.targetPath(site_it->second);
-            const auto fwd_it = site_forwards.find({t, pos});
+            const auto fwd_it = chosen.forwards.find({t, pos});
             const unsigned fwd_n =
-                fwd_it == site_forwards.end() ? 0 : fwd_it->second;
+                fwd_it == chosen.forwards.end() ? 0 : fwd_it->second;
             for (unsigned c = 0; c < site.copied; ++c) {
                 const CodeLocation &cloc = path[c];
                 if (c < fwd_n) {
@@ -828,11 +861,13 @@ FsOptimizer::build() const
                     ImageSlot{ImageSlot::Kind::Copy, cloc,
                               SlotProvenance::Seed});
             }
+            for (unsigned p = 0; p < site.padded; ++p)
+                result.slots.push_back(ImageSlot{});
 
             result.sites.push_back(site);
         }
     }
-    for (DupTail &dup : dups) {
+    for (DupTail &dup : chosen.dups) {
         dup.imageStart = result.slots.size();
         const ir::BasicBlock &bb =
             prog.function(dup.func).block(dup.block);
@@ -842,19 +877,8 @@ FsOptimizer::build() const
                           CodeLocation{dup.func, dup.block, i},
                           SlotProvenance::Superblock});
         }
-        ++out.counters.tailsDuplicated;
-        out.counters.dupInstructions += dup.length;
         out.dups.push_back(dup);
     }
-
-    FsOptTelemetry &telemetry = fsOptTelemetry();
-    telemetry.slotsFilled.add(out.counters.slotsFilled);
-    telemetry.padsDropped.add(out.counters.padsDropped);
-    telemetry.copiesTruncated.add(out.counters.copiesTruncated);
-    telemetry.deadCopiesDropped.add(out.counters.deadCopiesDropped);
-    telemetry.tailsDuplicated.add(out.counters.tailsDuplicated);
-    telemetry.hoists.add(out.counters.hoistElisions);
-    telemetry.homesForwarded.add(out.counters.homesForwarded);
     return out;
 }
 

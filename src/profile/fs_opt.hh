@@ -5,7 +5,8 @@
  * dataflow framework (src/analysis/) is available. Four cumulative
  * levels, selected with --fs-opt:
  *
- *  - none:       the seed transform (forward_slots.cc), bit-identical.
+ *  - none:       the seed transform: the plan of forward_slots.hh
+ *                with every window as planned (copies, NO-OP pads).
  *  - slots:      liveness-aware slot groups. Copies past the first
  *                redirecting copy are structurally unreachable in the
  *                executor region model and are truncated; NO-OP pads
@@ -34,14 +35,17 @@
  *                the value), shrinking the image.
  *
  * Every level starts from the seed plan (planForwardSlots in
- * forward_slots.hh): the optimizer changes slot content, never the
- * traces, the reversals or which branches are sites.
+ * forward_slots.hh) and ends in one materialiser: the optimizer
+ * changes slot content, never the traces, the reversals or which
+ * branches are sites.
  *
  * Every emitted image must pass verifyFsOptImage (fs_opt_verify.cc),
  * which re-runs liveness/def-use over the *output* image and re-proves
  * each transformation from scratch, reporting all violations with
- * slot provenance. Committed-stream equivalence is checked modulo the
- * removed/moved addresses (checkImageEquivalenceOpt in image_exec.hh).
+ * slot provenance (at level none it applies the seed invariants of
+ * fs_verify.hh). Committed-stream equivalence is checked modulo the
+ * removed/moved addresses (checkImageEquivalence in image_exec.hh),
+ * exactly at level none, where none are.
  */
 
 #ifndef BRANCHLAB_PROFILE_FS_OPT_HH
@@ -197,8 +201,9 @@ struct FsOptResult
 };
 
 /**
- * Build an optimized FS image. At level none the result wraps the
- * seed ForwardSlotFiller image bit-identically.
+ * Build an FS image, the one builder at every level. Level none lays
+ * the seed plan out as it stands: each site's copies, then its NO-OP
+ * pads.
  */
 class FsOptimizer
 {
@@ -209,6 +214,15 @@ class FsOptimizer
     FsOptResult build() const;
 
   private:
+    /** What the passes above level none chose to drop, move, forward
+     *  and duplicate. */
+    struct Refinements;
+
+    /** Run the passes of level slots and up: refine @p seed's windows
+     *  in place and record their choices in @p chosen. */
+    void refine(FsPlan &seed, FsOptResult &out,
+                Refinements &chosen) const;
+
     const ProgramProfile &profile_;
     FsOptConfig config_;
 };

@@ -29,13 +29,6 @@ ImageExecutor::homeOf(Addr addr) const
 }
 
 ImageExecutor::ImageExecutor(const ProgramProfile &profile,
-                             const FsResult &image)
-    : prog_(profile.program()), layout_(profile.layout()), image_(image)
-{
-    decodeImage();
-}
-
-ImageExecutor::ImageExecutor(const ProgramProfile &profile,
                              const FsOptResult &opt)
     : prog_(profile.program()), layout_(profile.layout()),
       image_(opt.image)
@@ -520,20 +513,10 @@ ImageExecutor::run(const std::vector<std::vector<Word>> &inputs,
     }
 }
 
-namespace
-{
-
-/**
- * Run the original program and @p executor over @p inputs, then
- * compare stop reasons, committed streams and outputs. With @p relaxed
- * set, those addresses are filtered from both streams first (and the
- * stream messages say "filtered").
- */
 std::string
-compareWithOriginal(const ProgramProfile &profile,
-                    const ImageExecutor &executor,
-                    const std::vector<std::vector<Word>> &inputs,
-                    const std::unordered_set<Addr> *relaxed)
+checkImageEquivalence(const ProgramProfile &profile,
+                      const FsOptResult &opt,
+                      const std::vector<std::vector<Word>> &inputs)
 {
     // Reference run on the original program.
     trace::InstRecorder recorder;
@@ -544,26 +527,30 @@ compareWithOriginal(const ProgramProfile &profile,
     const vm::RunResult reference = machine.run();
 
     // Transformed-image run.
-    const ImageRunResult transformed = executor.run(inputs);
+    const ImageRunResult transformed =
+        ImageExecutor(profile, opt).run(inputs);
 
     std::ostringstream os;
     if (transformed.reason != reference.reason) {
         os << "stop reasons differ";
         return os.str();
     }
-    const auto filtered = [relaxed](const std::vector<Addr> &stream) {
+    // The committed streams, with the provably indifferent addresses
+    // (moved fills, dropped dead copies, elisions) removed from both.
+    const std::unordered_set<Addr> &relaxed = opt.relaxedAddrs;
+    const auto filtered = [&relaxed](const std::vector<Addr> &stream) {
         std::vector<Addr> out;
         out.reserve(stream.size());
         for (Addr addr : stream) {
-            if (relaxed == nullptr || !relaxed->count(addr))
+            if (!relaxed.count(addr))
                 out.push_back(addr);
         }
         return out;
     };
     const std::vector<Addr> want = filtered(recorder.addrs());
     const std::vector<Addr> got = filtered(transformed.committed);
-    const char *stream = relaxed ? "filtered committed stream"
-                                 : "committed stream";
+    const char *stream = relaxed.empty() ? "committed stream"
+                                         : "filtered committed stream";
     if (got.size() != want.size()) {
         os << stream << " lengths differ: original " << want.size()
            << ", image " << got.size();
@@ -584,27 +571,6 @@ compareWithOriginal(const ProgramProfile &profile,
         }
     }
     return std::string();
-}
-
-} // namespace
-
-std::string
-checkImageEquivalence(const ProgramProfile &profile, const FsResult &image,
-                      const std::vector<std::vector<Word>> &inputs)
-{
-    return compareWithOriginal(profile, ImageExecutor(profile, image),
-                               inputs, nullptr);
-}
-
-std::string
-checkImageEquivalenceOpt(const ProgramProfile &profile,
-                         const FsOptResult &opt,
-                         const std::vector<std::vector<Word>> &inputs)
-{
-    // The committed streams, with the provably indifferent addresses
-    // (moved fills, dropped dead copies, elisions) removed from both.
-    return compareWithOriginal(profile, ImageExecutor(profile, opt),
-                               inputs, &opt.relaxedAddrs);
 }
 
 } // namespace branchlab::profile

@@ -63,17 +63,15 @@ struct ImageRunResult
 class ImageExecutor
 {
   public:
-    ImageExecutor(const ProgramProfile &profile, const FsResult &image);
-
     /**
-     * Execute an *optimized* image (fs_opt.hh). Extends the region
-     * model: Fill slots execute first inside a region (before the
-     * copies), a region may be empty (every copy dropped -- control
-     * goes straight to the advanced resume point), and branches whose
-     * destination block was tail-duplicated for them redirect into
-     * their duplicate instead of the home (site-region entry takes
-     * precedence on the likely side). Elided instructions have no
-     * home and never execute.
+     * Execute the image of @p opt at any level (fs_opt.hh). Above
+     * level none the region model extends: Fill slots execute first
+     * inside a region (before the copies), a region may be empty
+     * (every copy dropped -- control goes straight to the advanced
+     * resume point), and branches whose destination block was
+     * tail-duplicated for them redirect into their duplicate instead
+     * of the home (site-region entry takes precedence on the likely
+     * side). Elided instructions have no home and never execute.
      */
     ImageExecutor(const ProgramProfile &profile,
                   const FsOptResult &opt);
@@ -138,25 +136,18 @@ class ImageExecutor
 };
 
 /**
- * Convenience for tests: run the original program and the image over
- * the same inputs and compare committed streams and outputs.
+ * Run the original program and the image of @p opt over the same
+ * inputs and compare stop reasons, committed streams and outputs. The
+ * streams are compared with the result's relaxedAddrs (moved fills,
+ * dropped dead copies, hoist elisions) filtered from both sides --
+ * those addresses execute on provably indifferent paths only -- so the
+ * check is exact at level none, where there are none.
  * @return empty string on equivalence, else a diagnostic.
  */
 std::string
-checkImageEquivalence(const ProgramProfile &profile, const FsResult &image,
+checkImageEquivalence(const ProgramProfile &profile,
+                      const FsOptResult &opt,
                       const std::vector<std::vector<ir::Word>> &inputs);
-
-/**
- * Equivalence check for *optimized* images: committed streams are
- * compared with the result's relaxedAddrs (moved fills, dropped dead
- * copies, hoist elisions) filtered from both sides -- those addresses
- * execute on provably indifferent paths only. Outputs and the stop
- * reason must still match exactly.
- */
-std::string
-checkImageEquivalenceOpt(const ProgramProfile &profile,
-                         const FsOptResult &opt,
-                         const std::vector<std::vector<ir::Word>> &inputs);
 
 } // namespace branchlab::profile
 

@@ -15,7 +15,7 @@
 #include "predict/profile_predictor.hh"
 #include "predict/sbtb.hh"
 #include "predict/static_predictors.hh"
-#include "profile/forward_slots.hh"
+#include "profile/fs_opt.hh"
 #include "profile/profile.hh"
 #include "support/logging.hh"
 #include "trace/record.hh"
@@ -192,7 +192,9 @@ expectIdenticalResults(const std::vector<BenchmarkResult> &a,
  * input suite drives SBTB, CBTB and the four statics, folds the
  * profile and tallies TraceStats; a second pass over the same inputs
  * drives the profiled-static predictor over the profile's likely map
- * (the FS is measured over the very runs it was profiled on).
+ * (the FS is measured over the very runs it was profiled on). Table 5
+ * reads the size of each materialised seed image (optimizer level
+ * none), not the plan's site count the engine prices it from.
  */
 BenchmarkResult
 referenceBenchmark(const workloads::Workload &workload,
@@ -269,8 +271,11 @@ referenceBenchmark(const workloads::Workload &workload,
                              0.0, false};
 
     for (unsigned slots : config.codeSizeSlots) {
-        result.codeIncrease[slots] = profile::codeIncreaseFor(
-            profile, slots, config.traceThreshold);
+        profile::FsOptConfig fs;
+        fs.fs.slotCount = slots;
+        fs.fs.trace.minArcProbability = config.traceThreshold;
+        result.codeIncrease[slots] =
+            profile::FsOptimizer(profile, fs).build().codeSizeIncrease();
     }
     return result;
 }
@@ -322,6 +327,33 @@ TEST(ExperimentRunner, EngineMatchesTheReferenceUnderNonDefaultConfigs)
         expectIdenticalResults(
             {ExperimentRunner(config).runBenchmark(tee)},
             {referenceBenchmark(tee, config)});
+    }
+}
+
+TEST(ExperimentRunner, CodeIncreaseIsTheSeedImageGrowth)
+{
+    // Table 5 prices every k + l from one plan's site count; the seed
+    // image materialised at each design point must grow by exactly
+    // that much.
+    ExperimentConfig config;
+    config.runsOverride = 1;
+    for (const workloads::Workload *workload : workloads::allWorkloads()) {
+        const RecordedWorkload recorded =
+            recordWorkload(*workload, config);
+        for (const double threshold : {0.5, 0.7, 0.9}) {
+            for (const unsigned slots : {1u, 2u, 4u, 8u}) {
+                profile::FsOptConfig fs;
+                fs.fs.slotCount = slots;
+                fs.fs.trace.minArcProbability = threshold;
+                EXPECT_EQ(profile::codeIncreaseFor(*recorded.profile,
+                                                   slots, threshold),
+                          profile::FsOptimizer(*recorded.profile, fs)
+                              .build()
+                              .codeSizeIncrease())
+                    << workload->name() << " at k+l=" << slots
+                    << ", threshold " << threshold;
+            }
+        }
     }
 }
 

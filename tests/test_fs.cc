@@ -54,6 +54,15 @@ profileOver(ir::Program prog, std::vector<ir::Word> input = {},
     return built;
 }
 
+/** The seed transform: the optimizer's image at level none. */
+FsOptResult
+seedImage(const ProgramProfile &profile, const FsConfig &config)
+{
+    FsOptConfig opt;
+    opt.fs = config;
+    return FsOptimizer(profile, opt).build();
+}
+
 /**
  * The paper's Figure 2 shape: a hot loop whose trace-ending branch is
  * likely taken, with a short unlikely path behind the target.
@@ -89,8 +98,7 @@ TEST(ForwardSlots, LikelyTakenLoopBranchGetsSlots)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    const FsResult image = ForwardSlotFiller(*built.profile, config)
-                               .build();
+    const FsResult image = seedImage(*built.profile, config).image;
     // The do-while bottom test is taken 49/50: it must be a slot site.
     ASSERT_FALSE(image.sites.empty());
     bool found_conditional_site = false;
@@ -114,8 +122,7 @@ TEST(ForwardSlots, CopiesReplicateTargetPathVerbatim)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 3;
-    const FsResult image = ForwardSlotFiller(*built.profile, config)
-                               .build();
+    const FsResult image = seedImage(*built.profile, config).image;
     for (const SlotSite &site : image.sites) {
         // Each copy slot's original identity must match the
         // instruction found at the (advancing) target path -- this is
@@ -155,8 +162,7 @@ TEST(ForwardSlots, PadsAppearOnlyWhenTargetTraceExhausted)
     Built built = profileOver(std::move(prog));
     FsConfig config;
     config.slotCount = 8;
-    const FsResult image = ForwardSlotFiller(*built.profile, config)
-                               .build();
+    const FsResult image = seedImage(*built.profile, config).image;
     EXPECT_EQ(verifyFsImage(*built.profile, image, config.slotCount)
                   .message(),
               "");
@@ -175,18 +181,15 @@ TEST(ForwardSlots, CodeSizeGrowsLinearlyInSlotCount)
     for (unsigned slots : {1u, 2u, 4u, 8u}) {
         FsConfig config;
         config.slotCount = slots;
-        const FsResult image =
-            ForwardSlotFiller(*built.profile, config).build();
+        const FsResult image = seedImage(*built.profile, config).image;
         EXPECT_EQ(image.expandedSize(),
                   image.originalSize + image.sites.size() * slots);
         const double increase = image.codeSizeIncrease();
         EXPECT_GT(increase, previous);
         // Linearity: increase per slot is constant (site set fixed).
         EXPECT_NEAR(increase / slots,
-                    ForwardSlotFiller(*built.profile, FsConfig{1, false,
-                                                               {}})
-                            .build()
-                            .codeSizeIncrease(),
+                    seedImage(*built.profile, FsConfig{1, {}})
+                        .codeSizeIncrease(),
                     1e-9);
         previous = increase;
     }
@@ -214,8 +217,7 @@ TEST(ForwardSlots, ReversalMakesLikelyPathFallThrough)
 
     Built built = profileOver(std::move(prog));
     FsConfig config;
-    const FsResult image = ForwardSlotFiller(*built.profile, config)
-                               .build();
+    const FsResult image = seedImage(*built.profile, config).image;
     // The 90%-taken if-test must be reversed somewhere (its then
     // block joins the trace as fallthrough).
     EXPECT_FALSE(image.reversed.empty());
@@ -227,8 +229,7 @@ TEST(ForwardSlots, ReversalMakesLikelyPathFallThrough)
 TEST(ForwardSlots, HomeIndexCoversEveryInstruction)
 {
     Built built = profileOver(buildFigure2Like());
-    const FsResult image =
-        ForwardSlotFiller(*built.profile, FsConfig{}).build();
+    const FsResult image = seedImage(*built.profile, FsConfig{}).image;
     EXPECT_EQ(image.homeIndex.size(), built.program.staticSize());
     for (const auto &[addr, index] : image.homeIndex) {
         ASSERT_LT(index, image.slots.size());
@@ -238,28 +239,10 @@ TEST(ForwardSlots, HomeIndexCoversEveryInstruction)
     }
 }
 
-TEST(ForwardSlots, UnconditionalSlotsAreOptIn)
-{
-    Built built = profileOver(test::buildCountdown(20));
-    FsConfig plain;
-    const FsResult without =
-        ForwardSlotFiller(*built.profile, plain).build();
-    FsConfig with_jumps = plain;
-    with_jumps.slotUnconditional = true;
-    const FsResult with =
-        ForwardSlotFiller(*built.profile, with_jumps).build();
-    EXPECT_GE(with.sites.size(), without.sites.size());
-    EXPECT_EQ(verifyFsImage(*built.profile, with,
-                            with_jumps.slotCount)
-                  .message(),
-              "");
-}
-
 TEST(ForwardSlots, PrinterRendersTheImage)
 {
     Built built = profileOver(buildFigure2Like());
-    const FsResult image =
-        ForwardSlotFiller(*built.profile, FsConfig{}).build();
+    const FsResult image = seedImage(*built.profile, FsConfig{}).image;
     std::ostringstream os;
     printFsImage(os, *built.profile, image);
     EXPECT_NE(os.str().find("Forward Semantic image"),
@@ -278,7 +261,7 @@ TEST(ForwardSlots, VerifierCollectsEveryViolation)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    FsResult image = ForwardSlotFiller(*built.profile, config).build();
+    FsResult image = seedImage(*built.profile, config).image;
     ASSERT_FALSE(image.sites.empty());
     ASSERT_TRUE(
         verifyFsImage(*built.profile, image, config.slotCount).ok());
@@ -324,7 +307,7 @@ TEST_P(FsInvariantSweep, WorkloadImageIsWellFormed)
 
     FsConfig config;
     config.slotCount = slot_count;
-    const FsResult image = ForwardSlotFiller(profile, config).build();
+    const FsResult image = seedImage(profile, config).image;
     EXPECT_EQ(verifyFsImage(profile, image, slot_count).message(), "")
         << workload->name() << " at k+l=" << slot_count;
 }
@@ -345,9 +328,10 @@ TEST(ImageExecution, Figure2LikeProgramIsEquivalent)
     for (unsigned slots : {1u, 2u, 4u, 8u}) {
         FsConfig config;
         config.slotCount = slots;
-        const FsResult image =
-            ForwardSlotFiller(*built.profile, config).build();
-        EXPECT_EQ(checkImageEquivalence(*built.profile, image, {}), "")
+        EXPECT_EQ(checkImageEquivalence(*built.profile,
+                                        seedImage(*built.profile, config),
+                                        {}),
+                  "")
             << "slots " << slots;
     }
 }
@@ -359,24 +343,12 @@ TEST(ImageExecution, SlotsActuallyExecuteOnTheLikelyPath)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    const FsResult image =
-        ForwardSlotFiller(*built.profile, config).build();
-    ASSERT_FALSE(image.sites.empty());
-    const ImageExecutor executor(*built.profile, image);
+    const FsOptResult seed = seedImage(*built.profile, config);
+    ASSERT_FALSE(seed.image.sites.empty());
+    const ImageExecutor executor(*built.profile, seed);
     const ImageRunResult run = executor.run({});
     EXPECT_EQ(run.reason, vm::StopReason::Halted);
     EXPECT_GT(run.instructions, 0u);
-}
-
-TEST(ImageExecution, UnconditionalSlotsPreserveSemanticsToo)
-{
-    Built built = profileOver(test::buildCountdown(25));
-    FsConfig config;
-    config.slotCount = 3;
-    config.slotUnconditional = true;
-    const FsResult image =
-        ForwardSlotFiller(*built.profile, config).build();
-    EXPECT_EQ(checkImageEquivalence(*built.profile, image, {}), "");
 }
 
 TEST(ImageExecution, CorruptedCopiesAreDetected)
@@ -387,7 +359,8 @@ TEST(ImageExecution, CorruptedCopiesAreDetected)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    FsResult image = ForwardSlotFiller(*built.profile, config).build();
+    FsOptResult seed = seedImage(*built.profile, config);
+    FsResult &image = seed.image;
     ASSERT_FALSE(image.sites.empty());
     const SlotSite &site = image.sites.front();
     ASSERT_GT(site.copied, 0u);
@@ -403,7 +376,7 @@ TEST(ImageExecution, CorruptedCopiesAreDetected)
 
     bool detected = false;
     try {
-        detected = !checkImageEquivalence(*built.profile, image, {})
+        detected = !checkImageEquivalence(*built.profile, seed, {})
                         .empty();
     } catch (const vm::ExecutionFault &) {
         detected = true;
@@ -440,8 +413,7 @@ TEST_P(ImageEquivalenceSweep, WorkloadImageRunsIdentically)
 
     FsConfig config;
     config.slotCount = slot_count;
-    const FsResult image = ForwardSlotFiller(profile, config).build();
-    EXPECT_EQ(checkImageEquivalence(profile, image,
+    EXPECT_EQ(checkImageEquivalence(profile, seedImage(profile, config),
                                     inputs[0].channels),
               "")
         << workload->name() << " at k+l=" << slot_count;
@@ -457,9 +429,8 @@ TEST(ImageExecution, BranchSinkSkipsTheCommittedStream)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    const FsResult image =
-        ForwardSlotFiller(*built.profile, config).build();
-    const ImageExecutor executor(*built.profile, image);
+    const FsOptResult seed = seedImage(*built.profile, config);
+    const ImageExecutor executor(*built.profile, seed);
 
     // No sink: the committed stream is materialised (equivalence
     // checks depend on it).

@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the analysis-driven FS optimizer (fs_opt.hh): level
- * plumbing, bit-identity of level none with the seed transform,
- * liveness-proven slot filling, superblock tail duplication,
- * dominator-based hoisting, the accuracy walk against the FS replay
- * kernel and the profile-row form against the walk, the adversarial
- * corruption suite for verifyFsOptImage, the all-workloads
- * equivalence sweep at every level, and the image pins that hold
- * every workload's images to committed digests.
+ * plumbing, level none as the seed transform (no records, the seed
+ * invariants, exact equivalence), liveness-proven slot filling,
+ * superblock tail duplication, dominator-based hoisting, the accuracy
+ * walk against the FS replay kernel and the profile-row form against
+ * the walk, the adversarial corruption suite for verifyFsOptImage,
+ * the all-workloads equivalence sweep at every level, and the image
+ * pins that hold every workload's images to committed digests.
  */
 
 #include <gtest/gtest.h>
@@ -249,14 +249,6 @@ buildHoistable(ir::Word compute_imm = 9, bool redefine_after = false)
     return prog;
 }
 
-std::string
-listingOf(const Built &built, const FsResult &image)
-{
-    std::ostringstream os;
-    printFsImage(os, *built.profile, image);
-    return os.str();
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -281,26 +273,20 @@ TEST(FsOpt, LevelNamesRoundTrip)
 TEST(FsOpt, NoneWrapsTheSeedBitIdentically)
 {
     Built built = profileOver(buildFigure2Like());
-    FsConfig seed_config;
-    seed_config.slotCount = 2;
-    const FsResult seed =
-        ForwardSlotFiller(*built.profile, seed_config).build();
     const FsOptResult opt = optimize(built, FsOptLevel::None);
 
-    EXPECT_EQ(listingOf(built, seed), listingOf(built, opt.image));
-    EXPECT_EQ(opt.image.slots.size(), seed.slots.size());
-    EXPECT_EQ(opt.image.sites.size(), seed.sites.size());
-    EXPECT_EQ(opt.codeSizeIncrease(), seed.codeSizeIncrease());
     EXPECT_TRUE(opt.fills.empty());
+    EXPECT_TRUE(opt.forwards.empty());
     EXPECT_TRUE(opt.dups.empty());
     EXPECT_TRUE(opt.elisions.empty());
-    EXPECT_TRUE(opt.relaxedAddrs.empty());
     EXPECT_EQ(opt.counters.slotsFilled, 0u);
+    // The seed invariants (V1..V6) are the whole contract at level
+    // none: every site keeps its planned copies and NO-OP pads.
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
     // Committed-stream equivalence against the original program is
     // exact at level none: no relaxation is in play.
     EXPECT_TRUE(opt.relaxedAddrs.empty());
-    EXPECT_EQ(checkImageEquivalence(*built.profile, opt.image, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 // ---------------------------------------------------------------------
@@ -319,7 +305,7 @@ TEST(FsOpt, SlotsLevelShrinksTheImageAndVerifies)
               0u);
     EXPECT_LE(slots.codeSizeIncrease(), none.codeSizeIncrease());
     EXPECT_EQ(verifyFsOptImage(*built.profile, slots).message(), "");
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, slots, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, slots, {}), "");
 }
 
 TEST(FsOpt, FillsAreProvenAndSurviveExecution)
@@ -338,7 +324,7 @@ TEST(FsOpt, FillsAreProvenAndSurviveExecution)
         EXPECT_EQ(slot.kind, ImageSlot::Kind::Fill);
     }
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +344,7 @@ TEST(FsOpt, SuperblockDuplicationPreservesSemantics)
         EXPECT_GT(dup.length, 0u);
     }
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 TEST(FsOpt, SuperblockNeverLosesAccuracy)
@@ -393,7 +379,7 @@ TEST(FsOpt, HoistElidesDominatedRecomputation)
     const FsOptResult none = optimize(built, FsOptLevel::None);
     EXPECT_LT(opt.codeSizeIncrease(), none.codeSizeIncrease());
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 TEST(FsOpt, HoistNeedsAnIdenticalSource)
@@ -403,7 +389,7 @@ TEST(FsOpt, HoistNeedsAnIdenticalSource)
     Built built = profileOver(buildHoistable(8));
     const FsOptResult opt = optimize(built, FsOptLevel::Hoist);
     EXPECT_EQ(opt.counters.hoistElisions, 0u);
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 TEST(FsOpt, HoistIgnoresWritesAfterAnAcyclicUse)
@@ -415,7 +401,7 @@ TEST(FsOpt, HoistIgnoresWritesAfterAnAcyclicUse)
     const FsOptResult opt = optimize(built, FsOptLevel::Hoist);
     EXPECT_GT(opt.counters.hoistElisions, 0u);
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 // ---------------------------------------------------------------------
@@ -451,7 +437,7 @@ TEST(FsOpt, ForwardsSingleEntryTargetHomes)
     const FsOptResult none = optimize(built, FsOptLevel::None);
     EXPECT_LT(opt.image.expandedSize(), none.image.expandedSize());
     EXPECT_EQ(verifyFsOptImage(*built.profile, opt).message(), "");
-    EXPECT_EQ(checkImageEquivalenceOpt(*built.profile, opt, {}), "");
+    EXPECT_EQ(checkImageEquivalence(*built.profile, opt, {}), "");
 }
 
 // ---------------------------------------------------------------------
@@ -659,20 +645,12 @@ TEST_P(FsOptEquivalenceSweep, WorkloadImageIsSafeAndEquivalent)
 
     EXPECT_EQ(verifyFsOptImage(profile, opt).message(), "")
         << workload->name() << " at " << fsOptLevelName(level);
+    // Exact at level none: nothing is relaxed there.
     if (level == FsOptLevel::None) {
-        // Bit-identical committed stream against the original program
-        // (and hence against the seed transform, which is equivalent).
-        EXPECT_TRUE(opt.relaxedAddrs.empty());
-        EXPECT_EQ(checkImageEquivalence(profile, opt.image,
-                                        inputs[0].channels),
-                  "")
-            << workload->name();
-    } else {
-        EXPECT_EQ(checkImageEquivalenceOpt(profile, opt,
-                                           inputs[0].channels),
-                  "")
-            << workload->name() << " at " << fsOptLevelName(level);
+        EXPECT_TRUE(opt.relaxedAddrs.empty()) << workload->name();
     }
+    EXPECT_EQ(checkImageEquivalence(profile, opt, inputs[0].channels), "")
+        << workload->name() << " at " << fsOptLevelName(level);
 }
 
 INSTANTIATE_TEST_SUITE_P(

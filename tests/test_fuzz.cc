@@ -286,17 +286,25 @@ TEST_P(FuzzPrograms, VerifyRunProfileAndTransform)
     EXPECT_EQ(profile::checkTraces(prog, selector.selectProgram()), "");
 
     for (unsigned slots : {1u, 3u}) {
-        profile::FsConfig config;
-        config.slotCount = slots;
-        const profile::FsResult image =
-            profile::ForwardSlotFiller(profile, config).build();
+        profile::FsOptConfig config;
+        config.fs.slotCount = slots;
+        const profile::FsOptResult seed_image =
+            profile::FsOptimizer(profile, config).build();
         EXPECT_EQ(
-            profile::verifyFsImage(profile, image, slots).message(), "")
+            profile::verifyFsImage(profile, seed_image.image, slots)
+                .message(),
+            "")
+            << "seed " << seed << " slots " << slots;
+        // Table 5's plan-priced growth is the materialised image's.
+        EXPECT_EQ(profile::codeIncreaseFor(
+                      profile, slots,
+                      config.fs.trace.minArcProbability),
+                  seed_image.codeSizeIncrease())
             << "seed " << seed << " slots " << slots;
 
         // 6. The transformed image executes identically: same
         //    committed stream, same outputs.
-        EXPECT_EQ(profile::checkImageEquivalence(profile, image, {}),
+        EXPECT_EQ(profile::checkImageEquivalence(profile, seed_image, {}),
                   "")
             << "seed " << seed << " slots " << slots;
     }

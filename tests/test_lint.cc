@@ -58,38 +58,6 @@ countOf(const std::vector<Diagnostic> &diags, const std::string &rule)
         }));
 }
 
-/** Profile a single-run program and build its FS image. */
-struct Imaged
-{
-    ir::Program program;
-    std::unique_ptr<ir::Layout> layout;
-    std::unique_ptr<profile::ProgramProfile> profile;
-    profile::FsResult image;
-    unsigned slotCount = 2;
-};
-
-Imaged
-imageOf(ir::Program prog, unsigned slot_count)
-{
-    ir::verifyProgramOrDie(prog);
-    Imaged built{std::move(prog), nullptr, nullptr, {}, slot_count};
-    built.layout = std::make_unique<ir::Layout>(built.program);
-    built.profile = std::make_unique<profile::ProgramProfile>(
-        built.program, *built.layout);
-    built.profile->noteRun();
-    vm::Machine machine(built.program, *built.layout);
-    machine.setSink(built.profile.get());
-    machine.run();
-    profile::FsConfig config;
-    config.slotCount = slot_count;
-    built.image =
-        profile::ForwardSlotFiller(*built.profile, config).build();
-    EXPECT_TRUE(
-        profile::verifyFsImage(*built.profile, built.image, slot_count)
-            .ok());
-    return built;
-}
-
 /**
  * A hot loop whose likely-taken back-branch copies the loop head's
  * accumulator update into its slots; the accumulator is still read
@@ -153,7 +121,8 @@ buildFillProne()
     return prog;
 }
 
-/** Profile @p prog and build its optimized image at @p level. */
+/** Profile @p prog and build its FS image at @p level (none: the
+ *  seed transform). */
 struct Optimized
 {
     ir::Program program;
@@ -378,23 +347,20 @@ TEST(LintRules, CleanProgramsLintClean)
 
 TEST(LintRules, FsSlotRegionTargetFiresOnACorruptedImage)
 {
-    Imaged built = imageOf(buildClobberProne(), 2);
-    ASSERT_FALSE(built.image.sites.empty());
+    Optimized built =
+        optimizedOf(buildClobberProne(), profile::FsOptLevel::None, 2);
+    ASSERT_FALSE(built.opt.image.sites.empty());
 
     DiagnosticEngine engine = builtinEngine();
     engine.enableOnly({"fs-slot-region-target"});
     // The intact image passes.
-    EXPECT_TRUE(engine
-                    .lintFsImage(*built.profile, built.image,
-                                 built.slotCount)
-                    .empty());
+    EXPECT_TRUE(engine.lintFsImage(*built.profile, built.opt).empty());
 
     // Redirect one home into the middle of a slot group.
-    const profile::SlotSite &site = built.image.sites.front();
-    ASSERT_FALSE(built.image.homeIndex.empty());
-    built.image.homeIndex.begin()->second = site.branchImageIndex + 1;
-    const auto diags = engine.lintFsImage(*built.profile, built.image,
-                                          built.slotCount);
+    const profile::SlotSite &site = built.opt.image.sites.front();
+    ASSERT_FALSE(built.opt.image.homeIndex.empty());
+    built.opt.image.homeIndex.begin()->second = site.branchImageIndex + 1;
+    const auto diags = engine.lintFsImage(*built.profile, built.opt);
     ASSERT_FALSE(diags.empty());
     EXPECT_EQ(diags[0].severity, Severity::Error);
     EXPECT_EQ(diags[0].rule, "fs-slot-region-target");
@@ -402,11 +368,11 @@ TEST(LintRules, FsSlotRegionTargetFiresOnACorruptedImage)
 
 TEST(LintRules, FsClobberedLiveRegisterFires)
 {
-    Imaged built = imageOf(buildClobberProne(), 2);
+    Optimized built =
+        optimizedOf(buildClobberProne(), profile::FsOptLevel::None, 2);
     DiagnosticEngine engine = builtinEngine();
     engine.enableOnly({"fs-clobbered-live-register"});
-    const auto diags = engine.lintFsImage(*built.profile, built.image,
-                                          built.slotCount);
+    const auto diags = engine.lintFsImage(*built.profile, built.opt);
     ASSERT_FALSE(diags.empty());
     EXPECT_EQ(diags[0].severity, Severity::Note);
     EXPECT_NE(diags[0].message.find("clobber"), std::string::npos);
@@ -425,11 +391,9 @@ TEST(LintRules, FsClobberedLiveRegisterFires)
         [&] { return IrBuilder::cmpGti(i, 0); });
     qb.halt();
     qb.endFunction();
-    Imaged clean = imageOf(std::move(quiet), 2);
-    EXPECT_TRUE(engine
-                    .lintFsImage(*clean.profile, clean.image,
-                                 clean.slotCount)
-                    .empty());
+    Optimized clean =
+        optimizedOf(std::move(quiet), profile::FsOptLevel::None, 2);
+    EXPECT_TRUE(engine.lintFsImage(*clean.profile, clean.opt).empty());
 }
 
 TEST(LintRules, FsSpeculativeSlotClobberFiresOnCorruptedFills)
@@ -555,11 +519,11 @@ TEST(LintRules, FsProfileCfgMismatchFiresOnForeignCounts)
     ir::Function &fn = prog.function(0);
     const BlockId island = fn.newBlock("island");
     fn.block(island).append(ir::makeHalt());
-    Imaged built = imageOf(std::move(prog), 2);
+    Optimized built =
+        optimizedOf(std::move(prog), profile::FsOptLevel::None, 2);
     DiagnosticEngine engine = builtinEngine();
     engine.enableOnly({"fs-profile-cfg-mismatch"});
-    const auto diags = engine.lintFsImage(*built.profile, built.image,
-                                          built.slotCount);
+    const auto diags = engine.lintFsImage(*built.profile, built.opt);
     ASSERT_FALSE(diags.empty());
     EXPECT_EQ(diags[0].severity, Severity::Error);
     EXPECT_NE(diags[0].message.find("CFG-unreachable"),
@@ -582,14 +546,12 @@ TEST(LintRules, FsProfileCfgMismatchFlagsImpossibleDirections)
     b.out(t, 1);
     b.halt();
     b.endFunction();
-    Imaged built = imageOf(std::move(prog), 2);
+    Optimized built =
+        optimizedOf(std::move(prog), profile::FsOptLevel::None, 2);
 
     DiagnosticEngine engine = builtinEngine();
     engine.enableOnly({"fs-profile-cfg-mismatch"});
-    EXPECT_TRUE(engine
-                    .lintFsImage(*built.profile, built.image,
-                                 built.slotCount)
-                    .empty());
+    EXPECT_TRUE(engine.lintFsImage(*built.profile, built.opt).empty());
 
     // Find the conditional and forge one not-taken execution.
     const ir::Function &fn = built.program.function(0);
@@ -612,8 +574,7 @@ TEST(LintRules, FsProfileCfgMismatchFlagsImpossibleDirections)
     ASSERT_NE(forged.pc, ir::kNoAddr);
     built.profile->onBranch(forged);
 
-    const auto diags = engine.lintFsImage(*built.profile, built.image,
-                                          built.slotCount);
+    const auto diags = engine.lintFsImage(*built.profile, built.opt);
     ASSERT_FALSE(diags.empty());
     EXPECT_EQ(diags[0].severity, Severity::Warning);
     EXPECT_NE(diags[0].message.find("impossible"), std::string::npos);
@@ -661,13 +622,13 @@ TEST(LintEngine, WerrorPromotesWarningsToErrors)
 
 TEST(LintEngine, MinSeverityDropsNotes)
 {
-    Imaged built = imageOf(buildClobberProne(), 2);
+    Optimized built =
+        optimizedOf(buildClobberProne(), profile::FsOptLevel::None, 2);
     LintOptions options;
     options.minSeverity = Severity::Warning;
     DiagnosticEngine engine = builtinEngine(options);
     for (const Diagnostic &d :
-         engine.lintFsImage(*built.profile, built.image,
-                            built.slotCount))
+         engine.lintFsImage(*built.profile, built.opt))
         EXPECT_NE(d.severity, Severity::Note);
 }
 

@@ -39,7 +39,6 @@
 #include "analysis/diagnostics.hh"
 #include "ir/layout.hh"
 #include "ir/verifier.hh"
-#include "profile/forward_slots.hh"
 #include "profile/fs_opt.hh"
 #include "profile/fs_verify.hh"
 #include "profile/profile.hh"
@@ -239,28 +238,6 @@ lintBenchmark(const workloads::Workload &workload,
         profileWorkload(workload, program, layout, opts);
     for (unsigned slots : opts.slots) {
         for (const profile::FsOptLevel level : opts.fsOptLevels) {
-            if (level == profile::FsOptLevel::None) {
-                profile::FsConfig config;
-                config.slotCount = slots;
-                const profile::FsResult image =
-                    profile::ForwardSlotFiller(profile, config)
-                        .build();
-                const profile::FsVerifyResult fs_verdict =
-                    profile::verifyFsImage(profile, image, slots);
-                if (!fs_verdict.ok()) {
-                    std::cerr << "blab_lint: benchmark '"
-                              << workload.name() << "' fs image (slots="
-                              << slots
-                              << ") violates the FS invariants:\n"
-                              << fs_verdict.message() << "\n";
-                    return 1;
-                }
-                tagAndCollect(
-                    engine.lintFsImage(profile, image, slots),
-                    workload.name() + "/fs" + std::to_string(slots),
-                    out);
-                continue;
-            }
             profile::FsOptConfig config;
             config.fs.slotCount = slots;
             config.level = level;
@@ -277,11 +254,14 @@ lintBenchmark(const workloads::Workload &workload,
                           << fs_verdict.message() << "\n";
                 return 1;
             }
-            tagAndCollect(
-                engine.lintFsImage(profile, optimized),
-                workload.name() + "/fs" + std::to_string(slots) + "-" +
-                    profile::fsOptLevelName(level),
-                out);
+            // Level none is the paper's transform: its subject is bare.
+            std::string subject =
+                workload.name() + "/fs" + std::to_string(slots);
+            if (level != profile::FsOptLevel::None)
+                subject += std::string("-") +
+                           profile::fsOptLevelName(level);
+            tagAndCollect(engine.lintFsImage(profile, optimized),
+                          subject, out);
         }
     }
     return 0;
