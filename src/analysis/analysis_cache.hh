@@ -2,7 +2,7 @@
  * @file
  * Lazily built per-function analyses over one program: the one memo
  * every pass that needs more than one analysis of a function goes
- * through -- the lint run, the FS optimizer and both FS verifiers.
+ * through -- the lint run, the FS optimizer and the FS image verifier.
  * Each pass constructs its own instance, so a verifier's analyses are
  * derived from scratch, never shared with the builder it checks.
  */

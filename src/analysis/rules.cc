@@ -2,8 +2,8 @@
  * @file
  * The built-in lint rules. Program rules catch suspicious but
  * structurally valid IR; image rules check hazards specific to the
- * Forward Semantic transformation that the slot-invariant verifier
- * (profile/fs_verify) does not model.
+ * Forward Semantic transformation that the image verifier
+ * (verifyFsOptImage, profile/fs_opt_verify.cc) does not model.
  */
 
 #include <functional>
@@ -442,8 +442,6 @@ class FsClobberedLiveRegisterRule final : public LintRule
         const profile::FsResult &image = context.opt.image;
 
         for (const profile::SlotSite &site : image.sites) {
-            if (site.viaCall)
-                continue; // copies live in the callee's register file
             const ir::CodeLocation &branch = site.branchOrig;
             const ir::Function &fn = prog.function(branch.func);
             const ir::Instruction &inst =
@@ -534,21 +532,6 @@ class FsSpeculativeSlotClobberRule final : public LintRule
                 fn.block(branch.block).inst(branch.index);
             const std::string where =
                 formatLocation(fn, branch.block, branch.index);
-
-            if (site.viaCall) {
-                // The machine enters the callee frame at a call; the
-                // slot region never executes, so a moved instruction
-                // there is simply lost.
-                out.push_back(Diagnostic{
-                    Severity::Error, std::string(name()),
-                    "call site has " + std::to_string(site.filled) +
-                        " filled slot(s), but a call's slot region "
-                        "never executes",
-                    where, true, "image-slot",
-                    site.branchImageIndex + 1,
-                    site.branchImageIndex + 1 + site.filled});
-                continue;
-            }
 
             BlockId untaken = ir::kNoBlock;
             if (term.isConditional()) {

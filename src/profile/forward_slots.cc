@@ -1,7 +1,9 @@
 #include "profile/forward_slots.hh"
 
 #include <map>
+#include <ostream>
 
+#include "ir/printer.hh"
 #include "support/logging.hh"
 
 namespace branchlab::profile
@@ -20,7 +22,6 @@ slotProvenanceName(SlotProvenance provenance)
       case SlotProvenance::Seed: return "seed";
       case SlotProvenance::SlotFill: return "slot-fill";
       case SlotProvenance::Superblock: return "superblock";
-      case SlotProvenance::Hoist: return "hoist";
     }
     return "?";
 }
@@ -51,6 +52,56 @@ codeIncreaseFor(const ProgramProfile &profile, unsigned slot_count,
     config.slotCount = slot_count;
     config.trace.minArcProbability = trace_threshold;
     return planForwardSlots(profile, config).codeSizeIncrease(slot_count);
+}
+
+void
+printFsImage(std::ostream &os, const ProgramProfile &profile,
+             const FsResult &image)
+{
+    const ir::Program &prog = profile.program();
+    os << "Forward Semantic image of '" << prog.name() << "' ("
+       << image.originalSize << " -> " << image.expandedSize()
+       << " instructions, +"
+       << static_cast<int>(image.codeSizeIncrease() * 10000.0) / 100.0
+       << "%)\n";
+    for (std::size_t i = 0; i < image.slots.size(); ++i) {
+        const ImageSlot &slot = image.slots[i];
+        os << "  " << i << ": ";
+        switch (slot.kind) {
+          case ImageSlot::Kind::Home: {
+            const ir::Function &fn = prog.function(slot.orig.func);
+            const ir::Instruction &inst =
+                fn.block(slot.orig.block).inst(slot.orig.index);
+            os << ir::formatInstruction(prog, fn, inst);
+            if (slot.orig.index == 0) {
+                os << "    ; " << fn.name() << "."
+                   << fn.block(slot.orig.block).label();
+            }
+            break;
+          }
+          case ImageSlot::Kind::Copy: {
+            const ir::Function &fn = prog.function(slot.orig.func);
+            const ir::Instruction &inst =
+                fn.block(slot.orig.block).inst(slot.orig.index);
+            os << ir::formatInstruction(prog, fn, inst)
+               << "    ; forward-slot copy";
+            break;
+          }
+          case ImageSlot::Kind::Pad:
+            os << "nop    ; forward-slot pad";
+            break;
+          case ImageSlot::Kind::Fill:
+          case ImageSlot::Kind::Dup: {
+            const ir::Function &fn = prog.function(slot.orig.func);
+            const ir::Instruction &inst =
+                fn.block(slot.orig.block).inst(slot.orig.index);
+            os << ir::formatInstruction(prog, fn, inst) << "    ; "
+               << slotProvenanceName(slot.provenance);
+            break;
+          }
+        }
+        os << "\n";
+    }
 }
 
 FsPlan

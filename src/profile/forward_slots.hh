@@ -34,12 +34,14 @@
  * windows first, so no level disagrees on traces, reversals or which
  * branches are sites. Table 5 needs no image at all: every site
  * reserves exactly k + l slots, so the plan's site count prices the
- * code growth of every k + l.
+ * code growth of every k + l. printFsImage renders a built image as
+ * the Figure 2 listing.
  */
 
 #ifndef BRANCHLAB_PROFILE_FORWARD_SLOTS_HH
 #define BRANCHLAB_PROFILE_FORWARD_SLOTS_HH
 
+#include <iosfwd>
 #include <map>
 #include <optional>
 #include <span>
@@ -66,8 +68,6 @@ enum class SlotProvenance
     SlotFill,   ///< Liveness-proven move of a real instruction into
                 ///< former NO-OP padding (fs_opt level >= slots).
     Superblock, ///< Tail-duplicated block copy (level >= superblock).
-    Hoist,      ///< Placeholder recorded on elision bookkeeping; the
-                ///< hoist pass removes homes rather than adding slots.
 };
 
 const char *slotProvenanceName(SlotProvenance provenance);
@@ -118,8 +118,6 @@ struct SlotSite
      *  advanced by 'copied' instructions (nullopt when the copied
      *  window consumed the entire target trace). */
     std::optional<ir::CodeLocation> resume;
-    /** True when the site is a call (slots hold the callee prefix). */
-    bool viaCall = false;
 };
 
 /** Result of the transformation. */
@@ -143,6 +141,10 @@ struct FsResult
     /** Table 5's metric: (expanded - original) / original. */
     double codeSizeIncrease() const;
 };
+
+/** Print @p image as an addressed listing (the paper's Figure 2). */
+void printFsImage(std::ostream &os, const ProgramProfile &profile,
+                  const FsResult &image);
 
 /** A slot site of the seed plan, pending materialisation. */
 struct PendingSite
@@ -188,8 +190,9 @@ struct FsPlan
 
     /** Table 5's metric at @p slot_count slots per site: the seed
      *  image's (expanded - original) / original. Every site reserves
-     *  exactly slot_count slots (V5) and neither the traces nor the
-     *  sites depend on the slot count, so one plan prices every k + l. */
+     *  exactly slot_count slots (the verifier's O1 and O7) and neither
+     *  the traces nor the sites depend on the slot count, so one plan
+     *  prices every k + l. */
     double codeSizeIncrease(unsigned slot_count) const;
 };
 

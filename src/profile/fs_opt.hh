@@ -40,21 +40,26 @@
  * branches are sites.
  *
  * Every emitted image must pass verifyFsOptImage (fs_opt_verify.cc),
- * which re-runs liveness/def-use over the *output* image and re-proves
- * each transformation from scratch, reporting all violations with
- * slot provenance (at level none it applies the seed invariants of
- * fs_verify.hh). Committed-stream equivalence is checked modulo the
- * removed/moved addresses (checkImageEquivalence in image_exec.hh),
- * exactly at level none, where none are.
+ * the one FS image verifier: it re-runs liveness/def-use over the
+ * *output* image and re-proves each transformation from scratch,
+ * runs every check at every level (level none included) and reports
+ * all violations with slot provenance. Its only level rules are the
+ * transform's own: NO-OP pads exist only at level none, windows
+ * truncate at a copied terminator only above it, and each record
+ * kind exists only from the level whose pass emits it.
+ * Committed-stream equivalence is checked modulo the removed/moved
+ * addresses (checkImageEquivalence in image_exec.hh), exactly at
+ * level none, where none are.
  */
 
 #ifndef BRANCHLAB_PROFILE_FS_OPT_HH
 #define BRANCHLAB_PROFILE_FS_OPT_HH
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "profile/forward_slots.hh"
-#include "profile/fs_verify.hh"
 #include "trace/view.hh"
 
 namespace branchlab::profile
@@ -246,14 +251,26 @@ std::optional<double>
 fsOptAccuracyFromProfile(const ProgramProfile &profile,
                          const FsOptResult &result);
 
+/** Every violated invariant of one image, each tagged with its O-code. */
+struct FsVerifyResult
+{
+    std::vector<std::string> errors;
+
+    bool ok() const { return errors.empty(); }
+
+    /** All diagnostics joined with newlines (empty when ok). */
+    std::string message() const;
+};
+
 /**
- * Static safety verification of an optimized image: re-derives every
- * proof the optimizer relied on from fresh liveness/def-use/dominator
- * analyses of the program, checks the image's structure against them,
- * and closes the interprocedural home/target map (call entries,
- * continuations and returns must resolve to homes, never into a slot
- * region or duplicate). Collects *all* violations; each message is
- * tagged with an O-code and the provenance of the offending slot.
+ * Static safety verification of an FS image at any level: re-derives
+ * the traces' layout, every window and every proof the optimizer
+ * relied on from fresh liveness/def-use/dominator analyses of the
+ * program, checks the image's structure against them, and closes the
+ * interprocedural home/target map (call entries, continuations and
+ * returns must resolve to homes, never into a slot region or
+ * duplicate). Collects *all* violations; each message is tagged with
+ * an O-code and the provenance of the offending slot.
  */
 FsVerifyResult verifyFsOptImage(const ProgramProfile &profile,
                                 const FsOptResult &result);

@@ -1,17 +1,25 @@
 /**
  * @file
- * Static safety verification of optimized FS images (verifyFsOptImage):
- * an interprocedural extension of fs_verify.cc that re-derives every
- * proof the optimizer relied on from fresh dataflow analyses of the
- * program and checks the *output* image against them. Nothing is
- * trusted from the builder beyond the records it claims: each fill,
- * drop, duplicate and elision is re-proven from scratch, every
- * violation is collected (never first-failure-only), and each message
- * carries an O-code plus the provenance of the offending slot.
+ * Static safety verification of Forward Semantic images
+ * (verifyFsOptImage), the one verifier at every optimizer level,
+ * level none included. It re-derives every proof the builder relied
+ * on from fresh dataflow analyses of the program and checks the
+ * *output* image against them. Nothing is trusted from the builder
+ * beyond the records it claims: each fill, drop, forward, duplicate
+ * and elision is re-proven from scratch, every violation is collected
+ * (never first-failure-only), and each message carries an O-code plus
+ * the provenance of the offending slot.
  *
- *  O1  image structure: slot kinds, group layout, level gating
+ *  O1  image structure: slot kinds, each site's group laid out as
+ *      [fills][copies][pads] inside the image after a Home slot
+ *      holding a conditional terminator, and level gating: NO-OP pads
+ *      only at level none (where copies and pads fill all k + l
+ *      slots), fills and forwards from level slots, duplicates from
+ *      superblock, elisions from hoist
  *  O2  fills: contiguity, liveness and def-use re-proof
- *  O3  windows: copy content, truncation and dead-drop re-proof
+ *  O3  windows: copy content, truncation at the first copied
+ *      terminator (above level none), dead-drop re-proof, pads only
+ *      once the target trace is exhausted, the resume point
  *  O4  no control transfer resolves into a slot region or duplicate
  *  O5  duplicates: content, CFG edge, predecessor terminator shape
  *  O6  elisions: dominance, identity and interference re-proof
@@ -23,6 +31,15 @@
  *  O9  branch target forwarding: each forwarded home is the copied
  *      prefix of a site whose likely edge is the target block's only
  *      CFG entry, re-proven from a fresh CFG
+ *  O10 inside every trace, consecutive blocks follow the (possibly
+ *      reversed) terminator's sequential successor, so the likely path
+ *      falls through
+ *  O11 only conditional branches are marked reversed
+ *
+ * The seed-invariant codes V1-V6 of earlier reports map onto these:
+ * V1 (group shape) is O1, V2 (copy content) and V3 (pads, resume
+ * point) are O3, V4 (trace order) is O10, V5 (home partition, size)
+ * is O7 and V6 (reversal marks) is O11.
  */
 
 #include <algorithm>
@@ -35,6 +52,7 @@
 #include "ir/printer.hh"
 #include "profile/fs_opt.hh"
 #include "profile/fs_opt_internal.hh"
+#include "support/strings.hh"
 
 namespace branchlab::profile
 {
@@ -48,20 +66,23 @@ using ir::Reg;
 using analysis::definedReg;
 using analysis::usedRegs;
 
+std::string
+FsVerifyResult::message() const
+{
+    return joinStrings(errors, "\n");
+}
+
 FsVerifyResult
 verifyFsOptImage(const ProgramProfile &profile,
                  const FsOptResult &result)
 {
-    if (result.level == FsOptLevel::None) {
-        // The seed invariants (V1..V6) are exactly the contract.
-        return verifyFsImage(profile, result.image,
-                             result.config.fs.slotCount);
-    }
-
     const ir::Program &prog = profile.program();
     const ir::Layout &layout = profile.layout();
     const FsResult &image = result.image;
     const unsigned slot_count = result.config.fs.slotCount;
+    // Level none is the paper's transform: its windows keep their NO-OP
+    // pads and run on through copied terminators.
+    const bool seed_level = result.level == FsOptLevel::None;
 
     FsVerifyResult out;
     const auto fail = [&out](const std::ostringstream &os) {
@@ -70,6 +91,9 @@ verifyFsOptImage(const ProgramProfile &profile,
     const auto inst_at = [&prog](const CodeLocation &loc)
         -> const ir::Instruction & {
         return prog.function(loc.func).block(loc.block).inst(loc.index);
+    };
+    const auto slotAt = [&image](std::size_t index) -> const ImageSlot * {
+        return index < image.slots.size() ? &image.slots[index] : nullptr;
     };
 
     // The verifier's own analyses, never shared with the builder: the
@@ -137,7 +161,20 @@ verifyFsOptImage(const ProgramProfile &profile,
         fwd_indices.insert(fh.imageIndex);
     }
 
-    // O1: level gating and global slot-kind structure.
+    // O1: level gating and global slot-kind structure. Each record
+    // kind exists only from the level whose pass emits it.
+    if (result.level < FsOptLevel::Slots && !result.fills.empty()) {
+        std::ostringstream os;
+        os << "O1: " << result.fills.size() << " fills at level "
+           << fsOptLevelName(result.level) << " [slot-fill]";
+        fail(os);
+    }
+    if (result.level < FsOptLevel::Slots && !result.forwards.empty()) {
+        std::ostringstream os;
+        os << "O1: " << result.forwards.size() << " forwards at level "
+           << fsOptLevelName(result.level) << " [seed]";
+        fail(os);
+    }
     if (result.level < FsOptLevel::Superblock && !result.dups.empty()) {
         std::ostringstream os;
         os << "O1: " << result.dups.size() << " duplicates at level "
@@ -152,10 +189,11 @@ verifyFsOptImage(const ProgramProfile &profile,
     }
     for (std::size_t i = 0; i < image.slots.size(); ++i) {
         const ImageSlot &slot = image.slots[i];
-        if (slot.kind == ImageSlot::Kind::Pad) {
+        if (slot.kind == ImageSlot::Kind::Pad &&
+            !region_interior.count(i)) {
             std::ostringstream os;
             os << "O1: Pad slot at image index " << i
-               << " survived the optimizer ["
+               << " outside every slot region ["
                << slotProvenanceName(slot.provenance) << "]";
             fail(os);
         }
@@ -175,11 +213,27 @@ verifyFsOptImage(const ProgramProfile &profile,
         }
     }
 
-    // O1 + O3 per site: group layout, copy content, truncation and
-    // dead-drop re-proof, resume point.
+    // O1 + O3 per site: the branch, group layout, copy content, window
+    // truncation and dead-drop re-proof, pads, resume point.
     for (const SlotSite &site : image.sites) {
         const std::string where = ir::formatLocation(prog, site.branchOrig);
-        if (site.padded != 0) {
+        if (!inst_at(site.branchOrig).isConditional()) {
+            // Slots mask conditional branches only (Figure 2): every
+            // other control transfer resolves at decode or has no
+            // compile-time target.
+            std::ostringstream os;
+            os << "O1: site at " << where
+               << " is not a conditional terminator [seed]";
+            fail(os);
+        }
+        if (seed_level && site.copied + site.padded != slot_count) {
+            std::ostringstream os;
+            os << "O1: site at " << where << " has " << site.copied
+               << "+" << site.padded << " slots, expected " << slot_count
+               << " [seed]";
+            fail(os);
+        }
+        if (!seed_level && site.padded != 0) {
             std::ostringstream os;
             os << "O1: site at " << where << " kept " << site.padded
                << " pads [seed]";
@@ -192,11 +246,16 @@ verifyFsOptImage(const ProgramProfile &profile,
                << " budget [seed]";
             fail(os);
         }
-        const auto slotAt =
-            [&image](std::size_t index) -> const ImageSlot * {
-            return index < image.slots.size() ? &image.slots[index]
-                                              : nullptr;
-        };
+        // The group occupies [branch + 1, branch + filled + copied +
+        // padded].
+        if (site.branchImageIndex + site.filled + site.copied +
+                site.padded >=
+            image.slots.size()) {
+            std::ostringstream os;
+            os << "O1: site slot group at " << where
+               << " overruns the image [seed]";
+            fail(os);
+        }
         const ImageSlot *branch_slot = slotAt(site.branchImageIndex);
         if (branch_slot == nullptr ||
             branch_slot->kind != ImageSlot::Kind::Home ||
@@ -221,6 +280,18 @@ verifyFsOptImage(const ProgramProfile &profile,
                 fail(os);
             }
         }
+        for (unsigned p = 0; p < site.padded; ++p) {
+            const ImageSlot *slot = slotAt(site.branchImageIndex + 1 +
+                                           site.filled + site.copied + p);
+            if (slot == nullptr)
+                break;
+            if (slot->kind != ImageSlot::Kind::Pad) {
+                std::ostringstream os;
+                os << "O1: expected Pad slot after copies at " << where
+                   << " [" << slotProvenanceName(slot->provenance) << "]";
+                fail(os);
+            }
+        }
 
         const CodeLocation target = layout.locate(site.origTargetAddr);
         const auto home_it = home.find({target.func, target.block});
@@ -236,10 +307,12 @@ verifyFsOptImage(const ProgramProfile &profile,
         const std::size_t avail = base[ut].size() - uoff;
 
         // Re-derive the window: the region consumes min(slotCount,
-        // avail) entries, truncated at the first terminator copy.
+        // avail) entries, truncated above level none at the first
+        // terminator copy (copies past it never execute).
         std::size_t expected_consumed =
             std::min<std::size_t>(slot_count, avail);
-        for (std::size_t c = 0; c < expected_consumed; ++c) {
+        for (std::size_t c = 0; !seed_level && c < expected_consumed;
+             ++c) {
             if (inst_at(base[ut][uoff + c]).isTerminator()) {
                 expected_consumed = c + 1;
                 break;
@@ -269,6 +342,12 @@ verifyFsOptImage(const ProgramProfile &profile,
             std::ostringstream os;
             os << "O3: site at " << where << " copied " << site.copied
                << " > consumed " << site.consumed << " [seed]";
+            fail(os);
+        }
+        if (site.padded > 0 && site.consumed < avail) {
+            std::ostringstream os;
+            os << "O3: pads at " << where
+               << " although the target trace was not exhausted [seed]";
             fail(os);
         }
 
@@ -364,15 +443,6 @@ verifyFsOptImage(const ProgramProfile &profile,
     for (auto &[site_idx, records] : fills_of) {
         const SlotSite &site = image.sites[site_idx];
         const std::string where = ir::formatLocation(prog, site.branchOrig);
-        if (site.viaCall) {
-            std::ostringstream os;
-            os << "O2: call site at " << where
-               << " has fills, but a call's slot region never "
-                  "executes -- the moved instructions are lost "
-                  "[slot-fill]";
-            fail(os);
-            continue;
-        }
         if (records.size() != site.filled) {
             std::ostringstream os;
             os << "O2: site at " << where << " claims " << site.filled
@@ -427,10 +497,7 @@ verifyFsOptImage(const ProgramProfile &profile,
                 fail(os);
                 continue;
             }
-            const ImageSlot *slot =
-                fr.imageIndex < image.slots.size()
-                    ? &image.slots[fr.imageIndex]
-                    : nullptr;
+            const ImageSlot *slot = slotAt(fr.imageIndex);
             if (slot == nullptr ||
                 slot->kind != ImageSlot::Kind::Fill ||
                 !(slot->orig == fr.origin) ||
@@ -578,8 +645,7 @@ verifyFsOptImage(const ProgramProfile &profile,
         }
         for (std::uint32_t i = 0; i < bb.size(); ++i) {
             const std::size_t idx = dup.imageStart + i;
-            const ImageSlot *slot =
-                idx < image.slots.size() ? &image.slots[idx] : nullptr;
+            const ImageSlot *slot = slotAt(idx);
             if (slot == nullptr ||
                 slot->kind != ImageSlot::Kind::Dup ||
                 !(slot->orig ==
@@ -699,27 +765,30 @@ verifyFsOptImage(const ProgramProfile &profile,
         fail(os);
     }
     std::size_t copies_total = 0;
-    for (const SlotSite &site : image.sites)
+    std::size_t pads_total = 0;
+    for (const SlotSite &site : image.sites) {
         copies_total += site.copied;
+        pads_total += site.padded;
+    }
     std::size_t dup_total = 0;
     for (const DupTail &dup : result.dups)
         dup_total += dup.length;
     const std::size_t expect_size =
         image.originalSize - result.elisions.size() -
-        result.forwards.size() + copies_total + dup_total;
+        result.forwards.size() + copies_total + pads_total + dup_total;
     if (image.expandedSize() != expect_size) {
         std::ostringstream os;
         os << "O7: expanded size " << image.expandedSize()
            << " != original " << image.originalSize << " - "
            << result.elisions.size() << " elisions - "
            << result.forwards.size() << " forwarded + " << copies_total
-           << " copies + " << dup_total << " duplicated [seed]";
+           << " copies + " << pads_total << " pads + " << dup_total
+           << " duplicated [seed]";
         fail(os);
     }
     for (const auto &[addr, index] : image.homeIndex) {
         const CodeLocation loc = layout.locate(addr);
-        const ImageSlot *slot =
-            index < image.slots.size() ? &image.slots[index] : nullptr;
+        const ImageSlot *slot = slotAt(index);
         const bool is_fwd = forwarded_addrs.count(addr) > 0;
         if (slot == nullptr || !(slot->orig == loc) ||
             (slot->kind != ImageSlot::Kind::Home &&
@@ -786,9 +855,7 @@ verifyFsOptImage(const ProgramProfile &profile,
                 continue;
             }
             const bool is_fwd = forwarded_addrs.count(addr) > 0;
-            const ImageSlot *slot = it->second < image.slots.size()
-                                        ? &image.slots[it->second]
-                                        : nullptr;
+            const ImageSlot *slot = slotAt(it->second);
             const ImageSlot::Kind want = is_fwd ? ImageSlot::Kind::Copy
                                                 : ImageSlot::Kind::Home;
             if (slot == nullptr || slot->kind != want) {
@@ -829,13 +896,6 @@ verifyFsOptImage(const ProgramProfile &profile,
     for (auto &[site_idx, records] : fwd_by_site) {
         const SlotSite &site = image.sites[site_idx];
         const std::string where = ir::formatLocation(prog, site.branchOrig);
-        if (site.viaCall) {
-            std::ostringstream os;
-            os << "O9: site at " << where
-               << " forwards across a call [seed]";
-            fail(os);
-            continue;
-        }
         const CodeLocation target = layout.locate(site.origTargetAddr);
         const ir::Function &fn = prog.function(target.func);
         if (target.func != site.branchOrig.func ||
@@ -928,10 +988,7 @@ verifyFsOptImage(const ProgramProfile &profile,
             }
             const std::size_t expect_index =
                 site.branchImageIndex + 1 + site.filled + i;
-            const ImageSlot *slot =
-                fh.imageIndex < image.slots.size()
-                    ? &image.slots[fh.imageIndex]
-                    : nullptr;
+            const ImageSlot *slot = slotAt(fh.imageIndex);
             if (fh.imageIndex != expect_index || slot == nullptr ||
                 slot->kind != ImageSlot::Kind::Copy ||
                 !(slot->orig == fh.loc)) {
@@ -952,6 +1009,47 @@ verifyFsOptImage(const ProgramProfile &profile,
                 os << "is also claimed by a fill, resume or elision";
                 fail(os);
             }
+        }
+    }
+
+    // O10: consecutive trace blocks follow the effective likely path --
+    // the terminator's sequential successor (analysis/cfg.hh), or for a
+    // jump table any CFG edge out of the block.
+    for (const Trace &trace : image.traces) {
+        const ir::Function &fn = prog.function(trace.func);
+        for (std::size_t j = 0; j + 1 < trace.blocks.size(); ++j) {
+            const ir::BasicBlock &bb = fn.block(trace.blocks[j]);
+            const ir::Instruction &term = bb.terminator();
+            const BlockId next = trace.blocks[j + 1];
+            const Addr term_addr =
+                layout.blockAddr(trace.func, trace.blocks[j]) +
+                bb.size() - 1;
+            const BlockId seq = analysis::sequentialSuccessor(
+                term, image.reversed.count(term_addr) != 0);
+            const bool ok =
+                seq != ir::kNoBlock
+                    ? seq == next
+                    : term.op == ir::Opcode::JTab &&
+                          analyses.cfg(trace.func).hasEdge(trace.blocks[j],
+                                                           next);
+            if (!ok) {
+                std::ostringstream os;
+                os << "O10: trace in " << fn.name() << " connects block "
+                   << trace.blocks[j] << " to " << next
+                   << " without a likely fallthrough path [seed]";
+                fail(os);
+            }
+        }
+    }
+
+    // O11: reversals only mark conditional terminators.
+    for (const Addr addr : image.reversed) {
+        const CodeLocation loc = layout.locate(addr);
+        if (!inst_at(loc).isConditional()) {
+            std::ostringstream os;
+            os << "O11: reversed mark on non-conditional at "
+               << ir::formatLocation(prog, loc) << " [seed]";
+            fail(os);
         }
     }
 

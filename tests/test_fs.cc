@@ -3,7 +3,8 @@
  * Tests for the Forward Semantic transformation: the paper's Figure 2
  * scenario, slot filling, NO-OP padding, target patching, condition
  * reversal, code-size accounting, and the full invariant sweep
- * (verifyFsImage) over every workload at every k + l of Table 5.
+ * (verifyFsOptImage) over every workload at every k + l of Table 5
+ * and every optimizer level.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <sstream>
 
 #include "helpers.hh"
-#include "profile/fs_verify.hh"
+#include "profile/fs_opt.hh"
 #include "profile/image_exec.hh"
 #include "support/logging.hh"
 #include "workloads/workload.hh"
@@ -98,7 +99,8 @@ TEST(ForwardSlots, LikelyTakenLoopBranchGetsSlots)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    const FsResult image = seedImage(*built.profile, config).image;
+    const FsOptResult seed = seedImage(*built.profile, config);
+    const FsResult &image = seed.image;
     // The do-while bottom test is taken 49/50: it must be a slot site.
     ASSERT_FALSE(image.sites.empty());
     bool found_conditional_site = false;
@@ -112,9 +114,7 @@ TEST(ForwardSlots, LikelyTakenLoopBranchGetsSlots)
         EXPECT_EQ(site.copied + site.padded, config.slotCount);
     }
     EXPECT_TRUE(found_conditional_site);
-    EXPECT_EQ(verifyFsImage(*built.profile, image, config.slotCount)
-                  .message(),
-              "");
+    EXPECT_EQ(verifyFsOptImage(*built.profile, seed).message(), "");
 }
 
 TEST(ForwardSlots, CopiesReplicateTargetPathVerbatim)
@@ -122,7 +122,8 @@ TEST(ForwardSlots, CopiesReplicateTargetPathVerbatim)
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 3;
-    const FsResult image = seedImage(*built.profile, config).image;
+    const FsOptResult seed = seedImage(*built.profile, config);
+    const FsResult &image = seed.image;
     for (const SlotSite &site : image.sites) {
         // Each copy slot's original identity must match the
         // instruction found at the (advancing) target path -- this is
@@ -139,9 +140,7 @@ TEST(ForwardSlots, CopiesReplicateTargetPathVerbatim)
             EXPECT_EQ(site.padded, 0u);
         }
     }
-    EXPECT_EQ(verifyFsImage(*built.profile, image, config.slotCount)
-                  .message(),
-              "");
+    EXPECT_EQ(verifyFsOptImage(*built.profile, seed).message(), "");
 }
 
 TEST(ForwardSlots, PadsAppearOnlyWhenTargetTraceExhausted)
@@ -162,12 +161,10 @@ TEST(ForwardSlots, PadsAppearOnlyWhenTargetTraceExhausted)
     Built built = profileOver(std::move(prog));
     FsConfig config;
     config.slotCount = 8;
-    const FsResult image = seedImage(*built.profile, config).image;
-    EXPECT_EQ(verifyFsImage(*built.profile, image, config.slotCount)
-                  .message(),
-              "");
+    const FsOptResult seed = seedImage(*built.profile, config);
+    EXPECT_EQ(verifyFsOptImage(*built.profile, seed).message(), "");
     bool saw_pad = false;
-    for (const ImageSlot &slot : image.slots)
+    for (const ImageSlot &slot : seed.image.slots)
         saw_pad |= slot.kind == ImageSlot::Kind::Pad;
     // The loop branch targets the loop head; the trace from the head
     // to the terminator is short, so pads must appear.
@@ -216,14 +213,11 @@ TEST(ForwardSlots, ReversalMakesLikelyPathFallThrough)
     b.endFunction();
 
     Built built = profileOver(std::move(prog));
-    FsConfig config;
-    const FsResult image = seedImage(*built.profile, config).image;
+    const FsOptResult seed = seedImage(*built.profile, FsConfig{});
     // The 90%-taken if-test must be reversed somewhere (its then
     // block joins the trace as fallthrough).
-    EXPECT_FALSE(image.reversed.empty());
-    EXPECT_EQ(verifyFsImage(*built.profile, image, config.slotCount)
-                  .message(),
-              "");
+    EXPECT_FALSE(seed.image.reversed.empty());
+    EXPECT_EQ(verifyFsOptImage(*built.profile, seed).message(), "");
 }
 
 TEST(ForwardSlots, HomeIndexCoversEveryInstruction)
@@ -255,29 +249,29 @@ TEST(ForwardSlots, PrinterRendersTheImage)
 
 TEST(ForwardSlots, VerifierCollectsEveryViolation)
 {
-    // Damage one site's shape (V1) AND the global size accounting
-    // (V5): the report must list both families, not stop at the
+    // Damage one site's shape (O1) AND the global size accounting
+    // (O7): the report must list both families, not stop at the
     // first failure.
     Built built = profileOver(buildFigure2Like());
     FsConfig config;
     config.slotCount = 2;
-    FsResult image = seedImage(*built.profile, config).image;
-    ASSERT_FALSE(image.sites.empty());
-    ASSERT_TRUE(
-        verifyFsImage(*built.profile, image, config.slotCount).ok());
+    FsOptResult seed = seedImage(*built.profile, config);
+    ASSERT_FALSE(seed.image.sites.empty());
+    ASSERT_TRUE(verifyFsOptImage(*built.profile, seed).ok());
 
-    image.sites.front().copied += 1;
-    image.originalSize += 1;
-    const FsVerifyResult result =
-        verifyFsImage(*built.profile, image, config.slotCount);
+    seed.image.sites.front().copied += 1;
+    seed.image.originalSize += 1;
+    const FsVerifyResult result = verifyFsOptImage(*built.profile, seed);
     ASSERT_FALSE(result.ok());
     EXPECT_GE(result.errors.size(), 3u);
-    EXPECT_NE(result.message().find("V1"), std::string::npos);
-    EXPECT_NE(result.message().find("V5"), std::string::npos);
+    EXPECT_NE(result.message().find("O1"), std::string::npos);
+    EXPECT_NE(result.message().find("slots, expected 2"),
+              std::string::npos);
+    EXPECT_NE(result.message().find("O7"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
-// The full-suite invariant sweep (Table 5 configurations).
+// The full-suite invariant sweep (Table 5 configurations, every level).
 // ---------------------------------------------------------------------
 
 class FsInvariantSweep
@@ -305,11 +299,17 @@ TEST_P(FsInvariantSweep, WorkloadImageIsWellFormed)
     machine.setSink(&profile);
     machine.run();
 
-    FsConfig config;
-    config.slotCount = slot_count;
-    const FsResult image = seedImage(profile, config).image;
-    EXPECT_EQ(verifyFsImage(profile, image, slot_count).message(), "")
-        << workload->name() << " at k+l=" << slot_count;
+    for (const FsOptLevel level : allFsOptLevels()) {
+        FsOptConfig config;
+        config.fs.slotCount = slot_count;
+        config.level = level;
+        EXPECT_EQ(verifyFsOptImage(profile,
+                                   FsOptimizer(profile, config).build())
+                      .message(),
+                  "")
+            << workload->name() << " at k+l=" << slot_count << " "
+            << fsOptLevelName(level);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

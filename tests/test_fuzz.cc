@@ -20,7 +20,6 @@
 #include "closed_form.hh"
 #include "helpers.hh"
 #include "profile/fs_opt.hh"
-#include "profile/fs_verify.hh"
 #include "profile/image_exec.hh"
 #include "profile/trace_select.hh"
 #include "support/random.hh"
@@ -290,10 +289,8 @@ TEST_P(FuzzPrograms, VerifyRunProfileAndTransform)
         config.fs.slotCount = slots;
         const profile::FsOptResult seed_image =
             profile::FsOptimizer(profile, config).build();
-        EXPECT_EQ(
-            profile::verifyFsImage(profile, seed_image.image, slots)
-                .message(),
-            "")
+        EXPECT_EQ(profile::verifyFsOptImage(profile, seed_image).message(),
+                  "")
             << "seed " << seed << " slots " << slots;
         // Table 5's plan-priced growth is the materialised image's.
         EXPECT_EQ(profile::codeIncreaseFor(
@@ -331,7 +328,8 @@ TEST_P(FuzzPrograms, ClosedFormMatchesTheReferences)
     test::expectClosedFormMatches(view, profile, profile.buildLikelyMap());
 
     // ...and every optimized image's FS accuracy from the profile's
-    // rows, at the default gates and with duplication forced.
+    // rows, at the default gates and with duplication forced. Every
+    // image also passes the verifier.
     for (const profile::FsOptLevel level : profile::allFsOptLevels()) {
         for (const bool forced : {false, true}) {
             profile::FsOptConfig config;
@@ -342,6 +340,9 @@ TEST_P(FuzzPrograms, ClosedFormMatchesTheReferences)
             }
             const profile::FsOptResult opt =
                 profile::FsOptimizer(profile, config).build();
+            EXPECT_EQ(profile::verifyFsOptImage(profile, opt).message(), "")
+                << "seed " << seed << " level "
+                << profile::fsOptLevelName(level) << " forced " << forced;
             const std::optional<double> rows =
                 profile::fsOptAccuracyFromProfile(profile, opt);
             ASSERT_TRUE(rows.has_value());

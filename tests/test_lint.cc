@@ -17,7 +17,6 @@
 #include "ir/verifier.hh"
 #include "profile/forward_slots.hh"
 #include "profile/fs_opt.hh"
-#include "profile/fs_verify.hh"
 #include "profile/profile.hh"
 #include "vm/machine.hh"
 
@@ -409,19 +408,8 @@ TEST(LintRules, FsSpeculativeSlotClobberFiresOnCorruptedFills)
     EXPECT_TRUE(
         engine.lintFsImage(*built.profile, built.opt).empty());
 
-    // Claim the filled site is a call: its region never executes.
-    const std::size_t site = built.opt.fills.front().site;
-    built.opt.image.sites[site].viaCall = true;
-    const auto diags = engine.lintFsImage(*built.profile, built.opt);
-    ASSERT_FALSE(diags.empty());
-    EXPECT_EQ(diags[0].severity, Severity::Error);
-    EXPECT_NE(diags[0].message.find("call"), std::string::npos);
-    EXPECT_TRUE(diags[0].hasSpan);
-    EXPECT_STREQ(diags[0].spanUnit, "image-slot");
-
     // Re-point the Fill slot at a non-speculable instruction (the
     // program's out): the rule must flag the possible fault.
-    built.opt.image.sites[site].viaCall = false;
     profile::ImageSlot &slot =
         built.opt.image.slots[built.opt.fills.front().imageIndex];
     ASSERT_EQ(slot.kind, profile::ImageSlot::Kind::Fill);
@@ -442,6 +430,8 @@ TEST(LintRules, FsSpeculativeSlotClobberFiresOnCorruptedFills)
     EXPECT_EQ(faulty[0].severity, Severity::Error);
     EXPECT_NE(faulty[0].message.find("speculatively"),
               std::string::npos);
+    EXPECT_TRUE(faulty[0].hasSpan);
+    EXPECT_STREQ(faulty[0].spanUnit, "image-slot");
 }
 
 TEST(LintRules, FsUnreachableDupTailFiresOnForgedDuplicates)

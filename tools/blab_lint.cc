@@ -40,7 +40,6 @@
 #include "ir/layout.hh"
 #include "ir/verifier.hh"
 #include "profile/fs_opt.hh"
-#include "profile/fs_verify.hh"
 #include "profile/profile.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
