@@ -16,66 +16,23 @@
 
 #include "bench_common.hh"
 
-#include "ir/verifier.hh"
 #include "profile/fs_opt.hh"
-#include "profile/image_exec.hh"
-#include "trace/soa.hh"
-#include "vm/machine.hh"
 
 int
 main()
 {
     using namespace branchlab;
+    setLoggingThrows(false);
 
-    struct Profiled
-    {
-        std::string name;
-        std::unique_ptr<ir::Program> program;
-        std::unique_ptr<ir::Layout> layout;
-        std::unique_ptr<profile::ProgramProfile> profile;
-        trace::SoaTrace stream;
-    };
-    std::vector<Profiled> suite;
+    // Three profiling runs per workload keep the ablation quick.
+    core::ExperimentConfig experiment;
+    experiment.seed = 1989;
+    experiment.runsOverride = 3;
+    std::vector<core::RecordedWorkload> suite;
     for (const workloads::Workload *workload :
          workloads::allWorkloads()) {
         std::cerr << "  running " << workload->name() << "...\n";
-        Profiled entry;
-        entry.name = workload->name();
-        entry.program = std::make_unique<ir::Program>(
-            workload->buildProgram());
-        ir::verifyProgramOrDie(*entry.program);
-        entry.layout = std::make_unique<ir::Layout>(*entry.program);
-        entry.profile = std::make_unique<profile::ProgramProfile>(
-            *entry.program, *entry.layout);
-        Rng rng(1989 ^ hashString(workload->name()));
-        const auto inputs = workload->makeInputs(rng, 3);
-        trace::SoaRecorder recorder; // every input, concatenated
-        for (const auto &input : inputs) {
-            entry.profile->noteRun();
-            struct Tee : trace::TraceSink
-            {
-                trace::TraceSink *a;
-                trace::TraceSink *b;
-                void
-                onBranch(const trace::BranchEvent &event) override
-                {
-                    a->onBranch(event);
-                    b->onBranch(event);
-                }
-            } tee;
-            tee.a = entry.profile.get();
-            tee.b = &recorder;
-            vm::Machine machine(*entry.program, *entry.layout);
-            for (std::size_t chan = 0; chan < input.channels.size();
-                 ++chan) {
-                machine.setInput(static_cast<int>(chan),
-                                 input.channels[chan]);
-            }
-            machine.setSink(&tee);
-            machine.run();
-        }
-        entry.stream = recorder.take();
-        suite.push_back(std::move(entry));
+        suite.push_back(core::recordWorkload(*workload, experiment));
     }
 
     bench::printCaption(
@@ -85,7 +42,7 @@ main()
 
     std::size_t improved = 0;
     std::vector<std::string> verdicts;
-    for (const Profiled &entry : suite) {
+    for (const core::RecordedWorkload &entry : suite) {
         double none_accuracy = 0.0;
         double none_growth = 0.0;
         double hoist_accuracy = 0.0;
@@ -104,9 +61,13 @@ main()
                            profile::fsOptLevelName(level),
                            " fails verification:\n", verdict.message());
             }
-            const double accuracy = profile::fsOptAccuracy(
-                *entry.profile, opt,
-                trace::TraceView::of(entry.stream));
+            const std::optional<double> scored =
+                profile::fsOptAccuracyFromProfile(*entry.profile, opt);
+            if (!scored.has_value()) {
+                blab_fatal(entry.name,
+                           "'s profile tallies a pc that holds no branch");
+            }
+            const double accuracy = *scored;
             const double growth = opt.codeSizeIncrease();
             table.addRow({entry.name,
                           profile::fsOptLevelName(level),

@@ -1,7 +1,5 @@
 #include "analysis/constprop.hh"
 
-#include <climits>
-
 #include "analysis/dataflow.hh"
 #include "analysis/operands.hh"
 
@@ -26,45 +24,6 @@ meetVals(const ConstVal &a, const ConstVal &b)
     if (a.isConst() && b.isConst() && a.value == b.value)
         return a;
     return ConstVal::varying();
-}
-
-/** VM-exact binary ALU evaluation; nullopt when the VM would fault. */
-std::optional<Word>
-evalBinary(Opcode op, Word lhs, Word rhs)
-{
-    const auto u = [](Word w) { return static_cast<std::uint64_t>(w); };
-    switch (op) {
-      case Opcode::Add:
-        return static_cast<Word>(u(lhs) + u(rhs));
-      case Opcode::Sub:
-        return static_cast<Word>(u(lhs) - u(rhs));
-      case Opcode::Mul:
-        return static_cast<Word>(u(lhs) * u(rhs));
-      case Opcode::Div:
-        if (rhs == 0)
-            return std::nullopt;
-        if (lhs == INT64_MIN && rhs == -1)
-            return INT64_MIN;
-        return lhs / rhs;
-      case Opcode::Rem:
-        if (rhs == 0)
-            return std::nullopt;
-        if (lhs == INT64_MIN && rhs == -1)
-            return Word{0};
-        return lhs % rhs;
-      case Opcode::And:
-        return lhs & rhs;
-      case Opcode::Or:
-        return lhs | rhs;
-      case Opcode::Xor:
-        return lhs ^ rhs;
-      case Opcode::Shl:
-        return static_cast<Word>(u(lhs) << (rhs & 63));
-      case Opcode::Shr:
-        return lhs >> (rhs & 63); // arithmetic in C++20
-      default:
-        return std::nullopt;
-    }
 }
 
 struct ConstProblem
@@ -129,41 +88,24 @@ applyConstTransfer(const ir::Instruction &inst,
     if (def == ir::kNoReg || def >= regs.size())
         return;
 
+    // Ld, Ldf, In and call results are unprovable.
     ConstVal result = ConstVal::varying();
-    if (ir::isBinaryAlu(inst.op)) {
+    if (inst.op == Opcode::Ldi) {
+        result = ConstVal::constant(inst.imm);
+    } else if (inst.op == Opcode::Mov) {
+        result = valueOf(regs, inst.src1); // Unknown stays Unknown
+    } else if (ir::isUnaryAlu(inst.op)) {
+        const ConstVal src = valueOf(regs, inst.src1);
+        if (src.isConst())
+            result = ConstVal::constant(ir::evalUnary(inst.op, src.value));
+    } else if (ir::isBinaryAlu(inst.op)) {
         const ConstVal lhs = valueOf(regs, inst.src1);
         const ConstVal rhs = rhsValue(inst, regs);
         if (lhs.isConst() && rhs.isConst()) {
-            const std::optional<Word> value =
-                evalBinary(inst.op, lhs.value, rhs.value);
-            if (value.has_value())
+            // A division by zero faults: no value to fold.
+            if (const std::optional<Word> value =
+                    ir::evalBinary(inst.op, lhs.value, rhs.value))
                 result = ConstVal::constant(*value);
-        }
-    } else {
-        switch (inst.op) {
-          case Opcode::Ldi:
-            result = ConstVal::constant(inst.imm);
-            break;
-          case Opcode::Mov:
-            result = valueOf(regs, inst.src1);
-            break;
-          case Opcode::Not: {
-            const ConstVal src = valueOf(regs, inst.src1);
-            if (src.isConst())
-                result = ConstVal::constant(~src.value);
-            break;
-          }
-          case Opcode::Neg: {
-            const ConstVal src = valueOf(regs, inst.src1);
-            if (src.isConst()) {
-                result = ConstVal::constant(static_cast<Word>(
-                    0 - static_cast<std::uint64_t>(src.value)));
-            }
-            break;
-          }
-          default:
-            // Ld, Ldf, In, call results: unprovable.
-            break;
         }
     }
     regs[def] = result;

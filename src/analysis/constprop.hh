@@ -3,13 +3,13 @@
  * Forward constant propagation over virtual registers.
  *
  * The per-register lattice is Unknown (meet identity: no path has
- * assigned the register yet) > Const(v) > Varying. Transfer mirrors
- * the VM's ALU semantics exactly (wrapping arithmetic, masked shifts,
- * the INT64_MIN / -1 special cases); anything the analysis cannot
- * prove — loads, input, call results, a division whose divisor may be
- * zero — drops to Varying. Function arguments and registers the
- * entry inherits start Varying: the lint must not reason from the
- * VM's implicit zero fill.
+ * assigned the register yet) > Const(v) > Varying. Transfer folds
+ * through the opcode semantics the VM executes (ir::evalBinary,
+ * ir::evalUnary), so a folded value is the value the VM computes;
+ * anything the analysis cannot prove — loads, input, call results, a
+ * division whose divisor may be zero — drops to Varying. Function
+ * arguments and registers the entry inherits start Varying: the lint
+ * must not reason from the VM's implicit zero fill.
  *
  * Drives the constant-condition and jump-table diagnostics.
  */

@@ -30,80 +30,10 @@ opcodeName(Opcode op)
     return opcode_names[index];
 }
 
-bool
-isBinaryAlu(Opcode op)
+void
+badOpcode(const char *what, Opcode op)
 {
-    return op >= Opcode::Add && op <= Opcode::Shr;
-}
-
-bool
-isUnaryAlu(Opcode op)
-{
-    return op == Opcode::Not || op == Opcode::Neg || op == Opcode::Mov;
-}
-
-bool
-isTerminator(Opcode op)
-{
-    return op >= Opcode::Beq;
-}
-
-bool
-isBranch(Opcode op)
-{
-    return isTerminator(op) && op != Opcode::Halt;
-}
-
-bool
-isConditionalBranch(Opcode op)
-{
-    return op >= Opcode::Beq && op <= Opcode::Bge;
-}
-
-bool
-isUnconditionalBranch(Opcode op)
-{
-    return isBranch(op) && !isConditionalBranch(op);
-}
-
-bool
-hasKnownTarget(Opcode op)
-{
-    blab_assert(isBranch(op), "hasKnownTarget on non-branch ",
-                opcodeName(op));
-    switch (op) {
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret:
-        return true;
-      case Opcode::JTab:
-      case Opcode::CallInd:
-        return false;
-      default:
-        // Conditional branches always encode their taken target.
-        return true;
-    }
-}
-
-bool
-evalCondition(Opcode op, std::int64_t lhs, std::int64_t rhs)
-{
-    switch (op) {
-      case Opcode::Beq:
-        return lhs == rhs;
-      case Opcode::Bne:
-        return lhs != rhs;
-      case Opcode::Blt:
-        return lhs < rhs;
-      case Opcode::Ble:
-        return lhs <= rhs;
-      case Opcode::Bgt:
-        return lhs > rhs;
-      case Opcode::Bge:
-        return lhs >= rhs;
-      default:
-        blab_panic("evalCondition on non-conditional ", opcodeName(op));
-    }
+    blab_panic(what, " on ", opcodeName(op));
 }
 
 } // namespace branchlab::ir

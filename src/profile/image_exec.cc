@@ -4,513 +4,218 @@
 
 #include "support/logging.hh"
 #include "trace/record.hh"
-#include "vm/memory.hh"
+#include "vm/datapath.hh"
 
 namespace branchlab::profile
 {
 
 using ir::Addr;
-using ir::BlockId;
-using ir::CodeLocation;
-using ir::FuncId;
-using ir::Instruction;
 using ir::kNoReg;
 using ir::Opcode;
-using ir::Reg;
 using ir::Word;
 
 std::size_t
-ImageExecutor::homeOf(Addr addr) const
+ImageExecutor::homeOf(std::uint32_t slot) const
 {
-    const auto it = image_.homeIndex.find(addr);
-    blab_assert(it != image_.homeIndex.end(),
+    blab_assert(slot < home_.size() && home_[slot] != kNoIndex,
                 "image is missing a home slot");
-    return it->second;
+    return home_[slot];
 }
 
 ImageExecutor::ImageExecutor(const ProgramProfile &profile,
                              const FsOptResult &opt)
-    : prog_(profile.program()), layout_(profile.layout()),
-      image_(opt.image)
+    : code_(profile.program(), profile.layout()),
+      home_(code_.numSlots(), kNoIndex), slots_(opt.image.slots.size())
 {
-    decodeImage();
-    applyDuplicates(opt.dups);
-}
+    const FsResult &image = opt.image;
+    for (const auto &[addr, index] : image.homeIndex)
+        home_[addr - ir::kCodeBase] = index;
 
-void
-ImageExecutor::decodeImage()
-{
-    std::unordered_map<std::size_t, const SlotSite *> site_at;
-    for (const SlotSite &site : image_.sites)
-        site_at[site.branchImageIndex] = &site;
-
-    funcEntryHome_.reserve(prog_.numFunctions());
-    for (FuncId f = 0; f < prog_.numFunctions(); ++f) {
-        funcEntryHome_.push_back(
-            homeOf(layout_.blockAddr(f, prog_.function(f).entry())));
+    const ir::Layout &layout = profile.layout();
+    const auto slot_of = [&layout](const ir::CodeLocation &loc) {
+        return static_cast<std::uint32_t>(
+            layout.instAddr(loc.func, loc.block, loc.index) - ir::kCodeBase);
+    };
+    for (std::size_t i = 0; i < image.slots.size(); ++i) {
+        const ImageSlot &slot = image.slots[i];
+        if (slot.kind != ImageSlot::Kind::Pad)
+            slots_[i].inst = slot_of(slot.orig);
     }
-
-    decoded_.resize(image_.slots.size());
-    for (std::size_t i = 0; i < image_.slots.size(); ++i) {
-        const ImageSlot &slot = image_.slots[i];
-        DecodedSlot &d = decoded_[i];
-        if (slot.kind == ImageSlot::Kind::Pad)
-            continue; // inst stays null: executing it is a fault
-        const CodeLocation loc = slot.orig;
-        const Instruction &inst =
-            prog_.function(loc.func).block(loc.block).inst(loc.index);
-        d.inst = &inst;
-        d.addr = layout_.instAddr(loc.func, loc.block, loc.index);
-        d.func = loc.func;
-        switch (inst.op) {
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Ble:
-          case Opcode::Bgt:
-          case Opcode::Bge:
-            d.takenAddr = layout_.blockAddr(loc.func, inst.target);
-            d.takenHome = homeOf(d.takenAddr);
-            d.fallAddr = layout_.blockAddr(loc.func, inst.next);
-            d.fallHome = homeOf(d.fallAddr);
-            break;
-          case Opcode::Jmp:
-            d.takenAddr = layout_.blockAddr(loc.func, inst.target);
-            d.takenHome = homeOf(d.takenAddr);
-            break;
-          case Opcode::Call:
-          case Opcode::CallInd:
-            d.contHome =
-                homeOf(layout_.blockAddr(loc.func, inst.next));
-            break;
-          default:
-            break;
-        }
-        const auto site_it = site_at.find(i);
-        if (site_it != site_at.end()) {
-            const SlotSite &site = *site_it->second;
-            d.site = &site;
-            d.siteTargetBlock = layout_.locate(site.origTargetAddr).block;
-            d.regionEnd = i + 1 + site.filled + site.copied;
-            d.regionResume =
-                site.resume.has_value()
-                    ? homeOf(layout_.instAddr(site.resume->func,
-                                              site.resume->block,
-                                              site.resume->index))
-                    : std::numeric_limits<std::size_t>::max();
-        }
+    for (const SlotSite &site : image.sites) {
+        Slot &s = slots_[site.branchImageIndex];
+        s.site = &site;
+        s.regionEnd = site.branchImageIndex + 1 + site.filled + site.copied;
+        if (site.resume.has_value())
+            s.regionResume = homeOf(slot_of(*site.resume));
     }
-}
-
-void
-ImageExecutor::applyDuplicates(const std::vector<DupTail> &dups)
-{
-    for (const DupTail &dup : dups) {
-        DecodedSlot &d = decoded_[homeOf(dup.predTermAddr)];
-        blab_assert(d.inst != nullptr && (d.inst->isConditional() ||
-                                          d.inst->op == Opcode::Jmp),
+    for (const DupTail &dup : opt.dups) {
+        Slot &s = slots_[homeOf(static_cast<std::uint32_t>(
+            dup.predTermAddr - ir::kCodeBase))];
+        const vm::DecodedInst *d =
+            s.inst != kPad ? code_.slots() + s.inst : nullptr;
+        blab_assert(d != nullptr && (ir::isConditionalBranch(d->op) ||
+                                     d->op == Opcode::Jmp),
                     "duplicate redirect on a non-redirectable branch");
         // A site's likely side enters the slot region instead; the
         // builder never duplicates for it, so only free sides are
         // overridden here.
-        const bool likely_side =
-            d.site != nullptr &&
-            d.site->origTargetAddr == dup.blockStartAddr;
-        if (d.takenAddr == dup.blockStartAddr && !likely_side)
-            d.takenDup = dup.imageStart;
-        if (d.inst->isConditional() &&
-            d.fallAddr == dup.blockStartAddr && !likely_side) {
-            d.fallDup = dup.imageStart;
+        if (s.site != nullptr && s.site->origTargetAddr == dup.blockStartAddr)
+            continue;
+        if (d->takenAddr == dup.blockStartAddr)
+            s.takenDup = dup.imageStart;
+        if (ir::isConditionalBranch(d->op) &&
+            d->fallAddr == dup.blockStartAddr) {
+            s.fallDup = dup.imageStart;
         }
     }
 }
 
 ImageRunResult
 ImageExecutor::run(const std::vector<std::vector<Word>> &inputs,
-                   std::uint64_t max_instructions,
                    trace::TraceSink *sink) const
 {
+    // The bounds of a default vm::Machine run.
+    const vm::RunLimits limits;
     ImageRunResult result;
-    result.outputs.resize(8);
-
     const bool want_committed =
         sink == nullptr || sink->wantsInstructions();
     const bool want_insts = sink != nullptr && sink->wantsInstructions();
 
     vm::Memory memory;
-    memory.reset(prog_.data());
+    memory.reset(code_.program().data());
+    vm::Channels channels;
+    for (std::size_t chan = 0; chan < inputs.size(); ++chan)
+        channels.setInput(chan, inputs[chan]);
+    vm::CallStack stack;
 
-    struct Frame
-    {
-        std::size_t regBase;
-        Reg retDst;
-        std::size_t returnIndex;
-        FuncId func;
-    };
-    std::vector<Frame> frames;
-    std::vector<Word> reg_stack;
-    std::size_t input_cursor[8] = {};
-
-    const auto fault = [&](const std::string &what, std::size_t at) {
+    // The image slot executing.
+    std::size_t pc = 0;
+    const auto fault = [&pc](const std::string &what) {
         std::ostringstream os;
-        os << "image execution fault at slot " << at << ": " << what;
+        os << "image execution fault at slot " << pc << ": " << what;
         throw vm::ExecutionFault(os.str());
     };
 
-    const auto push_frame = [&](FuncId callee,
-                                const std::vector<Word> &args,
-                                Reg ret_dst, std::size_t return_index) {
-        const ir::Function &fn = prog_.function(callee);
-        Frame frame;
-        frame.regBase = reg_stack.size();
-        frame.retDst = ret_dst;
-        frame.returnIndex = return_index;
-        frame.func = callee;
-        reg_stack.resize(reg_stack.size() + fn.numRegs(), 0);
-        for (std::size_t i = 0; i < args.size(); ++i)
-            reg_stack[frame.regBase + i] = args[i];
-        frames.push_back(frame);
-        if (frames.size() > 10'000)
-            fault("call stack overflow", 0);
-    };
-
-    const FuncId main_id = prog_.mainFunction();
-    push_frame(main_id, {}, kNoReg,
-               std::numeric_limits<std::size_t>::max());
-    std::size_t pc = funcEntryHome_[main_id];
+    const vm::DecodedInst *code = code_.slots();
+    const vm::DecodedFunction &main_func =
+        code_.func(code_.mainFunction());
+    Word *regs =
+        stack.push(main_func, {}, kNoReg, 0, limits.maxFrames, fault);
+    pc = homeOf(main_func.entrySlot);
 
     // Active slot region (entered through a predicted-taken site).
     std::size_t region_end = 0;
     std::size_t region_resume = 0;
     bool in_region = false;
 
-    const auto reg = [&](Reg r) -> Word & {
-        return reg_stack[frames.back().regBase + r];
+    // Redirect control to an image slot, leaving any region.
+    const auto go_to = [&](std::size_t index) {
+        pc = index;
+        in_region = false;
+    };
+    // The likely direction of site branch @p s: fall into the forward
+    // slots (fills first, then copies) and resume at the advanced
+    // target. An emptied region (every copy dropped) resumes at once.
+    const auto enter_region = [&](const Slot &s) {
+        if (s.regionEnd > pc + 1) {
+            in_region = true;
+            region_end = s.regionEnd;
+            region_resume = s.regionResume;
+            ++pc;
+        } else {
+            go_to(s.regionResume);
+        }
+    };
+    // Where a branch goes off the region path: the tail duplicate
+    // @p dup when it has one, else the home of original slot @p slot.
+    const auto redirect = [&](std::size_t dup, std::uint32_t slot) {
+        go_to(dup != kNoIndex ? dup : homeOf(slot));
     };
 
-    while (true) {
-        if (result.instructions >= max_instructions) {
-            result.reason = vm::StopReason::InstructionLimit;
-            return result;
+    result.reason = [&] {
+        while (true) {
+            if (result.instructions >= limits.maxInstructions)
+                return vm::StopReason::InstructionLimit;
+            blab_assert(pc < slots_.size(), "image PC out of range");
+            const Slot &s = slots_[pc];
+            if (s.inst == kPad)
+                fault("executed a NO-OP pad (transform bug)");
+            const vm::DecodedInst &d = code[s.inst];
+            ++result.instructions;
+            if (want_committed)
+                result.committed.push_back(d.pc);
+            if (want_insts)
+                sink->onInstruction(trace::InstEvent{d.pc, d.op});
+
+            switch (d.op) {
+              case Opcode::Beq:
+              case Opcode::Bne:
+              case Opcode::Blt:
+              case Opcode::Ble:
+              case Opcode::Bgt:
+              case Opcode::Bge: {
+                const bool taken = vm::taken(d.op, d, regs);
+                if (sink != nullptr)
+                    sink->onBranch(vm::conditionalEvent(d, taken));
+                const Addr dest = taken ? d.takenAddr : d.fallAddr;
+                if (s.site != nullptr && dest == s.site->origTargetAddr)
+                    enter_region(s);
+                else if (taken)
+                    redirect(s.takenDup, d.takenSlot);
+                else
+                    redirect(s.fallDup, d.nextSlot);
+                break;
+              }
+              case Opcode::Jmp:
+                if (sink != nullptr)
+                    sink->onBranch(vm::transferEvent(d, d.takenAddr));
+                if (s.site != nullptr)
+                    enter_region(s);
+                else
+                    redirect(s.takenDup, d.takenSlot);
+                break;
+              case Opcode::JTab: {
+                const std::uint32_t target =
+                    vm::jumpTableSlot(d, regs, code_, fault);
+                if (sink != nullptr)
+                    sink->onBranch(vm::transferEvent(d, code[target].pc));
+                go_to(homeOf(target));
+                break;
+              }
+              case Opcode::Call:
+              case Opcode::CallInd: {
+                const vm::DecodedFunction &callee =
+                    code_.func(vm::callee(d, regs, code_, fault));
+                if (sink != nullptr)
+                    sink->onBranch(vm::transferEvent(d, callee.entryAddr));
+                regs = stack.push(callee, d.inst->args, d.dst, d.nextSlot,
+                                  limits.maxFrames, fault);
+                go_to(homeOf(callee.entrySlot));
+                break;
+              }
+              case Opcode::Ret: {
+                if (stack.depth() == 1)
+                    return vm::StopReason::MainReturned;
+                const std::uint32_t resume = stack.pop(d);
+                regs = stack.regs();
+                if (sink != nullptr)
+                    sink->onBranch(vm::transferEvent(d, code[resume].pc));
+                go_to(homeOf(resume));
+                break;
+              }
+              case Opcode::Halt:
+                return vm::StopReason::Halted;
+              default:
+                vm::execute(d, regs, memory, channels, fault);
+                ++pc;
+                if (in_region && pc >= region_end)
+                    go_to(region_resume);
+                break;
+            }
         }
-        blab_assert(pc < decoded_.size(), "image PC out of range");
-        const DecodedSlot &d = decoded_[pc];
-        if (d.inst == nullptr)
-            fault("executed a NO-OP pad (transform bug)", pc);
-        const Instruction &inst = *d.inst;
-        ++result.instructions;
-        if (want_committed)
-            result.committed.push_back(d.addr);
-        if (want_insts)
-            sink->onInstruction(trace::InstEvent{d.addr, inst.op});
-
-        const auto rhs = [&]() -> Word {
-            return inst.useImm ? inst.imm : reg(inst.src2);
-        };
-
-        // Where sequential flow continues from this slot.
-        const auto advance = [&]() {
-            ++pc;
-            if (in_region && pc >= region_end) {
-                pc = region_resume;
-                in_region = false;
-            }
-        };
-
-        // Redirect control to a home slot, leaving any region.
-        const auto go_home = [&](std::size_t home) {
-            pc = home;
-            in_region = false;
-        };
-
-        switch (inst.op) {
-          case Opcode::Add:
-            reg(inst.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(inst.src1)) +
-                static_cast<std::uint64_t>(rhs()));
-            advance();
-            break;
-          case Opcode::Sub:
-            reg(inst.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(inst.src1)) -
-                static_cast<std::uint64_t>(rhs()));
-            advance();
-            break;
-          case Opcode::Mul:
-            reg(inst.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(inst.src1)) *
-                static_cast<std::uint64_t>(rhs()));
-            advance();
-            break;
-          case Opcode::Div: {
-            const Word divisor = rhs();
-            if (divisor == 0)
-                fault("division by zero", pc);
-            const Word dividend = reg(inst.src1);
-            reg(inst.dst) = (dividend == INT64_MIN && divisor == -1)
-                                ? INT64_MIN
-                                : dividend / divisor;
-            advance();
-            break;
-          }
-          case Opcode::Rem: {
-            const Word divisor = rhs();
-            if (divisor == 0)
-                fault("remainder by zero", pc);
-            const Word dividend = reg(inst.src1);
-            reg(inst.dst) = (dividend == INT64_MIN && divisor == -1)
-                                ? 0
-                                : dividend % divisor;
-            advance();
-            break;
-          }
-          case Opcode::And:
-            reg(inst.dst) = reg(inst.src1) & rhs();
-            advance();
-            break;
-          case Opcode::Or:
-            reg(inst.dst) = reg(inst.src1) | rhs();
-            advance();
-            break;
-          case Opcode::Xor:
-            reg(inst.dst) = reg(inst.src1) ^ rhs();
-            advance();
-            break;
-          case Opcode::Shl:
-            reg(inst.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(inst.src1))
-                << (rhs() & 63));
-            advance();
-            break;
-          case Opcode::Shr:
-            reg(inst.dst) = reg(inst.src1) >> (rhs() & 63);
-            advance();
-            break;
-          case Opcode::Not:
-            reg(inst.dst) = ~reg(inst.src1);
-            advance();
-            break;
-          case Opcode::Neg:
-            reg(inst.dst) = static_cast<Word>(
-                0 - static_cast<std::uint64_t>(reg(inst.src1)));
-            advance();
-            break;
-          case Opcode::Mov:
-            reg(inst.dst) = reg(inst.src1);
-            advance();
-            break;
-          case Opcode::Ldi:
-            reg(inst.dst) = inst.imm;
-            advance();
-            break;
-          case Opcode::Ld: {
-            Word value = 0;
-            if (!memory.tryRead(reg(inst.src1) + inst.imm, value))
-                fault("load out of bounds", pc);
-            reg(inst.dst) = value;
-            advance();
-            break;
-          }
-          case Opcode::St:
-            if (!memory.tryWrite(reg(inst.src1) + inst.imm,
-                                 reg(inst.src2))) {
-                fault("store out of bounds", pc);
-            }
-            advance();
-            break;
-          case Opcode::Ldf:
-            reg(inst.dst) = static_cast<Word>(inst.func);
-            advance();
-            break;
-          case Opcode::In: {
-            const auto chan = static_cast<std::size_t>(inst.imm);
-            std::size_t &cursor = input_cursor[chan];
-            if (chan < inputs.size() &&
-                cursor < inputs[chan].size()) {
-                reg(inst.dst) = inputs[chan][cursor++];
-            } else {
-                reg(inst.dst) = -1;
-            }
-            advance();
-            break;
-          }
-          case Opcode::Out:
-            result.outputs[static_cast<std::size_t>(inst.imm)]
-                .push_back(reg(inst.src1));
-            advance();
-            break;
-          case Opcode::Nop:
-            advance();
-            break;
-
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Ble:
-          case Opcode::Bgt:
-          case Opcode::Bge: {
-            const bool taken =
-                ir::evalCondition(inst.op, reg(inst.src1), rhs());
-            if (sink != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.addr;
-                ev.op = inst.op;
-                ev.conditional = true;
-                ev.taken = taken;
-                ev.targetKnown = true;
-                ev.targetAddr = d.takenAddr;
-                ev.fallthroughAddr = d.fallAddr;
-                ev.nextPc = taken ? d.takenAddr : d.fallAddr;
-                sink->onBranch(ev);
-            }
-            const BlockId dest = taken ? inst.target : inst.next;
-            if (d.site != nullptr && dest == d.siteTargetBlock) {
-                // The likely direction: fall into the forward slots
-                // (fills first, then copies), resume at the advanced
-                // target. An emptied region (every copy dropped)
-                // resumes immediately.
-                if (d.regionEnd > pc + 1) {
-                    in_region = true;
-                    region_end = d.regionEnd;
-                    region_resume = d.regionResume;
-                    ++pc;
-                } else {
-                    go_home(d.regionResume);
-                }
-                break;
-            }
-            const std::size_t dup =
-                taken ? d.takenDup : d.fallDup;
-            if (dup != DecodedSlot::kNoIndex) {
-                go_home(dup);
-                break;
-            }
-            go_home(taken ? d.takenHome : d.fallHome);
-            break;
-          }
-
-          case Opcode::Jmp: {
-            if (sink != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.addr;
-                ev.op = inst.op;
-                ev.taken = true;
-                ev.targetKnown = true;
-                ev.targetAddr = d.takenAddr;
-                ev.fallthroughAddr = d.addr + 1;
-                ev.nextPc = d.takenAddr;
-                sink->onBranch(ev);
-            }
-            if (d.site != nullptr) {
-                if (d.regionEnd > pc + 1) {
-                    in_region = true;
-                    region_end = d.regionEnd;
-                    region_resume = d.regionResume;
-                    ++pc;
-                } else {
-                    go_home(d.regionResume);
-                }
-                break;
-            }
-            if (d.takenDup != DecodedSlot::kNoIndex) {
-                go_home(d.takenDup);
-                break;
-            }
-            go_home(d.takenHome);
-            break;
-          }
-
-          case Opcode::JTab: {
-            const Word index = reg(inst.src1);
-            if (index < 0 ||
-                index >= static_cast<Word>(inst.table.size())) {
-                fault("jump-table index out of range", pc);
-            }
-            const Addr target_addr = layout_.blockAddr(
-                d.func,
-                inst.table[static_cast<std::size_t>(index)]);
-            if (sink != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.addr;
-                ev.op = inst.op;
-                ev.taken = true;
-                ev.targetKnown = false;
-                ev.targetAddr = target_addr;
-                ev.fallthroughAddr = d.addr + 1;
-                ev.nextPc = target_addr;
-                sink->onBranch(ev);
-            }
-            go_home(homeOf(target_addr));
-            break;
-          }
-
-          case Opcode::Call:
-          case Opcode::CallInd: {
-            FuncId callee = inst.func;
-            if (inst.op == Opcode::CallInd) {
-                const Word ref = reg(inst.src1);
-                if (ref < 0 ||
-                    ref >= static_cast<Word>(prog_.numFunctions())) {
-                    fault("indirect call to bad function ref", pc);
-                }
-                callee = static_cast<FuncId>(ref);
-            }
-            std::vector<Word> args;
-            args.reserve(inst.args.size());
-            for (Reg a : inst.args)
-                args.push_back(reg(a));
-            if (args.size() != prog_.function(callee).numArgs())
-                fault("argument count mismatch", pc);
-            if (sink != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.addr;
-                ev.op = inst.op;
-                ev.taken = true;
-                ev.targetKnown = inst.op == Opcode::Call;
-                ev.targetAddr = layout_.funcEntry(callee);
-                ev.fallthroughAddr = d.addr + 1;
-                ev.nextPc = ev.targetAddr;
-                sink->onBranch(ev);
-            }
-            push_frame(callee, args, inst.dst, d.contHome);
-            pc = funcEntryHome_[callee];
-            in_region = false;
-            break;
-          }
-
-          case Opcode::Ret: {
-            if (frames.size() == 1) {
-                result.reason = vm::StopReason::MainReturned;
-                return result;
-            }
-            const Word value =
-                inst.src1 != kNoReg ? reg(inst.src1) : 0;
-            const Frame finished = frames.back();
-            frames.pop_back();
-            reg_stack.resize(finished.regBase);
-            if (finished.retDst != kNoReg)
-                reg(finished.retDst) = value;
-            pc = finished.returnIndex;
-            in_region = false;
-            if (sink != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.addr;
-                ev.op = Opcode::Ret;
-                ev.taken = true;
-                ev.targetKnown = true;
-                ev.targetAddr = decoded_[pc].addr;
-                ev.fallthroughAddr = d.addr + 1;
-                ev.nextPc = decoded_[pc].addr;
-                sink->onBranch(ev);
-            }
-            break;
-          }
-
-          case Opcode::Halt:
-            result.reason = vm::StopReason::Halted;
-            return result;
-        }
-    }
+    }();
+    result.outputs = channels.takeOutputs();
+    return result;
 }
 
 std::string

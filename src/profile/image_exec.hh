@@ -22,11 +22,12 @@
  *  - NO-OP pads sit after a copied trace tail that ends in a
  *    terminator, so they never commit.
  *
- * The executor predecodes the image once at construction: every slot
- * resolves its original instruction, layout address, branch-target
- * homes, and slot-site bookkeeping up front, so the run loop touches
- * one flat array instead of chasing the function/block/instruction
- * triple per executed instruction.
+ * The executor is a fetch policy and nothing else: it decides which
+ * image slot runs next (homes, slot regions and their resume points,
+ * tail-duplicate redirects, NO-OP pads), and each slot executes its
+ * original instruction, predecoded by a vm::PredecodedProgram, on the
+ * datapath the VM runs (vm/datapath.hh): the same ALU, memory, I/O,
+ * call stack, faults and branch events.
  */
 
 #ifndef BRANCHLAB_PROFILE_IMAGE_EXEC_HH
@@ -36,6 +37,7 @@
 
 #include "profile/fs_opt.hh"
 #include "vm/machine.hh"
+#include "vm/predecode.hh"
 
 namespace branchlab::profile
 {
@@ -84,55 +86,46 @@ class ImageExecutor
      * executed branch and, when the sink wants them, an InstEvent per
      * committed instruction. The committed vector is only filled when
      * sink is null or sink->wantsInstructions() -- a pure
-     * branch-recording run never materialises it.
+     * branch-recording run never materialises it. The run is bounded
+     * as a default vm::Machine run is (vm::RunLimits).
      */
-    ImageRunResult
-    run(const std::vector<std::vector<ir::Word>> &inputs,
-        std::uint64_t max_instructions = 100'000'000ULL,
-        trace::TraceSink *sink = nullptr) const;
+    ImageRunResult run(const std::vector<std::vector<ir::Word>> &inputs,
+                       trace::TraceSink *sink = nullptr) const;
 
   private:
-    /** Per-image-slot predecoded facts. */
-    struct DecodedSlot
+    static constexpr std::size_t kNoIndex =
+        std::numeric_limits<std::size_t>::max();
+    static constexpr std::uint32_t kPad =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /** What fetching needs to know about one image slot. */
+    struct Slot
     {
-        /** Original instruction; nullptr for NO-OP pads. */
-        const ir::Instruction *inst = nullptr;
-        /** Original-layout address of the slot's instruction. */
-        ir::Addr addr = ir::kNoAddr;
-        /** Owning function of the original instruction. */
-        ir::FuncId func = ir::kNoFunc;
-        /** Conditional/Jmp taken-target address and home slot. */
-        ir::Addr takenAddr = ir::kNoAddr;
-        std::size_t takenHome = 0;
-        /** Conditional fallthrough block address and home slot. */
-        ir::Addr fallAddr = ir::kNoAddr;
-        std::size_t fallHome = 0;
-        /** Call continuation home slot. */
-        std::size_t contHome = 0;
-        /** Slot-site bookkeeping (nullptr when not a site). */
+        /** Flat slot of the slot's original instruction in code_;
+         *  kPad for NO-OP pads. */
+        std::uint32_t inst = kPad;
+        /** The slot site this branch heads (nullptr when none), the
+         *  end of its slot region and the home the region resumes at
+         *  (kNoIndex when the window consumed the whole trace). */
         const SlotSite *site = nullptr;
-        ir::BlockId siteTargetBlock = ir::kNoBlock;
         std::size_t regionEnd = 0;
-        std::size_t regionResume = 0;
+        std::size_t regionResume = kNoIndex;
         /** Tail-duplicate redirects for this branch's destinations
          *  (kNoIndex when the side keeps its home target). */
-        static constexpr std::size_t kNoIndex =
-            std::numeric_limits<std::size_t>::max();
         std::size_t takenDup = kNoIndex;
         std::size_t fallDup = kNoIndex;
     };
 
-    std::size_t homeOf(ir::Addr addr) const;
-    void decodeImage();
-    void applyDuplicates(const std::vector<DupTail> &dups);
+    /** The home of the original instruction at flat slot @p slot;
+     *  panics when the image has none. */
+    std::size_t homeOf(std::uint32_t slot) const;
 
-    const ir::Program &prog_;
-    const ir::Layout &layout_;
-    const FsResult &image_;
-    /** Predecoded image, parallel to image_.slots. */
-    std::vector<DecodedSlot> decoded_;
-    /** Home slot of each function's entry instruction. */
-    std::vector<std::size_t> funcEntryHome_;
+    vm::PredecodedProgram code_;
+    /** Image index of each original instruction's home, by flat slot
+     *  (kNoIndex for elided instructions). */
+    std::vector<std::size_t> home_;
+    /** Parallel to the image's slots. */
+    std::vector<Slot> slots_;
 };
 
 /**

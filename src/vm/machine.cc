@@ -3,30 +3,24 @@
 #include <sstream>
 
 #include "obs/metrics.hh"
-#include "support/logging.hh"
 
 namespace branchlab::vm
 {
 
 using ir::Addr;
-using ir::BlockId;
-using ir::FuncId;
-using ir::Instruction;
-using ir::kNoBlock;
 using ir::kNoReg;
 using ir::Opcode;
-using ir::Reg;
 using ir::Word;
 
 Machine::Machine(const ir::Program &program, const ir::Layout &layout)
     : ownedCode_(std::make_unique<PredecodedProgram>(program, layout)),
-      code_(*ownedCode_), prog_(program), layout_(layout)
+      code_(*ownedCode_), prog_(program)
 {
     reset();
 }
 
 Machine::Machine(const PredecodedProgram &code)
-    : code_(code), prog_(code.program()), layout_(code.layout())
+    : code_(code), prog_(code.program())
 {
     // A machine sharing an existing predecoded image is the fast
     // path; the per-image decode itself is counted in predecode.cc.
@@ -37,9 +31,7 @@ Machine::Machine(const PredecodedProgram &code)
 void
 Machine::setInput(int channel, std::vector<Word> words)
 {
-    blab_assert(channel >= 0 && channel < 8, "channel out of range");
-    inputs_[channel] = std::move(words);
-    inputCursor_[channel] = 0;
+    channels_.setInput(static_cast<std::size_t>(channel), std::move(words));
 }
 
 void
@@ -55,8 +47,7 @@ Machine::setInputBytes(int channel, const std::string &bytes)
 const std::vector<Word> &
 Machine::output(int channel) const
 {
-    blab_assert(channel >= 0 && channel < 8, "channel out of range");
-    return outputs_[channel];
+    return channels_.output(static_cast<std::size_t>(channel));
 }
 
 std::string
@@ -73,13 +64,9 @@ Machine::outputBytes(int channel) const
 void
 Machine::reset()
 {
-    frames_.clear();
-    regStack_.clear();
+    stack_.clear();
     memory_.reset(prog_.data());
-    for (int c = 0; c < 8; ++c) {
-        inputCursor_[c] = 0;
-        outputs_[c].clear();
-    }
+    channels_.rewind();
 }
 
 void
@@ -109,24 +96,6 @@ Machine::fault(const std::string &what, Addr pc)
     throw ExecutionFault(os.str());
 }
 
-void
-Machine::pushFrame(FuncId func, const std::vector<Word> &args, Reg ret_dst,
-                   const RunLimits &limits, Addr pc,
-                   std::uint32_t resume_slot)
-{
-    if (frames_.size() >= limits.maxFrames)
-        fault("call stack overflow", pc);
-    const DecodedFunction &callee = code_.func(func);
-    Frame frame;
-    frame.regBase = regStack_.size();
-    frame.retDst = ret_dst;
-    frame.resumeSlot = resume_slot;
-    regStack_.resize(regStack_.size() + callee.numRegs, 0);
-    for (std::size_t i = 0; i < args.size(); ++i)
-        regStack_[frame.regBase + i] = args[i];
-    frames_.push_back(frame);
-}
-
 RunResult
 Machine::run(const RunLimits &limits)
 {
@@ -152,20 +121,16 @@ Machine::run(const RunLimits &limits)
         }
     } telemetry_flush{result};
 
-    frames_.clear();
-    regStack_.clear();
-    const FuncId main_func = code_.mainFunction();
-    pushFrame(main_func, {}, kNoReg, lim, 0, 0);
-
     const bool want_insts = sink_ != nullptr && sink_->wantsInstructions();
     flushAt_ = want_insts ? 1 : trace::kTraceBlockEvents;
 
     const DecodedInst *code = code_.slots();
-    std::uint32_t ip = code_.func(main_func).entrySlot;
-    std::size_t reg_base = frames_.back().regBase;
-
-    // Scratch buffer for call arguments, reused across calls.
-    std::vector<Word> arg_values;
+    const DecodedFunction &main_func = code_.func(code_.mainFunction());
+    stack_.clear();
+    Word *regs = stack_.push(
+        main_func, {}, kNoReg, 0, lim.maxFrames,
+        [this](const std::string &what) { fault(what, 0); });
+    std::uint32_t ip = main_func.entrySlot;
 
     while (true) {
         const DecodedInst &d = code[ip];
@@ -180,262 +145,142 @@ Machine::run(const RunLimits &limits)
         if (want_insts)
             sink_->onInstruction(trace::InstEvent{d.pc, d.op});
 
-        // Frame-local register access.
-        const auto reg = [&](Reg r) -> Word & {
-            return regStack_[reg_base + r];
+        // The helpers below capture neither ip nor regs, so both stay
+        // in registers whether or not the helpers are inlined.
+        const auto on_fault = [this, &d](const std::string &what) {
+            fault(what, d.pc);
         };
-        // Right-hand side of ALU/compare ops.
-        const auto rhs = [&]() -> Word {
-            return d.useImm ? d.imm : reg(d.src2);
+        // A conditional branch: count it, trace it, return its slot.
+        const auto conditional = [this, &d, &result](bool taken) {
+            ++result.branches;
+            if (sink_ != nullptr)
+                emit(conditionalEvent(d, taken));
+            return taken ? d.takenSlot : d.nextSlot;
+        };
+        // An unconditional transfer to flat slot @p to.
+        const auto transfer = [this, &d, &result, code](std::uint32_t to) {
+            ++result.branches;
+            if (sink_ != nullptr)
+                emit(transferEvent(d, code[to].pc));
+            return to;
         };
 
         switch (d.op) {
           case Opcode::Add:
-            reg(d.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(d.src1)) +
-                static_cast<std::uint64_t>(rhs()));
+            execute<Opcode::Add>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Sub:
-            reg(d.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(d.src1)) -
-                static_cast<std::uint64_t>(rhs()));
+            execute<Opcode::Sub>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Mul:
-            reg(d.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(d.src1)) *
-                static_cast<std::uint64_t>(rhs()));
+            execute<Opcode::Mul>(d, regs, memory_, channels_, on_fault);
             break;
-          case Opcode::Div: {
-            const Word divisor = rhs();
-            if (divisor == 0)
-                fault("division by zero", d.pc);
-            const Word dividend = reg(d.src1);
-            if (dividend == INT64_MIN && divisor == -1)
-                reg(d.dst) = INT64_MIN; // wrap, avoid UB
-            else
-                reg(d.dst) = dividend / divisor;
+          case Opcode::Div:
+            execute<Opcode::Div>(d, regs, memory_, channels_, on_fault);
             break;
-          }
-          case Opcode::Rem: {
-            const Word divisor = rhs();
-            if (divisor == 0)
-                fault("remainder by zero", d.pc);
-            const Word dividend = reg(d.src1);
-            if (dividend == INT64_MIN && divisor == -1)
-                reg(d.dst) = 0;
-            else
-                reg(d.dst) = dividend % divisor;
+          case Opcode::Rem:
+            execute<Opcode::Rem>(d, regs, memory_, channels_, on_fault);
             break;
-          }
           case Opcode::And:
-            reg(d.dst) = reg(d.src1) & rhs();
+            execute<Opcode::And>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Or:
-            reg(d.dst) = reg(d.src1) | rhs();
+            execute<Opcode::Or>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Xor:
-            reg(d.dst) = reg(d.src1) ^ rhs();
+            execute<Opcode::Xor>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Shl:
-            reg(d.dst) = static_cast<Word>(
-                static_cast<std::uint64_t>(reg(d.src1))
-                << (rhs() & 63));
+            execute<Opcode::Shl>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Shr:
-            // C++20 defines signed right shift as arithmetic.
-            reg(d.dst) = reg(d.src1) >> (rhs() & 63);
+            execute<Opcode::Shr>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Not:
-            reg(d.dst) = ~reg(d.src1);
+            execute<Opcode::Not>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Neg:
-            reg(d.dst) = static_cast<Word>(
-                0 - static_cast<std::uint64_t>(reg(d.src1)));
+            execute<Opcode::Neg>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Mov:
-            reg(d.dst) = reg(d.src1);
+            execute<Opcode::Mov>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Ldi:
-            reg(d.dst) = d.imm;
+            execute<Opcode::Ldi>(d, regs, memory_, channels_, on_fault);
             break;
-          case Opcode::Ld: {
-            const Word addr = reg(d.src1) + d.imm;
-            Word value = 0;
-            if (!memory_.tryRead(addr, value)) {
-                fault("load from bad address " + std::to_string(addr),
-                      d.pc);
-            }
-            reg(d.dst) = value;
+          case Opcode::Ld:
+            execute<Opcode::Ld>(d, regs, memory_, channels_, on_fault);
             break;
-          }
-          case Opcode::St: {
-            const Word addr = reg(d.src1) + d.imm;
-            if (!memory_.tryWrite(addr, reg(d.src2))) {
-                fault("store to bad address " + std::to_string(addr),
-                      d.pc);
-            }
+          case Opcode::St:
+            execute<Opcode::St>(d, regs, memory_, channels_, on_fault);
             break;
-          }
           case Opcode::Ldf:
-            reg(d.dst) = static_cast<Word>(d.func);
+            execute<Opcode::Ldf>(d, regs, memory_, channels_, on_fault);
             break;
-          case Opcode::In: {
-            const auto chan = static_cast<std::size_t>(d.imm);
-            std::size_t &cursor = inputCursor_[chan];
-            if (cursor < inputs_[chan].size())
-                reg(d.dst) = inputs_[chan][cursor++];
-            else
-                reg(d.dst) = -1;
+          case Opcode::In:
+            execute<Opcode::In>(d, regs, memory_, channels_, on_fault);
             break;
-          }
           case Opcode::Out:
-            outputs_[static_cast<std::size_t>(d.imm)].push_back(
-                reg(d.src1));
+            execute<Opcode::Out>(d, regs, memory_, channels_, on_fault);
             break;
           case Opcode::Nop:
             break;
 
           case Opcode::Beq:
+            ip = conditional(taken(Opcode::Beq, d, regs));
+            continue;
           case Opcode::Bne:
+            ip = conditional(taken(Opcode::Bne, d, regs));
+            continue;
           case Opcode::Blt:
+            ip = conditional(taken(Opcode::Blt, d, regs));
+            continue;
           case Opcode::Ble:
+            ip = conditional(taken(Opcode::Ble, d, regs));
+            continue;
           case Opcode::Bgt:
-          case Opcode::Bge: {
-            const bool taken =
-                ir::evalCondition(d.op, reg(d.src1), rhs());
-            ++result.branches;
-            if (sink_ != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.pc;
-                ev.op = d.op;
-                ev.conditional = true;
-                ev.taken = taken;
-                ev.targetKnown = true;
-                ev.targetAddr = d.takenAddr;
-                ev.fallthroughAddr = d.fallAddr;
-                ev.nextPc = taken ? d.takenAddr : d.fallAddr;
-                emit(ev);
-            }
-            ip = taken ? d.takenSlot : d.nextSlot;
+            ip = conditional(taken(Opcode::Bgt, d, regs));
             continue;
-          }
-
-          case Opcode::Jmp: {
-            ++result.branches;
-            if (sink_ != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.pc;
-                ev.op = d.op;
-                ev.taken = true;
-                ev.targetKnown = true;
-                ev.targetAddr = d.takenAddr;
-                ev.fallthroughAddr = d.pc + 1;
-                ev.nextPc = d.takenAddr;
-                emit(ev);
-            }
-            ip = d.takenSlot;
+          case Opcode::Bge:
+            ip = conditional(taken(Opcode::Bge, d, regs));
             continue;
-          }
-
-          case Opcode::JTab: {
-            ++result.branches;
-            const Word index = reg(d.src1);
-            if (index < 0 ||
-                index >= static_cast<Word>(d.inst->table.size())) {
-                fault("jump-table index " + std::to_string(index) +
-                          " out of range",
-                      d.pc);
-            }
-            const BlockId target_block =
-                d.inst->table[static_cast<std::size_t>(index)];
-            const std::uint32_t target_slot =
-                code_.blockSlot(d.func, target_block);
-            if (sink_ != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.pc;
-                ev.op = d.op;
-                ev.taken = true;
-                ev.targetKnown = false;
-                ev.targetAddr = code[target_slot].pc;
-                ev.fallthroughAddr = d.pc + 1;
-                ev.nextPc = ev.targetAddr;
-                emit(ev);
-            }
-            ip = target_slot;
+          case Opcode::Jmp:
+            ip = transfer(d.takenSlot);
             continue;
-          }
-
+          // JTab and the calls count the branch before resolving its
+          // target, so one that faults is counted too.
+          case Opcode::JTab:
+            ++result.branches;
+            ip = jumpTableSlot(d, regs, code_, on_fault);
+            if (sink_ != nullptr)
+                emit(transferEvent(d, code[ip].pc));
+            continue;
           case Opcode::Call:
           case Opcode::CallInd: {
             ++result.branches;
-            FuncId callee = d.func;
-            std::uint32_t callee_slot = d.takenSlot;
-            if (d.op == Opcode::CallInd) {
-                const Word ref = reg(d.src1);
-                if (ref < 0 ||
-                    ref >= static_cast<Word>(prog_.numFunctions())) {
-                    fault("indirect call to bad function ref " +
-                              std::to_string(ref),
-                          d.pc);
-                }
-                callee = static_cast<FuncId>(ref);
-                callee_slot = code_.func(callee).entrySlot;
-            }
-            const DecodedFunction &callee_info = code_.func(callee);
-            if (d.inst->args.size() != callee_info.numArgs)
-                fault("argument count mismatch in indirect call", d.pc);
-            if (sink_ != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.pc;
-                ev.op = d.op;
-                ev.taken = true;
-                ev.targetKnown = d.op == Opcode::Call;
-                ev.targetAddr = callee_info.entryAddr;
-                ev.fallthroughAddr = d.pc + 1;
-                ev.nextPc = callee_info.entryAddr;
-                emit(ev);
-            }
-            arg_values.clear();
-            for (Reg a : d.inst->args)
-                arg_values.push_back(reg(a));
+            const DecodedFunction &callee_func =
+                code_.func(callee(d, regs, code_, on_fault));
+            if (sink_ != nullptr)
+                emit(transferEvent(d, callee_func.entryAddr));
             // The caller resumes at the continuation block when the
             // callee returns.
-            pushFrame(callee, arg_values, d.dst, lim, d.pc, d.nextSlot);
-            reg_base = frames_.back().regBase;
-            ip = callee_slot;
+            regs = stack_.push(callee_func, d.inst->args, d.dst,
+                               d.nextSlot, lim.maxFrames, on_fault);
+            ip = callee_func.entrySlot;
             continue;
           }
 
           case Opcode::Ret: {
-            if (frames_.size() == 1) {
+            if (stack_.depth() == 1) {
                 // Returning from main ends the run; not a branch event
                 // (there is no target to fetch).
                 result.reason = StopReason::MainReturned;
                 flushBranches();
                 return result;
             }
-            ++result.branches;
-            const Word value = d.src1 != kNoReg ? reg(d.src1) : 0;
-            const Frame finished = frames_.back();
-            frames_.pop_back();
-            regStack_.resize(finished.regBase);
-            reg_base = frames_.back().regBase;
-            if (finished.retDst != kNoReg)
-                regStack_[reg_base + finished.retDst] = value;
-            ip = finished.resumeSlot;
-            if (sink_ != nullptr) {
-                trace::BranchEvent ev;
-                ev.pc = d.pc;
-                ev.op = Opcode::Ret;
-                ev.taken = true;
-                // The return address is register-resident and readable
-                // at decode: a known target (see DESIGN.md).
-                ev.targetKnown = true;
-                ev.targetAddr = code[ip].pc;
-                ev.fallthroughAddr = d.pc + 1;
-                ev.nextPc = code[ip].pc;
-                emit(ev);
-            }
+            const std::uint32_t resume = stack_.pop(d);
+            regs = stack_.regs();
+            ip = transfer(resume);
             continue;
           }
 

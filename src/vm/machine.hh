@@ -4,6 +4,11 @@
  * emits trace events for every branch (and optionally every
  * instruction).
  *
+ * The machine is a fetch loop over a PredecodedProgram in layout
+ * order; what each instruction does -- the ALU, memory, I/O, calls
+ * and returns, and the event each branch emits -- is the datapath it
+ * shares with the Forward Semantic image executor (vm/datapath.hh).
+ *
  * Branch events reach the sink a block at a time: the machine fills
  * a trace::BlockBuffer and hands it to TraceSink::onBlock when it is
  * full and before run() returns or throws, so every executed branch
@@ -27,6 +32,7 @@
 #include "ir/layout.hh"
 #include "ir/program.hh"
 #include "trace/event.hh"
+#include "vm/datapath.hh"
 #include "vm/memory.hh"
 #include "vm/predecode.hh"
 
@@ -122,45 +128,26 @@ class Machine
     const ir::Program &program() const { return prog_; }
 
   private:
-    struct Frame
-    {
-        /** Base of this frame's registers in regStack_. */
-        std::size_t regBase;
-        /** Caller register receiving the return value (kNoReg: none).*/
-        ir::Reg retDst;
-        /** Flat slot the caller resumes at when this frame returns. */
-        std::uint32_t resumeSlot;
-    };
-
     /** Flush the pending branches, then throw an ExecutionFault. */
     [[noreturn]] void fault(const std::string &what, ir::Addr pc);
     /** Buffer one branch event, handing the block on when full. */
     void emit(const trace::BranchEvent &event);
     /** Hand the pending branches (if any) to the sink. */
     void flushBranches();
-    void pushFrame(ir::FuncId func, const std::vector<ir::Word> &args,
-                   ir::Reg ret_dst, const RunLimits &limits, ir::Addr pc,
-                   std::uint32_t resume_slot);
 
     /** Owned decoding for the (program, layout) constructor. */
     std::unique_ptr<PredecodedProgram> ownedCode_;
     const PredecodedProgram &code_;
     const ir::Program &prog_;
-    const ir::Layout &layout_;
     Memory memory_;
+    Channels channels_;
+    CallStack stack_;
     trace::TraceSink *sink_ = nullptr;
     /** Branches not yet handed to the sink: the one emit path. */
     trace::BlockBuffer<trace::kTraceBlockEvents> pending_;
     /** Block size this run hands on: a full block, or one event when
      *  the sink interleaves instructions. */
     std::size_t flushAt_ = trace::kTraceBlockEvents;
-
-    std::vector<Frame> frames_;
-    std::vector<ir::Word> regStack_;
-
-    std::vector<ir::Word> inputs_[8];
-    std::size_t inputCursor_[8] = {};
-    std::vector<ir::Word> outputs_[8];
 };
 
 } // namespace branchlab::vm

@@ -13,7 +13,9 @@
  *
  * One PredecodedProgram serves any number of machines (it is
  * immutable after construction), so a workload's whole input suite
- * decodes its program exactly once.
+ * decodes its program exactly once. The Forward Semantic image
+ * executor reads each image slot's original instruction from one as
+ * well.
  */
 
 #ifndef BRANCHLAB_VM_PREDECODE_HH
@@ -80,7 +82,6 @@ class PredecodedProgram
                       const ir::Layout &layout);
 
     const ir::Program &program() const { return prog_; }
-    const ir::Layout &layout() const { return layout_; }
 
     const DecodedInst *slots() const { return slots_.data(); }
     std::uint32_t numSlots() const

@@ -386,6 +386,31 @@ TEST(ImageExecution, CorruptedCopiesAreDetected)
     EXPECT_TRUE(detected);
 }
 
+TEST(ImageExecution, BranchToAMissingHomeIsReportedAsSuch)
+{
+    // An image without the home of a branch target is corrupt, and the
+    // executor must say so rather than run off the end of the image.
+    // With no sites, every branch leaves through a home.
+    Built built = profileOver(buildFigure2Like());
+    FsOptResult seed = seedImage(*built.profile, FsConfig{});
+    seed.image.sites.clear();
+    seed.dups.clear();
+    const ir::Addr entry =
+        built.layout->funcEntry(built.program.mainFunction());
+    std::erase_if(seed.image.homeIndex, [entry](const auto &home) {
+        return home.first != entry;
+    });
+    try {
+        ImageExecutor(*built.profile, seed).run({});
+        FAIL() << "the image ran without its branch targets' homes";
+    } catch (const LogicFailure &failure) {
+        EXPECT_NE(std::string(failure.what())
+                      .find("image is missing a home slot"),
+                  std::string::npos)
+            << failure.what();
+    }
+}
+
 class ImageEquivalenceSweep
     : public ::testing::TestWithParam<std::tuple<int, unsigned>>
 {
@@ -441,8 +466,7 @@ TEST(ImageExecution, BranchSinkSkipsTheCommittedStream)
     // pure recording path never builds it -- while the instruction
     // count and the branch stream are unchanged.
     trace::BranchRecorder recorder;
-    const ImageRunResult recording =
-        executor.run({}, 100'000'000ULL, &recorder);
+    const ImageRunResult recording = executor.run({}, &recorder);
     EXPECT_EQ(recording.instructions, plain.instructions);
     EXPECT_TRUE(recording.committed.empty());
     EXPECT_GT(recorder.size(), 0u);
@@ -450,8 +474,7 @@ TEST(ImageExecution, BranchSinkSkipsTheCommittedStream)
 
     // A sink that wants instructions still gets the committed stream.
     trace::InstRecorder insts;
-    const ImageRunResult full =
-        executor.run({}, 100'000'000ULL, &insts);
+    const ImageRunResult full = executor.run({}, &insts);
     EXPECT_EQ(full.committed.size(), plain.committed.size());
     EXPECT_EQ(insts.addrs().size(), plain.instructions);
 }

@@ -4,12 +4,20 @@
  * signed-overflow and divide edge cases), memory, I/O, calls,
  * recursion, indirect control flow, run limits, faults, and the
  * trace events every branch kind emits.
+ *
+ * The ALU and fault cases also hold the other consumers of the opcode
+ * semantics to the same values: ir::evalBinary / ir::evalUnary
+ * themselves, ConstProp's folding, and the Forward Semantic image
+ * executor running the program's level-none image.
  */
 
 #include <gtest/gtest.h>
 
+#include "analysis/constprop.hh"
 #include "block_path.hh"
 #include "helpers.hh"
+#include "profile/fs_opt.hh"
+#include "profile/image_exec.hh"
 
 namespace branchlab::vm
 {
@@ -42,15 +50,68 @@ aluProgram(Opcode op, Word a, Word b, bool imm_form)
     return prog;
 }
 
-Word
-runAlu(Opcode op, Word a, Word b, bool imm_form)
+/** Run @p prog's level-none Forward Semantic image through the image
+ *  executor. The profile is empty: the one-block programs these tests
+ *  build have no branch to profile, and may fault. */
+profile::ImageRunResult
+runImage(const ir::Program &prog, const ir::Layout &layout)
 {
-    const ir::Program prog = aluProgram(op, a, b, imm_form);
+    const profile::ProgramProfile profile(prog, layout);
+    const profile::FsOptResult none =
+        profile::FsOptimizer(profile, profile::FsOptConfig{}).build();
+    return profile::ImageExecutor(profile, none).run({});
+}
+
+/** ConstProp's fact for the operand of each Out in @p prog's one-block
+ *  main. */
+std::vector<analysis::ConstVal>
+foldedOuts(const ir::Program &prog)
+{
+    const ir::Function &main = prog.function(prog.mainFunction());
+    const analysis::Cfg cfg(main);
+    const analysis::ConstProp facts(cfg);
+    const ir::BasicBlock &block = main.block(main.entry());
+    std::vector<analysis::ConstVal> outs;
+    for (std::size_t i = 0; i < block.size(); ++i) {
+        if (block.inst(i).op == Opcode::Out) {
+            outs.push_back(
+                facts.atInstruction(main.entry(), i)[block.inst(i).src1]);
+        }
+    }
+    return outs;
+}
+
+/** Channel 1 of one-block @p prog as the VM, the image executor and
+ *  ConstProp each see it: expect @p expected from all three. */
+void
+expectEveryConsumerOutputs(const ir::Program &prog,
+                           const std::vector<Word> &expected)
+{
     ir::verifyProgramOrDie(prog);
     const ir::Layout layout(prog);
     Machine machine(prog, layout);
-    machine.run();
-    return machine.output(1).front();
+    EXPECT_EQ(machine.run().reason, StopReason::Halted);
+    EXPECT_EQ(machine.output(1), expected) << "VM";
+    EXPECT_EQ(runImage(prog, layout).outputs[1], expected) << "FS image";
+    std::vector<analysis::ConstVal> folded;
+    for (const Word value : expected)
+        folded.push_back(analysis::ConstVal::constant(value));
+    EXPECT_EQ(foldedOuts(prog), folded) << "ConstProp";
+}
+
+/** A Div or Rem by zero faults on both interpreters, and ConstProp
+ *  folds no value for it. */
+void
+expectEveryConsumerFaults(const ir::Program &prog)
+{
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    Machine machine(prog, layout);
+    EXPECT_THROW(machine.run(), ExecutionFault);
+    EXPECT_THROW(runImage(prog, layout), ExecutionFault);
+    EXPECT_EQ(foldedOuts(prog),
+              std::vector<analysis::ConstVal>{
+                  analysis::ConstVal::varying()});
 }
 
 struct AluCase
@@ -69,8 +130,11 @@ class AluSemantics
 TEST_P(AluSemantics, RegisterAndImmediateFormsAgree)
 {
     const auto &[c, imm_form] = GetParam();
-    EXPECT_EQ(runAlu(c.op, c.a, c.b, imm_form), c.expected)
-        << ir::opcodeName(c.op) << " " << c.a << ", " << c.b;
+    SCOPED_TRACE(ir::opcodeName(c.op) + " " + std::to_string(c.a) + ", " +
+                 std::to_string(c.b));
+    EXPECT_EQ(ir::evalBinary(c.op, c.a, c.b), c.expected);
+    expectEveryConsumerOutputs(aluProgram(c.op, c.a, c.b, imm_form),
+                               {c.expected});
 }
 
 const AluCase alu_cases[] = {
@@ -92,6 +156,7 @@ const AluCase alu_cases[] = {
     {Opcode::Shl, 1, 64, 1},      // shift amount masked to 0..63
     {Opcode::Shr, -8, 1, -4},     // arithmetic right shift
     {Opcode::Shr, 256, 4, 16},
+    {Opcode::Mul, INT64_MIN, -1, INT64_MIN}, // wraparound, not UB
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -101,41 +166,41 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(VmAlu, UnaryOps)
 {
-    ir::Program prog("unary");
-    IrBuilder b(prog);
-    b.beginFunction("main");
-    const Reg x = b.ldi(5);
-    b.out(b.bitNot(x), 1);
-    b.out(b.neg(x), 1);
-    b.out(b.mov(x), 1);
-    b.halt();
-    b.endFunction();
-    const vm::RunResult result = test::runProgram(prog);
-    EXPECT_EQ(result.reason, StopReason::Halted);
-    const ir::Layout layout(prog);
-    Machine machine(prog, layout);
-    machine.run();
-    EXPECT_EQ(machine.output(1)[0], ~Word{5});
-    EXPECT_EQ(machine.output(1)[1], -5);
-    EXPECT_EQ(machine.output(1)[2], 5);
+    struct UnaryCase
+    {
+        Word x;
+        Word notX;
+        Word negX;
+    };
+    for (const UnaryCase c : {UnaryCase{5, ~Word{5}, -5},
+                              UnaryCase{INT64_MIN, INT64_MAX, INT64_MIN}}) {
+        SCOPED_TRACE(c.x);
+        EXPECT_EQ(ir::evalUnary(Opcode::Not, c.x), c.notX);
+        EXPECT_EQ(ir::evalUnary(Opcode::Neg, c.x), c.negX);
+        EXPECT_EQ(ir::evalUnary(Opcode::Mov, c.x), c.x);
+        ir::Program prog("unary");
+        IrBuilder b(prog);
+        b.beginFunction("main");
+        const Reg x = b.ldi(c.x);
+        b.out(b.bitNot(x), 1);
+        b.out(b.neg(x), 1);
+        b.out(b.mov(x), 1);
+        b.halt();
+        b.endFunction();
+        expectEveryConsumerOutputs(prog, {c.notX, c.negX, c.x});
+    }
 }
 
 TEST(VmFaults, DivideByZeroFaults)
 {
-    const ir::Program prog = aluProgram(Opcode::Div, 1, 0, false);
-    ir::verifyProgramOrDie(prog);
-    const ir::Layout layout(prog);
-    Machine machine(prog, layout);
-    EXPECT_THROW(machine.run(), ExecutionFault);
+    EXPECT_EQ(ir::evalBinary(Opcode::Div, 1, 0), std::nullopt);
+    expectEveryConsumerFaults(aluProgram(Opcode::Div, 1, 0, false));
 }
 
 TEST(VmFaults, RemainderByZeroFaults)
 {
-    const ir::Program prog = aluProgram(Opcode::Rem, 1, 0, true);
-    ir::verifyProgramOrDie(prog);
-    const ir::Layout layout(prog);
-    Machine machine(prog, layout);
-    EXPECT_THROW(machine.run(), ExecutionFault);
+    EXPECT_EQ(ir::evalBinary(Opcode::Rem, 1, 0), std::nullopt);
+    expectEveryConsumerFaults(aluProgram(Opcode::Rem, 1, 0, true));
 }
 
 // ---------------------------------------------------------------------
@@ -193,6 +258,40 @@ TEST(VmMemory, NegativeAddressFaults)
     const ir::Layout layout(prog);
     Machine machine(prog, layout);
     EXPECT_THROW(machine.run(), ExecutionFault);
+}
+
+TEST(VmMemory, AddressOverflowFaults)
+{
+    // Base plus offset wraps rather than overflowing: a load at
+    // INT64_MAX + 1 and a store at INT64_MIN - 1 are bad addresses on
+    // both interpreters, and the VM names them.
+    for (const bool store : {false, true}) {
+        ir::Program prog("wrap");
+        IrBuilder b(prog);
+        b.beginFunction("main");
+        if (store)
+            b.st(b.ldi(INT64_MIN), b.ldi(7), -1);
+        else
+            b.out(b.ld(b.ldi(INT64_MAX), 1), 1);
+        b.halt();
+        b.endFunction();
+        ir::verifyProgramOrDie(prog);
+        const ir::Layout layout(prog);
+        Machine machine(prog, layout);
+        try {
+            machine.run();
+            ADD_FAILURE() << "no fault";
+        } catch (const ExecutionFault &fault) {
+            EXPECT_NE(std::string(fault.what())
+                          .find(store ? "store to bad address "
+                                        "9223372036854775807"
+                                      : "load from bad address "
+                                        "-9223372036854775808"),
+                      std::string::npos)
+                << fault.what();
+        }
+        EXPECT_THROW(runImage(prog, layout), ExecutionFault);
+    }
 }
 
 TEST(VmMemory, BeyondCapacityFaults)
