@@ -14,9 +14,9 @@
 
 #include "bench_common.hh"
 
+#include "core/replay_kernel.hh"
 #include "ir/verifier.hh"
 #include "pipeline/cost_model.hh"
-#include "predict/profile_predictor.hh"
 #include "profile/delay_fill.hh"
 #include "profile/profile.hh"
 #include "vm/machine.hh"
@@ -25,6 +25,7 @@ int
 main()
 {
     using namespace branchlab;
+    setLoggingThrows(false);
 
     bench::printCaption(
         "Delayed branch with squashing vs Forward Semantic");
@@ -37,15 +38,18 @@ main()
          workloads::allWorkloads()) {
         std::cerr << "  running " << workload->name() << "...\n";
 
-        // Profile the workload (one representative run suite).
+        // Profile the workload (one representative run suite; the
+        // same Rng(1989) inputs for every workload). Every run is
+        // noted before the first event, as ProgramProfile requires.
         ir::Program prog = workload->buildProgram();
         ir::verifyProgramOrDie(prog);
         const ir::Layout layout(prog);
         profile::ProgramProfile profile(prog, layout);
         Rng rng(1989);
         const auto inputs = workload->makeInputs(rng, 4);
-        for (const auto &input : inputs) {
+        for (std::size_t r = 0; r < inputs.size(); ++r)
             profile.noteRun();
+        for (const auto &input : inputs) {
             vm::Machine machine(prog, layout);
             for (std::size_t chan = 0; chan < input.channels.size();
                  ++chan) {
@@ -56,20 +60,17 @@ main()
             machine.run();
         }
 
-        // FS accuracy over the same runs.
-        predict::ProfilePredictor fs(profile.buildLikelyMap());
-        predict::PredictionDriver fs_driver(fs);
-        for (const auto &input : inputs) {
-            vm::Machine machine(prog, layout);
-            for (std::size_t chan = 0; chan < input.channels.size();
-                 ++chan) {
-                machine.setInput(static_cast<int>(chan),
-                                 input.channels[chan]);
-            }
-            machine.setSink(&fs_driver);
-            machine.run();
-        }
-        const double a_fs = fs_driver.stats().accuracy.ratio();
+        // FS accuracy over the same runs, in closed form from the
+        // profile's per-pc tallies.
+        const predict::LikelyMap likely = profile.buildLikelyMap();
+        core::KernelSpec fs_spec;
+        fs_spec.kind = core::SchemeKind::ForwardSemantic;
+        fs_spec.likely = &likely;
+        const auto fs = core::scoreClosedForm(profile, fs_spec);
+        if (!fs)
+            blab_fatal("FS closed form refused ", workload->name(),
+                       "'s profile");
+        const double a_fs = fs->accuracy;
 
         // Delay-slot analysis at d = 2 and d = 4 (MIPS-X had d = 2
         // for its k=0, l=1, m=2 pipeline: d = flush depth - 1).

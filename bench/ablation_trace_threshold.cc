@@ -18,49 +18,23 @@
 
 #include "bench_common.hh"
 
-#include "ir/verifier.hh"
 #include "profile/forward_slots.hh"
-#include "vm/machine.hh"
 
 int
 main()
 {
     using namespace branchlab;
 
-    // Profile the whole suite once.
-    struct Profiled
-    {
-        std::string name;
-        std::unique_ptr<ir::Program> program;
-        std::unique_ptr<ir::Layout> layout;
-        std::unique_ptr<profile::ProgramProfile> profile;
-    };
-    std::vector<Profiled> suite;
+    // Profile the whole suite once: three runs per workload, drawn
+    // from seed 606.
+    core::ExperimentConfig experiment;
+    experiment.seed = 606;
+    experiment.runsOverride = 3;
+    std::vector<core::RecordedWorkload> suite;
     for (const workloads::Workload *workload :
          workloads::allWorkloads()) {
         std::cerr << "  running " << workload->name() << "...\n";
-        Profiled entry;
-        entry.name = workload->name();
-        entry.program = std::make_unique<ir::Program>(
-            workload->buildProgram());
-        ir::verifyProgramOrDie(*entry.program);
-        entry.layout = std::make_unique<ir::Layout>(*entry.program);
-        entry.profile = std::make_unique<profile::ProgramProfile>(
-            *entry.program, *entry.layout);
-        Rng rng(606 ^ hashString(workload->name()));
-        const auto inputs = workload->makeInputs(rng, 3);
-        for (const auto &input : inputs) {
-            entry.profile->noteRun();
-            vm::Machine machine(*entry.program, *entry.layout);
-            for (std::size_t chan = 0; chan < input.channels.size();
-                 ++chan) {
-                machine.setInput(static_cast<int>(chan),
-                                 input.channels[chan]);
-            }
-            machine.setSink(entry.profile.get());
-            machine.run();
-        }
-        suite.push_back(std::move(entry));
+        suite.push_back(core::recordWorkload(*workload, experiment));
     }
 
     bench::printCaption(
@@ -77,7 +51,7 @@ main()
         std::uint64_t in_trace = 0;
         std::uint64_t transfers = 0;
 
-        for (const Profiled &entry : suite) {
+        for (const core::RecordedWorkload &entry : suite) {
             profile::FsConfig config;
             config.slotCount = 2;
             config.trace.minArcProbability = threshold;

@@ -15,7 +15,6 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/constprop.hh"
-#include "analysis/defuse.hh"
 #include "analysis/dominators.hh"
 #include "analysis/liveness.hh"
 #include "ir/program.hh"

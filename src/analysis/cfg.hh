@@ -54,9 +54,6 @@ class Cfg
         return reachable_[block];
     }
 
-    /** Per-block reachability from the entry block. */
-    const std::vector<bool> &reachable() const { return reachable_; }
-
     /**
      * Reverse postorder of the blocks reachable from the entry
      * (entry first). Unreachable blocks are absent.

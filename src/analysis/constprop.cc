@@ -26,6 +26,55 @@ meetVals(const ConstVal &a, const ConstVal &b)
     return ConstVal::varying();
 }
 
+ConstVal
+valueOf(const std::vector<ConstVal> &regs, Reg reg)
+{
+    if (reg == ir::kNoReg || reg >= regs.size())
+        return ConstVal::varying();
+    return regs[reg];
+}
+
+/** Right-hand operand of an ALU/compare instruction. */
+ConstVal
+rhsValue(const ir::Instruction &inst,
+         const std::vector<ConstVal> &regs)
+{
+    return inst.useImm ? ConstVal::constant(inst.imm)
+                       : valueOf(regs, inst.src2);
+}
+
+/** Apply one instruction to a register-value vector. */
+void
+applyConstTransfer(const ir::Instruction &inst,
+                   std::vector<ConstVal> &regs)
+{
+    const Reg def = definedReg(inst);
+    if (def == ir::kNoReg || def >= regs.size())
+        return;
+
+    // Ld, Ldf, In and call results are unprovable.
+    ConstVal result = ConstVal::varying();
+    if (inst.op == Opcode::Ldi) {
+        result = ConstVal::constant(inst.imm);
+    } else if (inst.op == Opcode::Mov) {
+        result = valueOf(regs, inst.src1); // Unknown stays Unknown
+    } else if (ir::isUnaryAlu(inst.op)) {
+        const ConstVal src = valueOf(regs, inst.src1);
+        if (src.isConst())
+            result = ConstVal::constant(ir::evalUnary(inst.op, src.value));
+    } else if (ir::isBinaryAlu(inst.op)) {
+        const ConstVal lhs = valueOf(regs, inst.src1);
+        const ConstVal rhs = rhsValue(inst, regs);
+        if (lhs.isConst() && rhs.isConst()) {
+            // A division by zero faults: no value to fold.
+            if (const std::optional<Word> value =
+                    ir::evalBinary(inst.op, lhs.value, rhs.value))
+                result = ConstVal::constant(*value);
+        }
+    }
+    regs[def] = result;
+}
+
 struct ConstProblem
 {
     using Domain = std::vector<ConstVal>;
@@ -61,55 +110,7 @@ struct ConstProblem
     }
 };
 
-ConstVal
-valueOf(const std::vector<ConstVal> &regs, Reg reg)
-{
-    if (reg == ir::kNoReg || reg >= regs.size())
-        return ConstVal::varying();
-    return regs[reg];
-}
-
-/** Right-hand operand of an ALU/compare instruction. */
-ConstVal
-rhsValue(const ir::Instruction &inst,
-         const std::vector<ConstVal> &regs)
-{
-    return inst.useImm ? ConstVal::constant(inst.imm)
-                       : valueOf(regs, inst.src2);
-}
-
 } // namespace
-
-void
-applyConstTransfer(const ir::Instruction &inst,
-                   std::vector<ConstVal> &regs)
-{
-    const Reg def = definedReg(inst);
-    if (def == ir::kNoReg || def >= regs.size())
-        return;
-
-    // Ld, Ldf, In and call results are unprovable.
-    ConstVal result = ConstVal::varying();
-    if (inst.op == Opcode::Ldi) {
-        result = ConstVal::constant(inst.imm);
-    } else if (inst.op == Opcode::Mov) {
-        result = valueOf(regs, inst.src1); // Unknown stays Unknown
-    } else if (ir::isUnaryAlu(inst.op)) {
-        const ConstVal src = valueOf(regs, inst.src1);
-        if (src.isConst())
-            result = ConstVal::constant(ir::evalUnary(inst.op, src.value));
-    } else if (ir::isBinaryAlu(inst.op)) {
-        const ConstVal lhs = valueOf(regs, inst.src1);
-        const ConstVal rhs = rhsValue(inst, regs);
-        if (lhs.isConst() && rhs.isConst()) {
-            // A division by zero faults: no value to fold.
-            if (const std::optional<Word> value =
-                    ir::evalBinary(inst.op, lhs.value, rhs.value))
-                result = ConstVal::constant(*value);
-        }
-    }
-    regs[def] = result;
-}
 
 ConstProp::ConstProp(const Cfg &cfg) : cfg_(cfg)
 {

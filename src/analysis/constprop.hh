@@ -56,12 +56,6 @@ class ConstProp
   public:
     explicit ConstProp(const Cfg &cfg);
 
-    /** Register values at entry to @p block. */
-    const std::vector<ConstVal> &atBlockEntry(ir::BlockId block) const
-    {
-        return in_[block];
-    }
-
     /** Register values just before instruction @p index of @p block. */
     std::vector<ConstVal> atInstruction(ir::BlockId block,
                                         std::size_t index) const;
@@ -79,11 +73,6 @@ class ConstProp
     const Cfg &cfg_;
     std::vector<std::vector<ConstVal>> in_;
 };
-
-/** Apply one instruction to a register-value vector (exposed for the
- *  lint rules and tests). */
-void applyConstTransfer(const ir::Instruction &inst,
-                        std::vector<ConstVal> &regs);
 
 } // namespace branchlab::analysis
 

@@ -10,10 +10,13 @@
  * warnings-as-errors promotion). `blab_lint` is the CLI face; tests
  * drive the engine directly.
  *
- * Rules are deliberately independent of the structural verifier: the
- * verifier rejects malformed IR (dangling references, unsealed
- * blocks), the lint flags *well-formed but suspicious* IR. Callers
- * must verify first; rules may assume in-range references.
+ * Rules are deliberately independent of the verifiers: the verifiers
+ * reject what is malformed or unsafe, the lint flags *well-formed but
+ * suspicious* code. For a program, ir::verifyProgram rejects dangling
+ * references and unsealed blocks; for a Forward Semantic image,
+ * profile::verifyFsOptImage proves every safety property (checks
+ * O1-O11) at every optimizer level. Callers must verify first, as
+ * `blab_lint` does; rules may assume what the verifiers prove.
  */
 
 #ifndef BRANCHLAB_ANALYSIS_DIAGNOSTICS_HH
@@ -50,7 +53,7 @@ struct Diagnostic
     /** Reporting rule, e.g. "dead-store". */
     std::string rule;
     std::string message;
-    /** Source position, e.g. "main.loop[3]" or "image slot 17". */
+    /** Source position, e.g. "main.loop[3]" or "main.body". */
     std::string where;
     /**
      * Machine-readable offending span for --fix-preview, half-open
@@ -142,7 +145,8 @@ class DiagnosticEngine
     std::vector<Diagnostic> lintProgram(const ir::Program &program) const;
 
     /** Run every enabled rule's FS-image check over the image of
-     *  @p opt, at any optimizer level. */
+     *  @p opt, at any optimizer level. The image must pass
+     *  profile::verifyFsOptImage first. */
     std::vector<Diagnostic>
     lintFsImage(const profile::ProgramProfile &profile,
                 const profile::FsOptResult &opt) const;

@@ -148,7 +148,6 @@ DefiniteAssignment::DefiniteAssignment(const Cfg &cfg) : cfg_(cfg)
     const AssignmentProblem problem{cfg.function()};
     auto result = solveDataflow(cfg, problem, Direction::Forward);
     in_ = std::move(result.in);
-    out_ = std::move(result.out);
 }
 
 } // namespace branchlab::analysis

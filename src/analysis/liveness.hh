@@ -83,15 +83,9 @@ class DefiniteAssignment
         return in_[block];
     }
 
-    const RegSet &assignedOut(ir::BlockId block) const
-    {
-        return out_[block];
-    }
-
   private:
     const Cfg &cfg_;
     std::vector<RegSet> in_;
-    std::vector<RegSet> out_;
 };
 
 } // namespace branchlab::analysis

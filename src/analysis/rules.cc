@@ -1,21 +1,20 @@
 /**
  * @file
  * The built-in lint rules. Program rules catch suspicious but
- * structurally valid IR; image rules check hazards specific to the
- * Forward Semantic transformation that the image verifier
- * (verifyFsOptImage, profile/fs_opt_verify.cc) does not model.
+ * structurally valid IR. Image rules flag suspicious but safe Forward
+ * Semantic images: every safety property of an image is the image
+ * verifier's (verifyFsOptImage, profile/fs_opt_verify.cc), which the
+ * caller runs first, so no rule here re-derives one.
  */
 
 #include <functional>
 #include <set>
-#include <sstream>
 
 #include "analysis/diagnostics.hh"
 #include "analysis/operands.hh"
 #include "ir/layout.hh"
 #include "ir/printer.hh"
 #include "profile/fs_opt.hh"
-#include "profile/fs_opt_internal.hh"
 
 namespace branchlab::analysis
 {
@@ -303,117 +302,6 @@ class JumpTableRule final : public LintRule
 };
 
 // ---------------------------------------------------------------------
-// fs-slot-region-target
-// ---------------------------------------------------------------------
-
-/** Marks of the image positions covered by some site's slot group
- *  (fills + copies + pads; optimized images drop pads and may shrink
- *  the copy run, so the actual per-site extent is used, not the
- *  nominal slot count). */
-std::vector<bool>
-slotRegionMarks(const profile::FsResult &image)
-{
-    std::vector<bool> in_region(image.slots.size(), false);
-    for (const profile::SlotSite &site : image.sites) {
-        const unsigned extent =
-            site.filled + site.copied + site.padded;
-        for (unsigned s = 1; s <= extent; ++s) {
-            const std::size_t pos = site.branchImageIndex + s;
-            if (pos < in_region.size())
-                in_region[pos] = true;
-        }
-    }
-    return in_region;
-}
-
-class FsSlotRegionTargetRule final : public LintRule
-{
-  public:
-    std::string_view
-    name() const override
-    {
-        return "fs-slot-region-target";
-    }
-    std::string_view
-    description() const override
-    {
-        return "branch targets resolving into the middle of a "
-               "forward-slot region";
-    }
-
-    void
-    checkFsImage(FsImageContext &context,
-                 std::vector<Diagnostic> &out) const override
-    {
-        const profile::FsResult &image = context.opt.image;
-        const ir::Layout &layout = context.profile.layout();
-        const std::vector<bool> in_region = slotRegionMarks(image);
-
-        // Every branch redirect resolves through homeIndex (the
-        // destination block's home position), so a homeIndex entry
-        // inside a slot region is a branch target into the region.
-        // Optimized images are allowed two exceptions: an instruction
-        // *moved* into a Fill slot is indexed there, inside its own
-        // site's region, and a *forwarded* home is indexed at the
-        // region Copy slot that carries its own instruction.
-        for (const auto &[addr, index] : image.homeIndex) {
-            const ir::CodeLocation loc = layout.locate(addr);
-            const ir::Function &fn =
-                context.profile.program().function(loc.func);
-            if (index >= image.slots.size()) {
-                out.push_back(Diagnostic{
-                    Severity::Error, std::string(name()),
-                    "home index of " +
-                        formatLocation(fn, loc.block, loc.index) +
-                        " points past the image end",
-                    "image slot " + std::to_string(index)});
-                continue;
-            }
-            const profile::ImageSlot::Kind kind =
-                image.slots[index].kind;
-            const bool ok =
-                (kind == profile::ImageSlot::Kind::Home &&
-                 !in_region[index]) ||
-                (kind == profile::ImageSlot::Kind::Fill &&
-                 in_region[index]) ||
-                (kind == profile::ImageSlot::Kind::Copy &&
-                 in_region[index] && image.slots[index].orig == loc);
-            if (!ok) {
-                out.push_back(Diagnostic{
-                    Severity::Error, std::string(name()),
-                    "branch target " +
-                        formatLocation(fn, loc.block, loc.index) +
-                        " resolves into a forward-slot region",
-                    "image slot " + std::to_string(index), true,
-                    "image-slot", index, index + 1});
-            }
-        }
-
-        // Site resume points must land on homes, too.
-        for (const profile::SlotSite &site : image.sites) {
-            if (!site.resume.has_value())
-                continue;
-            const ir::CodeLocation &resume = *site.resume;
-            const ir::Addr addr =
-                layout.instAddr(resume.func, resume.block,
-                                resume.index);
-            const auto it = image.homeIndex.find(addr);
-            if (it == image.homeIndex.end()) {
-                const ir::Function &fn =
-                    context.profile.program().function(resume.func);
-                out.push_back(Diagnostic{
-                    Severity::Error, std::string(name()),
-                    "slot-site resume point " +
-                        formatLocation(fn, resume.block, resume.index) +
-                        " has no home in the image",
-                    "image slot " +
-                        std::to_string(site.branchImageIndex)});
-            }
-        }
-    }
-};
-
-// ---------------------------------------------------------------------
 // fs-clobbered-live-register
 // ---------------------------------------------------------------------
 
@@ -496,107 +384,6 @@ class FsClobberedLiveRegisterRule final : public LintRule
 };
 
 // ---------------------------------------------------------------------
-// fs-speculative-slot-clobber
-// ---------------------------------------------------------------------
-
-class FsSpeculativeSlotClobberRule final : public LintRule
-{
-  public:
-    std::string_view
-    name() const override
-    {
-        return "fs-speculative-slot-clobber";
-    }
-    std::string_view
-    description() const override
-    {
-        return "instructions moved into forward slots that could "
-               "fault, feed the site branch, or clobber a register "
-               "live on the untaken path";
-    }
-
-    void
-    checkFsImage(FsImageContext &context,
-                 std::vector<Diagnostic> &out) const override
-    {
-        const ir::Program &prog = context.profile.program();
-        const ir::Layout &layout = context.profile.layout();
-        const profile::FsResult &image = context.opt.image;
-
-        for (const profile::SlotSite &site : image.sites) {
-            if (site.filled == 0)
-                continue;
-            const ir::CodeLocation &branch = site.branchOrig;
-            const ir::Function &fn = prog.function(branch.func);
-            const ir::Instruction &term =
-                fn.block(branch.block).inst(branch.index);
-            const std::string where =
-                formatLocation(fn, branch.block, branch.index);
-
-            BlockId untaken = ir::kNoBlock;
-            if (term.isConditional()) {
-                const BlockId likely_block =
-                    layout.locate(site.origTargetAddr).block;
-                untaken = term.target == likely_block ? term.next
-                                                      : term.target;
-            }
-            const std::vector<Reg> term_uses = usedRegs(term);
-
-            for (unsigned k = 0; k < site.filled; ++k) {
-                const std::size_t idx =
-                    site.branchImageIndex + 1 + k;
-                if (idx >= image.slots.size())
-                    break; // structural damage; the verifier's job
-                const profile::ImageSlot &slot = image.slots[idx];
-                if (slot.kind != profile::ImageSlot::Kind::Fill)
-                    continue;
-                const ir::Instruction &inst =
-                    prog.function(slot.orig.func)
-                        .block(slot.orig.block)
-                        .inst(slot.orig.index);
-                if (!profile::fsRegionMovable(inst)) {
-                    out.push_back(Diagnostic{
-                        Severity::Error, std::string(name()),
-                        std::string("filled slot holds '") +
-                            ir::opcodeName(inst.op) +
-                            "', which may fault or touch memory when "
-                            "executed speculatively",
-                        where, true, "image-slot", idx, idx + 1});
-                    continue;
-                }
-                const Reg dst = definedReg(inst);
-                if (dst != ir::kNoReg &&
-                    std::find(term_uses.begin(), term_uses.end(),
-                              dst) != term_uses.end()) {
-                    out.push_back(Diagnostic{
-                        Severity::Error, std::string(name()),
-                        "filled slot defines r" + std::to_string(dst) +
-                            ", which the site branch reads -- the "
-                            "move changes the branch's outcome",
-                        where, true, "image-slot", idx, idx + 1});
-                }
-                if (untaken != ir::kNoBlock && dst != ir::kNoReg) {
-                    const RegSet &live_in =
-                        context.analyses.liveness(branch.func)
-                            .liveIn(untaken);
-                    if (dst < live_in.size() && live_in[dst]) {
-                        out.push_back(Diagnostic{
-                            Severity::Error, std::string(name()),
-                            "filled slot clobbers r" +
-                                std::to_string(dst) +
-                                ", live into the untaken block '" +
-                                fn.block(untaken).label() +
-                                "' -- the value is lost when the "
-                                "branch falls through",
-                            where, true, "image-slot", idx, idx + 1});
-                    }
-                }
-            }
-        }
-    }
-};
-
-// ---------------------------------------------------------------------
 // fs-unreachable-dup-tail
 // ---------------------------------------------------------------------
 
@@ -622,45 +409,26 @@ class FsUnreachableDupTailRule final : public LintRule
         const ir::Program &prog = context.profile.program();
 
         for (const profile::DupTail &dup : context.opt.dups) {
-            if (dup.func >= prog.numFunctions())
-                continue; // structural damage; the verifier's job
-            const ir::Function &fn = prog.function(dup.func);
-            if (dup.block >= fn.numBlocks() ||
-                dup.pred >= fn.numBlocks())
-                continue;
-            const Cfg &cfg = context.analyses.cfg(dup.func);
-            const std::string where = blockText(fn, dup.block);
-
-            if (!cfg.hasEdge(dup.pred, dup.block)) {
-                out.push_back(Diagnostic{
-                    Severity::Error, std::string(name()),
-                    "tail of '" + fn.block(dup.block).label() +
-                        "' was duplicated for predecessor '" +
-                        fn.block(dup.pred).label() +
-                        "', but no such CFG edge exists -- the copy "
-                        "is unreachable",
-                    where, true, "image-slot", dup.imageStart,
-                    dup.imageStart + dup.length});
-                continue;
-            }
-
+            // Zero when the profile never took the arc, and when the
+            // CFG has no such arc at all.
             std::uint64_t arc_weight = 0;
             for (const profile::Arc &arc :
                  context.profile.outArcs(dup.func, dup.pred)) {
                 if (arc.to == dup.block)
                     arc_weight += arc.weight;
             }
-            if (arc_weight == 0) {
-                out.push_back(Diagnostic{
-                    Severity::Warning, std::string(name()),
-                    "tail of '" + fn.block(dup.block).label() +
-                        "' was duplicated for predecessor '" +
-                        fn.block(dup.pred).label() +
-                        "', an arc the profile never observed -- "
-                        "pure code growth",
-                    where, true, "image-slot", dup.imageStart,
-                    dup.imageStart + dup.length});
-            }
+            if (arc_weight != 0)
+                continue;
+            const ir::Function &fn = prog.function(dup.func);
+            out.push_back(Diagnostic{
+                Severity::Warning, std::string(name()),
+                "tail of '" + fn.block(dup.block).label() +
+                    "' was duplicated for predecessor '" +
+                    fn.block(dup.pred).label() +
+                    "', an arc the profile never observed -- "
+                    "pure code growth",
+                blockText(fn, dup.block), true, "image-slot",
+                dup.imageStart, dup.imageStart + dup.length});
         }
     }
 };
@@ -769,9 +537,7 @@ registerBuiltinRules(DiagnosticEngine &engine)
     engine.registerRule(std::make_unique<DeadStoreRule>());
     engine.registerRule(std::make_unique<ConstantConditionRule>());
     engine.registerRule(std::make_unique<JumpTableRule>());
-    engine.registerRule(std::make_unique<FsSlotRegionTargetRule>());
     engine.registerRule(std::make_unique<FsClobberedLiveRegisterRule>());
-    engine.registerRule(std::make_unique<FsSpeculativeSlotClobberRule>());
     engine.registerRule(std::make_unique<FsUnreachableDupTailRule>());
     engine.registerRule(std::make_unique<FsProfileCfgMismatchRule>());
 }

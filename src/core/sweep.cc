@@ -389,7 +389,9 @@ runSweep(const SweepConfig &config)
         result.workloads.push_back(workload->name());
 
     const std::vector<SweepPoint> grid = expandGrid(config.axes);
-    blab_assert(!grid.empty(), "sweep grid is empty");
+    if (grid.empty())
+        blab_fatal("sweep grid is empty: every point lies outside the "
+                   "hardware domain");
 
     // The distinct (level, slots, threshold) triples the grid
     // touches; the software-scheme measurements are point-independent

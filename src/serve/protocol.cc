@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -174,9 +176,12 @@ encodeResponse(const Response &response)
             putF64(out, cell.codeIncrease);
         }
     } else if (response.status == ResponseStatus::Error) {
-        putU16(out,
-               static_cast<std::uint16_t>(response.message.size()));
-        out.append(response.message);
+        // The length field is 16 bits: longer messages are cut to fit.
+        const std::size_t length = std::min<std::size_t>(
+            response.message.size(),
+            std::numeric_limits<std::uint16_t>::max());
+        putU16(out, static_cast<std::uint16_t>(length));
+        out.append(response.message, 0, length);
     }
     return out;
 }

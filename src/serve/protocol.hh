@@ -124,7 +124,8 @@ struct Response
     std::uint32_t retryAfterMs = 0;
     /** One cell per requested workload, request order (Ok only). */
     std::vector<core::SweepCell> cells;
-    /** Diagnostic (Error only). */
+    /** Diagnostic (Error only); the wire carries at most its first
+     *  65,535 bytes. */
     std::string message;
 };
 

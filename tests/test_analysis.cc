@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the analysis layer: CFG construction, dominators,
  * the generic dataflow solver (through liveness and definite
- * assignment), reaching definitions / def-use chains, and constant
- * propagation.
+ * assignment), and constant propagation.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include "analysis/analysis_cache.hh"
 #include "analysis/cfg.hh"
 #include "analysis/constprop.hh"
-#include "analysis/defuse.hh"
 #include "analysis/dominators.hh"
 #include "analysis/liveness.hh"
 #include "analysis/operands.hh"
@@ -350,62 +348,6 @@ TEST(DefiniteAssignment, ArgumentsStartAssigned)
     const Cfg cfg(fn);
     const DefiniteAssignment da(cfg);
     EXPECT_TRUE(da.assignedIn(fn.entry())[0]); // the argument
-}
-
-// ---------------------------------------------------------------------
-// Reaching definitions and def-use chains
-// ---------------------------------------------------------------------
-
-TEST(DefUse, BothArmDefsReachTheJoinUse)
-{
-    ir::Program prog = buildDiamond();
-    ir::verifyProgramOrDie(prog);
-    const ir::Function &fn = prog.function(0);
-    const Cfg cfg(fn);
-    const DefUseChains chains(cfg);
-
-    // The out(y) reads y; both ldiTo(y, ...) arms must feed it.
-    BlockId join = ir::kNoBlock;
-    std::uint32_t out_index = 0;
-    for (BlockId blk = 0; blk < fn.numBlocks(); ++blk) {
-        for (std::uint32_t i = 0; i < fn.block(blk).size(); ++i) {
-            if (fn.block(blk).inst(i).op == Opcode::Out) {
-                join = blk;
-                out_index = i;
-            }
-        }
-    }
-    ASSERT_NE(join, ir::kNoBlock);
-    const Reg y = fn.block(join).inst(out_index).src1;
-    const UseSite use{join, out_index, y};
-    const std::vector<std::size_t> feeding = chains.defsFeeding(use);
-    EXPECT_EQ(feeding.size(), 2u);
-    for (std::size_t def_id : feeding) {
-        EXPECT_EQ(chains.defs()[def_id].reg, y);
-        const auto &uses = chains.usesOf(def_id);
-        EXPECT_NE(std::find(uses.begin(), uses.end(), use), uses.end());
-    }
-}
-
-TEST(DefUse, LocalRedefinitionKillsTheEarlierSite)
-{
-    ir::Program prog("kill");
-    IrBuilder b(prog);
-    b.beginFunction("main");
-    const Reg x = b.ldi(1); // def 0: dead (overwritten below)
-    b.ldiTo(x, 2);          // def 1: the one the out reads
-    b.out(x, 1);
-    b.halt();
-    b.endFunction();
-    ir::verifyProgramOrDie(prog);
-    const ir::Function &fn = prog.function(0);
-    const Cfg cfg(fn);
-    const DefUseChains chains(cfg);
-
-    ASSERT_EQ(chains.defs().size(), 2u);
-    EXPECT_TRUE(chains.usesOf(0).empty());
-    ASSERT_EQ(chains.usesOf(1).size(), 1u);
-    EXPECT_EQ(chains.usesOf(1)[0].reg, x);
 }
 
 // ---------------------------------------------------------------------

@@ -598,6 +598,38 @@ TEST(FsOptVerify, RejectsAClobberingFill)
     EXPECT_NE(verdict.message().find("[slot-fill]"), std::string::npos);
 }
 
+TEST(FsOptVerify, RejectsAFillSlotHoldingAnOut)
+{
+    Built built = profileOver(buildFillable());
+    FsOptResult opt = optimize(built, FsOptLevel::Slots, 4);
+    ASSERT_FALSE(opt.fills.empty());
+    ASSERT_TRUE(verifyFsOptImage(*built.profile, opt).ok());
+
+    // Re-point the Fill slot at the program's out, which must not run
+    // speculatively: the slot no longer holds the instruction its
+    // record proves movable.
+    ImageSlot &slot = opt.image.slots[opt.fills.front().imageIndex];
+    ASSERT_EQ(slot.kind, ImageSlot::Kind::Fill);
+    const ir::FuncId main = built.program.mainFunction();
+    const ir::Function &fn = built.program.function(main);
+    bool found_out = false;
+    for (ir::BlockId id = 0; id < fn.numBlocks() && !found_out; ++id) {
+        for (std::uint32_t i = 0; i < fn.block(id).size(); ++i) {
+            if (fn.block(id).inst(i).op == Opcode::Out) {
+                slot.orig = ir::CodeLocation{main, id, i};
+                found_out = true;
+                break;
+            }
+        }
+    }
+    ASSERT_TRUE(found_out);
+    const FsVerifyResult verdict = verifyFsOptImage(*built.profile, opt);
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_NE(verdict.message().find("does not occupy its Fill slot"),
+              std::string::npos)
+        << verdict.message();
+}
+
 TEST(FsOptVerify, RejectsADuplicateWithoutItsEdge)
 {
     Built built = profileOver(buildFigure2Like());

@@ -152,13 +152,20 @@ TEST(ServeProtocol, ErrorAndRejectResponsesRoundTrip)
     Response error_response;
     error_response.status = ResponseStatus::Error;
     error_response.requestId = 4;
-    error_response.message = "unknown workload 'nope'";
     Response decoded;
     std::string error;
-    ASSERT_TRUE(decodeResponse(encodeResponse(error_response),
-                               decoded, error));
-    EXPECT_EQ(decoded.status, ResponseStatus::Error);
-    EXPECT_EQ(decoded.message, error_response.message);
+    // A message past the 16-bit length field decodes to its first
+    // 65,535 bytes, not to a frame with trailing bytes.
+    const std::string long_message(70'000, 'x');
+    for (const std::string &message :
+         {std::string("unknown workload 'nope'"), long_message}) {
+        error_response.message = message;
+        ASSERT_TRUE(decodeResponse(encodeResponse(error_response),
+                                   decoded, error))
+            << error;
+        EXPECT_EQ(decoded.status, ResponseStatus::Error);
+        EXPECT_EQ(decoded.message, message.substr(0, 65'535));
+    }
 
     Response reject;
     reject.status = ResponseStatus::Reject;
@@ -409,6 +416,23 @@ TEST(ServeDaemon, MalformedFrameGetsErrorResponseAndCloses)
     Request ping;
     ping.type = RequestType::Ping;
     EXPECT_EQ(next.call(ping).status, ResponseStatus::Ok);
+}
+
+TEST(ServeDaemon, LongestWorkloadNameGetsADecodableError)
+{
+    // The longest name a request can carry decodes fine, and its
+    // "unknown workload" diagnostic is longer than an Error's 16-bit
+    // length field: the client must still decode the response.
+    TestDaemon daemon("longname");
+    Client client = daemon.connect();
+    Request request = tinyRequest();
+    request.workloads = {std::string(65'535, 'w')};
+    const Response response = client.call(request);
+    EXPECT_EQ(response.status, ResponseStatus::Error);
+    EXPECT_EQ(response.message.size(), 65'535u);
+    EXPECT_NE(response.message.find("unknown workload 'www"),
+              std::string::npos)
+        << response.message.substr(0, 40);
 }
 
 TEST(ServeDaemon, OversizedLengthPrefixIsRefusedWithoutAllocating)

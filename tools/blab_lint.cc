@@ -7,8 +7,10 @@
  *
  * With no benchmarks named, lints all ten paper workloads. For each
  * benchmark the tool verifies the program, runs every program rule,
- * then profiles the benchmark and runs the FS-image rules over the
- * transformed image at each requested slot count.
+ * then records the benchmark through core::recordWorkload (the record
+ * path of `branchlab` and `blab_sweep`) and, at each requested slot
+ * count and optimizer level, builds the FS image, verifies it with
+ * profile::verifyFsOptImage and runs the FS-image rules over it.
  *
  * Options:
  *   --Werror          promote warnings to errors (exit 1 on any)
@@ -22,7 +24,8 @@
  *   --fs-opt L[,L...] optimizer levels to lint the images at
  *                     (none|slots|superblock|hoist; default none)
  *   --no-images       skip the FS-image checks
- *   --runs N          profiling runs per benchmark (default 1)
+ *   --runs N          profiling runs per benchmark (default 1; 0 is
+ *                     the workload's default run count)
  *   --seed S          input-suite seed (default 1989)
  *
  * Exit status: 0 clean, 1 when any (post-promotion) error was
@@ -37,14 +40,12 @@
 #include <vector>
 
 #include "analysis/diagnostics.hh"
-#include "ir/layout.hh"
+#include "core/runner.hh"
 #include "ir/verifier.hh"
 #include "profile/fs_opt.hh"
 #include "profile/profile.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "vm/machine.hh"
-#include "vm/predecode.hh"
 #include "workloads/workload.hh"
 
 using namespace branchlab;
@@ -70,7 +71,7 @@ usage()
            "(none|slots|superblock|hoist; default none)\n"
            "  --no-images       skip the FS-image checks\n"
            "  --runs N          profiling runs per benchmark "
-           "(default 1)\n"
+           "(default 1; 0: the workload's default)\n"
            "  --seed S          input-suite seed (default 1989)\n"
            "with no benchmark, lints all ten paper workloads\n";
     return 2;
@@ -178,27 +179,6 @@ parseArgs(int argc, char **argv, Options &opts)
     return true;
 }
 
-/** Profile @p program over the benchmark's deterministic inputs. */
-profile::ProgramProfile
-profileWorkload(const workloads::Workload &workload,
-                const ir::Program &program, const ir::Layout &layout,
-                const Options &opts)
-{
-    profile::ProgramProfile profile(program, layout);
-    Rng rng(opts.seed ^ hashString(workload.name()));
-    const auto inputs = workload.makeInputs(rng, opts.runs);
-    const vm::PredecodedProgram code(program, layout);
-    for (const workloads::WorkloadInput &input : inputs) {
-        profile.noteRun();
-        vm::Machine machine(code);
-        for (std::size_t c = 0; c < input.channels.size(); ++c)
-            machine.setInput(static_cast<int>(c), input.channels[c]);
-        machine.setSink(&profile);
-        machine.run();
-    }
-    return profile;
-}
-
 /** Prefix each diagnostic's location with the subject it came from. */
 void
 tagAndCollect(std::vector<analysis::Diagnostic> diags,
@@ -232,9 +212,12 @@ lintBenchmark(const workloads::Workload &workload,
     if (!opts.images)
         return 0;
 
-    const ir::Layout layout(program);
-    const profile::ProgramProfile profile =
-        profileWorkload(workload, program, layout, opts);
+    core::ExperimentConfig experiment;
+    experiment.seed = opts.seed;
+    experiment.runsOverride = opts.runs;
+    const core::RecordedWorkload recorded =
+        core::recordWorkload(workload, experiment);
+    const profile::ProgramProfile &profile = *recorded.profile;
     for (unsigned slots : opts.slots) {
         for (const profile::FsOptLevel level : opts.fsOptLevels) {
             profile::FsOptConfig config;
